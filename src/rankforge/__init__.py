@@ -11,12 +11,12 @@ from .errors import (BudgetExceededError, InvalidParameterError, RankforgeError,
 from .experiments import (CensusResult, LemmaReport, TrialBatch, census,
                           figure_data, monte_carlo, verify_lemma_suite)
 from .field_arith import (Element, FieldSpec, default_field, enumerate_elements,
-                          frobenius, is_in_base, linearly_independent_over_base,
-                          phi_s, random_element, trace, trace_kernel)
+                          frobenius, is_in_base, phi_s, random_element, trace,
+                          trace_kernel)
 from .fq_linalg import (BaseMatrix, EchelonIterator, ExtMatrix,
                         count_intersecting_subspaces, det, enumerate_rref,
                         expand_to_base, gaussian_binomial, intersection_dim,
-                        rank, rref)
+                        linearly_independent_over_base, rank, rref)
 from .mrd_criteria import (GSetCount, MultilinearPoly, enumerate_G,
                            enumerate_R1K, f_E_degree, frobenius_code,
                            is_gabidulin, is_mrd, is_mrd_fullrank_variant,

@@ -7,7 +7,7 @@ the RANKFORGE_BUDGET environment variable).
 
 import os
 
-from .errors import BudgetExceededError
+from .errors import BudgetExceededError, InvalidParameterError
 
 DEFAULT_BUDGET = 2 ** 24
 
@@ -15,16 +15,20 @@ _ENV_VAR = "RANKFORGE_BUDGET"
 
 
 def enumeration_budget() -> int:
-    """Current budget: RANKFORGE_BUDGET if set, else the default."""
+    """Current budget: RANKFORGE_BUDGET if set, else the default.
+
+    A value that is not a positive integer is invalid input, not an
+    exhausted budget.
+    """
     raw = os.environ.get(_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
     try:
         value = int(raw)
     except ValueError as exc:
-        raise BudgetExceededError(f"{_ENV_VAR} is not an integer: {raw!r}") from exc
+        raise InvalidParameterError(f"{_ENV_VAR} is not an integer: {raw!r}") from exc
     if value <= 0:
-        raise BudgetExceededError(f"{_ENV_VAR} must be positive, got {value}")
+        raise InvalidParameterError(f"{_ENV_VAR} must be positive, got {value}")
     return value
 
 

@@ -14,7 +14,8 @@ import sys
 from . import experiments, prob_bounds
 from .errors import (BudgetExceededError, InvalidParameterError, RankforgeError,
                      ShapeError, SpecMismatchError, VerificationError)
-from .field_arith import Element, FieldSpec, linearly_independent_over_base
+from .field_arith import Element, FieldSpec
+from .fq_linalg import linearly_independent_over_base
 from .mrd_criteria import _gabidulin_parameter, is_mrd
 from .rank_codes import RankCode, gabidulin, min_rank_distance
 

@@ -33,7 +33,7 @@ from .rank_codes import RankCode, _min_rank_distance_raw
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
-CHECKPOINT_SCHEMA = 1
+CHECKPOINT_SCHEMA = 2
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -46,61 +46,25 @@ def derive_seed(root: int, *parts) -> int:
 # Fast classifier for systematic blocks, shared by trials and census.
 
 class _Classifier:
-    """Precomputed echelon test set and Frobenius tables for one (q, m, k, n)."""
+    """The kernel's echelon test set and Gabidulin parameters for one
+    (spec, k, n); blocks are k rows of raw element indices."""
 
     def __init__(self, spec: FieldSpec, k: int, n: int):
         if not 1 <= k < n:
             raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         self.spec = spec
-        self.k = k
-        self.n = n
         self.w = n - k
-        self.valid_s = spec.valid_s_values()
-        spec._ensure_fast(tuple(self.valid_s))
-        self.tests = []
-        for E in enumerate_rref(k, n, spec):
-            left = [tuple(row[:k]) for row in E.entries]
-            right = [tuple(row[k:]) for row in E.entries]
-            self.tests.append((left, right))
-        self._frob = {s: spec._frob_tables.get(s) for s in self.valid_s}
+        self.valid_s = tuple(spec.valid_s_values())
+        spec._ensure_fast(self.valid_s)
+        self.tests = list(mc._echelon_tests(k, n, spec))
 
     def is_mrd_rows(self, X) -> bool:
-        """X given as k rows of raw element indices."""
-        spec = self.spec
-        k = self.k
-        add, smul = spec.add, spec.scalar_mul
-        for left, right in self.tests:
-            M = []
-            for i in range(k):
-                li = left[i]
-                ri = right[i]
-                row = []
-                for j in range(k):
-                    Xj = X[j]
-                    acc = li[j]
-                    for t, c in enumerate(ri):
-                        if c and Xj[t]:
-                            acc = add(acc, smul(c, Xj[t]))
-                    row.append(acc)
-                M.append(row)
-            if _rank_raw(M, spec, cap=k) < k:
-                return False
-        return True
+        return mc._is_mrd_block(self.spec, X, self.tests)
 
     def gab_memberships(self, X):
         """All parameters s for which the Frobenius difference of X has rank
         one; assumes X already classified as maximal."""
-        spec = self.spec
-        out = []
-        for s in self.valid_s:
-            table = self._frob[s]
-            if table is not None:
-                phi = [[spec.sub(table[v], v) for v in row] for row in X]
-            else:
-                phi = [[spec.sub(spec.frobenius(v, s), v) for v in row] for row in X]
-            if _rank_raw(phi, spec, cap=2) == 1:
-                out.append(s)
-        return tuple(out)
+        return tuple(mc._gabidulin_hits(self.spec, X, self.valid_s))
 
     def classify(self, X):
         """(is_mrd, smallest Gabidulin s or None) for a systematic block."""
@@ -111,8 +75,8 @@ class _Classifier:
 
 
 @lru_cache(maxsize=None)
-def _classifier_for(q: int, k: int, n: int, m: int) -> _Classifier:
-    return _Classifier(default_field(q, m), k, n)
+def _classifier_for(spec: FieldSpec, k: int, n: int) -> _Classifier:
+    return _Classifier(spec, k, n)
 
 
 # --------------------------------------------------------------------------
@@ -149,7 +113,7 @@ class TrialBatch:
 
 def _mc_chunk(args):
     q, k, n, m, chunk_seed, count = args
-    cls = _classifier_for(q, k, n, m)
+    cls = _classifier_for(default_field(q, m), k, n)
     order = cls.spec.order
     w = cls.w
     rng = random.Random(chunk_seed)
@@ -229,7 +193,7 @@ def _write_checkpoint(path, state):
     os.replace(tmp, path)
 
 
-def _load_checkpoint(path, params):
+def _load_checkpoint(path, params, tower):
     with open(path, encoding="utf-8") as fh:
         state = json.load(fh)
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
@@ -237,6 +201,9 @@ def _load_checkpoint(path, params):
     if state.get("params") != list(params):
         raise InvalidParameterError(
             f"checkpoint params {state.get('params')} do not match {list(params)}")
+    if state.get("field") != tower:
+        raise InvalidParameterError(
+            f"checkpoint field tower {state.get('field')} does not match {tower}")
     return state
 
 
@@ -248,12 +215,16 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     Verdicts are cross-validated against the brute-force minimum-distance
     oracle on a fixed-stride subsample (default every 100th block).  When
     `checkpoint_path` is given, progress is persisted every 2^16 blocks and
-    an interrupted run resumes from the stored cursor.  `stop_after` bounds
-    the number of blocks processed in this call (a checkpoint is written and
-    None returned when the scan is not finished).
+    an interrupted run resumes from the stored cursor; the checkpoint binds
+    (q, k, n, m) and the field tower.  `stop_after` bounds the number of
+    blocks processed in this call (a checkpoint is written and None
+    returned when the scan is not finished), so it needs `checkpoint_path`.
     """
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    if stop_after is not None and not checkpoint_path:
+        raise InvalidParameterError(
+            "stop_after needs a checkpoint_path to keep the partial scan")
     if spec is None:
         spec = default_field(q, m)
     elif (spec.q, spec.m) != (q, m):
@@ -261,16 +232,17 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     cells = k * (n - k)
     total = spec.order ** cells
     check_budget(total, "systematic-block census")
-    cls = _Classifier(spec, k, n)
+    cls = _classifier_for(spec, k, n)
     w = n - k
     order = spec.order
 
     params = (q, k, n, m)
+    tower = spec.to_json()
     cursor = 0
     mrd = gab = 0
     per_s = {s: 0 for s in cls.valid_s}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(checkpoint_path, params)
+        state = _load_checkpoint(checkpoint_path, params, tower)
         cursor = state["cursor"]
         mrd = state["mrd_count"]
         gab = state["gab_count"]
@@ -289,7 +261,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     def save(g):
         _write_checkpoint(checkpoint_path, {
             "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
-            "cursor": g, "mrd_count": mrd, "gab_count": gab,
+            "field": tower, "cursor": g, "mrd_count": mrd, "gab_count": gab,
             "per_s": {str(s): c for s, c in per_s.items()}})
 
     processed = 0
@@ -323,8 +295,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         if checkpoint_path and g % CHECKPOINT_EVERY == 0:
             save(g)
         if stop_after is not None and processed >= stop_after and g < total:
-            if checkpoint_path:
-                save(g)
+            save(g)
             return None
     result = CensusResult(q=q, k=k, n=n, m=m, total=total,
                           mrd_count=mrd, gab_count=gab, per_s_gab_counts=per_s)
@@ -759,17 +730,27 @@ CENSUS_CSV_FIELDS = ["q", "k", "n", "m", "total", "mrd_count", "gab_count",
 
 
 def write_csv(path: str, fieldnames, rows, append: bool = False) -> None:
-    """Write rows with a schema-version comment line above the header."""
+    """Write rows with a schema-version comment line above the header.
+
+    An append to a non-empty file requires its schema line and header to
+    match; rows are never appended under a different header.
+    """
     import csv
     exists = append and os.path.exists(path) and os.path.getsize(path) > 0
-    mode = "a" if exists else "w"
-    with open(path, mode, newline="", encoding="utf-8") as fh:
+    schema_line = f"# schema_version={CSV_SCHEMA_VERSION}"
+    if exists:
+        with open(path, newline="", encoding="utf-8") as fh:
+            found = fh.readline().rstrip("\r\n")
+            header = next(csv.reader([fh.readline()]), [])
+        if found != schema_line or header != list(fieldnames):
+            raise InvalidParameterError(
+                f"cannot append to {path}: it holds {found!r} with header "
+                f"{header}, expected {schema_line!r} with header {list(fieldnames)}")
+    with open(path, "a" if exists else "w", newline="", encoding="utf-8") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
         if not exists:
-            fh.write(f"# schema_version={CSV_SCHEMA_VERSION}\n")
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            fh.write(schema_line + "\n")
             writer.writeheader()
-        else:
-            writer = csv.DictWriter(fh, fieldnames=fieldnames)
         for row in rows:
             writer.writerow(row)
 

@@ -712,12 +712,6 @@ class Element:
 # --------------------------------------------------------------------------
 # Module-level operations on Elements.
 
-def _same_spec(a: Element, b: Element) -> FieldSpec:
-    if a.spec != b.spec:
-        raise SpecMismatchError("elements belong to different field towers")
-    return a.spec
-
-
 def inv(a: Element) -> Element:
     return Element(a.spec, a.spec.inv(a.idx))
 
@@ -757,41 +751,6 @@ def enumerate_elements(spec: FieldSpec) -> Iterator[Element]:
     """Every element exactly once, in index order."""
     check_budget(spec.order, "field enumeration")
     return (Element(spec, a) for a in range(spec.order))
-
-
-def linearly_independent_over_base(v: Sequence[Element]) -> bool:
-    """True iff no nontrivial F_q-combination of the given elements vanishes.
-
-    More than m elements are always dependent (returns False, not an error).
-    """
-    if not v:
-        raise InvalidParameterError("empty list of elements")
-    spec = v[0].spec
-    for x in v[1:]:
-        _same_spec(v[0], x)
-    if len(v) > spec.m:
-        return False
-    columns = [spec.digits(x.idx) for x in v]
-    return _fq_column_rank(columns, spec.base_field) == len(v)
-
-
-def _fq_column_rank(columns, fq) -> int:
-    """Rank over F_q of a set of coefficient vectors (incremental elimination)."""
-    basis = {}  # lead index -> vector normalized to 1 at the lead
-    for col in columns:
-        vec = list(col)
-        while True:
-            lead = next((i for i, c in enumerate(vec) if c), None)
-            if lead is None:
-                break
-            b = basis.get(lead)
-            if b is None:
-                s = fq.inv(vec[lead])
-                basis[lead] = [fq.mul(s, c) for c in vec]
-                break
-            c = vec[lead]
-            vec = [fq.sub(x, fq.mul(c, y)) for x, y in zip(vec, b)]
-    return len(basis)
 
 
 @lru_cache(maxsize=None)

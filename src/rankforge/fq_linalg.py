@@ -41,6 +41,14 @@ class _MatrixBase:
         return hash((type(self).__name__, self.spec,
                      tuple(tuple(r) for r in self.entries)))
 
+    @classmethod
+    def identity(cls, spec, n):
+        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+
+    @classmethod
+    def zeros(cls, spec, rows, cols):
+        return cls(spec, [[0] * cols for _ in range(rows)])
+
     def copy_entries(self):
         return [list(r) for r in self.entries]
 
@@ -60,14 +68,6 @@ class BaseMatrix(_MatrixBase):
                 raise InvalidParameterError(f"F_q entry out of range: {v}")
             out.append(v)
         return out
-
-    @classmethod
-    def identity(cls, spec, n):
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec, rows, cols):
-        return cls(spec, [[0] * cols for _ in range(rows)])
 
     def _ops(self):
         return self.spec.base_field
@@ -103,14 +103,6 @@ class ExtMatrix(_MatrixBase):
                     raise InvalidParameterError(f"element index out of range: {v}")
                 out.append(v)
         return out
-
-    @classmethod
-    def identity(cls, spec, n):
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec, rows, cols):
-        return cls(spec, [[0] * cols for _ in range(rows)])
 
     def entry(self, i, j) -> Element:
         return Element(self.spec, self.entries[i][j])
@@ -397,3 +389,16 @@ def _expanded_rank(spec: FieldSpec, idx_vector, cap=None) -> int:
         if cap is not None and rank_ >= cap:
             return rank_
     return rank_
+
+
+def linearly_independent_over_base(v: Sequence[Element]) -> bool:
+    """True iff no nontrivial F_q-combination of the given elements vanishes.
+
+    More than m elements are always dependent (returns False, not an error).
+    """
+    if not v:
+        raise InvalidParameterError("empty list of elements")
+    spec = v[0].spec
+    if any(x.spec != spec for x in v):
+        raise SpecMismatchError("elements belong to different field towers")
+    return len(v) <= spec.m and _expanded_rank(spec, [x.idx for x in v]) == len(v)

@@ -19,6 +19,66 @@ from .rank_codes import RankCode
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 
+# --------------------------------------------------------------------------
+# The classifier kernel, shared by is_mrd / is_gabidulin, the census and the
+# Monte-Carlo trials.  A systematic block X is given as k rows of raw
+# element indices.
+
+def _echelon_tests(k: int, n: int, spec: FieldSpec):
+    """Column blocks (E_L, E_R) of every echelon form in T(k, n) except
+    [I_k | 0], which every block [I_k | X] passes."""
+    for E in enumerate_rref(k, n, spec):
+        right = [tuple(row[k:]) for row in E.entries]
+        if any(any(r) for r in right):
+            yield [tuple(row[:k]) for row in E.entries], right
+
+
+def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
+    """True iff E_L + E_R X^T has full rank for every test (E_L, E_R)."""
+    k = len(X)
+    add, smul = spec.add, spec.scalar_mul
+    for left, right in tests:
+        M = []
+        for i in range(k):
+            li = left[i]
+            ri = right[i]
+            row = []
+            for j in range(k):
+                Xj = X[j]
+                acc = li[j]
+                for t, c in enumerate(ri):
+                    if c and Xj[t]:
+                        acc = add(acc, smul(c, Xj[t]))
+                row.append(acc)
+            M.append(row)
+        if _rank_raw(M, spec, cap=k) < k:
+            return False
+    return True
+
+
+def _gabidulin_hits(spec: FieldSpec, X, s_values):
+    """Yield each s in s_values for which X^(q^s) - X has rank one."""
+    sub, frobenius = spec.sub, spec.frobenius
+    for s in s_values:
+        phi = [[sub(frobenius(v, s), v) for v in row] for row in X]
+        if _rank_raw(phi, spec, cap=2) == 1:
+            yield s
+
+
+def is_mrd(code: RankCode) -> bool:
+    """True iff rk(E G^T) = k for every full-rank k x n echelon form E;
+    equivalent to the minimum rank distance being n - k + 1."""
+    k, n = code.k, code.n
+    if k == n:
+        return True
+    X = code.systematic_X
+    if X is None:
+        # a singular leading k x k block leaves a nonzero codeword on the
+        # last n - k coordinates, so the distance is at most n - k
+        return False
+    return _is_mrd_block(code.spec, X.entries, _echelon_tests(k, n, code.spec))
+
+
 def _ext_product_rank(spec: FieldSpec, E_rows, G_rows, k: int, cap=None) -> int:
     """Rank of E G^T over F_{q^m} for a base matrix E and generator G."""
     n = len(G_rows[0])
@@ -36,17 +96,6 @@ def _ext_product_rank(spec: FieldSpec, E_rows, G_rows, k: int, cap=None) -> int:
             row.append(acc)
         M.append(row)
     return _rank_raw(M, spec, cap=cap)
-
-
-def is_mrd(code: RankCode) -> bool:
-    """True iff rk(E G^T) = k for every full-rank k x n echelon form E;
-    equivalent to the minimum rank distance being n - k + 1."""
-    spec, k, n = code.spec, code.k, code.n
-    G_rows = code.G.entries
-    for E in enumerate_rref(k, n, spec):
-        if _ext_product_rank(spec, E.entries, G_rows, k, cap=k) < k:
-            return False
-    return True
 
 
 def is_mrd_fullrank_variant(code: RankCode) -> bool:
@@ -75,10 +124,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     if not 0 < s < spec.m or gcd(s, spec.m) != 1:
         raise InvalidParameterError(
             f"s must satisfy 0 < s < m and gcd(s, m) = 1, got s={s}, m={spec.m}")
-    if X.cols == 0:
-        return False
-    phi = [[spec.phi_s(v, s) for v in row] for row in X.entries]
-    return _rank_raw(phi, spec, cap=2) == 1
+    return any(_gabidulin_hits(spec, X.entries, (s,)))
 
 
 def frobenius_code(code: RankCode, s: int) -> RankCode:
@@ -93,22 +139,14 @@ def frobenius_code(code: RankCode, s: int) -> RankCode:
 def _gabidulin_parameter(code: RankCode) -> int | None:
     """Smallest s coprime to m with dim(C ∩ C^(q^s)) = k - 1, or None.
 
-    Uses the rank-one reformulation on the systematic block when it exists
-    (it always does for maximal codes); falls back to the intersection
-    dimension otherwise.
+    Uses the rank-one reformulation on the systematic block, which every
+    maximal code with k < n has; without one the answer is None.
     """
-    spec = code.spec
     X = code.systematic_X
-    if X is not None:
-        for s in spec.valid_s_values():
-            if rank1_criterion(X, s):
-                return s
+    if X is None:
         return None
-    for s in spec.valid_s_values():
-        shifted = frobenius_code(code, s)
-        if intersection_dim(code.canonical, shifted.canonical) == code.k - 1:
-            return s
-    return None
+    spec = code.spec
+    return next(_gabidulin_hits(spec, X.entries, spec.valid_s_values()), None)
 
 
 def is_gabidulin(code: RankCode) -> int | None:
@@ -350,19 +388,13 @@ def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     spec._ensure_fast((s,))
     order = spec.order
     in_base = [spec.frobenius(a, 1) == a for a in range(order)]
-    frob = spec._frob_tables.get(s)
     width = n - k
     count = 0
     for flat in itertools.product(range(order), repeat=cells):
         if any(in_base[v] for v in flat):
             continue
-        if frob is not None:
-            phi = [[spec.sub(frob[flat[i * width + j]], flat[i * width + j])
-                    for j in range(width)] for i in range(k)]
-        else:
-            phi = [[spec.phi_s(flat[i * width + j], s)
-                    for j in range(width)] for i in range(k)]
-        if _rank_raw(phi, spec, cap=2) == 1:
+        X = [flat[i * width:(i + 1) * width] for i in range(k)]
+        if any(_gabidulin_hits(spec, X, (s,))):
             count += 1
     factored = (spec.q ** cells) * len(enumerate_R1K(spec, k, n))
     return GSetCount(s=s, exhaustive=count, factored=factored)

@@ -13,9 +13,9 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import Element, FieldSpec, linearly_independent_over_base
+from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
-                        _rref_in_place)
+                        _rref_in_place, linearly_independent_over_base)
 
 _SCALED_ROW_CACHE_MAX = 2 ** 21  # total ints held by min-distance row tables
 

@@ -147,6 +147,18 @@ class TestSimulate:
         assert 0 <= data["gab_count"] <= data["mrd_count"] <= 64
         assert f.exists()
 
+    def test_append_to_census_csv_refused(self, capsys, tmp_path):
+        f = tmp_path / "out.csv"
+        code, _, _ = run(capsys, "census", "--q", "2", "--k", "2", "--n", "3",
+                         "--m", "2", "--csv", str(f))
+        assert code == 0
+        before = f.read_text()
+        code, _, err = run(capsys, "simulate", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "6", "--trials", "8", "--csv", str(f))
+        assert code == 2
+        assert "cannot append" in err
+        assert f.read_text() == before
+
     def test_workers_agree(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--q", "2", "--k", "2", "--n", "4",
                          "--m", "6", "--trials", "100", "--seed", "5")
@@ -175,6 +187,14 @@ class TestCensusCli:
                            "--m", "3")
         assert code == 3
         assert "budget" in err.lower()
+
+    @pytest.mark.parametrize("value", ["lots", "0", "-5"])
+    def test_malformed_budget_exit_code(self, capsys, monkeypatch, value):
+        monkeypatch.setenv("RANKFORGE_BUDGET", value)
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "3")
+        assert code == 2
+        assert "RANKFORGE_BUDGET" in err
 
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")

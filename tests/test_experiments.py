@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from rankforge import (BudgetExceededError, FieldSpec, VerificationError,
+from rankforge import (BudgetExceededError, FieldSpec, InvalidParameterError,
+                       VerificationError,
                        census, default_field, figure_data, gab_bound,
                        monte_carlo, mrd_bound, verify_lemma_suite)
 from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
@@ -90,6 +91,32 @@ class TestCensus:
         from rankforge.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             census(2, 2, 3, 3, checkpoint_path=path)
+
+    def test_checkpoint_binds_field_tower(self, tmp_path):
+        # a checkpoint written under one modulus must not be resumed under
+        # another: the two enumeration orders would mix (1346 MRD blocks
+        # instead of the 1344 each tower gives)
+        path = str(tmp_path / "census.json")
+        other = FieldSpec(2, 1, 4, ext_modulus=[1, 1, 0, 0, 1])
+        assert census(2, 2, 4, 4, spec=other, checkpoint_path=path,
+                      stop_after=30000) is None
+        with pytest.raises(InvalidParameterError, match="field tower"):
+            census(2, 2, 4, 4, checkpoint_path=path)
+        assert json.loads(open(path).read())["field"] == other.to_json()
+        resumed = census(2, 2, 4, 4, spec=other, checkpoint_path=path)
+        assert resumed.mrd_count == 1344
+
+    def test_old_checkpoint_schema_rejected(self, tmp_path):
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({
+            "schema_version": 1, "params": [2, 2, 4, 3], "cursor": 100,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
+        with pytest.raises(InvalidParameterError, match="schema"):
+            census(2, 2, 4, 3, checkpoint_path=str(path))
+
+    def test_stop_after_needs_checkpoint(self):
+        with pytest.raises(InvalidParameterError, match="checkpoint_path"):
+            census(2, 2, 4, 3, stop_after=100)
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
@@ -206,6 +233,24 @@ class TestCsvWriters:
         assert lines[0] == "# schema_version=1"
         assert lines[1].split(",") == TRIALS_CSV_FIELDS
         assert len(lines) == 4  # comment + header + two appended rows
+
+    def test_append_with_other_header_refused(self, tmp_path):
+        batch = monte_carlo(2, 2, 4, 5, 64, seed=2)
+        path = str(tmp_path / "trials.csv")
+        write_csv(path, TRIALS_CSV_FIELDS, [trial_batch_row(batch)], append=True)
+        before = open(path).read()
+        rows = census_rows(census(2, 2, 4, 3))
+        with pytest.raises(InvalidParameterError, match="cannot append"):
+            write_csv(path, CENSUS_CSV_FIELDS, rows, append=True)
+        assert open(path).read() == before
+
+    def test_append_with_other_schema_refused(self, tmp_path):
+        path = tmp_path / "trials.csv"
+        path.write_text("# schema_version=0\n" + ",".join(TRIALS_CSV_FIELDS) + "\n")
+        batch = monte_carlo(2, 2, 4, 5, 64, seed=2)
+        with pytest.raises(InvalidParameterError, match="cannot append"):
+            write_csv(str(path), TRIALS_CSV_FIELDS, [trial_batch_row(batch)],
+                      append=True)
 
     def test_census_csv_rows_per_s(self):
         result = census(2, 2, 4, 3)

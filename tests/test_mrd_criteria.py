@@ -11,7 +11,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E,
                        systematic_form)
-from rankforge.fq_linalg import BaseMatrix, enumerate_rref
+from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
 from rankforge.mrd_criteria import _gabidulin_parameter
 
 from conftest import basis_elements
@@ -140,6 +140,55 @@ class TestIsGabidulin:
                     via_intersection = s
                     break
             assert via_block == via_intersection
+
+
+class TestTwistedGabidulin:
+    """Twisted Gabidulin codes (Sheekey 2016, h = 0) at q=3, m=n=4, k=2: rows
+    g + eta g^(q^2) and g^q over the power basis g.  They are MRD whenever
+    N(eta) != (-1)^(mk) = 1, and not Gabidulin, so they give the
+    non-Gabidulin branch of the classifier a known answer."""
+
+    @staticmethod
+    def twisted(spec, eta):
+        g = [b.idx for b in basis_elements(spec, 4)]
+        rows = [[spec.add(v, spec.mul(eta, spec.frobenius(v, 2))) for v in g],
+                [spec.frobenius(v, 1) for v in g]]
+        return RankCode(spec, ExtMatrix(spec, rows))
+
+    def test_norm_two_family_is_mrd_and_not_gabidulin(self):
+        spec = default_field(3, 4)
+        norm_exp = (spec.order - 1) // (spec.q - 1)
+        etas = [a for a in range(1, spec.order) if spec.pow(a, norm_exp) == 2]
+        assert len(etas) == 40
+        for eta in etas:
+            code = self.twisted(spec, eta)
+            assert is_mrd(code)
+            assert min_rank_distance(code) == 3
+            assert is_gabidulin(code) is None
+            for s in spec.valid_s_values():
+                shifted = frobenius_code(code, s)
+                assert intersection_dim(code.canonical, shifted.canonical) != code.k - 1
+
+    def test_untwisted_member_is_gabidulin(self):
+        assert is_gabidulin(self.twisted(default_field(3, 4), 0)) == 1
+
+
+class TestIsMrdShortCircuits:
+    @pytest.mark.parametrize("k,n", [(1, 2), (2, 2), (1, 3), (2, 3)])
+    def test_every_full_rank_generator(self, f4, k, n):
+        # covers k = n and generators without a systematic form, which
+        # is_mrd decides without running the echelon tests
+        kinds = set()
+        for flat in itertools.product(range(f4.order), repeat=k * n):
+            rows = [list(flat[i * n:(i + 1) * n]) for i in range(k)]
+            if _rank_raw(rows, f4) < k:
+                continue
+            code = RankCode(f4, ExtMatrix(f4, rows))
+            kinds.add(systematic_form(code) is None)
+            verdict = is_mrd(code)
+            assert verdict == is_mrd_fullrank_variant(code)
+            assert verdict == (min_rank_distance(code) == n - k + 1)
+        assert kinds == ({True} if k == n else {True, False})
 
 
 class TestFrobeniusCode:
