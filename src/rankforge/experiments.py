@@ -55,7 +55,6 @@ class _Classifier:
         self.spec = spec
         self.w = n - k
         self.valid_s = tuple(spec.valid_s_values())
-        spec._ensure_fast(self.valid_s)
         self.tests = list(mc._echelon_tests(k, n, spec))
 
     def is_mrd_rows(self, X) -> bool:
@@ -94,7 +93,7 @@ class TrialBatch:
     seed: int
     mrd_count: int
     gab_count: int
-    elapsed: float
+    elapsed: float = field(compare=False)
 
     def __post_init__(self):
         if not 0 <= self.gab_count <= self.mrd_count <= self.trials:
@@ -222,6 +221,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     """
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    if oracle_stride < 1:
+        raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
+    if stop_after is not None and stop_after < 1:
+        raise InvalidParameterError(f"stop_after must be positive, got {stop_after}")
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")

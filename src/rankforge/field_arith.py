@@ -9,6 +9,12 @@ and for p = 2 field addition of two indices is plain XOR.
 The tower is kept in two levels (rather than one extension of degree e*m)
 so that the trace to F_q, the maps x -> x^{q^s} - x, and subfield
 membership all stay coefficient-level checks.
+
+A field of order at most 2**16 builds its digit, exp and log tables (and,
+for odd p, its Zech-logarithm table) when the FieldSpec is constructed, and
+every operation on it is a table lookup.  Larger fields compute on digit
+vectors: schoolbook products reduced by the modulus, Euclidean inverses and
+Frobenius images of the power basis.  These routines also build the tables.
 """
 
 from __future__ import annotations
@@ -21,11 +27,8 @@ from typing import Iterator, Sequence
 from .budget import check_budget
 from .errors import InvalidParameterError, SpecMismatchError
 
-# Size caps for the per-field lookup caches built by _ensure_fast().
-_EXPLOG_MAX = 2 ** 13     # discrete exp/log pair for fast multiplication
-_ADD_TABLE_MAX = 2 ** 10  # full addition table (only needed when p != 2)
-_DIGIT_CACHE_MAX = 2 ** 16
-_FROB_TABLE_MAX = 2 ** 13
+# Fields up to this order carry lookup tables; see FieldSpec._build_tables().
+_TABLE_MAX = 2 ** 16
 
 
 def is_prime(n: int) -> bool:
@@ -285,23 +288,17 @@ class FieldSpec:
         self.ext_modulus = ext_modulus
 
         # Reduction of alpha^m:  alpha^m = -(c_0 + c_1 alpha + ... ),
-        # stored as the digit vector of the negated tail.
+        # stored as the nonzero (position, digit) terms of the negated tail.
         fq = self.base_field
-        self._alpha_m = tuple(fq.neg(c) for c in self._pad(ext_modulus[:-1]))
+        self._alpha_m = tuple((j, fq.neg(c)) for j, c in enumerate(ext_modulus[:-1]) if c)
 
         self._key = (p, e, m, self.base_modulus, self.ext_modulus)
         self._hash = hash(self._key)
 
-        # Lazy fast-path caches; see _ensure_fast().
-        self._digit_cache = None
-        self._exp = None
-        self._log = None
-        self._add_flat = None
-        self._neg_table = None
-        self._inv_cache = {}
         self._frob_ops = {}
-        self._frob_tables = {}
-        self._fast_ready = False
+        self._digit_cache = self._exp = self._log = self._zech = None
+        if self.order <= _TABLE_MAX:
+            self._build_tables()
 
     # -- identity ----------------------------------------------------------
 
@@ -372,23 +369,39 @@ class FieldSpec:
 
     # -- raw arithmetic on indices ------------------------------------------
 
+    # Tabled fields, n = order - 1: exp[i] = g^(i mod n) for a generator g
+    # and 0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None
+    # where 1 + g^i = 0).  A sum of two logs indexes exp directly, and a
+    # difference in (-n, n) indexes exp or zech by Python's negative
+    # indexing, so no lookup reduces mod n.
+
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        t = self._add_flat
-        if t is not None:
-            return t[a * self.order + b]
-        fq = self.base_field
-        return self.from_digits(fq.add(x, y) for x, y in zip(self.digits(a), self.digits(b)))
+        zech = self._zech
+        if zech is None:
+            fq = self.base_field
+            return self.from_digits(fq.add(x, y) for x, y in zip(self.digits(a), self.digits(b)))
+        if a == 0:
+            return b
+        if b == 0:
+            return a
+        log = self._log
+        la = log[a]
+        z = zech[log[b] - la]
+        if z is None:
+            return 0
+        return self._exp[la + z]
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
+        if self.p == 2 or a == 0:
             return a
-        t = self._neg_table
-        if t is not None:
-            return t[a]
-        fq = self.base_field
-        return self.from_digits(fq.neg(x) for x in self.digits(a))
+        exp = self._exp
+        if exp is None:
+            fq = self.base_field
+            return self.from_digits(fq.neg(x) for x in self.digits(a))
+        # -1 = g^(n/2)
+        return exp[self._log[a] + (self.order - 1) // 2]
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -396,13 +409,8 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by an F_q scalar c (an int in [0, q))."""
-        if c == 0:
-            return 0
-        if c == 1:
-            return a
-        fq = self.base_field
-        return self.from_digits(fq.mul(c, x) for x in self.digits(a))
+        """Multiply by an F_q scalar c, which is the element with index c."""
+        return self.mul(c, a)
 
     def _mul_poly(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors, reduced mod ext_modulus."""
@@ -411,14 +419,13 @@ class FieldSpec:
         fq = self.base_field
         m = self.m
         da = self.digits(a)
-        db = self.digits(b)
+        db = [(j, y) for j, y in enumerate(self.digits(b)) if y]
         prod = [0] * (2 * m - 1)
         for i, x in enumerate(da):
             if x == 0:
                 continue
-            for j, y in enumerate(db):
-                if y:
-                    prod[i + j] = fq.add(prod[i + j], fq.mul(x, y))
+            for j, y in db:
+                prod[i + j] = fq.add(prod[i + j], fq.mul(x, y))
         # reduce: alpha^(m+t) = alpha^t * alpha^m, folding from the top down
         alpha_m = self._alpha_m
         for top in range(2 * m - 2, m - 1, -1):
@@ -427,32 +434,27 @@ class FieldSpec:
                 continue
             prod[top] = 0
             base = top - m
-            for j, r in enumerate(alpha_m):
-                if r:
-                    prod[base + j] = fq.add(prod[base + j], fq.mul(c, r))
+            for j, r in alpha_m:
+                prod[base + j] = fq.add(prod[base + j], fq.mul(c, r))
         return self.from_digits(prod[:m])
 
     def mul(self, a: int, b: int) -> int:
+        if a == 0 or b == 0:
+            return 0
         exp = self._exp
-        if exp is not None:
-            if a == 0 or b == 0:
-                return 0
-            log = self._log
-            return exp[(log[a] + log[b]) % (self.order - 1)]
-        return self._mul_poly(a, b)
+        if exp is None:
+            return self._mul_poly(a, b)
+        log = self._log
+        return exp[log[a] + log[b]]
 
     def inv(self, a: int) -> int:
-        """Multiplicative inverse via the extended Euclidean algorithm."""
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        cached = self._inv_cache.get(a)
-        if cached is not None:
-            return cached
+        exp = self._exp
+        if exp is not None:
+            return exp[-self._log[a]]
         poly = _ptrim(self.digits(a))
-        res = self.from_digits(self._pad(_pinv_mod(poly, self.ext_modulus, self.base_field)))
-        if len(self._inv_cache) < _DIGIT_CACHE_MAX:
-            self._inv_cache[a] = res
-        return res
+        return self.from_digits(self._pad(_pinv_mod(poly, self.ext_modulus, self.base_field)))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -493,9 +495,9 @@ class FieldSpec:
         s %= self.m
         if s == 0 or a == 0:
             return a
-        table = self._frob_tables.get(s)
-        if table is not None:
-            return table[a]
+        exp = self._exp
+        if exp is not None:
+            return exp[self._log[a] * self.q ** s % (self.order - 1)]
         basis = self._frob_basis(s)
         acc = 0
         for c, img in zip(self.digits(a), basis):
@@ -548,7 +550,7 @@ class FieldSpec:
             raise InvalidParameterError("too many coefficients for this extension")
         return Element(self, self.from_digits(self._pad(ds)))
 
-    # -- fast-path caches ------------------------------------------------------
+    # -- lookup tables ---------------------------------------------------------
 
     def _find_generator(self) -> int:
         n = self.order - 1
@@ -562,74 +564,29 @@ class FieldSpec:
             f += 1
         if v > 1:
             factors.append(v)
-        for cand in range(2, self.order):
+        for cand in range(1, self.order):  # 1 generates only F_2^*
             if all(self.pow(cand, n // f) != 1 for f in factors):
                 return cand
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
-    def _ensure_fast(self, s_values=()) -> None:
-        """Populate lookup caches used by enumeration-heavy callers.
-
-        Idempotent; only builds tables whose size fits the per-cache caps, and
-        falls back to the direct routines otherwise.
-        """
-        order = self.order
-        if not self._fast_ready:
-            if order <= _DIGIT_CACHE_MAX and self._digit_cache is None:
-                q, m = self.q, self.m
-                cache = []
-                for a in range(order):
-                    ds = []
-                    v = a
-                    for _ in range(m):
-                        v, r = divmod(v, q)
-                        ds.append(r)
-                    cache.append(tuple(ds))
-                self._digit_cache = cache
-            if order <= _EXPLOG_MAX and self._exp is None and order > 2:
-                g = self._find_generator()
-                exp = [1] * (order - 1)
-                for i in range(1, order - 1):
-                    exp[i] = self._mul_poly(exp[i - 1], g)
-                log = [0] * order
-                for i, v in enumerate(exp):
-                    log[v] = i
-                self._exp = exp
-                self._log = log
-            if self.p != 2:
-                if self._neg_table is None and order <= _DIGIT_CACHE_MAX:
-                    fq = self.base_field
-                    self._neg_table = [
-                        self.from_digits(fq.neg(x) for x in self.digits(a))
-                        for a in range(order)
-                    ]
-                if self._add_flat is None and order <= _ADD_TABLE_MAX:
-                    fq = self.base_field
-                    flat = [0] * (order * order)
-                    digit_rows = [self.digits(a) for a in range(order)]
-                    for a in range(order):
-                        da = digit_rows[a]
-                        base = a * order
-                        for b in range(a, order):
-                            v = self.from_digits(
-                                fq.add(x, y) for x, y in zip(da, digit_rows[b]))
-                            flat[base + b] = v
-                            flat[b * order + a] = v
-                    self._add_flat = flat
-            self._fast_ready = True
-        if order <= _FROB_TABLE_MAX:
-            for s in s_values:
-                s %= self.m
-                if s and s not in self._frob_tables:
-                    basis = self._frob_basis(s)
-                    table = [0] * order
-                    for a in range(order):
-                        acc = 0
-                        for c, img in zip(self.digits(a), basis):
-                            if c:
-                                acc = self.add(acc, self.scalar_mul(c, img))
-                        table[a] = acc
-                    self._frob_tables[s] = table
+    def _build_tables(self) -> None:
+        """Digit, exp/log and (odd p) Zech tables, built with the digit-vector
+        routines; only called from __init__ for orders up to _TABLE_MAX."""
+        q = self.q
+        self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=self.m)]
+        g = self._find_generator()
+        exp = [1] * (self.order - 1)
+        for i in range(1, len(exp)):
+            exp[i] = self._mul_poly(exp[i - 1], g)
+        log = [0] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        if self.p != 2:
+            # 1 + v changes only the lowest F_q digit of v
+            fq_add = self.base_field.add
+            ones = [v - v % q + fq_add(v % q, 1) for v in exp]
+            self._zech = [log[w] if w else None for w in ones]
+        self._exp, self._log = exp + exp, log
 
     # -- serialization ---------------------------------------------------------
 

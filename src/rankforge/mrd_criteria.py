@@ -36,7 +36,7 @@ def _echelon_tests(k: int, n: int, spec: FieldSpec):
 def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     """True iff E_L + E_R X^T has full rank for every test (E_L, E_R)."""
     k = len(X)
-    add, smul = spec.add, spec.scalar_mul
+    add, mul = spec.add, spec.mul
     for left, right in tests:
         M = []
         for i in range(k):
@@ -47,8 +47,9 @@ def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
                 Xj = X[j]
                 acc = li[j]
                 for t, c in enumerate(ri):
-                    if c and Xj[t]:
-                        acc = add(acc, smul(c, Xj[t]))
+                    x = Xj[t]
+                    if c and x:
+                        acc = add(acc, x if c == 1 else mul(c, x))
                 row.append(acc)
             M.append(row)
         if _rank_raw(M, spec, cap=k) < k:
@@ -346,7 +347,6 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     check_budget((spec.q ** (spec.m - 1)) ** (n - 1), "rank-one kernel enumeration")
-    spec._ensure_fast()
     order = spec.order
     trace0 = [a for a in range(1, order) if spec.trace(a) == 0]
     width = n - k
@@ -385,7 +385,6 @@ def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     cells = k * (n - k)
     total = spec.order ** cells
     check_budget(total, "rank-one difference-set scan")
-    spec._ensure_fast((s,))
     order = spec.order
     in_base = [spec.frobenius(a, 1) == a for a in range(order)]
     width = n - k

@@ -7,6 +7,7 @@ row-space comparison and as the source of the systematic block.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -173,7 +174,6 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     order = spec.order
     count = (order ** k - 1) // (order - 1)
     check_budget(count, "projective codeword scan")
-    spec._ensure_fast()
     best = min(spec.m, n)
 
     tables = [_scaled_row_table(spec, r) for r in g_rows]
@@ -184,22 +184,13 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
             return table[t]
         return tuple(spec.mul(t, v) for v in g_rows[j])
 
-    if spec.p == 2:
-        def vadd(a, b):
-            return tuple(x ^ y for x, y in zip(a, b))
-    else:
-        flat = spec._add_flat
-        if flat is not None:
-            def vadd(a, b):
-                return tuple(flat[x * order + y] for x, y in zip(a, b))
-        else:
-            sadd = spec.add
-            def vadd(a, b):
-                return tuple(sadd(x, y) for x, y in zip(a, b))
+    add = operator.xor if spec.p == 2 else spec.add
 
-    exp, log = spec._exp, spec._log
+    def vadd(a, b):
+        return tuple(map(add, a, b))
+
+    mul, inv = spec.mul, spec.inv
     q = spec.q
-    n1 = order - 1
     q2 = spec.q == 2
 
     def rank_below(word, cap):
@@ -215,12 +206,11 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
                 return 0
             if q2:
                 return 2 if any(f and f != e for f in it) else 1
-            if exp is not None:
-                le = log[e]
-                for f in it:
-                    if f and exp[(log[f] - le) % n1] >= q:
-                        return 2
-                return 1
+            inv_e = inv(e)
+            for f in it:
+                if f and mul(f, inv_e) >= q:
+                    return 2
+            return 1
         return _expanded_rank(spec, word, cap=cap)
 
     for lead in range(k):
@@ -238,15 +228,17 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
         values = [0] * len(outer)
         # prefix[d] = base plus the first d scaled outer rows
         prefix = [base] * (len(outer) + 1)
+        # word t is head + t * row[last]; with the row's multiples tabled,
+        # the words are built a column at a time
+        last_table = tables[last]
+        last_cols = None if last_table is None else list(zip(*last_table))
         while True:
             head = prefix[-1]
-            last_table = tables[last]
-            for t in range(order):
-                if t:
-                    word = vadd(head, scaled(last, t)) if last_table is None \
-                        else vadd(head, last_table[t])
-                else:
-                    word = head
+            if last_cols is None:
+                words = (vadd(head, scaled(last, t)) for t in range(order))
+            else:
+                words = zip(*[[add(h, x) for x in col] for h, col in zip(head, last_cols)])
+            for word in words:
                 r = rank_below(word, best)
                 if r < best:
                     best = r

@@ -28,6 +28,10 @@ class TestMonteCarlo:
         b = monte_carlo(2, 2, 4, 6, 100, seed=3)
         assert (a.mrd_count, a.gab_count) == (b.mrd_count, b.gab_count)
 
+    def test_same_seed_batches_equal(self):
+        # elapsed is a timing and takes no part in equality
+        assert monte_carlo(2, 2, 4, 6, 100, seed=3) == monte_carlo(2, 2, 4, 6, 100, seed=3)
+
     def test_different_seed_differs(self):
         # counts can tie by chance, so compare seeds whose outcomes are known
         # to differ (0 and 1 at these parameters)
@@ -117,6 +121,18 @@ class TestCensus:
     def test_stop_after_needs_checkpoint(self):
         with pytest.raises(InvalidParameterError, match="checkpoint_path"):
             census(2, 2, 4, 3, stop_after=100)
+
+    @pytest.mark.parametrize("stride", [0, -1])
+    def test_nonpositive_oracle_stride_rejected(self, stride):
+        with pytest.raises(InvalidParameterError, match="oracle_stride"):
+            census(2, 1, 2, 2, oracle_stride=stride)
+
+    @pytest.mark.parametrize("stop", [0, -3])
+    def test_nonpositive_stop_after_rejected(self, tmp_path, stop):
+        path = tmp_path / "census.json"
+        with pytest.raises(InvalidParameterError, match="stop_after"):
+            census(2, 1, 2, 2, checkpoint_path=str(path), stop_after=stop)
+        assert not path.exists()
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")

@@ -9,9 +9,11 @@ from rankforge import (BudgetExceededError, Element, FieldSpec,
                        enumerate_elements, frobenius, is_in_base,
                        linearly_independent_over_base, phi_s, random_element,
                        trace, trace_kernel)
+from rankforge import field_arith
 from rankforge.field_arith import element_from_json, element_to_json
 
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
+TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
 
 
 def alpha(spec):
@@ -82,7 +84,6 @@ class TestArithmetic:
     def test_mul_table_matches_polynomial_route(self, f16, f9):
         # the discrete-log acceleration must agree with schoolbook reduction
         for spec in (f16, f9):
-            spec._ensure_fast()
             for a, b in itertools.product(range(spec.order), repeat=2):
                 assert spec.mul(a, b) == spec._mul_poly(a, b)
 
@@ -107,6 +108,62 @@ class TestArithmetic:
     def test_element_int_combination_rejected(self, f4):
         with pytest.raises(TypeError):
             _ = alpha(f4) + 1
+
+
+def _fail(*args):
+    raise AssertionError("unexpected call")
+
+
+def untabled(monkeypatch, p, e, m):
+    """FieldSpec(p, e, m) built as if it were above the table cap, so every
+    operation takes the digit-vector route."""
+    with monkeypatch.context() as mp:
+        mp.setattr(field_arith, "_TABLE_MAX", 0)
+        mp.setattr(FieldSpec, "_build_tables", _fail)
+        return FieldSpec(p, e, m)
+
+
+class TestTablePath:
+    """exp/log/Zech lookups against the digit-vector routines."""
+
+    @pytest.mark.parametrize("p,e,m", TWIN_TOWERS)
+    def test_matches_untabled_twin(self, monkeypatch, p, e, m):
+        tabled, plain = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
+        assert tabled == plain
+        monkeypatch.setattr(tabled, "_mul_poly", _fail)
+        fq = plain.base_field
+        for a in range(tabled.order):
+            assert tabled.digits(a) == plain.digits(a)
+            assert tabled.neg(a) == plain.neg(a)
+            if a:
+                assert tabled.inv(a) == plain.inv(a)
+            for s in range(tabled.m + 1):
+                assert tabled.frobenius(a, s) == plain.frobenius(a, s)
+            for c in range(tabled.q):
+                # F_q sits at the indices below q: scaling acts digit by digit
+                by_digits = plain.from_digits(fq.mul(c, x) for x in plain.digits(a))
+                assert tabled.scalar_mul(c, a) == plain.scalar_mul(c, a) == by_digits
+        for a, b in itertools.product(range(tabled.order), repeat=2):
+            assert tabled.add(a, b) == plain.add(a, b)
+            assert tabled.sub(a, b) == plain.sub(a, b)
+            assert tabled.mul(a, b) == plain.mul(a, b)
+
+    def test_axioms_above_the_cap(self):
+        spec = FieldSpec(2, 1, 17)
+        assert spec.order > field_arith._TABLE_MAX
+        rng = random.Random(17)
+        for _ in range(50):
+            a, b, c = (rng.randrange(1, spec.order) for _ in range(3))
+            assert spec.add(a, b) == spec.add(b, a)
+            assert spec.mul(a, b) == spec.mul(b, a)
+            assert spec.mul(a, spec.mul(b, c)) == spec.mul(spec.mul(a, b), c)
+            assert spec.mul(a, spec.add(b, c)) == \
+                spec.add(spec.mul(a, b), spec.mul(a, c))
+            assert spec.sub(spec.add(a, b), b) == a
+            assert spec.add(a, spec.neg(a)) == 0
+            assert spec.mul(a, spec.inv(a)) == 1
+            for s in range(spec.m + 1):
+                assert spec.frobenius(a, s) == spec.pow(a, spec.q ** s)
 
 
 class TestFrobenius:

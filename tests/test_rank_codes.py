@@ -9,6 +9,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank_distance,
                        systematic_form)
+from rankforge import rank_codes
 from rankforge.fq_linalg import BaseMatrix
 
 from conftest import basis_elements
@@ -146,6 +147,17 @@ class TestMinRankDistance:
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
         with pytest.raises(BudgetExceededError):
             min_rank_distance(code)
+
+    @pytest.mark.parametrize("q,m", [(2, 3), (3, 2)])
+    def test_untabled_rows_give_same_distance(self, monkeypatch, q, m):
+        # rows too large to table are scaled word by word, not column-wise
+        spec = default_field(q, m)
+        rng = random.Random(10 * q + m)
+        codes = [random_systematic_code(spec, k, n, rng)
+                 for n in (2, 3, 4) for k in range(1, n) for _ in range(3)]
+        tabled = [min_rank_distance(c) for c in codes]
+        monkeypatch.setattr(rank_codes, "_SCALED_ROW_CACHE_MAX", 0)
+        assert [min_rank_distance(c) for c in codes] == tabled
 
     def test_singleton_bound_on_random_codes(self, f16):
         rng = random.Random(5)
