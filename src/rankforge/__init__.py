@@ -13,7 +13,7 @@ from .experiments import (CensusResult, LemmaReport, TrialBatch, census,
 from .field_arith import (Element, FieldSpec, default_field, enumerate_elements,
                           frobenius, is_in_base, phi_s, random_element, trace,
                           trace_kernel)
-from .fq_linalg import (BaseMatrix, EchelonIterator, ExtMatrix,
+from .fq_linalg import (BaseMatrix, ExtMatrix,
                         count_intersecting_subspaces, det, enumerate_rref,
                         expand_to_base, gaussian_binomial, intersection_dim,
                         linearly_independent_over_base, rank, rref)
@@ -27,13 +27,13 @@ from .prob_bounds import (BoundReport, bound_table, euler_phi, gab_bound,
 from .rank_codes import (Isometry, RankCode, apply_isometry, dual_code,
                          gabidulin, min_rank_distance, moore_matrix,
                          random_isometry, random_systematic_code,
-                         rank_distance, systematic_form)
+                         rank_distance)
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BaseMatrix", "BoundReport", "BudgetExceededError", "CensusResult",
-    "DEFAULT_BUDGET", "EchelonIterator", "Element", "ExtMatrix", "FieldSpec",
+    "DEFAULT_BUDGET", "Element", "ExtMatrix", "FieldSpec",
     "GSetCount", "Isometry", "InvalidParameterError", "LemmaReport",
     "MultilinearPoly", "RankCode", "RankforgeError", "ShapeError",
     "SpecMismatchError", "TrialBatch", "VerificationError", "apply_isometry",
@@ -48,5 +48,5 @@ __all__ = [
     "mrd_bound_rough", "mrd_defect_coefficient", "phi_s", "random_element",
     "random_isometry", "random_systematic_code", "rank", "rank1_criterion",
     "rank_distance", "rref", "sum_f_E_degrees", "symbolic_f_E",
-    "systematic_form", "trace", "trace_kernel", "verify_lemma_suite",
+    "trace", "trace_kernel", "verify_lemma_suite",
 ]

@@ -10,11 +10,16 @@ The tower is kept in two levels (rather than one extension of degree e*m)
 so that the trace to F_q, the maps x -> x^{q^s} - x, and subfield
 membership all stay coefficient-level checks.
 
-A field of order at most 2**16 builds its digit, exp and log tables (and,
-for odd p, its Zech-logarithm table) when the FieldSpec is constructed, and
-every operation on it is a table lookup.  Larger fields compute on digit
-vectors: schoolbook products reduced by the modulus, Euclidean inverses and
-Frobenius images of the power basis.  These routines also build the tables.
+Arithmetic takes one of three routes, by the kind of field:
+
+- F_p is plain modular arithmetic on ints (_PrimeOps), the floor of the tower.
+- A FieldSpec of order at most 2**16 builds its digit, exp and log tables
+  (and, for odd p, its Zech-logarithm table) at construction, and every
+  operation on it is a table lookup.  F_q with e > 1 is such a FieldSpec
+  too: F_p[x]/(base_modulus), held as `base_field`.
+- A larger FieldSpec computes on digit vectors: schoolbook products reduced
+  by the modulus, Euclidean inverses and Frobenius images of the power
+  basis.  These routines also build the tables.
 """
 
 from __future__ import annotations
@@ -47,61 +52,32 @@ def is_prime(n: int) -> bool:
 
 
 # --------------------------------------------------------------------------
-# Small-field arithmetic bundles.  Both classes expose the same interface
-# (q, add, sub, mul, neg, inv) on plain ints; polynomial helpers below are
-# generic over either.
+# The prime field, the floor of the tower.  It shares its interface
+# (order, add, sub, mul, neg, inv on plain ints) with FieldSpec, which
+# stands in for F_q when e > 1; polynomial helpers below take either.
 
 class _PrimeOps:
     """Arithmetic modulo a prime p on ints in [0, p)."""
 
     def __init__(self, p: int):
-        self.q = p
+        self.order = p
 
     def add(self, a, b):
-        return (a + b) % self.q
+        return (a + b) % self.order
 
     def sub(self, a, b):
-        return (a - b) % self.q
+        return (a - b) % self.order
 
     def mul(self, a, b):
-        return (a * b) % self.q
+        return (a * b) % self.order
 
     def neg(self, a):
-        return (-a) % self.q
+        return (-a) % self.order
 
     def inv(self, a):
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.q - 2, self.q)
-
-
-class _TableOps:
-    """Small-field arithmetic backed by full lookup tables."""
-
-    def __init__(self, q, add_t, mul_t, neg_t, inv_t):
-        self.q = q
-        self._add = add_t
-        self._mul = mul_t
-        self._neg = neg_t
-        self._inv = inv_t
-
-    def add(self, a, b):
-        return self._add[a][b]
-
-    def sub(self, a, b):
-        return self._add[a][self._neg[b]]
-
-    def mul(self, a, b):
-        return self._mul[a][b]
-
-    def neg(self, a):
-        return self._neg[a]
-
-    def inv(self, a):
-        v = self._inv[a]
-        if v < 0:
-            raise ZeroDivisionError("inverse of zero")
-        return v
+        return pow(a, self.order - 2, self.order)
 
 
 # --------------------------------------------------------------------------
@@ -183,7 +159,7 @@ def _poly_is_irreducible(f, F):
     if deg == 1:
         return True
     for d in range(1, deg // 2 + 1):
-        for lower in itertools.product(range(F.q), repeat=d):
+        for lower in itertools.product(range(F.order), repeat=d):
             g = lower + (1,)
             _, rem = _pdivmod(f, g, F)
             if not rem:
@@ -195,49 +171,13 @@ def _smallest_irreducible(degree, F):
     """Lexicographically smallest monic irreducible of the given degree.
 
     The order compares the non-leading coefficients low-to-high; values in
-    [0, q) are compared by their integer encoding.
+    [0, F.order) are compared by their integer encoding.
     """
-    for lower in itertools.product(range(F.q), repeat=degree):
+    for lower in itertools.product(range(F.order), repeat=degree):
         f = lower + (1,)
         if _poly_is_irreducible(f, F):
             return f
     raise InvalidParameterError(f"no irreducible polynomial of degree {degree} found")
-
-
-def _quotient_table_ops(base, modulus):
-    """Build full tables for F_{base.q ** deg(modulus)} = base[x]/(modulus)."""
-    deg = len(modulus) - 1
-    q = base.q ** deg
-
-    def to_poly(v):
-        out = []
-        for _ in range(deg):
-            v, r = divmod(v, base.q)
-            out.append(r)
-        return _ptrim(out)
-
-    def to_int(poly):
-        v = 0
-        for c in reversed(poly):
-            v = v * base.q + c
-        return v
-
-    add_t = [[0] * q for _ in range(q)]
-    mul_t = [[0] * q for _ in range(q)]
-    neg_t = [0] * q
-    inv_t = [-1] * q
-    polys = [to_poly(v) for v in range(q)]
-    for a in range(q):
-        neg_t[a] = to_int(tuple(base.neg(c) for c in polys[a]))
-        for b in range(a, q):
-            s = to_int(_padd(polys[a], polys[b], base))
-            add_t[a][b] = add_t[b][a] = s
-            _, rem = _pdivmod(_pmul(polys[a], polys[b], base), modulus, base)
-            p = to_int(rem)
-            mul_t[a][b] = mul_t[b][a] = p
-    for a in range(1, q):
-        inv_t[a] = to_int(_pinv_mod(polys[a], modulus, base))
-    return _TableOps(q, add_t, mul_t, neg_t, inv_t)
 
 
 # --------------------------------------------------------------------------
@@ -273,8 +213,9 @@ class FieldSpec:
             raise InvalidParameterError("base modulus is reducible over F_p")
         self.base_modulus = base_modulus
 
-        self._fp = fp
-        self.base_field = fp if e == 1 else _quotient_table_ops(fp, base_modulus)
+        # F_q for e > 1 is the field F_p[x]/(base_modulus); its indices are
+        # base-p digits, low first, which is how F_q values are encoded here.
+        self.base_field = fp if e == 1 else FieldSpec(p, 1, e, ext_modulus=base_modulus)
 
         if ext_modulus is None:
             ext_modulus = _smallest_irreducible(m, self.base_field)

@@ -282,48 +282,33 @@ def count_intersecting_subspaces(n: int, k: int, r: int, q: int) -> int:
             * q ** (r * r))
 
 
-class EchelonIterator:
-    """All full-rank k x n matrices over F_q in reduced row echelon form.
+def enumerate_rref(k: int, n: int, spec: FieldSpec):
+    """All full-rank k x n matrices over F_q in reduced row echelon form,
+    gaussian_binomial(n, k, q) of them.
 
     Pivot-column subsets are visited in lexicographic order; within one
     pivot set the free entries (right of their row's pivot, outside pivot
-    columns) run through an odometer.  O(1) memory, reproducible order,
-    single consumer.
+    columns) run through an odometer.  The parameters and the budget are
+    checked on the call; the forms are then produced lazily, in O(1) memory
+    and a reproducible order.
     """
-
-    def __init__(self, k: int, n: int, spec: FieldSpec):
-        if not 1 <= k <= n:
-            raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-        self.k = k
-        self.n = n
-        self.q = spec.q
-        self.spec = spec
-        self.total = gaussian_binomial(n, k, spec.q)
-        check_budget(self.total, f"echelon-form enumeration T({k},{n})")
-        self._iter = self._generate()
-
-    def _generate(self):
-        k, n, q, spec = self.k, self.n, self.q, self.spec
-        for pivots in itertools.combinations(range(n), k):
-            free = [(r, c) for r in range(k) for c in range(n)
-                    if c > pivots[r] and c not in pivots]
-            for values in itertools.product(range(q), repeat=len(free)):
-                rows = [[0] * n for _ in range(k)]
-                for r, c in enumerate(pivots):
-                    rows[r][c] = 1
-                for (r, c), v in zip(free, values):
-                    rows[r][c] = v
-                yield BaseMatrix(spec, rows)
-
-    def __iter__(self):
-        return self
-
-    def __next__(self):
-        return next(self._iter)
+    if not 1 <= k <= n:
+        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    check_budget(gaussian_binomial(n, k, spec.q), f"echelon-form enumeration T({k},{n})")
+    return _echelon_forms(k, n, spec)
 
 
-def enumerate_rref(k: int, n: int, spec: FieldSpec) -> EchelonIterator:
-    return EchelonIterator(k, n, spec)
+def _echelon_forms(k, n, spec):
+    for pivots in itertools.combinations(range(n), k):
+        free = [(r, c) for r in range(k) for c in range(n)
+                if c > pivots[r] and c not in pivots]
+        for values in itertools.product(range(spec.q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for r, c in enumerate(pivots):
+                rows[r][c] = 1
+            for (r, c), v in zip(free, values):
+                rows[r][c] = v
+            yield BaseMatrix(spec, rows)
 
 
 def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseMatrix:

@@ -24,8 +24,10 @@ _SCALED_ROW_CACHE_MAX = 2 ** 21  # total ints held by min-distance row tables
 class RankCode:
     """A k-dimensional linear code in F_{q^m}^n given by a generator matrix.
 
-    Immutable; the canonical RREF generator and the systematic block (when
-    the leading k x k block pivots) are computed at construction.
+    Immutable; the canonical RREF generator and the systematic block
+    `systematic_X`, the X with rowspace([I_k | X]) = C, are computed at
+    construction.  `systematic_X` is None when the leading k x k block of
+    the RREF is not the identity, or when k = n.
     """
 
     def __init__(self, spec: FieldSpec, G: ExtMatrix):
@@ -108,13 +110,6 @@ def rank_distance(x: Sequence[Element], y: Sequence[Element]) -> int:
     return _expanded_rank(spec, diff)
 
 
-def systematic_form(code: RankCode) -> ExtMatrix | None:
-    """The block X with rowspace([I_k | X]) = C, or None when the leading
-    k x k block of the RREF is not the identity (or when k = n, where the
-    block would be empty)."""
-    return code.systematic_X
-
-
 def moore_matrix(g: Sequence[Element], s: int, k: int) -> ExtMatrix:
     """k x n matrix whose row i is the entrywise (q^s)^i-power of g."""
     if not g:
@@ -176,7 +171,8 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     check_budget(count, "projective codeword scan")
     best = min(spec.m, n)
 
-    tables = [_scaled_row_table(spec, r) for r in g_rows]
+    # scaled() only ever takes rows lead+1..k-1, so row 0 needs no table
+    tables = [None] + [_scaled_row_table(spec, r) for r in g_rows[1:]]
 
     def scaled(j, t):
         table = tables[j]

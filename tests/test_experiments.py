@@ -19,7 +19,7 @@ class TestDeriveSeed:
 
     def test_known_value_pinned(self):
         # frozen so checkpointed experiments stay comparable across versions
-        assert derive_seed(0, 0) == derive_seed(0, 0)
+        assert derive_seed(0, 0) == 12426054289685354689
 
 
 class TestMonteCarlo:

@@ -166,6 +166,47 @@ class TestTablePath:
                 assert spec.frobenius(a, s) == spec.pow(a, spec.q ** s)
 
 
+def _poly_mulmod(a, b, p, modulus):
+    """Product of two F_q values (base-p digits, low first) in
+    F_p[x]/(modulus), by schoolbook multiplication and long division."""
+    e = len(modulus) - 1
+    da = [a // p ** i % p for i in range(e)]
+    db = [b // p ** i % p for i in range(e)]
+    prod = [0] * (2 * e - 1)
+    for i, x in enumerate(da):
+        for j, y in enumerate(db):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * e - 2, e - 1, -1):
+        c = prod[top]
+        for j, r in enumerate(modulus):
+            prod[top - e + j] = (prod[top - e + j] - c * r) % p
+    return sum(c * p ** i for i, c in enumerate(prod[:e]))
+
+
+class TestBaseField:
+    """F_q for e > 1 against polynomial arithmetic mod p and base_modulus."""
+
+    @pytest.mark.parametrize("p,e", [(2, 2), (2, 3), (3, 2), (5, 2)])
+    def test_exhaustive_against_polynomials(self, p, e):
+        spec = FieldSpec(p, e, 2)
+        fq, q = spec.base_field, spec.q
+
+        def digitwise(op, *xs):
+            ds = zip(*([x // p ** i % p for i in range(e)] for x in xs))
+            return sum(op(*d) % p * p ** i for i, d in enumerate(ds))
+
+        for a in range(q):
+            assert fq.neg(a) == digitwise(lambda x: -x, a)
+            if a:
+                assert _poly_mulmod(a, fq.inv(a), p, spec.base_modulus) == 1
+        with pytest.raises(ZeroDivisionError):
+            fq.inv(0)
+        for a, b in itertools.product(range(q), repeat=2):
+            assert fq.add(a, b) == digitwise(lambda x, y: x + y, a, b)
+            assert fq.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
+            assert fq.mul(a, b) == _poly_mulmod(a, b, p, spec.base_modulus)
+
+
 class TestFrobenius:
     def test_identity_powers(self, f16):
         a = alpha(f16)

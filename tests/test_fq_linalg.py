@@ -231,13 +231,25 @@ class TestEnumerateRref:
             for n in range(1, 5):
                 for k in range(1, n + 1):
                     it = enumerate_rref(k, n, spec)
-                    assert it.total == gaussian_binomial(n, k, q)
-                    assert sum(1 for _ in it) == it.total
+                    assert sum(1 for _ in it) == gaussian_binomial(n, k, q)
+
+    def test_order_pinned(self):
+        # pivot sets in lexicographic order, free entries as an odometer
+        forms = [E.entries for E in enumerate_rref(2, 3, default_field(2, 1))]
+        assert forms == [[[1, 0, 0], [0, 1, 0]], [[1, 0, 0], [0, 1, 1]],
+                         [[1, 0, 1], [0, 1, 0]], [[1, 0, 1], [0, 1, 1]],
+                         [[1, 0, 0], [0, 0, 1]], [[1, 1, 0], [0, 0, 1]],
+                         [[0, 1, 0], [0, 0, 1]]]
 
     def test_budget(self, monkeypatch):
         monkeypatch.setenv("RANKFORGE_BUDGET", "10")
         with pytest.raises(BudgetExceededError):
             enumerate_rref(2, 4, default_field(2, 1))
+
+    @pytest.mark.parametrize("k,n", [(0, 3), (4, 3)])
+    def test_bad_shape_raises_on_call(self, k, n):
+        with pytest.raises(InvalidParameterError):
+            enumerate_rref(k, n, default_field(2, 1))
 
 
 class TestExpandToBase:

@@ -9,8 +9,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        gabidulin, intersection_dim, is_gabidulin, is_mrd,
                        is_mrd_fullrank_variant, min_rank_distance,
                        mrd_defect_coefficient, rank1_criterion,
-                       random_systematic_code, sum_f_E_degrees, symbolic_f_E,
-                       systematic_form)
+                       random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
 from rankforge.mrd_criteria import _gabidulin_parameter
 
@@ -33,7 +32,7 @@ class TestIsMrd:
         rng = random.Random(12)
         for _ in range(10):
             code = random_systematic_code(f16, 2, 4, rng)
-            X = [list(r) for r in systematic_form(code).entries]
+            X = [list(r) for r in code.systematic_X.entries]
             X[0][1] = 1
             tampered = RankCode.from_systematic(f16, ExtMatrix(f16, X))
             assert not is_mrd(tampered)
@@ -75,7 +74,7 @@ class TestRank1Criterion:
     def test_gabidulin_block_passes_with_its_parameter(self, f16):
         for s in (1, 3):
             code = gabidulin(basis_elements(f16, 4), s, 2)
-            X = systematic_form(code)
+            X = code.systematic_X
             assert rank1_criterion(X, s)
 
     def test_base_field_block_fails(self, f8):
@@ -184,7 +183,7 @@ class TestIsMrdShortCircuits:
             if _rank_raw(rows, f4) < k:
                 continue
             code = RankCode(f4, ExtMatrix(f4, rows))
-            kinds.add(systematic_form(code) is None)
+            kinds.add(code.systematic_X is None)
             verdict = is_mrd(code)
             assert verdict == is_mrd_fullrank_variant(code)
             assert verdict == (min_rank_distance(code) == n - k + 1)

@@ -7,8 +7,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        InvalidParameterError, Isometry, RankCode, ShapeError,
                        apply_isometry, default_field, dual_code, gabidulin,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
-                       random_isometry, random_systematic_code, rank_distance,
-                       systematic_form)
+                       random_isometry, random_systematic_code, rank_distance)
 from rankforge import rank_codes
 from rankforge.fq_linalg import BaseMatrix
 
@@ -59,19 +58,19 @@ class TestSystematicForm:
     def test_already_systematic(self, f8):
         X = ExtMatrix(f8, [[3, 5], [6, 7]])
         code = RankCode.from_systematic(f8, X)
-        assert systematic_form(code) == X
+        assert code.systematic_X == X
 
     def test_row_permutation_invariant(self):
         spec = default_field(2, 4)
         code = gabidulin(basis_elements(spec, 4), 1, 2)
         swapped = RankCode(spec, ExtMatrix(spec, code.G.entries[::-1]))
-        assert systematic_form(swapped) == systematic_form(code)
+        assert swapped.systematic_X == code.systematic_X
         assert swapped == code
 
     def test_unpivotable_leading_block(self, f8):
         G = ExtMatrix(f8, [[0, 1, 0], [0, 0, 1]])
         code = RankCode(f8, G)
-        assert systematic_form(code) is None
+        assert code.systematic_X is None
 
     def test_rank_deficient_generator_rejected(self, f8):
         with pytest.raises(InvalidParameterError):
@@ -158,6 +157,22 @@ class TestMinRankDistance:
         tabled = [min_rank_distance(c) for c in codes]
         monkeypatch.setattr(rank_codes, "_SCALED_ROW_CACHE_MAX", 0)
         assert [min_rank_distance(c) for c in codes] == tabled
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_row_zero_never_tabled(self, monkeypatch, f8, k):
+        # only rows lead+1..k-1 are ever scaled, so row 0 gets no table
+        code = random_systematic_code(f8, k, 4, random.Random(k))
+        rows = [tuple(r) for r in code.canonical.entries]
+        tabled = []
+        build = rank_codes._scaled_row_table
+
+        def record(spec, row):
+            tabled.append(tuple(row))
+            return build(spec, row)
+
+        monkeypatch.setattr(rank_codes, "_scaled_row_table", record)
+        min_rank_distance(code)
+        assert tabled == rows[1:]
 
     def test_singleton_bound_on_random_codes(self, f16):
         rng = random.Random(5)
@@ -258,7 +273,7 @@ class TestRandomSystematic:
         for _ in range(20):
             code = random_systematic_code(f16, 2, 4, rng)
             assert code.k == 2
-            assert systematic_form(code) is not None
+            assert code.systematic_X is not None
 
     def test_seed_reproduces(self, f16):
         c1 = random_systematic_code(f16, 2, 4, random.Random(9))
