@@ -14,7 +14,7 @@ from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, enumerate_rref,
                         intersection_dim)
-from .rank_codes import RankCode
+from .rank_codes import RankCode, _ext_product_rank
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
@@ -80,25 +80,6 @@ def is_mrd(code: RankCode) -> bool:
     return _is_mrd_block(code.spec, X.entries, _echelon_tests(k, n, code.spec))
 
 
-def _ext_product_rank(spec: FieldSpec, E_rows, G_rows, k: int, cap=None) -> int:
-    """Rank of E G^T over F_{q^m} for a base matrix E and generator G."""
-    n = len(G_rows[0])
-    M = []
-    for i in range(k):
-        Ei = E_rows[i]
-        row = []
-        for j in range(k):
-            Gj = G_rows[j]
-            acc = 0
-            for l in range(n):
-                c = Ei[l]
-                if c and Gj[l]:
-                    acc = spec.add(acc, spec.scalar_mul(c, Gj[l]))
-            row.append(acc)
-        M.append(row)
-    return _rank_raw(M, spec, cap=cap)
-
-
 def is_mrd_fullrank_variant(code: RankCode) -> bool:
     """Same verdict as is_mrd, via every full-rank V in F_q^{k x n}.
 
@@ -113,7 +94,7 @@ def is_mrd_fullrank_variant(code: RankCode) -> bool:
         V = [list(flat[i * n:(i + 1) * n]) for i in range(k)]
         if _rank_raw(V, fq) != k:
             continue
-        if _ext_product_rank(spec, V, G_rows, k, cap=k) < k:
+        if _ext_product_rank(spec, V, G_rows, cap=k) < k:
             return False
     return True
 

@@ -7,7 +7,7 @@ row-space comparison and as the source of the systematic block.
 
 from __future__ import annotations
 
-import operator
+import itertools
 from dataclasses import dataclass
 from math import gcd
 from typing import Sequence
@@ -16,9 +16,8 @@ from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
 from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
-                        _rref_in_place, linearly_independent_over_base)
-
-_SCALED_ROW_CACHE_MAX = 2 ** 21  # total ints held by min-distance row tables
+                        _rref_in_place, enumerate_rref, gaussian_binomial,
+                        linearly_independent_over_base)
 
 
 class RankCode:
@@ -44,13 +43,10 @@ class RankCode:
         if len(pivots) != self.k:
             raise InvalidParameterError("generator matrix does not have full row rank")
         self.canonical = ExtMatrix(spec, rows)
-        if pivots == list(range(self.k)):
-            self.systematic_X = ExtMatrix(
-                spec, [row[self.k:] for row in rows]) if self.k < self.n else None
-            self._is_systematic = True
+        if pivots == list(range(self.k)) and self.k < self.n:
+            self.systematic_X = ExtMatrix(spec, [row[self.k:] for row in rows])
         else:
             self.systematic_X = None
-            self._is_systematic = False
 
     def __eq__(self, other):
         """Row-space equality, via the canonical RREF generator."""
@@ -147,115 +143,64 @@ def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
     return RankCode(spec, moore_matrix(g, s, k))
 
 
-def _scaled_row_table(spec: FieldSpec, row):
-    """All F_{q^m}-multiples of a raw row, indexed by the scalar, or None
-    when the table would be too large."""
-    if spec.order * len(row) > _SCALED_ROW_CACHE_MAX:
-        return None
-    mul = spec.mul
-    return [tuple(mul(t, v) for v in row) for t in range(spec.order)]
-
-
 def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     """Minimum rank over nonzero codewords of the code spanned by g_rows.
 
     Scans one representative per projective line (first nonzero message
     coordinate normalized to 1, since scaling preserves rank).  A k = n
     code is the full space and contains weight-one words, so the answer
-    is 1 without enumeration.
+    is 1 without enumeration.  This is the brute-force oracle.
     """
     if k == n:
         return 1
-    order = spec.order
-    count = (order ** k - 1) // (order - 1)
-    check_budget(count, "projective codeword scan")
+    check_budget((spec.order ** k - 1) // (spec.order - 1), "projective codeword scan")
+    add, mul = spec.add, spec.mul
     best = min(spec.m, n)
-
-    # scaled() only ever takes rows lead+1..k-1, so row 0 needs no table
-    tables = [None] + [_scaled_row_table(spec, r) for r in g_rows[1:]]
-
-    def scaled(j, t):
-        table = tables[j]
-        if table is not None:
-            return table[t]
-        return tuple(spec.mul(t, v) for v in g_rows[j])
-
-    add = operator.xor if spec.p == 2 else spec.add
-
-    def vadd(a, b):
-        return tuple(map(add, a, b))
-
-    mul, inv = spec.mul, spec.inv
-    q = spec.q
-    q2 = spec.q == 2
-
-    def rank_below(word, cap):
-        """True rank when it is < cap, else cap."""
-        if cap == 2:
-            # rank <= 1 iff all entries lie on one F_q-line
-            it = iter(word)
-            e = 0
-            for e in it:
-                if e:
-                    break
-            if not e:
-                return 0
-            if q2:
-                return 2 if any(f and f != e for f in it) else 1
-            inv_e = inv(e)
-            for f in it:
-                if f and mul(f, inv_e) >= q:
-                    return 2
-            return 1
-        return _expanded_rank(spec, word, cap=cap)
-
     for lead in range(k):
-        base = tuple(g_rows[lead])
-        tail = list(range(lead + 1, k))
-        if not tail:
-            r = rank_below(base, best)
-            if r < best:
-                best = r
-                if best == 1:
-                    return 1
-            continue
-        last = tail[-1]
-        outer = tail[:-1]
-        values = [0] * len(outer)
-        # prefix[d] = base plus the first d scaled outer rows
-        prefix = [base] * (len(outer) + 1)
-        # word t is head + t * row[last]; with the row's multiples tabled,
-        # the words are built a column at a time
-        last_table = tables[last]
-        last_cols = None if last_table is None else list(zip(*last_table))
-        while True:
-            head = prefix[-1]
-            if last_cols is None:
-                words = (vadd(head, scaled(last, t)) for t in range(order))
-            else:
-                words = zip(*[[add(h, x) for x in col] for h, col in zip(head, last_cols)])
-            for word in words:
-                r = rank_below(word, best)
-                if r < best:
-                    best = r
-                    if best == 1:
-                        return 1
-            pos = len(outer) - 1
-            while pos >= 0 and values[pos] == order - 1:
-                values[pos] = 0
-                pos -= 1
-            if pos < 0:
-                break
-            values[pos] += 1
-            for d in range(pos, len(outer)):
-                prefix[d + 1] = vadd(prefix[d], scaled(outer[d], values[d]))
+        for coeffs in itertools.product(range(spec.order), repeat=k - 1 - lead):
+            word = g_rows[lead]
+            for c, row in zip(coeffs, g_rows[lead + 1:]):
+                if c:
+                    word = [add(w, mul(c, v)) for w, v in zip(word, row)]
+            best = _expanded_rank(spec, word, cap=best)
+            if best == 1:
+                return 1
     return best
 
 
+def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
+    """Minimum rank distance from the echelon identity.
+
+    A nonzero codeword has rank <= r iff it is F_q-orthogonal to some
+    (n - r)-dimensional W in F_q^n, that is iff rk(G B_W^T) < k for the
+    echelon basis B_W.  The test holds for every r >= n - k + 1 (the
+    Singleton bound) and is monotone in r, so d is r + 1 for the largest
+    r <= n - k at which every W passes, and 1 when none does.
+    """
+    check_budget(sum(gaussian_binomial(n, r, spec.q) for r in range(1, n - k + 1)),
+                 "echelon-form distance test")
+    for r in range(n - k, 0, -1):
+        if all(_ext_product_rank(spec, W.entries, g_rows, cap=k) == k
+               for W in enumerate_rref(n - r, n, spec)):
+            return r + 1
+    return 1
+
+
 def min_rank_distance(code: RankCode) -> int:
-    """Minimum rank distance by brute force over projective codewords."""
-    return _min_rank_distance_raw(code.spec, [tuple(r) for r in code.canonical.entries],
-                                  code.k, code.n)
+    """Minimum rank distance, exact.
+
+    Takes whichever of two routes needs fewer field operations for
+    (q, m, k, n): the echelon identity over every level r = 1..n-k,
+    n k sum_r (n - r) [n, r]_q, or the projective codeword scan,
+    n (q^(mk) - 1) / (q^m - 1).  Each route checks the enumeration budget
+    on its own count.
+    """
+    spec, k, n = code.spec, code.k, code.n
+    support_ops = n * k * sum((n - r) * gaussian_binomial(n, r, spec.q)
+                              for r in range(1, n - k + 1))
+    scan_ops = n * (spec.order ** k - 1) // (spec.order - 1)
+    route = _min_rank_distance_support if support_ops < scan_ops else _min_rank_distance_raw
+    return route(spec, code.canonical.entries, k, n)
 
 
 def dual_code(code: RankCode) -> RankCode:
@@ -315,6 +260,13 @@ def _fq_combination(spec: FieldSpec, vec, coeffs):
         if c and v:
             acc = spec.add(acc, spec.scalar_mul(c, v))
     return acc
+
+
+def _ext_product_rank(spec: FieldSpec, E_rows, G_rows, cap=None) -> int:
+    """Rank over F_{q^m} of E G^T for a base matrix E, with any number of
+    rows, and a generator G."""
+    return _rank_raw([[_fq_combination(spec, g, e) for g in G_rows] for e in E_rows],
+                     spec, cap=cap)
 
 
 def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:

@@ -141,44 +141,95 @@ class TestMinRankDistance:
         assert min_rank_distance(code) <= 2
 
     def test_budget(self, monkeypatch):
-        spec = default_field(2, 13)
-        code = random_systematic_code(spec, 3, 4, random.Random(0))
+        # each route refuses on its own count: projective words for the
+        # scan, echelon forms for the support route
+        wide = random_systematic_code(default_field(2, 10), 2, 8, random.Random(0))
+        code = random_systematic_code(default_field(2, 13), 3, 4, random.Random(0))
+        assert (min_rank_distance(code) == code.n - code.k + 1) == is_mrd(code)
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="projective codeword scan"):
+            min_rank_distance(wide)
+        monkeypatch.setenv("RANKFORGE_BUDGET", "10")
+        with pytest.raises(BudgetExceededError, match="echelon-form distance test"):
             min_rank_distance(code)
-
-    @pytest.mark.parametrize("q,m", [(2, 3), (3, 2)])
-    def test_untabled_rows_give_same_distance(self, monkeypatch, q, m):
-        # rows too large to table are scaled word by word, not column-wise
-        spec = default_field(q, m)
-        rng = random.Random(10 * q + m)
-        codes = [random_systematic_code(spec, k, n, rng)
-                 for n in (2, 3, 4) for k in range(1, n) for _ in range(3)]
-        tabled = [min_rank_distance(c) for c in codes]
-        monkeypatch.setattr(rank_codes, "_SCALED_ROW_CACHE_MAX", 0)
-        assert [min_rank_distance(c) for c in codes] == tabled
-
-    @pytest.mark.parametrize("k", [1, 3])
-    def test_row_zero_never_tabled(self, monkeypatch, f8, k):
-        # only rows lead+1..k-1 are ever scaled, so row 0 gets no table
-        code = random_systematic_code(f8, k, 4, random.Random(k))
-        rows = [tuple(r) for r in code.canonical.entries]
-        tabled = []
-        build = rank_codes._scaled_row_table
-
-        def record(spec, row):
-            tabled.append(tuple(row))
-            return build(spec, row)
-
-        monkeypatch.setattr(rank_codes, "_scaled_row_table", record)
-        min_rank_distance(code)
-        assert tabled == rows[1:]
 
     def test_singleton_bound_on_random_codes(self, f16):
         rng = random.Random(5)
         for _ in range(25):
             code = random_systematic_code(f16, 2, 4, rng)
             assert code.k <= code.n - min_rank_distance(code) + 1
+
+
+def _route_distances(code):
+    """The scan, the echelon identity and min_rank_distance on one code."""
+    args = (code.spec, code.canonical.entries, code.k, code.n)
+    return (rank_codes._min_rank_distance_raw(*args),
+            rank_codes._min_rank_distance_support(*args),
+            min_rank_distance(code))
+
+
+class TestDistanceRoutes:
+    @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)])
+    def test_every_systematic_block(self, q, m):
+        spec = default_field(q, m)
+        for n in range(2, 5):
+            for k in range(1, n):
+                w = n - k
+                if spec.order ** (k * w) > 4096:
+                    continue
+                for flat in itertools.product(range(spec.order), repeat=k * w):
+                    X = ExtMatrix(spec, [flat[i * w:(i + 1) * w] for i in range(k)])
+                    d = _route_distances(RankCode.from_systematic(spec, X))
+                    assert len(set(d)) == 1, (q, m, k, n, X.entries, d)
+
+    def test_every_nonsystematic_f4_generator(self, f4):
+        checked = 0
+        for flat in itertools.product(range(f4.order), repeat=6):
+            try:
+                code = RankCode(f4, ExtMatrix(f4, [flat[:3], flat[3:]]))
+            except InvalidParameterError:
+                continue
+            if code.systematic_X is None:
+                d = _route_distances(code)
+                assert len(set(d)) == 1, (flat, d)
+                checked += 1
+        # 5 codes (pivots {0,2} or {1,2}) times |GL_2(F_4)| = 180 generators
+        assert checked == 900
+
+    def test_random_codes(self):
+        rng = random.Random(2016)
+        beyond_m = 0
+        for _ in range(200):
+            spec = default_field(rng.choice((2, 3, 4)), rng.randint(1, 3))
+            n = rng.randint(2, 5)
+            k = rng.randint(1, max(j for j in range(1, n) if spec.order ** j <= 4096))
+            while True:
+                G = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(k)]
+                try:
+                    code = RankCode(spec, ExtMatrix(spec, G))
+                    break
+                except InvalidParameterError:
+                    pass
+            d = _route_distances(code)
+            assert len(set(d)) == 1, (spec.q, spec.m, G, d)
+            beyond_m += n > spec.m
+        assert beyond_m > 0
+
+    @pytest.mark.parametrize("q,m,n,k,route", [
+        (2, 6, 6, 2, "_min_rank_distance_raw"),
+        (3, 5, 5, 3, "_min_rank_distance_support"),
+    ])
+    def test_route_choice(self, monkeypatch, q, m, n, k, route):
+        spec = default_field(q, m)
+        code = gabidulin(basis_elements(spec, n), 1, k)
+        called = []
+        for name in ("_min_rank_distance_raw", "_min_rank_distance_support"):
+            def record(*args, name=name, real=getattr(rank_codes, name)):
+                called.append(name)
+                return real(*args)
+            monkeypatch.setattr(rank_codes, name, record)
+        assert min_rank_distance(code) == n - k + 1
+        assert called == [route]
 
 
 class TestDualCode:
