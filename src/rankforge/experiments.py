@@ -3,8 +3,9 @@ lemma-verification suites, and figure-data reproduction.
 
 Random trials are split into fixed-size chunks whose seeds derive from the
 root seed and the chunk index, so results do not depend on worker count or
-scheduling.  The census walks systematic blocks in odometer order over
-element indices and checkpoints its cursor to a resumable state file.
+scheduling.  The census visits systematic blocks by index, decoding block g
+from the base-order digits of g, and checkpoints its cursor to a resumable
+state file.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import lru_cache
 
 from . import mrd_criteria as mc
 from . import prob_bounds as pb
@@ -39,42 +39,6 @@ def derive_seed(root: int, *parts) -> int:
     """Stable per-chunk seed from a root seed and identifying parts."""
     text = ":".join([str(root)] + [str(p) for p in parts])
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
-
-
-# --------------------------------------------------------------------------
-# Fast classifier for systematic blocks, shared by trials and census.
-
-class _Classifier:
-    """The kernel's echelon test set and Gabidulin parameters for one
-    (spec, k, n); blocks are k rows of raw element indices."""
-
-    def __init__(self, spec: FieldSpec, k: int, n: int):
-        if not 1 <= k < n:
-            raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
-        self.spec = spec
-        self.w = n - k
-        self.valid_s = tuple(spec.valid_s_values())
-        self.tests = list(mc._echelon_tests(k, n, spec))
-
-    def is_mrd_rows(self, X) -> bool:
-        return mc._is_mrd_block(self.spec, X, self.tests)
-
-    def gab_memberships(self, X):
-        """All parameters s for which the Frobenius difference of X has rank
-        one; assumes X already classified as maximal."""
-        return tuple(mc._gabidulin_hits(self.spec, X, self.valid_s))
-
-    def classify(self, X):
-        """(is_mrd, smallest Gabidulin s or None) for a systematic block."""
-        if not self.is_mrd_rows(X):
-            return False, None
-        hits = self.gab_memberships(X)
-        return True, (hits[0] if hits else None)
-
-
-@lru_cache(maxsize=None)
-def _classifier_for(spec: FieldSpec, k: int, n: int) -> _Classifier:
-    return _Classifier(spec, k, n)
 
 
 # --------------------------------------------------------------------------
@@ -111,17 +75,17 @@ class TrialBatch:
 
 def _mc_chunk(args):
     q, k, n, m, chunk_seed, count = args
-    cls = _classifier_for(default_field(q, m), k, n)
-    order = cls.spec.order
-    w = cls.w
+    kernel = mc._kernel_for(default_field(q, m), k, n)
+    order = kernel.spec.order
+    w = n - k
     rng = random.Random(chunk_seed)
     mrd = gab = 0
     for _ in range(count):
         X = [tuple(rng.randrange(order) for _ in range(w)) for _ in range(k)]
-        ok, s = cls.classify(X)
-        if ok:
+        hits = kernel.classify(X)
+        if hits is not None:
             mrd += 1
-            if s is not None:
+            if hits:
                 gab += 1
     return mrd, gab
 
@@ -132,6 +96,8 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     fixed seed regardless of worker count."""
     if trials < 1:
         raise InvalidParameterError(f"trials must be positive, got {trials}")
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be positive, got {workers}")
     start = time.perf_counter()
     tasks = []
     remaining = trials
@@ -186,14 +152,27 @@ class CensusResult:
 
 def _write_checkpoint(path, state):
     tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        json.dump(state, fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(state, fh)
+        os.replace(tmp, path)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _load_checkpoint(path, params, tower):
-    with open(path, encoding="utf-8") as fh:
-        state = json.load(fh)
+def _load_checkpoint(path, params, tower, total, valid_s):
+    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan.
+
+    A file that cannot be read, belongs to another scan, or holds
+    incomplete or inconsistent state is invalid input.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            state = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise InvalidParameterError(f"cannot read checkpoint {path}: {exc}") from exc
+    if not isinstance(state, dict):
+        raise InvalidParameterError(f"checkpoint {path} is not a JSON object")
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
         raise InvalidParameterError("unsupported checkpoint schema")
     if state.get("params") != list(params):
@@ -202,7 +181,28 @@ def _load_checkpoint(path, params, tower):
     if state.get("field") != tower:
         raise InvalidParameterError(
             f"checkpoint field tower {state.get('field')} does not match {tower}")
-    return state
+    counts = [state.get(name) for name in ("cursor", "mrd_count", "gab_count")]
+    per_s = state.get("per_s")
+    if (any(type(c) is not int for c in counts) or not isinstance(per_s, dict)
+            or any(type(c) is not int for c in per_s.values())):
+        raise InvalidParameterError(
+            f"checkpoint {path} lacks an integer cursor, mrd_count, gab_count "
+            "or per_s count")
+    cursor, mrd, gab = counts
+    if not 0 <= cursor <= total:
+        raise InvalidParameterError(
+            f"checkpoint cursor {cursor} is outside [0, {total}]")
+    if not 0 <= gab <= mrd <= cursor:
+        raise InvalidParameterError(
+            f"checkpoint counts break 0 <= gab <= mrd <= cursor: gab={gab}, "
+            f"mrd={mrd}, cursor={cursor}")
+    if sorted(per_s) != sorted(str(s) for s in valid_s):
+        raise InvalidParameterError(
+            f"checkpoint per_s keys {sorted(per_s)} are not the valid s {list(valid_s)}")
+    if not all(0 <= c <= gab for c in per_s.values()):
+        raise InvalidParameterError(
+            f"checkpoint per_s counts {per_s} are not within [0, gab={gab}]")
+    return cursor, mrd, gab, {s: per_s[str(s)] for s in valid_s}
 
 
 def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
@@ -210,16 +210,16 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
            stop_after: int | None = None) -> CensusResult | None:
     """Classify every systematic block X in F_{q^m}^{k x (n-k)} exactly.
 
-    Verdicts are cross-validated against the brute-force minimum-distance
-    oracle on a fixed-stride subsample (default every 100th block).  When
+    Block g has entry (i, j) equal to the base-q^m digit i*(n-k) + j of g,
+    lowest first; blocks are visited in index order.  Verdicts are
+    cross-validated against the brute-force minimum-distance oracle on a
+    fixed-stride subsample of indices (default every 100th block).  When
     `checkpoint_path` is given, progress is persisted every 2^16 blocks and
     an interrupted run resumes from the stored cursor; the checkpoint binds
     (q, k, n, m) and the field tower.  `stop_after` bounds the number of
     blocks processed in this call (a checkpoint is written and None
     returned when the scan is not finished), so it needs `checkpoint_path`.
     """
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     if oracle_stride < 1:
         raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
     if stop_after is not None and stop_after < 1:
@@ -231,33 +231,23 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         spec = default_field(q, m)
     elif (spec.q, spec.m) != (q, m):
         raise InvalidParameterError("spec disagrees with (q, m)")
-    cells = k * (n - k)
-    total = spec.order ** cells
-    check_budget(total, "systematic-block census")
-    cls = _classifier_for(spec, k, n)
+    kernel = mc._kernel_for(spec, k, n)
     w = n - k
+    cells = k * w
     order = spec.order
+    total = order ** cells
+    check_budget(total, "systematic-block census")
 
     params = (q, k, n, m)
     tower = spec.to_json()
     cursor = 0
     mrd = gab = 0
-    per_s = {s: 0 for s in cls.valid_s}
+    per_s = {s: 0 for s in kernel.valid_s}
     if checkpoint_path and os.path.exists(checkpoint_path):
-        state = _load_checkpoint(checkpoint_path, params, tower)
-        cursor = state["cursor"]
-        mrd = state["mrd_count"]
-        gab = state["gab_count"]
-        per_s = {int(s): c for s, c in state["per_s"].items()}
+        cursor, mrd, gab, per_s = _load_checkpoint(
+            checkpoint_path, params, tower, total, kernel.valid_s)
 
-    # odometer digits of the cursor, entry (i, j) at position i*w + j
-    flat = []
-    g = cursor
-    for _ in range(cells):
-        g, r = divmod(g, order)
-        flat.append(r)
-    X = [tuple(flat[i * w:(i + 1) * w]) for i in range(k)]
-    identity_rows = [tuple(1 if i == j else 0 for j in range(k)) for i in range(k)]
+    identity_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     expected_d = n - k + 1
 
     def save(g):
@@ -266,13 +256,17 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             "field": tower, "cursor": g, "mrd_count": mrd, "gab_count": gab,
             "per_s": {str(s): c for s, c in per_s.items()}})
 
-    processed = 0
-    g = cursor
-    while g < total:
-        ok = cls.is_mrd_rows(X)
-        if ok:
+    end = total if stop_after is None else min(total, cursor + stop_after)
+    for g in range(cursor, end):
+        flat = []
+        rest = g
+        for _ in range(cells):
+            rest, digit = divmod(rest, order)
+            flat.append(digit)
+        X = [flat[i * w:(i + 1) * w] for i in range(k)]
+        hits = kernel.classify(X)
+        if hits is not None:
             mrd += 1
-            hits = cls.gab_memberships(X)
             if hits:
                 gab += 1
             for s in hits:
@@ -280,25 +274,14 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         if g % oracle_stride == 0:
             rows = [identity_rows[i] + X[i] for i in range(k)]
             oracle = _min_rank_distance_raw(spec, rows, k, n) == expected_d
-            if oracle != ok:
+            if oracle != (hits is not None):
                 raise VerificationError(
                     f"criterion and distance oracle disagree at block index {g}")
-        g += 1
-        processed += 1
-        if g < total:
-            pos = 0
-            while flat[pos] == order - 1:
-                flat[pos] = 0
-                pos += 1
-            flat[pos] += 1
-            # a carry may have reset digits in every row up to this one
-            for r in range(pos // w + 1):
-                X[r] = tuple(flat[r * w:(r + 1) * w])
-        if checkpoint_path and g % CHECKPOINT_EVERY == 0:
-            save(g)
-        if stop_after is not None and processed >= stop_after and g < total:
-            save(g)
-            return None
+        if checkpoint_path and (g + 1) % CHECKPOINT_EVERY == 0:
+            save(g + 1)
+    if end < total:
+        save(end)
+        return None
     result = CensusResult(q=q, k=k, n=n, m=m, total=total,
                           mrd_count=mrd, gab_count=gab, per_s_gab_counts=per_s)
     if checkpoint_path:
@@ -738,23 +721,26 @@ def write_csv(path: str, fieldnames, rows, append: bool = False) -> None:
     match; rows are never appended under a different header.
     """
     import csv
-    exists = append and os.path.exists(path) and os.path.getsize(path) > 0
     schema_line = f"# schema_version={CSV_SCHEMA_VERSION}"
-    if exists:
-        with open(path, newline="", encoding="utf-8") as fh:
-            found = fh.readline().rstrip("\r\n")
-            header = next(csv.reader([fh.readline()]), [])
-        if found != schema_line or header != list(fieldnames):
-            raise InvalidParameterError(
-                f"cannot append to {path}: it holds {found!r} with header "
-                f"{header}, expected {schema_line!r} with header {list(fieldnames)}")
-    with open(path, "a" if exists else "w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
-        if not exists:
-            fh.write(schema_line + "\n")
-            writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+    try:
+        exists = append and os.path.exists(path) and os.path.getsize(path) > 0
+        if exists:
+            with open(path, newline="", encoding="utf-8") as fh:
+                found = fh.readline().rstrip("\r\n")
+                header = next(csv.reader([fh.readline()]), [])
+            if found != schema_line or header != list(fieldnames):
+                raise InvalidParameterError(
+                    f"cannot append to {path}: it holds {found!r} with header "
+                    f"{header}, expected {schema_line!r} with header {list(fieldnames)}")
+        with open(path, "a" if exists else "w", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, fieldnames=fieldnames)
+            if not exists:
+                fh.write(schema_line + "\n")
+                writer.writeheader()
+            for row in rows:
+                writer.writerow(row)
+    except OSError as exc:
+        raise InvalidParameterError(f"cannot write CSV {path}: {exc}") from exc
 
 
 def trial_batch_row(batch: TrialBatch) -> dict:

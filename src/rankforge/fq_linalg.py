@@ -334,8 +334,9 @@ def _expanded_rank(spec: FieldSpec, idx_vector, cap=None) -> int:
     """Rank over F_q of the coefficient expansion of a raw index vector.
 
     For q = 2 the expansion columns are exactly the m-bit indices, so the
-    elimination runs on packed ints; otherwise digit vectors are used.
-    Stops as soon as the rank reaches `cap`.
+    elimination runs on packed ints; otherwise `_rank_raw` eliminates the
+    digit vectors over `spec.base_field`.  Stops as soon as the rank
+    reaches `cap`.
     """
     if spec.q == 2:
         basis = {}  # highest set bit -> basis vector
@@ -352,28 +353,7 @@ def _expanded_rank(spec: FieldSpec, idx_vector, cap=None) -> int:
             if cap is not None and rank_ >= cap:
                 return rank_
         return rank_
-    fq = spec.base_field
-    basis = {}  # lead digit index -> vector normalized to 1 at the lead
-    rank_ = 0
-    for a in idx_vector:
-        if a == 0:
-            continue
-        vec = list(spec.digits(a))
-        while True:
-            lead = next((i for i, c in enumerate(vec) if c), None)
-            if lead is None:
-                break
-            b = basis.get(lead)
-            if b is None:
-                s = fq.inv(vec[lead])
-                basis[lead] = [fq.mul(s, c) for c in vec]
-                rank_ += 1
-                break
-            c = vec[lead]
-            vec = [fq.sub(x, fq.mul(c, y)) for x, y in zip(vec, b)]
-        if cap is not None and rank_ >= cap:
-            return rank_
-    return rank_
+    return _rank_raw([spec.digits(a) for a in idx_vector], spec.base_field, cap=cap)
 
 
 def linearly_independent_over_base(v: Sequence[Element]) -> bool:

@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .budget import check_budget
@@ -22,7 +23,9 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # --------------------------------------------------------------------------
 # The classifier kernel, shared by is_mrd / is_gabidulin, the census and the
 # Monte-Carlo trials.  A systematic block X is given as k rows of raw
-# element indices.
+# element indices.  The census and the trials classify through the cached
+# `_kernel_for(spec, k, n)`; is_mrd keeps its test set lazy, so one code
+# stops at its first failing test without materialising T(k, n).
 
 def _echelon_tests(k: int, n: int, spec: FieldSpec):
     """Column blocks (E_L, E_R) of every echelon form in T(k, n) except
@@ -64,6 +67,32 @@ def _gabidulin_hits(spec: FieldSpec, X, s_values):
         phi = [[sub(frobenius(v, s), v) for v in row] for row in X]
         if _rank_raw(phi, spec, cap=2) == 1:
             yield s
+
+
+class _BlockKernel:
+    """The classifier kernel for one (spec, k, n) with 1 <= k < n: the
+    materialised echelon test set and the valid Gabidulin parameters."""
+
+    __slots__ = ("spec", "valid_s", "tests")
+
+    def __init__(self, spec: FieldSpec, k: int, n: int):
+        if not 1 <= k < n:
+            raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+        self.spec = spec
+        self.valid_s = tuple(spec.valid_s_values())
+        self.tests = tuple(_echelon_tests(k, n, spec))
+
+    def classify(self, X):
+        """None for a non-MRD block X, else the tuple of every s for which X
+        is Gabidulin (empty for a non-Gabidulin MRD block)."""
+        if not _is_mrd_block(self.spec, X, self.tests):
+            return None
+        return tuple(_gabidulin_hits(self.spec, X, self.valid_s))
+
+
+@lru_cache(maxsize=None)
+def _kernel_for(spec: FieldSpec, k: int, n: int) -> _BlockKernel:
+    return _BlockKernel(spec, k, n)
 
 
 def is_mrd(code: RankCode) -> bool:

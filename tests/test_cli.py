@@ -159,6 +159,13 @@ class TestSimulate:
         assert "cannot append" in err
         assert f.read_text() == before
 
+    @pytest.mark.parametrize("workers", ["0", "-2"])
+    def test_nonpositive_workers_exit_code(self, capsys, workers):
+        code, _, err = run(capsys, "simulate", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "6", "--trials", "8", f"--workers={workers}")
+        assert code == 2
+        assert "workers" in err
+
     def test_workers_agree(self, capsys):
         _, out1, _ = run(capsys, "simulate", "--q", "2", "--k", "2", "--n", "4",
                          "--m", "6", "--trials", "100", "--seed", "5")
@@ -195,6 +202,22 @@ class TestCensusCli:
                            "--m", "3")
         assert code == 2
         assert "RANKFORGE_BUDGET" in err
+
+    def test_corrupt_checkpoint_exit_code(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text('{"schema_version": 2')
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "3",
+                           "--m", "2", "--resume", str(ckpt))
+        assert code == 2
+        assert "state.json" in err
+
+    @pytest.mark.parametrize("flag", ["--resume", "--csv"])
+    def test_unwritable_path_exit_code(self, capsys, tmp_path, flag):
+        target = tmp_path / "missing" / "out.file"
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "3",
+                           "--m", "2", flag, str(target))
+        assert code == 2
+        assert str(target) in err
 
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")

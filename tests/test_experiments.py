@@ -1,4 +1,6 @@
 import json
+import math
+from pathlib import Path
 
 import pytest
 
@@ -52,6 +54,11 @@ class TestMonteCarlo:
         assert (serial.mrd_count, serial.gab_count) == \
                (parallel.mrd_count, parallel.gab_count)
 
+    @pytest.mark.parametrize("workers", [0, -2])
+    def test_nonpositive_workers_rejected(self, workers):
+        with pytest.raises(InvalidParameterError, match="workers"):
+            monte_carlo(2, 2, 4, 6, 10, seed=0, workers=workers)
+
     def test_counts_ordered(self):
         batch = monte_carlo(2, 2, 4, 5, 300, seed=1)
         assert 0 <= batch.gab_count <= batch.mrd_count <= batch.trials
@@ -79,15 +86,44 @@ class TestCensus:
         assert default.per_s_gab_counts == other.per_s_gab_counts
 
     def test_checkpoint_resume(self, tmp_path):
-        path = str(tmp_path / "census.json")
-        partial = census(2, 2, 4, 3, checkpoint_path=path, stop_after=1500)
-        assert partial is None
-        state = json.loads(open(path).read())
-        assert state["cursor"] == 1500
-        resumed = census(2, 2, 4, 3, checkpoint_path=path)
         direct = census(2, 2, 4, 3)
-        assert (resumed.mrd_count, resumed.gab_count) == \
-               (direct.mrd_count, direct.gab_count)
+        # 97 is odd and small, so the resumes start inside rows of the block
+        for stop in (1500, 97):
+            path = tmp_path / f"census-{stop}.json"
+            partial = census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=stop)
+            assert partial is None
+            assert json.loads(path.read_text())["cursor"] == stop
+            cursor = stop
+            while (resumed := census(2, 2, 4, 3, checkpoint_path=str(path),
+                                     stop_after=stop)) is None:
+                cursor += stop
+                assert json.loads(path.read_text())["cursor"] == cursor
+            assert resumed == direct
+
+    def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
+                                                               monkeypatch):
+        from rankforge import experiments
+        direct = census(2, 2, 3, 3)
+        monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", 10)
+        original = experiments._min_rank_distance_raw
+        calls = []
+
+        class Interrupted(Exception):
+            pass
+
+        def interrupt(spec, rows, k, n):
+            calls.append(rows)
+            if len(calls) == 3:  # the oracle's visit to block 50
+                raise Interrupted
+            return original(spec, rows, k, n)
+
+        monkeypatch.setattr(experiments, "_min_rank_distance_raw", interrupt)
+        path = tmp_path / "census.json"
+        with pytest.raises(Interrupted):
+            census(2, 2, 3, 3, checkpoint_path=str(path), oracle_stride=25)
+        assert json.loads(path.read_text())["cursor"] == 50
+        monkeypatch.setattr(experiments, "_min_rank_distance_raw", original)
+        assert census(2, 2, 3, 3, checkpoint_path=str(path), oracle_stride=25) == direct
 
     def test_checkpoint_param_mismatch(self, tmp_path):
         path = str(tmp_path / "census.json")
@@ -106,7 +142,7 @@ class TestCensus:
                       stop_after=30000) is None
         with pytest.raises(InvalidParameterError, match="field tower"):
             census(2, 2, 4, 4, checkpoint_path=path)
-        assert json.loads(open(path).read())["field"] == other.to_json()
+        assert json.loads(Path(path).read_text())["field"] == other.to_json()
         resumed = census(2, 2, 4, 4, spec=other, checkpoint_path=path)
         assert resumed.mrd_count == 1344
 
@@ -116,6 +152,39 @@ class TestCensus:
             "schema_version": 1, "params": [2, 2, 4, 3], "cursor": 100,
             "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
         with pytest.raises(InvalidParameterError, match="schema"):
+            census(2, 2, 4, 3, checkpoint_path=str(path))
+
+    @pytest.mark.parametrize("text", ["not json {", "[]", "null", "\udcff"],
+                             ids=["not-json", "list", "null", "not-utf8"])
+    def test_unreadable_checkpoint_rejected(self, tmp_path, text):
+        path = tmp_path / "census.json"
+        path.write_text(text, errors="surrogateescape")
+        with pytest.raises(InvalidParameterError, match="checkpoint"):
+            census(2, 2, 4, 3, checkpoint_path=str(path))
+
+    @pytest.mark.parametrize("name,value", [
+        ("cursor", None), ("mrd_count", "0"), ("cursor", 1.5), ("gab_count", True),
+        ("cursor", -1), ("cursor", 4097), ("mrd_count", 101), ("gab_count", 1),
+        ("gab_count", -1), ("per_s", None), ("per_s", [0, 0]),
+        ("per_s", {"1": 0}), ("per_s", {"1": 0, "2": 0, "3": 0}),
+        ("per_s", {"1": 0, "2": 1}), ("per_s", {"1": 0, "2": "0"})],
+        ids=["no-cursor", "str-mrd", "float-cursor", "bool-gab", "negative-cursor",
+             "cursor-past-total", "mrd-past-cursor", "gab-past-mrd", "negative-gab",
+             "no-per_s", "list-per_s", "missing-s", "extra-s", "per_s-past-gab",
+             "str-per_s"])
+    def test_inconsistent_checkpoint_rejected(self, tmp_path, name, value):
+        # the stored scan of (2,2,4,3) stops at cursor 100 with no MRD block;
+        # None drops the field
+        path = tmp_path / "census.json"
+        census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=100)
+        state = json.loads(path.read_text())
+        assert (state["cursor"], state["mrd_count"]) == (100, 0)
+        if value is None:
+            del state[name]
+        else:
+            state[name] = value
+        path.write_text(json.dumps(state))
+        with pytest.raises(InvalidParameterError, match="checkpoint"):
             census(2, 2, 4, 3, checkpoint_path=str(path))
 
     def test_stop_after_needs_checkpoint(self):
@@ -145,21 +214,58 @@ class TestCensus:
 
     @pytest.mark.parametrize("q,m", [(2, 2), (3, 2)])
     def test_matches_independent_enumeration(self, q, m):
-        # the odometer walk must visit exactly the blocks a plain product
-        # enumeration visits (guards the multi-row carry update)
+        # the index decode must visit exactly the blocks a plain product
+        # enumeration visits (guards the multi-row digit layout)
         import itertools
-        from rankforge.experiments import _Classifier
+        from rankforge.mrd_criteria import _kernel_for
         spec = default_field(q, m)
-        cls = _Classifier(spec, 2, 4)
+        kernel = _kernel_for(spec, 2, 4)
         mrd = gab = 0
         for flat in itertools.product(range(spec.order), repeat=4):
-            ok, s = cls.classify((flat[0:2], flat[2:4]))
-            if ok:
+            hits = kernel.classify((flat[0:2], flat[2:4]))
+            if hits is not None:
                 mrd += 1
-                if s is not None:
+                if hits:
                     gab += 1
         result = census(q, 2, 4, m)
         assert (result.mrd_count, result.gab_count) == (mrd, gab)
+
+    def test_block_index_layout(self, monkeypatch):
+        # block g holds base-order digit i*w + j of g at entry (i, j), lowest
+        # first; stored checkpoints and the oracle stride rely on this order
+        from rankforge import experiments
+        seen = []
+        original = experiments._min_rank_distance_raw
+
+        def record(spec, rows, k, n):
+            seen.append([list(r) for r in rows])
+            return original(spec, rows, k, n)
+
+        monkeypatch.setattr(experiments, "_min_rank_distance_raw", record)
+        census(2, 2, 4, 2, oracle_stride=37)
+        expected = []
+        for g in range(0, 256, 37):
+            d = [g // 4 ** p % 4 for p in range(4)]
+            expected.append([[1, 0, d[0], d[1]], [0, 1, d[2], d[3]]])
+        assert seen == expected
+
+    @pytest.mark.parametrize("q,n,m,expected", [
+        (2, 3, 3, 24), (2, 3, 4, 168), (2, 4, 4, 1344),
+        (3, 3, 3, 432), (3, 3, 2, 0), (2, 4, 3, 0)])
+    def test_one_row_known_answer(self, q, n, m, expected):
+        # for k = 1 a block is MRD iff 1 and its n - 1 entries are
+        # F_q-independent, and every such code is Gabidulin
+        assert expected == (math.prod(q ** m - q ** i for i in range(1, n))
+                            if n <= m else 0)
+        one_row = census(q, 1, n, m)
+        assert one_row.mrd_count == one_row.gab_count == expected
+        assert one_row.per_s_gab_counts == \
+               {s: expected for s in default_field(q, m).valid_s_values()}
+        # X -> -X^T maps the blocks of (1, n) onto those of (n - 1, n) and
+        # a code to its dual, which keeps MRD and every Gabidulin parameter
+        dual = census(q, n - 1, n, m)
+        assert (dual.mrd_count, dual.gab_count, dual.per_s_gab_counts) == \
+               (one_row.mrd_count, one_row.gab_count, one_row.per_s_gab_counts)
 
 
 class TestLemmaSuite:
@@ -245,7 +351,7 @@ class TestCsvWriters:
         path = str(tmp_path / "trials.csv")
         write_csv(path, TRIALS_CSV_FIELDS, [trial_batch_row(batch)], append=True)
         write_csv(path, TRIALS_CSV_FIELDS, [trial_batch_row(batch)], append=True)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "# schema_version=1"
         assert lines[1].split(",") == TRIALS_CSV_FIELDS
         assert len(lines) == 4  # comment + header + two appended rows
@@ -254,11 +360,11 @@ class TestCsvWriters:
         batch = monte_carlo(2, 2, 4, 5, 64, seed=2)
         path = str(tmp_path / "trials.csv")
         write_csv(path, TRIALS_CSV_FIELDS, [trial_batch_row(batch)], append=True)
-        before = open(path).read()
+        before = Path(path).read_text()
         rows = census_rows(census(2, 2, 4, 3))
         with pytest.raises(InvalidParameterError, match="cannot append"):
             write_csv(path, CENSUS_CSV_FIELDS, rows, append=True)
-        assert open(path).read() == before
+        assert Path(path).read_text() == before
 
     def test_append_with_other_schema_refused(self, tmp_path):
         path = tmp_path / "trials.csv"
