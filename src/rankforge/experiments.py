@@ -214,7 +214,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     lowest first; blocks are visited in index order.  Verdicts are
     cross-validated against the brute-force minimum-distance oracle on a
     fixed-stride subsample of indices (default every 100th block).  When
-    `checkpoint_path` is given, progress is persisted every 2^16 blocks and
+    `checkpoint_path` is given, progress is persisted before the first block
+    (so an unwritable path fails at once), then every 2^16 blocks, and
     an interrupted run resumes from the stored cursor; the checkpoint binds
     (q, k, n, m) and the field tower.  `stop_after` bounds the number of
     blocks processed in this call (a checkpoint is written and None
@@ -256,6 +257,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             "field": tower, "cursor": g, "mrd_count": mrd, "gab_count": gab,
             "per_s": {str(s): c for s, c in per_s.items()}})
 
+    if checkpoint_path:
+        save(cursor)  # an unwritable path fails before any block is classified
     end = total if stop_after is None else min(total, cursor + stop_after)
     for g in range(cursor, end):
         flat = []
@@ -336,7 +339,7 @@ def _suite_trace():
                     break
         for c in range(q):
             for a in range(order):
-                if tr[spec.scalar_mul(c, a)] != spec.scalar_mul(c, tr[a]):
+                if tr[spec.mul(c, a)] != spec.mul(c, tr[a]):
                     linear_bad.append((q, m, f"scaling at c={c}, a={a}"))
                     break
         for a in range(1, order):
@@ -521,7 +524,7 @@ def _suite_deg():
                     for t in range(2):
                         c = E.entries[j][2 + t]
                         if c:
-                            acc = ext.add(acc, ext.scalar_mul(c, X[i][t]))
+                            acc = ext.add(acc, ext.mul(c, X[i][t]))
                     M[i][j] = acc
             det_val = ext.sub(ext.mul(M[0][0], M[1][1]), ext.mul(M[0][1], M[1][0]))
             flat = [X[0][0], X[0][1], X[1][0], X[1][1]]
@@ -662,6 +665,10 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     """
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
+    if trials < 1:
+        raise InvalidParameterError(f"trials must be positive, got {trials}")
+    if workers < 1:
+        raise InvalidParameterError(f"workers must be positive, got {workers}")
     overrides = (q, k, n)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):

@@ -36,19 +36,19 @@ from .errors import InvalidParameterError, SpecMismatchError
 _TABLE_MAX = 2 ** 16
 
 
-def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
+def _prime_factors(n: int) -> list[int]:
+    """Distinct prime factors of n, increasing, by trial division; [] for n < 2."""
+    factors = []
+    f = 2
     while f * f <= n:
         if n % f == 0:
-            return False
-        f += 2
-    return True
+            factors.append(f)
+            while n % f == 0:
+                n //= f
+        f += 1
+    if n > 1:
+        factors.append(n)
+    return factors
 
 
 # --------------------------------------------------------------------------
@@ -193,7 +193,7 @@ class FieldSpec:
     def __init__(self, p: int, e: int = 1, m: int = 1,
                  base_modulus: Sequence[int] | None = None,
                  ext_modulus: Sequence[Sequence[int]] | Sequence[int] | None = None):
-        if not is_prime(p):
+        if _prime_factors(p) != [p]:
             raise InvalidParameterError(f"p must be prime, got {p}")
         if e < 1 or m < 1:
             raise InvalidParameterError("e and m must be positive")
@@ -255,19 +255,14 @@ class FieldSpec:
     @classmethod
     def from_prime_power(cls, q: int, m: int, **kwargs) -> "FieldSpec":
         """Spec for F_{q^m} where q itself may be a prime power."""
-        if q < 2:
+        factors = _prime_factors(q)
+        if len(factors) != 1:
             raise InvalidParameterError(f"q must be a prime power >= 2, got {q}")
-        for p in range(2, q + 1):
-            if is_prime(p) and q % p == 0:
-                e = 0
-                v = q
-                while v % p == 0:
-                    v //= p
-                    e += 1
-                if v != 1:
-                    raise InvalidParameterError(f"{q} is not a prime power")
-                return cls(p, e, m, **kwargs)
-        raise InvalidParameterError(f"{q} is not a prime power")
+        p = factors[0]
+        e = 1
+        while p ** e < q:
+            e += 1
+        return cls(p, e, m, **kwargs)
 
     # -- digit/coefficient views -------------------------------------------
 
@@ -349,10 +344,6 @@ class FieldSpec:
             return a ^ b
         return self.add(a, self.neg(b))
 
-    def scalar_mul(self, c: int, a: int) -> int:
-        """Multiply by an F_q scalar c, which is the element with index c."""
-        return self.mul(c, a)
-
     def _mul_poly(self, a: int, b: int) -> int:
         """Schoolbook product of coefficient vectors, reduced mod ext_modulus."""
         if a == 0 or b == 0:
@@ -411,12 +402,6 @@ class FieldSpec:
 
     # -- Frobenius and trace -------------------------------------------------
 
-    def _pow_q(self, a: int) -> int:
-        """a**q, as e successive p-th powers."""
-        for _ in range(self.e):
-            a = self.pow(a, self.p)
-        return a
-
     def _frob_basis(self, s: int):
         """Images (alpha^i)^(q^s) of the power basis; x -> x^(q^s) is F_q-linear."""
         s %= self.m
@@ -426,7 +411,7 @@ class FieldSpec:
             for i in range(self.m):
                 img = self.from_digits([0] * i + [1]) if i else 1
                 for _ in range(s):
-                    img = self._pow_q(img)
+                    img = self.pow(img, self.q)
                 basis.append(img)
             basis = tuple(basis)
             self._frob_ops[s] = basis
@@ -443,7 +428,7 @@ class FieldSpec:
         acc = 0
         for c, img in zip(self.digits(a), basis):
             if c:
-                acc = self.add(acc, self.scalar_mul(c, img))
+                acc = self.add(acc, self.mul(c, img))
         return acc
 
     def trace(self, a: int) -> int:
@@ -455,10 +440,14 @@ class FieldSpec:
             acc = self.add(acc, t)
         return acc
 
-    def phi_s(self, a: int, s: int) -> int:
-        if not 0 < s < self.m or gcd(s, self.m) != 1:
+    def _check_s(self, s: int) -> None:
+        """Reject a Gabidulin parameter s that valid_s_values() does not list."""
+        if s not in self.valid_s_values():
             raise InvalidParameterError(
                 f"s must satisfy 0 < s < m and gcd(s, m) = 1, got s={s}, m={self.m}")
+
+    def phi_s(self, a: int, s: int) -> int:
+        self._check_s(s)
         return self.sub(self.frobenius(a, s), a)
 
     def is_in_base(self, a: int) -> bool:
@@ -495,16 +484,7 @@ class FieldSpec:
 
     def _find_generator(self) -> int:
         n = self.order - 1
-        factors = []
-        v, f = n, 2
-        while f * f <= v:
-            if v % f == 0:
-                factors.append(f)
-                while v % f == 0:
-                    v //= f
-            f += 1
-        if v > 1:
-            factors.append(v)
+        factors = _prime_factors(n)
         for cand in range(1, self.order):  # 1 generates only F_2^*
             if all(self.pow(cand, n // f) != 1 for f in factors):
                 return cand
@@ -655,11 +635,3 @@ def enumerate_elements(spec: FieldSpec) -> Iterator[Element]:
 def default_field(q: int, m: int) -> FieldSpec:
     """Shared FieldSpec with default moduli; cached so workers reuse tables."""
     return FieldSpec.from_prime_power(q, m)
-
-
-def element_to_json(a: Element):
-    return a.coeffs()
-
-
-def element_from_json(spec: FieldSpec, data) -> Element:
-    return spec.element_from_coeffs(data)

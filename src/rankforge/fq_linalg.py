@@ -1,8 +1,11 @@
 """Dense exact linear algebra over F_q and F_{q^m}, plus q-analog counting.
 
 Matrices store raw integer entries (F_q values in [0, q) for BaseMatrix,
-element indices for ExtMatrix) together with the owning FieldSpec; the
-elimination engine is shared between the two levels.
+element indices for ExtMatrix) together with the owning FieldSpec.  Both
+levels share two elimination routines: `_rref_in_place`, the one RREF
+reduction (behind `rref`, canonical generators, the RREF test on echelon
+forms), and `_rank_raw`, forward elimination with an optional early stop.
+`det` keeps its own loop for the sign of row swaps.
 """
 
 from __future__ import annotations
@@ -44,10 +47,6 @@ class _MatrixBase:
     @classmethod
     def identity(cls, spec, n):
         return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec, rows, cols):
-        return cls(spec, [[0] * cols for _ in range(rows)])
 
     def copy_entries(self):
         return [list(r) for r in self.entries]
@@ -130,12 +129,11 @@ class ExtMatrix(_MatrixBase):
 # Shared elimination engine.  `ops` is any bundle with add/sub/mul/neg/inv
 # on raw ints (FieldSpec for the extension level, spec.base_field for F_q).
 
-def _rref_in_place(rows, ops, transform=None):
+def _rref_in_place(rows, ops):
     """Reduce `rows` to RREF in place; returns the list of pivot columns.
 
     Pivoting takes the first nonzero entry scanning top-to-bottom in each
-    column, left to right (exact field, no magnitude concerns).  When
-    `transform` is given the same row operations are applied to it.
+    column, left to right (exact field, no magnitude concerns).
     """
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -147,22 +145,15 @@ def _rref_in_place(rows, ops, transform=None):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-            if transform is not None:
-                transform[r], transform[pivot] = transform[pivot], transform[r]
         p_inv = ops.inv(rows[r][c])
         if rows[r][c] != 1:
             rows[r] = [ops.mul(p_inv, v) for v in rows[r]]
-            if transform is not None:
-                transform[r] = [ops.mul(p_inv, v) for v in transform[r]]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
             if f:
                 rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
-                if transform is not None:
-                    transform[i] = [ops.sub(x, ops.mul(f, y))
-                                    for x, y in zip(transform[i], transform[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -198,14 +189,18 @@ def rref(M):
     """Reduced row echelon form.
 
     Returns (R, rank, T) with T * M = R and T invertible; R is the unique
-    RREF of M and rank is its number of pivots.
+    RREF of M and rank is its number of pivots.  [M | I] is reduced once
+    and split.  T is unique only when M has full row rank; otherwise the
+    elimination goes on into the identity block, which leaves R alone but
+    picks one of the many valid T.
     """
-    ops = M._ops()
-    rows = M.copy_entries()
-    transform = [[1 if i == j else 0 for j in range(M.rows)] for i in range(M.rows)]
-    pivots = _rref_in_place(rows, ops, transform)
+    n = M.cols
+    rows = [row + [1 if i == j else 0 for j in range(M.rows)]
+            for i, row in enumerate(M.entries)]
+    pivots = _rref_in_place(rows, M._ops())
     kind = type(M)
-    return kind(M.spec, rows), len(pivots), kind(M.spec, transform)
+    return (kind(M.spec, [row[:n] for row in rows]), sum(c < n for c in pivots),
+            kind(M.spec, [row[n:] for row in rows]))
 
 
 def rank(M) -> int:

@@ -8,13 +8,12 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from math import gcd
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import Element, FieldSpec
-from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, enumerate_rref,
-                        intersection_dim)
+from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
+                        enumerate_rref, intersection_dim)
 from .rank_codes import RankCode, _ext_product_rank
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
@@ -132,9 +131,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     """True iff the entrywise map x -> x^(q^s) - x sends X to a rank-one
     matrix over F_{q^m}."""
     spec = X.spec
-    if not 0 < s < spec.m or gcd(s, spec.m) != 1:
-        raise InvalidParameterError(
-            f"s must satisfy 0 < s < m and gcd(s, m) = 1, got s={s}, m={spec.m}")
+    spec._check_s(s)
     return any(_gabidulin_hits(spec, X.entries, (s,)))
 
 
@@ -176,17 +173,10 @@ def is_gabidulin(code: RankCode) -> int | None:
 # Defect polynomials of the echelon test set.
 
 def _is_full_rank_rref(E: BaseMatrix) -> bool:
-    pivots = []
-    prev = -1
-    for i, row in enumerate(E.entries):
-        lead = next((c for c, v in enumerate(row) if v), None)
-        if lead is None or lead <= prev or row[lead] != 1:
-            return False
-        if any(E.entries[r][lead] for r in range(E.rows) if r != i):
-            return False
-        pivots.append(lead)
-        prev = lead
-    return len(pivots) == E.rows
+    """True iff reducing a copy of E changes nothing and leaves a pivot in
+    every row."""
+    rows = E.copy_entries()
+    return len(_rref_in_place(rows, E._ops())) == E.rows and rows == E.entries
 
 
 def _leading_subspace(spec: FieldSpec, k: int, n: int) -> BaseMatrix:
@@ -234,7 +224,7 @@ class MultilinearPoly:
                 term = spec.mul(term, idxs[var])
                 if term == 0:
                     break
-            acc = spec.add(acc, spec.scalar_mul(c, term))
+            acc = spec.add(acc, spec.mul(c, term))
         return Element(spec, acc)
 
     def __eq__(self, other):
@@ -387,9 +377,7 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
 
 def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     """Count the set G(s) exhaustively and through the factored route."""
-    if not 0 < s < spec.m or gcd(s, spec.m) != 1:
-        raise InvalidParameterError(
-            f"s must satisfy 0 < s < m and gcd(s, m) = 1, got s={s}, m={spec.m}")
+    spec._check_s(s)
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     cells = k * (n - k)

@@ -11,29 +11,23 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError
+from .field_arith import _prime_factors
 from .fq_linalg import gaussian_binomial
 
 
 def euler_phi(m: int) -> int:
-    """Count of s in [1, m] coprime to m, by trial factorization."""
+    """Count of s in [1, m] coprime to m, from the prime factors of m."""
     if m < 1:
         raise InvalidParameterError(f"m must be positive, got {m}")
     result = m
-    v, f = m, 2
-    while f * f <= v:
-        if v % f == 0:
-            result -= result // f
-            while v % f == 0:
-                v //= f
-        f += 1
-    if v > 1:
-        result -= result // v
+    for p in _prime_factors(m):
+        result -= result // p
     return result
 
 
 def _check_kn(q: int, k: int, n: int) -> None:
-    if q < 2:
-        raise InvalidParameterError(f"q must be at least 2, got {q}")
+    if len(_prime_factors(q)) != 1:
+        raise InvalidParameterError(f"q must be a prime power >= 2, got {q}")
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
 

@@ -210,14 +210,8 @@ def dual_code(code: RankCode) -> RankCode:
     if k == n:
         raise InvalidParameterError("dual of the full space is zero-dimensional")
     R = code.canonical.entries
-    pivots = []
-    c = 0
-    for i in range(k):
-        while R[i][c] == 0:
-            c += 1
-        pivots.append(c)
-    pivot_set = set(pivots)
-    free = [c for c in range(n) if c not in pivot_set]
+    pivots = [next(c for c, v in enumerate(row) if v) for row in R]
+    free = [c for c in range(n) if c not in pivots]
     rows = []
     for f in free:
         u = [0] * n
@@ -258,7 +252,7 @@ def _fq_combination(spec: FieldSpec, vec, coeffs):
     acc = 0
     for v, c in zip(vec, coeffs):
         if c and v:
-            acc = spec.add(acc, spec.scalar_mul(c, v))
+            acc = spec.add(acc, spec.mul(c, v))
     return acc
 
 

@@ -11,11 +11,12 @@ import time
 
 import pytest
 
-from rankforge import (census, default_field, dual_code, gab_bound, gabidulin,
-                       is_gabidulin, is_mrd, min_extension_degree,
-                       min_rank_distance, monte_carlo, mrd_bound,
-                       mrd_defect_coefficient, random_systematic_code,
-                       sum_f_E_degrees, verify_lemma_suite)
+from rankforge import (census, default_field, dual_code, enumerate_G,
+                       gab_bound, gabidulin, is_gabidulin, is_mrd,
+                       min_extension_degree, min_rank_distance, monte_carlo,
+                       mrd_bound, mrd_defect_coefficient,
+                       random_systematic_code, sum_f_E_degrees,
+                       verify_lemma_suite)
 from rankforge.experiments import derive_seed
 from rankforge.fq_linalg import intersection_dim
 from rankforge.mrd_criteria import frobenius_code
@@ -71,6 +72,22 @@ def test_criterion_03_bound_consistency_exhaustive(census_m3, census_m4):
         upper = gab_bound(result.q, result.k, result.n, result.m)
         assert result.gab_fraction <= upper
     report(3, "census fractions respect the exact bounds (zero tolerance)")
+
+
+def test_census_gabidulin_counts_within_G_sets(census_m3, census_m4):
+    # an MRD block has no entry in F_q, so a Gabidulin block counted under s
+    # lies in G(s); x^(q^(m-s)) - x = -(x^(q^s) - x)^(q^(m-s)) and entrywise
+    # Frobenius keeps the rank, so s and m - s count the same blocks
+    detail = []
+    for result, _ in (census_m3, census_m4):
+        spec = default_field(result.q, result.m)
+        counts = result.per_s_gab_counts
+        for s in spec.valid_s_values():
+            bound = enumerate_G(spec, result.k, result.n, s).factored
+            assert counts[s] <= bound, (result.m, s)
+            assert counts[s] == counts[result.m - s], (result.m, s)
+            detail.append(f"m={result.m} s={s}: {counts[s]} <= {bound}")
+    report("G(s)", "; ".join(detail))
 
 
 def test_criterion_04_bound_consistency_sampled():

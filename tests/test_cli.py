@@ -125,6 +125,12 @@ class TestBounds:
         assert out.startswith("#")
         assert "1 < k < n-1" in out.splitlines()[0]
 
+    def test_non_prime_power_q_exit_code(self, capsys):
+        code, _, err = run(capsys, "bounds", "--q", "6", "--k", "2", "--n", "4",
+                           "--m-from", "3", "--m-to", "3")
+        assert code == 2
+        assert "prime power" in err
+
     def test_csv_output(self, capsys, tmp_path):
         f = tmp_path / "bounds.csv"
         code, _, _ = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",
@@ -219,6 +225,20 @@ class TestCensusCli:
         assert code == 2
         assert str(target) in err
 
+    def test_unwritable_checkpoint_fails_before_scan(self, capsys, tmp_path,
+                                                     monkeypatch):
+        from rankforge.mrd_criteria import _BlockKernel
+
+        def unexpected(self, X):
+            raise AssertionError("a block was classified")
+
+        monkeypatch.setattr(_BlockKernel, "classify", unexpected)
+        target = tmp_path / "missing" / "x.json"
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "3",
+                           "--m", "2", "--resume", str(target))
+        assert code == 2
+        assert "cannot write checkpoint" in err
+
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")
         from rankforge import census as census_fn
@@ -269,6 +289,15 @@ class TestFigure:
         assert code == 0
         header = f.read_text().splitlines()[1].split(",")
         assert "log10_gab_fraction" in header
+
+    @pytest.mark.parametrize("flag", ["--trials", "--workers"])
+    def test_nonpositive_trials_or_workers_exit_code(self, capsys, tmp_path, flag):
+        f = tmp_path / "fig1.csv"
+        code, _, err = run(capsys, "figure", "--id", "1", "--m-from", "5",
+                           "--m-to", "5", flag, "0", "--csv", str(f))
+        assert code == 2
+        assert flag[2:] in err
+        assert not f.exists()
 
     def test_missing_subcommand(self, capsys):
         assert main([]) == 2

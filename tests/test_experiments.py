@@ -125,6 +125,17 @@ class TestCensus:
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", original)
         assert census(2, 2, 3, 3, checkpoint_path=str(path), oracle_stride=25) == direct
 
+    def test_unwritable_checkpoint_fails_before_scan(self, tmp_path, monkeypatch):
+        from rankforge.mrd_criteria import _BlockKernel
+
+        def unexpected(self, X):
+            raise AssertionError("a block was classified")
+
+        monkeypatch.setattr(_BlockKernel, "classify", unexpected)
+        path = tmp_path / "missing" / "census.json"
+        with pytest.raises(InvalidParameterError, match="cannot write checkpoint"):
+            census(2, 2, 3, 2, checkpoint_path=str(path))
+
     def test_checkpoint_param_mismatch(self, tmp_path):
         path = str(tmp_path / "census.json")
         census(2, 2, 4, 3, checkpoint_path=path, stop_after=100)
@@ -338,6 +349,12 @@ class TestFigureData:
         row = rows[0]
         if row["gab_count"]:
             assert row["log10_gab_fraction"] != ""
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 3])
+    @pytest.mark.parametrize("name", ["trials", "workers"])
+    def test_nonpositive_trials_or_workers_rejected(self, figure_id, name):
+        with pytest.raises(InvalidParameterError, match=name):
+            figure_data(figure_id, q=2, k=2, n=4, m_values=[5], **{name: 0})
 
     def test_partial_override_rejected(self):
         from rankforge.errors import InvalidParameterError

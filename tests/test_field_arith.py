@@ -10,7 +10,6 @@ from rankforge import (BudgetExceededError, Element, FieldSpec,
                        linearly_independent_over_base, phi_s, random_element,
                        trace, trace_kernel)
 from rankforge import field_arith
-from rankforge.field_arith import element_from_json, element_to_json
 
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
 TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
@@ -24,6 +23,30 @@ class TestConstruction:
     def test_nonprime_p_rejected(self):
         with pytest.raises(InvalidParameterError):
             FieldSpec(4, 1, 2)
+
+    def test_from_prime_power_grid(self):
+        # parse q alone: the recorder stands in for building each field
+        class Recorder(FieldSpec):
+            def __init__(self, p, e, m):
+                self.p, self.e = p, e
+
+        limit = 4096
+        sieve = [True] * limit
+        for i in range(2, limit):
+            if sieve[i]:
+                for j in range(i * i, limit, i):
+                    sieve[j] = False
+        powers = {p ** e: (p, e) for p in range(2, limit) if sieve[p]
+                  for e in range(1, 13) if p ** e < limit}
+        for q in range(2, limit):
+            if q in powers:
+                spec = Recorder.from_prime_power(q, 1)
+                assert (spec.p, spec.e) == powers[q]
+            else:
+                with pytest.raises(InvalidParameterError):
+                    Recorder.from_prime_power(q, 1)
+        with pytest.raises(InvalidParameterError):
+            Recorder.from_prime_power(1, 1)
 
     def test_default_modulus_for_f4(self, f4):
         # the only irreducible quadratic over F_2
@@ -142,7 +165,7 @@ class TestTablePath:
             for c in range(tabled.q):
                 # F_q sits at the indices below q: scaling acts digit by digit
                 by_digits = plain.from_digits(fq.mul(c, x) for x in plain.digits(a))
-                assert tabled.scalar_mul(c, a) == plain.scalar_mul(c, a) == by_digits
+                assert tabled.mul(c, a) == plain.mul(c, a) == by_digits
         for a, b in itertools.product(range(tabled.order), repeat=2):
             assert tabled.add(a, b) == plain.add(a, b)
             assert tabled.sub(a, b) == plain.sub(a, b)
@@ -264,7 +287,7 @@ class TestTrace:
                 assert tr[spec.add(a, b)] == spec.add(tr[a], tr[b])
             for c in range(spec.q):
                 for a in range(spec.order):
-                    assert tr[spec.scalar_mul(c, a)] == spec.scalar_mul(c, tr[a])
+                    assert tr[spec.mul(c, a)] == spec.mul(c, tr[a])
 
     def test_per_element_properties_on_4096_field(self):
         spec = default_field(2, 12)
@@ -387,7 +410,7 @@ class TestIndependence:
         for i, j in itertools.product(range(1, 8), repeat=2):
             v = [Element(f8, i), Element(f8, j)]
             dependent = any(
-                f8.add(f8.scalar_mul(c1, i), f8.scalar_mul(c2, j)) == 0
+                f8.add(f8.mul(c1, i), f8.mul(c2, j)) == 0
                 for c1 in range(2) for c2 in range(2) if (c1, c2) != (0, 0))
             assert linearly_independent_over_base(v) == (not dependent)
 
@@ -396,10 +419,10 @@ class TestSerialization:
     def test_element_round_trip(self, tower16):
         for a in range(tower16.order):
             e = Element(tower16, a)
-            assert element_from_json(tower16, element_to_json(e)) == e
+            assert tower16.element_from_coeffs(e.coeffs()) == e
 
     def test_tower_coeff_shape(self, tower16):
         e = Element(tower16, tower16.order - 1)
-        data = element_to_json(e)
+        data = e.coeffs()
         assert len(data) == tower16.m
         assert all(len(c) == tower16.e for c in data)

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,6 +17,16 @@ def ext(spec, rows):
     return ExtMatrix(spec, rows)
 
 
+def matmul(ops, A, B):
+    """A B on raw entry lists, over the field whose arithmetic is `ops`."""
+    out = [[0] * len(B[0]) for _ in A]
+    for i, row in enumerate(A):
+        for t, x in enumerate(row):
+            for j, y in enumerate(B[t]):
+                out[i][j] = ops.add(out[i][j], ops.mul(x, y))
+    return out
+
+
 class TestRref:
     def test_identity(self, f4):
         I = ExtMatrix.identity(f4, 3)
@@ -27,20 +38,31 @@ class TestRref:
         R, r, T = rref(M)
         R2, r2, _ = rref(R)
         assert R2 == R and r2 == r
-        # T * M = R
-        prod = [[0] * M.cols for _ in range(M.rows)]
-        for i in range(M.rows):
-            for j in range(M.cols):
-                acc = 0
-                for l in range(M.rows):
-                    acc = f8.add(acc, f8.mul(T.entries[i][l], M.entries[l][j]))
-                prod[i][j] = acc
-        assert prod == R.entries
+        assert matmul(f8, T.entries, M.entries) == R.entries
 
     def test_rank_all_ones(self):
         spec = default_field(2, 1)
         M = BaseMatrix(spec, [[1, 1, 1, 1], [1, 1, 1, 1]])
         assert rank(M) == 1
+
+    @pytest.mark.parametrize("kind,q,m", [(ExtMatrix, 2, 3), (BaseMatrix, 3, 1)])
+    def test_rank_deficient_seeded(self, kind, q, m):
+        # rows drawn from the span of fewer vectors: T M = R with T
+        # invertible, R reduces to itself, and the rank matches `rank`
+        spec = default_field(q, m)
+        ops = spec if kind is ExtMatrix else spec.base_field
+        rng = random.Random(7 * q + m)
+        for _ in range(200):
+            nrows, ncols = rng.randint(2, 4), rng.randint(1, 5)
+            span = [[rng.randrange(ops.order) for _ in range(ncols)]
+                    for _ in range(rng.randint(1, nrows - 1))]
+            coeffs = [[rng.randrange(ops.order) for _ in span] for _ in range(nrows)]
+            M = kind(spec, matmul(ops, coeffs, span))
+            R, r, T = rref(M)
+            assert r == rank(M) < M.rows
+            assert matmul(ops, T.entries, M.entries) == R.entries
+            assert rank(T) == M.rows
+            assert rref(R)[:2] == (R, r)
 
     def test_base_matrix_rref(self, f9):
         M = BaseMatrix(f9, [[2, 1], [1, 1]])

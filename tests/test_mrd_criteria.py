@@ -11,7 +11,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
-from rankforge.mrd_criteria import _gabidulin_parameter
+from rankforge.mrd_criteria import _gabidulin_parameter, _is_full_rank_rref
 
 from conftest import basis_elements
 
@@ -233,6 +233,23 @@ class TestDefectDegrees:
         with pytest.raises(InvalidParameterError):
             f_E_degree(BaseMatrix(spec, [[0, 1, 0, 0], [1, 0, 0, 0]]))
 
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_full_rank_rref_check_exhaustive(self, q, n):
+        # definition: every row leads with a 1, the leads move strictly
+        # right, and each lead column is zero outside its row
+        spec = default_field(q, 1)
+        accepted = 0
+        for flat in itertools.product(range(q), repeat=2 * n):
+            rows = [list(flat[:n]), list(flat[n:])]
+            leads = [next((c for c, v in enumerate(row) if v), None) for row in rows]
+            expected = (None not in leads and leads[0] < leads[1]
+                        and all(rows[i][c] == 1 and rows[1 - i][c] == 0
+                                for i, c in enumerate(leads)))
+            assert _is_full_rank_rref(BaseMatrix(spec, rows)) == expected, rows
+            accepted += expected
+        assert accepted == len(list(enumerate_rref(2, n, spec)))
+
 
 class TestSymbolicExpansion:
     def test_leading_block_is_constant_one(self):
@@ -273,7 +290,7 @@ class TestSymbolicExpansion:
                     for t in range(2):
                         c = E.entries[j][2 + t]
                         if c:
-                            acc = f8.add(acc, f8.scalar_mul(c, X[i][t]))
+                            acc = f8.add(acc, f8.mul(c, X[i][t]))
                     M[i][j] = acc
             direct = det(ExtMatrix(f8, M))
             from rankforge import MultilinearPoly

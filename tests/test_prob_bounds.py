@@ -135,3 +135,10 @@ class TestBoundTable:
         for rep in bound_table(2, 2, 4, range(7, 30)):
             assert 0 < rep.mrd_main < 1
             assert 0 < rep.gab_main < 1
+
+    @pytest.mark.parametrize("q", [6, 12, 1])
+    def test_non_prime_power_q_rejected(self, q):
+        with pytest.raises(InvalidParameterError, match="prime power"):
+            bound_table(q, 2, 4, [3])
+        with pytest.raises(InvalidParameterError, match="prime power"):
+            min_extension_degree(q, 2, 4)
