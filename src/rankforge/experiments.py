@@ -3,9 +3,9 @@ lemma-verification suites, and figure-data reproduction.
 
 Random trials are split into fixed-size chunks whose seeds derive from the
 root seed and the chunk index, so results do not depend on worker count or
-scheduling.  The census visits systematic blocks by index, decoding block g
-from the base-order digits of g, and checkpoints its cursor to a resumable
-state file.
+scheduling.  The census visits one systematic block per translation orbit,
+decoding representative g from the digits of g, and checkpoints its cursor
+to a resumable state file.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .rank_codes import RankCode, _min_rank_distance_raw
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
-CHECKPOINT_SCHEMA = 2
+CHECKPOINT_SCHEMA = 3
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -160,8 +160,9 @@ def _write_checkpoint(path, state):
         raise InvalidParameterError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _load_checkpoint(path, params, tower, total, valid_s):
-    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan.
+def _load_checkpoint(path, params, tower, reps, valid_s):
+    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan, all
+    in representatives.
 
     A file that cannot be read, belongs to another scan, or holds
     incomplete or inconsistent state is invalid input.
@@ -189,9 +190,9 @@ def _load_checkpoint(path, params, tower, total, valid_s):
             f"checkpoint {path} lacks an integer cursor, mrd_count, gab_count "
             "or per_s count")
     cursor, mrd, gab = counts
-    if not 0 <= cursor <= total:
+    if not 0 <= cursor <= reps:
         raise InvalidParameterError(
-            f"checkpoint cursor {cursor} is outside [0, {total}]")
+            f"checkpoint cursor {cursor} is outside [0, {reps}]")
     if not 0 <= gab <= mrd <= cursor:
         raise InvalidParameterError(
             f"checkpoint counts break 0 <= gab <= mrd <= cursor: gab={gab}, "
@@ -208,18 +209,27 @@ def _load_checkpoint(path, params, tower, total, valid_s):
 def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
            checkpoint_path: str | None = None, oracle_stride: int = 100,
            stop_after: int | None = None) -> CensusResult | None:
-    """Classify every systematic block X in F_{q^m}^{k x (n-k)} exactly.
+    """Classify every systematic block X in F_{q^m}^{k x (n-k)} exactly,
+    one representative per translation orbit.
 
-    Block g has entry (i, j) equal to the base-q^m digit i*(n-k) + j of g,
-    lowest first; blocks are visited in index order.  Verdicts are
-    cross-validated against the brute-force minimum-distance oracle on a
-    fixed-stride subsample of indices (default every 100th block).  When
+    X -> X + A with A in F_q^{k x (n-k)} is the column operation
+    [[I, A], [0, I]], an F_q-isometry that keeps MRD and every Gabidulin
+    parameter (phi_s vanishes on F_q).  Adding an element of F_q changes only
+    the lowest base-q digit of an index, so the census visits the blocks whose
+    entries are multiples of q and multiplies every count by q^(k(n-k));
+    `total` is still every block, q^(mk(n-k)).  Representative g has entry
+    (i, j) equal to q times the base-q^(m-1) digit i*(n-k) + j of g, lowest
+    first; representatives are visited in index order.  Verdicts are
+    cross-validated against the brute-force minimum-distance oracle on every
+    `oracle_stride`-th representative (default every 100th).  When
     `checkpoint_path` is given, progress is persisted before the first block
-    (so an unwritable path fails at once), then every 2^16 blocks, and
-    an interrupted run resumes from the stored cursor; the checkpoint binds
-    (q, k, n, m) and the field tower.  `stop_after` bounds the number of
-    blocks processed in this call (a checkpoint is written and None
-    returned when the scan is not finished), so it needs `checkpoint_path`.
+    (so an unwritable path fails at once), then every 2^16 representatives,
+    and an interrupted run resumes from the stored cursor; the checkpoint
+    binds (q, k, n, m) and the field tower, and holds its cursor and counts
+    in representatives.  `stop_after` bounds the number of representatives
+    processed in this call (a checkpoint is written and None returned when
+    the scan is not finished), so it needs `checkpoint_path`.  The budget
+    bounds the number of representatives.
     """
     if oracle_stride < 1:
         raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
@@ -235,9 +245,9 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     kernel = mc._kernel_for(spec, k, n)
     w = n - k
     cells = k * w
-    order = spec.order
-    total = order ** cells
-    check_budget(total, "systematic-block census")
+    radix = spec.order // q
+    reps = radix ** cells
+    check_budget(reps, "systematic-block census")
 
     params = (q, k, n, m)
     tower = spec.to_json()
@@ -246,7 +256,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     per_s = {s: 0 for s in kernel.valid_s}
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, mrd, gab, per_s = _load_checkpoint(
-            checkpoint_path, params, tower, total, kernel.valid_s)
+            checkpoint_path, params, tower, reps, kernel.valid_s)
 
     identity_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
     expected_d = n - k + 1
@@ -259,13 +269,13 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
 
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
-    end = total if stop_after is None else min(total, cursor + stop_after)
+    end = reps if stop_after is None else min(reps, cursor + stop_after)
     for g in range(cursor, end):
         flat = []
         rest = g
         for _ in range(cells):
-            rest, digit = divmod(rest, order)
-            flat.append(digit)
+            rest, digit = divmod(rest, radix)
+            flat.append(q * digit)
         X = [flat[i * w:(i + 1) * w] for i in range(k)]
         hits = kernel.classify(X)
         if hits is not None:
@@ -279,16 +289,18 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             oracle = _min_rank_distance_raw(spec, rows, k, n) == expected_d
             if oracle != (hits is not None):
                 raise VerificationError(
-                    f"criterion and distance oracle disagree at block index {g}")
+                    f"criterion and distance oracle disagree at representative {g}")
         if checkpoint_path and (g + 1) % CHECKPOINT_EVERY == 0:
             save(g + 1)
-    if end < total:
+    if end < reps:
         save(end)
         return None
-    result = CensusResult(q=q, k=k, n=n, m=m, total=total,
-                          mrd_count=mrd, gab_count=gab, per_s_gab_counts=per_s)
+    orbit = q ** cells
+    result = CensusResult(q=q, k=k, n=n, m=m, total=reps * orbit,
+                          mrd_count=mrd * orbit, gab_count=gab * orbit,
+                          per_s_gab_counts={s: c * orbit for s, c in per_s.items()})
     if checkpoint_path:
-        save(total)
+        save(reps)
     return result
 
 

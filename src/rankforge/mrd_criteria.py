@@ -27,44 +27,71 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # stops at its first failing test without materialising T(k, n).
 
 def _echelon_tests(k: int, n: int, spec: FieldSpec):
-    """Column blocks (E_L, E_R) of every echelon form in T(k, n) except
-    [I_k | 0], which every block [I_k | X] passes."""
+    """Every echelon form in T(k, n) except [I_k | 0], which every block
+    [I_k | X] passes, as (E_L rows, codes): row i of E_R is the F_q-vector
+    whose base-q digits, lowest first, spell codes[i]."""
+    q = spec.q
     for E in enumerate_rref(k, n, spec):
-        right = [tuple(row[k:]) for row in E.entries]
-        if any(any(r) for r in right):
-            yield [tuple(row[:k]) for row in E.entries], right
+        codes = tuple(sum(c * q ** t for t, c in enumerate(row[k:]))
+                      for row in E.entries)
+        if any(codes):
+            yield [tuple(row[:k]) for row in E.entries], codes
+
+
+def _combinations(spec: FieldSpec, row):
+    """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
+    is the base-q digit t of c, lowest first."""
+    add, mul = spec.add, spec.mul
+    comb = [0]
+    for x in row:
+        comb = [add(v, mul(c, x)) for c in range(spec.q) for v in comb]
+    return comb
 
 
 def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
-    """True iff E_L + E_R X^T has full rank for every test (E_L, E_R)."""
+    """True iff E_L + E_R X^T has full rank for every test (E_L, codes).
+
+    Entry (i, j) of that matrix is E_L[i][j] plus the F_q-combination of
+    row j of X with coefficients E_R[i], looked up in a table built once
+    per block.  A 2 x 2 matrix is tested by its determinant, any other
+    shape by elimination.
+    """
     k = len(X)
     add, mul = spec.add, spec.mul
-    for left, right in tests:
-        M = []
-        for i in range(k):
-            li = left[i]
-            ri = right[i]
-            row = []
-            for j in range(k):
-                Xj = X[j]
-                acc = li[j]
-                for t, c in enumerate(ri):
-                    x = Xj[t]
-                    if c and x:
-                        acc = add(acc, x if c == 1 else mul(c, x))
-                row.append(acc)
-            M.append(row)
-        if _rank_raw(M, spec, cap=k) < k:
+    combs = [_combinations(spec, row) for row in X]
+    c0, c1 = combs[0], combs[-1]  # the two rows when k == 2
+    for left, codes in tests:
+        if k == 2:
+            # det [[a + c0[r0], b + c1[r0]], [c + c0[r1], d + c1[r1]]]
+            (a, b), (c, d) = left
+            r0, r1 = codes
+            if (mul(add(a, c0[r0]), add(d, c1[r1]))
+                    == mul(add(b, c1[r0]), add(c, c0[r1]))):
+                return False
+        elif _rank_raw([[add(lj, comb[r]) for lj, comb in zip(li, combs)]
+                        for li, r in zip(left, codes)], spec, cap=k) < k:
             return False
     return True
 
 
+def _is_rank_one(M, mul) -> bool:
+    """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
+    M[i][j] p = M[i][j0] M[i0][j] for every (i, j)."""
+    for row0 in M:
+        for j0, p in enumerate(row0):
+            if p:
+                return all(mul(x, p) == mul(row[j0], y)
+                           for row in M for x, y in zip(row, row0))
+    return False
+
+
 def _gabidulin_hits(spec: FieldSpec, X, s_values):
-    """Yield each s in s_values for which X^(q^s) - X has rank one."""
-    sub, frobenius = spec.sub, spec.frobenius
+    """Yield each s in s_values for which X^(q^s) - X has rank one, tested
+    through the 2 x 2 minors through its first nonzero entry."""
+    sub, frobenius, mul = spec.sub, spec.frobenius, spec.mul
     for s in s_values:
         phi = [[sub(frobenius(v, s), v) for v in row] for row in X]
-        if _rank_raw(phi, spec, cap=2) == 1:
+        if _is_rank_one(phi, mul):
             yield s
 
 

@@ -5,6 +5,7 @@ output) and enforces its stated tolerance; every comparison against an
 exact bound is done in rational arithmetic.
 """
 
+import itertools
 import math
 import random
 import time
@@ -19,8 +20,9 @@ from rankforge import (census, default_field, dual_code, enumerate_G,
                        verify_lemma_suite)
 from rankforge.experiments import derive_seed
 from rankforge.fq_linalg import intersection_dim
-from rankforge.mrd_criteria import frobenius_code
-from rankforge.rank_codes import apply_isometry, random_isometry
+from rankforge.mrd_criteria import _kernel_for, frobenius_code
+from rankforge.rank_codes import (_min_rank_distance_raw, apply_isometry,
+                                  random_isometry)
 
 from fractions import Fraction
 
@@ -34,8 +36,9 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def census_m3():
     start = time.perf_counter()
-    # oracle stride 1: every verdict cross-validated against the
-    # minimum-distance brute force (disagreement raises internally)
+    # oracle stride 1: every representative's verdict cross-validated
+    # against the minimum-distance brute force (disagreement raises
+    # internally)
     result = census(2, 2, 4, 3, oracle_stride=1)
     return result, time.perf_counter() - start
 
@@ -48,8 +51,24 @@ def census_m4():
 
 
 def test_criterion_01_census_cross_validation(census_m3):
+    # the census visits one block per translation orbit, so the full grid
+    # is classified here, each verdict against the distance oracle
     result, elapsed = census_m3
+    start = time.perf_counter()
+    spec = default_field(2, 3)
+    kernel = _kernel_for(spec, 2, 4)
+    mrd = gab = 0
+    for flat in itertools.product(range(spec.order), repeat=4):
+        X = (flat[0:2], flat[2:4])
+        hits = kernel.classify(X)
+        rows = [[1, 0, *X[0]], [0, 1, *X[1]]]
+        assert (_min_rank_distance_raw(spec, rows, 2, 4) == 3) == (hits is not None), flat
+        if hits is not None:
+            mrd += 1
+            gab += bool(hits)
+    elapsed += time.perf_counter() - start
     assert result.total == 4096
+    assert (result.mrd_count, result.gab_count) == (mrd, gab)
     assert elapsed < 60, f"took {elapsed:.1f}s"
     report(1, f"criterion vs distance oracle agree on all 4096 blocks "
               f"({elapsed:.1f}s)")
@@ -88,6 +107,21 @@ def test_census_gabidulin_counts_within_G_sets(census_m3, census_m4):
             assert counts[s] == counts[result.m - s], (result.m, s)
             detail.append(f"m={result.m} s={s}: {counts[s]} <= {bound}")
     report("G(s)", "; ".join(detail))
+
+
+def test_census_threshold_m5_known_answer():
+    # m = 5 is one below M(2,2,4) = 6; both bounds still hold exactly
+    result = census(2, 2, 4, 5)
+    assert result.total == 2 ** 20
+    assert (result.mrd_count, result.gab_count) == (282240, 40320)
+    assert result.per_s_gab_counts == {s: 20160 for s in (1, 2, 3, 4)}
+    assert mrd_bound(2, 2, 4, 5) == Fraction(-9, 16)
+    assert gab_bound(2, 2, 4, 5) == Fraction(1, 4)
+    assert result.mrd_fraction == Fraction(2205, 8192) >= mrd_bound(2, 2, 4, 5)
+    assert result.gab_fraction == Fraction(315, 8192) <= gab_bound(2, 2, 4, 5)
+    report("m=5", f"{result.mrd_count} MRD, {result.gab_count} Gabidulin, "
+                  f"{result.mrd_count - result.gab_count} non-Gabidulin MRD "
+                  f"of {result.total}")
 
 
 def test_criterion_04_bound_consistency_sampled():

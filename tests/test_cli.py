@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from rankforge import default_field
 from rankforge.cli import main
 
 
@@ -225,6 +226,17 @@ class TestCensusCli:
         assert code == 2
         assert str(target) in err
 
+    def test_full_grid_checkpoint_schema_exit_code(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(json.dumps({
+            "schema_version": 2, "params": [2, 2, 4, 3],
+            "field": default_field(2, 3).to_json(), "cursor": 100,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert "schema" in err
+
     def test_unwritable_checkpoint_fails_before_scan(self, capsys, tmp_path,
                                                      monkeypatch):
         from rankforge.mrd_criteria import _BlockKernel
@@ -242,7 +254,7 @@ class TestCensusCli:
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")
         from rankforge import census as census_fn
-        census_fn(2, 2, 4, 3, checkpoint_path=ckpt, stop_after=600)
+        census_fn(2, 2, 4, 3, checkpoint_path=ckpt, stop_after=100)
         code, out, _ = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
                            "--m", "3", "--resume", ckpt)
         assert code == 0

@@ -87,8 +87,9 @@ class TestCensus:
 
     def test_checkpoint_resume(self, tmp_path):
         direct = census(2, 2, 4, 3)
-        # 97 is odd and small, so the resumes start inside rows of the block
-        for stop in (1500, 97):
+        # the scan has 256 representatives; 7 is odd and small, so the
+        # resumes start inside rows of the block
+        for stop in (100, 7):
             path = tmp_path / f"census-{stop}.json"
             partial = census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=stop)
             assert partial is None
@@ -103,7 +104,9 @@ class TestCensus:
     def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
                                                                monkeypatch):
         from rankforge import experiments
-        direct = census(2, 2, 3, 3)
+        # 64 representatives, some of them MRD
+        direct = census(2, 2, 3, 4)
+        assert direct.mrd_count > 0
         monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", 10)
         original = experiments._min_rank_distance_raw
         calls = []
@@ -113,17 +116,17 @@ class TestCensus:
 
         def interrupt(spec, rows, k, n):
             calls.append(rows)
-            if len(calls) == 3:  # the oracle's visit to block 50
+            if len(calls) == 3:  # the oracle's visit to representative 50
                 raise Interrupted
             return original(spec, rows, k, n)
 
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", interrupt)
         path = tmp_path / "census.json"
         with pytest.raises(Interrupted):
-            census(2, 2, 3, 3, checkpoint_path=str(path), oracle_stride=25)
+            census(2, 2, 3, 4, checkpoint_path=str(path), oracle_stride=25)
         assert json.loads(path.read_text())["cursor"] == 50
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", original)
-        assert census(2, 2, 3, 3, checkpoint_path=str(path), oracle_stride=25) == direct
+        assert census(2, 2, 3, 4, checkpoint_path=str(path), oracle_stride=25) == direct
 
     def test_unwritable_checkpoint_fails_before_scan(self, tmp_path, monkeypatch):
         from rankforge.mrd_criteria import _BlockKernel
@@ -145,12 +148,13 @@ class TestCensus:
 
     def test_checkpoint_binds_field_tower(self, tmp_path):
         # a checkpoint written under one modulus must not be resumed under
-        # another: the two enumeration orders would mix (1346 MRD blocks
-        # instead of the 1344 each tower gives)
+        # another: the two enumeration orders would mix (2000 of the 4096
+        # representatives under each tower give 1328 MRD blocks instead of
+        # the 1344 each tower gives)
         path = str(tmp_path / "census.json")
         other = FieldSpec(2, 1, 4, ext_modulus=[1, 1, 0, 0, 1])
         assert census(2, 2, 4, 4, spec=other, checkpoint_path=path,
-                      stop_after=30000) is None
+                      stop_after=2000) is None
         with pytest.raises(InvalidParameterError, match="field tower"):
             census(2, 2, 4, 4, checkpoint_path=path)
         assert json.loads(Path(path).read_text())["field"] == other.to_json()
@@ -161,6 +165,17 @@ class TestCensus:
         path = tmp_path / "census.json"
         path.write_text(json.dumps({
             "schema_version": 1, "params": [2, 2, 4, 3], "cursor": 100,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
+        with pytest.raises(InvalidParameterError, match="schema"):
+            census(2, 2, 4, 3, checkpoint_path=str(path))
+
+    def test_full_grid_checkpoint_schema_rejected(self, tmp_path):
+        # schema 2 held its cursor and counts in blocks of the full grid;
+        # read as representatives they would mean other blocks
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({
+            "schema_version": 2, "params": [2, 2, 4, 3],
+            "field": default_field(2, 3).to_json(), "cursor": 100,
             "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
         with pytest.raises(InvalidParameterError, match="schema"):
             census(2, 2, 4, 3, checkpoint_path=str(path))
@@ -215,35 +230,46 @@ class TestCensus:
         assert not path.exists()
 
     def test_budget(self, monkeypatch):
-        monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
+        # the budget bounds the work done: the 256 representatives, not the
+        # 4096 blocks they stand for
+        monkeypatch.setenv("RANKFORGE_BUDGET", "255")
         with pytest.raises(BudgetExceededError):
             census(2, 2, 4, 3)
+        monkeypatch.setenv("RANKFORGE_BUDGET", "256")
+        assert census(2, 2, 4, 3).total == 4096
 
     def test_invariant_enforced(self):
         with pytest.raises(VerificationError):
             CensusResult(q=2, k=2, n=4, m=4, total=10, mrd_count=2, gab_count=5)
 
-    @pytest.mark.parametrize("q,m", [(2, 2), (3, 2)])
+    @pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (2, 4)])
     def test_matches_independent_enumeration(self, q, m):
-        # the index decode must visit exactly the blocks a plain product
-        # enumeration visits (guards the multi-row digit layout)
+        # the census over translation-orbit representatives, scaled by the
+        # orbit size, must count what a plain product enumeration of every
+        # block counts (guards the digit layout and the orbit factor)
         import itertools
         from rankforge.mrd_criteria import _kernel_for
         spec = default_field(q, m)
         kernel = _kernel_for(spec, 2, 4)
         mrd = gab = 0
+        per_s = {s: 0 for s in spec.valid_s_values()}
         for flat in itertools.product(range(spec.order), repeat=4):
             hits = kernel.classify((flat[0:2], flat[2:4]))
             if hits is not None:
                 mrd += 1
                 if hits:
                     gab += 1
+                for s in hits:
+                    per_s[s] += 1
         result = census(q, 2, 4, m)
-        assert (result.mrd_count, result.gab_count) == (mrd, gab)
+        assert result.total == spec.order ** 4
+        assert (result.mrd_count, result.gab_count, result.per_s_gab_counts) == \
+               (mrd, gab, per_s)
 
     def test_block_index_layout(self, monkeypatch):
-        # block g holds base-order digit i*w + j of g at entry (i, j), lowest
-        # first; stored checkpoints and the oracle stride rely on this order
+        # representative g holds q times the base-q^(m-1) digit i*w + j of g
+        # at entry (i, j), lowest first; stored checkpoints and the oracle
+        # stride rely on this order
         from rankforge import experiments
         seen = []
         original = experiments._min_rank_distance_raw
@@ -253,10 +279,10 @@ class TestCensus:
             return original(spec, rows, k, n)
 
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", record)
-        census(2, 2, 4, 2, oracle_stride=37)
+        census(3, 2, 4, 2, oracle_stride=7)
         expected = []
-        for g in range(0, 256, 37):
-            d = [g // 4 ** p % 4 for p in range(4)]
+        for g in range(0, 81, 7):
+            d = [3 * (g // 3 ** p % 3) for p in range(4)]
             expected.append([[1, 0, d[0], d[1]], [0, 1, d[2], d[3]]])
         assert seen == expected
 

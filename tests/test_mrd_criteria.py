@@ -11,7 +11,9 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
-from rankforge.mrd_criteria import _gabidulin_parameter, _is_full_rank_rref
+from rankforge.mrd_criteria import (_gabidulin_parameter, _is_full_rank_rref,
+                                    _is_rank_one, _kernel_for)
+from rankforge.rank_codes import _min_rank_distance_raw
 
 from conftest import basis_elements
 
@@ -49,6 +51,167 @@ class TestIsMrd:
             code.G.entries[1],
         ]))
         assert is_mrd(scrambled)
+
+
+def reference_classify(spec, forms, X):
+    """The classifier kernel without its combination tables: every entry of
+    E_L + E_R X^T accumulated term by term over the echelon forms `forms`,
+    full rank by elimination, and rank one as elimination rank 1."""
+    add, mul = spec.add, spec.mul
+    k = len(X)
+    for E in forms:
+        M = []
+        for i in range(k):
+            row = []
+            for j in range(k):
+                acc = E[i][j]
+                for t, x in enumerate(X[j]):
+                    acc = add(acc, mul(E[i][k + t], x))
+                row.append(acc)
+            M.append(row)
+        if _rank_raw(M, spec, cap=k) < k:
+            return None
+    return tuple(s for s in spec.valid_s_values()
+                 if _rank_raw([[spec.sub(spec.frobenius(v, s), v) for v in row]
+                               for row in X], spec, cap=2) == 1)
+
+
+def intersection_hits(spec, X):
+    """Every s with dim(C ∩ C^(q^s)) = k - 1 for the code C = [I_k | X]."""
+    code = RankCode.from_systematic(spec, ExtMatrix(spec, [list(r) for r in X]))
+    return tuple(s for s in spec.valid_s_values()
+                 if intersection_dim(code.canonical,
+                                     frobenius_code(code, s).canonical) == code.k - 1)
+
+
+class TestBlockKernel:
+    @pytest.mark.parametrize("q,m", [(2, 8), (2, 16), (3, 5), (3, 8)])
+    def test_matches_reference_on_seeded_blocks(self, q, m):
+        # 500 blocks per field, 2000 in all
+        spec = default_field(q, m)
+        kernel = _kernel_for(spec, 2, 4)
+        forms = [E.entries for E in enumerate_rref(2, 4, spec)]
+        rng = random.Random(1000 * q + m)
+        mrd = 0
+        for _ in range(500):
+            X = [[rng.randrange(spec.order) for _ in range(2)] for _ in range(2)]
+            hits = kernel.classify(X)
+            assert hits == reference_classify(spec, forms, X), X
+            mrd += hits is not None
+        assert mrd > 0
+
+    @pytest.mark.parametrize("q,k,n,m", [(2, 1, 4, 4), (2, 3, 4, 4), (2, 3, 5, 5),
+                                         (2, 3, 6, 6), (3, 3, 4, 4), (3, 1, 3, 3)])
+    def test_matches_reference_beyond_two_rows(self, q, k, n, m):
+        # random blocks, plus the systematic blocks of Gabidulin codes so
+        # that the MRD and Gabidulin branches are both reached
+        spec = default_field(q, m)
+        kernel = _kernel_for(spec, k, n)
+        forms = [E.entries for E in enumerate_rref(k, n, spec)]
+        rng = random.Random(100 * k + n)
+        blocks = [[[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
+                  for _ in range(150)]
+        for s in spec.valid_s_values():
+            code = gabidulin(basis_elements(spec, n), s, k)
+            blocks.append([list(r) for r in code.systematic_X.entries])
+        verdicts = set()
+        for X in blocks:
+            hits = kernel.classify(X)
+            assert hits == reference_classify(spec, forms, X), X
+            verdicts.add(None if hits is None else bool(hits))
+        assert {None, True} <= verdicts
+
+    @pytest.mark.parametrize("q,m", [(2, 4), (3, 3)])
+    def test_rank_one_matches_elimination(self, q, m):
+        # rank-one u v^T (zeros allowed in u and v), sums of two of them,
+        # and zero matrices, in every shape up to 3 x 5
+        spec = default_field(q, m)
+        rng = random.Random(q * m)
+
+        def rank_one(r, c):
+            while True:
+                u = [rng.choice((0, rng.randrange(spec.order))) for _ in range(r)]
+                v = [rng.choice((0, rng.randrange(spec.order))) for _ in range(c)]
+                if any(u) and any(v):
+                    return [[spec.mul(a, b) for b in v] for a in u]
+
+        ranks = set()
+        for r in range(1, 4):
+            for c in range(1, 6):
+                cases = [[[0] * c for _ in range(r)]]
+                for _ in range(40):
+                    A, B = rank_one(r, c), rank_one(r, c)
+                    cases += [A, [[spec.add(a, b) for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(A, B)]]
+                for M in cases:
+                    rank = _rank_raw(M, spec, cap=2)
+                    assert _is_rank_one(M, spec.mul) == (rank == 1), M
+                    ranks.add(rank)
+        assert ranks == {0, 1, 2}
+
+    @pytest.mark.parametrize("q,k,n,m,orbit_step", [
+        (2, 2, 3, 3, 1), (2, 2, 3, 4, 1), (3, 2, 3, 2, 1), (3, 2, 3, 3, 1),
+        (2, 2, 4, 4, 2)])
+    def test_exhaustive_against_distance_and_intersection(self, q, k, n, m,
+                                                          orbit_step):
+        # every block (step 1), or every translation-orbit representative
+        # (step q: entries that are multiples of q); a grid has MRD blocks
+        # exactly when n <= m
+        spec = default_field(q, m)
+        kernel = _kernel_for(spec, k, n)
+        w = n - k
+        mrd = 0
+        for flat in itertools.product(range(0, spec.order, orbit_step), repeat=k * w):
+            X = [list(flat[i * w:(i + 1) * w]) for i in range(k)]
+            hits = kernel.classify(X)
+            rows = [[int(i == j) for j in range(k)] + X[i] for i in range(k)]
+            assert (_min_rank_distance_raw(spec, rows, k, n) == n - k + 1) == \
+                (hits is not None), X
+            if hits is not None:
+                mrd += 1
+                assert hits == intersection_hits(spec, X), X
+        assert (mrd > 0) == (n <= m)
+
+    @staticmethod
+    def assert_self_dual(kernel, blocks):
+        # X -> -X^T maps the (2,2,4) blocks onto themselves and a code to its
+        # dual up to a column permutation, which keeps MRD and every
+        # Gabidulin parameter; returns the number of MRD blocks
+        neg = kernel.spec.neg
+        mrd = 0
+        for (a, b), (c, d) in blocks:
+            hits = kernel.classify([[a, b], [c, d]])
+            assert hits == kernel.classify([[neg(a), neg(c)], [neg(b), neg(d)]])
+            mrd += hits is not None
+        return mrd
+
+    @pytest.mark.parametrize("q,m,orbit_step", [(2, 4, 2), (3, 2, 1)])
+    def test_self_duality_exhaustive(self, q, m, orbit_step):
+        # every representative of (2,2,4,4), every block of (3,2,4,2); the
+        # latter has no MRD block (n > m) but checks every verdict
+        spec = default_field(q, m)
+        grid = itertools.product(range(0, spec.order, orbit_step), repeat=4)
+        blocks = [(flat[0:2], flat[2:4]) for flat in grid]
+        mrd = self.assert_self_dual(_kernel_for(spec, 2, 4), blocks)
+        assert mrd == (84 if m == 4 else 0)
+
+    def test_self_duality_seeded_q3(self):
+        # over F_3 the negation is not the identity; random blocks at m = 4
+        # and the twisted Gabidulin family (MRD, not Gabidulin) cover all
+        # three verdicts
+        spec = default_field(3, 4)
+        rng = random.Random(34)
+        blocks = [[[rng.randrange(spec.order) for _ in range(2)] for _ in range(2)]
+                  for _ in range(500)]
+        norm_exp = (spec.order - 1) // (spec.q - 1)
+        etas = [a for a in range(1, spec.order) if spec.pow(a, norm_exp) == 2]
+        for eta in [0] + etas[:3]:
+            code = TestTwistedGabidulin.twisted(spec, eta).systematic_X
+            blocks.append([list(r) for r in code.entries])
+        kernel = _kernel_for(spec, 2, 4)
+        assert self.assert_self_dual(kernel, blocks) > 0
+        verdicts = {None if h is None else bool(h) for h in map(kernel.classify, blocks)}
+        assert verdicts == {None, True, False}
 
 
 class TestFullRankVariant:
