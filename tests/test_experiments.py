@@ -190,7 +190,7 @@ class TestCensus:
 
     @pytest.mark.parametrize("name,value", [
         ("cursor", None), ("mrd_count", "0"), ("cursor", 1.5), ("gab_count", True),
-        ("cursor", -1), ("cursor", 4097), ("mrd_count", 101), ("gab_count", 1),
+        ("cursor", -1), ("cursor", 257), ("mrd_count", 101), ("gab_count", 1),
         ("gab_count", -1), ("per_s", None), ("per_s", [0, 0]),
         ("per_s", {"1": 0}), ("per_s", {"1": 0, "2": 0, "3": 0}),
         ("per_s", {"1": 0, "2": 1}), ("per_s", {"1": 0, "2": "0"})],
