@@ -13,7 +13,7 @@ import sys
 
 from . import experiments, prob_bounds
 from .errors import (BudgetExceededError, InvalidParameterError, RankforgeError,
-                     ShapeError, SpecMismatchError, VerificationError)
+                     VerificationError)
 from .field_arith import Element, FieldSpec
 from .fq_linalg import linearly_independent_over_base
 from .mrd_criteria import _gabidulin_parameter, is_mrd
@@ -25,12 +25,14 @@ EXIT_INVALID = 2
 EXIT_BUDGET = 3
 
 
-def _load_json(path):
+def _load_json(path, decode):
+    """decode(data) for the JSON in path; unreadable or malformed data is invalid input."""
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise InvalidParameterError(f"cannot read JSON from {path}: {exc}") from exc
+            return decode(json.load(fh))
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidParameterError(
+            f"cannot read JSON from {path}: {type(exc).__name__}: {exc}") from exc
 
 
 def _print_json(data):
@@ -38,14 +40,10 @@ def _print_json(data):
 
 
 def _cmd_field_info(args):
-    moduli = {}
-    if args.modulus_file:
-        data = _load_json(args.modulus_file)
-        if "base_modulus" in data:
-            moduli["base_modulus"] = data["base_modulus"]
-        if "ext_modulus" in data:
-            moduli["ext_modulus"] = data["ext_modulus"]
-    spec = FieldSpec(args.p, args.e, args.m, **moduli)
+    def build(data):
+        return FieldSpec(args.p, args.e, args.m, **{
+            key: data[key] for key in ("base_modulus", "ext_modulus") if key in data})
+    spec = _load_json(args.modulus_file, build) if args.modulus_file else build({})
     _print_json(spec.to_json())
     return EXIT_OK
 
@@ -63,8 +61,8 @@ def _random_independent_tuple(spec, n, rng):
 def _cmd_gen_gabidulin(args):
     spec = FieldSpec.from_prime_power(args.q, args.m)
     if args.g_file:
-        data = _load_json(args.g_file)
-        g = [spec.element_from_coeffs(entry) for entry in data]
+        g = _load_json(args.g_file,
+                       lambda data: [spec.element_from_coeffs(entry) for entry in data])
     else:
         rng = random.Random(args.seed)
         g = _random_independent_tuple(spec, args.n, rng)
@@ -78,7 +76,7 @@ def _cmd_gen_gabidulin(args):
 
 
 def _cmd_check(args):
-    code = RankCode.from_json(_load_json(args.code_file))
+    code = _load_json(args.code_file, RankCode.from_json)
     verdict = {}
     mrd = is_mrd(code)
     verdict["mrd"] = mrd
@@ -258,11 +256,8 @@ def main(argv=None) -> int:
     except VerificationError as exc:
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
-    except (InvalidParameterError, SpecMismatchError, ShapeError,
-            ZeroDivisionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except RankforgeError as exc:  # pragma: no cover - safety net
+    except (RankforgeError, ZeroDivisionError) as exc:
+        # invalid parameters, mismatched towers or shapes, any other library error
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

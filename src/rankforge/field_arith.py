@@ -173,7 +173,9 @@ def _smallest_irreducible(degree, F):
     The order compares the non-leading coefficients low-to-high; values in
     [0, F.order) are compared by their integer encoding.
     """
-    for lower in itertools.product(range(F.order), repeat=degree):
+    # above degree 1 a zero constant term means x divides f; those come first
+    constant = range(1 if degree > 1 else 0, F.order)
+    for lower in itertools.product(constant, *[range(F.order)] * (degree - 1)):
         f = lower + (1,)
         if _poly_is_irreducible(f, F):
             return f

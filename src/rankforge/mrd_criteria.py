@@ -14,65 +14,18 @@ from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import RankCode, _ext_product_rank
+from .rank_codes import (RankCode, _echelon_tests, _fq_combination,
+                         _is_mrd_block)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 
 # --------------------------------------------------------------------------
-# The classifier kernel, shared by is_mrd / is_gabidulin, the census and the
-# Monte-Carlo trials.  A systematic block X is given as k rows of raw
-# element indices.  The census and the trials classify through the cached
-# `_kernel_for(spec, k, n)`; is_mrd keeps its test set lazy, so one code
-# stops at its first failing test without materialising T(k, n).
-
-def _echelon_tests(k: int, n: int, spec: FieldSpec):
-    """Every echelon form in T(k, n) except [I_k | 0], which every block
-    [I_k | X] passes, as (E_L rows, codes): row i of E_R is the F_q-vector
-    whose base-q digits, lowest first, spell codes[i]."""
-    q = spec.q
-    for E in enumerate_rref(k, n, spec):
-        codes = tuple(sum(c * q ** t for t, c in enumerate(row[k:]))
-                      for row in E.entries)
-        if any(codes):
-            yield [tuple(row[:k]) for row in E.entries], codes
-
-
-def _combinations(spec: FieldSpec, row):
-    """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
-    is the base-q digit t of c, lowest first."""
-    add, mul = spec.add, spec.mul
-    comb = [0]
-    for x in row:
-        comb = [add(v, mul(c, x)) for c in range(spec.q) for v in comb]
-    return comb
-
-
-def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
-    """True iff E_L + E_R X^T has full rank for every test (E_L, codes).
-
-    Entry (i, j) of that matrix is E_L[i][j] plus the F_q-combination of
-    row j of X with coefficients E_R[i], looked up in a table built once
-    per block.  A 2 x 2 matrix is tested by its determinant, any other
-    shape by elimination.
-    """
-    k = len(X)
-    add, mul = spec.add, spec.mul
-    combs = [_combinations(spec, row) for row in X]
-    c0, c1 = combs[0], combs[-1]  # the two rows when k == 2
-    for left, codes in tests:
-        if k == 2:
-            # det [[a + c0[r0], b + c1[r0]], [c + c0[r1], d + c1[r1]]]
-            (a, b), (c, d) = left
-            r0, r1 = codes
-            if (mul(add(a, c0[r0]), add(d, c1[r1]))
-                    == mul(add(b, c1[r0]), add(c, c0[r1]))):
-                return False
-        elif _rank_raw([[add(lj, comb[r]) for lj, comb in zip(li, combs)]
-                        for li, r in zip(left, codes)], spec, cap=k) < k:
-            return False
-    return True
-
+# The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
+# rank_codes' block test `_is_mrd_block` at level t = k, then the rank-one
+# test below, on a block X given as k rows of raw element indices.  The
+# census and the trials use the cached `_kernel_for(spec, k, n)`; is_mrd
+# keeps its tests lazy, so a code stops at its first failing test.
 
 def _is_rank_one(M, mul) -> bool:
     """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
@@ -106,7 +59,7 @@ class _BlockKernel:
             raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         self.spec = spec
         self.valid_s = tuple(spec.valid_s_values())
-        self.tests = tuple(_echelon_tests(k, n, spec))
+        self.tests = tuple(_echelon_tests(k, k, n, spec))
 
     def classify(self, X):
         """None for a non-MRD block X, else the tuple of every s for which X
@@ -132,7 +85,7 @@ def is_mrd(code: RankCode) -> bool:
         # a singular leading k x k block leaves a nonzero codeword on the
         # last n - k coordinates, so the distance is at most n - k
         return False
-    return _is_mrd_block(code.spec, X.entries, _echelon_tests(k, n, code.spec))
+    return _is_mrd_block(code.spec, X.entries, _echelon_tests(k, k, n, code.spec))
 
 
 def is_mrd_fullrank_variant(code: RankCode) -> bool:
@@ -143,13 +96,12 @@ def is_mrd_fullrank_variant(code: RankCode) -> bool:
     """
     spec, k, n = code.spec, code.k, code.n
     check_budget(spec.q ** (k * n), "full-rank matrix scan")
-    fq = spec.base_field
-    G_rows = code.G.entries
     for flat in itertools.product(range(spec.q), repeat=k * n):
         V = [list(flat[i * n:(i + 1) * n]) for i in range(k)]
-        if _rank_raw(V, fq) != k:
+        if _rank_raw(V, spec.base_field) != k:
             continue
-        if _ext_product_rank(spec, V, G_rows, cap=k) < k:
+        if _rank_raw([[_fq_combination(spec, g, v) for g in code.G.entries] for v in V],
+                     spec, cap=k) < k:
             return False
     return True
 

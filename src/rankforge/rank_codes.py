@@ -2,7 +2,9 @@
 
 A code is held by a generator matrix; the reduced row echelon form is
 computed once at construction and serves both as the canonical form for
-row-space comparison and as the source of the systematic block.
+row-space comparison and as the source of the systematic block.  The
+echelon-identity block test `_is_mrd_block` lives here: it decides the
+minimum rank distance level by level, and mrd_criteria classifies with it.
 """
 
 from __future__ import annotations
@@ -168,21 +170,76 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     return best
 
 
-def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
-    """Minimum rank distance from the echelon identity.
+def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
+    """Every W in T(t, n) split at column k, as (W_L rows, codes): codes[i]
+    spells row i of W_R in base-q digits, lowest first.  The only form with
+    every code 0, [I_k | 0] at t = k, passes every block and is skipped."""
+    for W in enumerate_rref(t, n, spec):
+        codes = tuple(spec.from_digits(row[k:]) for row in W.entries)
+        if any(codes):
+            yield [tuple(row[:k]) for row in W.entries], codes
 
-    A nonzero codeword has rank <= r iff it is F_q-orthogonal to some
-    (n - r)-dimensional W in F_q^n, that is iff rk(G B_W^T) < k for the
-    echelon basis B_W.  The test holds for every r >= n - k + 1 (the
-    Singleton bound) and is monotone in r, so d is r + 1 for the largest
-    r <= n - k at which every W passes, and 1 when none does.
+
+def _combinations(spec: FieldSpec, row):
+    """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
+    is the base-q digit t of c, lowest first."""
+    add, mul = spec.add, spec.mul
+    comb = [0]
+    for x in row:
+        comb = [add(v, mul(c, x)) for c in range(spec.q) for v in comb]
+    return comb
+
+
+def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
+    """The echelon identity at one level t: True iff W [I_k | X]^T =
+    W_L + W_R X^T has rank k = len(X) for every test (W_L, codes) of T(t, n).
+
+    Entry (i, j) is W_L[i][j] plus the F_q-combination of row j of X with
+    coefficients W_R[i], looked up in a table built once per block.  The
+    first test decides, once per call, between a determinant for every test
+    (k = t = 2) and elimination (any other shape).
+    """
+    k = len(X)
+    add, mul = spec.add, spec.mul
+    combs = [_combinations(spec, row) for row in X]
+    tests = iter(tests)
+    first = next(tests, None)
+    if first is None:
+        return True
+    tests = itertools.chain((first,), tests)
+    if k == 2 == len(first[1]):
+        c0, c1 = combs
+        for ((a, b), (c, d)), (r0, r1) in tests:
+            # det [[a + c0[r0], b + c1[r0]], [c + c0[r1], d + c1[r1]]]
+            if (mul(add(a, c0[r0]), add(d, c1[r1]))
+                    == mul(add(b, c1[r0]), add(c, c0[r1]))):
+                return False
+        return True
+    for left, codes in tests:
+        if _rank_raw([[add(lj, comb[r]) for lj, comb in zip(li, combs)]
+                      for li, r in zip(left, codes)], spec, cap=k) < k:
+            return False
+    return True
+
+
+def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
+    """Minimum rank distance from the echelon identity, one level at a time.
+
+    Level t passes iff no nonzero codeword has rank <= n - t, that is iff
+    d >= n - t + 1, and d <= n - k + 1 (Singleton).  So d is n - t + 1 at
+    the first t = k..n-1 at which `_is_mrd_block` passes, and 1 if none
+    does.  A reduced copy of g_rows with its pivot columns moved first is
+    [I_k | X]: a coordinate permutation is a rank isometry and maps T(t, n)
+    onto itself.
     """
     check_budget(sum(gaussian_binomial(n, r, spec.q) for r in range(1, n - k + 1)),
                  "echelon-form distance test")
-    for r in range(n - k, 0, -1):
-        if all(_ext_product_rank(spec, W.entries, g_rows, cap=k) == k
-               for W in enumerate_rref(n - r, n, spec)):
-            return r + 1
+    rows = [list(row) for row in g_rows]
+    pivots = _rref_in_place(rows, spec)
+    X = [[v for c, v in enumerate(row) if c not in pivots] for row in rows]
+    for t in range(k, n):
+        if _is_mrd_block(spec, X, _echelon_tests(t, k, n, spec)):
+            return n - t + 1
     return 1
 
 
@@ -254,13 +311,6 @@ def _fq_combination(spec: FieldSpec, vec, coeffs):
         if c and v:
             acc = spec.add(acc, spec.mul(c, v))
     return acc
-
-
-def _ext_product_rank(spec: FieldSpec, E_rows, G_rows, cap=None) -> int:
-    """Rank over F_{q^m} of E G^T for a base matrix E, with any number of
-    rows, and a generator G."""
-    return _rank_raw([[_fq_combination(spec, g, e) for g in G_rows] for e in E_rows],
-                     spec, cap=cap)
 
 
 def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:

@@ -110,6 +110,35 @@ class TestCheck:
         assert "gabidulin_s" not in verdict
 
 
+def _code_with_text_coefficient():
+    from rankforge import ExtMatrix, RankCode
+    spec = default_field(2, 3)
+    data = RankCode.from_systematic(spec, ExtMatrix(spec, [[3, 5]])).to_json()
+    data["generator"]["entries"][0][1][0] = "a"
+    return data
+
+
+class TestMalformedInput:
+    """JSON that parses but does not decode is invalid input (exit 2), not a
+    verification failure and not a traceback."""
+
+    @pytest.mark.parametrize("argv,data", [
+        (["check", "--code-file"], {"n": 2}),
+        (["check", "--code-file"], [1, 2]),
+        (["check", "--code-file"], _code_with_text_coefficient()),
+        (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
+        (["gen-gabidulin", "--q", "2", "--m", "3", "--n", "1", "--k", "1", "--g-file"],
+         ["x"]),
+    ], ids=["code-missing-keys", "code-list", "code-text-coefficient",
+            "modulus-text", "g-text"])
+    def test_exits_2(self, capsys, tmp_path, argv, data):
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(data))
+        code, _, err = run(capsys, *argv, str(f))
+        assert code == 2
+        assert err.startswith("error:") and str(f) in err
+
+
 class TestBounds:
     def test_header_and_rows(self, capsys):
         code, out, _ = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",

@@ -14,6 +14,72 @@ from rankforge import field_arith
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
 TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
 
+# _smallest_irreducible(m, F) for each base field and m, lowest
+# coefficient first; each value is the default modulus of that tower.
+DEFAULT_MODULI = {
+    2: {
+        1: (0, 1),
+        2: (1, 1, 1),
+        3: (1, 0, 1, 1),
+        4: (1, 0, 0, 1, 1),
+        5: (1, 0, 0, 1, 0, 1),
+        6: (1, 0, 0, 0, 0, 1, 1),
+        7: (1, 0, 0, 0, 0, 0, 1, 1),
+        8: (1, 0, 0, 0, 1, 1, 0, 1, 1),
+        9: (1, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+        10: (1, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        11: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1),
+        12: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        13: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 0, 1, 1),
+        14: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 0, 0, 1),
+        15: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 1),
+        16: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 1, 0, 1, 1),
+        17: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        18: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+        19: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1, 1, 1),
+        20: (1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1),
+    },
+    3: {
+        1: (0, 1),
+        2: (1, 0, 1),
+        3: (1, 0, 2, 1),
+        4: (1, 0, 1, 1, 1),
+        5: (1, 0, 0, 0, 2, 1),
+        6: (1, 0, 0, 0, 1, 1, 1),
+        7: (1, 0, 0, 0, 0, 1, 2, 1),
+        8: (1, 0, 0, 0, 0, 1, 1, 0, 1),
+        9: (1, 0, 0, 0, 0, 0, 2, 1, 0, 1),
+        10: (1, 0, 0, 0, 0, 0, 0, 0, 2, 0, 1),
+        11: (1, 0, 0, 0, 0, 0, 0, 0, 0, 1, 2, 1),
+    },
+    5: {
+        1: (0, 1),
+        2: (1, 1, 1),
+        3: (1, 0, 1, 1),
+        4: (1, 0, 1, 1, 1),
+        5: (1, 0, 0, 0, 4, 1),
+        6: (1, 0, 0, 0, 1, 1, 1),
+        7: (1, 0, 0, 0, 0, 0, 1, 1),
+    },
+    4: {
+        1: (0, 1),
+        2: (1, 2, 1),
+        3: (1, 0, 1, 1),
+        4: (1, 0, 1, 2, 1),
+        5: (1, 0, 0, 0, 2, 1),
+        6: (1, 0, 0, 1, 1, 2, 1),
+        7: (1, 0, 0, 0, 0, 0, 1, 1),
+        8: (1, 0, 0, 0, 0, 2, 0, 3, 1),
+    },
+    9: {
+        1: (0, 1),
+        2: (1, 4, 1),
+        3: (1, 0, 2, 1),
+        4: (1, 0, 3, 1, 1),
+        5: (1, 0, 0, 0, 2, 1),
+    },
+}
+
 
 def alpha(spec):
     return spec.element(spec.from_digits([0, 1] + [0] * (spec.m - 2)))
@@ -55,6 +121,16 @@ class TestConstruction:
     def test_default_moduli_are_lex_smallest(self):
         assert default_field(2, 3).ext_modulus == (1, 0, 1, 1)  # x^3 + x^2 + 1
         assert default_field(2, 4).ext_modulus == (1, 0, 0, 1, 1)
+
+    @pytest.mark.parametrize("q", sorted(DEFAULT_MODULI))
+    def test_default_moduli_pinned(self, q):
+        # the search alone, over F_p or over the base field F_4 or F_9 of a tower
+        if q in (2, 3, 5):
+            F = field_arith._PrimeOps(q)
+        else:
+            F = FieldSpec.from_prime_power(q, 1).base_field
+        for m, modulus in DEFAULT_MODULI[q].items():
+            assert field_arith._smallest_irreducible(m, F) == modulus, (q, m)
 
     def test_reducible_user_modulus_rejected(self):
         with pytest.raises(InvalidParameterError):

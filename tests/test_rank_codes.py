@@ -9,7 +9,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank_distance)
 from rankforge import rank_codes
-from rankforge.fq_linalg import BaseMatrix
+from rankforge.fq_linalg import BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref
 
 from conftest import basis_elements
 
@@ -230,6 +230,80 @@ class TestDistanceRoutes:
             monkeypatch.setattr(rank_codes, name, record)
         assert min_rank_distance(code) == n - k + 1
         assert called == [route]
+
+
+class TestBlockKernelLevels:
+    """`_is_mrd_block` at a level t > k against W [I_k | X]^T built entry by
+    entry and eliminated with `_rank_raw`."""
+
+    @staticmethod
+    def reference(spec, X, t, n):
+        k = len(X)
+        G = [[1 if i == j else 0 for j in range(k)] + list(row) for i, row in enumerate(X)]
+        for W in enumerate_rref(t, n, spec):
+            M = [[0] * k for _ in range(t)]
+            for i, w in enumerate(W.entries):
+                for j, g in enumerate(G):
+                    for c, v in zip(w, g):
+                        M[i][j] = spec.add(M[i][j], spec.mul(c, v))
+            if _rank_raw(M, spec) < k:
+                return False
+        return True
+
+    # (2, 4) at t = 3 is where k = 2 leaves the determinant for elimination
+    @pytest.mark.parametrize("q", [2, 3])
+    @pytest.mark.parametrize("k,n,m", [(1, 4, 2), (2, 4, 2), (2, 5, 2), (3, 5, 3)])
+    def test_against_entrywise_product(self, q, k, n, m):
+        spec = default_field(q, m)
+        rng = random.Random(f"{q}-{m}-{k}-{n}")
+        seen = set()
+        for _ in range(40):
+            X = [[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
+            for t in range(k + 1, n):
+                got = rank_codes._is_mrd_block(
+                    spec, X, rank_codes._echelon_tests(t, k, n, spec))
+                assert got == self.reference(spec, X, t, n), (X, t)
+                seen.add(got)
+        assert seen == {False, True}
+
+
+class TestSupportRouteGenerators:
+    @pytest.mark.parametrize("q,m", [(2, 3), (3, 2), (4, 2)])
+    def test_row_operations_keep_the_distance(self, q, m):
+        # generators that are not in RREF, with pivots anywhere, give the
+        # distance of the scan
+        spec = default_field(q, m)
+        rng = random.Random(q * 100 + m)
+        distances = set()
+        moved = 0  # codes whose pivots are not the first k columns
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            k = rng.randint(1, min(n, 3))
+            while True:
+                G = [[rng.randrange(spec.order) if rng.random() < 0.8 else 0
+                      for _ in range(n)] for _ in range(k)]
+                try:
+                    code = RankCode(spec, ExtMatrix(spec, G))
+                    break
+                except InvalidParameterError:
+                    pass
+            rows = code.canonical.copy_entries()
+            for _ in range(3 * k):  # seeded invertible row operations
+                i, j = rng.sample(range(k), 2) if k > 1 else (0, 0)
+                f = rng.randrange(1, spec.order)
+                if i == j:
+                    rows[i] = [spec.mul(f, v) for v in rows[i]]
+                else:
+                    rows[i] = [spec.add(a, spec.mul(f, b)) for a, b in zip(rows[i], rows[j])]
+            assert rows != code.canonical.entries or k == 1
+            reduced = [list(r) for r in rows]
+            _rref_in_place(reduced, spec)
+            assert reduced == code.canonical.entries
+            moved += code.systematic_X is None and k < n
+            d = rank_codes._min_rank_distance_raw(spec, code.canonical.entries, k, n)
+            assert rank_codes._min_rank_distance_support(spec, rows, k, n) == d, (rows, d)
+            distances.add(d)
+        assert len(distances) > 1 and moved > 0
 
 
 class TestDualCode:
