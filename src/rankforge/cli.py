@@ -85,10 +85,14 @@ def _cmd_check(args):
             verdict["gabidulin_s"] = "not_applicable"
         else:
             verdict["gabidulin_s"] = _gabidulin_parameter(code)
-    try:
-        verdict["min_distance"] = min_rank_distance(code)
-    except BudgetExceededError:
-        verdict["min_distance"] = None
+    if mrd:
+        # MRD means exactly this distance; is_mrd has already tested it
+        verdict["min_distance"] = code.n - code.k + 1
+    else:
+        try:
+            verdict["min_distance"] = min_rank_distance(code)
+        except BudgetExceededError:
+            verdict["min_distance"] = None
     _print_json(verdict)
     return EXIT_OK
 

@@ -17,9 +17,12 @@ Arithmetic takes one of three routes, by the kind of field:
   (and, for odd p, its Zech-logarithm table) at construction, and every
   operation on it is a table lookup.  F_q with e > 1 is such a FieldSpec
   too: F_p[x]/(base_modulus), held as `base_field`.
-- A larger FieldSpec computes on digit vectors: schoolbook products reduced
-  by the modulus, Euclidean inverses and Frobenius images of the power
-  basis.  These routines also build the tables.
+- A larger FieldSpec computes without tables.  For q = 2 an index is its
+  F_2 coefficient vector, so F_2[x]/(f) multiplies on ints by shift-and-XOR,
+  reduced by f as it goes.  For odd p and for e > 1, where coefficients are
+  not bits, products are schoolbook on digit vectors.  Inverses are
+  Euclidean on digit vectors, and Frobenius maps the power basis.  The
+  same product (_mul_poly) also builds the tables.
 """
 
 from __future__ import annotations
@@ -182,6 +185,17 @@ def _smallest_irreducible(degree, F):
     raise InvalidParameterError(f"no irreducible polynomial of degree {degree} found")
 
 
+def _checked_modulus(coeffs, degree, F, level):
+    """A caller-supplied modulus, trimmed; InvalidParameterError unless it is
+    monic and irreducible of the given degree over F."""
+    f = _ptrim(coeffs)
+    if len(f) != degree + 1 or f[-1] != 1:
+        raise InvalidParameterError(f"{level} modulus must be monic of degree {degree}")
+    if not _poly_is_irreducible(f, F):
+        raise InvalidParameterError(f"{level} modulus is reducible over F_{F.order}")
+    return f
+
+
 # --------------------------------------------------------------------------
 
 class FieldSpec:
@@ -205,14 +219,13 @@ class FieldSpec:
         self.q = p ** e
         self.order = self.q ** m
 
+        # a default modulus is irreducible by construction; only one the
+        # caller supplies is checked
         fp = _PrimeOps(p)
         if base_modulus is None:
             base_modulus = _smallest_irreducible(e, fp)
-        base_modulus = _ptrim(tuple(int(c) % p for c in base_modulus))
-        if len(base_modulus) != e + 1 or base_modulus[-1] != 1:
-            raise InvalidParameterError(f"base modulus must be monic of degree {e}")
-        if not _poly_is_irreducible(base_modulus, fp):
-            raise InvalidParameterError("base modulus is reducible over F_p")
+        else:
+            base_modulus = _checked_modulus((int(c) % p for c in base_modulus), e, fp, "base")
         self.base_modulus = base_modulus
 
         # F_q for e > 1 is the field F_p[x]/(base_modulus); its indices are
@@ -222,18 +235,18 @@ class FieldSpec:
         if ext_modulus is None:
             ext_modulus = _smallest_irreducible(m, self.base_field)
         else:
-            ext_modulus = tuple(self._coerce_base_value(c) for c in ext_modulus)
-        ext_modulus = _ptrim(ext_modulus)
-        if len(ext_modulus) != m + 1 or ext_modulus[-1] != 1:
-            raise InvalidParameterError(f"extension modulus must be monic of degree {m}")
-        if not _poly_is_irreducible(ext_modulus, self.base_field):
-            raise InvalidParameterError("extension modulus is reducible over F_q")
+            ext_modulus = _checked_modulus((self._coerce_base_value(c) for c in ext_modulus),
+                                           m, self.base_field, "extension")
         self.ext_modulus = ext_modulus
 
         # Reduction of alpha^m:  alpha^m = -(c_0 + c_1 alpha + ... ),
         # stored as the nonzero (position, digit) terms of the negated tail.
+        # For q = 2 an index is its F_2 coefficient vector, so the modulus is
+        # also kept as an int for shift-and-XOR products.
         fq = self.base_field
         self._alpha_m = tuple((j, fq.neg(c)) for j, c in enumerate(ext_modulus[:-1]) if c)
+        self._modulus_bits = (sum(c << j for j, c in enumerate(ext_modulus))
+                              if self.q == 2 else None)
 
         self._key = (p, e, m, self.base_modulus, self.ext_modulus)
         self._hash = hash(self._key)
@@ -347,9 +360,23 @@ class FieldSpec:
         return self.add(a, self.neg(b))
 
     def _mul_poly(self, a: int, b: int) -> int:
-        """Schoolbook product of coefficient vectors, reduced mod ext_modulus."""
+        """Product reduced mod ext_modulus: shift-and-XOR on the indices for
+        q = 2, else schoolbook on coefficient vectors."""
         if a == 0 or b == 0:
             return 0
+        f = self._modulus_bits
+        if f is not None:
+            # add a * x^i for each set bit i of b, reducing a as it grows
+            top = 1 << self.m
+            acc = 0
+            while b:
+                if b & 1:
+                    acc ^= a
+                b >>= 1
+                a <<= 1
+                if a & top:
+                    a ^= f
+            return acc
         fq = self.base_field
         m = self.m
         da = self.digits(a)
@@ -493,8 +520,8 @@ class FieldSpec:
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
     def _build_tables(self) -> None:
-        """Digit, exp/log and (odd p) Zech tables, built with the digit-vector
-        routines; only called from __init__ for orders up to _TABLE_MAX."""
+        """Digit, exp/log and (odd p) Zech tables, with exp built by
+        _mul_poly; only called from __init__ for orders up to _TABLE_MAX."""
         q = self.q
         self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=self.m)]
         g = self._find_generator()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rankforge import default_field
+from rankforge import cli, default_field, min_rank_distance
 from rankforge.cli import main
 
 
@@ -68,6 +68,10 @@ class TestGenGabidulin:
         assert code == 2
 
 
+def _no_scan(code):
+    raise AssertionError("min_rank_distance called on an MRD code")
+
+
 class TestCheck:
     def test_round_trip_with_gen(self, capsys, tmp_path):
         code, out, _ = run(capsys, "gen-gabidulin", "--q", "2", "--m", "4",
@@ -93,6 +97,34 @@ class TestCheck:
         verdict = json.loads(out)
         assert verdict["mrd"] is False
         assert verdict["gabidulin_s"] == "not_applicable"
+
+    def test_mrd_distance_without_scan(self, capsys, tmp_path, monkeypatch):
+        code, out, _ = run(capsys, "gen-gabidulin", "--q", "3", "--m", "5",
+                           "--n", "5", "--k", "3", "--s", "1", "--seed", "4")
+        f = tmp_path / "code.json"
+        f.write_text(out)
+        monkeypatch.setattr(cli, "min_rank_distance", _no_scan)
+        code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", "mrd")
+        assert code == 0
+        assert json.loads(out) == {"mrd": True, "min_distance": 3}
+
+    def test_non_mrd_distance_scanned(self, capsys, tmp_path, monkeypatch):
+        from rankforge import ExtMatrix, RankCode, default_field
+        spec = default_field(2, 3)
+        code_obj = RankCode.from_systematic(spec, ExtMatrix(spec, [[1, 1], [0, 1]]))
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps(code_obj.to_json()))
+        calls = []
+
+        def counted(c):
+            calls.append(c)
+            return min_rank_distance(c)
+
+        monkeypatch.setattr(cli, "min_rank_distance", counted)
+        code, out, _ = run(capsys, "check", "--code-file", str(f))
+        assert code == 0
+        assert len(calls) == 1
+        assert json.loads(out)["min_distance"] == 1  # the row [0, 1 | 0, 1]
 
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "bad.json"

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 from math import gcd
@@ -132,9 +133,14 @@ class TestConstruction:
         for m, modulus in DEFAULT_MODULI[q].items():
             assert field_arith._smallest_irreducible(m, F) == modulus, (q, m)
 
-    def test_reducible_user_modulus_rejected(self):
-        with pytest.raises(InvalidParameterError):
-            FieldSpec(2, 1, 2, ext_modulus=[1, 0, 1])  # x^2 + 1 = (x+1)^2
+    # x^2 + 1 = (x+1)^2 over F_2, at either level of the tower
+    @pytest.mark.parametrize("kwargs", [
+        {"p": 2, "e": 1, "m": 2, "ext_modulus": [1, 0, 1]},
+        {"p": 2, "e": 2, "m": 2, "base_modulus": [1, 0, 1]},
+    ], ids=["ext", "base"])
+    def test_reducible_user_modulus_rejected(self, kwargs):
+        with pytest.raises(InvalidParameterError, match="reducible"):
+            FieldSpec(**kwargs)
 
     def test_non_monic_modulus_rejected(self):
         with pytest.raises(InvalidParameterError):
@@ -247,10 +253,11 @@ class TestTablePath:
             assert tabled.sub(a, b) == plain.sub(a, b)
             assert tabled.mul(a, b) == plain.mul(a, b)
 
-    def test_axioms_above_the_cap(self):
-        spec = FieldSpec(2, 1, 17)
+    @pytest.mark.parametrize("m", [17, 20])
+    def test_axioms_above_the_cap(self, m):
+        spec = FieldSpec(2, 1, m)
         assert spec.order > field_arith._TABLE_MAX
-        rng = random.Random(17)
+        rng = random.Random(m)
         for _ in range(50):
             a, b, c = (rng.randrange(1, spec.order) for _ in range(3))
             assert spec.add(a, b) == spec.add(b, a)
@@ -280,6 +287,31 @@ def _poly_mulmod(a, b, p, modulus):
         for j, r in enumerate(modulus):
             prod[top - e + j] = (prod[top - e + j] - c * r) % p
     return sum(c * p ** i for i, c in enumerate(prod[:e]))
+
+
+class TestBinaryIntRoute:
+    """F_2[x]/(f) multiplies on ints; check it against _poly_mulmod, which
+    shares none of its code, on both sides of the table cap."""
+
+    @pytest.mark.parametrize("m", [8, 16, 17, 20])
+    def test_mul_matches_polynomials(self, m):
+        spec = FieldSpec(2, 1, m)
+        rng = random.Random(1000 + m)
+        for _ in range(300):
+            a, b = rng.randrange(spec.order), rng.randrange(spec.order)
+            assert spec.mul(a, b) == _poly_mulmod(a, b, 2, spec.ext_modulus), (a, b)
+
+    # sha256 of the comma-joined exp table g^0 .. g^(2^m - 2), as built by
+    # the digit-vector route before the int route replaced it for q = 2
+    @pytest.mark.parametrize("m,digest", [
+        (12, "ad2c5712d1db41796e2df81a652880b881286f559740c9a035f7fe204479df55"),
+        (14, "d502f43d53ffa1452a09703776c071ae55b9e4b61f8a2be9197d8d964dff7ec0"),
+        (16, "17c0c6dbd750697e885c8df12035a763e74e781b174c696b2a85a5ee352a3bc6"),
+    ])
+    def test_exp_table_pinned(self, m, digest):
+        spec = FieldSpec(2, 1, m)
+        table = ",".join(map(str, spec._exp[:spec.order - 1]))
+        assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
 class TestBaseField:
