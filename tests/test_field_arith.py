@@ -221,7 +221,7 @@ def _fail(*args):
 
 def untabled(monkeypatch, p, e, m):
     """FieldSpec(p, e, m) built as if it were above the table cap, so every
-    operation takes the digit-vector route."""
+    operation takes the untabled route (ints for q = 2, else digit vectors)."""
     with monkeypatch.context() as mp:
         mp.setattr(field_arith, "_TABLE_MAX", 0)
         mp.setattr(FieldSpec, "_build_tables", _fail)
@@ -229,7 +229,7 @@ def untabled(monkeypatch, p, e, m):
 
 
 class TestTablePath:
-    """exp/log/Zech lookups against the digit-vector routines."""
+    """exp/log/Zech lookups against the untabled routines."""
 
     @pytest.mark.parametrize("p,e,m", TWIN_TOWERS)
     def test_matches_untabled_twin(self, monkeypatch, p, e, m):
@@ -301,8 +301,8 @@ class TestBinaryIntRoute:
             a, b = rng.randrange(spec.order), rng.randrange(spec.order)
             assert spec.mul(a, b) == _poly_mulmod(a, b, 2, spec.ext_modulus), (a, b)
 
-    # sha256 of the comma-joined exp table g^0 .. g^(2^m - 2), as built by
-    # the digit-vector route before the int route replaced it for q = 2
+    # sha256 of the comma-joined exp table g^0 .. g^(2^m - 2); the digests
+    # come from the digit-vector product, which the int route must reproduce
     @pytest.mark.parametrize("m,digest", [
         (12, "ad2c5712d1db41796e2df81a652880b881286f559740c9a035f7fe204479df55"),
         (14, "d502f43d53ffa1452a09703776c071ae55b9e4b61f8a2be9197d8d964dff7ec0"),
