@@ -135,8 +135,18 @@ def _cmd_simulate(args):
 
 
 def _cmd_census(args):
+    if args.stop_after is not None and not args.resume:
+        raise InvalidParameterError("--stop-after needs --resume to keep the partial scan")
     result = experiments.census(args.q, args.k, args.n, args.m,
-                                checkpoint_path=args.resume)
+                                checkpoint_path=args.resume, stop_after=args.stop_after)
+    if result is None:
+        state = _load_json(args.resume, lambda data: data)
+        _print_json({
+            "q": args.q, "k": args.k, "n": args.n, "m": args.m,
+            "cursor": state["cursor"], "blocks_visited": state["cursor"],
+            "blocks_to_visit": state["reduction"]["visits"],
+        })
+        return EXIT_OK
     _print_json({
         "q": result.q, "k": result.k, "n": result.n, "m": result.m,
         "total": result.total, "mrd_count": result.mrd_count,
@@ -222,6 +232,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--resume", help="checkpoint file to write to and resume from")
+    p.add_argument("--stop-after", type=int,
+                   help="visit at most this many blocks, then save the checkpoint "
+                        "and exit without CSV (needs --resume)")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_census)
 

@@ -3,9 +3,12 @@ lemma-verification suites, and figure-data reproduction.
 
 Random trials are split into fixed-size chunks whose seeds derive from the
 root seed and the chunk index, so results do not depend on worker count or
-scheduling.  The census visits one systematic block per translation orbit,
-decoding representative g from the digits of g, and checkpoints its cursor
-to a resumable state file.
+scheduling.  The census visits one systematic block per orbit of
+X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius: a first row
+in reduced echelon form per Frobenius orbit of subspaces, weighted by the
+orbit's size, with the other entries over the multiples of q.  It scans the
+dual shape when n - k < k and checkpoints a single visit cursor to a
+resumable state file.
 """
 
 from __future__ import annotations
@@ -26,13 +29,14 @@ from . import prob_bounds as pb
 from .budget import check_budget
 from .errors import InvalidParameterError, VerificationError
 from .field_arith import FieldSpec, default_field
-from .fq_linalg import (ExtMatrix, _rank_raw, count_intersecting_subspaces,
-                        enumerate_rref, gaussian_binomial, intersection_dim)
+from .fq_linalg import (ExtMatrix, _rank_raw, _rref_in_place,
+                        count_intersecting_subspaces, enumerate_rref,
+                        gaussian_binomial, intersection_dim)
 from .rank_codes import RankCode, _min_rank_distance_raw
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
-CHECKPOINT_SCHEMA = 3
+CHECKPOINT_SCHEMA = 4
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -160,9 +164,9 @@ def _write_checkpoint(path, state):
         raise InvalidParameterError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _load_checkpoint(path, params, tower, reps, valid_s):
-    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan, all
-    in representatives.
+def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
+    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan: the
+    cursor in visited blocks, the counts in orbit-weighted visited blocks.
 
     A file that cannot be read, belongs to another scan, or holds
     incomplete or inconsistent state is invalid input.
@@ -182,6 +186,9 @@ def _load_checkpoint(path, params, tower, reps, valid_s):
     if state.get("field") != tower:
         raise InvalidParameterError(
             f"checkpoint field tower {state.get('field')} does not match {tower}")
+    if state.get("reduction") != reduction:
+        raise InvalidParameterError(
+            f"checkpoint reduction {state.get('reduction')} does not match {reduction}")
     counts = [state.get(name) for name in ("cursor", "mrd_count", "gab_count")]
     per_s = state.get("per_s")
     if (any(type(c) is not int for c in counts) or not isinstance(per_s, dict)
@@ -190,13 +197,13 @@ def _load_checkpoint(path, params, tower, reps, valid_s):
             f"checkpoint {path} lacks an integer cursor, mrd_count, gab_count "
             "or per_s count")
     cursor, mrd, gab = counts
-    if not 0 <= cursor <= reps:
+    if not 0 <= cursor <= reduction["visits"]:
         raise InvalidParameterError(
-            f"checkpoint cursor {cursor} is outside [0, {reps}]")
-    if not 0 <= gab <= mrd <= cursor:
+            f"checkpoint cursor {cursor} is outside [0, {reduction['visits']}]")
+    if not 0 <= gab <= mrd <= covered(cursor):
         raise InvalidParameterError(
-            f"checkpoint counts break 0 <= gab <= mrd <= cursor: gab={gab}, "
-            f"mrd={mrd}, cursor={cursor}")
+            f"checkpoint counts break 0 <= gab <= mrd <= {covered(cursor)}, the "
+            f"weighted blocks before cursor {cursor}: gab={gab}, mrd={mrd}")
     if sorted(per_s) != sorted(str(s) for s in valid_s):
         raise InvalidParameterError(
             f"checkpoint per_s keys {sorted(per_s)} are not the valid s {list(valid_s)}")
@@ -206,30 +213,73 @@ def _load_checkpoint(path, params, tower, reps, valid_s):
     return cursor, mrd, gab, {s: per_s[str(s)] for s in valid_s}
 
 
+def _first_row_orbits(spec: FieldSpec, w: int):
+    """One first row per Frobenius orbit of the w-dimensional subspaces of
+    F_{q^m}/F_q, with the orbit's size: [(row, size), ...].
+
+    Subspace U is listed by its basis in reduced row echelon form over F_q,
+    in `enumerate_rref(w, m - 1)` order; basis vector r is the element
+    from_digits((0,) + r), whose lowest digit (its F_q part) is 0.  An
+    orbit is represented by its first subspace in that order.  There are
+    none when m - 1 < w.
+    """
+    if spec.m - 1 < w:
+        return []
+    fq = spec.base_field
+    keys = [tuple(map(tuple, E.entries)) for E in enumerate_rref(w, spec.m - 1, spec)]
+    position = {key: i for i, key in enumerate(keys)}
+    seen = bytearray(len(keys))
+    orbits = []
+    for i, key in enumerate(keys):
+        if seen[i]:
+            continue
+        size = 0
+        j = i
+        while not seen[j]:
+            seen[j] = 1
+            size += 1
+            image = [list(spec.digits(spec.frobenius(spec.from_digits((0,) + r), 1))[1:])
+                     for r in keys[j]]
+            _rref_in_place(image, fq)
+            j = position[tuple(map(tuple, image))]
+        orbits.append(([spec.from_digits((0,) + r) for r in key], size))
+    return orbits
+
+
 def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
            checkpoint_path: str | None = None, oracle_stride: int = 100,
            stop_after: int | None = None) -> CensusResult | None:
     """Classify every systematic block X in F_{q^m}^{k x (n-k)} exactly,
-    one representative per translation orbit.
+    one block per orbit of the group below.
 
-    X -> X + A with A in F_q^{k x (n-k)} is the column operation
-    [[I, A], [0, I]], an F_q-isometry that keeps MRD and every Gabidulin
-    parameter (phi_s vanishes on F_q).  Adding an element of F_q changes only
-    the lowest base-q digit of an index, so the census visits the blocks whose
-    entries are multiples of q and multiplies every count by q^(k(n-k));
-    `total` is still every block, q^(mk(n-k)).  Representative g has entry
-    (i, j) equal to q times the base-q^(m-1) digit i*(n-k) + j of g, lowest
-    first; representatives are visited in index order.  Verdicts are
-    cross-validated against the brute-force minimum-distance oracle on every
-    `oracle_stride`-th representative (default every 100th).  When
-    `checkpoint_path` is given, progress is persisted before the first block
-    (so an unwritable path fails at once), then every 2^16 representatives,
-    and an interrupted run resumes from the stored cursor; the checkpoint
-    binds (q, k, n, m) and the field tower, and holds its cursor and counts
-    in representatives.  `stop_after` bounds the number of representatives
-    processed in this call (a checkpoint is written and None returned when
-    the scan is not finished), so it needs `checkpoint_path`.  The budget
-    bounds the number of representatives.
+    X -> XQ + A with Q in GL_{n-k}(F_q) and A in F_q^{k x (n-k)} is the
+    F_q-isometry [I | X] [[I, A], [0, Q]]; it keeps MRD and every Gabidulin
+    parameter.  An MRD block's first row is, modulo F_q, n - k independent
+    vectors of F_q^(m-1) (a dependent one is never MRD and is not visited),
+    and the group acts freely on those blocks.  Each orbit holds exactly one
+    block whose first row is the reduced echelon basis of its span, with
+    lowest digits 0, and whose other entries have lowest digit 0.  The
+    entrywise Frobenius commutes with the group and keeps MRD and each s,
+    so one subspace per Frobenius orbit is visited and its counts are
+    weighted by the orbit's size (`_first_row_orbits`).  Every count is
+    then multiplied by q^(k(n-k)) |GL_{n-k}(q)|; `total` is every block,
+    q^(mk(n-k)).  When n - k < k the dual shape (n - k, n), whose counts
+    are the same, is scanned instead.
+
+    Blocks are visited orbit-major: with k and n - k those of the scanned
+    shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of
+    orbit v div that, whose entry (i, j) for i >= 1 is q times the
+    base-q^(m-1) digit (i-1)(n-k) + j of t, lowest first.  Verdicts are
+    cross-validated against the brute-force minimum-distance oracle on
+    every `oracle_stride`-th visit (default every 100th).  When `checkpoint_path` is given, progress is persisted
+    before the first block (so an unwritable path fails at once), then
+    every 2^16 visits, and an interrupted run resumes from the stored
+    cursor; the checkpoint binds (q, k, n, m), the field tower and the
+    reduction (scanned k, orbits, visits), and holds the visit cursor and
+    the orbit-weighted counts.  `stop_after` bounds the number of visits
+    in this call (a checkpoint is written and None returned when the scan
+    is not finished), so it needs `checkpoint_path`.  The budget bounds the
+    number of visits.
     """
     if oracle_stride < 1:
         raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
@@ -238,69 +288,82 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
+    if not 1 <= k < n:
+        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     if spec is None:
         spec = default_field(q, m)
     elif (spec.q, spec.m) != (q, m):
         raise InvalidParameterError("spec disagrees with (q, m)")
-    kernel = mc._kernel_for(spec, k, n)
-    w = n - k
-    cells = k * w
+    ks = min(k, n - k)
+    w = n - ks
+    kernel = mc._kernel_for(spec, ks, n)
+    orbits = _first_row_orbits(spec, w)
     radix = spec.order // q
-    reps = radix ** cells
-    check_budget(reps, "systematic-block census")
+    cells = (ks - 1) * w
+    inner = radix ** cells
+    visits = len(orbits) * inner
+    check_budget(visits, "systematic-block census")
+
+    def covered(cursor):
+        """Orbit-weighted number of the blocks visited before `cursor`."""
+        o, t = divmod(cursor, inner)
+        return inner * sum(size for _, size in orbits[:o]) + (orbits[o][1] * t if t else 0)
 
     params = (q, k, n, m)
     tower = spec.to_json()
+    reduction = {"scanned_k": ks, "orbits": len(orbits), "visits": visits}
     cursor = 0
     mrd = gab = 0
     per_s = {s: 0 for s in kernel.valid_s}
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, mrd, gab, per_s = _load_checkpoint(
-            checkpoint_path, params, tower, reps, kernel.valid_s)
+            checkpoint_path, params, tower, reduction, covered, kernel.valid_s)
 
-    identity_rows = [[1 if i == j else 0 for j in range(k)] for i in range(k)]
-    expected_d = n - k + 1
+    identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
+    expected_d = w + 1
 
-    def save(g):
+    def save(v):
         _write_checkpoint(checkpoint_path, {
             "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
-            "field": tower, "cursor": g, "mrd_count": mrd, "gab_count": gab,
+            "field": tower, "reduction": reduction, "cursor": v,
+            "mrd_count": mrd, "gab_count": gab,
             "per_s": {str(s): c for s, c in per_s.items()}})
 
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
-    end = reps if stop_after is None else min(reps, cursor + stop_after)
-    for g in range(cursor, end):
+    end = visits if stop_after is None else min(visits, cursor + stop_after)
+    for v in range(cursor, end):
+        o, rest = divmod(v, inner)
+        first_row, weight = orbits[o]
         flat = []
-        rest = g
         for _ in range(cells):
             rest, digit = divmod(rest, radix)
             flat.append(q * digit)
-        X = [flat[i * w:(i + 1) * w] for i in range(k)]
+        X = [first_row] + [flat[i * w:(i + 1) * w] for i in range(ks - 1)]
         hits = kernel.classify(X)
         if hits is not None:
-            mrd += 1
+            mrd += weight
             if hits:
-                gab += 1
+                gab += weight
             for s in hits:
-                per_s[s] += 1
-        if g % oracle_stride == 0:
-            rows = [identity_rows[i] + X[i] for i in range(k)]
-            oracle = _min_rank_distance_raw(spec, rows, k, n) == expected_d
+                per_s[s] += weight
+        if v % oracle_stride == 0:
+            rows = [identity_rows[i] + X[i] for i in range(ks)]
+            oracle = _min_rank_distance_raw(spec, rows, ks, n) == expected_d
             if oracle != (hits is not None):
                 raise VerificationError(
-                    f"criterion and distance oracle disagree at representative {g}")
-        if checkpoint_path and (g + 1) % CHECKPOINT_EVERY == 0:
-            save(g + 1)
-    if end < reps:
+                    f"criterion and distance oracle disagree at visit {v}")
+        if checkpoint_path and (v + 1) % CHECKPOINT_EVERY == 0:
+            save(v + 1)
+    if end < visits:
         save(end)
         return None
-    orbit = q ** cells
-    result = CensusResult(q=q, k=k, n=n, m=m, total=reps * orbit,
-                          mrd_count=mrd * orbit, gab_count=gab * orbit,
-                          per_s_gab_counts={s: c * orbit for s, c in per_s.items()})
+    scale = q ** (ks * w) * math.prod(q ** w - q ** i for i in range(w))
+    result = CensusResult(q=q, k=k, n=n, m=m, total=spec.order ** (k * (n - k)),
+                          mrd_count=mrd * scale, gab_count=gab * scale,
+                          per_s_gab_counts={s: c * scale for s, c in per_s.items()})
     if checkpoint_path:
-        save(reps)
+        save(visits)
     return result
 
 

@@ -1,6 +1,9 @@
+import math
+
 import pytest
 
 from rankforge import FieldSpec, default_field
+from rankforge.experiments import CensusResult
 
 
 @pytest.fixture(scope="session")
@@ -34,3 +37,27 @@ def basis_elements(spec, n):
     """The first n power-basis elements 1, alpha, alpha^2, ..."""
     return [spec.element(spec.from_digits([1 if i == j else 0 for i in range(spec.m)]))
             for j in range(n)]
+
+
+def gabidulin_per_s(q, n, m):
+    """Systematic blocks of the Gabidulin codes of one valid parameter s:
+    prod_{i<n} (q^m - q^i) / (q^m - 1), which is 0 when n > m."""
+    return math.prod(q ** m - q ** i for i in range(n)) // (q ** m - 1)
+
+
+@pytest.fixture(scope="session", autouse=True)
+def census_per_s_identity():
+    """Every census result built during the test run, module fixtures
+    included, has gabidulin_per_s blocks for each valid s; an inconsistent
+    result still fails first on its own invariant."""
+    checks_counts = CensusResult.__post_init__
+
+    def checked(self):
+        checks_counts(self)
+        expected = gabidulin_per_s(self.q, self.n, self.m)
+        assert self.per_s_gab_counts == dict.fromkeys(self.per_s_gab_counts, expected), \
+            (self, expected)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(CensusResult, "__post_init__", checked)
+        yield

@@ -36,7 +36,7 @@ def report(criterion, detail):
 @pytest.fixture(scope="module")
 def census_m3():
     start = time.perf_counter()
-    # oracle stride 1: every representative's verdict cross-validated
+    # oracle stride 1: every visited block's verdict cross-validated
     # against the minimum-distance brute force (disagreement raises
     # internally)
     result = census(2, 2, 4, 3, oracle_stride=1)
@@ -51,8 +51,8 @@ def census_m4():
 
 
 def test_criterion_01_census_cross_validation(census_m3):
-    # the census visits one block per translation orbit, so the full grid
-    # is classified here, each verdict against the distance oracle
+    # the census visits one block per orbit of its isometry group, so the
+    # full grid is classified here, each verdict against the distance oracle
     result, elapsed = census_m3
     start = time.perf_counter()
     spec = default_field(2, 3)

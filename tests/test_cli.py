@@ -257,7 +257,8 @@ class TestCensusCli:
         assert lines[0] == "# schema_version=1"
 
     def test_over_budget_exit_code(self, capsys, monkeypatch):
-        monkeypatch.setenv("RANKFORGE_BUDGET", "100")
+        # the census of (2,2,4,3) visits 16 blocks
+        monkeypatch.setenv("RANKFORGE_BUDGET", "15")
         code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
                            "--m", "3")
         assert code == 3
@@ -298,6 +299,41 @@ class TestCensusCli:
         assert code == 2
         assert "schema" in err
 
+    def test_translation_checkpoint_schema_exit_code(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(json.dumps({
+            "schema_version": 3, "params": [2, 2, 4, 3],
+            "field": default_field(2, 3).to_json(), "cursor": 10,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "3", "--resume", str(ckpt))
+        assert code == 2
+        assert "schema" in err
+
+    def test_stop_after_without_resume_exit_code(self, capsys, tmp_path):
+        f = tmp_path / "census.csv"
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "4", "--stop-after", "100", "--csv", str(f))
+        assert code == 2
+        assert "--resume" in err
+        assert not f.exists()
+
+    def test_stop_after_reports_progress_without_csv(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        f = tmp_path / "census.csv"
+        args = ("census", "--q", "2", "--k", "2", "--n", "4", "--m", "4",
+                "--resume", str(ckpt), "--csv", str(f))
+        code, out, _ = run(capsys, *args, "--stop-after", "100")
+        assert code == 0
+        assert json.loads(out) == {
+            "q": 2, "k": 2, "n": 4, "m": 4,
+            "cursor": 100, "blocks_visited": 100, "blocks_to_visit": 192}
+        assert not f.exists()
+        code, out, _ = run(capsys, *args, "--stop-after", "100")
+        assert code == 0
+        assert (json.loads(out)["mrd_count"], json.loads(out)["total"]) == (1344, 65536)
+        assert f.read_text().splitlines()[2] == "2,2,4,4,65536,1344,1344,1,1344"
+
     def test_unwritable_checkpoint_fails_before_scan(self, capsys, tmp_path,
                                                      monkeypatch):
         from rankforge.mrd_criteria import _BlockKernel
@@ -315,7 +351,7 @@ class TestCensusCli:
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")
         from rankforge import census as census_fn
-        census_fn(2, 2, 4, 3, checkpoint_path=ckpt, stop_after=100)
+        assert census_fn(2, 2, 4, 3, checkpoint_path=ckpt, stop_after=10) is None
         code, out, _ = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
                            "--m", "3", "--resume", ckpt)
         assert code == 0

@@ -86,16 +86,16 @@ class TestCensus:
         assert default.per_s_gab_counts == other.per_s_gab_counts
 
     def test_checkpoint_resume(self, tmp_path):
-        direct = census(2, 2, 4, 3)
-        # the scan has 256 representatives; 7 is odd and small, so the
-        # resumes start inside rows of the block
+        direct = census(2, 2, 4, 4)
+        # the scan visits 3 orbits of 64 blocks; 100 and 7 do not divide 64,
+        # so the resumes start inside an orbit and cross orbit boundaries
         for stop in (100, 7):
             path = tmp_path / f"census-{stop}.json"
-            partial = census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=stop)
+            partial = census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=stop)
             assert partial is None
             assert json.loads(path.read_text())["cursor"] == stop
             cursor = stop
-            while (resumed := census(2, 2, 4, 3, checkpoint_path=str(path),
+            while (resumed := census(2, 2, 4, 4, checkpoint_path=str(path),
                                      stop_after=stop)) is None:
                 cursor += stop
                 assert json.loads(path.read_text())["cursor"] == cursor
@@ -104,8 +104,8 @@ class TestCensus:
     def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
                                                                monkeypatch):
         from rankforge import experiments
-        # 64 representatives, some of them MRD
-        direct = census(2, 2, 3, 4)
+        # 192 visited blocks, some of them MRD
+        direct = census(2, 2, 4, 4)
         assert direct.mrd_count > 0
         monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", 10)
         original = experiments._min_rank_distance_raw
@@ -116,17 +116,17 @@ class TestCensus:
 
         def interrupt(spec, rows, k, n):
             calls.append(rows)
-            if len(calls) == 3:  # the oracle's visit to representative 50
+            if len(calls) == 3:  # the oracle's check of visit 50
                 raise Interrupted
             return original(spec, rows, k, n)
 
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", interrupt)
         path = tmp_path / "census.json"
         with pytest.raises(Interrupted):
-            census(2, 2, 3, 4, checkpoint_path=str(path), oracle_stride=25)
+            census(2, 2, 4, 4, checkpoint_path=str(path), oracle_stride=25)
         assert json.loads(path.read_text())["cursor"] == 50
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", original)
-        assert census(2, 2, 3, 4, checkpoint_path=str(path), oracle_stride=25) == direct
+        assert census(2, 2, 4, 4, checkpoint_path=str(path), oracle_stride=25) == direct
 
     def test_unwritable_checkpoint_fails_before_scan(self, tmp_path, monkeypatch):
         from rankforge.mrd_criteria import _BlockKernel
@@ -141,20 +141,21 @@ class TestCensus:
 
     def test_checkpoint_param_mismatch(self, tmp_path):
         path = str(tmp_path / "census.json")
-        census(2, 2, 4, 3, checkpoint_path=path, stop_after=100)
+        census(2, 2, 4, 3, checkpoint_path=path, stop_after=10)
         from rankforge.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             census(2, 2, 3, 3, checkpoint_path=path)
 
     def test_checkpoint_binds_field_tower(self, tmp_path):
         # a checkpoint written under one modulus must not be resumed under
-        # another: the two enumeration orders would mix (2000 of the 4096
-        # representatives under each tower give 1328 MRD blocks instead of
-        # the 1344 each tower gives)
+        # another: the Frobenius orbits, and so the visit orders and orbit
+        # weights, differ (orbit sizes 4, 2, 1 under the default modulus,
+        # 1, 4, 2 under this one; 100 of the 192 visits under each tower
+        # give 960 MRD blocks instead of the 1344 each tower gives)
         path = str(tmp_path / "census.json")
         other = FieldSpec(2, 1, 4, ext_modulus=[1, 1, 0, 0, 1])
         assert census(2, 2, 4, 4, spec=other, checkpoint_path=path,
-                      stop_after=2000) is None
+                      stop_after=100) is None
         with pytest.raises(InvalidParameterError, match="field tower"):
             census(2, 2, 4, 4, checkpoint_path=path)
         assert json.loads(Path(path).read_text())["field"] == other.to_json()
@@ -171,11 +172,23 @@ class TestCensus:
 
     def test_full_grid_checkpoint_schema_rejected(self, tmp_path):
         # schema 2 held its cursor and counts in blocks of the full grid;
-        # read as representatives they would mean other blocks
+        # read as visits of the orbit route they would mean other blocks
         path = tmp_path / "census.json"
         path.write_text(json.dumps({
             "schema_version": 2, "params": [2, 2, 4, 3],
             "field": default_field(2, 3).to_json(), "cursor": 100,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
+        with pytest.raises(InvalidParameterError, match="schema"):
+            census(2, 2, 4, 3, checkpoint_path=str(path))
+
+    def test_translation_checkpoint_schema_rejected(self, tmp_path):
+        # schema 3 held its cursor and counts in translation-orbit
+        # representatives; read as visits of the orbit route they would
+        # mean other blocks
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({
+            "schema_version": 3, "params": [2, 2, 4, 3],
+            "field": default_field(2, 3).to_json(), "cursor": 10,
             "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "2": 0}}))
         with pytest.raises(InvalidParameterError, match="schema"):
             census(2, 2, 4, 3, checkpoint_path=str(path))
@@ -190,21 +203,23 @@ class TestCensus:
 
     @pytest.mark.parametrize("name,value", [
         ("cursor", None), ("mrd_count", "0"), ("cursor", 1.5), ("gab_count", True),
-        ("cursor", -1), ("cursor", 257), ("mrd_count", 101), ("gab_count", 1),
+        ("cursor", -1), ("cursor", 17), ("mrd_count", 11), ("gab_count", 1),
         ("gab_count", -1), ("per_s", None), ("per_s", [0, 0]),
         ("per_s", {"1": 0}), ("per_s", {"1": 0, "2": 0, "3": 0}),
-        ("per_s", {"1": 0, "2": 1}), ("per_s", {"1": 0, "2": "0"})],
+        ("per_s", {"1": 0, "2": 1}), ("per_s", {"1": 0, "2": "0"}),
+        ("reduction", None), ("reduction", {"scanned_k": 2, "orbits": 1, "visits": 256})],
         ids=["no-cursor", "str-mrd", "float-cursor", "bool-gab", "negative-cursor",
              "cursor-past-total", "mrd-past-cursor", "gab-past-mrd", "negative-gab",
              "no-per_s", "list-per_s", "missing-s", "extra-s", "per_s-past-gab",
-             "str-per_s"])
+             "str-per_s", "no-reduction", "other-reduction"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, name, value):
-        # the stored scan of (2,2,4,3) stops at cursor 100 with no MRD block;
-        # None drops the field
+        # the stored scan of (2,2,4,3), one orbit of weight 1 and 16 visited
+        # blocks, stops at cursor 10 with no MRD block; None drops the field
         path = tmp_path / "census.json"
-        census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=100)
+        census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=10)
         state = json.loads(path.read_text())
-        assert (state["cursor"], state["mrd_count"]) == (100, 0)
+        assert (state["cursor"], state["mrd_count"]) == (10, 0)
+        assert state["reduction"] == {"scanned_k": 2, "orbits": 1, "visits": 16}
         if value is None:
             del state[name]
         else:
@@ -230,12 +245,12 @@ class TestCensus:
         assert not path.exists()
 
     def test_budget(self, monkeypatch):
-        # the budget bounds the work done: the 256 representatives, not the
+        # the budget bounds the work done: the 16 visited blocks, not the
         # 4096 blocks they stand for
-        monkeypatch.setenv("RANKFORGE_BUDGET", "255")
+        monkeypatch.setenv("RANKFORGE_BUDGET", "15")
         with pytest.raises(BudgetExceededError):
             census(2, 2, 4, 3)
-        monkeypatch.setenv("RANKFORGE_BUDGET", "256")
+        monkeypatch.setenv("RANKFORGE_BUDGET", "16")
         assert census(2, 2, 4, 3).total == 4096
 
     def test_invariant_enforced(self):
@@ -244,9 +259,10 @@ class TestCensus:
 
     @pytest.mark.parametrize("q,m", [(2, 2), (3, 2), (2, 4)])
     def test_matches_independent_enumeration(self, q, m):
-        # the census over translation-orbit representatives, scaled by the
-        # orbit size, must count what a plain product enumeration of every
-        # block counts (guards the digit layout and the orbit factor)
+        # the census over orbit representatives, weighted and scaled by the
+        # orbit sizes, must count what a plain product enumeration of every
+        # block counts (guards the normal form, the Galois weights and the
+        # orbit factor)
         import itertools
         from rankforge.mrd_criteria import _kernel_for
         spec = default_field(q, m)
@@ -267,10 +283,17 @@ class TestCensus:
                (mrd, gab, per_s)
 
     def test_block_index_layout(self, monkeypatch):
-        # representative g holds q times the base-q^(m-1) digit i*w + j of g
-        # at entry (i, j), lowest first; stored checkpoints and the oracle
-        # stride rely on this order
+        # visits are orbit-major: visit v is inner block t = v mod 64 of
+        # orbit v div 64; the orbit fixes the first row, and entry (1, j)
+        # is q times the base-q^(m-1) digit j of t, lowest first.  Under
+        # the default F_16 the orbits' first rows, in enumeration order, are
+        # (alpha, alpha^2), (alpha + alpha^3, alpha^2) and
+        # (alpha + alpha^3, alpha^2 + alpha^3), of Frobenius orbit sizes
+        # 4, 2 and 1.  Stored checkpoints and the oracle stride rely on this
+        # order
         from rankforge import experiments
+        assert experiments._first_row_orbits(default_field(2, 4), 2) == \
+            [([2, 4], 4), ([10, 4], 2), ([10, 12], 1)]
         seen = []
         original = experiments._min_rank_distance_raw
 
@@ -279,11 +302,13 @@ class TestCensus:
             return original(spec, rows, k, n)
 
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", record)
-        census(3, 2, 4, 2, oracle_stride=7)
+        census(2, 2, 4, 4, oracle_stride=7)
+        first_rows = [[2, 4], [10, 4], [10, 12]]
         expected = []
-        for g in range(0, 81, 7):
-            d = [3 * (g // 3 ** p % 3) for p in range(4)]
-            expected.append([[1, 0, d[0], d[1]], [0, 1, d[2], d[3]]])
+        for v in range(0, 192, 7):
+            orbit, t = divmod(v, 64)
+            expected.append([[1, 0, *first_rows[orbit]],
+                             [0, 1, 2 * (t % 8), 2 * (t // 8)]])
         assert seen == expected
 
     @pytest.mark.parametrize("q,n,m,expected", [
