@@ -140,11 +140,10 @@ def _cmd_census(args):
     result = experiments.census(args.q, args.k, args.n, args.m,
                                 checkpoint_path=args.resume, stop_after=args.stop_after)
     if result is None:
-        state = _load_json(args.resume, lambda data: data)
+        visited, to_visit = experiments.census_progress(args.resume)
         _print_json({
             "q": args.q, "k": args.k, "n": args.n, "m": args.m,
-            "cursor": state["cursor"], "blocks_visited": state["cursor"],
-            "blocks_to_visit": state["reduction"]["visits"],
+            "blocks_visited": visited, "blocks_to_visit": to_visit,
         })
         return EXIT_OK
     _print_json({

@@ -164,13 +164,7 @@ def _write_checkpoint(path, state):
         raise InvalidParameterError(f"cannot write checkpoint {path}: {exc}") from exc
 
 
-def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
-    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan: the
-    cursor in visited blocks, the counts in orbit-weighted visited blocks.
-
-    A file that cannot be read, belongs to another scan, or holds
-    incomplete or inconsistent state is invalid input.
-    """
+def _read_checkpoint(path) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -178,6 +172,24 @@ def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
         raise InvalidParameterError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
         raise InvalidParameterError(f"checkpoint {path} is not a JSON object")
+    return state
+
+
+def census_progress(checkpoint_path: str) -> tuple[int, int]:
+    """(blocks visited, blocks to visit) of the scan a census checkpoint
+    holds, e.g. after `census(..., stop_after=...)` returned None."""
+    state = _read_checkpoint(checkpoint_path)
+    return state["cursor"], state["reduction"]["visits"]
+
+
+def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
+    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan: the
+    cursor in visited blocks, the counts in orbit-weighted visited blocks.
+
+    A file that cannot be read, belongs to another scan, or holds
+    incomplete or inconsistent state is invalid input.
+    """
+    state = _read_checkpoint(path)
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
         raise InvalidParameterError("unsupported checkpoint schema")
     if state.get("params") != list(params):
@@ -220,29 +232,46 @@ def _first_row_orbits(spec: FieldSpec, w: int):
     Subspace U is listed by its basis in reduced row echelon form over F_q,
     in `enumerate_rref(w, m - 1)` order; basis vector r is the element
     from_digits((0,) + r), whose lowest digit (its F_q part) is 0.  An
-    orbit is represented by its first subspace in that order.  There are
-    none when m - 1 < w.
+    orbit is represented by its first subspace in that order.  A subspace's
+    place in the order is computed from its pivot columns and free entries,
+    so the walk keeps one byte per subspace.  There are none when m - 1 < w.
     """
-    if spec.m - 1 < w:
+    q, d = spec.q, spec.m - 1
+    if d < w:
         return []
+    # enumerate_rref's order: pivot sets in lexicographic order, then the
+    # free entries (row by row) as base-q digits, the last one lowest
+    layout = {}
+    count = 0
+    for pivots in itertools.combinations(range(d), w):
+        free = [(r, c) for r in range(w) for c in range(pivots[r] + 1, d)
+                if c not in pivots]
+        layout[pivots] = (count, free)
+        count += q ** len(free)
+
+    def place(rows, pivots):
+        base, free = layout[pivots]
+        t = 0
+        for r, c in free:
+            t = t * q + rows[r][c]
+        return base + t
+
     fq = spec.base_field
-    keys = [tuple(map(tuple, E.entries)) for E in enumerate_rref(w, spec.m - 1, spec)]
-    position = {key: i for i, key in enumerate(keys)}
-    seen = bytearray(len(keys))
+    seen = bytearray(count)
     orbits = []
-    for i, key in enumerate(keys):
+    for i, E in enumerate(enumerate_rref(w, d, spec)):
         if seen[i]:
             continue
         size = 0
+        rows = E.entries
         j = i
         while not seen[j]:
             seen[j] = 1
             size += 1
-            image = [list(spec.digits(spec.frobenius(spec.from_digits((0,) + r), 1))[1:])
-                     for r in keys[j]]
-            _rref_in_place(image, fq)
-            j = position[tuple(map(tuple, image))]
-        orbits.append(([spec.from_digits((0,) + r) for r in key], size))
+            rows = [list(spec.digits(spec.frobenius(spec.from_digits((0, *r)), 1))[1:])
+                    for r in rows]
+            j = place(rows, tuple(_rref_in_place(rows, fq)))
+        orbits.append(([spec.from_digits((0, *r)) for r in E.entries], size))
     return orbits
 
 
@@ -279,7 +308,9 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     the orbit-weighted counts.  `stop_after` bounds the number of visits
     in this call (a checkpoint is written and None returned when the scan
     is not finished), so it needs `checkpoint_path`.  The budget bounds the
-    number of visits.
+    subspaces the orbit walk visits and the number of visited blocks; both
+    are checked before the walk, the blocks through the fewest orbits there
+    can be (each holds at most m subspaces), and the blocks again after it.
     """
     if oracle_stride < 1:
         raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
@@ -296,13 +327,18 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         raise InvalidParameterError("spec disagrees with (q, m)")
     ks = min(k, n - k)
     w = n - ks
-    kernel = mc._kernel_for(spec, ks, n)
-    orbits = _first_row_orbits(spec, w)
     radix = spec.order // q
     cells = (ks - 1) * w
     inner = radix ** cells
+    # refuse before the orbit walk: it visits every subspace, and each
+    # orbit holds at most m of them
+    subspaces = gaussian_binomial(m - 1, w, q)
+    check_budget(subspaces, "first-row orbit walk")
+    check_budget(-(-subspaces // m) * inner, "systematic-block census")
+    orbits = _first_row_orbits(spec, w)
     visits = len(orbits) * inner
     check_budget(visits, "systematic-block census")
+    kernel = mc._kernel_for(spec, ks, n)
 
     def covered(cursor):
         """Orbit-weighted number of the blocks visited before `cursor`."""

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from rankforge import FieldSpec, default_field
-from rankforge.experiments import CensusResult
 
 
 @pytest.fixture(scope="session")
@@ -45,19 +44,8 @@ def gabidulin_per_s(q, n, m):
     return math.prod(q ** m - q ** i for i in range(n)) // (q ** m - 1)
 
 
-@pytest.fixture(scope="session", autouse=True)
-def census_per_s_identity():
-    """Every census result built during the test run, module fixtures
-    included, has gabidulin_per_s blocks for each valid s; an inconsistent
-    result still fails first on its own invariant."""
-    checks_counts = CensusResult.__post_init__
-
-    def checked(self):
-        checks_counts(self)
-        expected = gabidulin_per_s(self.q, self.n, self.m)
-        assert self.per_s_gab_counts == dict.fromkeys(self.per_s_gab_counts, expected), \
-            (self, expected)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(CensusResult, "__post_init__", checked)
-        yield
+def assert_gabidulin_per_s(result):
+    """A census result has gabidulin_per_s blocks for every valid s."""
+    valid_s = [s for s in range(1, result.m) if math.gcd(s, result.m) == 1]
+    assert result.per_s_gab_counts == dict.fromkeys(
+        valid_s, gabidulin_per_s(result.q, result.n, result.m)), result

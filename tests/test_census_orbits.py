@@ -16,7 +16,7 @@ from rankforge.experiments import _first_row_orbits
 from rankforge.fq_linalg import gaussian_binomial
 from rankforge.mrd_criteria import _kernel_for
 
-from conftest import gabidulin_per_s
+from conftest import assert_gabidulin_per_s, gabidulin_per_s
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -64,7 +64,9 @@ ORACLE_GRID = [(q, k, n, m) for (q, k, n), top in sorted(ORACLE_MAX_M.items())
 
 @pytest.mark.parametrize("q,k,n,m", ORACLE_GRID)
 def test_orbit_route_matches_translation_scan(q, k, n, m):
-    assert _counts(census(q, k, n, m)) == translation_scan(q, k, n, m)
+    result = census(q, k, n, m)
+    assert _counts(result) == translation_scan(q, k, n, m)
+    assert_gabidulin_per_s(result)
 
 
 @pytest.mark.parametrize("q,k,n,ext_modulus", [
@@ -74,7 +76,9 @@ def test_non_default_modulus(q, k, n, ext_modulus):
     spec = FieldSpec.from_prime_power(q, 4, ext_modulus=ext_modulus)
     w = max(k, n - k)  # the scanned shape's n - k
     assert _first_row_orbits(spec, w) != _first_row_orbits(default_field(q, 4), w)
-    assert _counts(census(q, k, n, 4, spec=spec)) == translation_scan(q, k, n, 4, spec)
+    result = census(q, k, n, 4, spec=spec)
+    assert _counts(result) == translation_scan(q, k, n, 4, spec)
+    assert_gabidulin_per_s(result)
 
 
 def test_dual_shape_is_scanned(tmp_path):
@@ -99,6 +103,7 @@ def test_known_answer_q3_m4():
     assert result.total == 3 ** 16
     assert (result.mrd_count, result.gab_count) == (6368544, 303264)
     assert result.per_s_gab_counts == {1: 303264, 3: 303264}
+    assert_gabidulin_per_s(result)
 
 
 def test_known_answer_n5_m5():
@@ -107,6 +112,7 @@ def test_known_answer_n5_m5():
     result = census(2, 2, 5, 5)
     assert result.mrd_count == result.gab_count == 645120
     assert result.per_s_gab_counts == {s: 322560 for s in (1, 2, 3, 4)}
+    assert_gabidulin_per_s(result)
 
 
 def _read_census_csv(path):
@@ -121,6 +127,7 @@ def test_known_answer_m6_equals_committed_csv():
     expected = {(int(r["total"]), int(r["mrd_count"]), int(r["gab_count"])) for r in rows}
     assert expected == {(result.total, result.mrd_count, result.gab_count)}
     assert {int(r["s"]): int(r["gab_count_s"]) for r in rows} == result.per_s_gab_counts
+    assert_gabidulin_per_s(result)
 
 
 CENSUS_CSVS = sorted(RESULTS.glob("census_*.csv"))

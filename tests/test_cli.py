@@ -327,7 +327,7 @@ class TestCensusCli:
         assert code == 0
         assert json.loads(out) == {
             "q": 2, "k": 2, "n": 4, "m": 4,
-            "cursor": 100, "blocks_visited": 100, "blocks_to_visit": 192}
+            "blocks_visited": 100, "blocks_to_visit": 192}
         assert not f.exists()
         code, out, _ = run(capsys, *args, "--stop-after", "100")
         assert code == 0

@@ -12,6 +12,8 @@ from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
 
+from conftest import assert_gabidulin_per_s
+
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -76,6 +78,7 @@ class TestCensus:
         # no maximal codes exist at n > m for these parameters
         assert result.mrd_count == 0
         assert result.gab_count == 0
+        assert_gabidulin_per_s(result)
 
     def test_modulus_invariance(self):
         default = census(2, 2, 4, 3)
@@ -84,9 +87,11 @@ class TestCensus:
         assert (default.mrd_count, default.gab_count) == \
                (other.mrd_count, other.gab_count)
         assert default.per_s_gab_counts == other.per_s_gab_counts
+        assert_gabidulin_per_s(other)
 
     def test_checkpoint_resume(self, tmp_path):
         direct = census(2, 2, 4, 4)
+        assert_gabidulin_per_s(direct)
         # the scan visits 3 orbits of 64 blocks; 100 and 7 do not divide 64,
         # so the resumes start inside an orbit and cross orbit boundaries
         for stop in (100, 7):
@@ -161,6 +166,7 @@ class TestCensus:
         assert json.loads(Path(path).read_text())["field"] == other.to_json()
         resumed = census(2, 2, 4, 4, spec=other, checkpoint_path=path)
         assert resumed.mrd_count == 1344
+        assert_gabidulin_per_s(resumed)
 
     def test_old_checkpoint_schema_rejected(self, tmp_path):
         path = tmp_path / "census.json"
@@ -246,12 +252,44 @@ class TestCensus:
 
     def test_budget(self, monkeypatch):
         # the budget bounds the work done: the 16 visited blocks, not the
-        # 4096 blocks they stand for
+        # 4096 blocks they stand for.  The classifier for (2, 4) is built,
+        # and cached, first: building it lists 35 echelon forms, which
+        # would exceed these budgets whatever test ran before
+        census(2, 2, 4, 3)
         monkeypatch.setenv("RANKFORGE_BUDGET", "15")
         with pytest.raises(BudgetExceededError):
             census(2, 2, 4, 3)
         monkeypatch.setenv("RANKFORGE_BUDGET", "16")
-        assert census(2, 2, 4, 3).total == 4096
+        result = census(2, 2, 4, 3)
+        assert result.total == 4096
+        assert_gabidulin_per_s(result)
+        # (2,2,4,4) visits 3 orbits of 64 blocks, while its 7 subspaces
+        # could fill 2: the visits are checked again after the walk
+        monkeypatch.setenv("RANKFORGE_BUDGET", "191")
+        with pytest.raises(BudgetExceededError, match="192"):
+            census(2, 2, 4, 4)
+
+    def test_budget_refuses_before_the_orbit_walk(self, monkeypatch):
+        from rankforge import experiments
+
+        def unexpected(spec, w):
+            raise AssertionError("the orbit walk ran")
+
+        monkeypatch.setattr(experiments, "_first_row_orbits", unexpected)
+        monkeypatch.delenv("RANKFORGE_BUDGET", raising=False)
+        # (2,2,4,14): the walk would list 11 180 715 subspaces, within the
+        # default budget, but they fall into at least 798 623 orbits of
+        # 2^26 blocks each
+        with pytest.raises(BudgetExceededError, match="census"):
+            census(2, 2, 4, 14)
+        monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
+        # (2,2,4,5): 35 subspaces, at least 7 orbits of 256 blocks
+        with pytest.raises(BudgetExceededError, match="1792"):
+            census(2, 2, 4, 5)
+        # (2,1,2,12): at least 171 orbits of one block, but the walk itself
+        # would visit 2047 subspaces
+        with pytest.raises(BudgetExceededError, match="orbit walk"):
+            census(2, 1, 2, 12)
 
     def test_invariant_enforced(self):
         with pytest.raises(VerificationError):
@@ -281,6 +319,7 @@ class TestCensus:
         assert result.total == spec.order ** 4
         assert (result.mrd_count, result.gab_count, result.per_s_gab_counts) == \
                (mrd, gab, per_s)
+        assert_gabidulin_per_s(result)
 
     def test_block_index_layout(self, monkeypatch):
         # visits are orbit-major: visit v is inner block t = v mod 64 of
@@ -323,6 +362,7 @@ class TestCensus:
         assert one_row.mrd_count == one_row.gab_count == expected
         assert one_row.per_s_gab_counts == \
                {s: expected for s in default_field(q, m).valid_s_values()}
+        assert_gabidulin_per_s(one_row)
         # X -> -X^T maps the blocks of (1, n) onto those of (n - 1, n) and
         # a code to its dual, which keeps MRD and every Gabidulin parameter
         dual = census(q, n - 1, n, m)
