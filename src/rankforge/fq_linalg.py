@@ -279,21 +279,22 @@ def count_intersecting_subspaces(n: int, k: int, r: int, q: int) -> int:
 
 def enumerate_rref(k: int, n: int, spec: FieldSpec):
     """All full-rank k x n matrices over F_q in reduced row echelon form,
-    gaussian_binomial(n, k, q) of them.
+    gaussian_binomial(n, k, q) of them, as BaseMatrix values.
 
-    Pivot-column subsets are visited in lexicographic order; within one
-    pivot set the free entries (right of their row's pivot, outside pivot
-    columns) run through an odometer.  The parameters and the budget are
-    checked on the call; the forms are then produced lazily, in O(1) memory
-    and a reproducible order.
+    The parameters and the budget are checked on the call; the forms are
+    then produced lazily, in O(1) memory and `_echelon_forms` order.
     """
     if not 1 <= k <= n:
         raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
     check_budget(gaussian_binomial(n, k, spec.q), f"echelon-form enumeration T({k},{n})")
-    return _echelon_forms(k, n, spec)
+    return (BaseMatrix(spec, rows) for rows in _echelon_forms(k, n, spec))
 
 
 def _echelon_forms(k, n, spec):
+    """The forms of `enumerate_rref`, each as a fresh list of k rows of ints,
+    unchecked.  Pivot-column subsets are visited in lexicographic order;
+    within one pivot set the free entries (right of their row's pivot,
+    outside pivot columns) run through an odometer."""
     for pivots in itertools.combinations(range(n), k):
         free = [(r, c) for r in range(k) for c in range(n)
                 if c > pivots[r] and c not in pivots]
@@ -303,7 +304,7 @@ def _echelon_forms(k, n, spec):
                 rows[r][c] = 1
             for (r, c), v in zip(free, values):
                 rows[r][c] = v
-            yield BaseMatrix(spec, rows)
+            yield rows
 
 
 def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseMatrix:

@@ -26,6 +26,11 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # test below, on a block X given as k rows of raw element indices.  The
 # census and the trials use the cached `_kernel_for(spec, k, n)`; is_mrd
 # keeps its tests lazy, so a code stops at its first failing test.
+#
+# phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
+# entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
+# field automorphism applied entrywise keeps every minor's vanishing.  So
+# one rank-one test serves the pair {s, m - s}.
 
 def _is_rank_one(M, mul) -> bool:
     """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
@@ -39,12 +44,17 @@ def _is_rank_one(M, mul) -> bool:
 
 
 def _gabidulin_hits(spec: FieldSpec, X, s_values):
-    """Yield each s in s_values for which X^(q^s) - X has rank one, tested
-    through the 2 x 2 minors through its first nonzero entry."""
+    """Yield, in order, each s in s_values for which X^(q^s) - X has rank
+    one, tested through the 2 x 2 minors through its first nonzero entry.
+    s and m - s share one test (see above)."""
     sub, frobenius, mul = spec.sub, spec.frobenius, spec.mul
+    tested = {}
     for s in s_values:
-        phi = [[sub(frobenius(v, s), v) for v in row] for row in X]
-        if _is_rank_one(phi, mul):
+        pair = min(s, spec.m - s)
+        if pair not in tested:
+            tested[pair] = _is_rank_one(
+                [[sub(frobenius(v, s), v) for v in row] for row in X], mul)
+        if tested[pair]:
             yield s
 
 

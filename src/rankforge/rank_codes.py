@@ -17,8 +17,8 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
 from .field_arith import Element, FieldSpec
-from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
-                        _rref_in_place, enumerate_rref, gaussian_binomial,
+from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_forms, _expanded_rank,
+                        _rank_raw, _rref_in_place, gaussian_binomial,
                         linearly_independent_over_base)
 
 
@@ -171,13 +171,18 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 
 
 def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
-    """Every W in T(t, n) split at column k, as (W_L rows, codes): codes[i]
-    spells row i of W_R in base-q digits, lowest first.  The only form with
-    every code 0, [I_k | 0] at t = k, passes every block and is skipped."""
-    for W in enumerate_rref(t, n, spec):
-        codes = tuple(spec.from_digits(row[k:]) for row in W.entries)
+    """Every W in T(t, n) as a t x k matrix of indices into the combination
+    tables of `_is_mrd_block`: entry (i, j) is W_L[i][j] q^(n-k) + code_i,
+    where code_i spells row i of W_R in base-q digits, lowest first.  The
+    only form with every code 0, [I_k | 0] at t = k, passes every block and
+    is skipped."""
+    check_budget(gaussian_binomial(n, t, spec.q), f"echelon-form enumeration T({t},{n})")
+    shift = spec.q ** (n - k)
+    for W in _echelon_forms(t, n, spec):
+        codes = [spec.from_digits(row[k:]) for row in W]
         if any(codes):
-            yield [tuple(row[:k]) for row in W.entries], codes
+            yield tuple(tuple(x * shift + code for x in row[:k])
+                        for row, code in zip(W, codes))
 
 
 def _combinations(spec: FieldSpec, row):
@@ -186,38 +191,38 @@ def _combinations(spec: FieldSpec, row):
     add, mul = spec.add, spec.mul
     comb = [0]
     for x in row:
-        comb = [add(v, mul(c, x)) for c in range(spec.q) for v in comb]
+        comb += [add(v, cx) for cx in [mul(c, x) for c in range(1, spec.q)]
+                 for v in comb]
     return comb
 
 
 def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     """The echelon identity at one level t: True iff W [I_k | X]^T =
-    W_L + W_R X^T has rank k = len(X) for every test (W_L, codes) of T(t, n).
+    W_L + W_R X^T has rank k = len(X) for every test of T(t, n).
 
-    Entry (i, j) is W_L[i][j] plus the F_q-combination of row j of X with
-    coefficients W_R[i], looked up in a table built once per block.  The
-    first test decides, once per call, between a determinant for every test
-    (k = t = 2) and elimination (any other shape).
+    Column j of that matrix holds F_q-combinations of (row j of X, 1): the
+    block's tables list them all, so a test (`_echelon_tests`) is a matrix
+    of table indices and each entry one lookup.  The first test decides,
+    once per call, between a determinant for every test (k = t = 2) and
+    elimination (any other shape).
     """
     k = len(X)
-    add, mul = spec.add, spec.mul
-    combs = [_combinations(spec, row) for row in X]
+    combs = [_combinations(spec, (*row, 1)) for row in X]
     tests = iter(tests)
     first = next(tests, None)
     if first is None:
         return True
     tests = itertools.chain((first,), tests)
-    if k == 2 == len(first[1]):
+    if k == 2 == len(first):
+        mul = spec.mul
         c0, c1 = combs
-        for ((a, b), (c, d)), (r0, r1) in tests:
-            # det [[a + c0[r0], b + c1[r0]], [c + c0[r1], d + c1[r1]]]
-            if (mul(add(a, c0[r0]), add(d, c1[r1]))
-                    == mul(add(b, c1[r0]), add(c, c0[r1]))):
+        for (i, j), (u, v) in tests:
+            if mul(c0[i], c1[v]) == mul(c1[j], c0[u]):
                 return False
         return True
-    for left, codes in tests:
-        if _rank_raw([[add(lj, comb[r]) for lj, comb in zip(li, combs)]
-                      for li, r in zip(left, codes)], spec, cap=k) < k:
+    for test in tests:
+        if _rank_raw([[comb[e] for e, comb in zip(row, combs)] for row in test],
+                     spec, cap=k) < k:
             return False
     return True
 

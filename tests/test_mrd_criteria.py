@@ -11,8 +11,8 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
-from rankforge.mrd_criteria import (_gabidulin_parameter, _is_full_rank_rref,
-                                    _is_rank_one, _kernel_for)
+from rankforge.mrd_criteria import (_gabidulin_hits, _gabidulin_parameter,
+                                    _is_full_rank_rref, _is_rank_one, _kernel_for)
 from rankforge.rank_codes import _min_rank_distance_raw
 
 from conftest import basis_elements
@@ -171,6 +171,44 @@ class TestBlockKernel:
                 mrd += 1
                 assert hits == intersection_hits(spec, X), X
         assert (mrd > 0) == (n <= m)
+
+    @pytest.mark.parametrize("q,m,orbit_step,sample", [
+        (2, 4, 2, None), (3, 3, 1, None), (4, 3, 1, None), (2, 5, 1, 3000)])
+    def test_gabidulin_pairs_match_elimination(self, q, m, orbit_step, sample):
+        # every translation representative of (2,2,4,4), every block of
+        # (3,2,3,3) and of (4,2,3,3) (e = 2), and a seeded sample of
+        # (2,2,4,5), whose valid s form two pairs {1, 4} and {2, 3}: the
+        # hits, tested once per pair, are the s whose phi_s(X) has
+        # elimination rank one, MRD or not; is_gabidulin gives the smallest.
+        # Every union of pairs is reached as a hit set.
+        spec = default_field(q, m)
+        k, n = 2, (4 if q == 2 else 3)
+        w = n - k
+        valid_s = tuple(spec.valid_s_values())
+        kernel = _kernel_for(spec, k, n)
+        if sample is None:
+            flats = itertools.product(range(0, spec.order, orbit_step), repeat=k * w)
+        else:
+            rng = random.Random(f"pairs-{q}-{m}")
+            flats = [[rng.randrange(spec.order) for _ in range(k * w)]
+                     for _ in range(sample)]
+        reached = set()
+        mrd = 0
+        for flat in flats:
+            X = [list(flat[i * w:(i + 1) * w]) for i in range(k)]
+            expected = tuple(
+                s for s in valid_s
+                if _rank_raw([[spec.sub(spec.frobenius(v, s), v) for v in row]
+                              for row in X], spec, cap=2) == 1)
+            assert tuple(_gabidulin_hits(spec, X, valid_s)) == expected, X
+            reached.add(expected)
+            hits = kernel.classify(X)
+            if hits is not None:
+                assert hits == expected, X
+                code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
+                assert is_gabidulin(code) == (expected[0] if expected else None), X
+                mrd += 1
+        assert len(reached) == 2 ** (len(valid_s) // 2) and mrd > 0
 
     @staticmethod
     def assert_self_dual(kernel, blocks):

@@ -233,8 +233,9 @@ class TestDistanceRoutes:
 
 
 class TestBlockKernelLevels:
-    """`_is_mrd_block` at a level t > k against W [I_k | X]^T built entry by
-    entry and eliminated with `_rank_raw`."""
+    """`_is_mrd_block` at every level t >= k against W [I_k | X]^T built
+    entry by entry and eliminated with `_rank_raw`; k = t = 2 checks the
+    determinant branch."""
 
     @staticmethod
     def reference(spec, X, t, n):
@@ -250,7 +251,7 @@ class TestBlockKernelLevels:
                 return False
         return True
 
-    # (2, 4) at t = 3 is where k = 2 leaves the determinant for elimination
+    # (2, 4) and (2, 5) take the determinant at t = 2 and elimination above
     @pytest.mark.parametrize("q", [2, 3])
     @pytest.mark.parametrize("k,n,m", [(1, 4, 2), (2, 4, 2), (2, 5, 2), (3, 5, 3)])
     def test_against_entrywise_product(self, q, k, n, m):
@@ -259,7 +260,7 @@ class TestBlockKernelLevels:
         seen = set()
         for _ in range(40):
             X = [[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
-            for t in range(k + 1, n):
+            for t in range(k, n):
                 got = rank_codes._is_mrd_block(
                     spec, X, rank_codes._echelon_tests(t, k, n, spec))
                 assert got == self.reference(spec, X, t, n), (X, t)
