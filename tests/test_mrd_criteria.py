@@ -172,9 +172,9 @@ class TestBlockKernel:
                 assert hits == intersection_hits(spec, X), X
         assert (mrd > 0) == (n <= m)
 
-    @pytest.mark.parametrize("q,m,orbit_step,sample", [
-        (2, 4, 2, None), (3, 3, 1, None), (4, 3, 1, None), (2, 5, 1, 3000)])
-    def test_gabidulin_pairs_match_elimination(self, q, m, orbit_step, sample):
+    @pytest.mark.parametrize("q,n,m,orbit_step,sample", [
+        (2, 4, 4, 2, None), (3, 3, 3, 1, None), (4, 3, 3, 1, None), (2, 4, 5, 1, 3000)])
+    def test_gabidulin_pairs_match_elimination(self, q, n, m, orbit_step, sample):
         # every translation representative of (2,2,4,4), every block of
         # (3,2,3,3) and of (4,2,3,3) (e = 2), and a seeded sample of
         # (2,2,4,5), whose valid s form two pairs {1, 4} and {2, 3}: the
@@ -182,8 +182,7 @@ class TestBlockKernel:
         # elimination rank one, MRD or not; is_gabidulin gives the smallest.
         # Every union of pairs is reached as a hit set.
         spec = default_field(q, m)
-        k, n = 2, (4 if q == 2 else 3)
-        w = n - k
+        k, w = 2, n - 2
         valid_s = tuple(spec.valid_s_values())
         kernel = _kernel_for(spec, k, n)
         if sample is None:
