@@ -292,9 +292,11 @@ def enumerate_rref(k: int, n: int, spec: FieldSpec):
 
 def _echelon_forms(k, n, spec):
     """The forms of `enumerate_rref`, each as a fresh list of k rows of ints,
-    unchecked.  Pivot-column subsets are visited in lexicographic order;
-    within one pivot set the free entries (right of their row's pivot,
-    outside pivot columns) run through an odometer."""
+    unchecked; `enumerate_rref` is its only caller (the block test takes
+    T(t, n) by pivot pattern from `rank_codes._echelon_tests`).  Pivot-column
+    subsets are visited in lexicographic order; within one pivot set the
+    free entries (right of their row's pivot, outside pivot columns) run
+    through an odometer."""
     for pivots in itertools.combinations(range(n), k):
         free = [(r, c) for r in range(k) for c in range(n)
                 if c > pivots[r] and c not in pivots]

@@ -24,8 +24,11 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
 # rank_codes' block test `_is_mrd_block` at level t = k, then the rank-one
 # test below, on a block X given as k rows of raw element indices.  The
-# census and the trials use the cached `_kernel_for(spec, k, n)`; is_mrd
-# keeps its tests lazy, so a code stops at its first failing test.
+# echelon tests come as one pattern per pivot set (`_echelon_tests`): a
+# 2 x 2 determinant per form at k = 2, and a depth-first walk over each
+# pattern's rows, each row prefix reduced once, at k >= 3.  The census and
+# the trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its
+# patterns lazy, so a code stops at the first pattern with a failing form.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -34,12 +37,14 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 def _is_rank_one(M, mul) -> bool:
     """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
-    M[i][j] p = M[i][j0] M[i0][j] for every (i, j)."""
-    for row0 in M:
+    M[i][j] p = M[i][j0] M[i0][j] for every row i below i0 and column
+    j != j0.  The rows above i0 are zero, and the pivot row and column hold
+    the identity by construction, so neither is compared."""
+    for i0, row0 in enumerate(M):
         for j0, p in enumerate(row0):
             if p:
-                return all(mul(x, p) == mul(row[j0], y)
-                           for row in M for x, y in zip(row, row0))
+                return all(mul(row[j], p) == mul(row[j0], x)
+                           for row in M[i0 + 1:] for j, x in enumerate(row0) if j != j0)
     return False
 
 

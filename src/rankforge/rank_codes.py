@@ -17,8 +17,8 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
 from .field_arith import Element, FieldSpec
-from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_forms, _expanded_rank,
-                        _rank_raw, _rref_in_place, gaussian_binomial,
+from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
+                        _rref_in_place, gaussian_binomial,
                         linearly_independent_over_base)
 
 
@@ -171,18 +171,34 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 
 
 def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
-    """Every W in T(t, n) as a t x k matrix of indices into the combination
-    tables of `_is_mrd_block`: entry (i, j) is W_L[i][j] q^(n-k) + code_i,
-    where code_i spells row i of W_R in base-q digits, lowest first.  The
-    only form with every code 0, [I_k | 0] at t = k, passes every block and
-    is skipped."""
+    """T(t, n), one pattern per pivot set, as indices into the combination
+    tables of `_is_mrd_block`.
+
+    Once the pivot set of a reduced row echelon form is fixed, the free
+    entries of its rows are independent, so the set's forms are exactly the
+    product of its rows' choices.  A pattern is the tuple of its t rows,
+    each the tuple of that row's choices.  A choice is a k-tuple: entry j is
+    W_L[i][j] q^(n-k) + code_i, where code_i spells row i of W_R in base-q
+    digits, lowest first.  [I_k | 0] stays in its pattern; it passes every
+    block.
+    """
     check_budget(gaussian_binomial(n, t, spec.q), f"echelon-form enumeration T({t},{n})")
-    shift = spec.q ** (n - k)
-    for W in _echelon_forms(t, n, spec):
-        codes = [spec.from_digits(row[k:]) for row in W]
-        if any(codes):
-            yield tuple(tuple(x * shift + code for x in row[:k])
-                        for row, code in zip(W, codes))
+    q = spec.q
+    shift = q ** (n - k)
+    for pivots in itertools.combinations(range(n), t):
+        pattern = []
+        for p in pivots:
+            free = [c for c in range(p + 1, n) if c not in pivots]
+            choices = []
+            for values in itertools.product(range(q), repeat=len(free)):
+                row = [0] * n
+                row[p] = 1
+                for c, v in zip(free, values):
+                    row[c] = v
+                code = spec.from_digits(row[k:])
+                choices.append(tuple(x * shift + code for x in row[:k]))
+            pattern.append(tuple(choices))
+        yield tuple(pattern)
 
 
 def _combinations(spec: FieldSpec, row):
@@ -198,13 +214,15 @@ def _combinations(spec: FieldSpec, row):
 
 def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     """The echelon identity at one level t: True iff W [I_k | X]^T =
-    W_L + W_R X^T has rank k = len(X) for every test of T(t, n).
+    W_L + W_R X^T has rank k = len(X) for every W of T(t, n).
 
     Column j of that matrix holds F_q-combinations of (row j of X, 1): the
-    block's tables list them all, so a test (`_echelon_tests`) is a matrix
-    of table indices and each entry one lookup.  The first test decides,
-    once per call, between a determinant for every test (k = t = 2) and
-    elimination (any other shape).
+    block's tables list them all, so a row of W is a k-tuple of table
+    indices and each entry one lookup.  `tests` holds T(t, n) as pivot
+    patterns (`_echelon_tests`).  The first pattern decides, once per call,
+    the loop: k = t = 2 takes the determinant of every form, reading the
+    first row's entries once per first-row choice; every other shape walks
+    each pattern's rows depth first (`_pattern_passes`).
     """
     k = len(X)
     combs = [_combinations(spec, (*row, 1)) for row in X]
@@ -216,15 +234,68 @@ def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     if k == 2 == len(first):
         mul = spec.mul
         c0, c1 = combs
-        for (i, j), (u, v) in tests:
-            if mul(c0[i], c1[v]) == mul(c1[j], c0[u]):
-                return False
+        for first_row, last_row in tests:
+            for i, j in first_row:
+                a, b = c0[i], c1[j]
+                for u, v in last_row:
+                    if mul(c0[u], b) == mul(c1[v], a):
+                        return False
         return True
-    for test in tests:
-        if _rank_raw([[comb[e] for e, comb in zip(row, combs)] for row in test],
-                     spec, cap=k) < k:
+    return all(_pattern_passes(spec, combs, pattern, 0, []) for pattern in tests)
+
+
+def _pattern_passes(spec: FieldSpec, combs, pattern, depth: int, basis) -> bool:
+    """True iff every choice of rows depth, depth + 1, ... of `pattern`
+    completes a row prefix to rank k = len(combs).  `basis` is the
+    prefix's RREF over F_{q^m}, as (pivot column, row) pairs with 1 at the
+    pivot, so each prefix is reduced once for every form that extends it.
+
+    A prefix of rank k passes its whole subtree; the walk never descends
+    into one.  A dependent choice leaves the prefix's span, and so its
+    subtree, unchanged: that subtree is walked once per row, and fails at
+    once if the rows left cannot reach rank k.  At rank k - 1 only column f
+    is not a pivot, so a choice r is dependent iff r[f] = sum_i r[p_i] b_i[f]
+    (entries read through the tables): k - 1 products and no elimination.
+    """
+    k = len(combs)
+    rank = len(basis)
+    rows_after = len(pattern) - depth - 1
+    add, sub, mul = spec.add, spec.sub, spec.mul
+    if rank == k - 1:
+        pivots = [p for p, _ in basis]
+        f = next(j for j in range(k) if j not in pivots)
+        comb_f = combs[f]
+        terms = [(p, combs[p], b[f]) for p, b in basis]
+        for r in pattern[depth]:
+            s = 0
+            for p, comb, c in terms:
+                s = add(s, mul(comb[r[p]], c))
+            if comb_f[r[f]] == s:
+                return rows_after > 0 and _pattern_passes(spec, combs, pattern,
+                                                          depth + 1, basis)
+        return True
+    stay = False
+    for r in pattern[depth]:
+        v = [comb[e] for e, comb in zip(r, combs)]
+        for p, b in basis:
+            x = v[p]
+            if x:
+                v = [sub(y, mul(x, z)) for y, z in zip(v, b)]
+        c = next((j for j, y in enumerate(v) if y), None)
+        if c is None:
+            if rank + rows_after < k:
+                return False
+            stay = True
+            continue
+        if v[c] != 1:
+            x = spec.inv(v[c])
+            v = [mul(x, y) for y in v]
+        grown = [(p, [sub(y, mul(b[c], z)) for y, z in zip(b, v)] if b[c] else b)
+                 for p, b in basis]
+        grown.append((c, v))
+        if not _pattern_passes(spec, combs, pattern, depth + 1, grown):
             return False
-    return True
+    return not stay or _pattern_passes(spec, combs, pattern, depth + 1, basis)
 
 
 def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:

@@ -48,15 +48,15 @@ def _counts(result):
 
 # the largest m, for each (q, k, n) with 1 <= k < n <= 5, up to which the
 # translation-only scan took under 0.2 s at every m (one run each on a
-# 2-vCPU VM, Python 3.11.7); m - 1 < n - k has no representatives, and
-# k > n - k scans the dual shape
+# 2-vCPU VM, Python 3.11.7, with the pivot-pattern kernel); m - 1 < n - k
+# has no representatives, and k > n - k scans the dual shape
 ORACLE_MAX_M = {
-    (2, 1, 2): 12, (2, 1, 3): 6, (2, 2, 3): 6, (2, 1, 4): 4, (2, 2, 4): 4,
-    (2, 3, 4): 4, (2, 1, 5): 3, (2, 2, 5): 3, (2, 3, 5): 2, (2, 4, 5): 3,
+    (2, 1, 2): 13, (2, 1, 3): 7, (2, 2, 3): 7, (2, 1, 4): 5, (2, 2, 4): 4,
+    (2, 3, 4): 4, (2, 1, 5): 4, (2, 2, 5): 3, (2, 3, 5): 2, (2, 4, 5): 3,
     (3, 1, 2): 8, (3, 1, 3): 4, (3, 2, 3): 4, (3, 1, 4): 3, (3, 2, 4): 2,
-    (3, 3, 4): 2, (3, 1, 5): 2, (3, 2, 5): 2, (3, 3, 5): 1, (3, 4, 5): 2,
-    (4, 1, 2): 6, (4, 1, 3): 3, (4, 2, 3): 3, (4, 1, 4): 2, (4, 2, 4): 2,
-    (4, 3, 4): 2, (4, 1, 5): 1, (4, 2, 5): 1, (4, 3, 5): 1, (4, 4, 5): 1,
+    (3, 3, 4): 3, (3, 1, 5): 2, (3, 2, 5): 2, (3, 3, 5): 1, (3, 4, 5): 2,
+    (4, 1, 2): 6, (4, 1, 3): 4, (4, 2, 3): 4, (4, 1, 4): 2, (4, 2, 4): 2,
+    (4, 3, 4): 2, (4, 1, 5): 2, (4, 2, 5): 1, (4, 3, 5): 1, (4, 4, 5): 1,
 }
 ORACLE_GRID = [(q, k, n, m) for (q, k, n), top in sorted(ORACLE_MAX_M.items())
                for m in range(1, top + 1)]

@@ -149,6 +149,30 @@ class TestBlockKernel:
                     ranks.add(rank)
         assert ranks == {0, 1, 2}
 
+    def test_rank_one_exhaustive_small(self):
+        # every 2 x 2 and 2 x 3 matrix over F_4, zero rows and the zero
+        # matrix included, then a seeded 3 x 3 sample over F_9 that mixes
+        # products u v^T with sparse matrices
+        f4 = default_field(2, 2)
+        for r, c in [(2, 2), (2, 3)]:
+            for flat in itertools.product(range(f4.order), repeat=r * c):
+                M = [list(flat[i * c:(i + 1) * c]) for i in range(r)]
+                assert _is_rank_one(M, f4.mul) == (_rank_raw(M, f4, cap=2) == 1), M
+        f9 = default_field(3, 2)
+        rng = random.Random(9)
+
+        def sparse(size):
+            return [rng.choice((0, rng.randrange(f9.order))) for _ in range(size)]
+
+        ranks = set()
+        for _ in range(1500):
+            u, v = sparse(3), sparse(3)
+            for M in ([[f9.mul(a, b) for b in v] for a in u],
+                      [sparse(3) for _ in range(3)]):
+                assert _is_rank_one(M, f9.mul) == (_rank_raw(M, f9, cap=2) == 1), M
+                ranks.add(_rank_raw(M, f9))
+        assert ranks == {0, 1, 2, 3}
+
     @pytest.mark.parametrize("q,k,n,m,orbit_step", [
         (2, 2, 3, 3, 1), (2, 2, 3, 4, 1), (3, 2, 3, 2, 1), (3, 2, 3, 3, 1),
         (2, 2, 4, 4, 2)])

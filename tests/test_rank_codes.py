@@ -1,5 +1,7 @@
 import itertools
 import random
+import re
+from collections import Counter
 
 import pytest
 
@@ -9,7 +11,8 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank_distance)
 from rankforge import rank_codes
-from rankforge.fq_linalg import BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref
+from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
+                                 gaussian_binomial)
 
 from conftest import basis_elements
 
@@ -232,10 +235,52 @@ class TestDistanceRoutes:
         assert called == [route]
 
 
+class TestEchelonPatterns:
+    """`_echelon_tests` decoded back to W: choice j of row i is
+    W_L[i][j] q^(n-k) + code_i, code_i being row i of W_R in base q."""
+
+    @staticmethod
+    def decode(rows, k, n, q):
+        shift = q ** (n - k)
+        W = []
+        for choice in rows:
+            codes = {e % shift for e in choice}
+            assert len(codes) == 1, choice
+            code = codes.pop()
+            W.append(tuple(e // shift for e in choice)
+                     + tuple(code // q ** d % q for d in range(n - k)))
+        return tuple(W)
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_patterns_are_enumerate_rref(self, q, monkeypatch):
+        # every product element of every pattern is a form of T(t, n), each
+        # form once; the budget check keeps its count and message
+        spec = default_field(q, 1)
+        for n in range(2, 6):
+            for t in range(1, n):
+                count = gaussian_binomial(n, t, q)
+                forms = Counter(tuple(map(tuple, W.entries))
+                                for W in enumerate_rref(t, n, spec))
+                assert len(forms) == count
+                for k in range(1, t + 1):
+                    patterns = list(rank_codes._echelon_tests(t, k, n, spec))
+                    assert {len(pattern) for pattern in patterns} == {t}
+                    decoded = Counter(self.decode(rows, k, n, q) for pattern in patterns
+                                      for rows in itertools.product(*pattern))
+                    assert decoded == forms
+                    assert sum(decoded.values()) == count
+                    monkeypatch.setenv("RANKFORGE_BUDGET", str(count - 1))
+                    message = (f"echelon-form enumeration T({t},{n}) needs {count} "
+                               f"steps which exceeds the budget {count - 1}")
+                    with pytest.raises(BudgetExceededError, match=re.escape(message)):
+                        next(rank_codes._echelon_tests(t, k, n, spec))
+                    monkeypatch.delenv("RANKFORGE_BUDGET")
+
+
 class TestBlockKernelLevels:
     """`_is_mrd_block` at every level t >= k against W [I_k | X]^T built
     entry by entry and eliminated with `_rank_raw`; k = t = 2 checks the
-    determinant branch."""
+    determinant loop, every other level the pivot-pattern walk."""
 
     @staticmethod
     def reference(spec, X, t, n):
@@ -251,9 +296,12 @@ class TestBlockKernelLevels:
                 return False
         return True
 
-    # (2, 4) and (2, 5) take the determinant at t = 2 and elimination above
-    @pytest.mark.parametrize("q", [2, 3])
-    @pytest.mark.parametrize("k,n,m", [(1, 4, 2), (2, 4, 2), (2, 5, 2), (3, 5, 3)])
+    # (2, 4) and (2, 5) take the determinant at t = 2 and the walk above;
+    # (4, 6, 3) at q = 2 walks k = 4 at t = 4 and a pruned t = 5, and
+    # (2, 4, 2) at q = 4 has an F_q with e = 2
+    @pytest.mark.parametrize("k,n,m,q", [
+        (k, n, m, q) for k, n, m in [(1, 4, 2), (2, 4, 2), (2, 5, 2), (3, 5, 3)]
+        for q in (2, 3)] + [(4, 6, 3, 2), (2, 4, 2, 4)])
     def test_against_entrywise_product(self, q, k, n, m):
         spec = default_field(q, m)
         rng = random.Random(f"{q}-{m}-{k}-{n}")
