@@ -24,10 +24,11 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
 # rank_codes' block test `_is_mrd_block` at level t = k, then the rank-one
 # test below, on a block X given as k rows of raw element indices.  The
-# echelon tests come as one pattern per pivot set (`_echelon_tests`): a
-# 2 x 2 determinant per form at k = 2, and a depth-first walk over each
-# pattern's rows, each row prefix reduced once, at k >= 3.  The census and
-# the trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its
+# echelon tests come as one pattern per pivot set (`_echelon_tests`).  At
+# k = 2 a block passes iff it maps the points of PG(n - 1, q) to nonzero,
+# pairwise non-proportional images; at k = 1 and k >= 3 a depth-first walk
+# runs over each pattern's rows, each row prefix reduced once.  The census
+# and the trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its
 # patterns lazy, so a code stops at the first pattern with a failing form.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)

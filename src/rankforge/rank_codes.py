@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
@@ -219,10 +220,16 @@ def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     Column j of that matrix holds F_q-combinations of (row j of X, 1): the
     block's tables list them all, so a row of W is a k-tuple of table
     indices and each entry one lookup.  `tests` holds T(t, n) as pivot
-    patterns (`_echelon_tests`).  The first pattern decides, once per call,
-    the loop: k = t = 2 takes the determinant of every form, reading the
-    first row's entries once per first-row choice; every other shape walks
-    each pattern's rows depth first (`_pattern_passes`).
+    patterns (`_echelon_tests`), and its first pattern gives t.
+
+    At k = t = 2 a form W fails iff the images (w g_0, w g_1) of its two
+    rows are dependent, and any two distinct rows of T(1, n), the
+    normalised w, span a form of T(2, n).  So the block passes iff their
+    images are nonzero and pairwise non-proportional: the ratios
+    w g_0 / w g_1, infinity where w g_1 = 0, are all distinct.  A zero
+    image needs no test of its own: if w_0 maps to 0, then w and w + w_0
+    map to one image for every other w, two points with one ratio.  Every
+    other shape walks each pattern's rows depth first (`_pattern_passes`).
     """
     k = len(X)
     combs = [_combinations(spec, (*row, 1)) for row in X]
@@ -230,18 +237,26 @@ def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
     first = next(tests, None)
     if first is None:
         return True
-    tests = itertools.chain((first,), tests)
     if k == 2 == len(first):
-        mul = spec.mul
+        mul, inv, infinity = spec.mul, spec.inv, spec.order
         c0, c1 = combs
-        for first_row, last_row in tests:
-            for i, j in first_row:
-                a, b = c0[i], c1[j]
-                for u, v in last_row:
-                    if mul(c0[u], b) == mul(c1[v], a):
-                        return False
+        inv1 = [inv(b) if b else 0 for b in c1]
+        seen = set()
+        for i, j in _points(spec, len(X[0]) + 2):
+            r = mul(c0[i], inv1[j]) if c1[j] else infinity
+            if r in seen:
+                return False
+            seen.add(r)
         return True
-    return all(_pattern_passes(spec, combs, pattern, 0, []) for pattern in tests)
+    return all(_pattern_passes(spec, combs, pattern, 0, [])
+               for pattern in itertools.chain((first,), tests))
+
+
+@lru_cache(maxsize=None)
+def _points(spec: FieldSpec, n: int):
+    """T(1, n) for a 2-row block: the normalised rows w of F_q^n as index
+    pairs (i, j), c0[i] = w g_0 and c1[j] = w g_1 in `_is_mrd_block`."""
+    return tuple(choice for (row,) in _echelon_tests(1, 2, n, spec) for choice in row)
 
 
 def _pattern_passes(spec: FieldSpec, combs, pattern, depth: int, basis) -> bool:
@@ -322,16 +337,15 @@ def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 def min_rank_distance(code: RankCode) -> int:
     """Minimum rank distance, exact.
 
-    Takes whichever of two routes needs fewer field operations for
-    (q, m, k, n): the echelon identity over every level r = 1..n-k,
-    n k sum_r (n - r) [n, r]_q, or the projective codeword scan,
-    n (q^(mk) - 1) / (q^m - 1).  Each route checks the enumeration budget
-    on its own count.
+    Takes whichever of two routes costs fewer field operations for
+    (q, m, k, n): the echelon identity, about k per form over every level
+    t = k..n-1 it may visit, k sum_t [n, t]_q, or the projective codeword
+    scan, n min(n, m) per word for its (q^(mk) - 1) / (q^m - 1) words.
+    Each route checks the enumeration budget on its own count.
     """
     spec, k, n = code.spec, code.k, code.n
-    support_ops = n * k * sum((n - r) * gaussian_binomial(n, r, spec.q)
-                              for r in range(1, n - k + 1))
-    scan_ops = n * (spec.order ** k - 1) // (spec.order - 1)
+    support_ops = k * sum(gaussian_binomial(n, t, spec.q) for t in range(k, n))
+    scan_ops = n * min(n, spec.m) * (spec.order ** k - 1) // (spec.order - 1)
     route = _min_rank_distance_support if support_ops < scan_ops else _min_rank_distance_raw
     return route(spec, code.canonical.entries, k, n)
 

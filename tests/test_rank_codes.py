@@ -12,7 +12,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        random_isometry, random_systematic_code, rank_distance)
 from rankforge import rank_codes
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
-                                 gaussian_binomial)
+                                 gaussian_binomial, linearly_independent_over_base)
 
 from conftest import basis_elements
 
@@ -221,6 +221,13 @@ class TestDistanceRoutes:
     @pytest.mark.parametrize("q,m,n,k,route", [
         (2, 6, 6, 2, "_min_rank_distance_raw"),
         (3, 5, 5, 3, "_min_rank_distance_support"),
+        # priced by what the pattern walk costs, these four are several
+        # times faster by the echelon identity than by the scan
+        (3, 5, 5, 2, "_min_rank_distance_support"),
+        (2, 5, 5, 3, "_min_rank_distance_support"),
+        (2, 6, 6, 3, "_min_rank_distance_support"),
+        (3, 4, 4, 2, "_min_rank_distance_support"),
+        (2, 6, 6, 1, "_min_rank_distance_raw"),
     ])
     def test_route_choice(self, monkeypatch, q, m, n, k, route):
         spec = default_field(q, m)
@@ -280,7 +287,7 @@ class TestEchelonPatterns:
 class TestBlockKernelLevels:
     """`_is_mrd_block` at every level t >= k against W [I_k | X]^T built
     entry by entry and eliminated with `_rank_raw`; k = t = 2 checks the
-    determinant loop, every other level the pivot-pattern walk."""
+    point map, every other level the pivot-pattern walk."""
 
     @staticmethod
     def reference(spec, X, t, n):
@@ -296,7 +303,7 @@ class TestBlockKernelLevels:
                 return False
         return True
 
-    # (2, 4) and (2, 5) take the determinant at t = 2 and the walk above;
+    # (2, 4) and (2, 5) take the point map at t = 2 and the walk above;
     # (4, 6, 3) at q = 2 walks k = 4 at t = 4 and a pruned t = 5, and
     # (2, 4, 2) at q = 4 has an F_q with e = 2
     @pytest.mark.parametrize("k,n,m,q", [
@@ -313,6 +320,63 @@ class TestBlockKernelLevels:
                     spec, X, rank_codes._echelon_tests(t, k, n, spec))
                 assert got == self.reference(spec, X, t, n), (X, t)
                 seen.add(got)
+        assert seen == {False, True}
+
+
+class TestPointMap:
+    """`_is_mrd_block` at k = t = 2, where a block passes iff the images of
+    the points of PG(n - 1, q) are nonzero and pairwise non-proportional,
+    against two oracles that share none of its code: the projective scan,
+    and W [I_2 | X]^T built entry by entry for every W of T(2, n)."""
+
+    @staticmethod
+    def blocks(spec, n, count, rng):
+        """count uniform blocks, then the blocks of three Gabidulin codes,
+        which are MRD since n <= m."""
+        out = [[[rng.randrange(spec.order) for _ in range(n - 2)] for _ in range(2)]
+               for _ in range(count)]
+        for s in (1, 1, spec.m - 1):
+            while True:
+                g = [spec.element(rng.randrange(1, spec.order)) for _ in range(n)]
+                if linearly_independent_over_base(g):
+                    break
+            out.append(gabidulin(g, s, 2).systematic_X.copy_entries())
+        return out
+
+    @pytest.mark.parametrize("q,m,n", [(2, 3, 4), (3, 2, 4)])
+    def test_every_block_against_the_scan(self, q, m, n):
+        # (q^n - 1)/(q - 1) > q^m + 1 here (15 > 9, 40 > 10): the q^m + 1
+        # ratios cannot keep every point apart, so no block passes
+        spec = default_field(q, m)
+        assert (q ** n - 1) // (q - 1) > spec.order + 1
+        tests = tuple(rank_codes._echelon_tests(2, 2, n, spec))
+        w = n - 2
+        for flat in itertools.product(range(spec.order), repeat=2 * w):
+            X = [list(flat[:w]), list(flat[w:])]
+            rows = [[1, 0] + X[0], [0, 1] + X[1]]
+            d = rank_codes._min_rank_distance_raw(spec, rows, 2, n)
+            assert d < n - 1, X
+            assert not rank_codes._is_mrd_block(spec, X, tests), X
+
+    # random blocks at (2, 5, 4) and (2, 8, 5) take both verdicts; at
+    # (2, 6, 6) and at q = 4 (e = 2) most fail, and the Gabidulin
+    # blocks pass
+    @pytest.mark.parametrize("q,m,n,count,oracle", [
+        (2, 5, 4, 100, "scan"), (2, 8, 5, 30, "entrywise"),
+        (2, 6, 6, 12, "entrywise"), (4, 4, 4, 12, "entrywise")])
+    def test_sampled_blocks(self, q, m, n, count, oracle):
+        spec = default_field(q, m)
+        tests = tuple(rank_codes._echelon_tests(2, 2, n, spec))
+        seen = set()
+        for X in self.blocks(spec, n, count, random.Random(f"{q}-{m}-{n}")):
+            if oracle == "scan":
+                rows = [[1, 0] + X[0], [0, 1] + X[1]]
+                want = rank_codes._min_rank_distance_raw(spec, rows, 2, n) == n - 1
+            else:
+                want = TestBlockKernelLevels.reference(spec, X, 2, n)
+            got = rank_codes._is_mrd_block(spec, X, tests)
+            assert got == want, X
+            seen.add(got)
         assert seen == {False, True}
 
 
