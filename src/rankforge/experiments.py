@@ -298,14 +298,18 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     Blocks are visited orbit-major: with k and n - k those of the scanned
     shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of
     orbit v div that, whose entry (i, j) for i >= 1 is q times the
-    base-q^(m-1) digit (i-1)(n-k) + j of t, lowest first.  Verdicts are
-    cross-validated against the brute-force minimum-distance oracle on
-    every `oracle_stride`-th visit (default every 100th).  When `checkpoint_path` is given, progress is persisted
-    before the first block (so an unwritable path fails at once), then
-    every 2^16 visits, and an interrupted run resumes from the stored
-    cursor; the checkpoint binds (q, k, n, m), the field tower and the
-    reduction (scanned k, orbits, visits), and holds the visit cursor and
-    the orbit-weighted counts.  `stop_after` bounds the number of visits
+    base-q^(m-1) digit (i-1)(n-k) + j of t, lowest first.  When the scanned
+    shape has two rows, the kernel's first-row stage is built once per orbit
+    (once for the orbit a resume starts in) and each visit runs only the
+    last-row stage; every other shape classifies each block whole.  Verdicts
+    are cross-validated against the brute-force minimum-distance oracle on
+    every `oracle_stride`-th visit (default every 100th).  When
+    `checkpoint_path` is given, progress is persisted before the first
+    block (so an unwritable path fails at once), then every 2^16 visits,
+    and an interrupted run resumes from the stored cursor; the checkpoint
+    binds (q, k, n, m), the field tower and the reduction (scanned k,
+    orbits, visits), and holds the visit cursor and the orbit-weighted
+    counts.  `stop_after` bounds the number of visits
     in this call (a checkpoint is written and None returned when the scan
     is not finished), so it needs `checkpoint_path`.  The budget bounds the
     subspaces the orbit walk visits and the number of visited blocks; both
@@ -368,6 +372,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
     end = visits if stop_after is None else min(visits, cursor + stop_after)
+    stage_orbit = None
     for v in range(cursor, end):
         o, rest = divmod(v, inner)
         first_row, weight = orbits[o]
@@ -376,7 +381,12 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             rest, digit = divmod(rest, radix)
             flat.append(q * digit)
         X = [first_row] + [flat[i * w:(i + 1) * w] for i in range(ks - 1)]
-        hits = kernel.classify(X)
+        if ks != 2:
+            hits = kernel.classify(X)
+        else:
+            if o != stage_orbit:
+                stage, stage_orbit = kernel.first_row(first_row), o
+            hits = kernel.last_row(stage, X[1])
         if hits is not None:
             mrd += weight
             if hits:

@@ -14,27 +14,32 @@ from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import (RankCode, _echelon_tests, _fq_combination,
-                         _is_mrd_block)
+from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
+                         _fq_combination, _is_mrd_block, _last_row_passes,
+                         _walk_passes)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 
 # --------------------------------------------------------------------------
 # The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
-# rank_codes' block test `_is_mrd_block` at level t = k, then the rank-one
-# test below, on a block X given as k rows of raw element indices.  The
-# echelon tests come as one pattern per pivot set (`_echelon_tests`).  At
-# k = 2 a block passes iff it maps the points of PG(n - 1, q) to nonzero,
-# pairwise non-proportional images; at k = 1 and k >= 3 a depth-first walk
-# runs over each pattern's rows, each row prefix reduced once.  The census
-# and the trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its
-# patterns lazy, so a code stops at the first pattern with a failing form.
+# rank_codes' block test at level t = k, then the rank-one test below, on a
+# block X given as k rows of raw element indices.  At k = 2 both run in two
+# stages: the first-row stage holds what reads row 0 alone (the point map's
+# inverses, `_first_row_stage`, and phi_s(row 0) per class {s, m - s}, each
+# computed when first needed), and the last-row stage classifies one row 1
+# against it.  The census builds the first-row stage once per orbit; a
+# single block builds it for itself, and phi_s(row 0) only once the point
+# test has passed.  At k = 1 and k >= 3 a depth-first walk runs over each
+# pivot pattern's rows, each row prefix reduced once.  The census and the
+# trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its patterns
+# lazy, so a code stops at the first pattern with a failing form.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
 # field automorphism applied entrywise keeps every minor's vanishing.  So
-# one rank-one test serves the pair {s, m - s}.
+# one rank-one test, on phi_s for the smaller s of the pair, serves the pair
+# {s, m - s}.
 
 def _is_rank_one(M, mul) -> bool:
     """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
@@ -49,24 +54,35 @@ def _is_rank_one(M, mul) -> bool:
     return False
 
 
-def _gabidulin_hits(spec: FieldSpec, X, s_values):
+def _gabidulin_hits(spec: FieldSpec, X, s_values, phi0=None):
     """Yield, in order, each s in s_values for which X^(q^s) - X has rank
     one, tested through the 2 x 2 minors through its first nonzero entry.
-    s and m - s share one test (see above)."""
-    sub, frobenius, mul = spec.sub, spec.frobenius, spec.mul
+    s and m - s share one test (see above), run on phi_s for the smaller s
+    of the pair.  `phi0`, given for a 2-row X, holds phi_s(X[0]) by that s
+    for the blocks that share X[0]; a pair it lacks is computed and stored
+    in it."""
+    sub, frobenius, mul, m = spec.sub, spec.frobenius, spec.mul, spec.m
     tested = {}
     for s in s_values:
-        pair = min(s, spec.m - s)
+        pair = min(s, m - s)
         if pair not in tested:
-            tested[pair] = _is_rank_one(
-                [[sub(frobenius(v, s), v) for v in row] for row in X], mul)
+            if phi0 is None:
+                M = [[sub(frobenius(v, pair), v) for v in row] for row in X]
+            else:
+                first = phi0.get(pair)
+                if first is None:
+                    first = phi0[pair] = [sub(frobenius(v, pair), v) for v in X[0]]
+                M = [first, [sub(frobenius(v, pair), v) for v in X[1]]]
+            tested[pair] = _is_rank_one(M, mul)
         if tested[pair]:
             yield s
 
 
 class _BlockKernel:
-    """The classifier kernel for one (spec, k, n) with 1 <= k < n: the
-    materialised echelon test set and the valid Gabidulin parameters."""
+    """The classifier kernel for one (spec, k, n) with 1 <= k < n: the valid
+    Gabidulin parameters and, for k != 2, the materialised echelon test
+    set.  At k = 2 the point map needs no forms; the T(2, n) budget check
+    still runs here."""
 
     __slots__ = ("spec", "valid_s", "tests")
 
@@ -75,14 +91,29 @@ class _BlockKernel:
             raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         self.spec = spec
         self.valid_s = tuple(spec.valid_s_values())
-        self.tests = tuple(_echelon_tests(k, k, n, spec))
+        tests = _echelon_tests(k, k, n, spec)
+        self.tests = None if k == 2 else tuple(tests)
 
     def classify(self, X):
         """None for a non-MRD block X, else the tuple of every s for which X
         is Gabidulin (empty for a non-Gabidulin MRD block)."""
-        if not _is_mrd_block(self.spec, X, self.tests):
+        if self.tests is None:
+            return self.last_row(self.first_row(X[0]), X[1])
+        if not _walk_passes(self.spec, X, self.tests):
             return None
         return tuple(_gabidulin_hits(self.spec, X, self.valid_s))
+
+    def first_row(self, row):
+        """The first-row stage of a 2-row block with this row 0, for
+        `last_row`: (row, the point map's stage, phi_s(row) by pair)."""
+        return row, _first_row_stage(self.spec, row), {}
+
+    def last_row(self, stage, row):
+        """`classify` of the block (stage's row 0, row)."""
+        first, point_stage, phi0 = stage
+        if not _last_row_passes(self.spec, point_stage, row):
+            return None
+        return tuple(_gabidulin_hits(self.spec, (first, row), self.valid_s, phi0))
 
 
 @lru_cache(maxsize=None)
@@ -101,7 +132,7 @@ def is_mrd(code: RankCode) -> bool:
         # a singular leading k x k block leaves a nonzero codeword on the
         # last n - k coordinates, so the distance is at most n - k
         return False
-    return _is_mrd_block(code.spec, X.entries, _echelon_tests(k, k, n, code.spec))
+    return _is_mrd_block(code.spec, X.entries, k)
 
 
 def is_mrd_fullrank_variant(code: RankCode) -> bool:

@@ -4,7 +4,8 @@ A code is held by a generator matrix; the reduced row echelon form is
 computed once at construction and serves both as the canonical form for
 row-space comparison and as the source of the systematic block.  The
 echelon-identity block test `_is_mrd_block` lives here: it decides the
-minimum rank distance level by level, and mrd_criteria classifies with it.
+minimum rank distance level by level, and mrd_criteria classifies with it
+and with its two k = 2 stages, `_first_row_stage` and `_last_row_passes`.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 
 def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
     """T(t, n), one pattern per pivot set, as indices into the combination
-    tables of `_is_mrd_block`.
+    tables of the pattern walk (`_walk_passes`).
 
     Once the pivot set of a reduced row echelon form is fixed, the free
     entries of its rows are independent, so the set's forms are exactly the
@@ -181,25 +182,27 @@ def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
     each the tuple of that row's choices.  A choice is a k-tuple: entry j is
     W_L[i][j] q^(n-k) + code_i, where code_i spells row i of W_R in base-q
     digits, lowest first.  [I_k | 0] stays in its pattern; it passes every
-    block.
+    block.  The budget check runs at the call; the patterns are built as
+    they are pulled.
     """
     check_budget(gaussian_binomial(n, t, spec.q), f"echelon-form enumeration T({t},{n})")
     q = spec.q
     shift = q ** (n - k)
-    for pivots in itertools.combinations(range(n), t):
-        pattern = []
-        for p in pivots:
-            free = [c for c in range(p + 1, n) if c not in pivots]
-            choices = []
-            for values in itertools.product(range(q), repeat=len(free)):
-                row = [0] * n
-                row[p] = 1
-                for c, v in zip(free, values):
-                    row[c] = v
-                code = spec.from_digits(row[k:])
-                choices.append(tuple(x * shift + code for x in row[:k]))
-            pattern.append(tuple(choices))
-        yield tuple(pattern)
+
+    def choices(p, pivots):
+        free = [c for c in range(p + 1, n) if c not in pivots]
+        out = []
+        for values in itertools.product(range(q), repeat=len(free)):
+            row = [0] * n
+            row[p] = 1
+            for c, v in zip(free, values):
+                row[c] = v
+            code = spec.from_digits(row[k:])
+            out.append(tuple(x * shift + code for x in row[:k]))
+        return tuple(out)
+
+    return (tuple(choices(p, pivots) for p in pivots)
+            for pivots in itertools.combinations(range(n), t))
 
 
 def _combinations(spec: FieldSpec, row):
@@ -213,50 +216,87 @@ def _combinations(spec: FieldSpec, row):
     return comb
 
 
-def _is_mrd_block(spec: FieldSpec, X, tests) -> bool:
+def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
     """The echelon identity at one level t: True iff W [I_k | X]^T =
     W_L + W_R X^T has rank k = len(X) for every W of T(t, n).
 
-    Column j of that matrix holds F_q-combinations of (row j of X, 1): the
-    block's tables list them all, so a row of W is a k-tuple of table
-    indices and each entry one lookup.  `tests` holds T(t, n) as pivot
-    patterns (`_echelon_tests`), and its first pattern gives t.
-
-    At k = t = 2 a form W fails iff the images (w g_0, w g_1) of its two
-    rows are dependent, and any two distinct rows of T(1, n), the
-    normalised w, span a form of T(2, n).  So the block passes iff their
-    images are nonzero and pairwise non-proportional: the ratios
-    w g_0 / w g_1, infinity where w g_1 = 0, are all distinct.  A zero
-    image needs no test of its own: if w_0 maps to 0, then w and w + w_0
-    map to one image for every other w, two points with one ratio.  Every
-    other shape walks each pattern's rows depth first (`_pattern_passes`).
+    At k = t = 2 the block's two rows go through the two stages of the
+    point map (`_first_row_stage`, `_last_row_passes`) and no form of
+    T(2, n) is built; every other shape walks the pivot patterns of T(t, n)
+    (`_walk_passes`).  Either way the T(t, n) budget check runs first.
     """
     k = len(X)
-    combs = [_combinations(spec, (*row, 1)) for row in X]
-    tests = iter(tests)
-    first = next(tests, None)
-    if first is None:
-        return True
-    if k == 2 == len(first):
-        mul, inv, infinity = spec.mul, spec.inv, spec.order
-        c0, c1 = combs
-        inv1 = [inv(b) if b else 0 for b in c1]
-        seen = set()
-        for i, j in _points(spec, len(X[0]) + 2):
-            r = mul(c0[i], inv1[j]) if c1[j] else infinity
-            if r in seen:
-                return False
-            seen.add(r)
-        return True
-    return all(_pattern_passes(spec, combs, pattern, 0, [])
-               for pattern in itertools.chain((first,), tests))
+    tests = _echelon_tests(t, k, k + len(X[0]), spec)
+    if k == 2 == t:
+        return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
+    return _walk_passes(spec, X, tests)
+
+
+# The k = t = 2 point map, in two stages.  Column j of W [I_2 | X]^T is an
+# F_q-combination of (row j of X, 1), so with c0, c1 the two rows' tables
+# (`_combinations`) a form W fails iff the images (c0[i], c1[j]) of its two
+# rows are dependent, and any two distinct normalised rows w of T(1, n)
+# span a form of T(2, n).  So a block passes iff the images of the
+# (q^n - 1)/(q - 1) points (i, j) are nonzero and pairwise non-proportional:
+# the ratios c1[j]/c0[i], infinity where c0[i] = 0, are all distinct.  The
+# point e_1 has i = 0 and image (0, 1), so it always takes infinity.  Any
+# other zero entry of c0 is the c0[i] of a second point at infinity (or of
+# a zero image), and then the block fails; otherwise every other point has
+# a finite ratio, and the block passes iff those are distinct.  (For a
+# normalised u = (u_0, u') with c0 zero at its index, (u_0, 0, u') and
+# (u_0, 1, u') are two points whose products with the stored inverse 0 are
+# both 0, so the loop would find the failure too; counting the zero entries
+# lets a dependent row 0 fail before the last row's table is built.)  The
+# reciprocal ratios c0/c1 are distinct exactly when these are;
+# this direction puts every inverse on row 0, so the first-row stage, built
+# once for all the last rows that share it, holds them.
+
+def _first_row_stage(spec: FieldSpec, row):
+    """The first-row stage for row 0 of a 2-row block: (the inverse of each
+    entry of its table c0, 0 for a zero entry; the number of zero entries,
+    which is 1 unless (row, 1) is F_q-dependent)."""
+    inv = spec.inv
+    c0 = _combinations(spec, (*row, 1))
+    return [inv(a) if a else 0 for a in c0], c0.count(0)
+
+
+def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
+    """The last-row stage: True iff the block (stage's row 0, row) passes.
+    Forms the ratio c1[j] c0[i]^-1 of each point other than e_1 and stops
+    at the first one already seen."""
+    inv0, zeros = stage
+    if zeros > 1:
+        return False
+    c1 = _combinations(spec, (*row, 1))
+    mul = spec.mul
+    seen = set()
+    for i, j in _points(spec, len(row) + 2):
+        r = mul(c1[j], inv0[i])
+        if r in seen:
+            return False
+        seen.add(r)
+    return True
 
 
 @lru_cache(maxsize=None)
 def _points(spec: FieldSpec, n: int):
-    """T(1, n) for a 2-row block: the normalised rows w of F_q^n as index
-    pairs (i, j), c0[i] = w g_0 and c1[j] = w g_1 in `_is_mrd_block`."""
-    return tuple(choice for (row,) in _echelon_tests(1, 2, n, spec) for choice in row)
+    """T(1, n) minus e_1 for a 2-row block: the other normalised rows w of
+    F_q^n as index pairs (i, j), c0[i] = w g_0 and c1[j] = w g_1."""
+    return tuple(choice for (row,) in _echelon_tests(1, 2, n, spec) for choice in row
+                 if choice[0])
+
+
+def _walk_passes(spec: FieldSpec, X, tests) -> bool:
+    """The echelon identity by the pattern walk: True iff every form of the
+    pivot patterns `tests` (`_echelon_tests`) gives rank k = len(X).
+
+    Column j of W_L + W_R X^T holds F_q-combinations of (row j of X, 1):
+    the block's tables list them all, so a row of W is a k-tuple of table
+    indices and each entry one lookup.  Each pattern's rows are walked
+    depth first (`_pattern_passes`).
+    """
+    combs = [_combinations(spec, (*row, 1)) for row in X]
+    return all(_pattern_passes(spec, combs, pattern, 0, []) for pattern in tests)
 
 
 def _pattern_passes(spec: FieldSpec, combs, pattern, depth: int, basis) -> bool:
@@ -329,7 +369,7 @@ def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     pivots = _rref_in_place(rows, spec)
     X = [[v for c, v in enumerate(row) if c not in pivots] for row in rows]
     for t in range(k, n):
-        if _is_mrd_block(spec, X, _echelon_tests(t, k, n, spec)):
+        if _is_mrd_block(spec, X, t):
             return n - t + 1
     return 1
 

@@ -106,6 +106,31 @@ class TestCensus:
                 assert json.loads(path.read_text())["cursor"] == cursor
             assert resumed == direct
 
+    def test_first_row_stage_built_once_per_orbit(self, tmp_path, monkeypatch):
+        from rankforge.mrd_criteria import _BlockKernel
+        builds = []
+        original = _BlockKernel.first_row
+
+        def counted(self, row):
+            builds.append(tuple(row))
+            return original(self, row)
+
+        monkeypatch.setattr(_BlockKernel, "first_row", counted)
+        direct = census(2, 2, 4, 4)  # 3 orbits of 64 visits
+        assert len(builds) == 3 == len(set(builds))
+        # a resumed run builds the stage once for each orbit its chunk touches
+        path = tmp_path / "census.json"
+        cursor = 0
+        while True:
+            builds.clear()
+            resumed = census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=7)
+            end = min(cursor + 7, 192)
+            assert len(builds) == len({v // 64 for v in range(cursor, end)})
+            cursor = end
+            if resumed is not None:
+                break
+        assert cursor == 192 and resumed == direct
+
     def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
                                                                monkeypatch):
         from rankforge import experiments

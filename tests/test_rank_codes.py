@@ -9,8 +9,10 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        InvalidParameterError, Isometry, RankCode, ShapeError,
                        apply_isometry, default_field, dual_code, gabidulin,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
-                       random_isometry, random_systematic_code, rank_distance)
+                       random_isometry, random_systematic_code, rank1_criterion,
+                       rank_distance)
 from rankforge import rank_codes
+from rankforge.mrd_criteria import _BlockKernel, _kernel_for
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
 
@@ -316,8 +318,7 @@ class TestBlockKernelLevels:
         for _ in range(40):
             X = [[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
             for t in range(k, n):
-                got = rank_codes._is_mrd_block(
-                    spec, X, rank_codes._echelon_tests(t, k, n, spec))
+                got = rank_codes._is_mrd_block(spec, X, t)
                 assert got == self.reference(spec, X, t, n), (X, t)
                 seen.add(got)
         assert seen == {False, True}
@@ -349,14 +350,13 @@ class TestPointMap:
         # ratios cannot keep every point apart, so no block passes
         spec = default_field(q, m)
         assert (q ** n - 1) // (q - 1) > spec.order + 1
-        tests = tuple(rank_codes._echelon_tests(2, 2, n, spec))
         w = n - 2
         for flat in itertools.product(range(spec.order), repeat=2 * w):
             X = [list(flat[:w]), list(flat[w:])]
             rows = [[1, 0] + X[0], [0, 1] + X[1]]
             d = rank_codes._min_rank_distance_raw(spec, rows, 2, n)
             assert d < n - 1, X
-            assert not rank_codes._is_mrd_block(spec, X, tests), X
+            assert not rank_codes._is_mrd_block(spec, X, 2), X
 
     # random blocks at (2, 5, 4) and (2, 8, 5) take both verdicts; at
     # (2, 6, 6) and at q = 4 (e = 2) most fail, and the Gabidulin
@@ -366,7 +366,6 @@ class TestPointMap:
         (2, 6, 6, 12, "entrywise"), (4, 4, 4, 12, "entrywise")])
     def test_sampled_blocks(self, q, m, n, count, oracle):
         spec = default_field(q, m)
-        tests = tuple(rank_codes._echelon_tests(2, 2, n, spec))
         seen = set()
         for X in self.blocks(spec, n, count, random.Random(f"{q}-{m}-{n}")):
             if oracle == "scan":
@@ -374,10 +373,106 @@ class TestPointMap:
                 want = rank_codes._min_rank_distance_raw(spec, rows, 2, n) == n - 1
             else:
                 want = TestBlockKernelLevels.reference(spec, X, 2, n)
-            got = rank_codes._is_mrd_block(spec, X, tests)
+            got = rank_codes._is_mrd_block(spec, X, 2)
             assert got == want, X
             seen.add(got)
         assert seen == {False, True}
+
+
+class TestFirstRowStage:
+    """The k = 2 classifier in two stages: one first-row stage, built once,
+    applied to many last rows (`_BlockKernel.first_row`, `last_row`), as the
+    census does per orbit.  Each verdict is checked against the projective
+    scan and each MRD block's hits against `rank1_criterion` on the whole
+    block, neither of which builds or reads a stage."""
+
+    @staticmethod
+    def check(spec, n, row0, rows):
+        """Apply row0's stage to every row of rows; return the verdicts seen
+        and the number of Gabidulin hits."""
+        kernel = _kernel_for(spec, 2, n)
+        stage = kernel.first_row(row0)
+        verdicts, hits = set(), 0
+        for row in rows:
+            X = [list(row0), list(row)]
+            got = kernel.last_row(stage, row)
+            rows_g = [[1, 0] + X[0], [0, 1] + X[1]]
+            mrd = rank_codes._min_rank_distance_raw(spec, rows_g, 2, n) == n - 1
+            assert (got is not None) == mrd, X
+            if mrd:
+                block = ExtMatrix(spec, X)
+                assert got == tuple(s for s in kernel.valid_s
+                                    if rank1_criterion(block, s)), X
+                hits += bool(got)
+            verdicts.add(mrd)
+        return verdicts, hits
+
+    @staticmethod
+    def gabidulin_block(spec, n, rng):
+        while True:
+            g = [spec.element(rng.randrange(1, spec.order)) for _ in range(n)]
+            if linearly_independent_over_base(g):
+                return gabidulin(g, 1, 2).systematic_X.copy_entries()
+
+    def test_every_last_row_at_2_4_4(self):
+        # first rows: one zero entry (its unit point has a zero image), two
+        # zero entries, (row, 1) dependent over F_q, a Gabidulin block's and
+        # a random one; m = n = 4, so every MRD block is Gabidulin
+        spec = default_field(2, 4)
+        rng = random.Random("stage-2-4-4")
+        a = next(x for x in range(spec.order) if not spec.is_in_base(x))
+        gab = self.gabidulin_block(spec, 4, rng)
+        last_rows = list(itertools.product(range(spec.order), repeat=2))
+        firsts = [(0, a), (0, 0), (1, a), tuple(gab[0]),
+                  (rng.randrange(spec.order), rng.randrange(spec.order))]
+        results = [self.check(spec, 4, row0, last_rows) for row0 in firsts]
+        for verdicts, _ in results[:3]:
+            assert verdicts == {False}
+        verdicts, hits = results[3]
+        assert verdicts == {False, True} and hits > 0
+
+    # (3, 3, 4): (q^n - 1)/(q - 1) = 40 points exceed the q^m + 1 = 28
+    # ratios, so no block passes; (2, 5, 5) has a 2 x 3 phi_s and (4, 4, 4)
+    # an F_q with e = 2
+    @pytest.mark.parametrize("q,m,n", [(3, 3, 4), (3, 4, 4), (2, 5, 5), (4, 4, 4)])
+    def test_sampled(self, q, m, n):
+        spec = default_field(q, m)
+        rng = random.Random(f"stage-{q}-{m}-{n}")
+        blocks = [[[rng.randrange(spec.order) for _ in range(n - 2)] for _ in range(2)]
+                  for _ in range(3)]
+        if n <= m:
+            blocks.append(self.gabidulin_block(spec, n, rng))
+        verdicts, hits = set(), 0
+        for row0, own in blocks:
+            rows = [own] + [[rng.randrange(spec.order) for _ in range(n - 2)]
+                            for _ in range(5)]
+            seen, found = self.check(spec, n, row0, rows)
+            verdicts |= seen
+            hits += found
+        if n <= m:
+            assert verdicts == {False, True} and hits > 0
+        else:
+            assert verdicts == {False}
+
+    def test_two_row_budget(self, monkeypatch):
+        # k = 2 builds no form of T(2, n), yet every k = 2 path refuses on
+        # the T(2, n) count with the enumeration's message
+        spec = default_field(2, 6)
+        code = gabidulin(basis_elements(spec, 6), 1, 2)
+        X = code.systematic_X.entries
+        count = gaussian_binomial(6, 2, 2)
+        message = re.escape(f"echelon-form enumeration T(2,6) needs {count} steps "
+                            f"which exceeds the budget {count - 1}")
+        monkeypatch.setenv("RANKFORGE_BUDGET", str(count - 1))
+        with pytest.raises(BudgetExceededError, match=message):
+            is_mrd(code)
+        with pytest.raises(BudgetExceededError, match=message):
+            rank_codes._is_mrd_block(spec, X, 2)
+        with pytest.raises(BudgetExceededError, match=message):
+            _BlockKernel(spec, 2, 6)
+        monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
+        assert is_mrd(code)
+        assert _BlockKernel(spec, 2, 6).classify(X) == (1, 5)
 
 
 class TestSupportRouteGenerators:
