@@ -96,12 +96,16 @@ class _BlockKernel:
 
     def classify(self, X):
         """None for a non-MRD block X, else the tuple of every s for which X
-        is Gabidulin (empty for a non-Gabidulin MRD block)."""
+        is Gabidulin (empty for a non-Gabidulin MRD block).  A 2-row block
+        runs both point-map stages; nothing is kept for reuse."""
+        spec = self.spec
         if self.tests is None:
-            return self.last_row(self.first_row(X[0]), X[1])
-        if not _walk_passes(self.spec, X, self.tests):
+            passes = _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
+        else:
+            passes = _walk_passes(spec, X, self.tests)
+        if not passes:
             return None
-        return tuple(_gabidulin_hits(self.spec, X, self.valid_s))
+        return tuple(_gabidulin_hits(spec, X, self.valid_s))
 
     def first_row(self, row):
         """The first-row stage of a 2-row block with this row 0, for
