@@ -16,7 +16,7 @@ from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
 from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
                          _fq_combination, _is_mrd_block, _last_row_passes,
-                         _walk_passes)
+                         _one_row_passes, _walk_passes)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
@@ -24,16 +24,21 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # --------------------------------------------------------------------------
 # The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
 # rank_codes' block test at level t = k, then the rank-one test below, on a
-# block X given as k rows of raw element indices.  At k = 2 both run in two
-# stages: the first-row stage holds what reads row 0 alone (the point map's
-# inverses, `_first_row_stage`, and phi_s(row 0) per class {s, m - s}, each
-# computed when first needed), and the last-row stage classifies one row 1
-# against it.  The census builds the first-row stage once per orbit; a
-# single block builds it for itself, and phi_s(row 0) only once the point
-# test has passed.  At k = 1 and k >= 3 a depth-first walk runs over each
-# pivot pattern's rows, each row prefix reduced once.  The census and the
-# trials use the cached `_kernel_for(spec, k, n)`; is_mrd keeps its patterns
-# lazy, so a code stops at the first pattern with a failing form.
+# block X given as k rows of raw element indices.  The block test runs on
+# the side of the code with fewer rows (`_smaller_side`): X^T at level
+# n - k when n - k < k, since a code passes iff its dual does.  A one-row
+# side passes iff its table has one zero (`_one_row_passes`).  A two-row
+# side runs the point map in two stages: the first-row stage holds what
+# reads row 0 alone (its inverses, `_first_row_stage`), and the last-row
+# stage tests one row 1 against it.  The census builds the first-row stage
+# once per orbit, with phi_s(row 0) per class {s, m - s}, each computed when
+# first needed; a single block builds it for itself, and phi_s(row 0) only
+# once the point test has passed.  A side of three rows or more is walked
+# depth first over each pivot pattern's rows, each row prefix reduced once.
+# The census and the trials use the cached `_kernel_for(spec, k, n)`, which
+# materialises T(w, n) only for a side of w >= 3 rows; is_mrd keeps its
+# patterns lazy, so a code stops at the first pattern with a failing form.
+# The Gabidulin test always reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -80,35 +85,41 @@ def _gabidulin_hits(spec: FieldSpec, X, s_values, phi0=None):
 
 class _BlockKernel:
     """The classifier kernel for one (spec, k, n) with 1 <= k < n: the valid
-    Gabidulin parameters and, for k != 2, the materialised echelon test
-    set.  At k = 2 the point map needs no forms; the T(2, n) budget check
-    still runs here."""
+    Gabidulin parameters, the side of the block it tests (X, or X^T when
+    n - k < k, as `_smaller_side` picks) and its number of rows w, and for
+    w >= 3 the materialised echelon test set T(w, n).  One and two rows need
+    no forms; the T(w, n) budget check still runs here."""
 
-    __slots__ = ("spec", "valid_s", "tests")
+    __slots__ = ("spec", "valid_s", "dual", "rows", "tests")
 
     def __init__(self, spec: FieldSpec, k: int, n: int):
         if not 1 <= k < n:
             raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         self.spec = spec
         self.valid_s = tuple(spec.valid_s_values())
-        tests = _echelon_tests(k, k, n, spec)
-        self.tests = None if k == 2 else tuple(tests)
+        self.dual = n - k < k
+        self.rows = w = min(k, n - k)
+        tests = _echelon_tests(w, w, n, spec)
+        self.tests = tuple(tests) if w > 2 else None
 
     def classify(self, X):
         """None for a non-MRD block X, else the tuple of every s for which X
-        is Gabidulin (empty for a non-Gabidulin MRD block).  A 2-row block
+        is Gabidulin (empty for a non-Gabidulin MRD block).  A two-row side
         runs both point-map stages; nothing is kept for reuse."""
         spec = self.spec
-        if self.tests is None:
-            passes = _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
+        Y = tuple(zip(*X)) if self.dual else X
+        if self.rows == 2:
+            passes = _last_row_passes(spec, _first_row_stage(spec, Y[0]), Y[1])
+        elif self.rows == 1:
+            passes = _one_row_passes(spec, Y[0])
         else:
-            passes = _walk_passes(spec, X, self.tests)
+            passes = _walk_passes(spec, Y, self.tests)
         if not passes:
             return None
         return tuple(_gabidulin_hits(spec, X, self.valid_s))
 
     def first_row(self, row):
-        """The first-row stage of a 2-row block with this row 0, for
+        """The first-row stage of a 2-row block (k = 2) with this row 0, for
         `last_row`: (row, the point map's stage, phi_s(row) by pair)."""
         return row, _first_row_stage(self.spec, row), {}
 
@@ -127,7 +138,10 @@ def _kernel_for(spec: FieldSpec, k: int, n: int) -> _BlockKernel:
 
 def is_mrd(code: RankCode) -> bool:
     """True iff rk(E G^T) = k for every full-rank k x n echelon form E;
-    equivalent to the minimum rank distance being n - k + 1."""
+    equivalent to the minimum rank distance being n - k + 1.  When
+    n - k < k the dual's identity, on X^T over T(n - k, n), decides it
+    (`_is_mrd_block`): one row passes iff its table has one zero, two rows
+    go through the point map, and three or more walk the pivot patterns."""
     k, n = code.k, code.n
     if k == n:
         return True

@@ -4,20 +4,25 @@ A code is held by a generator matrix; the reduced row echelon form is
 computed once at construction and serves both as the canonical form for
 row-space comparison and as the source of the systematic block.  The
 echelon-identity block test `_is_mrd_block` lives here: it decides the
-minimum rank distance level by level, and mrd_criteria classifies with it
-and with its two k = 2 stages, `_first_row_stage` and `_last_row_passes`.
+minimum rank distance level by level, and mrd_criteria classifies with it,
+with the side choice `_smaller_side`, and with its one-row rule and two
+k = 2 stages, `_one_row_passes`, `_first_row_stage` and `_last_row_passes`.
+A 2-dimensional code's distance comes from the point map's ratio classes
+(`_two_row_distance`).
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 from typing import Sequence
 
 from .budget import check_budget
-from .errors import InvalidParameterError, ShapeError, SpecMismatchError
+from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
+                     VerificationError)
 from .field_arith import Element, FieldSpec
 from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
                         _rref_in_place, gaussian_binomial,
@@ -220,16 +225,48 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
     """The echelon identity at one level t: True iff W [I_k | X]^T =
     W_L + W_R X^T has rank k = len(X) for every W of T(t, n).
 
-    At k = t = 2 the block's two rows go through the two stages of the
-    point map (`_first_row_stage`, `_last_row_passes`) and no form of
-    T(2, n) is built; every other shape walks the pivot patterns of T(t, n)
-    (`_walk_passes`).  Either way the T(t, n) budget check runs first.
+    At t = k the side of the code with fewer rows is tested
+    (`_smaller_side`): X^T at level n - k when n - k < k.  Then a one-row
+    block at t = 1 passes iff (row, 1) is F_q-independent
+    (`_one_row_passes`), a two-row block at t = 2 goes through the two
+    stages of the point map (`_first_row_stage`, `_last_row_passes`), and
+    neither builds a form; every other shape walks the pivot patterns of
+    T(t, n) (`_walk_passes`).  Either way the budget check for the tested
+    side's T(t, n) runs first; at t = k its count is [n, k]_q = [n, n - k]_q
+    on either side.
     """
+    if t == len(X):
+        X = _smaller_side(X)
+        t = len(X)
     k = len(X)
     tests = _echelon_tests(t, k, k + len(X[0]), spec)
+    if t == 1:
+        return _one_row_passes(spec, X[0])
     if k == 2 == t:
         return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
     return _walk_passes(spec, X, tests)
+
+
+# The side choice.  Take W in T(k, n) and W' spanning its F_q-orthogonal
+# complement, in T(n - k, n).  W [I_k | X]^T is singular iff some codeword
+# c of C is orthogonal to the rows of W, that is iff C meets <W'> over
+# F_{q^m}; as dim C + dim <W'> = n, that holds iff C^perp meets <W>.  So C
+# passes at level k iff its dual passes at level n - k, and no MRD theory
+# is used (nor n <= m).  The dual of [I_k | X] is [-X^T | I_(n-k)]: after
+# moving its last n - k columns first and scaling the others by -1, both
+# F_q-isometries that map T(n - k, n) onto itself, it is [I_(n-k) | X^T].
+
+def _smaller_side(X):
+    """The block whose identity at level len(result) decides X's at level
+    k = len(X): X^T when it has fewer rows (n - k < k), else X."""
+    return tuple(zip(*X)) if len(X[0]) < len(X) else X
+
+
+def _one_row_passes(spec: FieldSpec, row) -> bool:
+    """The identity of a one-row block at t = 1: every nonzero w of F_q^n
+    maps [1 | row] to a nonzero entry, so the table of (row, 1) has exactly
+    one zero, its empty combination."""
+    return _combinations(spec, (*row, 1)).count(0) == 1
 
 
 # The k = t = 2 point map, in two stages.  Column j of W [I_2 | X]^T is an
@@ -359,31 +396,74 @@ def _min_rank_distance_support(spec: FieldSpec, g_rows, k: int, n: int) -> int:
     Level t passes iff no nonzero codeword has rank <= n - t, that is iff
     d >= n - t + 1, and d <= n - k + 1 (Singleton).  So d is n - t + 1 at
     the first t = k..n-1 at which `_is_mrd_block` passes, and 1 if none
-    does.  A reduced copy of g_rows with its pivot columns moved first is
-    [I_k | X]: a coordinate permutation is a rank isometry and maps T(t, n)
-    onto itself.
+    does; level k tests the side of the code with fewer rows.
     """
     check_budget(sum(gaussian_binomial(n, r, spec.q) for r in range(1, n - k + 1)),
                  "echelon-form distance test")
-    rows = [list(row) for row in g_rows]
-    pivots = _rref_in_place(rows, spec)
-    X = [[v for c, v in enumerate(row) if c not in pivots] for row in rows]
+    X = _systematic_block(spec, g_rows)
     for t in range(k, n):
         if _is_mrd_block(spec, X, t):
             return n - t + 1
     return 1
 
 
+def _systematic_block(spec: FieldSpec, g_rows):
+    """X of [I_k | X], a reduced copy of g_rows with its pivot columns moved
+    first: a coordinate permutation is a rank isometry and maps each T(t, n)
+    onto itself."""
+    rows = [list(row) for row in g_rows]
+    pivots = _rref_in_place(rows, spec)
+    return [[v for c, v in enumerate(row) if c not in pivots] for row in rows]
+
+
+def _two_row_distance(spec: FieldSpec, g_rows, n: int) -> int:
+    """Minimum rank distance of a 2-dimensional code, from the ratio classes
+    of its point map.
+
+    A codeword u G has rank n - dim{v in F_q^n : G v in u^perp}, and u^perp
+    runs over the F_{q^m}-lines H of F_{q^m}^2, so d = n - max_H dim{v :
+    G v in H} (the q-system view of the code).  With G = [I_2 | X], the
+    points v of T(1, n) with G v != 0 fall into H's class when their ratio
+    c1[j]/c0[i] (infinity where c0[i] = 0; e_1 is there) is H's, and those
+    with G v = 0 lie in every H.  So with N the largest class plus the
+    kernel points, q^dim = (q - 1) N + 1.  The budget check is the point
+    map's, on T(2, n).
+    """
+    _echelon_tests(2, 2, n, spec)
+    X = _systematic_block(spec, g_rows)
+    inv0, _ = _first_row_stage(spec, X[0])
+    c1 = _combinations(spec, (*X[1], 1))
+    mul = spec.mul
+    infinity = -1
+    classes = Counter([mul(c1[j], inv0[i]) if inv0[i] else infinity if c1[j] else None
+                       for i, j in _points(spec, n)])
+    classes[infinity] += 1  # e_1
+    kernel = classes.pop(None, 0)
+    size = (spec.q - 1) * (max(classes.values()) + kernel) + 1
+    dim = 0
+    while spec.q ** dim < size:
+        dim += 1
+    if spec.q ** dim != size:
+        raise VerificationError(f"a ratio class with its kernel points counts {size - 1} "
+                                f"nonzero vectors, not q^dim - 1")
+    return n - dim
+
+
 def min_rank_distance(code: RankCode) -> int:
     """Minimum rank distance, exact.
 
-    Takes whichever of two routes costs fewer field operations for
-    (q, m, k, n): the echelon identity, about k per form over every level
-    t = k..n-1 it may visit, k sum_t [n, t]_q, or the projective codeword
-    scan, n min(n, m) per word for its (q^(mk) - 1) / (q^m - 1) words.
-    Each route checks the enumeration budget on its own count.
+    A 2-dimensional code (k = 2 < n) takes one pass over its point map
+    (`_two_row_distance`).  Every other code takes whichever of two routes
+    costs fewer field operations for (q, m, k, n): the echelon identity,
+    about k per form over every level t = k..n-1 it may visit,
+    k sum_t [n, t]_q, or the projective codeword scan, n min(n, m) per word
+    for its (q^(mk) - 1) / (q^m - 1) words.  The identity's first level
+    tests the side of the code with fewer rows (`_is_mrd_block`).  Each
+    route checks the enumeration budget on its own count.
     """
     spec, k, n = code.spec, code.k, code.n
+    if k == 2 < n:
+        return _two_row_distance(spec, code.canonical.entries, n)
     support_ops = k * sum(gaussian_binomial(n, t, spec.q) for t in range(k, n))
     scan_ops = n * min(n, spec.m) * (spec.order ** k - 1) // (spec.order - 1)
     route = _min_rank_distance_support if support_ops < scan_ops else _min_rank_distance_raw

@@ -61,6 +61,16 @@ class TestMonteCarlo:
         with pytest.raises(InvalidParameterError, match="workers"):
             monte_carlo(2, 2, 4, 6, 10, seed=0, workers=workers)
 
+    @pytest.mark.parametrize("args,counts", [
+        ((2, 3, 4, 6, 2000, 1), (1601, 1601)),
+        ((3, 3, 5, 5, 3000, 1), (8, 0)),
+    ])
+    def test_dual_side_counts(self, args, counts):
+        # n - k < k, so the kernel tests X^T, one row at (q, k, n) = (2, 3, 4)
+        # and two at (3, 3, 5); these are the counts of the T(k, n) walk
+        batch = monte_carlo(*args)
+        assert (batch.mrd_count, batch.gab_count) == counts
+
     def test_counts_ordered(self):
         batch = monte_carlo(2, 2, 4, 5, 300, seed=1)
         assert 0 <= batch.gab_count <= batch.mrd_count <= batch.trials

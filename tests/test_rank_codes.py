@@ -147,13 +147,18 @@ class TestMinRankDistance:
 
     def test_budget(self, monkeypatch):
         # each route refuses on its own count: projective words for the
-        # scan, echelon forms for the support route
+        # scan, echelon forms for the support route; a k = 2 code takes
+        # neither and refuses on the point map's T(2, n) count
         wide = random_systematic_code(default_field(2, 10), 2, 8, random.Random(0))
+        scanned = random_systematic_code(default_field(2, 2), 3, 8, random.Random(0))
         code = random_systematic_code(default_field(2, 13), 3, 4, random.Random(0))
         assert (min_rank_distance(code) == code.n - code.k + 1) == is_mrd(code)
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
-        with pytest.raises(BudgetExceededError, match="projective codeword scan"):
+        with pytest.raises(BudgetExceededError, match=re.escape("T(2,8) needs 10795 steps")):
             min_rank_distance(wide)
+        monkeypatch.setenv("RANKFORGE_BUDGET", "20")
+        with pytest.raises(BudgetExceededError, match="projective codeword scan needs 21"):
+            min_rank_distance(scanned)
         monkeypatch.setenv("RANKFORGE_BUDGET", "10")
         with pytest.raises(BudgetExceededError, match="echelon-form distance test"):
             min_rank_distance(code)
@@ -221,14 +226,11 @@ class TestDistanceRoutes:
         assert beyond_m > 0
 
     @pytest.mark.parametrize("q,m,n,k,route", [
-        (2, 6, 6, 2, "_min_rank_distance_raw"),
         (3, 5, 5, 3, "_min_rank_distance_support"),
-        # priced by what the pattern walk costs, these four are several
+        # priced by what the pattern walk costs, these two are several
         # times faster by the echelon identity than by the scan
-        (3, 5, 5, 2, "_min_rank_distance_support"),
         (2, 5, 5, 3, "_min_rank_distance_support"),
         (2, 6, 6, 3, "_min_rank_distance_support"),
-        (3, 4, 4, 2, "_min_rank_distance_support"),
         (2, 6, 6, 1, "_min_rank_distance_raw"),
     ])
     def test_route_choice(self, monkeypatch, q, m, n, k, route):
@@ -242,6 +244,46 @@ class TestDistanceRoutes:
             monkeypatch.setattr(rank_codes, name, record)
         assert min_rank_distance(code) == n - k + 1
         assert called == [route]
+
+
+    def test_two_rows_take_neither_route(self, monkeypatch):
+        # k = 2 reads its distance off the point map's ratio classes: every
+        # block at three shapes with no MRD block, and seeded generators,
+        # most of them not MRD, some with n > m, against the scan
+        scan = rank_codes._min_rank_distance_raw
+        called = []
+        for name in ("_min_rank_distance_raw", "_min_rank_distance_support"):
+            monkeypatch.setattr(rank_codes, name,
+                                lambda *args, name=name: called.append(name))
+        seen = set()
+        for q, m, n in [(2, 3, 4), (3, 2, 4), (2, 2, 5)]:
+            spec = default_field(q, m)
+            w = n - 2
+            for flat in itertools.product(range(spec.order), repeat=2 * w):
+                rows = [[1, 0, *flat[:w]], [0, 1, *flat[w:]]]
+                d = min_rank_distance(RankCode(spec, ExtMatrix(spec, rows)))
+                assert d == scan(spec, rows, 2, n), (q, m, n, rows)
+                seen.add((n, d))
+        rng = random.Random("two-row-distance")
+        for q, m, n in [(2, 5, 5), (2, 6, 6), (3, 4, 4), (4, 3, 4), (2, 3, 6)]:
+            spec = default_field(q, m)
+            codes = []
+            for _ in range(40):
+                rows = [[rng.randrange(spec.order) for _ in range(n)] for _ in range(2)]
+                if rng.randrange(2):
+                    rows[rng.randrange(2)][rng.randrange(n)] = rng.randrange(q)
+                try:
+                    codes.append(RankCode(spec, ExtMatrix(spec, rows)))
+                except InvalidParameterError:
+                    pass
+            if n <= m:
+                codes.append(TestFirstRowStage.gabidulin_code(spec, n, rng))
+            for code in codes:
+                d = min_rank_distance(code)
+                assert d == scan(spec, code.canonical.entries, 2, n), (q, m, n, code.G)
+                seen.add((n, d))
+        assert called == []
+        assert {(4, 1), (4, 2), (5, 1), (5, 2), (5, 3), (5, 4), (6, 4), (6, 5)} <= seen
 
 
 class TestEchelonPatterns:
@@ -322,6 +364,85 @@ class TestBlockKernelLevels:
                 assert got == self.reference(spec, X, t, n), (X, t)
                 seen.add(got)
         assert seen == {False, True}
+
+
+class TestDualSide:
+    """Blocks with n - k < k, which `_is_mrd_block`, `is_mrd` and the kernel
+    test through X^T at level n - k, against oracles on the code itself:
+    the projective scan, or W [I_k | X]^T entry by entry for every W of
+    T(k, n), the forms the dual side no longer builds."""
+
+    @staticmethod
+    def check(spec, k, n, X, oracle):
+        if oracle == "scan":
+            rows = [[1 if i == j else 0 for j in range(k)] + list(row)
+                    for i, row in enumerate(X)]
+            want = rank_codes._min_rank_distance_raw(spec, rows, k, n) == n - k + 1
+        else:
+            want = TestBlockKernelLevels.reference(spec, X, k, n)
+        code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
+        assert rank_codes._is_mrd_block(spec, X, k) == want, X
+        assert is_mrd(code) == want, X
+        assert (_kernel_for(spec, k, n).classify(X) is not None) == want, X
+        return want
+
+    # one row on the dual side: every systematic block
+    @pytest.mark.parametrize("q,m,k,n,oracle", [
+        (2, 3, 2, 3, "scan"), (3, 3, 2, 3, "scan"), (2, 4, 3, 4, "entrywise")])
+    def test_one_row_every_block(self, q, m, k, n, oracle):
+        spec = default_field(q, m)
+        verdicts = Counter()
+        for flat in itertools.product(range(spec.order), repeat=k):
+            verdicts[self.check(spec, k, n, [[x] for x in flat], oracle)] += 1
+        assert set(verdicts) == {False, True}, verdicts
+
+    # two rows on the dual side: seeded blocks, most not MRD since n = m,
+    # and the Gabidulin blocks of every valid s
+    @pytest.mark.parametrize("q,m,k,n,oracle", [
+        (2, 5, 3, 5, "scan"), (3, 5, 3, 5, "entrywise"), (2, 6, 4, 6, "entrywise")])
+    def test_two_rows_seeded_and_gabidulin(self, q, m, k, n, oracle):
+        spec = default_field(q, m)
+        rng = random.Random(f"dual-{q}-{m}-{k}-{n}")
+        blocks = [[[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
+                  for _ in range(12)]
+        g = basis_elements(spec, n)
+        blocks += [gabidulin(g, s, k).systematic_X.copy_entries()
+                   for s in spec.valid_s_values()]
+        verdicts = Counter(self.check(spec, k, n, X, oracle) for X in blocks)
+        assert set(verdicts) == {False, True}, verdicts
+
+    def test_gabidulin_3_5_5_3_builds_no_pattern(self, monkeypatch):
+        spec = default_field(3, 5)
+        code = gabidulin(basis_elements(spec, 5), 1, 3)
+        walked = []
+        monkeypatch.setattr(rank_codes, "_walk_passes",
+                            lambda *args: walked.append(args))
+        assert is_mrd(code)
+        assert min_rank_distance(code) == 3
+        assert walked == []
+
+    def test_budget(self, monkeypatch):
+        # the dual side refuses on T(n - k, n), whose count [6, 2]_2 is
+        # [6, 4]_2; min_rank_distance refuses first on its own count
+        spec = default_field(2, 6)
+        code = gabidulin(basis_elements(spec, 6), 1, 4)
+        X = code.systematic_X.entries
+        count = gaussian_binomial(6, 2, 2)
+        assert count == gaussian_binomial(6, 4, 2) == 651
+        distance = count + gaussian_binomial(6, 1, 2)
+        checks = [(count, "echelon-form enumeration T(2,6)", is_mrd, code),
+                  (count, "echelon-form enumeration T(2,6)", _BlockKernel, spec, 4, 6),
+                  (distance, "echelon-form distance test", min_rank_distance, code)]
+        for limit, what, call, *args in checks:
+            monkeypatch.setenv("RANKFORGE_BUDGET", str(limit - 1))
+            message = re.escape(f"{what} needs {limit} steps which exceeds "
+                                f"the budget {limit - 1}")
+            with pytest.raises(BudgetExceededError, match=message):
+                call(*args)
+            monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
+            call(*args)
+        assert is_mrd(code) and min_rank_distance(code) == 3
+        assert _BlockKernel(spec, 4, 6).classify(X) == (1, 5)
 
 
 class TestPointMap:
@@ -408,11 +529,15 @@ class TestFirstRowStage:
         return verdicts, hits
 
     @staticmethod
-    def gabidulin_block(spec, n, rng):
+    def gabidulin_code(spec, n, rng):
         while True:
             g = [spec.element(rng.randrange(1, spec.order)) for _ in range(n)]
             if linearly_independent_over_base(g):
-                return gabidulin(g, 1, 2).systematic_X.copy_entries()
+                return gabidulin(g, 1, 2)
+
+    @classmethod
+    def gabidulin_block(cls, spec, n, rng):
+        return cls.gabidulin_code(spec, n, rng).systematic_X.copy_entries()
 
     def test_every_last_row_at_2_4_4(self):
         # first rows: one zero entry (its unit point has a zero image), two
@@ -470,8 +595,11 @@ class TestFirstRowStage:
             rank_codes._is_mrd_block(spec, X, 2)
         with pytest.raises(BudgetExceededError, match=message):
             _BlockKernel(spec, 2, 6)
+        with pytest.raises(BudgetExceededError, match=message):
+            min_rank_distance(code)
         monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
         assert is_mrd(code)
+        assert min_rank_distance(code) == 5
         assert _BlockKernel(spec, 2, 6).classify(X) == (1, 5)
 
 
