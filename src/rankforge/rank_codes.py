@@ -464,10 +464,15 @@ def min_rank_distance(code: RankCode) -> int:
     spec, k, n = code.spec, code.k, code.n
     if k == 2 < n:
         return _two_row_distance(spec, code.canonical.entries, n)
+    return _distance_route(spec, k, n)(spec, code.canonical.entries, k, n)
+
+
+def _distance_route(spec: FieldSpec, k: int, n: int):
+    """The cheaper of the echelon identity and the projective codeword
+    scan for a k x n code, priced as in `min_rank_distance`."""
     support_ops = k * sum(gaussian_binomial(n, t, spec.q) for t in range(k, n))
     scan_ops = n * min(n, spec.m) * (spec.order ** k - 1) // (spec.order - 1)
-    route = _min_rank_distance_support if support_ops < scan_ops else _min_rank_distance_raw
-    return route(spec, code.canonical.entries, k, n)
+    return _min_rank_distance_support if support_ops < scan_ops else _min_rank_distance_raw
 
 
 def dual_code(code: RankCode) -> RankCode:

@@ -226,15 +226,21 @@ class TestDistanceRoutes:
         assert beyond_m > 0
 
     @pytest.mark.parametrize("q,m,n,k,route", [
+        (2, 6, 6, 2, "_min_rank_distance_raw"),
         (3, 5, 5, 3, "_min_rank_distance_support"),
-        # priced by what the pattern walk costs, these two are several
+        # priced by what the pattern walk costs, these four are several
         # times faster by the echelon identity than by the scan
+        (3, 5, 5, 2, "_min_rank_distance_support"),
         (2, 5, 5, 3, "_min_rank_distance_support"),
         (2, 6, 6, 3, "_min_rank_distance_support"),
+        (3, 4, 4, 2, "_min_rank_distance_support"),
         (2, 6, 6, 1, "_min_rank_distance_raw"),
     ])
     def test_route_choice(self, monkeypatch, q, m, n, k, route):
+        # the pricing still picks a route at k = 2, but min_rank_distance
+        # reads a 2-row code's distance off its point map and calls neither
         spec = default_field(q, m)
+        assert rank_codes._distance_route(spec, k, n).__name__ == route
         code = gabidulin(basis_elements(spec, n), 1, k)
         called = []
         for name in ("_min_rank_distance_raw", "_min_rank_distance_support"):
@@ -243,7 +249,7 @@ class TestDistanceRoutes:
                 return real(*args)
             monkeypatch.setattr(rank_codes, name, record)
         assert min_rank_distance(code) == n - k + 1
-        assert called == [route]
+        assert called == ([] if k == 2 < n else [route])
 
     def test_two_rows_take_neither_route(self, monkeypatch):
         # k = 2 reads its distance off the point map's ratio classes: every
