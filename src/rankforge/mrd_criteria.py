@@ -16,7 +16,7 @@ from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
 from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
                          _fq_combination, _is_mrd_block, _last_row_passes,
-                         _one_row_passes, _walk_passes)
+                         _one_row_passes, _three_row_passes, _walk_passes)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
@@ -33,12 +33,14 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # stage tests one row 1 against it.  The census builds the first-row stage
 # once per orbit, with phi_s(row 0) per class {s, m - s}, each computed when
 # first needed; a single block builds it for itself, and phi_s(row 0) only
-# once the point test has passed.  A side of three rows or more is walked
-# depth first over each pivot pattern's rows, each row prefix reduced once.
-# The census and the trials use the cached `_kernel_for(spec, k, n)`, which
-# materialises T(w, n) only for a side of w >= 3 rows; is_mrd keeps its
-# patterns lazy, so a code stops at the first pattern with a failing form.
-# The Gabidulin test always reads X itself.
+# once the point test has passed.  A three-row side compares the plane
+# normals of the forms of T(2, n) (`_three_row_passes`), whose patterns are
+# built once per (spec, n) for every caller.  A side of four rows or more is
+# walked depth first over each pivot pattern's rows, each row prefix reduced
+# once.  The census and the trials use the cached `_kernel_for(spec, k, n)`,
+# which materialises T(w, n) only for a side of w >= 4 rows; is_mrd keeps
+# its patterns lazy, so a code stops at the first pattern with a failing
+# form.  The Gabidulin test always reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -87,8 +89,9 @@ class _BlockKernel:
     """The classifier kernel for one (spec, k, n) with 1 <= k < n: the valid
     Gabidulin parameters, the side of the block it tests (X, or X^T when
     n - k < k, as `_smaller_side` picks) and its number of rows w, and for
-    w >= 3 the materialised echelon test set T(w, n).  One and two rows need
-    no forms; the T(w, n) budget check still runs here."""
+    w >= 4 the materialised echelon test set T(w, n).  One and two rows need
+    no forms, and three rows read the shared T(2, n) patterns of the plane
+    normals (`_planes`); the T(w, n) budget check still runs here."""
 
     __slots__ = ("spec", "valid_s", "dual", "rows", "tests")
 
@@ -100,7 +103,7 @@ class _BlockKernel:
         self.dual = n - k < k
         self.rows = w = min(k, n - k)
         tests = _echelon_tests(w, w, n, spec)
-        self.tests = tuple(tests) if w > 2 else None
+        self.tests = tuple(tests) if w > 3 else None
 
     def classify(self, X):
         """None for a non-MRD block X, else the tuple of every s for which X
@@ -112,6 +115,8 @@ class _BlockKernel:
             passes = _last_row_passes(spec, _first_row_stage(spec, Y[0]), Y[1])
         elif self.rows == 1:
             passes = _one_row_passes(spec, Y[0])
+        elif self.rows == 3:
+            passes = _three_row_passes(spec, Y)
         else:
             passes = _walk_passes(spec, Y, self.tests)
         if not passes:
@@ -141,7 +146,8 @@ def is_mrd(code: RankCode) -> bool:
     equivalent to the minimum rank distance being n - k + 1.  When
     n - k < k the dual's identity, on X^T over T(n - k, n), decides it
     (`_is_mrd_block`): one row passes iff its table has one zero, two rows
-    go through the point map, and three or more walk the pivot patterns."""
+    go through the point map, three rows compare the plane normals of
+    T(2, n), and four or more walk the pivot patterns."""
     k, n = code.k, code.n
     if k == n:
         return True

@@ -7,8 +7,10 @@ echelon-identity block test `_is_mrd_block` lives here: it decides the
 minimum rank distance level by level, and mrd_criteria classifies with it,
 with the side choice `_smaller_side`, and with its one-row rule and two
 k = 2 stages, `_one_row_passes`, `_first_row_stage` and `_last_row_passes`.
-A 2-dimensional code's distance comes from the point map's ratio classes
-(`_two_row_distance`).
+A side of three rows compares plane normals over T(2, n)
+(`_three_row_passes`); a side of four rows or more walks T(k, n)
+(`_walk_passes`).  A 2-dimensional code's distance comes from the point
+map's ratio classes (`_two_row_distance`).
 """
 
 from __future__ import annotations
@@ -179,7 +181,8 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 
 def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
     """T(t, n), one pattern per pivot set, as indices into the combination
-    tables of the pattern walk (`_walk_passes`).
+    tables of the pattern walk (`_walk_passes`) and of the plane normals
+    (`_planes`, t = 2 and k = 3).
 
     Once the pivot set of a reduced row echelon form is fixed, the free
     entries of its rows are independent, so the set's forms are exactly the
@@ -230,10 +233,12 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
     block at t = 1 passes iff (row, 1) is F_q-independent
     (`_one_row_passes`), a two-row block at t = 2 goes through the two
     stages of the point map (`_first_row_stage`, `_last_row_passes`), and
-    neither builds a form; every other shape walks the pivot patterns of
-    T(t, n) (`_walk_passes`).  Either way the budget check for the tested
-    side's T(t, n) runs first; at t = k its count is [n, k]_q = [n, n - k]_q
-    on either side.
+    neither builds a form; a three-row block at t = 3 compares the plane
+    normals of the forms of T(2, n) (`_three_row_passes`).  Every other
+    shape, four rows or more and every level t > k, walks the pivot
+    patterns of T(t, n) (`_walk_passes`).  Either way the budget check for
+    the tested side's T(t, n) runs first; at t = k its count is
+    [n, k]_q = [n, n - k]_q on either side.
     """
     if t == len(X):
         X = _smaller_side(X)
@@ -244,6 +249,8 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
         return _one_row_passes(spec, X[0])
     if k == 2 == t:
         return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
+    if k == 3 == t:
+        return _three_row_passes(spec, X)
     return _walk_passes(spec, X, tests)
 
 
@@ -321,6 +328,63 @@ def _points(spec: FieldSpec, n: int):
     F_q^n as index pairs (i, j), c0[i] = w g_0 and c1[j] = w g_1."""
     return tuple(choice for (row,) in _echelon_tests(1, 2, n, spec) for choice in row
                  if choice[0])
+
+
+# The k = t = 3 plane-normal test, the point map one dimension up.  With
+# c0, c1, c2 the three rows' tables, a row w of F_q^n has the image
+# G w = (c0[i], c1[j], c2[l]) in F_{q^m}^3, and a form W of T(3, n) fails iff
+# the images of the 3-dimensional V = <W> span at most a plane H.  Each
+# 2-dimensional F_q-subspace <w, w'> (a form of T(2, n)) whose images are
+# independent lies in exactly one plane, with normal G w x G w'; another
+# basis of <w, w'> scales it by a determinant in F_q^*, so the normal is
+# read projectively, divided by its first nonzero entry.  Dependent images
+# with any row outside them, or two subspaces with one normal, span a V
+# mapped into one plane.  Conversely, if G(V) lies in H, every 2-dimensional
+# subspace of V has dependent images or H's normal, and at least q + 1 >= 3
+# of them meet Z = {x : x_0 = x_1 = 0}: V meets Z, as 3 + (n - 2) > n, and
+# q + 1 subspaces of V hold a vector of that meet.  So a block passes iff
+# the forms of T(2, n) that meet Z, every pivot set but (0, 1), have
+# nonzero cross products and pairwise distinct normals: one cross product
+# for each of [n, 2]_q - q^(2(n - 2)) forms instead of a walk over T(3, n).
+
+def _three_row_passes(spec: FieldSpec, X) -> bool:
+    """The identity of a three-row block at t = 3 by its plane normals:
+    True iff every form of `_planes` has independent images and a normal
+    that no earlier form had."""
+    c0, c1, c2 = [_combinations(spec, (*row, 1)) for row in X]
+    mul, sub, inv = spec.mul, spec.sub, spec.inv
+    order = spec.order
+    seen = set()
+    for first, second in _planes(spec, 3 + len(X[0])):
+        second = [(c0[i], c1[j], c2[l]) for i, j, l in second]
+        for i, j, l in first:
+            x0, x1, x2 = c0[i], c1[j], c2[l]
+            for y0, y1, y2 in second:
+                n0 = sub(mul(x1, y2), mul(x2, y1))
+                n1 = sub(mul(x2, y0), mul(x0, y2))
+                n2 = sub(mul(x0, y1), mul(x1, y0))
+                # (1, a, b) -> a q^m + b, (0, 1, b) -> -1 - b, (0, 0, 1) -> -1 - q^m
+                if n0:
+                    u = inv(n0)
+                    key = mul(n1, u) * order + mul(n2, u)
+                elif n1:
+                    key = -1 - mul(n2, inv(n1))
+                elif n2:
+                    key = -1 - order
+                else:
+                    return False
+                if key in seen:
+                    return False
+                seen.add(key)
+    return True
+
+
+@lru_cache(maxsize=None)
+def _planes(spec: FieldSpec, n: int):
+    """The forms of T(2, n) that meet {x : x_0 = x_1 = 0}, for a 3-row block:
+    the pivot patterns of `_echelon_tests(2, 3, n, spec)` but the first,
+    whose pivot set is (0, 1); built once for every block of length n."""
+    return tuple(_echelon_tests(2, 3, n, spec))[1:]
 
 
 def _walk_passes(spec: FieldSpec, X, tests) -> bool:
@@ -458,8 +522,10 @@ def min_rank_distance(code: RankCode) -> int:
     about k per form over every level t = k..n-1 it may visit,
     k sum_t [n, t]_q, or the projective codeword scan, n min(n, m) per word
     for its (q^(mk) - 1) / (q^m - 1) words.  The identity's first level
-    tests the side of the code with fewer rows (`_is_mrd_block`).  Each
-    route checks the enumeration budget on its own count.
+    tests the side of the code with fewer rows (`_is_mrd_block`): a side of
+    three rows by its plane normals over T(2, n), four or more by the walk,
+    as every later level is.  Each route checks the enumeration budget on
+    its own count.
     """
     spec, k, n = code.spec, code.k, code.n
     if k == 2 < n:

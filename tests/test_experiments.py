@@ -71,6 +71,12 @@ class TestMonteCarlo:
         batch = monte_carlo(*args)
         assert (batch.mrd_count, batch.gab_count) == counts
 
+    def test_plane_normal_counts(self):
+        # k = n - k = 3: the kernel tests X by the plane normals of T(2, 6);
+        # these are the counts of the T(3, 6) walk
+        batch = monte_carlo(2, 3, 6, 10, 200, 1)
+        assert (batch.mrd_count, batch.gab_count) == (46, 0)
+
     def test_counts_ordered(self):
         batch = monte_carlo(2, 2, 4, 5, 300, seed=1)
         assert 0 <= batch.gab_count <= batch.mrd_count <= batch.trials

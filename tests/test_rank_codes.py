@@ -11,7 +11,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
-from rankforge import rank_codes
+from rankforge import mrd_criteria, rank_codes
 from rankforge.mrd_criteria import _BlockKernel, _kernel_for
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
@@ -336,7 +336,8 @@ class TestEchelonPatterns:
 class TestBlockKernelLevels:
     """`_is_mrd_block` at every level t >= k against W [I_k | X]^T built
     entry by entry and eliminated with `_rank_raw`; k = t = 2 checks the
-    point map, every other level the pivot-pattern walk."""
+    point map, k = t = 3 the plane normals (`TestPlaneNormal` has more),
+    every other level the pivot-pattern walk."""
 
     @staticmethod
     def reference(spec, X, t, n):
@@ -446,6 +447,185 @@ class TestDualSide:
             call(*args)
         assert is_mrd(code) and min_rank_distance(code) == 3
         assert _BlockKernel(spec, 4, 6).classify(X) == (1, 5)
+
+
+class TestPlaneNormal:
+    """Blocks whose tested side has three rows (k = 3 <= n - k, or
+    n - k = 3 < k), which `_is_mrd_block`, `is_mrd` and the kernel test by
+    the plane normals of the forms of T(2, n) that meet
+    {x : x_0 = x_1 = 0} (`_planes`).  The oracles: W [I_3 | X]^T built entry by
+    entry for every W of T(3, n), the projective scan at (2, 6, 3, 6), and
+    the walk over T(4, 7) for the dual side.  The failure branches are
+    checked against images and planes computed without the tables: each
+    form's two images from G = [I_3 | X] and the plane they span as a
+    reduced 2 x 3 matrix."""
+
+    @staticmethod
+    def check(spec, n, X, scan):
+        want = TestBlockKernelLevels.reference(spec, X, 3, n)
+        if scan:
+            rows = [[1 if i == j else 0 for j in range(3)] + list(row)
+                    for i, row in enumerate(X)]
+            assert (rank_codes._min_rank_distance_raw(spec, rows, 3, n) == n - 2) == want
+        code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
+        assert rank_codes._is_mrd_block(spec, X, 3) == want, X
+        assert is_mrd(code) == want, X
+        assert (_kernel_for(spec, 3, n).classify(X) is not None) == want, X
+        return want
+
+    @staticmethod
+    def images(spec, X, W):
+        """G w for each row w of W, with G = [I_3 | X]."""
+        G = [[1 if i == j else 0 for j in range(3)] + list(row) for i, row in enumerate(X)]
+        return [[rank_codes._fq_combination(spec, g, w) for g in G] for w in W]
+
+    @classmethod
+    def first_failure(cls, spec, X, n):
+        """The forms of `_planes` in order up to the first that has dependent
+        images or a plane an earlier form had, and which of the two it is;
+        (every form, None) for a passing block."""
+        forms, planes = [], set()
+        for first, second in rank_codes._planes(spec, n):
+            for form in itertools.product(first, second):
+                forms.append(form)
+                images = cls.images(spec, X, TestEchelonPatterns.decode(form, 3, n, spec.q))
+                if _rank_raw(images, spec) < 2:
+                    return forms, "dependent"
+                _rref_in_place(images, spec)
+                plane = tuple(map(tuple, images))
+                if plane in planes:
+                    return forms, "repeated"
+                planes.add(plane)
+        return forms, None
+
+    @classmethod
+    def independent_pairs(cls, spec, X, n):
+        """True iff every two independent w, w' of F_q^n have independent
+        images: the points of T(1, n) have nonzero images, no two of them
+        proportional."""
+        images = cls.images(spec, X, [W.entries[0] for W in enumerate_rref(1, n, spec)])
+        for image in images:
+            _rref_in_place([image], spec)
+        return all(any(v) for v in images) and len(set(map(tuple, images))) == len(images)
+
+    @pytest.mark.parametrize("q,n", [(2, 6), (2, 7), (3, 6)])
+    def test_planes_meet_z(self, q, n):
+        # every form of T(2, n) whose span meets {x : x_0 = x_1 = 0}, that is
+        # whose leading 2 x 2 block is singular, each once
+        spec = default_field(q, 1)
+        forms = Counter(TestEchelonPatterns.decode(form, 3, n, q)
+                        for first, second in rank_codes._planes(spec, n)
+                        for form in itertools.product(first, second))
+        want = Counter(tuple(map(tuple, W.entries)) for W in enumerate_rref(2, n, spec)
+                       if _rank_raw([row[:2] for row in W.entries], spec) < 2)
+        assert forms == want
+        assert sum(forms.values()) == gaussian_binomial(n, 2, q) - q ** (2 * (n - 2))
+
+    # the Gabidulin blocks pass; random blocks almost never do at
+    # (2, 6, 3, 6) and (2, 8, 3, 7), and about a quarter do at (2, 10, 3, 6)
+    # (monte_carlo(2, 3, 6, 10, 200, 1) counts 46)
+    @pytest.mark.parametrize("q,m,k,n,count,scan,some_pass", [
+        (2, 6, 3, 6, 12, True, False), (2, 10, 3, 6, 30, False, True),
+        (2, 8, 3, 7, 8, False, False)])
+    def test_seeded_and_gabidulin(self, q, m, k, n, count, scan, some_pass):
+        spec = default_field(q, m)
+        rng = random.Random(f"plane-{q}-{m}-{k}-{n}")
+        seeded = [[[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
+                  for _ in range(count)]
+        g = basis_elements(spec, n)
+        gab = [gabidulin(g, s, k).systematic_X.copy_entries() for s in spec.valid_s_values()]
+        verdicts = {self.check(spec, n, X, scan) for X in seeded}
+        assert all(self.check(spec, n, X, scan) for X in gab)
+        assert verdicts == ({False, True} if some_pass else {False})
+
+    def test_both_failure_branches(self, monkeypatch):
+        # each failing block runs on its forms up to its first failure, one
+        # form per pattern: the test fails at the last of them and passes
+        # without it, so the branch that meets that form returns at once.
+        # A column of X over F_q gives a nonzero v with G v = 0, and some of
+        # those blocks meet dependent images first; some random blocks fail
+        # with every pair of images independent, on repeated normals alone
+        kinds = Counter()
+        for m in (6, 10):
+            spec = default_field(2, m)
+            rng = random.Random(f"plane-branches-{m}")
+            for over_fq in [False] * 8 + [True] * 8:
+                X = [[rng.randrange(spec.order) for _ in range(3)] for _ in range(3)]
+                if over_fq:
+                    j = rng.randrange(3)
+                    for row in X:
+                        row[j] = rng.randrange(2)
+                forms, kind = self.first_failure(spec, X, 6)
+                assert rank_codes._is_mrd_block(spec, X, 3) == (kind is None), X
+                if kind == "repeated" and self.independent_pairs(spec, X, 6):
+                    kind = "repeated, every pair independent"
+                kinds[kind] += 1
+                if kind is None:
+                    continue
+                for cut, want in [(len(forms), False), (len(forms) - 1, True)]:
+                    prefix = [((a,), (b,)) for a, b in forms[:cut]]
+                    with monkeypatch.context() as patch:
+                        patch.setattr(rank_codes, "_planes", lambda spec, n: prefix)
+                        assert rank_codes._three_row_passes(spec, X) == want, (X, kind)
+        assert kinds["dependent"] and kinds["repeated, every pair independent"]
+        assert kinds[None]
+
+    def test_dual_three_row_side(self):
+        # n - k = 3 < k = 4: X^T is tested by its plane normals, against the
+        # walk over T(4, 7) on X itself
+        spec = default_field(2, 7)
+        rng = random.Random("plane-dual-2-7-4-7")
+        blocks = [[[rng.randrange(spec.order) for _ in range(3)] for _ in range(4)]
+                  for _ in range(12)]
+        g = basis_elements(spec, 7)
+        blocks += [gabidulin(g, s, 4).systematic_X.copy_entries()
+                   for s in spec.valid_s_values()]
+        verdicts = set()
+        for X in blocks:
+            want = rank_codes._walk_passes(spec, X, rank_codes._echelon_tests(4, 4, 7, spec))
+            code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
+            assert rank_codes._is_mrd_block(spec, X, 4) == want, X
+            assert is_mrd(code) == want, X
+            assert (_kernel_for(spec, 4, 7).classify(X) is not None) == want, X
+            verdicts.add(want)
+        assert verdicts == {False, True}
+
+    # three rows on either side: (2, 6, 6, 3) itself, (2, 7, 7, 4) by X^T
+    @pytest.mark.parametrize("m,n,k", [(6, 6, 3), (7, 7, 4)])
+    def test_gabidulin_walks_no_pattern(self, monkeypatch, m, n, k):
+        spec = default_field(2, m)
+        code = gabidulin(basis_elements(spec, n), 1, k)
+        walked = []
+        for module in (rank_codes, mrd_criteria):
+            monkeypatch.setattr(module, "_walk_passes", lambda *args: walked.append(args))
+        assert is_mrd(code)
+        assert min_rank_distance(code) == n - k + 1
+        assert _kernel_for(spec, k, n).classify(code.systematic_X.entries) == (1, m - 1)
+        assert walked == []
+
+    def test_budget(self, monkeypatch):
+        # the plane normals read T(2, 6) yet refuse on T(3, 6), [6, 3]_2;
+        # min_rank_distance refuses first on its own count, 63 + 651 + 1395
+        spec = default_field(2, 6)
+        code = gabidulin(basis_elements(spec, 6), 1, 3)
+        X = code.systematic_X.entries
+        count = gaussian_binomial(6, 3, 2)
+        assert count == 1395
+        distance = sum(gaussian_binomial(6, t, 2) for t in (1, 2, 3))
+        assert distance == 2109
+        checks = [(count, "echelon-form enumeration T(3,6)", is_mrd, code),
+                  (count, "echelon-form enumeration T(3,6)", _BlockKernel, spec, 3, 6),
+                  (distance, "echelon-form distance test", min_rank_distance, code)]
+        for limit, what, call, *args in checks:
+            monkeypatch.setenv("RANKFORGE_BUDGET", str(limit - 1))
+            message = re.escape(f"{what} needs {limit} steps which exceeds "
+                                f"the budget {limit - 1}")
+            with pytest.raises(BudgetExceededError, match=message):
+                call(*args)
+            monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
+            call(*args)
+        assert is_mrd(code) and min_rank_distance(code) == 4
+        assert _BlockKernel(spec, 3, 6).classify(X) == (1, 5)
 
 
 class TestPointMap:
