@@ -452,31 +452,33 @@ class TestDualSide:
 class TestPlaneNormal:
     """Blocks whose tested side has three rows (k = 3 <= n - k, or
     n - k = 3 < k), which `_is_mrd_block`, `is_mrd` and the kernel test by
-    the plane normals of the forms of T(2, n) that meet
-    {x : x_0 = x_1 = 0} (`_planes`).  The oracles: W [I_3 | X]^T built entry by
-    entry for every W of T(3, n), the projective scan at (2, 6, 3, 6), and
-    the walk over T(4, 7) for the dual side.  The failure branches are
-    checked against images and planes computed without the tables: each
-    form's two images from G = [I_3 | X] and the plane they span as a
-    reduced 2 x 3 matrix."""
+    the plane normals of the forms of T(2, n) that meet {x : x_0 = x_1 = 0}
+    (`_planes`).  The oracles: W [I_3 | X]^T built entry by entry for every
+    W of T(3, n), the projective scan at (2, 6, 3, 6), and the walk over
+    T(4, 7) for the dual side.  The failure branches are checked against
+    images and planes computed without the tables: each form's two images
+    from G = [I_3 | X] and the plane they span as a reduced 2 x 3 matrix."""
 
     @staticmethod
-    def check(spec, n, X, scan):
+    def generator(X):
+        return [[1 if i == j else 0 for j in range(3)] + list(row) for i, row in enumerate(X)]
+
+    @classmethod
+    def check(cls, spec, n, X, scan):
         want = TestBlockKernelLevels.reference(spec, X, 3, n)
         if scan:
-            rows = [[1 if i == j else 0 for j in range(3)] + list(row)
-                    for i, row in enumerate(X)]
-            assert (rank_codes._min_rank_distance_raw(spec, rows, 3, n) == n - 2) == want
+            d = rank_codes._min_rank_distance_raw(spec, cls.generator(X), 3, n)
+            assert (d == n - 2) == want
         code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
         assert rank_codes._is_mrd_block(spec, X, 3) == want, X
         assert is_mrd(code) == want, X
         assert (_kernel_for(spec, 3, n).classify(X) is not None) == want, X
         return want
 
-    @staticmethod
-    def images(spec, X, W):
+    @classmethod
+    def images(cls, spec, X, W):
         """G w for each row w of W, with G = [I_3 | X]."""
-        G = [[1 if i == j else 0 for j in range(3)] + list(row) for i, row in enumerate(X)]
+        G = cls.generator(X)
         return [[rank_codes._fq_combination(spec, g, w) for g in G] for w in W]
 
     @classmethod
