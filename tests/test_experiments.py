@@ -77,6 +77,29 @@ class TestMonteCarlo:
         batch = monte_carlo(2, 3, 6, 10, 200, 1)
         assert (batch.mrd_count, batch.gab_count) == (46, 0)
 
+    @pytest.mark.parametrize("seed,counts", [
+        (4242, {(2, 8): (103, 0), (2, 12): (126, 0), (2, 14): (128, 0),
+                (2, 16): (128, 0), (3, 6): (106, 0), (3, 8): (125, 0)}),
+        (9001, {(2, 8): (112, 1), (2, 12): (128, 0), (2, 14): (128, 0),
+                (2, 16): (128, 0), (3, 6): (108, 0), (3, 8): (123, 0)}),
+    ])
+    def test_sweep_grid_counts(self, seed, counts):
+        # the benchmark's (q, m) grid at seeds its stored references lack
+        got = {}
+        for q, m in counts:
+            batch = monte_carlo(q, 2, 4, m, 128, seed)
+            got[q, m] = (batch.mrd_count, batch.gab_count)
+        assert got == counts
+
+    @pytest.mark.parametrize("args,counts", [
+        ((2, 2, 4, 5, 512, 3), (169, 31)),
+        ((3, 2, 4, 4, 512, 3), (73, 6)),
+    ])
+    def test_gabidulin_rich_counts(self, args, counts):
+        # small m, where a passing block is often Gabidulin
+        batch = monte_carlo(*args)
+        assert (batch.mrd_count, batch.gab_count) == counts
+
     def test_counts_ordered(self):
         batch = monte_carlo(2, 2, 4, 5, 300, seed=1)
         assert 0 <= batch.gab_count <= batch.mrd_count <= batch.trials
