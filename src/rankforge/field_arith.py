@@ -15,8 +15,10 @@ Arithmetic takes one of three routes, by the kind of field:
 - F_p is plain modular arithmetic on ints (_PrimeOps), the floor of the tower.
 - A FieldSpec of order at most 2**16 builds its digit, exp and log tables
   (and, for odd p, its Zech-logarithm table) at construction, and every
-  operation on it is a table lookup.  F_q with e > 1 is such a FieldSpec
-  too: F_p[x]/(base_modulus), held as `base_field`.
+  operation on it is a table lookup.  Frobenius x -> x^(q^s) multiplies
+  the log by q^s mod (q^m - 1), one stored multiplier per s.  F_q with
+  e > 1 is such a FieldSpec too: F_p[x]/(base_modulus), held as
+  `base_field`.
 - A larger FieldSpec computes without tables.  For q = 2 an index is its
   F_2 coefficient vector, so F_2[x]/(f) multiplies on ints by shift-and-XOR,
   reduced by f as it goes.  For odd p and for e > 1, where coefficients are
@@ -252,7 +254,7 @@ class FieldSpec:
         self._hash = hash(self._key)
 
         self._frob_ops = {}
-        self._digit_cache = self._exp = self._log = self._zech = None
+        self._digit_cache = self._exp = self._log = self._zech = self._frob_mult = None
         if self.order <= _TABLE_MAX:
             self._build_tables()
 
@@ -452,7 +454,7 @@ class FieldSpec:
             return a
         exp = self._exp
         if exp is not None:
-            return exp[self._log[a] * self.q ** s % (self.order - 1)]
+            return exp[self._log[a] * self._frob_mult[s] % (self.order - 1)]
         basis = self._frob_basis(s)
         acc = 0
         for c, img in zip(self.digits(a), basis):
@@ -520,8 +522,9 @@ class FieldSpec:
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
     def _build_tables(self) -> None:
-        """Digit, exp/log and (odd p) Zech tables, with exp built by
-        _mul_poly; only called from __init__ for orders up to _TABLE_MAX."""
+        """Digit, exp/log, Frobenius-multiplier and (odd p) Zech tables, with
+        exp built by _mul_poly; only called from __init__ for orders up to
+        _TABLE_MAX."""
         q = self.q
         self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=self.m)]
         g = self._find_generator()
@@ -537,6 +540,8 @@ class FieldSpec:
             ones = [v - v % q + fq_add(v % q, 1) for v in exp]
             self._zech = [log[w] if w else None for w in ones]
         self._exp, self._log = exp + exp, log
+        # x^(q^s) = g^(log(x) q^s): frobenius multiplies the log by q^s mod q^m - 1
+        self._frob_mult = tuple(pow(q, s, self.order - 1) for s in range(self.m))
 
     # -- serialization ---------------------------------------------------------
 

@@ -31,8 +31,8 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # side runs the point map in two stages: the first-row stage holds what
 # reads row 0 alone (its inverses, `_first_row_stage`), and the last-row
 # stage tests one row 1 against it.  The census builds the first-row stage
-# once per orbit, with phi_s(row 0) per class {s, m - s}, each computed when
-# first needed; a single block builds it for itself, and phi_s(row 0) only
+# once per orbit, with phi_t(row 0) per class {t, m - t}, each computed when
+# first needed; a single block builds it for itself, and phi_t(row 0) only
 # once the point test has passed.  A three-row side compares the plane
 # normals of the forms of T(2, n) (`_three_row_passes`), whose patterns are
 # built once per (spec, n) for every caller.  A side of four rows or more is
@@ -45,14 +45,23 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
 # field automorphism applied entrywise keeps every minor's vanishing.  So
-# one rank-one test, on phi_s for the smaller s of the pair, serves the pair
-# {s, m - s}.
+# one rank-one test, on phi_t for the smaller member t of the class
+# {s, m - s}, serves the class (`_gabidulin_classes`).  A 2 x 2 phi_t(X) is
+# decided by its closed form, two products; other shapes by `_is_rank_one`.
+
+def _gabidulin_classes(m: int, s_values):
+    """The classes {s, m - s} that s_values meets, by increasing t =
+    min(s, m - s): (t, the members of s_values in the class, increasing)."""
+    return tuple((t, tuple(s for s in s_values if min(s, m - s) == t))
+                 for t in sorted({min(s, m - s) for s in s_values}))
+
 
 def _is_rank_one(M, mul) -> bool:
     """True iff M has rank one: with p = M[i0][j0] its first nonzero entry,
     M[i][j] p = M[i][j0] M[i0][j] for every row i below i0 and column
     j != j0.  The rows above i0 are zero, and the pivot row and column hold
-    the identity by construction, so neither is compared."""
+    the identity by construction, so neither is compared.  A 2 x 2 phi_t(X)
+    does not come here (`_gabidulin_hits`)."""
     for i0, row0 in enumerate(M):
         for j0, p in enumerate(row0):
             if p:
@@ -61,45 +70,57 @@ def _is_rank_one(M, mul) -> bool:
     return False
 
 
-def _gabidulin_hits(spec: FieldSpec, X, s_values, phi0=None):
-    """Yield, in order, each s in s_values for which X^(q^s) - X has rank
-    one, tested through the 2 x 2 minors through its first nonzero entry.
-    s and m - s share one test (see above), run on phi_s for the smaller s
-    of the pair.  `phi0`, given for a 2-row X, holds phi_s(X[0]) by that s
-    for the blocks that share X[0]; a pair it lacks is computed and stored
-    in it."""
-    sub, frobenius, mul, m = spec.sub, spec.frobenius, spec.mul, spec.m
-    tested = {}
-    for s in s_values:
-        pair = min(s, m - s)
-        if pair not in tested:
-            if phi0 is None:
-                M = [[sub(frobenius(v, pair), v) for v in row] for row in X]
+def _gabidulin_hits(spec: FieldSpec, X, classes, phi0=None) -> tuple:
+    """The s of `classes` (`_gabidulin_classes`) for which X^(q^s) - X has
+    rank one, increasing.  Each class is tested once, on phi_t(X) for its
+    smaller member t: a 2 x 2 [[a, b], [c, d]] has rank one iff ad = bc and
+    it is not zero, and any other shape goes through `_is_rank_one`.
+    `phi0`, given for a 2-row X, holds phi_t(X[0]) by t for the blocks that
+    share X[0]; a class it lacks is computed and stored in it."""
+    frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
+    square = len(X) == 2 == len(X[0])
+    hits = ()
+    for t, members in classes:
+        first = None if phi0 is None else phi0.get(t)
+        if first is None:
+            if square:
+                x, y = X[0]
+                first = sub(frobenius(x, t), x), sub(frobenius(y, t), y)
             else:
-                first = phi0.get(pair)
-                if first is None:
-                    first = phi0[pair] = [sub(frobenius(v, pair), v) for v in X[0]]
-                M = [first, [sub(frobenius(v, pair), v) for v in X[1]]]
-            tested[pair] = _is_rank_one(M, mul)
-        if tested[pair]:
-            yield s
+                first = [sub(frobenius(x, t), x) for x in X[0]]
+            if phi0 is not None:
+                phi0[t] = first
+        if square:
+            a, b = first
+            x, y = X[1]
+            c = sub(frobenius(x, t), x)
+            d = sub(frobenius(y, t), y)
+            one = mul(a, d) == mul(b, c) and (a or b or c or d)
+        else:
+            one = _is_rank_one([first] + [[sub(frobenius(x, t), x) for x in row]
+                                          for row in X[1:]], mul)
+        if one:
+            hits += members
+    return tuple(sorted(hits))
 
 
 class _BlockKernel:
     """The classifier kernel for one (spec, k, n) with 1 <= k < n: the valid
-    Gabidulin parameters, the side of the block it tests (X, or X^T when
-    n - k < k, as `_smaller_side` picks) and its number of rows w, and for
-    w >= 4 the materialised echelon test set T(w, n).  One and two rows need
-    no forms, and three rows read the shared T(2, n) patterns of the plane
-    normals (`_planes`); the T(w, n) budget check still runs here."""
+    Gabidulin parameters and their classes {s, m - s}, the side of the
+    block it tests (X, or X^T when n - k < k, as `_smaller_side` picks) and
+    its number of rows w, and for w >= 4 the materialised echelon test set
+    T(w, n).  One and two rows need no forms, and three rows read the shared
+    T(2, n) patterns of the plane normals (`_planes`); the T(w, n) budget
+    check still runs here."""
 
-    __slots__ = ("spec", "valid_s", "dual", "rows", "tests")
+    __slots__ = ("spec", "valid_s", "classes", "dual", "rows", "tests")
 
     def __init__(self, spec: FieldSpec, k: int, n: int):
         if not 1 <= k < n:
             raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
         self.spec = spec
         self.valid_s = tuple(spec.valid_s_values())
+        self.classes = _gabidulin_classes(spec.m, self.valid_s)
         self.dual = n - k < k
         self.rows = w = min(k, n - k)
         tests = _echelon_tests(w, w, n, spec)
@@ -121,11 +142,11 @@ class _BlockKernel:
             passes = _walk_passes(spec, Y, self.tests)
         if not passes:
             return None
-        return tuple(_gabidulin_hits(spec, X, self.valid_s))
+        return _gabidulin_hits(spec, X, self.classes)
 
     def first_row(self, row):
         """The first-row stage of a 2-row block (k = 2) with this row 0, for
-        `last_row`: (row, the point map's stage, phi_s(row) by pair)."""
+        `last_row`: (row, the point map's stage, phi_t(row) by class t)."""
         return row, _first_row_stage(self.spec, row), {}
 
     def last_row(self, stage, row):
@@ -133,7 +154,7 @@ class _BlockKernel:
         first, point_stage, phi0 = stage
         if not _last_row_passes(self.spec, point_stage, row):
             return None
-        return tuple(_gabidulin_hits(self.spec, (first, row), self.valid_s, phi0))
+        return _gabidulin_hits(self.spec, (first, row), self.classes, phi0)
 
 
 @lru_cache(maxsize=None)
@@ -182,7 +203,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     matrix over F_{q^m}."""
     spec = X.spec
     spec._check_s(s)
-    return any(_gabidulin_hits(spec, X.entries, (s,)))
+    return bool(_gabidulin_hits(spec, X.entries, _gabidulin_classes(spec.m, (s,))))
 
 
 def frobenius_code(code: RankCode, s: int) -> RankCode:
@@ -204,7 +225,11 @@ def _gabidulin_parameter(code: RankCode) -> int | None:
     if X is None:
         return None
     spec = code.spec
-    return next(_gabidulin_hits(spec, X.entries, spec.valid_s_values()), None)
+    for cls in _gabidulin_classes(spec.m, spec.valid_s_values()):
+        hits = _gabidulin_hits(spec, X.entries, (cls,))
+        if hits:
+            return hits[0]
+    return None
 
 
 def is_gabidulin(code: RankCode) -> int | None:
@@ -435,13 +460,14 @@ def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     check_budget(total, "rank-one difference-set scan")
     order = spec.order
     in_base = [spec.frobenius(a, 1) == a for a in range(order)]
+    classes = _gabidulin_classes(spec.m, (s,))
     width = n - k
     count = 0
     for flat in itertools.product(range(order), repeat=cells):
         if any(in_base[v] for v in flat):
             continue
         X = [flat[i * width:(i + 1) * width] for i in range(k)]
-        if any(_gabidulin_hits(spec, X, (s,))):
+        if _gabidulin_hits(spec, X, classes):
             count += 1
     factored = (spec.q ** cells) * len(enumerate_R1K(spec, k, n))
     return GSetCount(s=s, exhaustive=count, factored=factored)

@@ -215,12 +215,16 @@ def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
 
 def _combinations(spec: FieldSpec, row):
     """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
-    is the base-q digit t of c, lowest first."""
+    is the base-q digit t of c, lowest first.  For p = 2 a sum is the XOR
+    of the indices, as in `FieldSpec.add`."""
     add, mul = spec.add, spec.mul
     comb = [0]
     for x in row:
-        comb += [add(v, cx) for cx in [mul(c, x) for c in range(1, spec.q)]
-                 for v in comb]
+        multiples = [mul(c, x) for c in range(1, spec.q)]
+        if spec.p == 2:
+            comb += [v ^ cx for cx in multiples for v in comb]
+        else:
+            comb += [add(v, cx) for cx in multiples for v in comb]
     return comb
 
 

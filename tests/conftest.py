@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from rankforge import FieldSpec, default_field
+from rankforge import FieldSpec, default_field, field_arith
 
 
 @pytest.fixture(scope="session")
@@ -30,6 +30,21 @@ def f16():
 def tower16():
     """F_16 as a degree-2 extension of F_4 (true two-level tower)."""
     return FieldSpec(2, 2, 2)
+
+
+def fail(*args):
+    raise AssertionError("unexpected call")
+
+
+def untabled(monkeypatch, p, e, m):
+    """FieldSpec(p, e, m) built as if it were above the table cap, so every
+    operation takes the untabled route (ints for q = 2, else digit vectors).
+    It equals the tabled FieldSpec(p, e, m), so caches keyed by the spec
+    (`_kernel_for`) would hand it the tabled spec's objects."""
+    with monkeypatch.context() as mp:
+        mp.setattr(field_arith, "_TABLE_MAX", 0)
+        mp.setattr(FieldSpec, "_build_tables", fail)
+        return FieldSpec(p, e, m)
 
 
 def basis_elements(spec, n):

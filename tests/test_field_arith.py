@@ -12,6 +12,8 @@ from rankforge import (BudgetExceededError, Element, FieldSpec,
                        trace, trace_kernel)
 from rankforge import field_arith
 
+from conftest import fail, untabled
+
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
 TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
 
@@ -215,19 +217,6 @@ class TestArithmetic:
             _ = alpha(f4) + 1
 
 
-def _fail(*args):
-    raise AssertionError("unexpected call")
-
-
-def untabled(monkeypatch, p, e, m):
-    """FieldSpec(p, e, m) built as if it were above the table cap, so every
-    operation takes the untabled route (ints for q = 2, else digit vectors)."""
-    with monkeypatch.context() as mp:
-        mp.setattr(field_arith, "_TABLE_MAX", 0)
-        mp.setattr(FieldSpec, "_build_tables", _fail)
-        return FieldSpec(p, e, m)
-
-
 class TestTablePath:
     """exp/log/Zech lookups against the untabled routines."""
 
@@ -235,7 +224,7 @@ class TestTablePath:
     def test_matches_untabled_twin(self, monkeypatch, p, e, m):
         tabled, plain = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
         assert tabled == plain
-        monkeypatch.setattr(tabled, "_mul_poly", _fail)
+        monkeypatch.setattr(tabled, "_mul_poly", fail)
         fq = plain.base_field
         for a in range(tabled.order):
             assert tabled.digits(a) == plain.digits(a)

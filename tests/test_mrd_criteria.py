@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from rankforge import (BudgetExceededError, Element, ExtMatrix,
+from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        InvalidParameterError, RankCode, default_field,
                        enumerate_G, enumerate_R1K, f_E_degree, frobenius_code,
                        gabidulin, intersection_dim, is_gabidulin, is_mrd,
@@ -12,10 +12,11 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
 from rankforge.mrd_criteria import (_gabidulin_hits, _gabidulin_parameter,
-                                    _is_full_rank_rref, _is_rank_one, _kernel_for)
+                                    _BlockKernel, _is_full_rank_rref, _is_rank_one,
+                                    _kernel_for)
 from rankforge.rank_codes import _min_rank_distance_raw
 
-from conftest import basis_elements
+from conftest import basis_elements, untabled
 
 
 def all_systematic_codes(spec, k, n):
@@ -121,6 +122,37 @@ class TestBlockKernel:
             verdicts.add(None if hits is None else bool(hits))
         assert {None, True} <= verdicts
 
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 5), (2, 2, 4), (3, 1, 4)])
+    def test_untabled_twin_matches_tabled(self, monkeypatch, p, e, m):
+        # the kernel of a field built without tables (p = 2 sums by XOR, with
+        # F_q multiples at q = 4; digit vectors at q = 3) against the tabled
+        # kernel, on seeded blocks and on the Gabidulin block of every valid
+        # s, through classify and through first_row/last_row with one stage
+        # shared by several last rows; both are built directly, since
+        # _kernel_for would return the tabled kernel for the equal twin
+        spec, twin = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
+        assert twin._exp is None
+        tabled, plain = _BlockKernel(spec, 2, 4), _BlockKernel(twin, 2, 4)
+        rng = random.Random(f"untabled-{p}-{e}-{m}")
+
+        def draw():
+            return [rng.randrange(spec.order) for _ in range(2)]
+
+        groups = [(draw(), [draw() for _ in range(8)]) for _ in range(6)]
+        g = basis_elements(spec, 4)
+        for s in spec.valid_s_values():
+            X = gabidulin(g, s, 2).systematic_X.entries
+            groups.append((X[0], [X[1]]))
+        verdicts = set()
+        for first, last_rows in groups:
+            stage = plain.first_row(first)
+            for row in last_rows:
+                want = tabled.classify([first, row])
+                assert plain.classify([first, row]) == want, (first, row)
+                assert plain.last_row(stage, row) == want, (first, row)
+                verdicts.add(None if want is None else bool(want))
+        assert verdicts == {None, False, True}
+
     @pytest.mark.parametrize("q,m", [(2, 4), (3, 3)])
     def test_rank_one_matches_elimination(self, q, m):
         # rank-one u v^T (zeros allowed in u and v), sums of two of them,
@@ -223,7 +255,7 @@ class TestBlockKernel:
                 s for s in valid_s
                 if _rank_raw([[spec.sub(spec.frobenius(v, s), v) for v in row]
                               for row in X], spec, cap=2) == 1)
-            assert tuple(_gabidulin_hits(spec, X, valid_s)) == expected, X
+            assert _gabidulin_hits(spec, X, kernel.classes) == expected, X
             reached.add(expected)
             hits = kernel.classify(X)
             if hits is not None:
@@ -316,6 +348,33 @@ class TestRank1Criterion:
                 break
         else:
             pytest.fail("no rank-two image found")
+
+    @pytest.mark.parametrize("q,m,sample", [(2, 3, None), (3, 2, None), (2, 4, 1500)])
+    def test_closed_form_matches_elimination(self, q, m, sample):
+        # a 2 x 2 phi_s(X) is decided by det = 0 and phi_s(X) != 0: every
+        # block over F_8 and F_9, and over F_16 the blocks over F_2 and a
+        # seeded sample, against the rank by elimination for each valid s;
+        # a block over F_q has phi_s(X) = 0 and must fail
+        spec = default_field(q, m)
+        base = list(itertools.product(range(q), repeat=4))
+        if sample is None:
+            flats = itertools.product(range(spec.order), repeat=4)
+        else:
+            rng = random.Random(f"closed-form-{q}-{m}")
+            flats = base + [[rng.randrange(spec.order) for _ in range(4)]
+                            for _ in range(sample)]
+        verdicts = set()
+        for flat in flats:
+            X = ExtMatrix(spec, [flat[:2], flat[2:]])
+            for s in spec.valid_s_values():
+                phi = [[spec.phi_s(v, s) for v in row] for row in X.entries]
+                want = _rank_raw(phi, spec) == 1
+                assert rank1_criterion(X, s) == want, (flat, s)
+                verdicts.add(want)
+        assert verdicts == {False, True}
+        for flat in base:
+            X = ExtMatrix(spec, [flat[:2], flat[2:]])
+            assert not any(rank1_criterion(X, s) for s in spec.valid_s_values()), flat
 
     def test_invalid_s(self, f16):
         X = ExtMatrix(f16, [[2, 3]])
