@@ -49,7 +49,8 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # {s, m - s}, serves the class (`_gabidulin_classes`).  A 2 x 2 phi_t(X) is
 # decided by its closed form, two products; other shapes by `_is_rank_one`.
 
-def _gabidulin_classes(m: int, s_values):
+@lru_cache(maxsize=None)
+def _gabidulin_classes(m: int, s_values: tuple):
     """The classes {s, m - s} that s_values meets, by increasing t =
     min(s, m - s): (t, the members of s_values in the class, increasing)."""
     return tuple((t, tuple(s for s in s_values if min(s, m - s) == t))
@@ -225,7 +226,7 @@ def _gabidulin_parameter(code: RankCode) -> int | None:
     if X is None:
         return None
     spec = code.spec
-    for cls in _gabidulin_classes(spec.m, spec.valid_s_values()):
+    for cls in _gabidulin_classes(spec.m, tuple(spec.valid_s_values())):
         hits = _gabidulin_hits(spec, X.entries, (cls,))
         if hits:
             return hits[0]

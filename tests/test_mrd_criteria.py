@@ -128,8 +128,10 @@ class TestBlockKernel:
         # F_q multiples at q = 4; digit vectors at q = 3) against the tabled
         # kernel, on seeded blocks and on the Gabidulin block of every valid
         # s, through classify and through first_row/last_row with one stage
-        # shared by several last rows; both are built directly, since
-        # _kernel_for would return the tabled kernel for the equal twin
+        # shared by several last rows (a Gabidulin last row comes after
+        # seeded ones, so it reads phi_t(row 0) from the stage); both are
+        # built directly, since _kernel_for would return the tabled kernel
+        # for the equal twin
         spec, twin = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
         assert twin._exp is None
         tabled, plain = _BlockKernel(spec, 2, 4), _BlockKernel(twin, 2, 4)
@@ -142,7 +144,7 @@ class TestBlockKernel:
         g = basis_elements(spec, 4)
         for s in spec.valid_s_values():
             X = gabidulin(g, s, 2).systematic_X.entries
-            groups.append((X[0], [X[1]]))
+            groups.append((X[0], [draw() for _ in range(4)] + [X[1]]))
         verdicts = set()
         for first, last_rows in groups:
             stage = plain.first_row(first)
