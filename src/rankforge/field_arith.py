@@ -10,26 +10,32 @@ The tower is kept in two levels (rather than one extension of degree e*m)
 so that the trace to F_q, the maps x -> x^{q^s} - x, and subfield
 membership all stay coefficient-level checks.
 
-Arithmetic takes one of three routes, by the kind of field:
+Each field binds its operations (add, sub, neg, mul, inv and, on a
+FieldSpec, frobenius) as instance attributes when it is built, so no call
+decides its route.  For p = 2, add and sub are operator.xor and neg is the
+identity at every level.  The floor of the tower, F_p, is _PrimeOps:
+closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
 
-- F_p is plain modular arithmetic on ints (_PrimeOps), the floor of the tower.
-- A FieldSpec of order at most 2**16 builds its digit, exp and log tables
-  (and, for odd p, its Zech-logarithm table) at construction, and every
-  operation on it is a table lookup.  Frobenius x -> x^(q^s) multiplies
-  the log by q^s mod (q^m - 1), one stored multiplier per s.  F_q with
-  e > 1 is such a FieldSpec too: F_p[x]/(base_modulus), held as
-  `base_field`.
-- A larger FieldSpec computes without tables.  For q = 2 an index is its
-  F_2 coefficient vector, so F_2[x]/(f) multiplies on ints by shift-and-XOR,
-  reduced by f as it goes.  For odd p and for e > 1, where coefficients are
-  not bits, products are schoolbook on digit vectors.  Inverses are
-  Euclidean on digit vectors, and Frobenius maps the power basis.  The
-  same product (_mul_poly) also builds the tables.
+- Tabled, of order at most 2**16: closures over the digit, exp and log
+  tables (and, for odd p, the Zech-logarithm table) built at construction,
+  so every operation is a lookup.  Frobenius x -> x^(q^s) multiplies the
+  log by q^s mod (q^m - 1), one stored multiplier per s.  F_q with e > 1
+  is such a FieldSpec too: F_p[x]/(base_modulus), held as `base_field`.
+- Binary untabled, q = 2: an index is its F_2 coefficient vector, so
+  F_2[x]/(f) multiplies on ints by shift-and-XOR, reduced by f as it goes.
+- Digit untabled, odd p or e > 1, where coefficients are not bits:
+  products are schoolbook on digit vectors, and for odd p sums go digit
+  by digit.
+
+Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
+through the images of the power basis.  A tabled field builds its tables
+with its kind's untabled product (_mul_poly) before it binds the lookups.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from functools import lru_cache
 from math import gcd
 from typing import Iterator, Sequence
@@ -62,27 +68,30 @@ def _prime_factors(n: int) -> list[int]:
 # stands in for F_q when e > 1; polynomial helpers below take either.
 
 class _PrimeOps:
-    """Arithmetic modulo a prime p on ints in [0, p)."""
+    """Arithmetic modulo a prime p on ints in [0, p), bound at construction:
+    F_2 adds and subtracts by XOR and multiplies by AND."""
 
     def __init__(self, p: int):
         self.order = p
 
-    def add(self, a, b):
-        return (a + b) % self.order
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return pow(a, p - 2, p)
 
-    def sub(self, a, b):
-        return (a - b) % self.order
+        self.inv = inv
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.mul = operator.and_
+            self.neg = operator.pos
+        else:
+            self.add = lambda a, b: (a + b) % p
+            self.sub = lambda a, b: (a - b) % p
+            self.mul = lambda a, b: a * b % p
+            self.neg = lambda a: -a % p
 
-    def mul(self, a, b):
-        return (a * b) % self.order
-
-    def neg(self, a):
-        return (-a) % self.order
-
-    def inv(self, a):
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        return pow(a, self.order - 2, self.order)
+    def __reduce__(self):
+        return _PrimeOps, (self.order,)
 
 
 # --------------------------------------------------------------------------
@@ -203,9 +212,13 @@ def _checked_modulus(coeffs, degree, F, level):
 class FieldSpec:
     """Description of the tower F_p <= F_q <= F_{q^m}, q = p**e.
 
-    Arithmetic methods operate on raw element indices (ints in [0, order));
-    the Element class wraps an index together with its owning spec.  A spec
-    is immutable after construction and safe to share across workers.
+    The operations add, sub, neg, mul, inv and frobenius act on raw element
+    indices (ints in [0, order)); each is an instance attribute bound at
+    construction for the spec's kind (tabled, binary untabled or digit
+    untabled; see the module docstring).  The Element class wraps an index
+    together with its owning spec.  A spec is immutable after construction
+    and safe to share across workers; it pickles as its parameters and
+    moduli, and unpickling builds it again.
     """
 
     def __init__(self, p: int, e: int = 1, m: int = 1,
@@ -253,10 +266,24 @@ class FieldSpec:
         self._key = (p, e, m, self.base_modulus, self.ext_modulus)
         self._hash = hash(self._key)
 
+        # The operations are bound once, for this kind of field: untabled
+        # here, and _build_tables rebinds them to lookups.  For p = 2 indices
+        # add as coefficient vectors over F_2 at every order.
         self._frob_ops = {}
-        self._digit_cache = self._exp = self._log = self._zech = self._frob_mult = None
+        self._digit_cache = self._exp = None
+        self._mul_poly = self._mul_bits if self.q == 2 else self._mul_digits
+        self.mul, self.inv, self.frobenius = self._mul_poly, self._inv_euclid, self._frob_by_basis
+        if p == 2:
+            self.add = self.sub = operator.xor
+            self.neg = operator.pos
+        else:
+            self.add, self.sub, self.neg = self._add_digits, self._sub_digits, self._neg_digits
         if self.order <= _TABLE_MAX:
             self._build_tables()
+
+    def __reduce__(self):
+        # the bound operations are rebuilt, not pickled
+        return type(self), (self.p, self.e, self.m, self.base_modulus, self.ext_modulus)
 
     # -- identity ----------------------------------------------------------
 
@@ -320,65 +347,35 @@ class FieldSpec:
             raise InvalidParameterError(f"F_q value out of range: {c}")
         return v
 
-    # -- raw arithmetic on indices ------------------------------------------
+    # -- untabled arithmetic on indices -------------------------------------
 
-    # Tabled fields, n = order - 1: exp[i] = g^(i mod n) for a generator g
-    # and 0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None
-    # where 1 + g^i = 0).  A sum of two logs indexes exp directly, and a
-    # difference in (-n, n) indexes exp or zech by Python's negative
-    # indexing, so no lookup reduces mod n.
+    def _add_digits(self, a: int, b: int) -> int:
+        return self.from_digits(map(self.base_field.add, self.digits(a), self.digits(b)))
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        zech = self._zech
-        if zech is None:
-            fq = self.base_field
-            return self.from_digits(fq.add(x, y) for x, y in zip(self.digits(a), self.digits(b)))
-        if a == 0:
-            return b
-        if b == 0:
-            return a
-        log = self._log
-        la = log[a]
-        z = zech[log[b] - la]
-        if z is None:
-            return 0
-        return self._exp[la + z]
+    def _sub_digits(self, a: int, b: int) -> int:
+        return self.from_digits(map(self.base_field.sub, self.digits(a), self.digits(b)))
 
-    def neg(self, a: int) -> int:
-        if self.p == 2 or a == 0:
-            return a
-        exp = self._exp
-        if exp is None:
-            fq = self.base_field
-            return self.from_digits(fq.neg(x) for x in self.digits(a))
-        # -1 = g^(n/2)
-        return exp[self._log[a] + (self.order - 1) // 2]
+    def _neg_digits(self, a: int) -> int:
+        return self.from_digits(map(self.base_field.neg, self.digits(a)))
 
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self.add(a, self.neg(b))
+    def _mul_bits(self, a: int, b: int) -> int:
+        """Product in F_2[x]/(ext_modulus) on the indices: add a * x^i for
+        each set bit i of b, reducing a by shift-and-XOR as it grows."""
+        f, top = self._modulus_bits, 1 << self.m
+        acc = 0
+        while b:
+            if b & 1:
+                acc ^= a
+            b >>= 1
+            a <<= 1
+            if a & top:
+                a ^= f
+        return acc
 
-    def _mul_poly(self, a: int, b: int) -> int:
-        """Product reduced mod ext_modulus: shift-and-XOR on the indices for
-        q = 2, else schoolbook on coefficient vectors."""
+    def _mul_digits(self, a: int, b: int) -> int:
+        """Product reduced mod ext_modulus, schoolbook on coefficient vectors."""
         if a == 0 or b == 0:
             return 0
-        f = self._modulus_bits
-        if f is not None:
-            # add a * x^i for each set bit i of b, reducing a as it grows
-            top = 1 << self.m
-            acc = 0
-            while b:
-                if b & 1:
-                    acc ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= f
-            return acc
         fq = self.base_field
         m = self.m
         da = self.digits(a)
@@ -401,21 +398,9 @@ class FieldSpec:
                 prod[base + j] = fq.add(prod[base + j], fq.mul(c, r))
         return self.from_digits(prod[:m])
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        exp = self._exp
-        if exp is None:
-            return self._mul_poly(a, b)
-        log = self._log
-        return exp[log[a] + log[b]]
-
-    def inv(self, a: int) -> int:
+    def _inv_euclid(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero")
-        exp = self._exp
-        if exp is not None:
-            return exp[-self._log[a]]
         poly = _ptrim(self.digits(a))
         return self.from_digits(self._pad(_pinv_mod(poly, self.ext_modulus, self.base_field)))
 
@@ -448,13 +433,10 @@ class FieldSpec:
             self._frob_ops[s] = basis
         return basis
 
-    def frobenius(self, a: int, s: int) -> int:
+    def _frob_by_basis(self, a: int, s: int) -> int:
         s %= self.m
         if s == 0 or a == 0:
             return a
-        exp = self._exp
-        if exp is not None:
-            return exp[self._log[a] * self._frob_mult[s] % (self.order - 1)]
         basis = self._frob_basis(s)
         acc = 0
         for c, img in zip(self.digits(a), basis):
@@ -523,13 +505,20 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         """Digit, exp/log, Frobenius-multiplier and (odd p) Zech tables, with
-        exp built by _mul_poly; only called from __init__ for orders up to
-        _TABLE_MAX."""
-        q = self.q
-        self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=self.m)]
+        exp built by the untabled _mul_poly, and the operations rebound to
+        lookups in them; only called from __init__ for orders up to
+        _TABLE_MAX.
+
+        With n = order - 1: exp[i] = g^(i mod n) for a generator g and
+        0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None where
+        1 + g^i = 0).  A sum of two logs indexes exp directly, and a
+        difference in (-n, n) indexes exp or zech by Python's negative
+        indexing, so no lookup but Frobenius reduces mod n."""
+        q, m, n = self.q, self.m, self.order - 1
+        self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=m)]
         g = self._find_generator()
-        exp = [1] * (self.order - 1)
-        for i in range(1, len(exp)):
+        exp = [1] * n
+        for i in range(1, n):
             exp[i] = self._mul_poly(exp[i - 1], g)
         log = [0] * self.order
         for i, v in enumerate(exp):
@@ -537,11 +526,39 @@ class FieldSpec:
         if self.p != 2:
             # 1 + v changes only the lowest F_q digit of v
             fq_add = self.base_field.add
-            ones = [v - v % q + fq_add(v % q, 1) for v in exp]
-            self._zech = [log[w] if w else None for w in ones]
-        self._exp, self._log = exp + exp, log
-        # x^(q^s) = g^(log(x) q^s): frobenius multiplies the log by q^s mod q^m - 1
-        self._frob_mult = tuple(pow(q, s, self.order - 1) for s in range(self.m))
+            zech = [log[w] if w else None for w in (v - v % q + fq_add(v % q, 1) for v in exp)]
+        exp = self._exp = exp + exp
+        # x^(q^s) = g^(log(x) q^s): frobenius multiplies the log by q^s mod n
+        frob_mult = tuple(pow(q, s, n) for s in range(m))
+
+        def mul(a, b):
+            return exp[log[a] + log[b]] if a and b else 0
+
+        def inv(a):
+            if a == 0:
+                raise ZeroDivisionError("inverse of zero")
+            return exp[-log[a]]
+
+        def frobenius(a, s):
+            return exp[log[a] * frob_mult[s % m] % n] if a else 0
+
+        self.mul, self.inv, self.frobenius = mul, inv, frobenius
+        if self.p == 2:
+            return
+        half = n // 2  # -1 = g^(n/2)
+
+        def add(a, b):
+            if a == 0:
+                return b
+            if b == 0:
+                return a
+            la = log[a]
+            z = zech[log[b] - la]
+            return 0 if z is None else exp[la + z]
+
+        self.add = add
+        self.neg = lambda a: exp[log[a] + half] if a else 0
+        self.sub = lambda a, b: add(a, exp[log[b] + half]) if b else a
 
     # -- serialization ---------------------------------------------------------
 

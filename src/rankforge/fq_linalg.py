@@ -135,6 +135,7 @@ def _rref_in_place(rows, ops):
     Pivoting takes the first nonzero entry scanning top-to-bottom in each
     column, left to right (exact field, no magnitude concerns).
     """
+    inv, mul, sub = ops.inv, ops.mul, ops.sub
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
     pivots = []
@@ -145,15 +146,15 @@ def _rref_in_place(rows, ops):
             continue
         if pivot != r:
             rows[r], rows[pivot] = rows[pivot], rows[r]
-        p_inv = ops.inv(rows[r][c])
+        p_inv = inv(rows[r][c])
         if rows[r][c] != 1:
-            rows[r] = [ops.mul(p_inv, v) for v in rows[r]]
+            rows[r] = [mul(p_inv, v) for v in rows[r]]
         for i in range(nrows):
             if i == r:
                 continue
             f = rows[i][c]
             if f:
-                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], rows[r])]
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], rows[r])]
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -163,6 +164,7 @@ def _rref_in_place(rows, ops):
 
 def _rank_raw(rows, ops, cap=None) -> int:
     """Rank by forward elimination; stops early once `cap` is reached."""
+    inv, mul, sub = ops.inv, ops.mul, ops.sub
     rows = [list(r) for r in rows]
     nrows = len(rows)
     ncols = len(rows[0]) if rows else 0
@@ -172,13 +174,13 @@ def _rank_raw(rows, ops, cap=None) -> int:
         if pivot is None:
             continue
         rows[rank_], rows[pivot] = rows[pivot], rows[rank_]
-        p_inv = ops.inv(rows[rank_][c])
+        p_inv = inv(rows[rank_][c])
         prow = rows[rank_]
         for i in range(rank_ + 1, nrows):
             f = rows[i][c]
             if f:
-                f = ops.mul(f, p_inv)
-                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], prow)]
+                f = mul(f, p_inv)
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
         rank_ += 1
         if rank_ == nrows or (cap is not None and rank_ >= cap):
             break
@@ -212,6 +214,7 @@ def det(M):
     if M.rows != M.cols:
         raise ShapeError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
     ops = M._ops()
+    inv, mul, sub = ops.inv, ops.mul, ops.sub
     rows = M.copy_entries()
     n = M.rows
     result = 1
@@ -223,14 +226,14 @@ def det(M):
         if pivot != c:
             rows[c], rows[pivot] = rows[pivot], rows[c]
             result = ops.neg(result)
-        result = ops.mul(result, rows[c][c])
-        p_inv = ops.inv(rows[c][c])
+        result = mul(result, rows[c][c])
+        p_inv = inv(rows[c][c])
         prow = rows[c]
         for i in range(c + 1, n):
             f = rows[i][c]
             if f:
-                f = ops.mul(f, p_inv)
-                rows[i] = [ops.sub(x, ops.mul(f, y)) for x, y in zip(rows[i], prow)]
+                f = mul(f, p_inv)
+                rows[i] = [sub(x, mul(f, y)) for x, y in zip(rows[i], prow)]
     if isinstance(M, ExtMatrix):
         return Element(M.spec, result)
     return result

@@ -216,7 +216,8 @@ def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
 def _combinations(spec: FieldSpec, row):
     """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
     is the base-q digit t of c, lowest first.  For p = 2 a sum is the XOR
-    of the indices, as in `FieldSpec.add`."""
+    of the indices, written inline: a spec with p = 2 binds `add` to
+    `operator.xor`."""
     add, mul = spec.add, spec.mul
     comb = [0]
     for x in row:
@@ -591,10 +592,11 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
 
 
 def _fq_combination(spec: FieldSpec, vec, coeffs):
+    add, mul = spec.add, spec.mul
     acc = 0
     for v, c in zip(vec, coeffs):
         if c and v:
-            acc = spec.add(acc, spec.mul(c, v))
+            acc = add(acc, mul(c, v))
     return acc
 
 

@@ -1,5 +1,8 @@
+import copy
 import hashlib
 import itertools
+import operator
+import pickle
 import random
 from math import gcd
 
@@ -86,6 +89,25 @@ DEFAULT_MODULI = {
 
 def alpha(spec):
     return spec.element(spec.from_digits([0, 1] + [0] * (spec.m - 2)))
+
+
+def all_results(spec, elems=None):
+    """Every operation of spec on elems (default: the whole field), keyed by
+    operation and arguments."""
+    elems = range(spec.order) if elems is None else elems
+    out = {}
+    for a in elems:
+        out["digits", a] = spec.digits(a)
+        out["neg", a] = spec.neg(a)
+        if a:
+            out["inv", a] = spec.inv(a)
+        for s in range(spec.m + 1):
+            out["frobenius", a, s] = spec.frobenius(a, s)
+        for b in elems:
+            out["add", a, b] = spec.add(a, b)
+            out["sub", a, b] = spec.sub(a, b)
+            out["mul", a, b] = spec.mul(a, b)
+    return out
 
 
 class TestConstruction:
@@ -224,23 +246,19 @@ class TestTablePath:
     def test_matches_untabled_twin(self, monkeypatch, p, e, m):
         tabled, plain = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
         assert tabled == plain
-        monkeypatch.setattr(tabled, "_mul_poly", fail)
         fq = plain.base_field
-        for a in range(tabled.order):
-            assert tabled.digits(a) == plain.digits(a)
-            assert tabled.neg(a) == plain.neg(a)
-            if a:
-                assert tabled.inv(a) == plain.inv(a)
-            for s in range(tabled.m + 1):
-                assert tabled.frobenius(a, s) == plain.frobenius(a, s)
-            for c in range(tabled.q):
+        for a in range(plain.order):
+            for c in range(plain.q):
                 # F_q sits at the indices below q: scaling acts digit by digit
                 by_digits = plain.from_digits(fq.mul(c, x) for x in plain.digits(a))
-                assert tabled.mul(c, a) == plain.mul(c, a) == by_digits
-        for a, b in itertools.product(range(tabled.order), repeat=2):
-            assert tabled.add(a, b) == plain.add(a, b)
-            assert tabled.sub(a, b) == plain.sub(a, b)
-            assert tabled.mul(a, b) == plain.mul(a, b)
+                assert plain.mul(c, a) == by_digits
+        # every untabled result first, so that the tabled spec may call
+        # none of the untabled routines
+        expected = all_results(plain)
+        monkeypatch.setattr(tabled, "_mul_poly", fail)
+        monkeypatch.setattr(tabled, "_frob_basis", fail)
+        monkeypatch.setattr(field_arith, "_pinv_mod", fail)
+        assert all_results(tabled) == expected
 
     @pytest.mark.parametrize("m", [17, 20])
     def test_axioms_above_the_cap(self, m):
@@ -325,6 +343,61 @@ class TestBaseField:
             assert fq.add(a, b) == digitwise(lambda x, y: x + y, a, b)
             assert fq.sub(a, b) == digitwise(lambda x, y: x - y, a, b)
             assert fq.mul(a, b) == _poly_mulmod(a, b, p, spec.base_modulus)
+
+
+class TestKinds:
+    """Each field binds its operations once, for its kind; every kind
+    behaves alike."""
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 4), (3, 1, 2), (2, 2, 2), (3, 2, 2)])
+    def test_inv_zero_raises_on_every_kind(self, monkeypatch, p, e, m):
+        for spec in (FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)):
+            with pytest.raises(ZeroDivisionError):
+                spec.inv(0)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_prime_ops_exhaustive(self, p):
+        F = field_arith._PrimeOps(p)
+        with pytest.raises(ZeroDivisionError):
+            F.inv(0)
+        for a in range(p):
+            assert F.neg(a) == -a % p
+            if a:
+                assert F.inv(a) == pow(a, -1, p)
+            for b in range(p):
+                assert F.add(a, b) == (a + b) % p
+                assert F.sub(a, b) == (a - b) % p
+                assert F.mul(a, b) == a * b % p
+
+    def test_p2_adds_by_xor(self, monkeypatch):
+        for F in (field_arith._PrimeOps(2), FieldSpec(2, 1, 4), FieldSpec(2, 2, 2),
+                  untabled(monkeypatch, 2, 1, 4), untabled(monkeypatch, 2, 2, 2)):
+            assert F.add is F.sub is operator.xor
+        assert not {"add", "sub", "neg", "mul", "inv", "frobenius"} & set(vars(FieldSpec))
+
+
+class TestPickling:
+    """A spec pickles as its parameters and moduli and is built again."""
+
+    @pytest.mark.parametrize("kind", ["tabled", "binary-untabled", "digit-untabled", "tower"])
+    def test_round_trip(self, monkeypatch, kind):
+        spec = {
+            "tabled": lambda: FieldSpec(2, 1, 5, ext_modulus=[1, 0, 1, 0, 0, 1]),
+            "binary-untabled": lambda: untabled(monkeypatch, 2, 1, 5),
+            "digit-untabled": lambda: untabled(monkeypatch, 3, 1, 3),
+            "tower": lambda: FieldSpec(3, 2, 2),
+        }[kind]()
+        rng = random.Random(kind)
+        sample = [0, 1] + rng.sample(range(2, spec.order), 10)
+        expected = all_results(spec, sample)
+        for copy_ in (pickle.loads(pickle.dumps(spec)), copy.deepcopy(spec)):
+            assert copy_ == spec and copy_ is not spec
+            assert copy_.base_field.order == spec.q
+            assert all_results(copy_, sample) == expected
+
+    def test_prime_ops_round_trip(self):
+        prime = pickle.loads(pickle.dumps(field_arith._PrimeOps(3)))
+        assert (prime.order, prime.add(2, 2), prime.inv(2)) == (3, 1, 2)
 
 
 class TestFrobenius:
