@@ -16,7 +16,7 @@ from .errors import (BudgetExceededError, InvalidParameterError, RankforgeError,
                      VerificationError)
 from .field_arith import Element, FieldSpec
 from .fq_linalg import linearly_independent_over_base
-from .mrd_criteria import _gabidulin_parameter, is_mrd
+from .mrd_criteria import is_gabidulin, is_mrd
 from .rank_codes import RankCode, gabidulin, min_rank_distance
 
 EXIT_OK = 0
@@ -30,7 +30,7 @@ def _load_json(path, decode):
     try:
         with open(path, encoding="utf-8") as fh:
             return decode(json.load(fh))
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, InvalidParameterError) as exc:
         raise InvalidParameterError(
             f"cannot read JSON from {path}: {type(exc).__name__}: {exc}") from exc
 
@@ -81,18 +81,11 @@ def _cmd_check(args):
     mrd = is_mrd(code)
     verdict["mrd"] = mrd
     if args.what in ("gabidulin", "both"):
-        if not mrd:
-            verdict["gabidulin_s"] = "not_applicable"
-        else:
-            verdict["gabidulin_s"] = _gabidulin_parameter(code)
-    if mrd:
-        # MRD means exactly this distance; is_mrd has already tested it
-        verdict["min_distance"] = code.n - code.k + 1
-    else:
-        try:
-            verdict["min_distance"] = min_rank_distance(code)
-        except BudgetExceededError:
-            verdict["min_distance"] = None
+        verdict["gabidulin_s"] = is_gabidulin(code) if mrd else "not_applicable"
+    try:
+        verdict["min_distance"] = min_rank_distance(code)
+    except BudgetExceededError:
+        verdict["min_distance"] = None
     _print_json(verdict)
     return EXIT_OK
 

@@ -47,6 +47,18 @@ from .errors import InvalidParameterError, SpecMismatchError
 _TABLE_MAX = 2 ** 16
 
 
+def _checked_index(v, bound: int, what: str) -> int:
+    """v as an int in [0, bound).  operator.index refuses a float such as
+    1.9 or a string such as '5' instead of truncating or parsing it."""
+    try:
+        i = operator.index(v)
+    except TypeError:
+        raise InvalidParameterError(f"{what} is not an integer: {v!r}") from None
+    if not 0 <= i < bound:
+        raise InvalidParameterError(f"{what} out of range: {v}")
+    return i
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, increasing, by trial division; [] for n < 2."""
     factors = []
@@ -333,19 +345,17 @@ class FieldSpec:
         return v
 
     def _coerce_base_value(self, c) -> int:
-        """Accept an F_q value as an int or as a base-p coefficient list."""
+        """Accept an F_q value as an int in [0, q) or as a list of at most e
+        base-p digits, each an int in [0, p), lowest first."""
         if isinstance(c, (list, tuple)):
             if len(c) > self.e:
                 raise InvalidParameterError(
                     f"F_q coefficient list longer than e = {self.e}: {c}")
             v = 0
             for digit in reversed(c):
-                v = v * self.p + int(digit) % self.p
+                v = v * self.p + _checked_index(digit, self.p, "F_p digit")
             return v
-        v = int(c)
-        if not 0 <= v < self.q:
-            raise InvalidParameterError(f"F_q value out of range: {c}")
-        return v
+        return _checked_index(c, self.q, "F_q value")
 
     # -- untabled arithmetic on indices -------------------------------------
 
@@ -482,9 +492,7 @@ class FieldSpec:
         return Element(self, 1)
 
     def element(self, index: int) -> "Element":
-        if not 0 <= index < self.order:
-            raise InvalidParameterError(f"element index out of range: {index}")
-        return Element(self, index)
+        return Element(self, _checked_index(index, self.order, "element index"))
 
     def element_from_coeffs(self, coeffs) -> "Element":
         """Build an element from nested coefficient lists ([F_p coeffs] per F_q coeff)."""

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import Element, FieldSpec
+from .field_arith import Element, FieldSpec, _checked_index
 
 
 class _MatrixBase:
@@ -35,6 +35,15 @@ class _MatrixBase:
 
     def _coerce_row(self, row):
         raise NotImplementedError
+
+    @classmethod
+    def _trusted(cls, spec, rows):
+        """A matrix holding `rows` itself, unchecked: a non-empty list of
+        equal-length lists of valid raw entries, such as an elimination's
+        output on an already checked matrix."""
+        M = cls.__new__(cls)
+        M.spec, M.rows, M.cols, M.entries = spec, len(rows), len(rows[0]), rows
+        return M
 
     def __eq__(self, other):
         return (type(self) is type(other) and self.spec == other.spec
@@ -60,13 +69,7 @@ class BaseMatrix(_MatrixBase):
 
     def _coerce_row(self, row):
         q = self.spec.q
-        out = []
-        for v in row:
-            v = int(v)
-            if not 0 <= v < q:
-                raise InvalidParameterError(f"F_q entry out of range: {v}")
-            out.append(v)
-        return out
+        return [_checked_index(v, q, "F_q entry") for v in row]
 
     def _ops(self):
         return self.spec.base_field
@@ -97,10 +100,7 @@ class ExtMatrix(_MatrixBase):
                     raise SpecMismatchError("entry from a different field tower")
                 out.append(v.idx)
             else:
-                v = int(v)
-                if not 0 <= v < spec.order:
-                    raise InvalidParameterError(f"element index out of range: {v}")
-                out.append(v)
+                out.append(_checked_index(v, spec.order, "element index"))
         return out
 
     def entry(self, i, j) -> Element:

@@ -169,16 +169,19 @@ def is_mrd(code: RankCode) -> bool:
     n - k < k the dual's identity, on X^T over T(n - k, n), decides it
     (`_is_mrd_block`): one row passes iff its table has one zero, two rows
     go through the point map, three rows compare the plane normals of
-    T(2, n), and four or more walk the pivot patterns."""
-    k, n = code.k, code.n
-    if k == n:
-        return True
-    X = code.systematic_X
-    if X is None:
-        # a singular leading k x k block leaves a nonzero codeword on the
-        # last n - k coordinates, so the distance is at most n - k
-        return False
-    return _is_mrd_block(code.spec, X.entries, k)
+    T(2, n), and four or more walk the pivot patterns.
+
+    The verdict is stored on the code (`RankCode`): a code that
+    `is_mrd` or `min_rank_distance` has already decided is answered with
+    no work and no budget check."""
+    verdict = code._mrd
+    if verdict is None:
+        # a singular leading k x k block (no systematic_X, k < n) leaves a
+        # nonzero codeword on the last n - k coordinates, so d <= n - k
+        X = code.systematic_X
+        verdict = code._mrd = code.k == code.n or (
+            X is not None and _is_mrd_block(code.spec, X.entries, code.k))
+    return verdict
 
 
 def is_mrd_fullrank_variant(code: RankCode) -> bool:
@@ -237,7 +240,9 @@ def is_gabidulin(code: RankCode) -> int | None:
     """Smallest valid Gabidulin parameter s, or None for a non-Gabidulin code.
 
     Only defined for codes with maximal rank distance; calling it on any
-    other code is a precondition violation.
+    other code is a precondition violation.  The precondition reads the
+    code's stored MRD verdict through `is_mrd`, so it costs no work once
+    `is_mrd` or `min_rank_distance` has run on the same object.
     """
     if not is_mrd(code):
         raise InvalidParameterError(

@@ -38,6 +38,14 @@ class RankCode:
     `systematic_X`, the X with rowspace([I_k | X]) = C, are computed at
     construction.  `systematic_X` is None when the leading k x k block of
     the RREF is not the identity, or when k = n.
+
+    The MRD verdict, whether the minimum rank distance is n - k + 1, is
+    stored once per object by whichever of `is_mrd` and
+    `min_rank_distance` runs first on it; once it is known, either call
+    reads it with no work and no budget check.  It is never set from
+    theory: a dual, an isometry image, a Frobenius image or a new code on
+    the same generator decides its own.  Equality, hashing, `to_json` and
+    pickling ignore it, and a pickled or copied code does not carry it.
     """
 
     def __init__(self, spec: FieldSpec, G: ExtMatrix):
@@ -53,11 +61,15 @@ class RankCode:
         pivots = _rref_in_place(rows, spec)
         if len(pivots) != self.k:
             raise InvalidParameterError("generator matrix does not have full row rank")
-        self.canonical = ExtMatrix(spec, rows)
+        self.canonical = ExtMatrix._trusted(spec, rows)
         if pivots == list(range(self.k)) and self.k < self.n:
-            self.systematic_X = ExtMatrix(spec, [row[self.k:] for row in rows])
+            self.systematic_X = ExtMatrix._trusted(spec, [row[self.k:] for row in rows])
         else:
             self.systematic_X = None
+        self._mrd = None
+
+    def __getstate__(self):
+        return dict(self.__dict__, _mrd=None)
 
     def __eq__(self, other):
         """Row-space equality, via the canonical RREF generator."""
@@ -521,6 +533,10 @@ def _two_row_distance(spec: FieldSpec, g_rows, n: int) -> int:
 def min_rank_distance(code: RankCode) -> int:
     """Minimum rank distance, exact.
 
+    A code whose stored MRD verdict holds (`RankCode`) answers n - k + 1
+    at once, with no work and no budget check; any other code's distance
+    is computed, and stores the verdict d = n - k + 1.
+
     A 2-dimensional code (k = 2 < n) takes one pass over its point map
     (`_two_row_distance`).  Every other code takes whichever of two routes
     costs fewer field operations for (q, m, k, n): the echelon identity,
@@ -533,9 +549,14 @@ def min_rank_distance(code: RankCode) -> int:
     its own count.
     """
     spec, k, n = code.spec, code.k, code.n
+    if code._mrd:
+        return n - k + 1
     if k == 2 < n:
-        return _two_row_distance(spec, code.canonical.entries, n)
-    return _distance_route(spec, k, n)(spec, code.canonical.entries, k, n)
+        d = _two_row_distance(spec, code.canonical.entries, n)
+    else:
+        d = _distance_route(spec, k, n)(spec, code.canonical.entries, k, n)
+    code._mrd = d == n - k + 1
+    return d
 
 
 def _distance_route(spec: FieldSpec, k: int, n: int):

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from rankforge import cli, default_field, min_rank_distance
+from rankforge import cli, default_field, min_rank_distance, rank_codes
 from rankforge.cli import main
 
 
@@ -68,8 +68,8 @@ class TestGenGabidulin:
         assert code == 2
 
 
-def _no_scan(code):
-    raise AssertionError("min_rank_distance called on an MRD code")
+def _no_scan(*args):
+    raise AssertionError("distance enumerated for an MRD code")
 
 
 class TestCheck:
@@ -98,15 +98,21 @@ class TestCheck:
         assert verdict["mrd"] is False
         assert verdict["gabidulin_s"] == "not_applicable"
 
-    def test_mrd_distance_without_scan(self, capsys, tmp_path, monkeypatch):
+    @pytest.mark.parametrize("k,what", [("3", "mrd"), ("2", "both")])
+    def test_mrd_distance_without_scan(self, capsys, tmp_path, monkeypatch, k, what):
+        # is_mrd stores the verdict, so min_rank_distance enumerates nothing
         code, out, _ = run(capsys, "gen-gabidulin", "--q", "3", "--m", "5",
-                           "--n", "5", "--k", "3", "--s", "1", "--seed", "4")
+                           "--n", "5", "--k", k, "--s", "1", "--seed", "4")
         f = tmp_path / "code.json"
         f.write_text(out)
-        monkeypatch.setattr(cli, "min_rank_distance", _no_scan)
-        code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", "mrd")
+        monkeypatch.setattr(rank_codes, "_distance_route", _no_scan)
+        monkeypatch.setattr(rank_codes, "_two_row_distance", _no_scan)
+        code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", what)
         assert code == 0
-        assert json.loads(out) == {"mrd": True, "min_distance": 3}
+        want = {"mrd": True, "min_distance": 6 - int(k)}
+        if what == "both":
+            want["gabidulin_s"] = 1
+        assert json.loads(out) == want
 
     def test_non_mrd_distance_scanned(self, capsys, tmp_path, monkeypatch):
         from rankforge import ExtMatrix, RankCode, default_field
@@ -142,11 +148,11 @@ class TestCheck:
         assert "gabidulin_s" not in verdict
 
 
-def _code_with_text_coefficient():
+def _code_with_coefficient(value):
     from rankforge import ExtMatrix, RankCode
     spec = default_field(2, 3)
     data = RankCode.from_systematic(spec, ExtMatrix(spec, [[3, 5]])).to_json()
-    data["generator"]["entries"][0][1][0] = "a"
+    data["generator"]["entries"][0][1][0] = value
     return data
 
 
@@ -157,11 +163,15 @@ class TestMalformedInput:
     @pytest.mark.parametrize("argv,data", [
         (["check", "--code-file"], {"n": 2}),
         (["check", "--code-file"], [1, 2]),
-        (["check", "--code-file"], _code_with_text_coefficient()),
+        (["check", "--code-file"], _code_with_coefficient("a")),
+        (["check", "--code-file"], _code_with_coefficient(1.5)),
+        (["check", "--code-file"], _code_with_coefficient([1.5])),
+        (["check", "--code-file"], _code_with_coefficient([3])),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
         (["gen-gabidulin", "--q", "2", "--m", "3", "--n", "1", "--k", "1", "--g-file"],
          ["x"]),
     ], ids=["code-missing-keys", "code-list", "code-text-coefficient",
+            "code-float-coefficient", "code-float-digit", "code-digit-3",
             "modulus-text", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
         f = tmp_path / "input.json"

@@ -601,3 +601,22 @@ class TestSerialization:
         data = e.coeffs()
         assert len(data) == tower16.m
         assert all(len(c) == tower16.e for c in data)
+
+    @pytest.mark.parametrize("coeff", [1.5, "1", [1.5], ["1"], [3], [-1], -1, 4])
+    def test_bad_coefficient_refused(self, tower16, coeff):
+        # neither truncated nor parsed nor reduced mod p: a list digit is
+        # checked against p as the int form is against q
+        with pytest.raises(InvalidParameterError):
+            tower16.element_from_coeffs([0, coeff])
+
+    def test_base_digits_checked_like_ints(self):
+        f2 = default_field(2, 3)
+        assert f2._coerce_base_value([1]) == f2._coerce_base_value(1) == 1
+        for bad in ([3], 3, [1.0], 1.5, True + 0.5):
+            with pytest.raises(InvalidParameterError):
+                f2._coerce_base_value(bad)
+
+    @pytest.mark.parametrize("index", [2.7, 3.0, "3", None, -1, 16])
+    def test_element_index_refused(self, tower16, index):
+        with pytest.raises(InvalidParameterError):
+            tower16.element(index)

@@ -305,3 +305,27 @@ class TestMatrixJson:
     def test_base_round_trip(self, f9):
         M = BaseMatrix(f9, [[0, 1, 2], [2, 1, 0]])
         assert BaseMatrix.from_json(f9, M.to_json()) == M
+
+
+class TestEntryCheck:
+    """Matrix entries must be ints in range: a float is not truncated and a
+    string is not parsed."""
+
+    @pytest.mark.parametrize("kind,bad", [
+        (ExtMatrix, 1.9), (ExtMatrix, "5"), (ExtMatrix, 8), (ExtMatrix, -1),
+        (BaseMatrix, 1.9), (BaseMatrix, "1"), (BaseMatrix, 3), (BaseMatrix, 1.0),
+    ])
+    def test_refused(self, f8, f9, kind, bad):
+        spec = f8 if kind is ExtMatrix else f9
+        with pytest.raises(InvalidParameterError):
+            kind(spec, [[bad, 1]])
+
+    def test_ints_kept(self, f8):
+        assert ExtMatrix(f8, [[True, 7]]).entries == [[1, 7]]
+        assert BaseMatrix(f8, [[1, 0]]).entries == [[1, 0]]
+
+    def test_json_digit_refused(self, f9):
+        data = BaseMatrix(f9, [[0, 1, 2]]).to_json()
+        data["entries"][0][1] = [1.5]
+        with pytest.raises(InvalidParameterError):
+            BaseMatrix.from_json(f9, data)

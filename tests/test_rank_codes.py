@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 import re
 from collections import Counter
@@ -21,6 +23,11 @@ from conftest import basis_elements
 
 def vec(spec, *idxs):
     return [Element(spec, i) for i in idxs]
+
+
+def fresh(code):
+    """A new code on code's generator, with no stored MRD verdict."""
+    return RankCode(code.spec, code.G)
 
 
 class TestRankDistance:
@@ -148,20 +155,21 @@ class TestMinRankDistance:
     def test_budget(self, monkeypatch):
         # each route refuses on its own count: projective words for the
         # scan, echelon forms for the support route; a k = 2 code takes
-        # neither and refuses on the point map's T(2, n) count
+        # neither and refuses on the point map's T(2, n) count.  Each call
+        # is on a fresh code: a stored MRD verdict would skip the count
         wide = random_systematic_code(default_field(2, 10), 2, 8, random.Random(0))
         scanned = random_systematic_code(default_field(2, 2), 3, 8, random.Random(0))
         code = random_systematic_code(default_field(2, 13), 3, 4, random.Random(0))
-        assert (min_rank_distance(code) == code.n - code.k + 1) == is_mrd(code)
+        assert (min_rank_distance(fresh(code)) == code.n - code.k + 1) == is_mrd(fresh(code))
         monkeypatch.setenv("RANKFORGE_BUDGET", "1000")
         with pytest.raises(BudgetExceededError, match=re.escape("T(2,8) needs 10795 steps")):
-            min_rank_distance(wide)
+            min_rank_distance(fresh(wide))
         monkeypatch.setenv("RANKFORGE_BUDGET", "20")
         with pytest.raises(BudgetExceededError, match="projective codeword scan needs 21"):
-            min_rank_distance(scanned)
+            min_rank_distance(fresh(scanned))
         monkeypatch.setenv("RANKFORGE_BUDGET", "10")
         with pytest.raises(BudgetExceededError, match="echelon-form distance test"):
-            min_rank_distance(code)
+            min_rank_distance(fresh(code))
 
     def test_singleton_bound_on_random_codes(self, f16):
         rng = random.Random(5)
@@ -427,24 +435,26 @@ class TestDualSide:
 
     def test_budget(self, monkeypatch):
         # the dual side refuses on T(n - k, n), whose count [6, 2]_2 is
-        # [6, 4]_2; min_rank_distance refuses first on its own count
+        # [6, 4]_2; min_rank_distance refuses first on its own count.  Each
+        # call is on a fresh code: a stored MRD verdict would skip the count
         spec = default_field(2, 6)
         code = gabidulin(basis_elements(spec, 6), 1, 4)
         X = code.systematic_X.entries
         count = gaussian_binomial(6, 2, 2)
         assert count == gaussian_binomial(6, 4, 2) == 651
         distance = count + gaussian_binomial(6, 1, 2)
-        checks = [(count, "echelon-form enumeration T(2,6)", is_mrd, code),
-                  (count, "echelon-form enumeration T(2,6)", _BlockKernel, spec, 4, 6),
-                  (distance, "echelon-form distance test", min_rank_distance, code)]
-        for limit, what, call, *args in checks:
+        checks = [(count, "echelon-form enumeration T(2,6)", lambda: is_mrd(fresh(code))),
+                  (count, "echelon-form enumeration T(2,6)", lambda: _BlockKernel(spec, 4, 6)),
+                  (distance, "echelon-form distance test",
+                   lambda: min_rank_distance(fresh(code)))]
+        for limit, what, call in checks:
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit - 1))
             message = re.escape(f"{what} needs {limit} steps which exceeds "
                                 f"the budget {limit - 1}")
             with pytest.raises(BudgetExceededError, match=message):
-                call(*args)
+                call()
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
-            call(*args)
+            call()
         assert is_mrd(code) and min_rank_distance(code) == 3
         assert _BlockKernel(spec, 4, 6).classify(X) == (1, 5)
 
@@ -607,7 +617,8 @@ class TestPlaneNormal:
 
     def test_budget(self, monkeypatch):
         # the plane normals read T(2, 6) yet refuse on T(3, 6), [6, 3]_2;
-        # min_rank_distance refuses first on its own count, 63 + 651 + 1395
+        # min_rank_distance refuses first on its own count, 63 + 651 + 1395.
+        # Each call is on a fresh code: a stored MRD verdict would skip the count
         spec = default_field(2, 6)
         code = gabidulin(basis_elements(spec, 6), 1, 3)
         X = code.systematic_X.entries
@@ -615,17 +626,18 @@ class TestPlaneNormal:
         assert count == 1395
         distance = sum(gaussian_binomial(6, t, 2) for t in (1, 2, 3))
         assert distance == 2109
-        checks = [(count, "echelon-form enumeration T(3,6)", is_mrd, code),
-                  (count, "echelon-form enumeration T(3,6)", _BlockKernel, spec, 3, 6),
-                  (distance, "echelon-form distance test", min_rank_distance, code)]
-        for limit, what, call, *args in checks:
+        checks = [(count, "echelon-form enumeration T(3,6)", lambda: is_mrd(fresh(code))),
+                  (count, "echelon-form enumeration T(3,6)", lambda: _BlockKernel(spec, 3, 6)),
+                  (distance, "echelon-form distance test",
+                   lambda: min_rank_distance(fresh(code)))]
+        for limit, what, call in checks:
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit - 1))
             message = re.escape(f"{what} needs {limit} steps which exceeds "
                                 f"the budget {limit - 1}")
             with pytest.raises(BudgetExceededError, match=message):
-                call(*args)
+                call()
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
-            call(*args)
+            call()
         assert is_mrd(code) and min_rank_distance(code) == 4
         assert _BlockKernel(spec, 3, 6).classify(X) == (1, 5)
 
@@ -943,3 +955,143 @@ class TestCodeJson:
         data["k"] = 3
         with pytest.raises(InvalidParameterError):
             RankCode.from_json(data)
+
+
+def _spies(monkeypatch):
+    """Record, by name, every call of the block test and of the two
+    distance computations that a stored MRD verdict skips."""
+    calls = []
+    for module, name in [(rank_codes, "_is_mrd_block"), (mrd_criteria, "_is_mrd_block"),
+                         (rank_codes, "_two_row_distance"), (rank_codes, "_distance_route")]:
+        def spy(*args, _real=getattr(module, name), _name=name):
+            calls.append(_name)
+            return _real(*args)
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
+class TestStoredVerdict:
+    """Each RankCode stores its MRD verdict once, set by whichever of
+    `is_mrd` and `min_rank_distance` runs first on that object; nothing
+    else sets it, and no other object receives it."""
+
+    # (q, m, n, k) for k = 2, 3, 4 and 5; the tested sides have 2, 3, 2, 2 rows
+    MRD_SHAPES = [(2, 5, 5, 2), (2, 6, 6, 3), (2, 6, 6, 4), (2, 7, 7, 5)]
+
+    @staticmethod
+    def gabidulin_code(q, m, n, k):
+        return gabidulin(basis_elements(default_field(q, m), n), 1, k)
+
+    @pytest.mark.parametrize("q,m,n,k", MRD_SHAPES)
+    def test_is_mrd_first(self, monkeypatch, q, m, n, k):
+        code = self.gabidulin_code(q, m, n, k)
+        calls = _spies(monkeypatch)
+        assert is_mrd(code)
+        assert calls == ["_is_mrd_block"]
+        calls.clear()
+        assert is_gabidulin(code) == 1
+        assert min_rank_distance(code) == n - k + 1
+        assert is_mrd(code)
+        assert calls == []
+
+    @pytest.mark.parametrize("q,m,n,k", MRD_SHAPES)
+    def test_distance_first(self, monkeypatch, q, m, n, k):
+        code = self.gabidulin_code(q, m, n, k)
+        calls = _spies(monkeypatch)
+        assert min_rank_distance(code) == n - k + 1
+        assert calls[0] == ("_two_row_distance" if k == 2 else "_distance_route")
+        calls.clear()
+        assert is_mrd(code)
+        assert is_gabidulin(code) == 1
+        assert min_rank_distance(code) == n - k + 1
+        assert calls == []
+
+    def test_non_mrd_distance_still_computed(self, monkeypatch):
+        # a known non-MRD verdict answers is_mrd but not the distance
+        spec = default_field(2, 3)
+        code = RankCode.from_systematic(spec, ExtMatrix(spec, [[1, 1], [0, 1]]))
+        calls = _spies(monkeypatch)
+        assert not is_mrd(code)
+        with pytest.raises(InvalidParameterError):
+            is_gabidulin(code)
+        assert not is_mrd(code)
+        assert calls == ["_is_mrd_block"]
+        monkeypatch.setenv("RANKFORGE_BUDGET", "1")
+        with pytest.raises(BudgetExceededError):
+            min_rank_distance(code)
+        monkeypatch.delenv("RANKFORGE_BUDGET")
+        assert min_rank_distance(code) == 1
+        assert calls[1:] == ["_two_row_distance"] * 2
+
+    def test_known_verdict_needs_no_budget(self, monkeypatch):
+        spec = default_field(2, 6)
+        code = gabidulin(basis_elements(spec, 6), 1, 3)
+        by_distance = fresh(code)
+        assert is_mrd(code) and min_rank_distance(by_distance) == 4
+        monkeypatch.setenv("RANKFORGE_BUDGET", "1")
+        for known in (code, by_distance):
+            assert min_rank_distance(known) == 4
+            assert is_mrd(known) and is_gabidulin(known) == 1
+        with pytest.raises(BudgetExceededError, match="echelon-form distance test"):
+            min_rank_distance(fresh(code))
+        with pytest.raises(BudgetExceededError, match=re.escape("T(3,6)")):
+            is_mrd(fresh(code))
+
+    def test_derived_codes_decide_their_own(self, monkeypatch):
+        spec = default_field(2, 5)
+        code = gabidulin(basis_elements(spec, 5), 2, 3)
+        assert is_mrd(code) and min_rank_distance(code) == 3
+        iso = random_isometry(spec, 5, random.Random(1))
+        derived = {
+            "dual_code": lambda: dual_code(code),
+            "apply_isometry": lambda: apply_isometry(code, iso),
+            "frobenius_code": lambda: mrd_criteria.frobenius_code(code, 1),
+            "from_systematic": lambda: RankCode.from_systematic(spec, code.systematic_X),
+            "from_json": lambda: RankCode.from_json(code.to_json()),
+            "generator": lambda: RankCode(spec, code.G),
+            "pickle": lambda: pickle.loads(pickle.dumps(code)),
+            "copy": lambda: copy.copy(code),
+            "deepcopy": lambda: copy.deepcopy(code),
+        }
+        calls = _spies(monkeypatch)
+        for name, make in derived.items():
+            calls.clear()
+            assert is_mrd(make()), name
+            assert calls == ["_is_mrd_block"], name
+            calls.clear()
+            other = make()
+            assert min_rank_distance(other) == other.n - other.k + 1, name
+            assert calls[0] == ("_two_row_distance" if other.k == 2 else "_distance_route"), name
+
+    # n > m leaves no MRD code in the first three shapes; the others have both
+    @pytest.mark.parametrize("q,m,k,n", [(2, 3, 2, 4), (2, 3, 3, 4), (3, 2, 2, 3),
+                                         (2, 3, 1, 3), (2, 4, 2, 3), (3, 3, 2, 3)])
+    def test_every_systematic_block_both_orders(self, q, m, k, n):
+        spec = default_field(q, m)
+        w = n - k
+        verdicts = Counter()
+        for flat in itertools.product(range(spec.order), repeat=k * w):
+            code = RankCode.from_systematic(
+                spec, ExtMatrix(spec, [flat[i * w:(i + 1) * w] for i in range(k)]))
+            d = rank_codes._min_rank_distance_raw(spec, code.canonical.entries, k, n)
+            mrd = is_mrd(fresh(code))
+            assert mrd == (d == n - k + 1), flat
+            first = fresh(code)
+            assert (min_rank_distance(first), is_mrd(first)) == (d, mrd), flat
+            second = fresh(code)
+            assert (is_mrd(second), min_rank_distance(second)) == (mrd, d), flat
+            verdicts[mrd] += 1
+        assert verdicts[True] == 0 if n > m else verdicts[True] and verdicts[False]
+
+    def test_verdict_is_invisible(self):
+        spec = default_field(2, 4)
+        code = gabidulin(basis_elements(spec, 4), 1, 2)
+        plain = fresh(code)
+        before = (hash(code), code.to_json(), pickle.dumps(code))
+        assert is_mrd(code)
+        assert code == plain and plain == code
+        assert hash(code) == hash(plain) == before[0]
+        assert code.to_json() == plain.to_json() == before[1]
+        assert pickle.dumps(code) == pickle.dumps(plain) == before[2]
+        again = pickle.loads(pickle.dumps(code))
+        assert again == code and again.to_json() == code.to_json()
