@@ -98,21 +98,22 @@ class TestCheck:
         assert verdict["mrd"] is False
         assert verdict["gabidulin_s"] == "not_applicable"
 
-    @pytest.mark.parametrize("k,what", [("3", "mrd"), ("2", "both")])
-    def test_mrd_distance_without_scan(self, capsys, tmp_path, monkeypatch, k, what):
+    def test_mrd_distance_without_scan(self, capsys, tmp_path, monkeypatch):
         # is_mrd stores the verdict, so min_rank_distance enumerates nothing
-        code, out, _ = run(capsys, "gen-gabidulin", "--q", "3", "--m", "5",
-                           "--n", "5", "--k", k, "--s", "1", "--seed", "4")
-        f = tmp_path / "code.json"
-        f.write_text(out)
-        monkeypatch.setattr(rank_codes, "_distance_route", _no_scan)
-        monkeypatch.setattr(rank_codes, "_two_row_distance", _no_scan)
-        code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", what)
-        assert code == 0
-        want = {"mrd": True, "min_distance": 6 - int(k)}
-        if what == "both":
-            want["gabidulin_s"] = 1
-        assert json.loads(out) == want
+        for k, what in (3, "mrd"), (2, "both"):
+            code, out, _ = run(capsys, "gen-gabidulin", "--q", "3", "--m", "5",
+                               "--n", "5", "--k", str(k), "--s", "1", "--seed", "4")
+            f = tmp_path / f"code{k}.json"
+            f.write_text(out)
+            with monkeypatch.context() as patch:
+                patch.setattr(rank_codes, "_distance_route", _no_scan)
+                patch.setattr(rank_codes, "_two_row_distance", _no_scan)
+                code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", what)
+            assert code == 0
+            want = {"mrd": True, "min_distance": 6 - k}
+            if what == "both":
+                want["gabidulin_s"] = 1
+            assert json.loads(out) == want
 
     def test_non_mrd_distance_scanned(self, capsys, tmp_path, monkeypatch):
         from rankforge import ExtMatrix, RankCode, default_field
