@@ -16,9 +16,9 @@ decides its route.  For p = 2, add and sub are operator.xor and neg is the
 identity at every level.  The floor of the tower, F_p, is _PrimeOps:
 closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
 
-- Tabled, of order at most 2**16: closures over the digit, exp and log
-  tables (and, for odd p, the Zech-logarithm table) built at construction,
-  so every operation is a lookup.  Frobenius x -> x^(q^s) multiplies the
+- Tabled, of order at most 2**16: closures over the exp and log tables
+  (and, for odd p, the Zech-logarithm table) built at construction, so
+  every operation is a lookup.  Frobenius x -> x^(q^s) multiplies the
   log by q^s mod (q^m - 1), one stored multiplier per s.  F_q with e > 1
   is such a FieldSpec too: F_p[x]/(base_modulus), held as `base_field`.
 - Binary untabled, q = 2: an index is its F_2 coefficient vector, so
@@ -227,15 +227,19 @@ class FieldSpec:
     The operations add, sub, neg, mul, inv and frobenius act on raw element
     indices (ints in [0, order)); each is an instance attribute bound at
     construction for the spec's kind (tabled, binary untabled or digit
-    untabled; see the module docstring).  The Element class wraps an index
-    together with its owning spec.  A spec is immutable after construction
-    and safe to share across workers; it pickles as its parameters and
-    moduli, and unpickling builds it again.
+    untabled; see the module docstring); a tabled spec keeps only the tables
+    they read.  The Element class wraps an index with its owning spec.  A
+    spec is immutable after construction and safe to share across workers;
+    it pickles as its parameters and moduli, and unpickling builds it again.
     """
 
     def __init__(self, p: int, e: int = 1, m: int = 1,
                  base_modulus: Sequence[int] | None = None,
                  ext_modulus: Sequence[Sequence[int]] | Sequence[int] | None = None):
+        try:
+            p, e, m = map(operator.index, (p, e, m))
+        except TypeError:
+            raise InvalidParameterError(f"p, e and m must be integers, got {(p, e, m)}") from None
         if _prime_factors(p) != [p]:
             raise InvalidParameterError(f"p must be prime, got {p}")
         if e < 1 or m < 1:
@@ -252,7 +256,8 @@ class FieldSpec:
         if base_modulus is None:
             base_modulus = _smallest_irreducible(e, fp)
         else:
-            base_modulus = _checked_modulus((int(c) % p for c in base_modulus), e, fp, "base")
+            base_modulus = _checked_modulus([_checked_index(c, p, "base modulus coefficient")
+                                             for c in base_modulus], e, fp, "base")
         self.base_modulus = base_modulus
 
         # F_q for e > 1 is the field F_p[x]/(base_modulus); its indices are
@@ -282,7 +287,7 @@ class FieldSpec:
         # here, and _build_tables rebinds them to lookups.  For p = 2 indices
         # add as coefficient vectors over F_2 at every order.
         self._frob_ops = {}
-        self._digit_cache = self._exp = None
+        self._exp = None
         self._mul_poly = self._mul_bits if self.q == 2 else self._mul_digits
         self.mul, self.inv, self.frobenius = self._mul_poly, self._inv_euclid, self._frob_by_basis
         if p == 2:
@@ -328,14 +333,11 @@ class FieldSpec:
 
     def digits(self, a: int):
         """Coefficients of a over F_q, lowest power of alpha first."""
-        cache = self._digit_cache
-        if cache is not None:
-            return cache[a]
         q = self.q
         out = []
         for _ in range(self.m):
-            a, r = divmod(a, q)
-            out.append(r)
+            out.append(a % q)
+            a //= q
         return tuple(out)
 
     def from_digits(self, ds) -> int:
@@ -512,24 +514,25 @@ class FieldSpec:
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
     def _build_tables(self) -> None:
-        """Digit, exp/log, Frobenius-multiplier and (odd p) Zech tables, with
-        exp built by the untabled _mul_poly, and the operations rebound to
-        lookups in them; only called from __init__ for orders up to
-        _TABLE_MAX.
+        """Build the exp/log, Frobenius-multiplier and (odd p) Zech tables,
+        exp by the untabled _mul_poly, and rebind the operations to lookups
+        in them, which read no other table; only called from __init__ for
+        orders up to _TABLE_MAX.
 
         With n = order - 1: exp[i] = g^(i mod n) for a generator g and
         0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None where
-        1 + g^i = 0).  A sum of two logs indexes exp directly, and a
+        1 + g^i = 0).  They share one int object per value, drawn from one
+        pool in value order.  A sum of two logs indexes exp directly, and a
         difference in (-n, n) indexes exp or zech by Python's negative
         indexing, so no lookup but Frobenius reduces mod n."""
         q, m, n = self.q, self.m, self.order - 1
-        self._digit_cache = [ds[::-1] for ds in itertools.product(range(q), repeat=m)]
         g = self._find_generator()
+        ints = list(range(self.order))
         exp = [1] * n
         for i in range(1, n):
-            exp[i] = self._mul_poly(exp[i - 1], g)
+            exp[i] = ints[self._mul_poly(exp[i - 1], g)]
         log = [0] * self.order
-        for i, v in enumerate(exp):
+        for i, v in zip(ints, exp):
             log[v] = i
         if self.p != 2:
             # 1 + v changes only the lowest F_q digit of v
@@ -588,8 +591,7 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
-        return cls(int(data["p"]), int(data["e"]), int(data["m"]),
-                   base_modulus=data["base_modulus"],
+        return cls(data["p"], data["e"], data["m"], base_modulus=data["base_modulus"],
                    ext_modulus=data["ext_modulus"])
 
 

@@ -314,21 +314,17 @@ def _echelon_forms(k, n, spec):
 
 def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseMatrix:
     """m x n matrix over F_q whose column j holds the coefficients of v[j]."""
-    idxs = []
     for x in v:
         if isinstance(x, Element):
             if spec is None:
                 spec = x.spec
             elif x.spec != spec:
                 raise SpecMismatchError("mixed field towers in vector")
-            idxs.append(x.idx)
-        else:
-            idxs.append(int(x))
     if spec is None:
         raise InvalidParameterError("cannot infer the field of an empty raw vector")
-    cols = [spec.digits(a) for a in idxs]
-    rows = [[cols[j][i] for j in range(len(idxs))] for i in range(spec.m)]
-    return BaseMatrix(spec, rows)
+    cols = [spec.digits(x.idx if isinstance(x, Element)
+                        else _checked_index(x, spec.order, "element index")) for x in v]
+    return BaseMatrix(spec, [[c[i] for c in cols] for i in range(spec.m)])
 
 
 def _expanded_rank(spec: FieldSpec, idx_vector, cap=None) -> int:

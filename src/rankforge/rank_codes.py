@@ -85,6 +85,8 @@ class RankCode:
     @classmethod
     def from_systematic(cls, spec: FieldSpec, X: ExtMatrix) -> "RankCode":
         """Code generated by [I_k | X]."""
+        if X.spec != spec:
+            raise SpecMismatchError("X belongs to a different field tower")
         k = X.rows
         rows = [[1 if i == j else 0 for j in range(k)] + list(X.entries[i])
                 for i in range(k)]

@@ -157,6 +157,12 @@ def _code_with_coefficient(value):
     return data
 
 
+def _code_with_field(**params):
+    data = _code_with_coefficient(1)
+    data["field"].update(params)
+    return data
+
+
 class TestMalformedInput:
     """JSON that parses but does not decode is invalid input (exit 2), not a
     verification failure and not a traceback."""
@@ -168,11 +174,14 @@ class TestMalformedInput:
         (["check", "--code-file"], _code_with_coefficient(1.5)),
         (["check", "--code-file"], _code_with_coefficient([1.5])),
         (["check", "--code-file"], _code_with_coefficient([3])),
+        (["check", "--code-file"], _code_with_field(p=2.9)),
+        (["check", "--code-file"], _code_with_field(m="3")),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
         (["gen-gabidulin", "--q", "2", "--m", "3", "--n", "1", "--k", "1", "--g-file"],
          ["x"]),
     ], ids=["code-missing-keys", "code-list", "code-text-coefficient",
             "code-float-coefficient", "code-float-digit", "code-digit-3",
+            "code-float-p", "code-text-m",
             "modulus-text", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
         f = tmp_path / "input.json"

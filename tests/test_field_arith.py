@@ -4,6 +4,7 @@ import itertools
 import operator
 import pickle
 import random
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -179,6 +180,20 @@ class TestConstruction:
         again = FieldSpec.from_json(tower16.to_json())
         assert again == tower16
 
+    # neither truncated nor reduced mod p
+    @pytest.mark.parametrize("p,modulus", [(2, [1.5, 1, 1]), (3, [5, 2, 1]), (3, ["1", 0, 1])])
+    def test_bad_base_modulus_coefficient_refused(self, p, modulus):
+        with pytest.raises(InvalidParameterError, match="base modulus coefficient"):
+            FieldSpec(p, 2, 2, base_modulus=modulus)
+
+    @pytest.mark.parametrize("params", [{"p": 2.9}, {"m": "3"}, {"e": 1.0}, {"p": None}])
+    def test_non_integer_parameters_refused(self, params):
+        data = {**default_field(2, 3).to_json(), **params}
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            FieldSpec.from_json(data)
+        with pytest.raises(InvalidParameterError, match="must be integers"):
+            FieldSpec(data["p"], data["e"], data["m"])
+
 
 class TestArithmetic:
     def test_add_identity(self, f4):
@@ -324,6 +339,43 @@ class TestBinaryIntRoute:
         spec = FieldSpec(2, 1, m)
         table = ",".join(map(str, spec._exp[:spec.order - 1]))
         assert hashlib.sha256(table.encode()).hexdigest() == digest
+
+
+class TestLeanTables:
+    """A tabled field keeps only the tables its operations read: its
+    digits are the base-q expansion, as on an untabled field."""
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+    def test_digits_round_trip(self, monkeypatch, p, e, m):
+        tabled, plain = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
+        q = tabled.q
+        for spec in (tabled, plain):
+            for a in range(spec.order):
+                ds = spec.digits(a)
+                assert ds == tuple(a // q ** i % q for i in range(m)), (spec, a)
+                assert spec.from_digits(ds) == a
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 6), (3, 1, 4), (2, 2, 3)])
+    def test_coeffs_and_json_match_untabled(self, monkeypatch, p, e, m):
+        tabled, plain = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
+        assert tabled.to_json() == plain.to_json()
+        assert FieldSpec.from_json(plain.to_json()) == tabled
+        for a in range(tabled.order):
+            coeffs = Element(tabled, a).coeffs()
+            assert coeffs == Element(plain, a).coeffs()
+            assert tabled.element_from_coeffs(coeffs).idx == a
+
+    def test_largest_tabled_field_stays_small(self):
+        # exp (twice over) and log share one int object per value; no
+        # per-element digit tuples
+        tracemalloc.start()
+        try:
+            spec = FieldSpec(2, 1, 16)
+            allocated, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert spec._exp is not None
+        assert allocated < 6 * 2 ** 20
 
 
 class TestBaseField:

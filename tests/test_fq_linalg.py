@@ -290,6 +290,12 @@ class TestExpandToBase:
         two_lines = [Element(f8, 1), Element(f8, 2), f8.zero]
         assert rank(expand_to_base(two_lines)) == 2
 
+    @pytest.mark.parametrize("raw", [[300, 1], [1.9, 2], [-1, 0]])
+    def test_raw_entry_checked(self, raw):
+        # neither wrapped into range, nor truncated, nor read from the top
+        with pytest.raises(InvalidParameterError):
+            expand_to_base(raw, default_field(2, 8))
+
     def test_expanded_rank_fast_path_matches(self, f8, f9):
         for spec in (f8, f9):
             for vec in itertools.product(range(spec.order), repeat=2):

@@ -9,6 +9,7 @@ import pytest
 
 from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        InvalidParameterError, Isometry, RankCode, ShapeError,
+                       SpecMismatchError,
                        apply_isometry, default_field, dual_code, gabidulin,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank1_criterion,
@@ -71,6 +72,12 @@ class TestSystematicForm:
         X = ExtMatrix(f8, [[3, 5], [6, 7]])
         code = RankCode.from_systematic(f8, X)
         assert code.systematic_X == X
+
+    def test_block_of_another_field_refused(self):
+        # the F_8 indices 3 and 5 would name other elements of F_16
+        with pytest.raises(SpecMismatchError):
+            RankCode.from_systematic(default_field(2, 4),
+                                     ExtMatrix(default_field(2, 3), [[3, 5]]))
 
     def test_row_permutation_invariant(self):
         spec = default_field(2, 4)
