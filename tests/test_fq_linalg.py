@@ -292,7 +292,7 @@ class TestExpandToBase:
 
     @pytest.mark.parametrize("raw", [[300, 1], [1.9, 2], [-1, 0]])
     def test_raw_entry_checked(self, raw):
-        # neither wrapped into range, nor truncated, nor read from the top
+        # neither wrapped into range, nor truncated, nor taken as a negative list index
         with pytest.raises(InvalidParameterError):
             expand_to_base(raw, default_field(2, 8))
 
