@@ -20,7 +20,6 @@ import math
 import os
 import random
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -103,6 +102,9 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     if workers < 1:
         raise InvalidParameterError(f"workers must be positive, got {workers}")
     start = time.perf_counter()
+    # refuses a bad (q, m, k, n) before any process starts; a forked worker
+    # finds the field's tables in default_field's cache instead of building them
+    mc._kernel_for(default_field(q, m), k, n)
     tasks = []
     remaining = trials
     index = 0
@@ -112,6 +114,9 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
         remaining -= count
         index += 1
     if workers > 1:
+        # imported here: the pool pulls in multiprocessing, which a
+        # one-process call never needs
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_chunk, tasks))
     else:

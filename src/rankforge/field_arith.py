@@ -28,8 +28,10 @@ closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
   by digit.
 
 Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
-through the images of the power basis.  A tabled field builds its tables
-with its kind's untabled product (_mul_poly) before it binds the lookups.
+through the images of the power basis.  A tabled field builds its exp
+table from two half-products, its kind's untabled product (_mul_poly) of
+the generator by every element with only low digits and by every element
+with only high digits, before it binds the lookups.
 """
 
 from __future__ import annotations
@@ -514,23 +516,33 @@ class FieldSpec:
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
     def _build_tables(self) -> None:
-        """Build the exp/log, Frobenius-multiplier and (odd p) Zech tables,
-        exp by the untabled _mul_poly, and rebind the operations to lookups
-        in them, which read no other table; only called from __init__ for
-        orders up to _TABLE_MAX.
+        """Build the exp/log, Frobenius-multiplier and (odd p) Zech tables
+        and rebind the operations to lookups in them, which read no other
+        table; only called from __init__ for orders up to _TABLE_MAX.
 
         With n = order - 1: exp[i] = g^(i mod n) for a generator g and
         0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None where
         1 + g^i = 0).  They share one int object per value, drawn from one
-        pool in value order.  A sum of two logs indexes exp directly, and a
-        difference in (-n, n) indexes exp or zech by Python's negative
-        indexing, so no lookup but Frobenius reduces mod n."""
+        pool in value order.  Each step of exp adds two products from the
+        untabled _mul_poly, one for x's low m // 2 digits and one for its
+        high digits, so the build makes q^(m // 2) + q^(m - m // 2)
+        products (512 at 2^16) instead of one per entry.  A sum of two logs
+        indexes exp directly, and a difference in (-n, n) indexes exp or
+        zech by Python's negative indexing, so no lookup but Frobenius
+        reduces mod n."""
         q, m, n = self.q, self.m, self.order - 1
         g = self._find_generator()
         ints = list(range(self.order))
+        # x -> g x is F_p-linear on x's digits, and x is the sum of its low
+        # and high digits, so g x = lo[x % cut] + hi[x // cut]
+        cut = q ** (m // 2)
+        lo = [self._mul_poly(a, g) for a in range(cut)]
+        hi = [self._mul_poly(a * cut, g) for a in range(self.order // cut)]
+        add = self.add
         exp = [1] * n
+        x = 1
         for i in range(1, n):
-            exp[i] = ints[self._mul_poly(exp[i - 1], g)]
+            x = exp[i] = ints[add(lo[x % cut], hi[x // cut])]
         log = [0] * self.order
         for i, v in zip(ints, exp):
             log[v] = i

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import check_budget
-from .errors import InvalidParameterError, ShapeError, VerificationError
-from .field_arith import Element, FieldSpec
+from .errors import InvalidParameterError, ShapeError, SpecMismatchError, VerificationError
+from .field_arith import Element, FieldSpec, _checked_index
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
 from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
@@ -293,9 +293,17 @@ class MultilinearPoly:
         return 1 if any(var in mono for mono in self.coeffs) else 0
 
     def evaluate(self, values) -> Element:
-        """Value at a point of F_{q^m}^{num_vars}."""
+        """Value at a point of F_{q^m}^{num_vars}: Elements of this field or
+        indices in [0, q^m)."""
         spec = self.spec
-        idxs = [v.idx if isinstance(v, Element) else int(v) for v in values]
+        idxs = []
+        for v in values:
+            if not isinstance(v, Element):
+                idxs.append(_checked_index(v, spec.order, "value"))
+            elif v.spec == spec:
+                idxs.append(v.idx)
+            else:
+                raise SpecMismatchError("value belongs to a different field tower")
         if len(idxs) != self.num_vars:
             raise ShapeError(f"expected {self.num_vars} values, got {len(idxs)}")
         acc = 0

@@ -1,4 +1,6 @@
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -44,3 +46,13 @@ def test_runtime_imports_are_stdlib_and_layered():
             rank = LAYERS.index(path.stem)
             later = {m for m in local if LAYERS.index(m) >= rank}
             assert not later, (path.name, later)
+
+
+def test_import_leaves_the_process_pool_out():
+    # only monte_carlo(..., workers > 1) imports the pool, inside the call
+    probe = ("import sys, rankforge; "
+             "print(sorted({'concurrent.futures', 'multiprocessing'} & set(sys.modules)))")
+    env = {**os.environ, "PYTHONPATH": str(PACKAGE.parent)}
+    out = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"

@@ -12,7 +12,7 @@ from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
 
-from conftest import assert_gabidulin_per_s
+from conftest import assert_gabidulin_per_s, fail
 
 
 class TestDeriveSeed:
@@ -55,6 +55,14 @@ class TestMonteCarlo:
         parallel = monte_carlo(2, 2, 4, 8, 192, seed=11, workers=4)
         assert (serial.mrd_count, serial.gab_count) == \
                (parallel.mrd_count, parallel.gab_count)
+
+    def test_bad_shape_refused_before_the_pool(self, monkeypatch):
+        # the kernel is built in the calling process, before any worker starts
+        import concurrent.futures
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
+        for k, n in ((4, 4), (5, 4)):
+            with pytest.raises(InvalidParameterError):
+                monte_carlo(2, k, n, 6, 10, seed=0, workers=2)
 
     @pytest.mark.parametrize("workers", [0, -2])
     def test_nonpositive_workers_rejected(self, workers):

@@ -341,6 +341,24 @@ class TestBinaryIntRoute:
         assert hashlib.sha256(table.encode()).hexdigest() == digest
 
 
+class TestExpBuild:
+    """The exp table is built from two half-products; it is still the run
+    of products by the generator on every kind of field."""
+
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (5, 1, 1), (2, 1, 7), (2, 2, 3),
+                                       (3, 1, 5), (3, 2, 3), (5, 1, 3), (7, 1, 2)])
+    def test_exp_is_the_run_of_generator_products(self, p, e, m):
+        spec = FieldSpec(p, e, m)
+        n = spec.order - 1
+        exp, g = spec._exp, spec._exp[1 % n]
+        run = [1]
+        for _ in range(n - 1):
+            run.append(spec._mul_poly(run[-1], g))
+        assert exp[:n] == run
+        assert sorted(run) == list(range(1, spec.order))
+        assert exp[n:] == exp[:n]
+
+
 class TestLeanTables:
     """A tabled field keeps only the tables its operations read: its
     digits are the base-q expansion, as on an untabled field."""

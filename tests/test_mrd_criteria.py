@@ -4,7 +4,8 @@ import random
 import pytest
 
 from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
-                       InvalidParameterError, RankCode, default_field,
+                       InvalidParameterError, MultilinearPoly, RankCode,
+                       SpecMismatchError, default_field,
                        enumerate_G, enumerate_R1K, f_E_degree, frobenius_code,
                        gabidulin, intersection_dim, is_gabidulin, is_mrd,
                        is_mrd_fullrank_variant, min_rank_distance,
@@ -578,9 +579,19 @@ class TestSymbolicExpansion:
                             acc = f8.add(acc, f8.mul(c, X[i][t]))
                     M[i][j] = acc
             direct = det(ExtMatrix(f8, M))
-            from rankforge import MultilinearPoly
             lifted = MultilinearPoly(f8, poly.num_vars, poly.coeffs)
             assert lifted.evaluate(flat) == direct
+
+    @pytest.mark.parametrize("value", [1.9, "5", 300, -1])
+    def test_evaluate_refuses_a_bad_value(self, value):
+        poly = MultilinearPoly(default_field(2, 8), 1, {(0,): 1})
+        with pytest.raises(InvalidParameterError):
+            poly.evaluate([value])
+
+    def test_evaluate_refuses_another_field(self, f16):
+        poly = MultilinearPoly(default_field(2, 8), 1, {(0,): 1})
+        with pytest.raises(SpecMismatchError):
+            poly.evaluate([Element(f16, 3)])
 
     def test_variable_budget(self):
         spec = default_field(2, 1)
