@@ -61,6 +61,16 @@ def _checked_index(v, bound: int, what: str) -> int:
     return i
 
 
+def _element_index(v, spec: "FieldSpec") -> int:
+    """The index of v in spec: an Element of spec, or a raw index checked
+    by _checked_index; SpecMismatchError for an Element of another field."""
+    if not isinstance(v, Element):
+        return _checked_index(v, spec.order, "element index")
+    if v.spec != spec:
+        raise SpecMismatchError("element from a different field tower")
+    return v.idx
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, increasing, by trial division; [] for n < 2."""
     factors = []

@@ -15,7 +15,7 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import Element, FieldSpec, _checked_index
+from .field_arith import Element, FieldSpec, _checked_index, _element_index
 
 
 class _MatrixBase:
@@ -92,16 +92,7 @@ class ExtMatrix(_MatrixBase):
     """Matrix over F_{q^m}; entries are element indices (or Element values)."""
 
     def _coerce_row(self, row):
-        spec = self.spec
-        out = []
-        for v in row:
-            if isinstance(v, Element):
-                if v.spec != spec:
-                    raise SpecMismatchError("entry from a different field tower")
-                out.append(v.idx)
-            else:
-                out.append(_checked_index(v, spec.order, "element index"))
-        return out
+        return [_element_index(v, self.spec) for v in row]
 
     def entry(self, i, j) -> Element:
         return Element(self.spec, self.entries[i][j])
@@ -314,16 +305,11 @@ def _echelon_forms(k, n, spec):
 
 def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseMatrix:
     """m x n matrix over F_q whose column j holds the coefficients of v[j]."""
-    for x in v:
-        if isinstance(x, Element):
-            if spec is None:
-                spec = x.spec
-            elif x.spec != spec:
-                raise SpecMismatchError("mixed field towers in vector")
+    if spec is None:
+        spec = next((x.spec for x in v if isinstance(x, Element)), None)
     if spec is None:
         raise InvalidParameterError("cannot infer the field of an empty raw vector")
-    cols = [spec.digits(x.idx if isinstance(x, Element)
-                        else _checked_index(x, spec.order, "element index")) for x in v]
+    cols = [spec.digits(_element_index(x, spec)) for x in v]
     return BaseMatrix(spec, [[c[i] for c in cols] for i in range(spec.m)])
 
 

@@ -10,8 +10,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .budget import check_budget
-from .errors import InvalidParameterError, ShapeError, SpecMismatchError, VerificationError
-from .field_arith import Element, FieldSpec, _checked_index
+from .errors import InvalidParameterError, ShapeError, VerificationError
+from .field_arith import Element, FieldSpec, _element_index
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
 from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
@@ -296,14 +296,7 @@ class MultilinearPoly:
         """Value at a point of F_{q^m}^{num_vars}: Elements of this field or
         indices in [0, q^m)."""
         spec = self.spec
-        idxs = []
-        for v in values:
-            if not isinstance(v, Element):
-                idxs.append(_checked_index(v, spec.order, "value"))
-            elif v.spec == spec:
-                idxs.append(v.idx)
-            else:
-                raise SpecMismatchError("value belongs to a different field tower")
+        idxs = [_element_index(v, spec) for v in values]
         if len(idxs) != self.num_vars:
             raise ShapeError(f"expected {self.num_vars} values, got {len(idxs)}")
         acc = 0
