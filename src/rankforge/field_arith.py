@@ -29,9 +29,9 @@ closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
 
 Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
 through the images of the power basis.  A tabled field builds its exp
-table from two half-products, its kind's untabled product (_mul_poly) of
-the generator by every element with only low digits and by every element
-with only high digits, before it binds the lookups.
+table before it binds the lookups, from two half-products: its kind's
+untabled product (_mul_poly) of the generator by every element whose
+digits are all low, and by every element whose digits are all high.
 """
 
 from __future__ import annotations
