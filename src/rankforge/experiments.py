@@ -17,6 +17,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import time
@@ -31,11 +32,28 @@ from .field_arith import FieldSpec, default_field
 from .fq_linalg import (ExtMatrix, _rank_raw, _rref_in_place,
                         count_intersecting_subspaces, enumerate_rref,
                         gaussian_binomial, intersection_dim)
-from .rank_codes import RankCode, _min_rank_distance_raw
+from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
+                         _min_rank_distance_raw)
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
 CHECKPOINT_SCHEMA = 4
+
+
+def _integers(positive: bool = False, **params) -> list:
+    """The values of params as ints, each at least 1 when `positive`.  They
+    are read through operator.index: a float such as 10.5 or a string such
+    as '5' is invalid input, not truncated or parsed."""
+    out = []
+    for name, value in params.items():
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+        if positive and value < 1:
+            raise InvalidParameterError(f"{name} must be positive, got {value}")
+        out.append(value)
+    return out
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -78,14 +96,15 @@ class TrialBatch:
 
 def _mc_chunk(args):
     q, k, n, m, chunk_seed, count = args
-    kernel = mc._kernel_for(default_field(q, m), k, n)
-    order = kernel.spec.order
+    spec = default_field(q, m)
+    classify = mc._classify
+    order = spec.order
     w = n - k
     rng = random.Random(chunk_seed)
     mrd = gab = 0
     for _ in range(count):
         X = [tuple(rng.randrange(order) for _ in range(w)) for _ in range(k)]
-        hits = kernel.classify(X)
+        hits = classify(spec, X)
         if hits is not None:
             mrd += 1
             if hits:
@@ -97,14 +116,14 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
                 workers: int = 1) -> TrialBatch:
     """Classify `trials` uniform systematic blocks; deterministic for a
     fixed seed regardless of worker count."""
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be positive, got {workers}")
+    q, k, n, m = _integers(q=q, k=k, n=n, m=m)
+    trials, workers = _integers(True, trials=trials, workers=workers)
+    if not 1 <= k < n:
+        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     start = time.perf_counter()
-    # refuses a bad (q, m, k, n) before any process starts; a forked worker
-    # finds the field's tables in default_field's cache instead of building them
-    mc._kernel_for(default_field(q, m), k, n)
+    # refuses a bad (q, m) before any process starts; a forked worker finds
+    # the field's tables in default_field's cache instead of building them
+    default_field(q, m)
     tasks = []
     remaining = trials
     index = 0
@@ -304,9 +323,11 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of
     orbit v div that, whose entry (i, j) for i >= 1 is q times the
     base-q^(m-1) digit (i-1)(n-k) + j of t, lowest first.  When the scanned
-    shape has two rows, the kernel's first-row stage is built once per orbit
-    (once for the orbit a resume starts in) and each visit runs only the
-    last-row stage; every other shape classifies each block whole.  Verdicts
+    shape has two rows, the point map's first-row stage (`_first_row_stage`)
+    is built once per orbit (once for the orbit a resume starts in), with
+    phi_t(row 0) per Gabidulin class beside it, and each visit runs only
+    the last-row stage (`_last_row_passes`) and the Gabidulin test; every
+    other shape classifies each block whole (`_classify`).  Verdicts
     are cross-validated against the brute-force minimum-distance oracle on
     every `oracle_stride`-th visit (default every 100th).  When
     `checkpoint_path` is given, progress is persisted before the first
@@ -320,11 +341,12 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     subspaces the orbit walk visits and the number of visited blocks; both
     are checked before the walk, the blocks through the fewest orbits there
     can be (each holds at most m subspaces), and the blocks again after it.
+    The classifier checks only what it enumerates (`_side_passes`).
     """
-    if oracle_stride < 1:
-        raise InvalidParameterError(f"oracle_stride must be positive, got {oracle_stride}")
-    if stop_after is not None and stop_after < 1:
-        raise InvalidParameterError(f"stop_after must be positive, got {stop_after}")
+    q, k, n, m = _integers(q=q, k=k, n=n, m=m)
+    oracle_stride, = _integers(True, oracle_stride=oracle_stride)
+    if stop_after is not None:
+        stop_after, = _integers(True, stop_after=stop_after)
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
@@ -347,7 +369,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     orbits = _first_row_orbits(spec, w)
     visits = len(orbits) * inner
     check_budget(visits, "systematic-block census")
-    kernel = mc._kernel_for(spec, ks, n)
+    valid_s = spec.valid_s_values()
+    classes = mc._gabidulin_classes(m)
 
     def covered(cursor):
         """Orbit-weighted number of the blocks visited before `cursor`."""
@@ -359,10 +382,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     reduction = {"scanned_k": ks, "orbits": len(orbits), "visits": visits}
     cursor = 0
     mrd = gab = 0
-    per_s = {s: 0 for s in kernel.valid_s}
+    per_s = {s: 0 for s in valid_s}
     if checkpoint_path and os.path.exists(checkpoint_path):
         cursor, mrd, gab, per_s = _load_checkpoint(
-            checkpoint_path, params, tower, reduction, covered, kernel.valid_s)
+            checkpoint_path, params, tower, reduction, covered, valid_s)
 
     identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
     expected_d = w + 1
@@ -387,11 +410,12 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             flat.append(q * digit)
         X = [first_row] + [flat[i * w:(i + 1) * w] for i in range(ks - 1)]
         if ks != 2:
-            hits = kernel.classify(X)
+            hits = mc._classify(spec, X)
         else:
             if o != stage_orbit:
-                stage, stage_orbit = kernel.first_row(first_row), o
-            hits = kernel.last_row(stage, X[1])
+                stage, phi0, stage_orbit = _first_row_stage(spec, first_row), {}, o
+            hits = (mc._gabidulin_hits(spec, X, classes, phi0)
+                    if _last_row_passes(spec, stage, X[1]) else None)
         if hits is not None:
             mrd += weight
             if hits:
@@ -791,10 +815,7 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     """
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
-    if trials < 1:
-        raise InvalidParameterError(f"trials must be positive, got {trials}")
-    if workers < 1:
-        raise InvalidParameterError(f"workers must be positive, got {workers}")
+    trials, workers = _integers(True, trials=trials, workers=workers)
     overrides = (q, k, n)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):

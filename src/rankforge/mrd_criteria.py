@@ -8,39 +8,31 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from math import gcd
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import Element, FieldSpec, _element_index
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import (RankCode, _echelon_tests, _first_row_stage,
-                         _fq_combination, _is_mrd_block, _last_row_passes,
-                         _one_row_passes, _three_row_passes, _walk_passes)
+from .rank_codes import (RankCode, _fq_combination, _is_mrd_block,
+                         _side_passes, _smaller_side)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 
 # --------------------------------------------------------------------------
-# The classifier kernel for is_mrd / is_gabidulin, the census and the trials:
-# rank_codes' block test at level t = k, then the rank-one test below, on a
-# block X given as k rows of raw element indices.  The block test runs on
-# the side of the code with fewer rows (`_smaller_side`): X^T at level
-# n - k when n - k < k, since a code passes iff its dual does.  A one-row
-# side passes iff its table has one zero (`_one_row_passes`).  A two-row
-# side runs the point map in two stages: the first-row stage holds what
-# reads row 0 alone (its inverses, `_first_row_stage`), and the last-row
-# stage tests one row 1 against it.  The census builds the first-row stage
-# once per orbit, with phi_t(row 0) per class {t, m - t}, each computed when
-# first needed; a single block builds it for itself, and phi_t(row 0) only
-# once the point test has passed.  A three-row side compares the plane
-# normals of the forms of T(2, n) (`_three_row_passes`), whose patterns are
-# built once per (spec, n) for every caller.  A side of four rows or more is
-# walked depth first over each pivot pattern's rows, each row prefix reduced
-# once.  The census and the trials use the cached `_kernel_for(spec, k, n)`,
-# which materialises T(w, n) only for a side of w >= 4 rows; is_mrd keeps
-# its patterns lazy, so a code stops at the first pattern with a failing
-# form.  The Gabidulin test always reads X itself.
+# The block classifier for is_mrd / is_gabidulin, the census and the
+# trials: rank_codes' side test at level t = k (`_side_passes`, on the side
+# of the code with fewer rows, `_smaller_side`), then the rank-one test
+# below, on a block X given as k rows of raw element indices
+# (`_classify`).  is_mrd reaches the same side test through
+# `_is_mrd_block`, which adds the budget check of T(k, n); the census and
+# the trials check only what they enumerate.  The census's two-row scan
+# runs the point map's stages itself: the first-row stage
+# (`_first_row_stage`) once per orbit, with phi_t(row 0) per class
+# {t, m - t} kept beside it, and `_last_row_passes` per visit.  The
+# Gabidulin test always reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -50,11 +42,13 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # decided by its closed form, two products; other shapes by `_is_rank_one`.
 
 @lru_cache(maxsize=None)
-def _gabidulin_classes(m: int, s_values: tuple):
-    """The classes {s, m - s} that s_values meets, by increasing t =
-    min(s, m - s): (t, the members of s_values in the class, increasing)."""
-    return tuple((t, tuple(s for s in s_values if min(s, m - s) == t))
-                 for t in sorted({min(s, m - s) for s in s_values}))
+def _gabidulin_classes(m: int):
+    """The classes {s, m - s} of the valid Gabidulin parameters s (0 < s < m,
+    gcd(s, m) = 1), by increasing t = min(s, m - s): (t, the class's
+    members, increasing).  gcd(m - s, m) = gcd(s, m), so a class is valid
+    or not as a whole."""
+    return tuple((t, tuple(sorted({t, m - t}))) for t in range(1, m // 2 + 1)
+                 if gcd(t, m) == 1)
 
 
 def _is_rank_one(M, mul) -> bool:
@@ -105,71 +99,19 @@ def _gabidulin_hits(spec: FieldSpec, X, classes, phi0=None) -> tuple:
     return tuple(sorted(hits))
 
 
-class _BlockKernel:
-    """The classifier kernel for one (spec, k, n) with 1 <= k < n: the valid
-    Gabidulin parameters and their classes {s, m - s}, the side of the
-    block it tests (X, or X^T when n - k < k, as `_smaller_side` picks) and
-    its number of rows w, and for w >= 4 the materialised echelon test set
-    T(w, n).  One and two rows need no forms, and three rows read the shared
-    T(2, n) patterns of the plane normals (`_planes`); the T(w, n) budget
-    check still runs here."""
-
-    __slots__ = ("spec", "valid_s", "classes", "dual", "rows", "tests")
-
-    def __init__(self, spec: FieldSpec, k: int, n: int):
-        if not 1 <= k < n:
-            raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
-        self.spec = spec
-        self.valid_s = tuple(spec.valid_s_values())
-        self.classes = _gabidulin_classes(spec.m, self.valid_s)
-        self.dual = n - k < k
-        self.rows = w = min(k, n - k)
-        tests = _echelon_tests(w, w, n, spec)
-        self.tests = tuple(tests) if w > 3 else None
-
-    def classify(self, X):
-        """None for a non-MRD block X, else the tuple of every s for which X
-        is Gabidulin (empty for a non-Gabidulin MRD block).  A two-row side
-        runs both point-map stages; nothing is kept for reuse."""
-        spec = self.spec
-        Y = tuple(zip(*X)) if self.dual else X
-        if self.rows == 2:
-            passes = _last_row_passes(spec, _first_row_stage(spec, Y[0]), Y[1])
-        elif self.rows == 1:
-            passes = _one_row_passes(spec, Y[0])
-        elif self.rows == 3:
-            passes = _three_row_passes(spec, Y)
-        else:
-            passes = _walk_passes(spec, Y, self.tests)
-        if not passes:
-            return None
-        return _gabidulin_hits(spec, X, self.classes)
-
-    def first_row(self, row):
-        """The first-row stage of a 2-row block (k = 2) with this row 0, for
-        `last_row`: (row, the point map's stage, phi_t(row) by class t)."""
-        return row, _first_row_stage(self.spec, row), {}
-
-    def last_row(self, stage, row):
-        """`classify` of the block (stage's row 0, row)."""
-        first, point_stage, phi0 = stage
-        if not _last_row_passes(self.spec, point_stage, row):
-            return None
-        return _gabidulin_hits(self.spec, (first, row), self.classes, phi0)
-
-
-@lru_cache(maxsize=None)
-def _kernel_for(spec: FieldSpec, k: int, n: int) -> _BlockKernel:
-    return _BlockKernel(spec, k, n)
+def _classify(spec: FieldSpec, X):
+    """None for a non-MRD block X, else the tuple of every s for which X is
+    Gabidulin (empty for a non-Gabidulin MRD block)."""
+    if not _side_passes(spec, _smaller_side(X)):
+        return None
+    return _gabidulin_hits(spec, X, _gabidulin_classes(spec.m))
 
 
 def is_mrd(code: RankCode) -> bool:
     """True iff rk(E G^T) = k for every full-rank k x n echelon form E;
     equivalent to the minimum rank distance being n - k + 1.  When
     n - k < k the dual's identity, on X^T over T(n - k, n), decides it
-    (`_is_mrd_block`): one row passes iff its table has one zero, two rows
-    go through the point map, three rows compare the plane normals of
-    T(2, n), and four or more walk the pivot patterns.
+    (`_is_mrd_block`, `_side_passes`).
 
     The verdict is stored on the code (`RankCode`): a code that
     `is_mrd` or `min_rank_distance` has already decided is answered with
@@ -207,7 +149,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     matrix over F_{q^m}."""
     spec = X.spec
     spec._check_s(s)
-    return bool(_gabidulin_hits(spec, X.entries, _gabidulin_classes(spec.m, (s,))))
+    return bool(_gabidulin_hits(spec, X.entries, ((min(s, spec.m - s), (s,)),)))
 
 
 def frobenius_code(code: RankCode, s: int) -> RankCode:
@@ -228,12 +170,8 @@ def _gabidulin_parameter(code: RankCode) -> int | None:
     X = code.systematic_X
     if X is None:
         return None
-    spec = code.spec
-    for cls in _gabidulin_classes(spec.m, tuple(spec.valid_s_values())):
-        hits = _gabidulin_hits(spec, X.entries, (cls,))
-        if hits:
-            return hits[0]
-    return None
+    hits = _gabidulin_hits(code.spec, X.entries, _gabidulin_classes(code.spec.m))
+    return hits[0] if hits else None
 
 
 def is_gabidulin(code: RankCode) -> int | None:
@@ -467,7 +405,7 @@ def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     check_budget(total, "rank-one difference-set scan")
     order = spec.order
     in_base = [spec.frobenius(a, 1) == a for a in range(order)]
-    classes = _gabidulin_classes(spec.m, (s,))
+    classes = ((min(s, spec.m - s), (s,)),)
     width = n - k
     count = 0
     for flat in itertools.product(range(order), repeat=cells):

@@ -3,14 +3,12 @@
 A code is held by a generator matrix; the reduced row echelon form is
 computed once at construction and serves both as the canonical form for
 row-space comparison and as the source of the systematic block.  The
-echelon-identity block test `_is_mrd_block` lives here: it decides the
-minimum rank distance level by level, and mrd_criteria classifies with it,
-with the side choice `_smaller_side`, and with its one-row rule and two
-k = 2 stages, `_one_row_passes`, `_first_row_stage` and `_last_row_passes`.
-A side of three rows compares plane normals over T(2, n)
-(`_three_row_passes`); a side of four rows or more walks T(k, n)
-(`_walk_passes`).  A 2-dimensional code's distance comes from the point
-map's ratio classes (`_two_row_distance`).
+echelon-identity block test lives here: `_is_mrd_block` decides the
+minimum rank distance level by level, and at level t = k it tests the
+side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
+the one test by row count that is_mrd, the census and the Monte-Carlo
+trials share.  A 2-dimensional code's distance comes from the point map's
+ratio classes (`_two_row_distance`).
 """
 
 from __future__ import annotations
@@ -248,13 +246,7 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
     W_L + W_R X^T has rank k = len(X) for every W of T(t, n).
 
     At t = k the side of the code with fewer rows is tested
-    (`_smaller_side`): X^T at level n - k when n - k < k.  Then a one-row
-    block at t = 1 passes iff (row, 1) is F_q-independent
-    (`_one_row_passes`), a two-row block at t = 2 goes through the two
-    stages of the point map (`_first_row_stage`, `_last_row_passes`), and
-    neither builds a form; a three-row block at t = 3 compares the plane
-    normals of the forms of T(2, n) (`_three_row_passes`).  Every other
-    shape, four rows or more and every level t > k, walks the pivot
+    (`_smaller_side`, `_side_passes`); every level t > k walks the pivot
     patterns of T(t, n) (`_walk_passes`).  Either way the budget check for
     the tested side's T(t, n) runs first; at t = k its count is
     [n, k]_q = [n, n - k]_q on either side.
@@ -264,13 +256,24 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
         t = len(X)
     k = len(X)
     tests = _echelon_tests(t, k, k + len(X[0]), spec)
-    if t == 1:
+    return _side_passes(spec, X) if t == k else _walk_passes(spec, X, tests)
+
+
+def _side_passes(spec: FieldSpec, X) -> bool:
+    """The echelon identity of X at level t = k = len(X), by row count: one
+    row passes iff (row, 1) is F_q-independent (`_one_row_passes`), two go
+    through the point map's two stages, three compare the plane normals of
+    T(2, n) (`_three_row_passes`), and four or more walk the pivot patterns
+    of T(k, n), built as they are pulled.  One to three rows run no budget
+    check of their own: `_points` and `_planes` check theirs when built."""
+    k = len(X)
+    if k == 1:
         return _one_row_passes(spec, X[0])
-    if k == 2 == t:
+    if k == 2:
         return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
-    if k == 3 == t:
+    if k == 3:
         return _three_row_passes(spec, X)
-    return _walk_passes(spec, X, tests)
+    return _walk_passes(spec, X, _echelon_tests(k, k, k + len(X[0]), spec))
 
 
 # The side choice.  Take W in T(k, n) and W' spanning its F_q-orthogonal

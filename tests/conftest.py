@@ -39,8 +39,9 @@ def fail(*args):
 def untabled(monkeypatch, p, e, m):
     """FieldSpec(p, e, m) built as if it were above the table cap, so every
     operation takes the untabled route (ints for q = 2, else digit vectors).
-    It equals the tabled FieldSpec(p, e, m), so caches keyed by the spec
-    (`_kernel_for`) would hand it the tabled spec's objects."""
+    It equals the tabled FieldSpec(p, e, m); the caches keyed by the spec
+    (`_points`, `_planes`) hold indices, not field operations, so a twin
+    can share them."""
     with monkeypatch.context() as mp:
         mp.setattr(field_arith, "_TABLE_MAX", 0)
         mp.setattr(FieldSpec, "_build_tables", fail)

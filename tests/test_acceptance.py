@@ -20,7 +20,7 @@ from rankforge import (census, default_field, dual_code, enumerate_G,
                        verify_lemma_suite)
 from rankforge.experiments import derive_seed
 from rankforge.fq_linalg import intersection_dim
-from rankforge.mrd_criteria import _kernel_for, frobenius_code
+from rankforge.mrd_criteria import _classify, frobenius_code
 from rankforge.rank_codes import (_min_rank_distance_raw, apply_isometry,
                                   random_isometry)
 
@@ -56,11 +56,10 @@ def test_criterion_01_census_cross_validation(census_m3):
     result, elapsed = census_m3
     start = time.perf_counter()
     spec = default_field(2, 3)
-    kernel = _kernel_for(spec, 2, 4)
     mrd = gab = 0
     for flat in itertools.product(range(spec.order), repeat=4):
         X = (flat[0:2], flat[2:4])
-        hits = kernel.classify(X)
+        hits = _classify(spec, X)
         rows = [[1, 0, *X[0]], [0, 1, *X[1]]]
         assert (_min_rank_distance_raw(spec, rows, 2, 4) == 3) == (hits is not None), flat
         if hits is not None:

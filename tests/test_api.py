@@ -48,6 +48,21 @@ def test_runtime_imports_are_stdlib_and_layered():
             assert not later, (path.name, later)
 
 
+def test_library_imports_are_used():
+    # every name a library module imports, at any level, is referenced in
+    # that module; `from __future__ import annotations` binds nothing
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    for alias in node.names}
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert imported - used - {"annotations"} == set(), path.name
+
+
 def test_import_leaves_the_process_pool_out():
     # only monte_carlo(..., workers > 1) imports the pool, inside the call
     probe = ("import sys, rankforge; "

@@ -14,7 +14,7 @@ import pytest
 from rankforge import FieldSpec, census, default_field, gab_bound, mrd_bound
 from rankforge.experiments import _first_row_orbits
 from rankforge.fq_linalg import gaussian_binomial
-from rankforge.mrd_criteria import _kernel_for
+from rankforge.mrd_criteria import _classify
 
 from conftest import assert_gabidulin_per_s, gabidulin_per_s
 
@@ -26,13 +26,12 @@ def translation_scan(q, k, n, m, spec=None):
     orbit of X -> X + A (A over F_q), i.e. every block whose entries are
     multiples of q, each standing for q^(k(n-k)) blocks."""
     spec = spec or default_field(q, m)
-    kernel = _kernel_for(spec, k, n)
     w = n - k
     orbit = q ** (k * w)
     mrd = gab = 0
-    per_s = dict.fromkeys(kernel.valid_s, 0)
+    per_s = dict.fromkeys(spec.valid_s_values(), 0)
     for flat in itertools.product(range(0, spec.order, q), repeat=k * w):
-        hits = kernel.classify([flat[i * w:(i + 1) * w] for i in range(k)])
+        hits = _classify(spec, [flat[i * w:(i + 1) * w] for i in range(k)])
         if hits is not None:
             mrd += 1
             gab += bool(hits)

@@ -356,12 +356,12 @@ class TestCensusCli:
 
     def test_unwritable_checkpoint_fails_before_scan(self, capsys, tmp_path,
                                                      monkeypatch):
-        from rankforge.mrd_criteria import _BlockKernel
+        from rankforge import mrd_criteria
 
-        def unexpected(self, X):
+        def unexpected(spec, X):
             raise AssertionError("a block was classified")
 
-        monkeypatch.setattr(_BlockKernel, "classify", unexpected)
+        monkeypatch.setattr(mrd_criteria, "_classify", unexpected)
         target = tmp_path / "missing" / "x.json"
         code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "3",
                            "--m", "2", "--resume", str(target))

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -7,10 +8,11 @@ import pytest
 from rankforge import (BudgetExceededError, FieldSpec, InvalidParameterError,
                        VerificationError,
                        census, default_field, figure_data, gab_bound,
-                       monte_carlo, mrd_bound, verify_lemma_suite)
+                       monte_carlo, mrd_bound, rank_codes, verify_lemma_suite)
 from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
+from rankforge.fq_linalg import gaussian_binomial
 
 from conftest import assert_gabidulin_per_s, fail
 
@@ -57,7 +59,7 @@ class TestMonteCarlo:
                (parallel.mrd_count, parallel.gab_count)
 
     def test_bad_shape_refused_before_the_pool(self, monkeypatch):
-        # the kernel is built in the calling process, before any worker starts
+        # the shape is checked in the calling process, before any worker starts
         import concurrent.futures
         monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", fail)
         for k, n in ((4, 4), (5, 4)):
@@ -118,6 +120,46 @@ class TestMonteCarlo:
                        mrd_count=3, gab_count=5, elapsed=0.0)
 
 
+    def test_budget_counts_the_walk(self, monkeypatch):
+        # a four-row side walks T(4, 8), [8, 4]_2 forms, built as the walk
+        # pulls them; that count is checked when the walk starts, cold or not
+        count = gaussian_binomial(8, 4, 2)
+        assert count == 200_787
+        monkeypatch.setenv("RANKFORGE_BUDGET", str(count - 1))
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"echelon-form enumeration T(4,8) needs {count} steps")):
+            monte_carlo(2, 4, 8, 2, 1, 0)
+        monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
+        assert monte_carlo(2, 4, 8, 2, 1, 0).mrd_count == 0  # n > m
+
+
+# (parameter, call, positional arguments, keyword arguments)
+NON_INTEGERS = [
+    ("trials", monte_carlo, (2, 2, 4, 8, 10.5, 0), {}),
+    ("trials", monte_carlo, (2, 2, 4, 8, "5", 0), {}),
+    ("k", monte_carlo, (2, 2.0, 4, 8, 5, 0), {}),
+    ("workers", monte_carlo, (2, 2, 4, 8, 5, 0), {"workers": 1.5}),
+    ("q", monte_carlo, (2.0, 2, 4, 8, 5, 0), {}),
+    ("n", monte_carlo, (2, 2, None, 8, 5, 0), {}),
+    ("m", monte_carlo, (2, 2, 4, "8", 5, 0), {}),
+    ("oracle_stride", census, (2, 2, 4, 3), {"oracle_stride": 2.5}),
+    ("stop_after", census, (2, 2, 4, 3), {"stop_after": 1.5}),
+    ("q", census, (2.0, 2, 4, 3), {}),
+    ("k", census, (2, "2", 4, 3), {}),
+    ("n", census, (2, 2, 4.0, 3), {}),
+    ("m", census, (2, 2, 4, 3.5), {}),
+]
+
+
+@pytest.mark.parametrize("name,call,args,kwargs", NON_INTEGERS,
+                         ids=[f"{c.__name__}-{n}-{a}{list(kw.values())}"
+                              for n, c, a, kw in NON_INTEGERS])
+def test_non_integer_parameters_refused(name, call, args, kwargs):
+    # read through operator.index: no float is truncated, no string parsed
+    with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
+        call(*args, **kwargs)
+
+
 class TestCensus:
     def test_m3_counts(self):
         result = census(2, 2, 4, 3)
@@ -154,15 +196,15 @@ class TestCensus:
             assert resumed == direct
 
     def test_first_row_stage_built_once_per_orbit(self, tmp_path, monkeypatch):
-        from rankforge.mrd_criteria import _BlockKernel
+        from rankforge import experiments
         builds = []
-        original = _BlockKernel.first_row
+        original = experiments._first_row_stage
 
-        def counted(self, row):
+        def counted(spec, row):
             builds.append(tuple(row))
-            return original(self, row)
+            return original(spec, row)
 
-        monkeypatch.setattr(_BlockKernel, "first_row", counted)
+        monkeypatch.setattr(experiments, "_first_row_stage", counted)
         direct = census(2, 2, 4, 4)  # 3 orbits of 64 visits
         assert len(builds) == 3 == len(set(builds))
         # a resumed run builds the stage once for each orbit its chunk touches
@@ -206,12 +248,12 @@ class TestCensus:
         assert census(2, 2, 4, 4, checkpoint_path=str(path), oracle_stride=25) == direct
 
     def test_unwritable_checkpoint_fails_before_scan(self, tmp_path, monkeypatch):
-        from rankforge.mrd_criteria import _BlockKernel
+        from rankforge import mrd_criteria
 
-        def unexpected(self, X):
+        def unexpected(spec, X):
             raise AssertionError("a block was classified")
 
-        monkeypatch.setattr(_BlockKernel, "classify", unexpected)
+        monkeypatch.setattr(mrd_criteria, "_classify", unexpected)
         path = tmp_path / "missing" / "census.json"
         with pytest.raises(InvalidParameterError, match="cannot write checkpoint"):
             census(2, 2, 3, 2, checkpoint_path=str(path))
@@ -324,10 +366,10 @@ class TestCensus:
 
     def test_budget(self, monkeypatch):
         # the budget bounds the work done: the 16 visited blocks, not the
-        # 4096 blocks they stand for.  The classifier for (2, 4) is built,
-        # and cached, first: building it lists 35 echelon forms, which
-        # would exceed these budgets whatever test ran before
-        census(2, 2, 4, 3)
+        # 4096 blocks they stand for.  The shared point list is cleared
+        # first, so its 15 points are counted whatever test ran before
+        rank_codes._points.cache_clear()
+        rank_codes._planes.cache_clear()
         monkeypatch.setenv("RANKFORGE_BUDGET", "15")
         with pytest.raises(BudgetExceededError):
             census(2, 2, 4, 3)
@@ -374,13 +416,12 @@ class TestCensus:
         # block counts (guards the normal form, the Galois weights and the
         # orbit factor)
         import itertools
-        from rankforge.mrd_criteria import _kernel_for
+        from rankforge.mrd_criteria import _classify
         spec = default_field(q, m)
-        kernel = _kernel_for(spec, 2, 4)
         mrd = gab = 0
         per_s = {s: 0 for s in spec.valid_s_values()}
         for flat in itertools.product(range(spec.order), repeat=4):
-            hits = kernel.classify((flat[0:2], flat[2:4]))
+            hits = _classify(spec, (flat[0:2], flat[2:4]))
             if hits is not None:
                 mrd += 1
                 if hits:

@@ -12,10 +12,11 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
-from rankforge.mrd_criteria import (_gabidulin_hits, _gabidulin_parameter,
-                                    _BlockKernel, _is_full_rank_rref, _is_rank_one,
-                                    _kernel_for)
-from rankforge.rank_codes import _min_rank_distance_raw
+from rankforge.mrd_criteria import (_classify, _gabidulin_classes, _gabidulin_hits,
+                                    _gabidulin_parameter, _is_full_rank_rref,
+                                    _is_rank_one)
+from rankforge.rank_codes import (_first_row_stage, _last_row_passes,
+                                  _min_rank_distance_raw)
 
 from conftest import basis_elements, untabled
 
@@ -56,7 +57,7 @@ class TestIsMrd:
 
 
 def reference_classify(spec, forms, X):
-    """The classifier kernel without its combination tables: every entry of
+    """`_classify` without its combination tables: every entry of
     E_L + E_R X^T accumulated term by term over the echelon forms `forms`,
     full rank by elimination, and rank one as elimination rank 1."""
     add, mul = spec.add, spec.mul
@@ -91,13 +92,12 @@ class TestBlockKernel:
     def test_matches_reference_on_seeded_blocks(self, q, m):
         # 500 blocks per field, 2000 in all
         spec = default_field(q, m)
-        kernel = _kernel_for(spec, 2, 4)
         forms = [E.entries for E in enumerate_rref(2, 4, spec)]
         rng = random.Random(1000 * q + m)
         mrd = 0
         for _ in range(500):
             X = [[rng.randrange(spec.order) for _ in range(2)] for _ in range(2)]
-            hits = kernel.classify(X)
+            hits = _classify(spec, X)
             assert hits == reference_classify(spec, forms, X), X
             mrd += hits is not None
         assert mrd > 0
@@ -108,7 +108,6 @@ class TestBlockKernel:
         # random blocks, plus the systematic blocks of Gabidulin codes so
         # that the MRD and Gabidulin branches are both reached
         spec = default_field(q, m)
-        kernel = _kernel_for(spec, k, n)
         forms = [E.entries for E in enumerate_rref(k, n, spec)]
         rng = random.Random(100 * k + n)
         blocks = [[[rng.randrange(spec.order) for _ in range(n - k)] for _ in range(k)]
@@ -118,24 +117,23 @@ class TestBlockKernel:
             blocks.append([list(r) for r in code.systematic_X.entries])
         verdicts = set()
         for X in blocks:
-            hits = kernel.classify(X)
+            hits = _classify(spec, X)
             assert hits == reference_classify(spec, forms, X), X
             verdicts.add(None if hits is None else bool(hits))
         assert {None, True} <= verdicts
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 5), (2, 2, 4), (3, 1, 4)])
     def test_untabled_twin_matches_tabled(self, monkeypatch, p, e, m):
-        # the kernel of a field built without tables (p = 2 sums by XOR, with
-        # F_q multiples at q = 4; digit vectors at q = 3) against the tabled
-        # kernel, on seeded blocks and on the Gabidulin block of every valid
-        # s, through classify and through first_row/last_row with one stage
-        # shared by several last rows (a Gabidulin last row comes after
-        # seeded ones, so it reads phi_t(row 0) from the stage); both are
-        # built directly, since _kernel_for would return the tabled kernel
-        # for the equal twin
+        # the classifier on a field built without tables (p = 2 sums by XOR,
+        # with F_q multiples at q = 4; digit vectors at q = 3) against the
+        # tabled field, on seeded blocks and on the Gabidulin block of every
+        # valid s, through _classify and through the census's two stages,
+        # one first-row stage and phi_t(row 0) shared by several last rows
+        # (a Gabidulin last row comes after seeded ones, so it reads
+        # phi_t(row 0) from the shared dict)
         spec, twin = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
         assert twin._exp is None
-        tabled, plain = _BlockKernel(spec, 2, 4), _BlockKernel(twin, 2, 4)
+        classes = _gabidulin_classes(m)
         rng = random.Random(f"untabled-{p}-{e}-{m}")
 
         def draw():
@@ -148,11 +146,13 @@ class TestBlockKernel:
             groups.append((X[0], [draw() for _ in range(4)] + [X[1]]))
         verdicts = set()
         for first, last_rows in groups:
-            stage = plain.first_row(first)
+            stage, phi0 = _first_row_stage(twin, first), {}
             for row in last_rows:
-                want = tabled.classify([first, row])
-                assert plain.classify([first, row]) == want, (first, row)
-                assert plain.last_row(stage, row) == want, (first, row)
+                want = _classify(spec, [first, row])
+                assert _classify(twin, [first, row]) == want, (first, row)
+                staged = (_gabidulin_hits(twin, [first, row], classes, phi0)
+                          if _last_row_passes(twin, stage, row) else None)
+                assert staged == want, (first, row)
                 verdicts.add(None if want is None else bool(want))
         assert verdicts == {None, False, True}
 
@@ -217,12 +217,11 @@ class TestBlockKernel:
         # (step q: entries that are multiples of q); a grid has MRD blocks
         # exactly when n <= m
         spec = default_field(q, m)
-        kernel = _kernel_for(spec, k, n)
         w = n - k
         mrd = 0
         for flat in itertools.product(range(0, spec.order, orbit_step), repeat=k * w):
             X = [list(flat[i * w:(i + 1) * w]) for i in range(k)]
-            hits = kernel.classify(X)
+            hits = _classify(spec, X)
             rows = [[int(i == j) for j in range(k)] + X[i] for i in range(k)]
             assert (_min_rank_distance_raw(spec, rows, k, n) == n - k + 1) == \
                 (hits is not None), X
@@ -243,7 +242,6 @@ class TestBlockKernel:
         spec = default_field(q, m)
         k, w = 2, n - 2
         valid_s = tuple(spec.valid_s_values())
-        kernel = _kernel_for(spec, k, n)
         if sample is None:
             flats = itertools.product(range(0, spec.order, orbit_step), repeat=k * w)
         else:
@@ -258,9 +256,9 @@ class TestBlockKernel:
                 s for s in valid_s
                 if _rank_raw([[spec.sub(spec.frobenius(v, s), v) for v in row]
                               for row in X], spec, cap=2) == 1)
-            assert _gabidulin_hits(spec, X, kernel.classes) == expected, X
+            assert _gabidulin_hits(spec, X, _gabidulin_classes(m)) == expected, X
             reached.add(expected)
-            hits = kernel.classify(X)
+            hits = _classify(spec, X)
             if hits is not None:
                 assert hits == expected, X
                 code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
@@ -269,15 +267,15 @@ class TestBlockKernel:
         assert len(reached) == 2 ** (len(valid_s) // 2) and mrd > 0
 
     @staticmethod
-    def assert_self_dual(kernel, blocks):
+    def assert_self_dual(spec, blocks):
         # X -> -X^T maps the (2,2,4) blocks onto themselves and a code to its
         # dual up to a column permutation, which keeps MRD and every
         # Gabidulin parameter; returns the number of MRD blocks
-        neg = kernel.spec.neg
+        neg = spec.neg
         mrd = 0
         for (a, b), (c, d) in blocks:
-            hits = kernel.classify([[a, b], [c, d]])
-            assert hits == kernel.classify([[neg(a), neg(c)], [neg(b), neg(d)]])
+            hits = _classify(spec, [[a, b], [c, d]])
+            assert hits == _classify(spec, [[neg(a), neg(c)], [neg(b), neg(d)]])
             mrd += hits is not None
         return mrd
 
@@ -288,7 +286,7 @@ class TestBlockKernel:
         spec = default_field(q, m)
         grid = itertools.product(range(0, spec.order, orbit_step), repeat=4)
         blocks = [(flat[0:2], flat[2:4]) for flat in grid]
-        mrd = self.assert_self_dual(_kernel_for(spec, 2, 4), blocks)
+        mrd = self.assert_self_dual(spec, blocks)
         assert mrd == (84 if m == 4 else 0)
 
     def test_self_duality_seeded_q3(self):
@@ -304,9 +302,9 @@ class TestBlockKernel:
         for eta in [0] + etas[:3]:
             code = TestTwistedGabidulin.twisted(spec, eta).systematic_X
             blocks.append([list(r) for r in code.entries])
-        kernel = _kernel_for(spec, 2, 4)
-        assert self.assert_self_dual(kernel, blocks) > 0
-        verdicts = {None if h is None else bool(h) for h in map(kernel.classify, blocks)}
+        assert self.assert_self_dual(spec, blocks) > 0
+        verdicts = {None if h is None else bool(h)
+                    for h in (_classify(spec, X) for X in blocks)}
         assert verdicts == {None, True, False}
 
 

@@ -15,7 +15,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
 from rankforge import mrd_criteria, rank_codes
-from rankforge.mrd_criteria import _BlockKernel, _kernel_for
+from rankforge.mrd_criteria import _classify, _gabidulin_classes, _gabidulin_hits
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
 
@@ -388,7 +388,7 @@ class TestBlockKernelLevels:
 
 
 class TestDualSide:
-    """Blocks with n - k < k, which `_is_mrd_block`, `is_mrd` and the kernel
+    """Blocks with n - k < k, which `_is_mrd_block`, `is_mrd` and `_classify`
     test through X^T at level n - k, against oracles on the code itself:
     the projective scan, or W [I_k | X]^T entry by entry for every W of
     T(k, n), the forms the dual side no longer builds."""
@@ -404,7 +404,7 @@ class TestDualSide:
         code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
         assert rank_codes._is_mrd_block(spec, X, k) == want, X
         assert is_mrd(code) == want, X
-        assert (_kernel_for(spec, k, n).classify(X) is not None) == want, X
+        assert (_classify(spec, X) is not None) == want, X
         return want
 
     # one row on the dual side: every systematic block
@@ -451,7 +451,6 @@ class TestDualSide:
         assert count == gaussian_binomial(6, 4, 2) == 651
         distance = count + gaussian_binomial(6, 1, 2)
         checks = [(count, "echelon-form enumeration T(2,6)", lambda: is_mrd(fresh(code))),
-                  (count, "echelon-form enumeration T(2,6)", lambda: _BlockKernel(spec, 4, 6)),
                   (distance, "echelon-form distance test",
                    lambda: min_rank_distance(fresh(code)))]
         for limit, what, call in checks:
@@ -463,12 +462,12 @@ class TestDualSide:
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
             call()
         assert is_mrd(code) and min_rank_distance(code) == 3
-        assert _BlockKernel(spec, 4, 6).classify(X) == (1, 5)
+        assert _classify(spec, X) == (1, 5)
 
 
 class TestPlaneNormal:
     """Blocks whose tested side has three rows (k = 3 <= n - k, or
-    n - k = 3 < k), which `_is_mrd_block`, `is_mrd` and the kernel test by
+    n - k = 3 < k), which `_is_mrd_block`, `is_mrd` and `_classify` test by
     the plane normals of the forms of T(2, n) that meet {x : x_0 = x_1 = 0}
     (`_planes`).  The oracles: W [I_3 | X]^T built entry by entry for every
     W of T(3, n), the projective scan at (2, 6, 3, 6), and the walk over
@@ -489,7 +488,7 @@ class TestPlaneNormal:
         code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
         assert rank_codes._is_mrd_block(spec, X, 3) == want, X
         assert is_mrd(code) == want, X
-        assert (_kernel_for(spec, 3, n).classify(X) is not None) == want, X
+        assert (_classify(spec, X) is not None) == want, X
         return want
 
     @classmethod
@@ -605,7 +604,7 @@ class TestPlaneNormal:
             code = RankCode.from_systematic(spec, ExtMatrix(spec, X))
             assert rank_codes._is_mrd_block(spec, X, 4) == want, X
             assert is_mrd(code) == want, X
-            assert (_kernel_for(spec, 4, 7).classify(X) is not None) == want, X
+            assert (_classify(spec, X) is not None) == want, X
             verdicts.add(want)
         assert verdicts == {False, True}
 
@@ -615,11 +614,10 @@ class TestPlaneNormal:
         spec = default_field(2, m)
         code = gabidulin(basis_elements(spec, n), 1, k)
         walked = []
-        for module in (rank_codes, mrd_criteria):
-            monkeypatch.setattr(module, "_walk_passes", lambda *args: walked.append(args))
+        monkeypatch.setattr(rank_codes, "_walk_passes", lambda *args: walked.append(args))
         assert is_mrd(code)
         assert min_rank_distance(code) == n - k + 1
-        assert _kernel_for(spec, k, n).classify(code.systematic_X.entries) == (1, m - 1)
+        assert _classify(spec, code.systematic_X.entries) == (1, m - 1)
         assert walked == []
 
     def test_budget(self, monkeypatch):
@@ -634,7 +632,6 @@ class TestPlaneNormal:
         distance = sum(gaussian_binomial(6, t, 2) for t in (1, 2, 3))
         assert distance == 2109
         checks = [(count, "echelon-form enumeration T(3,6)", lambda: is_mrd(fresh(code))),
-                  (count, "echelon-form enumeration T(3,6)", lambda: _BlockKernel(spec, 3, 6)),
                   (distance, "echelon-form distance test",
                    lambda: min_rank_distance(fresh(code)))]
         for limit, what, call in checks:
@@ -646,7 +643,7 @@ class TestPlaneNormal:
             monkeypatch.setenv("RANKFORGE_BUDGET", str(limit))
             call()
         assert is_mrd(code) and min_rank_distance(code) == 4
-        assert _BlockKernel(spec, 3, 6).classify(X) == (1, 5)
+        assert _classify(spec, X) == (1, 5)
 
 
 class TestPointMap:
@@ -706,8 +703,8 @@ class TestPointMap:
 
 class TestFirstRowStage:
     """The k = 2 classifier in two stages: one first-row stage, built once,
-    applied to many last rows (`_BlockKernel.first_row`, `last_row`), as the
-    census does per orbit.  Each verdict is checked against the projective
+    applied to many last rows (`_first_row_stage`, `_last_row_passes`, then
+    `_gabidulin_hits` with phi_t(row 0) shared), as the census does per orbit.  Each verdict is checked against the projective
     scan and each MRD block's hits against `rank1_criterion` on the whole
     block, neither of which builds or reads a stage."""
 
@@ -715,18 +712,19 @@ class TestFirstRowStage:
     def check(spec, n, row0, rows):
         """Apply row0's stage to every row of rows; return the verdicts seen
         and the number of Gabidulin hits."""
-        kernel = _kernel_for(spec, 2, n)
-        stage = kernel.first_row(row0)
+        stage, phi0 = rank_codes._first_row_stage(spec, row0), {}
+        classes = _gabidulin_classes(spec.m)
         verdicts, hits = set(), 0
         for row in rows:
             X = [list(row0), list(row)]
-            got = kernel.last_row(stage, row)
+            got = (_gabidulin_hits(spec, X, classes, phi0)
+                   if rank_codes._last_row_passes(spec, stage, row) else None)
             rows_g = [[1, 0] + X[0], [0, 1] + X[1]]
             mrd = rank_codes._min_rank_distance_raw(spec, rows_g, 2, n) == n - 1
             assert (got is not None) == mrd, X
             if mrd:
                 block = ExtMatrix(spec, X)
-                assert got == tuple(s for s in kernel.valid_s
+                assert got == tuple(s for s in spec.valid_s_values()
                                     if rank1_criterion(block, s)), X
                 hits += bool(got)
             verdicts.add(mrd)
@@ -784,8 +782,9 @@ class TestFirstRowStage:
             assert verdicts == {False}
 
     def test_two_row_budget(self, monkeypatch):
-        # k = 2 builds no form of T(2, n), yet every k = 2 path refuses on
-        # the T(2, n) count with the enumeration's message
+        # k = 2 builds no form of T(2, n), yet is_mrd, _is_mrd_block and
+        # min_rank_distance refuse on the T(2, n) count with the
+        # enumeration's message
         spec = default_field(2, 6)
         code = gabidulin(basis_elements(spec, 6), 1, 2)
         X = code.systematic_X.entries
@@ -798,13 +797,11 @@ class TestFirstRowStage:
         with pytest.raises(BudgetExceededError, match=message):
             rank_codes._is_mrd_block(spec, X, 2)
         with pytest.raises(BudgetExceededError, match=message):
-            _BlockKernel(spec, 2, 6)
-        with pytest.raises(BudgetExceededError, match=message):
             min_rank_distance(code)
         monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
         assert is_mrd(code)
         assert min_rank_distance(code) == 5
-        assert _BlockKernel(spec, 2, 6).classify(X) == (1, 5)
+        assert _classify(spec, X) == (1, 5)
 
 
 class TestSupportRouteGenerators:
