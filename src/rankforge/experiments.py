@@ -40,20 +40,23 @@ CHECKPOINT_EVERY = 2 ** 16
 CHECKPOINT_SCHEMA = 4
 
 
-def _integers(positive: bool = False, **params) -> list:
-    """The values of params as ints, each at least 1 when `positive`.  They
-    are read through operator.index: a float such as 10.5 or a string such
-    as '5' is invalid input, not truncated or parsed."""
-    out = []
-    for name, value in params.items():
+def _positive_ints(names: str, *values) -> list:
+    """values as ints of at least 1, read through operator.index: a float
+    such as 10.5 or a string such as '5' is invalid input, not truncated or
+    parsed.  The first bad value is named by its word of `names`."""
+    try:
+        ints = list(map(operator.index, values))
+        if min(ints) >= 1:
+            return ints
+    except TypeError:
+        pass
+    for name, value in zip(names.split(), values):
         try:
             value = operator.index(value)
         except TypeError:
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-        if positive and value < 1:
+        if value < 1:
             raise InvalidParameterError(f"{name} must be positive, got {value}")
-        out.append(value)
-    return out
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -116,8 +119,8 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
                 workers: int = 1) -> TrialBatch:
     """Classify `trials` uniform systematic blocks; deterministic for a
     fixed seed regardless of worker count."""
-    q, k, n, m = _integers(q=q, k=k, n=n, m=m)
-    trials, workers = _integers(True, trials=trials, workers=workers)
+    q, k, n, m, trials, workers = _positive_ints("q k n m trials workers",
+                                                 q, k, n, m, trials, workers)
     if not 1 <= k < n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     start = time.perf_counter()
@@ -343,10 +346,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     can be (each holds at most m subspaces), and the blocks again after it.
     The classifier checks only what it enumerates (`_side_passes`).
     """
-    q, k, n, m = _integers(q=q, k=k, n=n, m=m)
-    oracle_stride, = _integers(True, oracle_stride=oracle_stride)
+    q, k, n, m, oracle_stride = _positive_ints("q k n m oracle_stride",
+                                               q, k, n, m, oracle_stride)
     if stop_after is not None:
-        stop_after, = _integers(True, stop_after=stop_after)
+        stop_after, = _positive_ints("stop_after", stop_after)
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
@@ -815,7 +818,7 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     """
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
-    trials, workers = _integers(True, trials=trials, workers=workers)
+    trials, workers = _positive_ints("trials workers", trials, workers)
     overrides = (q, k, n)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):

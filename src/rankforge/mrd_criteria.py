@@ -23,16 +23,13 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
 # --------------------------------------------------------------------------
 # The block classifier for is_mrd / is_gabidulin, the census and the
-# trials: rank_codes' side test at level t = k (`_side_passes`, on the side
-# of the code with fewer rows, `_smaller_side`), then the rank-one test
-# below, on a block X given as k rows of raw element indices
-# (`_classify`).  is_mrd reaches the same side test through
-# `_is_mrd_block`, which adds the budget check of T(k, n); the census and
-# the trials check only what they enumerate.  The census's two-row scan
-# runs the point map's stages itself: the first-row stage
-# (`_first_row_stage`) once per orbit, with phi_t(row 0) per class
-# {t, m - t} kept beside it, and `_last_row_passes` per visit.  The
-# Gabidulin test always reads X itself.
+# trials (`_classify`): rank_codes' side test at level t = k on the side of
+# the code with fewer rows (`_side_passes`, `_smaller_side`), then the
+# rank-one test below, on a block X given as k rows of raw element indices.
+# is_mrd reaches the side test through `_is_mrd_block`, which adds the
+# budget check of T(k, n).  The census's two-row scan runs the point map's
+# two stages itself, the first once per orbit.  The Gabidulin test always
+# reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
