@@ -119,7 +119,6 @@ class TestMonteCarlo:
             TrialBatch(q=2, k=2, n=4, m=5, trials=10, seed=0,
                        mrd_count=3, gab_count=5, elapsed=0.0)
 
-
     def test_budget_counts_the_walk(self, monkeypatch):
         # a four-row side walks T(4, 8), [8, 4]_2 forms, built as the walk
         # pulls them; that count is checked when the walk starts, cold or not
@@ -133,31 +132,22 @@ class TestMonteCarlo:
         assert monte_carlo(2, 4, 8, 2, 1, 0).mrd_count == 0  # n > m
 
 
-# (parameter, call, positional arguments, keyword arguments)
+VALID_ARGS = {monte_carlo: {"q": 2, "k": 2, "n": 4, "m": 8, "trials": 5, "seed": 0},
+              census: {"q": 2, "k": 2, "n": 4, "m": 3}}
 NON_INTEGERS = [
-    ("trials", monte_carlo, (2, 2, 4, 8, 10.5, 0), {}),
-    ("trials", monte_carlo, (2, 2, 4, 8, "5", 0), {}),
-    ("k", monte_carlo, (2, 2.0, 4, 8, 5, 0), {}),
-    ("workers", monte_carlo, (2, 2, 4, 8, 5, 0), {"workers": 1.5}),
-    ("q", monte_carlo, (2.0, 2, 4, 8, 5, 0), {}),
-    ("n", monte_carlo, (2, 2, None, 8, 5, 0), {}),
-    ("m", monte_carlo, (2, 2, 4, "8", 5, 0), {}),
-    ("oracle_stride", census, (2, 2, 4, 3), {"oracle_stride": 2.5}),
-    ("stop_after", census, (2, 2, 4, 3), {"stop_after": 1.5}),
-    ("q", census, (2.0, 2, 4, 3), {}),
-    ("k", census, (2, "2", 4, 3), {}),
-    ("n", census, (2, 2, 4.0, 3), {}),
-    ("m", census, (2, 2, 4, 3.5), {}),
+    (monte_carlo, "trials", 10.5), (monte_carlo, "trials", "5"), (monte_carlo, "k", 2.0),
+    (monte_carlo, "workers", 1.5), (monte_carlo, "q", 2.0), (monte_carlo, "n", None),
+    (monte_carlo, "m", "8"), (census, "oracle_stride", 2.5), (census, "stop_after", 1.5),
+    (census, "q", 2.0), (census, "k", "2"), (census, "n", 4.0), (census, "m", 3.5),
 ]
 
 
-@pytest.mark.parametrize("name,call,args,kwargs", NON_INTEGERS,
-                         ids=[f"{c.__name__}-{n}-{a}{list(kw.values())}"
-                              for n, c, a, kw in NON_INTEGERS])
-def test_non_integer_parameters_refused(name, call, args, kwargs):
+@pytest.mark.parametrize("call,name,value", NON_INTEGERS,
+                         ids=[f"{c.__name__}-{n}-{v!r}" for c, n, v in NON_INTEGERS])
+def test_non_integer_parameters_refused(call, name, value):
     # read through operator.index: no float is truncated, no string parsed
     with pytest.raises(InvalidParameterError, match=f"{name} must be an integer"):
-        call(*args, **kwargs)
+        call(**{**VALID_ARGS[call], name: value})
 
 
 class TestCensus:

@@ -704,9 +704,10 @@ class TestPointMap:
 class TestFirstRowStage:
     """The k = 2 classifier in two stages: one first-row stage, built once,
     applied to many last rows (`_first_row_stage`, `_last_row_passes`, then
-    `_gabidulin_hits` with phi_t(row 0) shared), as the census does per orbit.  Each verdict is checked against the projective
-    scan and each MRD block's hits against `rank1_criterion` on the whole
-    block, neither of which builds or reads a stage."""
+    `_gabidulin_hits` with phi_t(row 0) shared), as the census does per
+    orbit.  Each verdict is checked against the projective scan and each
+    MRD block's hits against `rank1_criterion` on the whole block, neither
+    of which builds or reads a stage."""
 
     @staticmethod
     def check(spec, n, row0, rows):
