@@ -44,12 +44,7 @@ def _positive_ints(names: str, *values) -> list:
     """values as ints of at least 1, read through operator.index: a float
     such as 10.5 or a string such as '5' is invalid input, not truncated or
     parsed.  The first bad value is named by its word of `names`."""
-    try:
-        ints = list(map(operator.index, values))
-        if min(ints) >= 1:
-            return ints
-    except TypeError:
-        pass
+    ints = []
     for name, value in zip(names.split(), values):
         try:
             value = operator.index(value)
@@ -57,6 +52,8 @@ def _positive_ints(names: str, *values) -> list:
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
         if value < 1:
             raise InvalidParameterError(f"{name} must be positive, got {value}")
+        ints.append(value)
+    return ints
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -121,12 +118,17 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     fixed seed regardless of worker count."""
     q, k, n, m, trials, workers = _positive_ints("q k n m trials workers",
                                                  q, k, n, m, trials, workers)
-    if not 1 <= k < n:
+    if k >= n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     start = time.perf_counter()
-    # refuses a bad (q, m) before any process starts; a forked worker finds
-    # the field's tables in default_field's cache instead of building them
+    # refuses a bad (q, m) or an over-budget shape before any process
+    # starts; a forked worker finds the field's tables in default_field's
+    # cache instead of building them.  The side test checks no budget for
+    # one to three rows, so the tested side's T(w, n) is checked here, once
+    # for all trials.
     default_field(q, m)
+    w = min(k, n - k)
+    check_budget(gaussian_binomial(n, w, q), f"echelon-form enumeration T({w},{n})")
     tasks = []
     remaining = trials
     index = 0
@@ -344,7 +346,9 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     subspaces the orbit walk visits and the number of visited blocks; both
     are checked before the walk, the blocks through the fewest orbits there
     can be (each holds at most m subspaces), and the blocks again after it.
-    The classifier checks only what it enumerates (`_side_passes`).
+    The classifier checks only what it enumerates (`_side_passes`): a
+    visited first row holds w <= m - 1 independent entries, so each of its
+    combination tables has at most q^m entries.
     """
     q, k, n, m, oracle_stride = _positive_ints("q k n m oracle_stride",
                                                q, k, n, m, oracle_stride)
@@ -353,7 +357,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
-    if not 1 <= k < n:
+    if k >= n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     if spec is None:
         spec = default_field(q, m)

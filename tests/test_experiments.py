@@ -131,6 +131,18 @@ class TestMonteCarlo:
         monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
         assert monte_carlo(2, 4, 8, 2, 1, 0).mrd_count == 0  # n > m
 
+    @pytest.mark.parametrize("k", [1, 2, 29])
+    def test_budget_counts_the_side_once(self, monkeypatch, k):
+        # a side of one to three rows checks nothing per trial, so T(w, 30),
+        # w = min(k, 30 - k), is checked before any table is built: one row
+        # alone would build a combination table of 2^30 entries
+        monkeypatch.delenv("RANKFORGE_BUDGET", raising=False)
+        w = min(k, 30 - k)
+        with pytest.raises(BudgetExceededError, match=re.escape(
+                f"echelon-form enumeration T({w},30) needs "
+                f"{gaussian_binomial(30, w, 2)} steps")):
+            monte_carlo(2, k, 30, 2, 1, 0)
+
 
 VALID_ARGS = {monte_carlo: {"q": 2, "k": 2, "n": 4, "m": 8, "trials": 5, "seed": 0},
               census: {"q": 2, "k": 2, "n": 4, "m": 3}}
