@@ -121,14 +121,9 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     if k >= n:
         raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     start = time.perf_counter()
-    # refuses a bad (q, m) or an over-budget shape before any process
-    # starts; a forked worker finds the field's tables in default_field's
-    # cache instead of building them.  The side test checks no budget for
-    # one to three rows, so the tested side's T(w, n) is checked here, once
-    # for all trials.
+    # refuses a bad (q, m) before any process starts; a forked worker finds
+    # the field's tables in default_field's cache instead of building them
     default_field(q, m)
-    w = min(k, n - k)
-    check_budget(gaussian_binomial(n, w, q), f"echelon-form enumeration T({w},{n})")
     tasks = []
     remaining = trials
     index = 0
@@ -346,9 +341,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     subspaces the orbit walk visits and the number of visited blocks; both
     are checked before the walk, the blocks through the fewest orbits there
     can be (each holds at most m subspaces), and the blocks again after it.
-    The classifier checks only what it enumerates (`_side_passes`): a
-    visited first row holds w <= m - 1 independent entries, so each of its
-    combination tables has at most q^m entries.
+    The classifier checks only what it enumerates (`_side_passes`).
     """
     q, k, n, m, oracle_stride = _positive_ints("q k n m oracle_stride",
                                                q, k, n, m, oracle_stride)

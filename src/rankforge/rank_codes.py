@@ -265,7 +265,9 @@ def _side_passes(spec: FieldSpec, X) -> bool:
     through the point map's two stages, three compare the plane normals of
     T(2, n) (`_three_row_passes`), and four or more walk the pivot patterns
     of T(k, n), built as they are pulled.  One to three rows run no budget
-    check of their own: `_points` and `_planes` check theirs when built."""
+    check of their own: one row enumerates nothing, and two or three rows
+    fetch `_points` or `_planes`, which check theirs when built, before
+    they build any table."""
     k = len(X)
     if k == 1:
         return _one_row_passes(spec, X[0])
@@ -293,9 +295,9 @@ def _smaller_side(X):
 
 def _one_row_passes(spec: FieldSpec, row) -> bool:
     """The identity of a one-row block at t = 1: every nonzero w of F_q^n
-    maps [1 | row] to a nonzero entry, so the table of (row, 1) has exactly
-    one zero, its empty combination."""
-    return _combinations(spec, (*row, 1)).count(0) == 1
+    maps [1 | row] to a nonzero entry, so (row, 1) is F_q-independent.
+    Decided by its rank over F_q, with nothing enumerated."""
+    return _expanded_rank(spec, (*row, 1)) == len(row) + 1
 
 
 # The k = t = 2 point map, in two stages.  Column j of W [I_2 | X]^T is an
@@ -320,23 +322,26 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
 def _first_row_stage(spec: FieldSpec, row):
     """The first-row stage for row 0 of a 2-row block: (the inverse of each
     entry of its table c0, 0 for a zero entry; the number of zero entries,
-    which is 1 unless (row, 1) is F_q-dependent)."""
+    which is 1 unless (row, 1) is F_q-dependent; the points, `_points`).
+    The points are fetched first: their budget check, when they are built,
+    bounds both rows' tables of q^(n - 1) entries."""
     inv = spec.inv
+    points = _points(spec, len(row) + 2)
     c0 = _combinations(spec, (*row, 1))
-    return [inv(a) if a else 0 for a in c0], c0.count(0)
+    return [inv(a) if a else 0 for a in c0], c0.count(0), points
 
 
 def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
     """The last-row stage: True iff the block (stage's row 0, row) passes.
     Forms the ratio c1[j] c0[i]^-1 of each point other than e_1 and stops
     at the first one already seen."""
-    inv0, zeros = stage
+    inv0, zeros, points = stage
     if zeros > 1:
         return False
     c1 = _combinations(spec, (*row, 1))
     mul = spec.mul
     seen = set()
-    for i, j in _points(spec, len(row) + 2):
+    for i, j in points:
         r = mul(c1[j], inv0[i])
         if r in seen:
             return False
@@ -372,12 +377,14 @@ def _points(spec: FieldSpec, n: int):
 def _three_row_passes(spec: FieldSpec, X) -> bool:
     """The identity of a three-row block at t = 3 by its plane normals:
     True iff every form of `_planes` has independent images and a normal
-    that no earlier form had."""
+    that no earlier form had.  The forms are fetched first: their budget
+    check, when they are built, bounds the tables of q^(n - 2) entries."""
+    planes = _planes(spec, 3 + len(X[0]))
     c0, c1, c2 = [_combinations(spec, (*row, 1)) for row in X]
     mul, sub, inv = spec.mul, spec.sub, spec.inv
     order = spec.order
     seen = set()
-    for first, second in _planes(spec, 3 + len(X[0])):
+    for first, second in planes:
         second = [(c0[i], c1[j], c2[l]) for i, j, l in second]
         for i, j, l in first:
             x0, x1, x2 = c0[i], c1[j], c2[l]
@@ -517,12 +524,12 @@ def _two_row_distance(spec: FieldSpec, g_rows, n: int) -> int:
     """
     _echelon_tests(2, 2, n, spec)
     X = _systematic_block(spec, g_rows)
-    inv0, _ = _first_row_stage(spec, X[0])
+    inv0, _, points = _first_row_stage(spec, X[0])
     c1 = _combinations(spec, (*X[1], 1))
     mul = spec.mul
     infinity = -1
     classes = Counter([mul(c1[j], inv0[i]) if inv0[i] else infinity if c1[j] else None
-                       for i, j in _points(spec, n)])
+                       for i, j in points])
     classes[infinity] += 1  # e_1
     kernel = classes.pop(None, 0)
     size = (spec.q - 1) * (max(classes.values()) + kernel) + 1

@@ -131,17 +131,25 @@ class TestMonteCarlo:
         monkeypatch.setenv("RANKFORGE_BUDGET", str(count))
         assert monte_carlo(2, 4, 8, 2, 1, 0).mrd_count == 0  # n > m
 
-    @pytest.mark.parametrize("k", [1, 2, 29])
-    def test_budget_counts_the_side_once(self, monkeypatch, k):
-        # a side of one to three rows checks nothing per trial, so T(w, 30),
-        # w = min(k, 30 - k), is checked before any table is built: one row
-        # alone would build a combination table of 2^30 entries
+    @pytest.mark.parametrize("k, w", [(2, 2), (28, 2), (3, 3), (27, 3)])
+    def test_budget_counts_the_side_before_its_tables(self, monkeypatch, k, w):
+        # a side of two or three rows fetches its point or plane list, whose
+        # budget check T(w - 1, 30) runs when it is built, before any
+        # combination table (2^29 or 2^28 entries here) is built
         monkeypatch.delenv("RANKFORGE_BUDGET", raising=False)
-        w = min(k, 30 - k)
+        monkeypatch.setattr(rank_codes, "_combinations", fail)
         with pytest.raises(BudgetExceededError, match=re.escape(
-                f"echelon-form enumeration T({w},30) needs "
-                f"{gaussian_binomial(30, w, 2)} steps")):
+                f"echelon-form enumeration T({w - 1},30) needs "
+                f"{gaussian_binomial(30, w - 1, 2)} steps")):
             monte_carlo(2, k, 30, 2, 1, 0)
+
+    @pytest.mark.parametrize("dual", [False, True])
+    def test_one_row_side_enumerates_nothing(self, monkeypatch, dual):
+        # a one-row side is decided by the F_q-rank of (row, 1), so no
+        # table of 2^40 entries is built and no budget is needed
+        monkeypatch.setattr(rank_codes, "_combinations", fail)
+        assert monte_carlo(2, 39 if dual else 1, 40, 2, 3, 0).mrd_count == 0  # n > m
+        assert monte_carlo(2, 2 if dual else 1, 3, 3, 64, 0).mrd_count > 0
 
 
 VALID_ARGS = {monte_carlo: {"q": 2, "k": 2, "n": 4, "m": 8, "trials": 5, "seed": 0},
