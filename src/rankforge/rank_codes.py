@@ -265,9 +265,8 @@ def _side_passes(spec: FieldSpec, X) -> bool:
     through the point map's two stages, three compare the plane normals of
     T(2, n) (`_three_row_passes`), and four or more walk the pivot patterns
     of T(k, n), built as they are pulled.  One to three rows run no budget
-    check of their own: one row enumerates nothing, and two or three rows
-    fetch `_points` or `_planes`, which check theirs when built, before
-    they build any table."""
+    check of their own: one row enumerates nothing, and two or three fetch
+    `_points` or `_planes`, checked when built, before any table."""
     k = len(X)
     if k == 1:
         return _one_row_passes(spec, X[0])
