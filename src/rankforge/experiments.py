@@ -17,7 +17,6 @@ import hashlib
 import itertools
 import json
 import math
-import operator
 import os
 import random
 import time
@@ -28,7 +27,7 @@ from . import mrd_criteria as mc
 from . import prob_bounds as pb
 from .budget import check_budget
 from .errors import InvalidParameterError, VerificationError
-from .field_arith import FieldSpec, default_field
+from .field_arith import FieldSpec, _checked_ints, _checked_shape, default_field
 from .fq_linalg import (ExtMatrix, _rank_raw, _rref_in_place,
                         count_intersecting_subspaces, enumerate_rref,
                         gaussian_binomial, intersection_dim)
@@ -38,22 +37,6 @@ from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
 CHECKPOINT_SCHEMA = 4
-
-
-def _positive_ints(names: str, *values) -> list:
-    """values as ints of at least 1, read through operator.index: a float
-    such as 10.5 or a string such as '5' is invalid input, not truncated or
-    parsed.  The first bad value is named by its word of `names`."""
-    ints = []
-    for name, value in zip(names.split(), values):
-        try:
-            value = operator.index(value)
-        except TypeError:
-            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-        if value < 1:
-            raise InvalidParameterError(f"{name} must be positive, got {value}")
-        ints.append(value)
-    return ints
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -116,10 +99,8 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
                 workers: int = 1) -> TrialBatch:
     """Classify `trials` uniform systematic blocks; deterministic for a
     fixed seed regardless of worker count."""
-    q, k, n, m, trials, workers = _positive_ints("q k n m trials workers",
-                                                 q, k, n, m, trials, workers)
-    if k >= n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    k, n, q, m, trials, workers = _checked_shape("k n q m trials workers",
+                                                 k, n, q, m, trials, workers)
     start = time.perf_counter()
     # refuses a bad (q, m) before any process starts; a forked worker finds
     # the field's tables in default_field's cache instead of building them
@@ -343,15 +324,13 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     can be (each holds at most m subspaces), and the blocks again after it.
     The classifier checks only what it enumerates (`_side_passes`).
     """
-    q, k, n, m, oracle_stride = _positive_ints("q k n m oracle_stride",
-                                               q, k, n, m, oracle_stride)
+    k, n, q, m, oracle_stride = _checked_shape("k n q m oracle_stride",
+                                               k, n, q, m, oracle_stride)
     if stop_after is not None:
-        stop_after, = _positive_ints("stop_after", stop_after)
+        stop_after, = _checked_ints("stop_after", stop_after)
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
-    if k >= n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
     if spec is None:
         spec = default_field(q, m)
     elif (spec.q, spec.m) != (q, m):
@@ -815,7 +794,7 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     """
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
-    trials, workers = _positive_ints("trials workers", trials, workers)
+    trials, workers = _checked_ints("trials workers", trials, workers)
     overrides = (q, k, n)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):

@@ -32,6 +32,9 @@ through the images of the power basis.  A tabled field builds its exp
 table before it binds the lookups, from two half-products: its kind's
 untabled product (_mul_poly) of the generator by every element whose
 digits are all low, and by every element whose digits are all high.
+
+Library input is read here too: entries and indices by _checked_index,
+integer parameters by _checked_ints and a shape (k, n) by _checked_shape.
 """
 
 from __future__ import annotations
@@ -59,6 +62,35 @@ def _checked_index(v, bound: int, what: str) -> int:
     if not 0 <= i < bound:
         raise InvalidParameterError(f"{what} out of range: {v}")
     return i
+
+
+def _checked_ints(names: str, *values, low: int = 1) -> list:
+    """values as ints of at least `low`, 1 or 0, read through
+    operator.index: a float such as 2.0 or a string such as '5' is invalid
+    input, not truncated or parsed.  The first bad value is named by its
+    word of `names`."""
+    ints = []
+    for name, value in zip(names.split(), values):
+        try:
+            value = operator.index(value)
+        except TypeError:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
+        if value < low:
+            raise InvalidParameterError(
+                f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
+        ints.append(value)
+    return ints
+
+
+def _checked_shape(names: str, *values, full: bool = False) -> list:
+    """values as ints of at least 1 (`_checked_ints`), the first two of
+    which, k and n, satisfy k < n, or k <= n when `full`."""
+    ints = _checked_ints(names, *values)
+    k, n = ints[0], ints[1]
+    if k > n or k == n and not full:
+        raise InvalidParameterError(
+            f"need 1 <= k {'<=' if full else '<'} n, got k={k}, n={n}")
+    return ints
 
 
 def _element_index(v, spec: "FieldSpec") -> int:
@@ -248,14 +280,9 @@ class FieldSpec:
     def __init__(self, p: int, e: int = 1, m: int = 1,
                  base_modulus: Sequence[int] | None = None,
                  ext_modulus: Sequence[Sequence[int]] | Sequence[int] | None = None):
-        try:
-            p, e, m = map(operator.index, (p, e, m))
-        except TypeError:
-            raise InvalidParameterError(f"p, e and m must be integers, got {(p, e, m)}") from None
+        p, e, m = _checked_ints("p e m", p, e, m)
         if _prime_factors(p) != [p]:
             raise InvalidParameterError(f"p must be prime, got {p}")
-        if e < 1 or m < 1:
-            raise InvalidParameterError("e and m must be positive")
         self.p = p
         self.e = e
         self.m = m
@@ -477,15 +504,17 @@ class FieldSpec:
             acc = self.add(acc, t)
         return acc
 
-    def _check_s(self, s: int) -> None:
-        """Reject a Gabidulin parameter s that valid_s_values() does not list."""
+    def _check_s(self, s: int) -> int:
+        """s as an int (`_checked_ints`); a Gabidulin parameter that
+        valid_s_values() does not list is rejected."""
+        s, = _checked_ints("s", s)
         if s not in self.valid_s_values():
             raise InvalidParameterError(
                 f"s must satisfy 0 < s < m and gcd(s, m) = 1, got s={s}, m={self.m}")
+        return s
 
     def phi_s(self, a: int, s: int) -> int:
-        self._check_s(s)
-        return self.sub(self.frobenius(a, s), a)
+        return self.sub(self.frobenius(a, self._check_s(s)), a)
 
     def is_in_base(self, a: int) -> bool:
         """Membership in the embedded F_q, decided by a^q == a."""
@@ -673,14 +702,9 @@ class Element:
 # --------------------------------------------------------------------------
 # Module-level operations on Elements.
 
-def inv(a: Element) -> Element:
-    return Element(a.spec, a.spec.inv(a.idx))
-
-
 def frobenius(a: Element, s: int) -> Element:
     """a^(q^s); fixes the embedded F_q pointwise, and s = m acts as identity."""
-    if s < 0:
-        raise InvalidParameterError(f"s must be nonnegative, got {s}")
+    s, = _checked_ints("s", s, low=0)
     return Element(a.spec, a.spec.frobenius(a.idx, s))
 
 

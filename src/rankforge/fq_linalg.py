@@ -15,7 +15,8 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import Element, FieldSpec, _checked_index, _element_index
+from .field_arith import (Element, FieldSpec, _checked_index, _checked_shape,
+                          _element_index)
 
 
 class _MatrixBase:
@@ -278,8 +279,7 @@ def enumerate_rref(k: int, n: int, spec: FieldSpec):
     The parameters and the budget are checked on the call; the forms are
     then produced lazily, in O(1) memory and `_echelon_forms` order.
     """
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
+    k, n = _checked_shape("k n", k, n, full=True)
     check_budget(gaussian_binomial(n, k, spec.q), f"echelon-form enumeration T({k},{n})")
     return (BaseMatrix(spec, rows) for rows in _echelon_forms(k, n, spec))
 

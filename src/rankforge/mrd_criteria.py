@@ -12,7 +12,8 @@ from math import gcd
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
-from .field_arith import Element, FieldSpec, _element_index
+from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
+                          _element_index)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
 from .rank_codes import (RankCode, _fq_combination, _is_mrd_block,
@@ -145,14 +146,13 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     """True iff the entrywise map x -> x^(q^s) - x sends X to a rank-one
     matrix over F_{q^m}."""
     spec = X.spec
-    spec._check_s(s)
+    s = spec._check_s(s)
     return bool(_gabidulin_hits(spec, X.entries, ((min(s, spec.m - s), (s,)),)))
 
 
 def frobenius_code(code: RankCode, s: int) -> RankCode:
     """The code {c^(q^s) : c in C}, mapped entrywise on the generator."""
-    if s < 0:
-        raise InvalidParameterError(f"s must be nonnegative, got {s}")
+    s, = _checked_ints("s", s, low=0)
     spec = code.spec
     rows = [[spec.frobenius(v, s) for v in row] for row in code.G.entries]
     return RankCode(spec, ExtMatrix(spec, rows))
@@ -361,8 +361,7 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
     with alpha_i in the trace kernel minus zero and beta_j killing every
     functional x -> Tr(alpha_i x); validated entry by entry.
     """
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    k, n = _checked_shape("k n", k, n)
     check_budget((spec.q ** (spec.m - 1)) ** (n - 1), "rank-one kernel enumeration")
     order = spec.order
     trace0 = [a for a in range(1, order) if spec.trace(a) == 0]
@@ -394,9 +393,8 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
 
 def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     """Count the set G(s) exhaustively and through the factored route."""
-    spec._check_s(s)
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    s = spec._check_s(s)
+    k, n = _checked_shape("k n", k, n)
     cells = k * (n - k)
     total = spec.order ** cells
     check_budget(total, "rank-one difference-set scan")

@@ -11,25 +11,25 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError
-from .field_arith import _prime_factors
+from .field_arith import _checked_ints, _checked_shape, _prime_factors
 from .fq_linalg import gaussian_binomial
 
 
 def euler_phi(m: int) -> int:
     """Count of s in [1, m] coprime to m, from the prime factors of m."""
-    if m < 1:
-        raise InvalidParameterError(f"m must be positive, got {m}")
-    result = m
-    for p in _prime_factors(m):
+    result, = _checked_ints("m", m)
+    for p in _prime_factors(result):
         result -= result // p
     return result
 
 
-def _check_kn(q: int, k: int, n: int) -> None:
+def _check_kn(q: int, k: int, n: int, *m: int) -> list:
+    """[q, k, n, *m] as ints (`_checked_shape`, so 1 <= k < n), with q a
+    prime power; m is given by the functions that take it."""
+    k, n, q, *m = _checked_shape("k n q m", k, n, q, *m)
     if len(_prime_factors(q)) != 1:
         raise InvalidParameterError(f"q must be a prime power >= 2, got {q}")
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    return [q, k, n, *m]
 
 
 def mrd_defect_coefficient(q: int, k: int, n: int) -> int:
@@ -38,7 +38,7 @@ def mrd_defect_coefficient(q: int, k: int, n: int) -> int:
     Upper bound on the total degree of the product of all determinant
     polynomials over the echelon test set.
     """
-    _check_kn(q, k, n)
+    q, k, n = _check_kn(q, k, n)
     return sum(
         r * gaussian_binomial(k, k - r, q) * gaussian_binomial(n - k, r, q) * q ** (r * r)
         for r in range(k + 1)
@@ -52,7 +52,7 @@ def mrd_bound_rough(q: int, k: int, n: int, m: int) -> Fraction:
     The product form is sharper than the variant that replaces the product
     by q^(kn); either way the value may be negative for small m.
     """
-    _check_kn(q, k, n)
+    q, k, n, m = _check_kn(q, k, n, m)
     prod = 1
     for i in range(k):
         prod *= q ** n - q ** i
@@ -61,13 +61,14 @@ def mrd_bound_rough(q: int, k: int, n: int, m: int) -> Fraction:
 
 def mrd_bound(q: int, k: int, n: int, m: int) -> Fraction:
     """Lower bound 1 - a * q^(-m) with a = mrd_defect_coefficient(q, k, n)."""
+    q, k, n, m = _check_kn(q, k, n, m)
     return 1 - Fraction(mrd_defect_coefficient(q, k, n), q ** m)
 
 
 def gab_bound_rough(q: int, k: int, n: int, m: int) -> Fraction:
     """Upper bound phi(m) * (2 q^(1-m))^(floor(k/2) * floor((n-k)/2)) on the
     probability of drawing a generalized Gabidulin code."""
-    _check_kn(q, k, n)
+    q, k, n, m = _check_kn(q, k, n, m)
     if m < 2:
         raise InvalidParameterError(f"m must be at least 2, got {m}")
     exponent = (k // 2) * ((n - k) // 2)
@@ -77,7 +78,7 @@ def gab_bound_rough(q: int, k: int, n: int, m: int) -> Fraction:
 def gab_bound(q: int, k: int, n: int, m: int) -> Fraction:
     """Upper bound phi(m) * q^(-(m-1)(n-k-1)(k-1)); informative only for
     1 < k < n - 1 where the exponent is positive."""
-    _check_kn(q, k, n)
+    q, k, n, m = _check_kn(q, k, n, m)
     if m < 2:
         raise InvalidParameterError(f"m must be at least 2, got {m}")
     c = (n - k - 1) * (k - 1)
@@ -92,7 +93,7 @@ def min_extension_degree(q: int, k: int, n: int) -> int:
     Both sides are compared exactly; the left side minus the right is
     non-decreasing in m, so every larger m also satisfies the inequality.
     """
-    _check_kn(q, k, n)
+    q, k, n = _check_kn(q, k, n)
     if not 1 < k < n - 1:
         raise InvalidParameterError(
             f"need 1 < k < n - 1 for a positive exponent, got k={k}, n={n}")

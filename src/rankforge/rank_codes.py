@@ -23,7 +23,7 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
-from .field_arith import Element, FieldSpec
+from .field_arith import Element, FieldSpec, _checked_ints, _checked_shape
 from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
                         _rref_in_place, gaussian_binomial,
                         linearly_independent_over_base)
@@ -51,10 +51,7 @@ class RankCode:
             raise SpecMismatchError("generator belongs to a different field tower")
         self.spec = spec
         self.G = G
-        self.k = G.rows
-        self.n = G.cols
-        if not 1 <= self.k <= self.n:
-            raise InvalidParameterError(f"need 1 <= k <= n, got k={self.k}, n={self.n}")
+        self.k, self.n = _checked_shape("k n", G.rows, G.cols, full=True)
         rows = G.copy_entries()
         pivots = _rref_in_place(rows, spec)
         if len(pivots) != self.k:
@@ -133,8 +130,8 @@ def moore_matrix(g: Sequence[Element], s: int, k: int) -> ExtMatrix:
     """k x n matrix whose row i is the entrywise (q^s)^i-power of g."""
     if not g:
         raise ShapeError("empty evaluation vector")
-    if k < 1:
-        raise InvalidParameterError(f"k must be positive, got {k}")
+    s, = _checked_ints("s", s, low=0)
+    k, = _checked_ints("k", k)
     spec = g[0].spec
     row = []
     for x in g:
@@ -157,9 +154,8 @@ def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
     if n > spec.m:
         raise InvalidParameterError(
             f"n = {n} exceeds m = {spec.m}; independent tuples of that length do not exist")
-    if not 1 <= k <= n:
-        raise InvalidParameterError(f"need 1 <= k <= n, got k={k}, n={n}")
-    if s < 1 or gcd(s, spec.m) != 1:
+    k, n, s = _checked_shape("k n s", k, n, s, full=True)
+    if gcd(s, spec.m) != 1:
         raise InvalidParameterError(f"s = {s} is not coprime to m = {spec.m}")
     if not linearly_independent_over_base(list(g)):
         raise InvalidParameterError("evaluation points are F_q-linearly dependent")
@@ -248,25 +244,27 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
     At t = k the side of the code with fewer rows is tested
     (`_smaller_side`, `_side_passes`); every level t > k walks the pivot
     patterns of T(t, n) (`_walk_passes`).  Either way the budget check for
-    the tested side's T(t, n) runs first; at t = k its count is
-    [n, k]_q = [n, n - k]_q on either side.
+    the tested side's T(t, n) runs first, once: at t = k its count is
+    [n, k]_q = [n, n - k]_q on either side, and its patterns are the ones a
+    side of four rows or more walks.
     """
     if t == len(X):
         X = _smaller_side(X)
         t = len(X)
     k = len(X)
     tests = _echelon_tests(t, k, k + len(X[0]), spec)
-    return _side_passes(spec, X) if t == k else _walk_passes(spec, X, tests)
+    return _side_passes(spec, X, tests) if t == k else _walk_passes(spec, X, tests)
 
 
-def _side_passes(spec: FieldSpec, X) -> bool:
+def _side_passes(spec: FieldSpec, X, tests=None) -> bool:
     """The echelon identity of X at level t = k = len(X), by row count: one
     row passes iff (row, 1) is F_q-independent (`_one_row_passes`), two go
     through the point map's two stages, three compare the plane normals of
     T(2, n) (`_three_row_passes`), and four or more walk the pivot patterns
-    of T(k, n), built as they are pulled.  One to three rows run no budget
-    check of their own: one row enumerates nothing, and two or three fetch
-    `_points` or `_planes`, checked when built, before any table."""
+    of T(k, n): `tests`, already checked by the caller, or else
+    `_echelon_tests`, built as they are pulled.  One to three rows run no
+    budget check of their own: one row enumerates nothing, and two or three
+    fetch `_points` or `_planes`, checked when built, before any table."""
     k = len(X)
     if k == 1:
         return _one_row_passes(spec, X[0])
@@ -274,7 +272,7 @@ def _side_passes(spec: FieldSpec, X) -> bool:
         return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
     if k == 3:
         return _three_row_passes(spec, X)
-    return _walk_passes(spec, X, _echelon_tests(k, k, k + len(X[0]), spec))
+    return _walk_passes(spec, X, tests or _echelon_tests(k, k, k + len(X[0]), spec))
 
 
 # The side choice.  Take W in T(k, n) and W' spanning its F_q-orthogonal
@@ -634,8 +632,7 @@ def _fq_combination(spec: FieldSpec, vec, coeffs):
 
 def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:
     """Code [I_k | X] with X uniform over F_{q^m}^{k x (n-k)}."""
-    if not 1 <= k < n:
-        raise InvalidParameterError(f"need 1 <= k < n, got k={k}, n={n}")
+    k, n = _checked_shape("k n", k, n)
     X = ExtMatrix(spec, [[rng.randrange(spec.order) for _ in range(n - k)]
                          for _ in range(k)])
     return RankCode.from_systematic(spec, X)

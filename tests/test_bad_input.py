@@ -1,0 +1,95 @@
+"""Bad input across the public entry points, one (call, exception, match)
+case each: shapes, towers, parameters and values that the library refuses
+before it computes anything.  Non-integer parameters are in
+`test_experiments.test_non_integer_parameters_refused`."""
+
+import pytest
+
+from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
+                       Isometry, MultilinearPoly, RankCode, ShapeError,
+                       SpecMismatchError, apply_isometry, census, default_field,
+                       enumerate_G, euler_phi, expand_to_base, figure_data,
+                       frobenius_code, gab_bound, gab_bound_rough, gabidulin,
+                       linearly_independent_over_base, moore_matrix, mrd_bound,
+                       rank_distance, symbolic_f_E)
+
+F8 = default_field(2, 3)
+F16 = default_field(2, 4)
+A, B = F16.element(1), F16.element(2)
+OTHER = F8.element(1)
+CODE = RankCode.from_systematic(F16, ExtMatrix(F16, [[3, 5]]))  # k = 1, n = 3
+
+
+def dimension_mismatch(kind, spec, rows):
+    data = kind(spec, rows).to_json()
+    data["rows"] += 1
+    return lambda: kind.from_json(spec, data)
+
+
+CASES = {
+    "code-k-above-n": (lambda: RankCode(F16, ExtMatrix(F16, [[1], [2]])),
+                       InvalidParameterError, r"need 1 <= k <= n, got k=2, n=1"),
+    "code-other-field": (lambda: RankCode(F16, ExtMatrix(F8, [[1, 2]])),
+                         SpecMismatchError, "generator belongs to a different field"),
+    "distance-empty": (lambda: rank_distance([], []), ShapeError, "empty vectors"),
+    "distance-mixed": (lambda: rank_distance([A, B], [A, OTHER]),
+                       SpecMismatchError, "mixed field towers"),
+    "moore-empty": (lambda: moore_matrix([], 1, 1), ShapeError, "empty evaluation vector"),
+    "moore-mixed": (lambda: moore_matrix([A, OTHER], 1, 2),
+                    SpecMismatchError, "mixed field towers"),
+    "gabidulin-empty": (lambda: gabidulin([], 1, 1), ShapeError, "empty evaluation vector"),
+    "gabidulin-mixed": (lambda: gabidulin([A, OTHER], 1, 1),
+                        SpecMismatchError, "different field towers"),
+    "gabidulin-k-above-n": (lambda: gabidulin([A, B], 1, 3),
+                            InvalidParameterError, r"need 1 <= k <= n, got k=3, n=2"),
+    "isometry-other-field": (
+        lambda: apply_isometry(CODE, Isometry(OTHER, BaseMatrix.identity(F16, 3), 0)),
+        SpecMismatchError, "isometry defined over a different field"),
+    "isometry-wrong-size": (
+        lambda: apply_isometry(CODE, Isometry(A, BaseMatrix.identity(F16, 2), 0)),
+        ShapeError, "A must be 3x3, got 2x2"),
+    "census-k-equals-n": (lambda: census(2, 2, 2, 3),
+                          InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
+    "census-other-spec": (lambda: census(2, 2, 4, 3, spec=F16),
+                          InvalidParameterError, "spec disagrees"),
+    "figure-id-4": (lambda: figure_data(4), InvalidParameterError, "figure id must be 1, 2 or 3"),
+    "frobenius-code-negative-s": (lambda: frobenius_code(CODE, -1),
+                                  InvalidParameterError, "s must be nonnegative, got -1"),
+    "evaluate-wrong-length": (lambda: MultilinearPoly(F16, 2, {}).evaluate([1]),
+                              ShapeError, "expected 2 values, got 1"),
+    "symbolic-not-rref": (
+        lambda: symbolic_f_E(BaseMatrix(F16, [[0, 1, 0, 0], [1, 0, 0, 0]])),
+        InvalidParameterError, "E must be a full-rank reduced row echelon form"),
+    "enumerate-G-k-equals-n": (lambda: enumerate_G(F8, 2, 2, 1),
+                               InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
+    "euler-phi-0": (lambda: euler_phi(0), InvalidParameterError, "m must be positive, got 0"),
+    "mrd-bound-negative-m": (lambda: mrd_bound(2, 2, 4, -1),
+                             InvalidParameterError, "m must be positive, got -1"),
+    "gab-bound-m1": (lambda: gab_bound(2, 2, 4, 1),
+                     InvalidParameterError, "m must be at least 2"),
+    "gab-bound-rough-m1": (lambda: gab_bound_rough(2, 2, 4, 1),
+                           InvalidParameterError, "m must be at least 2"),
+    "field-e-0": (lambda: FieldSpec(2, 0, 3), InvalidParameterError, "e must be positive, got 0"),
+    "fq-list-longer-than-e": (lambda: FieldSpec(2, 2, 2).element_from_coeffs([[1, 0, 1]]),
+                              InvalidParameterError, "F_q coefficient list longer than e = 2"),
+    "too-many-coefficients": (lambda: F8.element_from_coeffs([1, 0, 0, 1]),
+                              InvalidParameterError, "too many coefficients"),
+    "matrix-empty": (lambda: ExtMatrix(F8, []), ShapeError, "at least one row"),
+    "matrix-ragged": (lambda: BaseMatrix(F8, [[1, 0], [1]]), ShapeError, "ragged rows"),
+    "ext-json-dimensions": (dimension_mismatch(ExtMatrix, F8, [[3, 5]]),
+                            InvalidParameterError, "dimensions disagree with entries"),
+    "base-json-dimensions": (dimension_mismatch(BaseMatrix, F8, [[1, 0]]),
+                             InvalidParameterError, "dimensions disagree with entries"),
+    "expand-empty": (lambda: expand_to_base([]), InvalidParameterError,
+                     "cannot infer the field of an empty raw vector"),
+    "independence-empty": (lambda: linearly_independent_over_base([]),
+                           InvalidParameterError, "empty list of elements"),
+    "independence-mixed": (lambda: linearly_independent_over_base([A, OTHER]),
+                           SpecMismatchError, "different field towers"),
+}
+
+
+@pytest.mark.parametrize("call,exception,match", CASES.values(), ids=CASES.keys())
+def test_bad_input_refused(call, exception, match):
+    with pytest.raises(exception, match=match):
+        call()

@@ -6,6 +6,7 @@ import csv
 import itertools
 import json
 import math
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -156,3 +157,53 @@ def test_committed_census_csv(path):
     valid_s = [s for s in range(1, m) if math.gcd(s, m) == 1]
     assert {int(r["s"]): int(r["gab_count_s"]) for r in rows} == \
         {s: gabidulin_per_s(q, n, m) for s in valid_s}
+
+
+README_ROW = re.compile(r"\| (\d+|\([\d,]+\)) \| ([\d ]+) \| ([\d ]+) \| "
+                        r"([\d ]+) \(([\d ]*)per s = ([\d., ]+)\) \| ([\d ]+) \|")
+
+
+def _readme_census_rows():
+    """{(q, k, n, m): (blocks, mrd, gab, non-Gabidulin mrd, per-s counts)}
+    from the tables of the README section on exact censuses.  A row's first
+    cell is m for (2, 2, 4), or (q,k,n,m); its Gabidulin cell reads either
+    "G (per s = 1, 3)", every listed s holding all G blocks, or
+    "G (C per s = 1..4)", every s of the range holding C."""
+    text = (RESULTS.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("## Exact censuses around the threshold")[1].split("\n## ")[0]
+    rows = {}
+    for line in section.splitlines():
+        match = README_ROW.match(line)
+        if not match:
+            continue
+        shape, blocks, mrd, gab, each, s_list, non_gab = match.groups()
+        key = ((2, 2, 4, int(shape)) if shape.isdigit()
+               else tuple(map(int, shape.strip("()").split(","))))
+        low, _, high = s_list.partition("..")
+        s_values = range(int(low), int(high) + 1) if high else map(int, s_list.split(","))
+        rows[key] = (_int(blocks), _int(mrd), _int(gab), _int(non_gab),
+                     dict.fromkeys(s_values, _int(each or gab)))
+    return rows
+
+
+def _int(cell):
+    return int(cell.replace(" ", ""))  # spaces group the digits
+
+
+def test_readme_census_tables_match_csvs():
+    rows = _readme_census_rows()
+    missing = set()
+    for (q, k, n, m), (blocks, mrd, gab, non_gab, per_s) in rows.items():
+        path = RESULTS / f"census_q{q}_k{k}_n{n}_m{m}.csv"
+        if not path.exists():
+            missing.add((q, k, n, m))
+            continue
+        csv_rows = _read_census_csv(path)
+        stored = {(int(r["total"]), int(r["mrd_count"]), int(r["gab_count"])) for r in csv_rows}
+        assert stored == {(blocks, mrd, gab)}, (q, k, n, m)
+        assert non_gab == mrd - gab, (q, k, n, m)
+        assert per_s == {int(r["s"]): int(r["gab_count_s"]) for r in csv_rows}, (q, k, n, m)
+    # (2,2,4,4) is a tier-1 known answer with no committed CSV
+    assert missing == {(2, 2, 4, 4)}
+    assert {p.name for p in CENSUS_CSVS} == {
+        f"census_q{q}_k{k}_n{n}_m{m}.csv" for q, k, n, m in rows} - {"census_q2_k2_n4_m4.csv"}

@@ -62,6 +62,15 @@ class TestGenGabidulin:
         assert code == 2
         assert "coprime" in err
 
+    def test_g_file_of_another_length(self, capsys, tmp_path):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps([[[1], [0], [0], [0]], [[0], [1], [0], [0]],
+                                 [[0], [0], [1], [0]]]))
+        code, _, err = run(capsys, "gen-gabidulin", "--q", "2", "--m", "4", "--n", "4",
+                           "--k", "2", "--s", "1", "--g-file", str(f))
+        assert code == 2
+        assert "expected 4 evaluation points, got 3" in err
+
     def test_n_beyond_m(self, capsys):
         code, _, err = run(capsys, "gen-gabidulin", "--q", "2", "--m", "3",
                            "--n", "4", "--k", "2", "--s", "1")
@@ -212,6 +221,12 @@ class TestBounds:
                            "--m-from", "3", "--m-to", "3")
         assert code == 2
         assert "prime power" in err
+
+    def test_empty_m_range_exit_code(self, capsys):
+        code, _, err = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",
+                           "--m-from", "6", "--m-to", "5")
+        assert code == 2
+        assert "--m-from must not exceed --m-to" in err
 
     def test_csv_output(self, capsys, tmp_path):
         f = tmp_path / "bounds.csv"

@@ -1,14 +1,18 @@
 import json
 import math
 import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from rankforge import (BudgetExceededError, FieldSpec, InvalidParameterError,
-                       VerificationError,
-                       census, default_field, figure_data, gab_bound,
-                       monte_carlo, mrd_bound, rank_codes, verify_lemma_suite)
+from rankforge import (BudgetExceededError, ExtMatrix, FieldSpec,
+                       InvalidParameterError, VerificationError,
+                       census, default_field, enumerate_rref, euler_phi,
+                       figure_data, frobenius, gab_bound, gabidulin,
+                       monte_carlo, moore_matrix, mrd_bound,
+                       mrd_defect_coefficient, rank1_criterion, rank_codes,
+                       verify_lemma_suite)
 from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
@@ -152,13 +156,25 @@ class TestMonteCarlo:
         assert monte_carlo(2, 2 if dual else 1, 3, 3, 64, 0).mrd_count > 0
 
 
+F16 = default_field(2, 4)
 VALID_ARGS = {monte_carlo: {"q": 2, "k": 2, "n": 4, "m": 8, "trials": 5, "seed": 0},
-              census: {"q": 2, "k": 2, "n": 4, "m": 3}}
+              census: {"q": 2, "k": 2, "n": 4, "m": 3},
+              euler_phi: {"m": 4},
+              mrd_defect_coefficient: {"q": 2, "k": 2, "n": 4},
+              figure_data: {"figure_id": 1, "q": 2, "k": 2, "n": 4, "m_values": [5]},
+              gabidulin: {"g": [F16.element(1), F16.element(2)], "s": 1, "k": 2},
+              rank1_criterion: {"X": ExtMatrix(F16, [[3, 5], [6, 7]]), "s": 1},
+              enumerate_rref: {"k": 2, "n": 4, "spec": F16},
+              frobenius: {"a": F16.element(3), "s": 1},
+              moore_matrix: {"g": [F16.element(1), F16.element(2)], "s": 1, "k": 2}}
 NON_INTEGERS = [
     (monte_carlo, "trials", 10.5), (monte_carlo, "trials", "5"), (monte_carlo, "k", 2.0),
     (monte_carlo, "workers", 1.5), (monte_carlo, "q", 2.0), (monte_carlo, "n", None),
     (monte_carlo, "m", "8"), (census, "oracle_stride", 2.5), (census, "stop_after", 1.5),
     (census, "q", 2.0), (census, "k", "2"), (census, "n", 4.0), (census, "m", 3.5),
+    (euler_phi, "m", 4.0), (mrd_defect_coefficient, "n", 4.0), (figure_data, "q", 2.0),
+    (gabidulin, "s", 1.0), (rank1_criterion, "s", 1.0), (enumerate_rref, "k", 2.0),
+    (frobenius, "s", 1.5), (moore_matrix, "k", 2.0),
 ]
 
 
@@ -610,6 +626,19 @@ class TestCsvWriters:
         rows = census_rows(result)
         assert len(rows) == 2  # s in {1, 2}
         assert all(set(r) == set(CENSUS_CSV_FIELDS) for r in rows)
+
+    def test_census_csv_row_without_valid_s(self):
+        # m = 1 has no Gabidulin parameter: one row with empty s cells
+        result = census(2, 1, 2, 1)
+        assert result.per_s_gab_counts == {}
+        assert census_rows(result) == [{"q": 2, "k": 1, "n": 2, "m": 1, "total": 2,
+                                        "mrd_count": 0, "gab_count": 0,
+                                        "s": "", "gab_count_s": ""}]
+
+    def test_trial_fractions(self):
+        batch = TrialBatch(q=2, k=2, n=4, m=8, trials=12, seed=0,
+                           mrd_count=9, gab_count=2, elapsed=0.0)
+        assert (batch.mrd_fraction, batch.gab_fraction) == (Fraction(3, 4), Fraction(1, 6))
 
 
 class TestBoundConsistencyOnCensus:

@@ -189,9 +189,9 @@ class TestConstruction:
     @pytest.mark.parametrize("params", [{"p": 2.9}, {"m": "3"}, {"e": 1.0}, {"p": None}])
     def test_non_integer_parameters_refused(self, params):
         data = {**default_field(2, 3).to_json(), **params}
-        with pytest.raises(InvalidParameterError, match="must be integers"):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
             FieldSpec.from_json(data)
-        with pytest.raises(InvalidParameterError, match="must be integers"):
+        with pytest.raises(InvalidParameterError, match="must be an integer"):
             FieldSpec(data["p"], data["e"], data["m"])
 
 
@@ -238,6 +238,19 @@ class TestArithmetic:
     def test_inv_zero_raises(self, f4):
         with pytest.raises(ZeroDivisionError):
             f4.inv(0)
+
+    def test_element_operators(self, f9):
+        # odd p, where subtraction and negation differ from addition
+        a, b = f9.element(5), f9.element(7)
+        assert (a - b).idx == f9.sub(5, 7) and (a - b) + b == a
+        assert (-a).idx == f9.neg(5) and -a + a == f9.zero
+        assert (a / b).idx == f9.mul(5, f9.inv(7)) and (a / b) * b == a
+        assert (a ** 3).idx == f9.mul(5, f9.mul(5, 5)) and a ** -1 * a == f9.one
+        assert bool(a) and not bool(f9.zero)
+        assert repr(a) == f"Element({a.coeffs()!r}, q=3, m=2)"
+        assert a != 5 and not a == 5
+        with pytest.raises(ZeroDivisionError):
+            a / f9.zero
 
     def test_pow_negative_and_zero(self, f8):
         a = 5

@@ -580,6 +580,20 @@ class TestSymbolicExpansion:
             lifted = MultilinearPoly(f8, poly.num_vars, poly.coeffs)
             assert lifted.evaluate(flat) == direct
 
+    def test_t36_evaluation_matches_determinant(self, f16):
+        # three rows reach a 1 x 1 minor along two column orders, so the
+        # expansion reuses its memo; 9 variables, evaluated at seeded points
+        from rankforge.fq_linalg import det
+        rng = random.Random(36)
+        forms = list(enumerate_rref(3, 6, default_field(2, 1)))
+        for E in rng.sample(forms, 20):
+            lifted = MultilinearPoly(f16, 9, symbolic_f_E(E).coeffs)
+            X = [[rng.randrange(f16.order) for _ in range(3)] for _ in range(3)]
+            M = [[E.entries[j][i] for j in range(3)] for i in range(3)]
+            for i, j, t in itertools.product(range(3), repeat=3):
+                M[i][j] = f16.add(M[i][j], f16.mul(E.entries[j][3 + t], X[i][t]))
+            assert lifted.evaluate([x for row in X for x in row]) == det(ExtMatrix(f16, M))
+
     @pytest.mark.parametrize("value", [1.9, "5", 300, -1])
     def test_evaluate_refuses_a_bad_value(self, value):
         poly = MultilinearPoly(default_field(2, 8), 1, {(0,): 1})

@@ -386,6 +386,32 @@ class TestBlockKernelLevels:
                 seen.add(got)
         assert seen == {False, True}
 
+    # 5 of 50 blocks drawn by random.Random(0) over F_4 on which the walk of
+    # T(4, 7) meets a dependent row with too few rows left to reach rank 4:
+    # `_pattern_passes` returns False at that row
+    @pytest.mark.parametrize("X", [
+        [[3, 0, 3], [3, 0, 2], [2, 1, 1], [3, 0, 0]],
+        [[3, 0, 2], [1, 2, 1], [3, 1, 2], [0, 0, 0]],
+        [[2, 2, 3], [3, 3, 0], [1, 1, 1], [2, 2, 0]],
+        [[2, 0, 1], [1, 0, 3], [2, 0, 1], [3, 3, 0]],
+        [[0, 3, 3], [0, 1, 2], [0, 2, 1], [3, 3, 0]]])
+    def test_walk_dependent_row_exit(self, X):
+        spec = default_field(2, 2)
+        rows = [[1 if i == j else 0 for j in range(4)] + row for i, row in enumerate(X)]
+        walked = rank_codes._walk_passes(spec, X, rank_codes._echelon_tests(4, 4, 7, spec))
+        assert walked == (rank_codes._min_rank_distance_raw(spec, rows, 4, 7) == 4)
+
+    def test_one_budget_check_per_is_mrd(self, monkeypatch):
+        # a four-row side walks the patterns whose T(4, 8) `_is_mrd_block`
+        # has already checked
+        checked = []
+        check = rank_codes.check_budget
+        monkeypatch.setattr(rank_codes, "check_budget",
+                            lambda count, what: (checked.append(what), check(count, what)))
+        code = random_systematic_code(default_field(2, 8), 4, 8, random.Random(0))
+        is_mrd(code)
+        assert checked == ["echelon-form enumeration T(4,8)"]
+
 
 class TestDualSide:
     """Blocks with n - k < k, which `_is_mrd_block`, `is_mrd` and `_classify`
