@@ -41,8 +41,10 @@ def _print_json(data):
 
 def _cmd_field_info(args):
     def build(data):
-        return FieldSpec(args.p, args.e, args.m, **{
-            key: data[key] for key in ("base_modulus", "ext_modulus") if key in data})
+        if not isinstance(data, dict) or not set(data) <= {"base_modulus", "ext_modulus"}:
+            raise InvalidParameterError(
+                "a modulus file holds an object with base_modulus and ext_modulus keys only")
+        return FieldSpec(args.p, args.e, args.m, **data)
     spec = _load_json(args.modulus_file, build) if args.modulus_file else build({})
     _print_json(spec.to_json())
     return EXIT_OK

@@ -28,9 +28,9 @@ from . import prob_bounds as pb
 from .budget import check_budget
 from .errors import InvalidParameterError, VerificationError
 from .field_arith import FieldSpec, _checked_ints, _checked_shape, default_field
-from .fq_linalg import (ExtMatrix, _rank_raw, _rref_in_place,
-                        count_intersecting_subspaces, enumerate_rref,
-                        gaussian_binomial, intersection_dim)
+from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
+                        _rref_in_place, count_intersecting_subspaces,
+                        enumerate_rref, gaussian_binomial, intersection_dim)
 from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
                          _min_rank_distance_raw)
 
@@ -235,48 +235,31 @@ def _first_row_orbits(spec: FieldSpec, w: int):
     F_{q^m}/F_q, with the orbit's size: [(row, size), ...].
 
     Subspace U is listed by its basis in reduced row echelon form over F_q,
-    in `enumerate_rref(w, m - 1)` order; basis vector r is the element
+    in `_echelon_patterns(w, m - 1, q)` order; basis vector r is the element
     from_digits((0,) + r), whose lowest digit (its F_q part) is 0.  An
     orbit is represented by its first subspace in that order.  A subspace's
-    place in the order is computed from its pivot columns and free entries,
-    so the walk keeps one byte per subspace.  There are none when m - 1 < w.
+    place in the order is computed (`_echelon_place`), so the walk keeps
+    one byte per subspace.  There are none when m - 1 < w.
     """
     q, d = spec.q, spec.m - 1
     if d < w:
         return []
-    # enumerate_rref's order: pivot sets in lexicographic order, then the
-    # free entries (row by row) as base-q digits, the last one lowest
-    layout = {}
-    count = 0
-    for pivots in itertools.combinations(range(d), w):
-        free = [(r, c) for r in range(w) for c in range(pivots[r] + 1, d)
-                if c not in pivots]
-        layout[pivots] = (count, free)
-        count += q ** len(free)
-
-    def place(rows, pivots):
-        base, free = layout[pivots]
-        t = 0
-        for r, c in free:
-            t = t * q + rows[r][c]
-        return base + t
-
+    forms = (E for pattern in _echelon_patterns(w, d, q) for E in itertools.product(*pattern))
+    place = _echelon_place(w, d, q)
     fq = spec.base_field
-    seen = bytearray(count)
+    seen = bytearray(gaussian_binomial(d, w, q))
     orbits = []
-    for i, E in enumerate(enumerate_rref(w, d, spec)):
+    for i, E in enumerate(forms):
         if seen[i]:
             continue
-        size = 0
-        rows = E.entries
-        j = i
+        size, rows, j = 0, E, i
         while not seen[j]:
             seen[j] = 1
             size += 1
             rows = [list(spec.digits(spec.frobenius(spec.from_digits((0, *r)), 1))[1:])
                     for r in rows]
             j = place(rows, tuple(_rref_in_place(rows, fq)))
-        orbits.append(([spec.from_digits((0, *r)) for r in E.entries], size))
+        orbits.append(([spec.from_digits((0, *r)) for r in E], size))
     return orbits
 
 

@@ -103,6 +103,22 @@ def _element_index(v, spec: "FieldSpec") -> int:
     return v.idx
 
 
+def _element_indices(values) -> tuple:
+    """(spec, indices) for a non-empty sequence of Elements of one field:
+    InvalidParameterError names the first entry that is not an Element,
+    SpecMismatchError an Element of another field."""
+    spec, indices = None, []
+    for v in values:
+        if not isinstance(v, Element):
+            raise InvalidParameterError(f"expected a field Element, got {v!r}")
+        if spec is None:
+            spec = v.spec
+        elif v.spec != spec:
+            raise SpecMismatchError("mixed field towers")
+        indices.append(v.idx)
+    return spec, indices
+
+
 def _prime_factors(n: int) -> list[int]:
     """Distinct prime factors of n, increasing, by trial division; [] for n < 2."""
     factors = []

@@ -16,7 +16,7 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
 from .field_arith import (Element, FieldSpec, _checked_index, _checked_shape,
-                          _element_index)
+                          _element_index, _element_indices)
 
 
 class _MatrixBase:
@@ -277,30 +277,60 @@ def enumerate_rref(k: int, n: int, spec: FieldSpec):
     gaussian_binomial(n, k, q) of them, as BaseMatrix values.
 
     The parameters and the budget are checked on the call; the forms are
-    then produced lazily, in O(1) memory and `_echelon_forms` order.
+    then produced lazily, in `_echelon_patterns` order.
     """
     k, n = _checked_shape("k n", k, n, full=True)
-    check_budget(gaussian_binomial(n, k, spec.q), f"echelon-form enumeration T({k},{n})")
-    return (BaseMatrix(spec, rows) for rows in _echelon_forms(k, n, spec))
+    return (BaseMatrix._trusted(spec, [list(row) for row in rows])
+            for pattern in _echelon_patterns(k, n, spec.q)
+            for rows in itertools.product(*pattern))
 
 
-def _echelon_forms(k, n, spec):
-    """The forms of `enumerate_rref`, each as a fresh list of k rows of ints,
-    unchecked; `enumerate_rref` is its only caller (the block test takes
-    T(t, n) by pivot pattern from `rank_codes._echelon_tests`).  Pivot-column
-    subsets are visited in lexicographic order; within one pivot set the
-    free entries (right of their row's pivot, outside pivot columns) run
-    through an odometer."""
+def _echelon_patterns(k: int, n: int, q: int):
+    """T(k, n) over F_q by pivot set, the sets in lexicographic order.  Once
+    the pivots are fixed, the free entries of the rows (right of the row's
+    pivot, outside the pivot columns) are independent, so a set's forms are
+    the product of its pattern: the tuple of its rows' choices, each an
+    n-tuple with 1 at the pivot and the free entries as base-q digits, the
+    last one lowest.  The budget check runs at the call; the patterns are
+    built as they are pulled.  `_echelon_place` inverts the order.
+    """
+    check_budget(gaussian_binomial(n, k, q), f"echelon-form enumeration T({k},{n})")
+
+    def choices(p, pivots):
+        free = [c for c in range(p + 1, n) if c not in pivots]
+        out = []
+        for values in itertools.product(range(q), repeat=len(free)):
+            row = [0] * n
+            row[p] = 1
+            for c, v in zip(free, values):
+                row[c] = v
+            out.append(tuple(row))
+        return tuple(out)
+
+    return (tuple(choices(p, pivots) for p in pivots)
+            for pivots in itertools.combinations(range(n), k))
+
+
+def _echelon_place(k: int, n: int, q: int):
+    """place(rows, pivots): the index of a form of T(k, n), given by its
+    rows and pivot columns, in the order of the product of
+    `_echelon_patterns(k, n, q)`'s patterns."""
+    layout = {}
+    count = 0
     for pivots in itertools.combinations(range(n), k):
-        free = [(r, c) for r in range(k) for c in range(n)
-                if c > pivots[r] and c not in pivots]
-        for values in itertools.product(range(spec.q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for r, c in enumerate(pivots):
-                rows[r][c] = 1
-            for (r, c), v in zip(free, values):
-                rows[r][c] = v
-            yield rows
+        free = [(r, c) for r in range(k) for c in range(pivots[r] + 1, n)
+                if c not in pivots]
+        layout[pivots] = (count, free)
+        count += q ** len(free)
+
+    def place(rows, pivots):
+        base, free = layout[pivots]
+        t = 0
+        for r, c in free:
+            t = t * q + rows[r][c]
+        return base + t
+
+    return place
 
 
 def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseMatrix:
@@ -308,7 +338,7 @@ def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseM
     if spec is None:
         spec = next((x.spec for x in v if isinstance(x, Element)), None)
     if spec is None:
-        raise InvalidParameterError("cannot infer the field of an empty raw vector")
+        raise InvalidParameterError("cannot infer the field of a vector that holds no Element")
     cols = [spec.digits(_element_index(x, spec)) for x in v]
     return BaseMatrix(spec, [[c[i] for c in cols] for i in range(spec.m)])
 
@@ -346,7 +376,5 @@ def linearly_independent_over_base(v: Sequence[Element]) -> bool:
     """
     if not v:
         raise InvalidParameterError("empty list of elements")
-    spec = v[0].spec
-    if any(x.spec != spec for x in v):
-        raise SpecMismatchError("elements belong to different field towers")
-    return len(v) <= spec.m and _expanded_rank(spec, [x.idx for x in v]) == len(v)
+    spec, indices = _element_indices(v)
+    return len(v) <= spec.m and _expanded_rank(spec, indices) == len(v)

@@ -23,10 +23,10 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
-from .field_arith import Element, FieldSpec, _checked_ints, _checked_shape
-from .fq_linalg import (BaseMatrix, ExtMatrix, _expanded_rank, _rank_raw,
-                        _rref_in_place, gaussian_binomial,
-                        linearly_independent_over_base)
+from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
+                          _element_indices)
+from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_patterns, _expanded_rank,
+                        _rank_raw, _rref_in_place, gaussian_binomial)
 
 
 class RankCode:
@@ -51,7 +51,7 @@ class RankCode:
             raise SpecMismatchError("generator belongs to a different field tower")
         self.spec = spec
         self.G = G
-        self.k, self.n = _checked_shape("k n", G.rows, G.cols, full=True)
+        self.k, self.n = G.rows, G.cols
         rows = G.copy_entries()
         pivots = _rref_in_place(rows, spec)
         if len(pivots) != self.k:
@@ -117,13 +117,8 @@ def rank_distance(x: Sequence[Element], y: Sequence[Element]) -> int:
         raise ShapeError(f"length mismatch: {len(x)} vs {len(y)}")
     if not x:
         raise ShapeError("empty vectors")
-    spec = x[0].spec
-    diff = []
-    for a, b in zip(x, y):
-        if a.spec != spec or b.spec != spec:
-            raise SpecMismatchError("mixed field towers")
-        diff.append(spec.sub(a.idx, b.idx))
-    return _expanded_rank(spec, diff)
+    spec, indices = _element_indices([*x, *y])
+    return _expanded_rank(spec, list(map(spec.sub, indices[:len(x)], indices[len(x):])))
 
 
 def moore_matrix(g: Sequence[Element], s: int, k: int) -> ExtMatrix:
@@ -132,13 +127,8 @@ def moore_matrix(g: Sequence[Element], s: int, k: int) -> ExtMatrix:
         raise ShapeError("empty evaluation vector")
     s, = _checked_ints("s", s, low=0)
     k, = _checked_ints("k", k)
-    spec = g[0].spec
-    row = []
-    for x in g:
-        if x.spec != spec:
-            raise SpecMismatchError("mixed field towers")
-        row.append(x.idx)
-    rows = [list(row)]
+    spec, row = _element_indices(g)
+    rows = [row]
     for _ in range(k - 1):
         row = [spec.frobenius(v, s) for v in row]
         rows.append(row)
@@ -149,7 +139,7 @@ def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
     """Code generated by the s-Moore matrix of F_q-independent elements g."""
     if not g:
         raise ShapeError("empty evaluation vector")
-    spec = g[0].spec
+    spec, indices = _element_indices(g)
     n = len(g)
     if n > spec.m:
         raise InvalidParameterError(
@@ -157,7 +147,7 @@ def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
     k, n, s = _checked_shape("k n s", k, n, s, full=True)
     if gcd(s, spec.m) != 1:
         raise InvalidParameterError(f"s = {s} is not coprime to m = {spec.m}")
-    if not linearly_independent_over_base(list(g)):
+    if _expanded_rank(spec, indices) < n:
         raise InvalidParameterError("evaluation points are F_q-linearly dependent")
     return RankCode(spec, moore_matrix(g, s, k))
 
@@ -188,37 +178,20 @@ def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
 
 
 def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
-    """T(t, n), one pattern per pivot set, as indices into the combination
-    tables of the pattern walk (`_walk_passes`) and of the plane normals
-    (`_planes`, t = 2 and k = 3).
+    """The patterns of T(t, n) (`_echelon_patterns`, budget checked at the
+    call) as indices into the combination tables of the pattern walk
+    (`_walk_passes`) and of the plane normals (`_planes`, t = 2 and k = 3):
+    a choice's entry j is W_L[i][j] q^(n-k) + code_i, where code_i spells
+    row i of W_R in base-q digits, lowest first.  [I_k | 0] stays in its
+    pattern; it passes every block."""
+    shift = spec.q ** (n - k)
 
-    Once the pivot set of a reduced row echelon form is fixed, the free
-    entries of its rows are independent, so the set's forms are exactly the
-    product of its rows' choices.  A pattern is the tuple of its t rows,
-    each the tuple of that row's choices.  A choice is a k-tuple: entry j is
-    W_L[i][j] q^(n-k) + code_i, where code_i spells row i of W_R in base-q
-    digits, lowest first.  [I_k | 0] stays in its pattern; it passes every
-    block.  The budget check runs at the call; the patterns are built as
-    they are pulled.
-    """
-    check_budget(gaussian_binomial(n, t, spec.q), f"echelon-form enumeration T({t},{n})")
-    q = spec.q
-    shift = q ** (n - k)
+    def encode(row):
+        code = spec.from_digits(row[k:])
+        return tuple(x * shift + code for x in row[:k])
 
-    def choices(p, pivots):
-        free = [c for c in range(p + 1, n) if c not in pivots]
-        out = []
-        for values in itertools.product(range(q), repeat=len(free)):
-            row = [0] * n
-            row[p] = 1
-            for c, v in zip(free, values):
-                row[c] = v
-            code = spec.from_digits(row[k:])
-            out.append(tuple(x * shift + code for x in row[:k]))
-        return tuple(out)
-
-    return (tuple(choices(p, pivots) for p in pivots)
-            for pivots in itertools.combinations(range(n), t))
+    return (tuple(tuple(map(encode, choices)) for choices in pattern)
+            for pattern in _echelon_patterns(t, n, spec.q))
 
 
 def _combinations(spec: FieldSpec, row):

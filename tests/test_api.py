@@ -63,6 +63,20 @@ def test_library_imports_are_used():
         assert imported - used - {"annotations"} == set(), path.name
 
 
+def test_pivot_sets_are_enumerated_in_fq_linalg_only():
+    # T(k, n) is built and ordered by `fq_linalg._echelon_patterns` and
+    # `_echelon_place`: no other library module reaches
+    # itertools.combinations, by attribute or by import
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.stem == "fq_linalg":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        uses = [node for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and node.attr == "combinations"
+                or isinstance(node, ast.alias) and node.name == "combinations"]
+        assert uses == [], path.name
+
+
 def test_import_leaves_the_process_pool_out():
     # only monte_carlo(..., workers > 1) imports the pool, inside the call
     probe = ("import sys, rankforge; "

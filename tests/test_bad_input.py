@@ -28,18 +28,26 @@ def dimension_mismatch(kind, spec, rows):
 
 CASES = {
     "code-k-above-n": (lambda: RankCode(F16, ExtMatrix(F16, [[1], [2]])),
-                       InvalidParameterError, r"need 1 <= k <= n, got k=2, n=1"),
+                       InvalidParameterError, "does not have full row rank"),
     "code-other-field": (lambda: RankCode(F16, ExtMatrix(F8, [[1, 2]])),
                          SpecMismatchError, "generator belongs to a different field"),
     "distance-empty": (lambda: rank_distance([], []), ShapeError, "empty vectors"),
     "distance-mixed": (lambda: rank_distance([A, B], [A, OTHER]),
                        SpecMismatchError, "mixed field towers"),
+    "distance-ints": (lambda: rank_distance([1, 2], [3, 4]),
+                      InvalidParameterError, "expected a field Element, got 1"),
+    "distance-int-in-y": (lambda: rank_distance([A, B], [A, 3]),
+                          InvalidParameterError, "expected a field Element, got 3"),
     "moore-empty": (lambda: moore_matrix([], 1, 1), ShapeError, "empty evaluation vector"),
     "moore-mixed": (lambda: moore_matrix([A, OTHER], 1, 2),
                     SpecMismatchError, "mixed field towers"),
+    "moore-ints": (lambda: moore_matrix([2, 4], 1, 2),
+                   InvalidParameterError, "expected a field Element, got 2"),
     "gabidulin-empty": (lambda: gabidulin([], 1, 1), ShapeError, "empty evaluation vector"),
     "gabidulin-mixed": (lambda: gabidulin([A, OTHER], 1, 1),
-                        SpecMismatchError, "different field towers"),
+                        SpecMismatchError, "mixed field towers"),
+    "gabidulin-ints": (lambda: gabidulin([2, 4], 1, 1),
+                       InvalidParameterError, "expected a field Element, got 2"),
     "gabidulin-k-above-n": (lambda: gabidulin([A, B], 1, 3),
                             InvalidParameterError, r"need 1 <= k <= n, got k=3, n=2"),
     "isometry-other-field": (
@@ -81,11 +89,15 @@ CASES = {
     "base-json-dimensions": (dimension_mismatch(BaseMatrix, F8, [[1, 0]]),
                              InvalidParameterError, "dimensions disagree with entries"),
     "expand-empty": (lambda: expand_to_base([]), InvalidParameterError,
-                     "cannot infer the field of an empty raw vector"),
+                     "cannot infer the field of a vector that holds no Element"),
+    "expand-ints": (lambda: expand_to_base([2, 4]), InvalidParameterError,
+                    "cannot infer the field of a vector that holds no Element"),
     "independence-empty": (lambda: linearly_independent_over_base([]),
                            InvalidParameterError, "empty list of elements"),
     "independence-mixed": (lambda: linearly_independent_over_base([A, OTHER]),
-                           SpecMismatchError, "different field towers"),
+                           SpecMismatchError, "mixed field towers"),
+    "independence-ints": (lambda: linearly_independent_over_base([2, 4]),
+                          InvalidParameterError, "expected a field Element, got 2"),
 }
 
 

@@ -166,6 +166,12 @@ def _code_with_coefficient(value):
     return data
 
 
+def _code_with_entry(value):
+    data = _code_with_coefficient(1)
+    data["generator"]["entries"][0][1] = value
+    return data
+
+
 def _code_with_field(**params):
     data = _code_with_coefficient(1)
     data["field"].update(params)
@@ -185,13 +191,23 @@ class TestMalformedInput:
         (["check", "--code-file"], _code_with_coefficient([3])),
         (["check", "--code-file"], _code_with_field(p=2.9)),
         (["check", "--code-file"], _code_with_field(m="3")),
+        (["check", "--code-file"], _code_with_coefficient(-1)),
+        (["check", "--code-file"], _code_with_entry(5)),
+        (["check", "--code-file"], _code_with_field(m=0)),
+        (["check", "--code-file"], {**_code_with_coefficient(1), "k": -1}),
+        (["check", "--code-file"], {**_code_with_coefficient(1), "n": "3"}),
+        (["check", "--code-file"], {**_code_with_coefficient(1), "field": [2, 1, 3]}),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
+        (["field-info", "--p", "2", "--m", "3", "--modulus-file"], [[1], [1], [0], [1]]),
+        (["field-info", "--p", "2", "--m", "3", "--modulus-file"],
+         {"ext_modulu": [[1], [1], [0], [1]]}),
         (["gen-gabidulin", "--q", "2", "--m", "3", "--n", "1", "--k", "1", "--g-file"],
          ["x"]),
     ], ids=["code-missing-keys", "code-list", "code-text-coefficient",
             "code-float-coefficient", "code-float-digit", "code-digit-3",
-            "code-float-p", "code-text-m",
-            "modulus-text", "g-text"])
+            "code-float-p", "code-text-m", "code-digit-minus-1", "code-entry-not-list",
+            "code-m-0", "code-k-minus-1", "code-text-n", "code-field-list",
+            "modulus-text", "modulus-list", "modulus-misspelled-key", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
         f = tmp_path / "input.json"
         f.write_text(json.dumps(data))

@@ -8,7 +8,7 @@ from rankforge import (BaseMatrix, BudgetExceededError, Element, ExtMatrix,
                        count_intersecting_subspaces, default_field, det,
                        enumerate_rref, expand_to_base, gaussian_binomial,
                        intersection_dim, rank, rref)
-from rankforge.fq_linalg import _expanded_rank
+from rankforge.fq_linalg import _echelon_patterns, _echelon_place, _expanded_rank
 
 from conftest import basis_elements
 
@@ -272,6 +272,20 @@ class TestEnumerateRref:
     def test_bad_shape_raises_on_call(self, k, n):
         with pytest.raises(InvalidParameterError):
             enumerate_rref(k, n, default_field(2, 1))
+
+    @pytest.mark.parametrize("q", [2, 3, 4])
+    def test_place_inverts_the_pattern_order(self, q):
+        # the i-th form of the patterns' products has place i, for every
+        # shape up to n = 6; a form's pivots are its rows' leading 1s
+        for n in range(1, 7):
+            for k in range(1, n + 1):
+                place = _echelon_place(k, n, q)
+                forms = (rows for pattern in _echelon_patterns(k, n, q)
+                         for rows in itertools.product(*pattern))
+                i = -1
+                for i, rows in enumerate(forms):
+                    assert place(rows, tuple(row.index(1) for row in rows)) == i
+                assert i + 1 == gaussian_binomial(n, k, q)
 
 
 class TestExpandToBase:

@@ -14,7 +14,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
-from rankforge import mrd_criteria, rank_codes
+from rankforge import fq_linalg, mrd_criteria, rank_codes
 from rankforge.mrd_criteria import _classify, _gabidulin_classes, _gabidulin_hits
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
@@ -405,8 +405,8 @@ class TestBlockKernelLevels:
         # a four-row side walks the patterns whose T(4, 8) `_is_mrd_block`
         # has already checked
         checked = []
-        check = rank_codes.check_budget
-        monkeypatch.setattr(rank_codes, "check_budget",
+        check = fq_linalg.check_budget
+        monkeypatch.setattr(fq_linalg, "check_budget",
                             lambda count, what: (checked.append(what), check(count, what)))
         code = random_systematic_code(default_field(2, 8), 4, 8, random.Random(0))
         is_mrd(code)
