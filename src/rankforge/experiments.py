@@ -163,7 +163,7 @@ def _write_checkpoint(path, state):
     tmp = f"{path}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(state, fh)
+            fh.write(json.dumps(state))  # json.dump encodes in Python, chunk by chunk
         os.replace(tmp, path)
     except OSError as exc:
         raise InvalidParameterError(f"cannot write checkpoint {path}: {exc}") from exc
@@ -284,28 +284,29 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     are the same, is scanned instead.
 
     Blocks are visited orbit-major: with k and n - k those of the scanned
-    shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of
-    orbit v div that, whose entry (i, j) for i >= 1 is q times the
-    base-q^(m-1) digit (i-1)(n-k) + j of t, lowest first.  When the scanned
-    shape has two rows, the point map's first-row stage (`_first_row_stage`)
-    is built once per orbit (once for the orbit a resume starts in), with
-    phi_t(row 0) per Gabidulin class beside it, and each visit runs only
-    the last-row stage (`_last_row_passes`) and the Gabidulin test; every
-    other shape classifies each block whole (`_classify`).  Verdicts
+    shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of orbit
+    v div that, whose entry (i, j) for i >= 1 is q times the base-q^(m-1)
+    digit (i-1)(n-k) + j of t, lowest first.  Each orbit's inner blocks are
+    listed in that order, with no visit number decoded, and X is formed only
+    where it is read.  When the scanned shape has two rows, the point map's
+    first-row stage (`_first_row_stage`) is built once per orbit, with
+    phi_t(row 0) per Gabidulin class beside it, and each visit runs the
+    last-row stage (`_last_row_passes`) and, on a pass, the Gabidulin test;
+    every other shape classifies each block whole (`_classify`).  Verdicts
     are cross-validated against the brute-force minimum-distance oracle on
     every `oracle_stride`-th visit (default every 100th).  When
-    `checkpoint_path` is given, progress is persisted before the first
-    block (so an unwritable path fails at once), then every 2^16 visits,
-    and an interrupted run resumes from the stored cursor; the checkpoint
-    binds (q, k, n, m), the field tower and the reduction (scanned k,
-    orbits, visits), and holds the visit cursor and the orbit-weighted
-    counts.  `stop_after` bounds the number of visits
-    in this call (a checkpoint is written and None returned when the scan
-    is not finished), so it needs `checkpoint_path`.  The budget bounds the
-    subspaces the orbit walk visits and the number of visited blocks; both
-    are checked before the walk, the blocks through the fewest orbits there
-    can be (each holds at most m subspaces), and the blocks again after it.
-    The classifier checks only what it enumerates (`_side_passes`).
+    `checkpoint_path` is given, progress is persisted before the first block
+    (so an unwritable path fails at once), then every 2^16 visits, and an
+    interrupted run resumes from the stored cursor; the checkpoint binds
+    (q, k, n, m), the field tower and the reduction (scanned k, orbits,
+    visits), and holds the visit cursor and the orbit-weighted counts.
+    `stop_after` bounds the number of visits in this call (a checkpoint is
+    written and None returned when the scan is not finished), so it needs
+    `checkpoint_path`.  The budget bounds the subspaces the orbit walk
+    visits and the number of visited blocks; both are checked before the
+    walk, the blocks through the fewest orbits there can be (each holds at
+    most m subspaces), and the blocks again after it.  The classifier
+    checks only what it enumerates (`_side_passes`).
     """
     k, n, q, m, oracle_stride = _checked_shape("k n q m oracle_stride",
                                                k, n, q, m, oracle_stride)
@@ -320,9 +321,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         raise InvalidParameterError("spec disagrees with (q, m)")
     ks = min(k, n - k)
     w = n - ks
-    radix = spec.order // q
     cells = (ks - 1) * w
-    inner = radix ** cells
+    inner = (spec.order // q) ** cells
     # refuse before the orbit walk: it visits every subspace, and each
     # orbit holds at most m of them
     subspaces = gaussian_binomial(m - 1, w, q)
@@ -362,36 +362,37 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
     end = visits if stop_after is None else min(visits, cursor + stop_after)
-    stage_orbit = None
-    for v in range(cursor, end):
-        o, rest = divmod(v, inner)
+    below = range(0, cells, w)  # where the rows below the first start in a visit's entries
+    for o in range(cursor // inner, -(-end // inner)):
         first_row, weight = orbits[o]
-        flat = []
-        for _ in range(cells):
-            rest, digit = divmod(rest, radix)
-            flat.append(q * digit)
-        X = [first_row] + [flat[i * w:(i + 1) * w] for i in range(ks - 1)]
-        if ks != 2:
-            hits = mc._classify(spec, X)
-        else:
-            if o != stage_orbit:
-                stage, phi0, stage_orbit = _first_row_stage(spec, first_row), {}, o
-            hits = (mc._gabidulin_hits(spec, X, classes, phi0)
-                    if _last_row_passes(spec, stage, X[1]) else None)
-        if hits is not None:
-            mrd += weight
-            if hits:
-                gab += weight
-            for s in hits:
-                per_s[s] += weight
-        if v % oracle_stride == 0:
-            rows = [identity_rows[i] + X[i] for i in range(ks)]
-            oracle = _min_rank_distance_raw(spec, rows, ks, n) == expected_d
-            if oracle != (hits is not None):
-                raise VerificationError(
-                    f"criterion and distance oracle disagree at visit {v}")
-        if checkpoint_path and (v + 1) % CHECKPOINT_EVERY == 0:
-            save(v + 1)
+        if ks == 2:
+            stage, phi0 = _first_row_stage(spec, first_row), {}
+        t0 = max(cursor - o * inner, 0)
+        entries = itertools.product(range(0, spec.order, q), repeat=cells)
+        for v, flat in enumerate(itertools.islice(entries, t0, min(end - o * inner, inner)),
+                                 o * inner + t0):
+            flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
+            if ks != 2:
+                hits = mc._classify(spec, [first_row, *(flat[i:i + w] for i in below)])
+            elif _last_row_passes(spec, stage, flat):
+                hits = mc._gabidulin_hits(spec, (first_row, flat), classes, phi0)
+            else:
+                hits = None
+            if hits is not None:
+                mrd += weight
+                if hits:
+                    gab += weight
+                for s in hits:
+                    per_s[s] += weight
+            if v % oracle_stride == 0:
+                X = [first_row, *(flat[i:i + w] for i in below)]
+                rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
+                oracle = _min_rank_distance_raw(spec, rows, ks, n) == expected_d
+                if oracle != (hits is not None):
+                    raise VerificationError(
+                        f"criterion and distance oracle disagree at visit {v}")
+            if checkpoint_path and (v + 1) % CHECKPOINT_EVERY == 0:
+                save(v + 1)
     if end < visits:
         save(end)
         return None

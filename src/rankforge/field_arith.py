@@ -64,18 +64,18 @@ def _checked_index(v, bound: int, what: str) -> int:
     return i
 
 
-def _checked_ints(names: str, *values, low: int = 1) -> list:
-    """values as ints of at least `low`, 1 or 0, read through
-    operator.index: a float such as 2.0 or a string such as '5' is invalid
-    input, not truncated or parsed.  The first bad value is named by its
-    word of `names`."""
+def _checked_ints(names: str, *values, low: int | None = 1) -> list:
+    """values as ints of at least `low`, 1 or 0, or of any value for None,
+    read through operator.index: a float such as 2.0 or a string such as
+    '5' is invalid input, not truncated or parsed.  The first bad value is
+    named by its word of `names`."""
     ints = []
     for name, value in zip(names.split(), values):
         try:
             value = operator.index(value)
         except TypeError:
             raise InvalidParameterError(f"{name} must be an integer, got {value!r}") from None
-        if value < low:
+        if low is not None and value < low:
             raise InvalidParameterError(
                 f"{name} must be {'positive' if low else 'nonnegative'}, got {value}")
         ints.append(value)

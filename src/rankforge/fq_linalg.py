@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import (Element, FieldSpec, _checked_index, _checked_shape,
-                          _element_index, _element_indices)
+from .field_arith import (Element, FieldSpec, _checked_index, _checked_ints,
+                          _checked_shape, _element_index, _element_indices)
 
 
 class _MatrixBase:
@@ -248,7 +248,8 @@ def intersection_dim(U, W) -> int:
 # q-analog combinatorics (exact big-integer arithmetic throughout).
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
-    """Number of k-dimensional subspaces of F_q^n."""
+    """Number of k-dimensional subspaces of F_q^n, 0 for k < 0 or k > n."""
+    n, k, q = _checked_ints("n k q", n, k, q, low=None)
     if q < 2:
         raise InvalidParameterError(f"q must be at least 2, got {q}")
     if k < 0 or k > n:
@@ -265,6 +266,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 def count_intersecting_subspaces(n: int, k: int, r: int, q: int) -> int:
     """Number of k-dim subspaces of F_q^n meeting a fixed k-dim subspace
     in a (k-r)-dimensional subspace."""
+    n, k, r, q = _checked_ints("n k r q", n, k, r, q, low=None)
     if not 0 <= r <= k <= n:
         raise InvalidParameterError(f"need 0 <= r <= k <= n, got r={r}, k={k}, n={n}")
     return (gaussian_binomial(k, k - r, q)

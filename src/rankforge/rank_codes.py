@@ -127,12 +127,15 @@ def moore_matrix(g: Sequence[Element], s: int, k: int) -> ExtMatrix:
         raise ShapeError("empty evaluation vector")
     s, = _checked_ints("s", s, low=0)
     k, = _checked_ints("k", k)
-    spec, row = _element_indices(g)
+    return _moore_matrix(*_element_indices(g), s, k)
+
+
+def _moore_matrix(spec: FieldSpec, row, s: int, k: int) -> ExtMatrix:
+    """moore_matrix of g's indices `row`, with s and k already read."""
     rows = [row]
     for _ in range(k - 1):
-        row = [spec.frobenius(v, s) for v in row]
-        rows.append(row)
-    return ExtMatrix(spec, rows)
+        rows.append([spec.frobenius(v, s) for v in rows[-1]])
+    return ExtMatrix._trusted(spec, rows)
 
 
 def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
@@ -149,7 +152,7 @@ def gabidulin(g: Sequence[Element], s: int, k: int) -> RankCode:
         raise InvalidParameterError(f"s = {s} is not coprime to m = {spec.m}")
     if _expanded_rank(spec, indices) < n:
         raise InvalidParameterError("evaluation points are F_q-linearly dependent")
-    return RankCode(spec, moore_matrix(g, s, k))
+    return RankCode(spec, _moore_matrix(spec, indices, s, k))
 
 
 def _min_rank_distance_raw(spec: FieldSpec, g_rows, k: int, n: int) -> int:
@@ -196,17 +199,20 @@ def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
 
 def _combinations(spec: FieldSpec, row):
     """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
-    is the base-q digit t of c, lowest first.  For p = 2 a sum is the XOR
-    of the indices, written inline: a spec with p = 2 binds `add` to
-    `operator.xor`."""
+    is the base-q digit t of c, lowest first: digit t at value c adds one
+    flat block, c row[t] plus each entry below it (c = 1 takes row[t] with
+    no product).  For p = 2 a sum is the XOR of the indices, written
+    inline: a spec with p = 2 binds `add` to `operator.xor`."""
     add, mul = spec.add, spec.mul
     comb = [0]
     for x in row:
-        multiples = [mul(c, x) for c in range(1, spec.q)]
-        if spec.p == 2:
-            comb += [v ^ cx for cx in multiples for v in comb]
-        else:
-            comb += [add(v, cx) for cx in multiples for v in comb]
+        block = comb
+        for c in range(1, spec.q):
+            cx = mul(c, x) if c > 1 else x
+            if spec.p == 2:
+                comb = comb + [v ^ cx for v in block]
+            else:
+                comb = comb + [add(v, cx) for v in block]
     return comb
 
 

@@ -7,9 +7,10 @@ import pytest
 
 from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        Isometry, MultilinearPoly, RankCode, ShapeError,
-                       SpecMismatchError, apply_isometry, census, default_field,
-                       enumerate_G, euler_phi, expand_to_base, figure_data,
-                       frobenius_code, gab_bound, gab_bound_rough, gabidulin,
+                       SpecMismatchError, apply_isometry, census,
+                       count_intersecting_subspaces, default_field, enumerate_G,
+                       euler_phi, expand_to_base, figure_data, frobenius_code,
+                       gab_bound, gab_bound_rough, gabidulin, gaussian_binomial,
                        linearly_independent_over_base, moore_matrix, mrd_bound,
                        rank_distance, symbolic_f_E)
 
@@ -70,6 +71,14 @@ CASES = {
         InvalidParameterError, "E must be a full-rank reduced row echelon form"),
     "enumerate-G-k-equals-n": (lambda: enumerate_G(F8, 2, 2, 1),
                                InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
+    "gaussian-binomial-float-n": (lambda: gaussian_binomial(4.0, 2, 2),
+                                  InvalidParameterError, "n must be an integer, got 4.0"),
+    "gaussian-binomial-string-k": (lambda: gaussian_binomial(4, "2", 2),
+                                   InvalidParameterError, "k must be an integer, got '2'"),
+    "intersecting-float-q": (lambda: count_intersecting_subspaces(4, 2, 1, 2.0),
+                             InvalidParameterError, "q must be an integer, got 2.0"),
+    "intersecting-float-r": (lambda: count_intersecting_subspaces(4, 2, 1.0, 2),
+                             InvalidParameterError, "r must be an integer, got 1.0"),
     "euler-phi-0": (lambda: euler_phi(0), InvalidParameterError, "m must be positive, got 0"),
     "mrd-bound-negative-m": (lambda: mrd_bound(2, 2, 4, -1),
                              InvalidParameterError, "m must be positive, got -1"),

@@ -246,6 +246,48 @@ class TestCensus:
                 break
         assert cursor == 192 and resumed == direct
 
+    # (shape, stop_after): the scanned side has one row (inner = 1, so
+    # stop_after = inner - 1 = 0 is not a valid chunk) or two rows (inner =
+    # 64, 81 and 729 blocks in each of 3, 1 and 5 orbits), at q = 2 and
+    # q = 3; None scans in one call.  The patched CHECKPOINT_EVERY of 7
+    # divides no inner, so the periodic saves fall inside orbits and chunks
+    CHUNKS = [((2, 1, 4, 6), 1), ((2, 1, 4, 6), 2), ((2, 1, 4, 6), None),
+              ((2, 2, 4, 4), 1), ((2, 2, 4, 4), 63), ((2, 2, 4, 4), 65), ((2, 2, 4, 4), None),
+              ((3, 2, 3, 5), 1), ((3, 2, 3, 5), 2), ((3, 2, 3, 5), None),
+              ((3, 2, 4, 3), 1), ((3, 2, 4, 3), 80), ((3, 2, 4, 3), 82),
+              ((3, 2, 4, 4), 728)]
+
+    @pytest.mark.parametrize("shape,stop", CHUNKS,
+                             ids=[f"{','.join(map(str, shape))}-{stop}" for shape, stop in CHUNKS])
+    def test_chunked_scan_matches_direct(self, tmp_path, monkeypatch, shape, stop):
+        from rankforge import experiments
+        direct = census(*shape)
+        every = 7
+        monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", every)
+        written = []
+        original = experiments._write_checkpoint
+
+        def spy(path, state):
+            written.append(state["cursor"])
+            original(path, state)
+
+        monkeypatch.setattr(experiments, "_write_checkpoint", spy)
+        path = tmp_path / "census.json"
+        cursor = 0
+        while True:
+            written.clear()
+            result = census(*shape, checkpoint_path=str(path), stop_after=stop)
+            visits = json.loads(path.read_text())["reduction"]["visits"]
+            end = visits if stop is None else min(cursor + stop, visits)
+            # the start, every multiple of CHECKPOINT_EVERY passed, the end
+            assert written == [cursor, *range(cursor + every - cursor % every, end + 1, every),
+                               end]
+            assert json.loads(path.read_text())["cursor"] == end
+            cursor = end
+            if result is not None:
+                break
+        assert cursor == visits and result == direct
+
     def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
                                                                monkeypatch):
         from rankforge import experiments

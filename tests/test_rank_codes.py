@@ -672,6 +672,34 @@ class TestPlaneNormal:
         assert _classify(spec, X) == (1, 5)
 
 
+class TestCombinations:
+    """The F_q-combination tables behind the point map, the plane normals
+    and the pattern walk (`_combinations`), against a digit-wise sum."""
+
+    @staticmethod
+    def reference(spec, row):
+        """Entry c is sum_t c_t row[t], c_t the base-q digit t of c, lowest
+        first, summed term by term with the field's own add and mul."""
+        table = []
+        for c in range(spec.q ** len(row)):
+            total = 0
+            for x in row:
+                c, digit = divmod(c, spec.q)
+                total = spec.add(total, spec.mul(digit, x))
+            table.append(total)
+        return table
+
+    @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (4, 2)])
+    def test_known_answer(self, q, m):
+        spec = default_field(q, m)
+        rng = random.Random(f"combinations-{q}-{m}")
+        for length in range(1, 5):
+            rows = [[rng.randrange(spec.order) for _ in range(length)] for _ in range(20)]
+            rows += [[0] * length, [1] * length, [*range(1, length), 1]]
+            for row in rows:
+                assert rank_codes._combinations(spec, row) == self.reference(spec, row), row
+
+
 class TestPointMap:
     """`_is_mrd_block` at k = t = 2, where a block passes iff the images of
     the points of PG(n - 1, q) are nonzero and pairwise non-proportional,
