@@ -14,7 +14,7 @@ import sys
 from . import experiments, prob_bounds
 from .errors import (BudgetExceededError, InvalidParameterError, RankforgeError,
                      VerificationError)
-from .field_arith import Element, FieldSpec
+from .field_arith import Element, FieldSpec, _checked_keys
 from .fq_linalg import linearly_independent_over_base
 from .mrd_criteria import is_gabidulin, is_mrd
 from .rank_codes import RankCode, gabidulin, min_rank_distance
@@ -41,9 +41,7 @@ def _print_json(data):
 
 def _cmd_field_info(args):
     def build(data):
-        if not isinstance(data, dict) or not set(data) <= {"base_modulus", "ext_modulus"}:
-            raise InvalidParameterError(
-                "a modulus file holds an object with base_modulus and ext_modulus keys only")
+        _checked_keys(data, ("base_modulus", "ext_modulus"), "modulus file")
         return FieldSpec(args.p, args.e, args.m, **data)
     spec = _load_json(args.modulus_file, build) if args.modulus_file else build({})
     _print_json(spec.to_json())

@@ -8,7 +8,9 @@ X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius: a first row
 in reduced echelon form per Frobenius orbit of subspaces, weighted by the
 orbit's size, with the other entries over the multiples of q.  It scans the
 dual shape when n - k < k and checkpoints a single visit cursor to a
-resumable state file.
+resumable state file.  A two-row scan classifies an orbit's last rows by
+linearity, a segment of visits at a time, from tables over their F_q-span;
+other shapes classify one block per visit.
 """
 
 from __future__ import annotations
@@ -32,11 +34,12 @@ from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
                         _rref_in_place, count_intersecting_subspaces,
                         enumerate_rref, gaussian_binomial, intersection_dim)
 from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
-                         _min_rank_distance_raw)
+                         _min_rank_distance_raw, _span_passes, _span_tables)
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
 CHECKPOINT_SCHEMA = 4
+SPAN_MAX = 2 ** 12  # last rows per span table of the census's two-row scan
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -263,6 +266,30 @@ def _first_row_orbits(spec: FieldSpec, w: int):
     return orbits
 
 
+def _last_row(spec: FieldSpec, w: int, t: int):
+    """The last row of inner block t of a two-row census orbit: entry j is
+    q times the base-q^(m-1) digit j of t, lowest first."""
+    q, values = spec.q, spec.order // spec.q
+    return [q * (t // values ** j % values) for j in range(w)]
+
+
+def _last_row_span(spec: FieldSpec, w: int):
+    """The last rows of a two-row census orbit as an F_q-span: the last row
+    of inner block t (`_last_row`) is combination t of the rows
+    alpha^a e_j, a >= 1, by j then a.  Returns the rows the span tables
+    cover, split in two: (low, high), the first d rows with q^d at most
+    SPAN_MAX.  The visits fall into slices of q^d, and the last row of a
+    slice's first visit, a combination of the other rows, is its origin."""
+    q = spec.q
+    basis = [[q ** a if i == j else 0 for i in range(w)]
+             for j in range(w) for a in range(1, spec.m)]
+    digits = len(basis)
+    while q ** digits > SPAN_MAX:
+        digits -= 1
+    split = -(-digits // 2)
+    return basis[:split], basis[split:digits]
+
+
 def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
            checkpoint_path: str | None = None, oracle_stride: int = 100,
            stop_after: int | None = None) -> CensusResult | None:
@@ -286,15 +313,22 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     Blocks are visited orbit-major: with k and n - k those of the scanned
     shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of orbit
     v div that, whose entry (i, j) for i >= 1 is q times the base-q^(m-1)
-    digit (i-1)(n-k) + j of t, lowest first.  Each orbit's inner blocks are
-    listed in that order, with no visit number decoded, and X is formed only
-    where it is read.  When the scanned shape has two rows, the point map's
-    first-row stage (`_first_row_stage`) is built once per orbit, with
-    phi_t(row 0) per Gabidulin class beside it, and each visit runs the
-    last-row stage (`_last_row_passes`) and, on a pass, the Gabidulin test;
-    every other shape classifies each block whole (`_classify`).  Verdicts
-    are cross-validated against the brute-force minimum-distance oracle on
-    every `oracle_stride`-th visit (default every 100th).  When
+    digit (i-1)(n-k) + j of t, lowest first.  When the scanned shape has
+    two rows, the last row of inner block t is combination t of the rows
+    alpha^a e_j (`_last_row_span`), and the point map's ratios and the
+    Gabidulin test's functionals are F_q-affine in it.  So the first-row
+    stage (`_first_row_stage`) is built once per orbit, with tables over
+    that span beside it (`_span_tables`, `mrd_criteria._gabidulin_span`),
+    and each segment of visits, up to an orbit's end, a slice of the tables,
+    a save or the scan's end, is classified and counted at once
+    (`_span_passes`, `mrd_criteria._span_hits`), in the same visit order.
+    Every other shape lists each orbit's inner blocks in that order, with
+    no visit number decoded, and classifies each block whole (`_classify`).
+    Verdicts are cross-validated against the brute-force minimum-distance
+    oracle on every `oracle_stride`-th visit (default every 100th); in the
+    two-row scan that visit also runs the per-row stages
+    (`_last_row_passes`, `mrd_criteria._gabidulin_hits`), and a verdict or
+    a Gabidulin parameter they disagree on is a VerificationError.  When
     `checkpoint_path` is given, progress is persisted before the first block
     (so an unwritable path fails at once), then every 2^16 visits, and an
     interrupted run resumes from the stored cursor; the checkpoint binds
@@ -359,40 +393,76 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
             "mrd_count": mrd, "gab_count": gab,
             "per_s": {str(s): c for s, c in per_s.items()}})
 
+    def check(v, X, hits):
+        """The brute-force distance oracle on visit v, block X, classified as hits."""
+        rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
+        if (_min_rank_distance_raw(spec, rows, ks, n) == expected_d) != (hits is not None):
+            raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
+
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
     end = visits if stop_after is None else min(visits, cursor + stop_after)
     below = range(0, cells, w)  # where the rows below the first start in a visit's entries
+    if ks == 2:
+        low, high = _last_row_span(spec, w)
+        span = q ** (len(low) + len(high))
     for o in range(cursor // inner, -(-end // inner)):
         first_row, weight = orbits[o]
+        base = o * inner
+        t, stop = max(cursor - base, 0), min(end - base, inner)
         if ks == 2:
             stage, phi0 = _first_row_stage(spec, first_row), {}
-        t0 = max(cursor - o * inner, 0)
-        entries = itertools.product(range(0, spec.order, q), repeat=cells)
-        for v, flat in enumerate(itertools.islice(entries, t0, min(end - o * inner, inner)),
-                                 o * inner + t0):
-            flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
-            if ks != 2:
-                hits = mc._classify(spec, [first_row, *(flat[i:i + w] for i in below)])
-            elif _last_row_passes(spec, stage, flat):
-                hits = mc._gabidulin_hits(spec, (first_row, flat), classes, phi0)
+            tables = _span_tables(spec, stage, low), _span_tables(spec, stage, high)
+            gab_span = mc._gabidulin_span(spec, first_row, low + high, classes)
+        else:
+            entries = itertools.islice(
+                itertools.product(range(0, spec.order, q), repeat=cells), t, None)
+        while t < stop:
+            # one segment: to the orbit's or the scan's end or the next save
+            seg = stop
+            if checkpoint_path:
+                seg = min(seg, t + CHECKPOINT_EVERY - (base + t) % CHECKPOINT_EVERY)
+            if ks == 2:
+                seg = min(seg, t - t % span + span)
+                lo = t % span
+                origin = _last_row(spec, w, t - lo)
+                passes = _span_passes(spec, stage, *tables, origin, lo, lo + seg - t)
+                hit_at = [(members, [c for c in at if passes[c]]) for members, at
+                          in mc._span_hits(spec, gab_span, origin, lo, lo + seg - t)]
+                mrd += weight * passes.count(True)
+                gab += weight * len(set().union(*(at for _, at in hit_at)))
+                for members, at in hit_at:
+                    for s in members:
+                        per_s[s] += weight * len(at)
+                for v in range(-(-(base + t) // oracle_stride) * oracle_stride, base + seg,
+                               oracle_stride):
+                    c, y = v - base - t, _last_row(spec, w, v - base)
+                    found = (tuple(sorted(s for members, at in hit_at if c in at for s in members))
+                             if passes[c] else None)
+                    if _last_row_passes(spec, stage, y):
+                        expected = mc._gabidulin_hits(spec, (first_row, y), classes, phi0)
+                    else:
+                        expected = None
+                    if found != expected:
+                        raise VerificationError(
+                            f"span tables and last-row stage disagree at visit {v}")
+                    check(v, [first_row, y], found)
             else:
-                hits = None
-            if hits is not None:
-                mrd += weight
-                if hits:
-                    gab += weight
-                for s in hits:
-                    per_s[s] += weight
-            if v % oracle_stride == 0:
-                X = [first_row, *(flat[i:i + w] for i in below)]
-                rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
-                oracle = _min_rank_distance_raw(spec, rows, ks, n) == expected_d
-                if oracle != (hits is not None):
-                    raise VerificationError(
-                        f"criterion and distance oracle disagree at visit {v}")
-            if checkpoint_path and (v + 1) % CHECKPOINT_EVERY == 0:
-                save(v + 1)
+                for v, flat in enumerate(itertools.islice(entries, seg - t), base + t):
+                    flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
+                    X = [first_row, *(flat[i:i + w] for i in below)]
+                    hits = mc._classify(spec, X)
+                    if hits is not None:
+                        mrd += weight
+                        if hits:
+                            gab += weight
+                        for s in hits:
+                            per_s[s] += weight
+                    if v % oracle_stride == 0:
+                        check(v, X, hits)
+            t = seg
+            if checkpoint_path and (base + t) % CHECKPOINT_EVERY == 0:
+                save(base + t)
     if end < visits:
         save(end)
         return None

@@ -93,6 +93,18 @@ def _checked_shape(names: str, *values, full: bool = False) -> list:
     return ints
 
 
+def _checked_keys(data, keys, what: str) -> None:
+    """Refuse data unless it is a JSON object whose keys are among `keys`,
+    those its writer uses: an unknown or misspelled key is invalid input,
+    not ignored.  A missing key is left to the reader."""
+    if not isinstance(data, dict):
+        raise InvalidParameterError(f"{what} is not a JSON object: {data!r}")
+    unknown = sorted(map(str, set(data) - set(keys)))
+    if unknown:
+        raise InvalidParameterError(
+            f"unknown {what} key {', '.join(unknown)}; the keys are {', '.join(keys)}")
+
+
 def _element_index(v, spec: "FieldSpec") -> int:
     """The index of v in spec: an Element of spec, or a raw index checked
     by _checked_index; SpecMismatchError for an Element of another field."""
@@ -658,6 +670,8 @@ class FieldSpec:
 
     @classmethod
     def from_json(cls, data: dict) -> "FieldSpec":
+        """The tower `to_json` wrote; a key outside its keys is invalid input."""
+        _checked_keys(data, ("p", "e", "m", "base_modulus", "ext_modulus"), "field tower")
         return cls(data["p"], data["e"], data["m"], base_modulus=data["base_modulus"],
                    ext_modulus=data["ext_modulus"])
 

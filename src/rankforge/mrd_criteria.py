@@ -16,7 +16,7 @@ from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
                           _element_index)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import (RankCode, _fq_combination, _is_mrd_block,
+from .rank_codes import (RankCode, _combinations, _fq_combination, _is_mrd_block,
                          _side_passes, _smaller_side)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
@@ -28,8 +28,10 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # the code with fewer rows (`_side_passes`, `_smaller_side`), then the
 # rank-one test below, on a block X given as k rows of raw element indices.
 # is_mrd reaches the side test through `_is_mrd_block`, which adds the
-# budget check of T(k, n).  The census's two-row scan runs the point map's
-# two stages itself, the first once per orbit.  The Gabidulin test always
+# budget check of T(k, n).  The census's two-row scan builds the point
+# map's first stage once per orbit and classifies the orbit's last rows
+# over their F_q-span (`rank_codes._span_passes`, `_span_hits` below); it
+# runs the per-row stages only to check them.  Elsewhere the Gabidulin test
 # reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
@@ -95,6 +97,53 @@ def _gabidulin_hits(spec: FieldSpec, X, classes, phi0=None) -> tuple:
         if one:
             hits += members
     return tuple(sorted(hits))
+
+
+# The Gabidulin test over an F_q-span of last rows, beside the point map's
+# (`rank_codes._span_tables`).  With a = phi_t(row 0) and a_0 != 0, phi_t(X)
+# of a 2-row X has rank one iff phi_t(y) of its last row y is a multiple of
+# a, that is iff the w - 1 functionals a_0 phi_t(y_j) - a_j phi_t(y_0),
+# j >= 1, vanish.  Each is F_q-linear in y, so over the last rows
+# y0 + sum_d c_d basis[d] it is its value at y0 plus entry c of the table
+# (`_combinations`) of its images of the basis rows: the c at which all
+# vanish are the entries equal to their negated values at y0.  A row 0 on
+# which any last row passes has (row 0, 1) F_q-independent, so no a_j is
+# 0: the kernel of phi_t is F_q, as gcd(t, m) = 1.
+
+def _functionals(spec: FieldSpec, t: int, a, row) -> list:
+    """The w - 1 functionals a_0 phi_t(row_j) - a_j phi_t(row_0), j >= 1,
+    at the last row `row`."""
+    frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
+    f = [sub(frobenius(y, t), y) for y in row]
+    return [sub(mul(a[0], fj), mul(aj, f[0])) for aj, fj in zip(a[1:], f[1:])]
+
+
+def _gabidulin_span(spec: FieldSpec, row0, basis, classes):
+    """Per class of `classes` (`_gabidulin_classes`): (t, its members,
+    a = phi_t(row0), the table over the F_q-span of the last rows `basis`
+    of the functionals' values, a tuple per combination, in `_combinations`
+    order)."""
+    span = []
+    for t, members in classes:
+        a = [spec.sub(spec.frobenius(x, t), x) for x in row0]
+        images = [_functionals(spec, t, a, row) for row in basis]
+        tables = [_combinations(spec, [image[j] for image in images]) for j in range(len(a) - 1)]
+        span.append((t, members, a,
+                     list(zip(*tables)) if tables else [()] * spec.q ** len(basis)))
+    return span
+
+
+def _span_hits(spec: FieldSpec, span, row, lo: int, hi: int) -> list:
+    """Per class of `span` (`_gabidulin_span`): (its members, the c - lo,
+    increasing, for the c in range(lo, hi) at which phi_t of [row 0,
+    row + combination c of the basis] has rank one).  Read only where the
+    last-row stage passes, as a_0 != 0 there."""
+    hits = []
+    for t, members, a, table in span:
+        zero = tuple(map(spec.neg, _functionals(spec, t, a, row)))
+        hits.append((members, list(itertools.compress(
+            itertools.count(), map(zero.__eq__, itertools.islice(table, lo, hi))))))
+    return hits
 
 
 def _classify(spec: FieldSpec, X):

@@ -7,13 +7,15 @@ echelon-identity block test lives here: `_is_mrd_block` decides the
 minimum rank distance level by level, and at level t = k it tests the
 side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
 the one test by row count that is_mrd, the census and the Monte-Carlo
-trials share.  A 2-dimensional code's distance comes from the point map's
-ratio classes (`_two_row_distance`).
+trials share; the census's two-row scan runs the point map over a span of
+last rows at once (`_span_passes`).  A 2-dimensional code's distance comes
+from the point map's ratio classes (`_two_row_distance`).
 """
 
 from __future__ import annotations
 
 import itertools
+import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -23,8 +25,8 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
-from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
-                          _element_indices)
+from .field_arith import (Element, FieldSpec, _checked_ints, _checked_keys,
+                          _checked_shape, _element_indices)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_patterns, _expanded_rank,
                         _rank_raw, _rref_in_place, gaussian_binomial)
 
@@ -93,6 +95,9 @@ class RankCode:
 
     @classmethod
     def from_json(cls, data: dict) -> "RankCode":
+        """The code `to_json` wrote; a key outside its keys, at the top or in
+        the field block, is invalid input."""
+        _checked_keys(data, ("field", "n", "k", "generator"), "code")
         spec = FieldSpec.from_json(data["field"])
         G = ExtMatrix.from_json(spec, data["generator"])
         code = cls(spec, G)
@@ -323,6 +328,92 @@ def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
             return False
         seen.add(r)
     return True
+
+
+# The last-row stage over an F_q-span.  With row 0 fixed, each point's
+# ratio c1[j] inv0[i] is F_q-affine in the last row y: c1, the table of
+# (*y, 1), is, and a product by inv0[i] is F_q-linear.  So at the last row
+# y0 + sum_d c_d basis[d], the ratio is the ratio at y0 plus entry c of the
+# table (`_combinations`) of the linear part's images of the basis rows:
+# one table per point serves every last row of the span, in combination
+# order, with no product at any of them.  With the basis split into low
+# rows and high rows, entry c of that table is entry c mod |low| of the low
+# rows' table plus entry c div |low| of the high rows' one, so two tables of
+# about the square root of its size are kept instead.  For p = 2 a sum is an
+# XOR, which acts on each bit alone: the points' values are packed into one
+# int, a lane of `_lane` bytes per point, lowest point first, and one
+# XOR adds them all.  For q = 2^e the table is built over F_2, from the
+# rows mu_k basis[d] with mu_k = 2^k, the F_2-basis of F_q by index: digit
+# d of c, an index of F_q, is the sum of mu_k times bit e d + k of c, so
+# the F_2-combinations come in the order of the F_q-combinations.
+
+def _ratios(spec: FieldSpec, stage, row, one: int) -> list:
+    """c1[j] inv0[i] for each point (i, j) of `stage`, c1 the table of
+    (*row, one): the ratios at the last row `row` for one = 1, and their
+    linear part for one = 0."""
+    inv0, _, points = stage
+    c1 = _combinations(spec, (*row, one))
+    mul = spec.mul
+    return [mul(c1[j], inv0[i]) for i, j in points]
+
+
+def _lane(spec: FieldSpec):
+    """(typecode, width in bytes) of a point's lane in a packed span table
+    (p = 2): the narrowest of B, H, I and Q that holds an index."""
+    return next((code, size) for code, size in (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
+                if 256 ** size >= spec.order)
+
+
+def _packed(values, width: int) -> int:
+    """values in one int, `width` bytes each in the native byte order,
+    lowest first: memoryview(its to_bytes, little-endian).cast(typecode)
+    reads them back on any byte order."""
+    if width == 1:
+        return int.from_bytes(bytes(values), "little")
+    return int.from_bytes(b"".join(v.to_bytes(width, sys.byteorder) for v in values), "little")
+
+
+def _span_tables(spec: FieldSpec, stage, basis):
+    """The tables over the F_q-span of the last rows `basis` of the linear
+    parts of the ratios of `stage`'s points (`_first_row_stage`): entry c is
+    sum_d c_d (the image of basis[d]), c_d the base-q digit d of c.  One
+    table per point, or for p = 2 one table of packed values."""
+    images = [_ratios(spec, stage, row, 0) for row in basis]
+    if spec.p != 2:
+        return [_combinations(spec, [image[p] for image in images])
+                for p in range(len(stage[2]))]
+    width, mul = _lane(spec)[1], spec.mul
+    table = [0]
+    for image in images:
+        for mu in range(spec.e):  # the F_2-basis 1, 2, 4, ... of F_q
+            x = _packed([mul(1 << mu, v) for v in image] if mu else image, width)
+            table += [v ^ x for v in table]
+    return [table]
+
+
+def _span_passes(spec: FieldSpec, stage, low, high, row, lo: int, hi: int) -> list:
+    """`_last_row_passes` at the last rows row + (combination c of the low
+    basis rows then the high ones, whose tables are `low` and `high`,
+    `_span_tables`), for c in range(lo, hi): True iff the P ratios there,
+    each point's ratio at row plus its two tables' entries, are pairwise
+    distinct."""
+    if stage[1] > 1:
+        return [False] * (hi - lo)
+    origin = _ratios(spec, stage, row, 1)
+    add, size, count = spec.add, len(low[0]), len(origin)
+    first = lo // size
+    tops, cut = slice(first, -(-hi // size)), slice(lo - first * size, hi - first * size)
+    if spec.p != 2:
+        ratios = [[add(x, y) for x in [add(x, r) for x in top[tops]] for y in table][cut]
+                  for table, top, r in zip(low, high, origin)]
+        return list(map(count.__eq__, map(len, map(set, zip(*ratios)))))
+    code, width = _lane(spec)
+    r = _packed(origin, width)
+    packed = [x ^ y for x in [x ^ r for x in high[0][tops]] for y in low[0]][cut]
+    if width == 1:
+        return [len(set(v.to_bytes(count, "little"))) == count for v in packed]
+    return [len(set(memoryview(v.to_bytes(count * width, "little")).cast(code))) == count
+            for v in packed]
 
 
 @lru_cache(maxsize=None)

@@ -207,3 +207,50 @@ def test_readme_census_tables_match_csvs():
     assert missing == {(2, 2, 4, 4)}
     assert {p.name for p in CENSUS_CSVS} == {
         f"census_q{q}_k{k}_n{n}_m{m}.csv" for q, k, n, m in rows} - {"census_q2_k2_n4_m4.csv"}
+
+
+# The q-system identity.  An MRD code has exactly one systematic block, and
+# a generator G of an [n, k]_{q^m} code with F_q-independent columns is an
+# F_q-subspace U of F_{q^m}^k with an ordered basis, so
+# #blocks |GL_k(q^m)| = #{q-systems U} |GL_n(q)|.  The Gabidulin, the
+# non-Gabidulin and each per-s count keep it, as
+# G_{k,s}(g) A = G_{k,s}(g A) for A in GL_n(q).  The census's own factor
+# q^(k(n-k)) |GL_{n-k}(q)| does not imply it: at (2,2,4,5) and (2,2,4,7)
+# the factors 5 and 7 of |GL_4(2)| come from the counts.
+
+def _gl_order(n, q):
+    return math.prod(q ** n - q ** i for i in range(n))
+
+
+def assert_q_system_identity(q, k, n, m, mrd, gab, per_s):
+    counts = {"mrd": mrd, "gab": gab, "non-Gabidulin": mrd - gab,
+              **{f"s={s}": c for s, c in per_s.items()}}
+    for name, count in counts.items():
+        assert count * _gl_order(k, q ** m) % _gl_order(n, q) == 0, ((q, k, n, m), name)
+
+
+@pytest.mark.parametrize("path", CENSUS_CSVS, ids=lambda p: p.name)
+def test_q_system_identity_on_committed_csv(path):
+    rows = _read_census_csv(path)
+    q, k, n, m, mrd, gab = (int(rows[0][key]) for key in (
+        "q", "k", "n", "m", "mrd_count", "gab_count"))
+    assert_q_system_identity(q, k, n, m, mrd, gab,
+                             {int(r["s"]): int(r["gab_count_s"]) for r in rows})
+
+
+# every (q, k, n, m) whose census a tier-1 test runs: the oracle grid, the
+# known answers, the checkpoint, chunk and one-row shapes of
+# tests/test_experiments.py, the acceptance suite and the command line
+TIER1_CENSUSES = sorted(set(ORACLE_GRID) | {
+    (2, 2, 4, 2), (2, 2, 4, 3), (2, 2, 4, 4), (2, 2, 4, 5), (2, 2, 4, 6), (3, 2, 4, 2),
+    (3, 2, 4, 3), (3, 2, 4, 4), (2, 2, 5, 5), (2, 3, 4, 5), (2, 1, 4, 6), (3, 2, 3, 5),
+    (2, 2, 3, 2), (2, 2, 3, 3), (2, 2, 3, 4), (3, 2, 3, 4), (2, 1, 2, 1), (2, 1, 2, 2),
+    *((q, k, n, m) for q, n, m in [(2, 3, 3), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 3, 2),
+                                   (2, 4, 3)] for k in (1, n - 1))})
+
+
+def test_q_system_identity_on_tier1_censuses():
+    for shape in TIER1_CENSUSES:
+        result = census(*shape)
+        assert_q_system_identity(*shape, result.mrd_count, result.gab_count,
+                                 result.per_s_gab_counts)

@@ -197,6 +197,8 @@ class TestMalformedInput:
         (["check", "--code-file"], {**_code_with_coefficient(1), "k": -1}),
         (["check", "--code-file"], {**_code_with_coefficient(1), "n": "3"}),
         (["check", "--code-file"], {**_code_with_coefficient(1), "field": [2, 1, 3]}),
+        (["check", "--code-file"], {**_code_with_coefficient(1), "comment": "x"}),
+        (["check", "--code-file"], _code_with_field(modulus=[1, 1, 0, 1])),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], [[1], [1], [0], [1]]),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"],
@@ -207,6 +209,7 @@ class TestMalformedInput:
             "code-float-coefficient", "code-float-digit", "code-digit-3",
             "code-float-p", "code-text-m", "code-digit-minus-1", "code-entry-not-list",
             "code-m-0", "code-k-minus-1", "code-text-n", "code-field-list",
+            "code-unknown-key", "code-unknown-field-key",
             "modulus-text", "modulus-list", "modulus-misspelled-key", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
         f = tmp_path / "input.json"
