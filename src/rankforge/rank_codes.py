@@ -15,7 +15,6 @@ from the point map's ratio classes (`_two_row_distance`).
 from __future__ import annotations
 
 import itertools
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -365,12 +364,11 @@ def _lane(spec: FieldSpec):
 
 
 def _packed(values, width: int) -> int:
-    """values in one int, `width` bytes each in the native byte order,
-    lowest first: memoryview(its to_bytes, little-endian).cast(typecode)
-    reads them back on any byte order."""
-    if width == 1:
-        return int.from_bytes(bytes(values), "little")
-    return int.from_bytes(b"".join(v.to_bytes(width, sys.byteorder) for v in values), "little")
+    """values in one int, `width` bytes each, lowest first.  Read back by
+    memoryview(its to_bytes).cast(typecode), a lane is byte-swapped on a
+    big-endian machine: a bijection of the lanes' values, which keeps
+    whether they are distinct."""
+    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
 
 
 def _span_tables(spec: FieldSpec, stage, basis):
@@ -410,7 +408,7 @@ def _span_passes(spec: FieldSpec, stage, low, high, row, lo: int, hi: int) -> li
     code, width = _lane(spec)
     r = _packed(origin, width)
     packed = [x ^ y for x in [x ^ r for x in high[0][tops]] for y in low[0]][cut]
-    if width == 1:
+    if width == 1:  # the bytes are the lanes: no view, half the time per visit
         return [len(set(v.to_bytes(count, "little"))) == count for v in packed]
     return [len(set(memoryview(v.to_bytes(count * width, "little")).cast(code))) == count
             for v in packed]

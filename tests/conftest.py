@@ -65,3 +65,28 @@ def assert_gabidulin_per_s(result):
     valid_s = [s for s in range(1, result.m) if math.gcd(s, result.m) == 1]
     assert result.per_s_gab_counts == dict.fromkeys(
         valid_s, gabidulin_per_s(result.q, result.n, result.m)), result
+
+
+# The q-system identity.  An MRD code has exactly one systematic block, and
+# a generator G of an [n, k]_{q^m} code with F_q-independent columns is an
+# F_q-subspace U of F_{q^m}^k with an ordered basis, so
+# #blocks |GL_k(q^m)| = #{q-systems U} |GL_n(q)|.  The Gabidulin, the
+# non-Gabidulin and each per-s count keep it, as
+# G_{k,s}(g) A = G_{k,s}(g A) for A in GL_n(q).  The census's own factor
+# q^(k(n-k)) |GL_{n-k}(q)| does not imply it: at (2,2,4,5) and (2,2,4,7)
+# the factors 5 and 7 of |GL_4(2)| come from the counts.
+
+def gl_order(n, q):
+    """|GL_n(q)|."""
+    return math.prod(q ** n - q ** i for i in range(n))
+
+
+def assert_q_system_identity(result):
+    """|GL_n(q)| divides count |GL_k(q^m)| for the mrd, gab, non-Gabidulin
+    and each per-s count of a census result."""
+    q, k, n, m = result.q, result.k, result.n, result.m
+    counts = {"mrd": result.mrd_count, "gab": result.gab_count,
+              "non-Gabidulin": result.mrd_count - result.gab_count,
+              **{f"s={s}": c for s, c in result.per_s_gab_counts.items()}}
+    for name, count in counts.items():
+        assert count * gl_order(k, q ** m) % gl_order(n, q) == 0, ((q, k, n, m), name)

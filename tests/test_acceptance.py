@@ -26,7 +26,7 @@ from rankforge.rank_codes import (_min_rank_distance_raw, apply_isometry,
 
 from fractions import Fraction
 
-from conftest import assert_gabidulin_per_s, basis_elements
+from conftest import assert_gabidulin_per_s, assert_q_system_identity, basis_elements
 
 
 def report(criterion, detail):
@@ -99,6 +99,7 @@ def test_census_gabidulin_counts_within_G_sets(census_m3, census_m4):
     detail = []
     for result, _ in (census_m3, census_m4):
         assert_gabidulin_per_s(result)
+        assert_q_system_identity(result)
         spec = default_field(result.q, result.m)
         counts = result.per_s_gab_counts
         for s in spec.valid_s_values():
@@ -116,6 +117,7 @@ def test_census_threshold_m5_known_answer():
     assert (result.mrd_count, result.gab_count) == (282240, 40320)
     assert result.per_s_gab_counts == {s: 20160 for s in (1, 2, 3, 4)}
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
     assert mrd_bound(2, 2, 4, 5) == Fraction(-9, 16)
     assert gab_bound(2, 2, 4, 5) == Fraction(1, 4)
     assert result.mrd_fraction == Fraction(2205, 8192) >= mrd_bound(2, 2, 4, 5)

@@ -9,6 +9,7 @@ import math
 import re
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -17,7 +18,7 @@ from rankforge.experiments import _first_row_orbits
 from rankforge.fq_linalg import gaussian_binomial
 from rankforge.mrd_criteria import _classify
 
-from conftest import assert_gabidulin_per_s, gabidulin_per_s
+from conftest import assert_gabidulin_per_s, assert_q_system_identity, gabidulin_per_s
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -67,6 +68,7 @@ def test_orbit_route_matches_translation_scan(q, k, n, m):
     result = census(q, k, n, m)
     assert _counts(result) == translation_scan(q, k, n, m)
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
 
 
 @pytest.mark.parametrize("q,k,n,ext_modulus", [
@@ -79,6 +81,7 @@ def test_non_default_modulus(q, k, n, ext_modulus):
     result = census(q, k, n, 4, spec=spec)
     assert _counts(result) == translation_scan(q, k, n, 4, spec)
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
 
 
 def test_dual_shape_is_scanned(tmp_path):
@@ -104,6 +107,7 @@ def test_known_answer_q3_m4():
     assert (result.mrd_count, result.gab_count) == (6368544, 303264)
     assert result.per_s_gab_counts == {1: 303264, 3: 303264}
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
 
 
 def test_known_answer_n5_m5():
@@ -113,6 +117,7 @@ def test_known_answer_n5_m5():
     assert result.mrd_count == result.gab_count == 645120
     assert result.per_s_gab_counts == {s: 322560 for s in (1, 2, 3, 4)}
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
 
 
 def _read_census_csv(path):
@@ -128,6 +133,7 @@ def test_known_answer_m6_equals_committed_csv():
     assert expected == {(result.total, result.mrd_count, result.gab_count)}
     assert {int(r["s"]): int(r["gab_count_s"]) for r in rows} == result.per_s_gab_counts
     assert_gabidulin_per_s(result)
+    assert_q_system_identity(result)
 
 
 CENSUS_CSVS = sorted(RESULTS.glob("census_*.csv"))
@@ -209,48 +215,16 @@ def test_readme_census_tables_match_csvs():
         f"census_q{q}_k{k}_n{n}_m{m}.csv" for q, k, n, m in rows} - {"census_q2_k2_n4_m4.csv"}
 
 
-# The q-system identity.  An MRD code has exactly one systematic block, and
-# a generator G of an [n, k]_{q^m} code with F_q-independent columns is an
-# F_q-subspace U of F_{q^m}^k with an ordered basis, so
-# #blocks |GL_k(q^m)| = #{q-systems U} |GL_n(q)|.  The Gabidulin, the
-# non-Gabidulin and each per-s count keep it, as
-# G_{k,s}(g) A = G_{k,s}(g A) for A in GL_n(q).  The census's own factor
-# q^(k(n-k)) |GL_{n-k}(q)| does not imply it: at (2,2,4,5) and (2,2,4,7)
-# the factors 5 and 7 of |GL_4(2)| come from the counts.
-
-def _gl_order(n, q):
-    return math.prod(q ** n - q ** i for i in range(n))
-
-
-def assert_q_system_identity(q, k, n, m, mrd, gab, per_s):
-    counts = {"mrd": mrd, "gab": gab, "non-Gabidulin": mrd - gab,
-              **{f"s={s}": c for s, c in per_s.items()}}
-    for name, count in counts.items():
-        assert count * _gl_order(k, q ** m) % _gl_order(n, q) == 0, ((q, k, n, m), name)
-
-
 @pytest.mark.parametrize("path", CENSUS_CSVS, ids=lambda p: p.name)
 def test_q_system_identity_on_committed_csv(path):
     rows = _read_census_csv(path)
-    q, k, n, m, mrd, gab = (int(rows[0][key]) for key in (
-        "q", "k", "n", "m", "mrd_count", "gab_count"))
-    assert_q_system_identity(q, k, n, m, mrd, gab,
-                             {int(r["s"]): int(r["gab_count_s"]) for r in rows})
+    shape = {key: int(rows[0][key]) for key in ("q", "k", "n", "m", "mrd_count", "gab_count")}
+    assert_q_system_identity(SimpleNamespace(
+        **shape, per_s_gab_counts={int(r["s"]): int(r["gab_count_s"]) for r in rows}))
 
 
-# every (q, k, n, m) whose census a tier-1 test runs: the oracle grid, the
-# known answers, the checkpoint, chunk and one-row shapes of
-# tests/test_experiments.py, the acceptance suite and the command line
-TIER1_CENSUSES = sorted(set(ORACLE_GRID) | {
-    (2, 2, 4, 2), (2, 2, 4, 3), (2, 2, 4, 4), (2, 2, 4, 5), (2, 2, 4, 6), (3, 2, 4, 2),
-    (3, 2, 4, 3), (3, 2, 4, 4), (2, 2, 5, 5), (2, 3, 4, 5), (2, 1, 4, 6), (3, 2, 3, 5),
-    (2, 2, 3, 2), (2, 2, 3, 3), (2, 2, 3, 4), (3, 2, 3, 4), (2, 1, 2, 1), (2, 1, 2, 2),
-    *((q, k, n, m) for q, n, m in [(2, 3, 3), (2, 3, 4), (2, 4, 4), (3, 3, 3), (3, 3, 2),
-                                   (2, 4, 3)] for k in (1, n - 1))})
-
-
-def test_q_system_identity_on_tier1_censuses():
-    for shape in TIER1_CENSUSES:
-        result = census(*shape)
-        assert_q_system_identity(*shape, result.mrd_count, result.gab_count,
-                                 result.per_s_gab_counts)
+# The tier-1 tests that run a census whole check the identity on it; these
+# shapes are run whole only by TestCensus::test_chunked_scan_matches_direct
+@pytest.mark.parametrize("q,k,n,m", [(2, 1, 4, 6), (3, 2, 3, 5), (3, 2, 4, 3)])
+def test_q_system_identity_on_chunked_shapes(q, k, n, m):
+    assert_q_system_identity(census(q, k, n, m))
