@@ -386,12 +386,17 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
     expected_d = w + 1
 
+    saved = None
+
     def save(v):
-        _write_checkpoint(checkpoint_path, {
-            "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
-            "field": tower, "reduction": reduction, "cursor": v,
-            "mrd_count": mrd, "gab_count": gab,
-            "per_s": {str(s): c for s, c in per_s.items()}})
+        nonlocal saved
+        if v != saved:  # a call that ends on a periodic save writes it once
+            saved = v
+            _write_checkpoint(checkpoint_path, {
+                "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
+                "field": tower, "reduction": reduction, "cursor": v,
+                "mrd_count": mrd, "gab_count": gab,
+                "per_s": {str(s): c for s, c in per_s.items()}})
 
     def check(v, X, hits):
         """The brute-force distance oracle on visit v, block X, classified as hits."""

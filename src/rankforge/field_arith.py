@@ -66,11 +66,13 @@ def _checked_index(v, bound: int, what: str) -> int:
 
 def _checked_ints(names: str, *values, low: int | None = 1) -> list:
     """values as ints of at least `low`, 1 or 0, or of any value for None,
-    read through operator.index: a float such as 2.0 or a string such as
-    '5' is invalid input, not truncated or parsed.  The first bad value is
-    named by its word of `names`."""
+    read through operator.index: a float such as 2.0, a string such as '5'
+    or a bool is invalid input, not truncated, parsed or read as 1 or 0.
+    The first bad value is named by its word of `names`."""
     ints = []
     for name, value in zip(names.split(), values):
+        if type(value) is bool:
+            raise InvalidParameterError(f"{name} must be an integer, got {value!r}")
         try:
             value = operator.index(value)
         except TypeError:

@@ -204,7 +204,7 @@ def frobenius_code(code: RankCode, s: int) -> RankCode:
     s, = _checked_ints("s", s, low=0)
     spec = code.spec
     rows = [[spec.frobenius(v, s) for v in row] for row in code.G.entries]
-    return RankCode(spec, ExtMatrix(spec, rows))
+    return RankCode(spec, ExtMatrix._trusted(spec, rows))
 
 
 def _gabidulin_parameter(code: RankCode) -> int | None:

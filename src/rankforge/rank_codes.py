@@ -100,7 +100,7 @@ class RankCode:
         spec = FieldSpec.from_json(data["field"])
         G = ExtMatrix.from_json(spec, data["generator"])
         code = cls(spec, G)
-        if code.n != data["n"] or code.k != data["k"]:
+        if [code.n, code.k] != _checked_ints("n k", data["n"], data["k"]):
             raise InvalidParameterError("declared (n, k) disagree with the generator")
         return code
 
@@ -660,7 +660,7 @@ def dual_code(code: RankCode) -> RankCode:
         for i, p in enumerate(pivots):
             u[p] = spec.neg(R[i][f])
         rows.append(u)
-    return RankCode(spec, ExtMatrix(spec, rows))
+    return RankCode(spec, ExtMatrix._trusted(spec, rows))
 
 
 def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
@@ -674,19 +674,17 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
     n = code.n
     if iso.A.rows != n or iso.A.cols != n:
         raise ShapeError(f"A must be {n}x{n}, got {iso.A.rows}x{iso.A.cols}")
-    if _rank_raw(iso.A.entries, spec.base_field) != n:
+    if _invertible_rows(spec, [spec.from_digits(row) for row in iso.A.entries], n) is None:
         raise InvalidParameterError("A is singular over F_q")
     s = iso.sigma_power % spec.m
     lam = iso.lam.idx
-    A = iso.A.entries
+    columns = list(zip(*iso.A.entries))
+    frobenius, mul = spec.frobenius, spec.mul
     new_rows = []
     for row in code.G.entries:
-        mapped = [spec.frobenius(spec.mul(lam, v), s) for v in row]
-        new_rows.append([
-            _fq_combination(spec, mapped, [A[t][j] for t in range(n)])
-            for j in range(n)
-        ])
-    return RankCode(spec, ExtMatrix(spec, new_rows))
+        mapped = [frobenius(mul(lam, v), s) for v in row]
+        new_rows.append([_fq_combination(spec, mapped, col) for col in columns])
+    return RankCode(spec, ExtMatrix._trusted(spec, new_rows))
 
 
 def _fq_combination(spec: FieldSpec, vec, coeffs):
@@ -694,8 +692,21 @@ def _fq_combination(spec: FieldSpec, vec, coeffs):
     acc = 0
     for v, c in zip(vec, coeffs):
         if c and v:
-            acc = add(acc, mul(c, v))
+            acc = add(acc, v if c == 1 else mul(c, v))
     return acc
+
+
+def _invertible_rows(spec: FieldSpec, idx, n: int):
+    """The n-digit rows with the base-q digits, lowest first, of the ints
+    `idx`, or None if they are F_q-dependent: ranked on the ints by
+    `_expanded_rank`'s XOR basis at q = 2, else on the rows by `_rank_raw`."""
+    q = spec.q
+    if q == 2 and _expanded_rank(spec, idx) < n:
+        return None
+    rows = [[i // q ** j % q for j in range(n)] for i in idx]
+    if q != 2 and _rank_raw(rows, spec.base_field) < n:
+        return None
+    return rows
 
 
 def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:
@@ -707,11 +718,14 @@ def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:
 
 
 def random_isometry(spec: FieldSpec, n: int, rng) -> Isometry:
-    """Uniformly sampled semilinear isometry (rejection sampling for A)."""
+    """Uniform semilinear isometry: lambda over F_{q^m}^*, then A over
+    GL_n(q), each row drawn as one index below q^n (its base-q digits,
+    lowest first) until A is invertible, then sigma.  Earlier versions drew
+    A entry by entry, so the same rng state gave another isometry."""
+    n, = _checked_ints("n", n)
     lam = Element(spec, rng.randrange(1, spec.order))
-    while True:
-        rows = [[rng.randrange(spec.q) for _ in range(n)] for _ in range(n)]
-        if _rank_raw(rows, spec.base_field) == n:
-            break
-    return Isometry(lam=lam, A=BaseMatrix(spec, rows),
+    size, rows = spec.q ** n, None
+    while rows is None:
+        rows = _invertible_rows(spec, [rng.randrange(size) for _ in range(n)], n)
+    return Isometry(lam=lam, A=BaseMatrix._trusted(spec, rows),
                     sigma_power=rng.randrange(spec.m))

@@ -11,8 +11,8 @@ from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        count_intersecting_subspaces, default_field, enumerate_G,
                        euler_phi, expand_to_base, figure_data, frobenius_code,
                        gab_bound, gab_bound_rough, gabidulin, gaussian_binomial,
-                       linearly_independent_over_base, moore_matrix, mrd_bound,
-                       rank_distance, symbolic_f_E)
+                       linearly_independent_over_base, monte_carlo, moore_matrix,
+                       mrd_bound, random_isometry, rank_distance, symbolic_f_E)
 
 F8 = default_field(2, 3)
 F16 = default_field(2, 4)
@@ -79,6 +79,18 @@ CASES = {
                              InvalidParameterError, "q must be an integer, got 2.0"),
     "intersecting-float-r": (lambda: count_intersecting_subspaces(4, 2, 1.0, 2),
                              InvalidParameterError, "r must be an integer, got 1.0"),
+    "monte-carlo-bool-k": (lambda: monte_carlo(2, True, 4, 6, 10, 0),
+                           InvalidParameterError, "k must be an integer, got True"),
+    "gaussian-binomial-bool-q": (lambda: gaussian_binomial(4, 2, True),
+                                 InvalidParameterError, "q must be an integer, got True"),
+    "field-bool-m": (lambda: FieldSpec(2, 1, True),
+                     InvalidParameterError, "m must be an integer, got True"),
+    "frobenius-code-bool-s": (lambda: frobenius_code(CODE, False),
+                              InvalidParameterError, "s must be an integer, got False"),
+    "census-bool-stop-after": (lambda: census(2, 2, 4, 4, stop_after=True),
+                               InvalidParameterError, "stop_after must be an integer, got True"),
+    "isometry-bool-n": (lambda: random_isometry(F16, True, None),
+                        InvalidParameterError, "n must be an integer, got True"),
     "euler-phi-0": (lambda: euler_phi(0), InvalidParameterError, "m must be positive, got 0"),
     "mrd-bound-negative-m": (lambda: mrd_bound(2, 2, 4, -1),
                              InvalidParameterError, "m must be positive, got -1"),

@@ -1,6 +1,6 @@
 """The census's orbit route (GL_{n-k}(F_q), translation and Galois) against
-the translation-only scan it replaced, its known answers, and the committed
-census CSVs."""
+the translation-only scan it replaced, its known answers, the committed
+census CSVs, and an independent k = 2 count of scattered subspaces."""
 
 import csv
 import itertools
@@ -18,7 +18,8 @@ from rankforge.experiments import _first_row_orbits
 from rankforge.fq_linalg import gaussian_binomial
 from rankforge.mrd_criteria import _classify
 
-from conftest import assert_gabidulin_per_s, assert_q_system_identity, gabidulin_per_s
+from conftest import (assert_gabidulin_per_s, assert_q_system_identity, gabidulin_per_s,
+                      gl_order)
 
 RESULTS = Path(__file__).resolve().parent.parent / "results"
 
@@ -228,3 +229,46 @@ def test_q_system_identity_on_committed_csv(path):
 @pytest.mark.parametrize("q,k,n,m", [(2, 1, 4, 6), (3, 2, 3, 5), (3, 2, 4, 3)])
 def test_q_system_identity_on_chunked_shapes(q, k, n, m):
     assert_q_system_identity(census(q, k, n, m))
+
+
+def _subspaces_f2(n, length):
+    """Every n-dimensional subspace of F_2^length, as the list of its 2^n - 1
+    nonzero vectors packed as ints, from its reduced basis: basis vector i
+    has highest set bit pivots[i], which no other basis vector has set, and
+    any of the other bits below it.  Written apart from the library's
+    echelon enumeration, so that the oracle below shares no code with it."""
+    for pivots in itertools.combinations(range(length), n):
+        free = [[b for b in range(p) if b not in pivots] for p in pivots]
+        for choice in itertools.product(*(range(2 ** len(f)) for f in free)):
+            span = [0]
+            for p, bits, c in zip(pivots, free, choice):
+                b = 1 << p | sum(1 << bit for j, bit in enumerate(bits) if c >> j & 1)
+                span += [v ^ b for v in span]
+            yield span[1:]
+
+
+# The k = 2 q-system oracle (q = 2, n = 3): an [n, 2] code over F_Q, Q = 2^m,
+# is MRD iff the F_2-span U of its generator's columns is scattered, that is
+# its nonzero vectors (a, b) lie on 2^n - 1 distinct F_Q-points, and then
+# #MRD blocks * |GL_2(Q)| = S * |GL_n(2)| for S scattered subspaces.  The
+# two shapes take about 0.8 s.  Left out, for tier-1 time: (2,2,4,4), whose
+# [8, 4]_2 = 200 787 subspaces take 1.6 s more (S = 4 080 when run by hand),
+# and (2,2,4,5) on, with 5.4e7 subspaces or more; and odd q, such as
+# (3,2,3,3), because the vectors here are packed as bits.
+@pytest.mark.parametrize("m,scattered", [(3, 504), (4, 61_200)])
+def test_k2_q_system_oracle(m, scattered):
+    spec, n = default_field(2, m), 3
+    Q = spec.order
+
+    def point(v):
+        a, b = v % Q, v // Q  # the digits of a, then those of b
+        return spec.mul(b, spec.inv(a)) if a else Q  # b/a, or Q for the point (0, 1)
+
+    points = [None] + [point(v) for v in range(1, Q * Q)]
+    total = S = 0
+    for span in _subspaces_f2(n, 2 * m):
+        total += 1
+        S += len({points[v] for v in span}) == len(span)
+    assert total == gaussian_binomial(2 * m, n, 2)
+    assert S == scattered
+    assert census(2, 2, n, m).mrd_count * gl_order(2, Q) == S * gl_order(n, 2)

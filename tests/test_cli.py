@@ -196,6 +196,8 @@ class TestMalformedInput:
         (["check", "--code-file"], _code_with_field(m=0)),
         (["check", "--code-file"], {**_code_with_coefficient(1), "k": -1}),
         (["check", "--code-file"], {**_code_with_coefficient(1), "n": "3"}),
+        (["check", "--code-file"], {**_code_with_coefficient(1), "k": True}),
+        (["check", "--code-file"], _code_with_field(m=True)),
         (["check", "--code-file"], {**_code_with_coefficient(1), "field": [2, 1, 3]}),
         (["check", "--code-file"], {**_code_with_coefficient(1), "comment": "x"}),
         (["check", "--code-file"], _code_with_field(modulus=[1, 1, 0, 1])),
@@ -208,7 +210,8 @@ class TestMalformedInput:
     ], ids=["code-missing-keys", "code-list", "code-text-coefficient",
             "code-float-coefficient", "code-float-digit", "code-digit-3",
             "code-float-p", "code-text-m", "code-digit-minus-1", "code-entry-not-list",
-            "code-m-0", "code-k-minus-1", "code-text-n", "code-field-list",
+            "code-m-0", "code-k-minus-1", "code-text-n", "code-bool-k", "code-bool-m",
+            "code-field-list",
             "code-unknown-key", "code-unknown-field-key",
             "modulus-text", "modulus-list", "modulus-misspelled-key", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
@@ -217,6 +220,47 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv, str(f))
         assert code == 2
         assert err.startswith("error:") and str(f) in err
+
+
+class TestDocumentedValid:
+    """Input the README's "Command line" section states is valid: coefficient
+    lists are lowest first and may omit trailing zeros, and a JSON true or
+    false where a digit belongs reads as 1 or 0."""
+
+    @staticmethod
+    def _trimmed(element):
+        while element and element[-1] in ([0], 0):
+            element = element[:-1]
+        return element
+
+    @staticmethod
+    def _as_bools(element):
+        return [[bool(d) for d in c] for c in element]
+
+    @pytest.mark.parametrize("rewrite", ["_trimmed", "_as_bools"])
+    def test_same_code_and_verdict(self, capsys, tmp_path, rewrite):
+        code, out, _ = run(capsys, "gen-gabidulin", "--q", "2", "--m", "4", "--n", "4",
+                           "--k", "2", "--s", "1", "--seed", "2")
+        assert code == 0
+        full = json.loads(out)
+        other = json.loads(out)
+        other["generator"]["entries"] = [[getattr(self, rewrite)(v) for v in row]
+                                         for row in full["generator"]["entries"]]
+        assert json.dumps(other) != json.dumps(full)  # True == 1 in Python
+        verdicts = []
+        for name, data in (("full", full), ("rewritten", other)):
+            f = tmp_path / f"{name}.json"
+            f.write_text(json.dumps(data))
+            code, out, _ = run(capsys, "check", "--code-file", str(f))
+            assert code == 0
+            verdicts.append(json.loads(out))
+        assert verdicts[0] == verdicts[1] and verdicts[0]["mrd"] is True
+        assert rank_codes.RankCode.from_json(other) == rank_codes.RankCode.from_json(full)
+
+    def test_empty_list_is_zero(self):
+        spec = default_field(2, 4)
+        assert spec.element_from_coeffs([]) == spec.zero
+        assert spec.element_from_coeffs([[1]]) == spec.one
 
 
 class TestBounds:

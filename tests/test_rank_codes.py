@@ -7,10 +7,10 @@ from collections import Counter
 
 import pytest
 
-from rankforge import (BudgetExceededError, Element, ExtMatrix,
+from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        InvalidParameterError, Isometry, RankCode, ShapeError,
                        SpecMismatchError,
-                       apply_isometry, default_field, dual_code, gabidulin,
+                       apply_isometry, default_field, dual_code, frobenius, gabidulin,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
@@ -970,12 +970,85 @@ class TestIsometries:
             for iso in isos:
                 assert min_rank_distance(apply_isometry(code, iso)) == d
 
-    def test_singular_a_rejected(self, f8):
-        code = RankCode(f8, ExtMatrix(f8, [[1, 2, 3]]))
-        iso = Isometry(lam=f8.one, A=BaseMatrix(f8, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
-                       sigma_power=0)
-        with pytest.raises(InvalidParameterError):
-            apply_isometry(code, iso)
+    def test_singular_a_rejected(self, f8, f9):
+        # q = 2 ranks packed rows, q = 3 digit rows, here with n = 4 > m
+        for spec, rows in ((f8, [[1, 1, 0], [1, 1, 0], [0, 0, 1]]),
+                           (f9, [[1, 2, 0, 1], [2, 1, 0, 2], [0, 0, 1, 0], [0, 1, 1, 1]])):
+            n = len(rows)
+            code = RankCode(spec, ExtMatrix(spec, [[1, 2, 3, 4][:n]]))
+            iso = Isometry(lam=spec.one, A=BaseMatrix(spec, rows), sigma_power=0)
+            with pytest.raises(InvalidParameterError, match="^A is singular over F_q$"):
+                apply_isometry(code, iso)
+
+    @staticmethod
+    def within_binomial(counts, cells, trials):
+        """Every cell drawn, each count within 5 standard deviations of
+        trials/cells, the binomial(trials, 1/cells) mean."""
+        p = 1 / cells
+        bound = 5 * (trials * p * (1 - p)) ** 0.5
+        assert len(counts) == cells
+        assert all(abs(c - trials * p) <= bound for c in counts.values()), \
+            (sorted(counts.values()), trials * p, bound)
+
+    @pytest.mark.parametrize("q,order", [(2, 6), (3, 48)])
+    def test_uniform_over_gl2(self, q, order):
+        # |GL_2(q)| = (q^2 - 1)(q^2 - q): 6 at q = 2, 48 at q = 3; the field
+        # F_{q^2} gives q^2 - 1 choices of lambda and 2 of sigma
+        spec = default_field(q, 2)
+        rng = random.Random(2028 + q)
+        trials = 200 * order
+        draws = [(tuple(map(tuple, iso.A.entries)), iso.lam.idx, iso.sigma_power)
+                 for iso in (random_isometry(spec, 2, rng) for _ in range(trials))]
+        matrices = Counter(A for A, _, _ in draws)
+        assert all(fq_linalg.det(BaseMatrix(spec, A)) for A in matrices)
+        self.within_binomial(matrices, order, trials)
+        self.within_binomial(Counter(lam for _, lam, _ in draws), q * q - 1, trials)
+        self.within_binomial(Counter(sigma for _, _, sigma in draws), 2, trials)
+        if q == 2:  # the joint law over GL_2(2) x F_4^* x Gal: 36 cells
+            self.within_binomial(Counter(draws), 36, trials)
+
+    @pytest.mark.parametrize("spec", [default_field(3, 2), default_field(2, 2),
+                                      FieldSpec(2, 2, 2)],
+                             ids=["q3-m2", "q2-m2", "q4-m2"])
+    def test_invertible_beyond_m(self, spec):
+        # n = 4 > m = 2: the rows have more digits than an element has
+        rng = random.Random(7)
+        for _ in range(50):
+            A = random_isometry(spec, 4, rng).A
+            assert (A.rows, A.cols) == (4, 4)
+            assert all(0 <= v < spec.q for row in A.entries for v in row)
+            assert fq_linalg.det(A) != 0
+
+    @staticmethod
+    def image_by_entries(code, iso):
+        """sigma(lambda G) A, entry by entry in Element arithmetic."""
+        spec, n = code.spec, code.n
+        mapped = [[frobenius(iso.lam * Element(spec, v), iso.sigma_power) for v in row]
+                  for row in code.G.entries]
+        return [[sum((row[t] * spec.element(iso.A.entries[t][j]) for t in range(n)),
+                     spec.zero).idx for j in range(n)] for row in mapped]
+
+    def test_image_matches_entrywise_product(self):
+        # every (q, m, n, k) of the code_check grid with k <= 3, two
+        # isometries each, on seeded Gabidulin codes
+        checked = 0
+        for q, ms in ((2, range(2, 7)), (3, range(2, 6))):
+            for m in ms:
+                spec = default_field(q, m)
+                for n in range(1, m + 1):
+                    for k in range(1, min(n, 3) + 1):
+                        rng = random.Random(1000 * q + 100 * m + 10 * n + k)
+                        while True:
+                            g = [spec.element(rng.randrange(1, spec.order)) for _ in range(n)]
+                            if linearly_independent_over_base(g):
+                                break
+                        code = gabidulin(g, 1, k)
+                        for _ in range(2):
+                            iso = random_isometry(spec, n, rng)
+                            image = apply_isometry(code, iso)
+                            assert image.G.entries == self.image_by_entries(code, iso)
+                            checked += 1
+        assert checked == 150
 
     def test_zero_lambda_rejected(self, f8):
         code = RankCode(f8, ExtMatrix(f8, [[1, 2, 3]]))
