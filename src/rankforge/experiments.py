@@ -86,11 +86,19 @@ def _mc_chunk(args):
     classify = mc._classify
     order = spec.order
     w = n - k
-    rng = random.Random(chunk_seed)
+    cells, rows = range(k * w), range(0, k * w, w)
+    # randrange(order)'s own draw, inlined: entries come out draw for draw
+    # as randrange's, row-major
+    getrandbits, bits = random.Random(chunk_seed).getrandbits, order.bit_length()
     mrd = gab = 0
     for _ in range(count):
-        X = [tuple(rng.randrange(order) for _ in range(w)) for _ in range(k)]
-        hits = classify(spec, X)
+        flat = []
+        for _ in cells:
+            r = getrandbits(bits)
+            while r >= order:
+                r = getrandbits(bits)
+            flat.append(r)
+        hits = classify(spec, [flat[i:i + w] for i in rows])
         if hits is not None:
             mrd += 1
             if hits:
@@ -108,14 +116,8 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     # refuses a bad (q, m) before any process starts; a forked worker finds
     # the field's tables in default_field's cache instead of building them
     default_field(q, m)
-    tasks = []
-    remaining = trials
-    index = 0
-    while remaining > 0:
-        count = min(CHUNK_SIZE, remaining)
-        tasks.append((q, k, n, m, derive_seed(seed, index), count))
-        remaining -= count
-        index += 1
+    tasks = [(q, k, n, m, derive_seed(seed, index), min(CHUNK_SIZE, trials - first))
+             for index, first in enumerate(range(0, trials, CHUNK_SIZE))]
     if workers > 1:
         # imported here: the pool pulls in multiprocessing, which a
         # one-process call never needs
@@ -123,9 +125,11 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_mc_chunk, tasks))
     else:
-        results = [_mc_chunk(t) for t in tasks]
-    mrd = sum(r[0] for r in results)
-    gab = sum(r[1] for r in results)
+        results = map(_mc_chunk, tasks)
+    mrd = gab = 0
+    for chunk_mrd, chunk_gab in results:
+        mrd += chunk_mrd
+        gab += chunk_gab
     return TrialBatch(q=q, k=k, n=n, m=m, trials=trials, seed=seed,
                       mrd_count=mrd, gab_count=gab,
                       elapsed=time.perf_counter() - start)

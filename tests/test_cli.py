@@ -1,4 +1,5 @@
 import json
+import random
 
 import pytest
 
@@ -220,6 +221,71 @@ class TestMalformedInput:
         code, _, err = run(capsys, *argv, str(f))
         assert code == 2
         assert err.startswith("error:") and str(f) in err
+
+
+_FUZZ_VALUES = (True, False, None, 1.5, "x", -1, 0, 1, 2, 3, 7, 2 ** 64, [], [1], {}, {"m": 3})
+
+
+def _nodes(data, path=()):
+    """Every node of a JSON tree as its path of keys and indices, root first."""
+    yield path
+    if isinstance(data, (list, dict)):
+        for key, child in (data.items() if isinstance(data, dict) else enumerate(data)):
+            yield from _nodes(child, path + (key,))
+
+
+def _mutated(data, rng):
+    """data with one or two nodes replaced by a value of any JSON type,
+    deleted, or given a sibling."""
+    for _ in range(rng.randint(1, 2)):
+        path = rng.choice(list(_nodes(data)))
+        value = rng.choice(_FUZZ_VALUES)
+        if not path:
+            data = value
+            continue
+        parent = data
+        for key in path[:-1]:
+            parent = parent[key]
+        key, action = path[-1], rng.choice(("replace", "delete", "add"))
+        if action == "replace":
+            parent[key] = value
+        elif action == "delete":
+            del parent[key]
+        elif isinstance(parent, list):
+            parent.insert(key, value)
+        else:
+            parent[f"{key}_"] = value
+    return data
+
+
+class TestFuzzedInput:
+    """Seeded mutations of valid input files: every exit is 0 (the mutation
+    left valid input) or 2 (invalid input), and no exception escapes main."""
+
+    @pytest.mark.parametrize("argv,data", [
+        (["check", "--code-file"], _code_with_coefficient(1)),
+        (["field-info", "--p", "2", "--m", "3", "--modulus-file"],
+         {"ext_modulus": [[1], [1], [0], [1]]}),
+        (["gen-gabidulin", "--q", "2", "--m", "3", "--n", "3", "--k", "2", "--s", "1",
+          "--g-file"], [[[1], [0], [0]], [[0], [1], [0]], [[0], [0], [1]]]),
+    ], ids=["code", "modulus", "g"])
+    def test_exits_0_or_2(self, capsys, tmp_path, argv, data):
+        rng = random.Random(f"fuzz-{argv[0]}")
+        f = tmp_path / "input.json"
+        f.write_text(json.dumps(data))
+        assert main([*argv, str(f)]) == 0
+        outcomes = []
+        for _ in range(100):
+            mutated = _mutated(json.loads(json.dumps(data)), rng)
+            f.write_text(json.dumps(mutated))
+            try:
+                outcome = main([*argv, str(f)])
+            except Exception as exc:  # reported with the input that raised it
+                outcome = repr(exc)
+            capsys.readouterr()
+            outcomes.append((outcome, mutated))
+        assert [o for o in outcomes if o[0] not in (0, 2)] == []
+        assert {o[0] for o in outcomes} == {0, 2}
 
 
 class TestDocumentedValid:

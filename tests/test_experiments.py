@@ -1,5 +1,7 @@
+import hashlib
 import json
 import math
+import random
 import re
 from fractions import Fraction
 from pathlib import Path
@@ -9,10 +11,10 @@ import pytest
 from rankforge import (BudgetExceededError, ExtMatrix, FieldSpec,
                        InvalidParameterError, VerificationError,
                        census, default_field, enumerate_rref, euler_phi,
-                       figure_data, frobenius, gab_bound, gabidulin,
+                       experiments, figure_data, frobenius, gab_bound, gabidulin,
                        monte_carlo, moore_matrix, mrd_bound,
-                       mrd_defect_coefficient, rank1_criterion, rank_codes,
-                       verify_lemma_suite)
+                       mrd_criteria, mrd_defect_coefficient, rank1_criterion,
+                       rank_codes, verify_lemma_suite)
 from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
@@ -113,6 +115,61 @@ class TestMonteCarlo:
         # small m, where a passing block is often Gabidulin
         batch = monte_carlo(*args)
         assert (batch.mrd_count, batch.gab_count) == counts
+
+    @pytest.mark.parametrize("q,m", [(2, 1), (3, 1), (2, 8), (2, 16), (3, 6), (3, 8), (5, 3)])
+    @pytest.mark.parametrize("k,w", [(1, 3), (2, 2), (3, 3)])
+    def test_blocks_drawn_as_randrange(self, monkeypatch, q, m, k, w):
+        # a chunk's blocks are its generator's randrange(q^m) draws, row-major,
+        # block after block; fails if randrange ever draws otherwise
+        order = q ** m
+        blocks = []
+        monkeypatch.setattr(mrd_criteria, "_classify",
+                            lambda spec, X: blocks.append(list(map(tuple, X))))
+        for seed in (0, 1, 1501, 2 ** 64 - 1):
+            blocks.clear()
+            assert experiments._mc_chunk((q, k, k + w, m, seed, 5)) == (0, 0)
+            rng = random.Random(seed)
+            assert blocks == [[tuple(rng.randrange(order) for _ in range(w))
+                               for _ in range(k)] for _ in range(5)]
+
+    @pytest.mark.parametrize("args,counts", [
+        ((2, 1, 3, 6), [(1, 1), (59, 59), (59, 59), (60, 60), (116, 116)]),
+        ((2, 2, 4, 8), [(0, 0), (51, 1), (51, 1), (52, 1), (106, 3)]),
+        ((2, 3, 6, 8), [(0, 0)] * 5),
+        ((3, 2, 4, 5), [(1, 0), (33, 1), (33, 1), (33, 1), (72, 2)]),
+        ((4, 2, 4, 3), [(0, 0)] * 5),  # n > m: never MRD
+    ])
+    def test_counts_across_chunk_boundaries(self, args, counts):
+        # 64-trial chunks: one, the last trial of a chunk, a full chunk, one
+        # trial of a second chunk and of a third; pinned counts at seed 7
+        got = [monte_carlo(*args, trials, 7) for trials in (1, 63, 64, 65, 129)]
+        assert [(b.mrd_count, b.gab_count) for b in got] == counts
+
+    def test_two_workers_split_two_chunks(self):
+        # 65 trials are a full chunk and a one-trial chunk, one per worker
+        serial = monte_carlo(3, 2, 4, 5, 65, 7)
+        assert serial == monte_carlo(3, 2, 4, 5, 65, 7, workers=2)
+        assert (serial.mrd_count, serial.gab_count) == (33, 1)
+
+    @pytest.mark.parametrize("seed,counts", [
+        (1401, {(2, 8): (27, 0), (2, 12): (32, 0), (2, 14): (31, 0),
+                (2, 16): (32, 0), (3, 6): (26, 1), (3, 8): (32, 1)}),
+        (1402, {(2, 8): (26, 0), (2, 12): (31, 1), (2, 14): (32, 0),
+                (2, 16): (32, 0), (3, 6): (24, 0), (3, 8): (31, 0)}),
+    ])
+    def test_sweep_call_pattern_counts(self, seed, counts):
+        # perfbench's mc_sweep calls, at seeds its stored references lack:
+        # one-trial calls at each (q, m), step after step, each seeded by
+        # sha256("perfbench:seed:q:m:step"); 32 of its 128 steps
+        got = dict.fromkeys(counts, (0, 0))
+        for step in range(32):
+            for q, m in counts:
+                text = f"perfbench:{seed}:{q}:{m}:{step}"
+                call_seed = int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
+                batch = monte_carlo(q, 2, 4, m, 1, call_seed)
+                mrd, gab = got[q, m]
+                got[q, m] = (mrd + batch.mrd_count, gab + batch.gab_count)
+        assert got == counts
 
     def test_counts_ordered(self):
         batch = monte_carlo(2, 2, 4, 5, 300, seed=1)
