@@ -136,7 +136,7 @@ def _cmd_census(args):
         visited, to_visit = experiments.census_progress(args.resume)
         _print_json({
             "q": args.q, "k": args.k, "n": args.n, "m": args.m,
-            "blocks_visited": visited, "blocks_to_visit": to_visit,
+            "orbits_visited": visited, "orbits_to_visit": to_visit,
         })
         return EXIT_OK
     _print_json({
@@ -225,8 +225,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--resume", help="checkpoint file to write to and resume from")
     p.add_argument("--stop-after", type=int,
-                   help="visit at most this many blocks, then save the checkpoint "
-                        "and exit without CSV (needs --resume)")
+                   help="visit at most this many first-row orbits, then save the "
+                        "checkpoint and exit without CSV (needs --resume)")
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_census)
 

@@ -4,13 +4,11 @@ lemma-verification suites, and figure-data reproduction.
 Random trials are split into fixed-size chunks whose seeds derive from the
 root seed and the chunk index, so results do not depend on worker count or
 scheduling.  The census visits one systematic block per orbit of
-X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius: a first row
-in reduced echelon form per Frobenius orbit of subspaces, weighted by the
-orbit's size, with the other entries over the multiples of q.  It scans the
-dual shape when n - k < k and checkpoints a single visit cursor to a
-resumable state file.  A two-row scan classifies an orbit's last rows by
-linearity, a segment of visits at a time, from tables over their F_q-span;
-other shapes classify one block per visit.
+X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius, scanning the
+dual shape when n - k < k.  A per-orbit counter (`_orbit_counts`) classifies
+every block of one first-row orbit; `census` drives it over the orbits,
+weights its counts by the orbit's size and checkpoints the number of orbits
+done to a resumable state file.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
-CHECKPOINT_SCHEMA = 4
+CHECKPOINT_SCHEMA = 5
 SPAN_MAX = 2 ** 12  # last rows per span table of the census's two-row scan
 
 
@@ -177,6 +175,10 @@ def _write_checkpoint(path, state):
 
 
 def _read_checkpoint(path) -> dict:
+    """The state in a census checkpoint of this schema, with an integer
+    cursor, counts and per_s counts, and a cursor within its reduction's
+    orbits.  A file that cannot be read or holds other state is invalid
+    input."""
     try:
         with open(path, encoding="utf-8") as fh:
             state = json.load(fh)
@@ -184,35 +186,8 @@ def _read_checkpoint(path) -> dict:
         raise InvalidParameterError(f"cannot read checkpoint {path}: {exc}") from exc
     if not isinstance(state, dict):
         raise InvalidParameterError(f"checkpoint {path} is not a JSON object")
-    return state
-
-
-def census_progress(checkpoint_path: str) -> tuple[int, int]:
-    """(blocks visited, blocks to visit) of the scan a census checkpoint
-    holds, e.g. after `census(..., stop_after=...)` returned None."""
-    state = _read_checkpoint(checkpoint_path)
-    return state["cursor"], state["reduction"]["visits"]
-
-
-def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
-    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan: the
-    cursor in visited blocks, the counts in orbit-weighted visited blocks.
-
-    A file that cannot be read, belongs to another scan, or holds
-    incomplete or inconsistent state is invalid input.
-    """
-    state = _read_checkpoint(path)
     if state.get("schema_version") != CHECKPOINT_SCHEMA:
         raise InvalidParameterError("unsupported checkpoint schema")
-    if state.get("params") != list(params):
-        raise InvalidParameterError(
-            f"checkpoint params {state.get('params')} do not match {list(params)}")
-    if state.get("field") != tower:
-        raise InvalidParameterError(
-            f"checkpoint field tower {state.get('field')} does not match {tower}")
-    if state.get("reduction") != reduction:
-        raise InvalidParameterError(
-            f"checkpoint reduction {state.get('reduction')} does not match {reduction}")
     counts = [state.get(name) for name in ("cursor", "mrd_count", "gab_count")]
     per_s = state.get("per_s")
     if (any(type(c) is not int for c in counts) or not isinstance(per_s, dict)
@@ -220,10 +195,39 @@ def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
         raise InvalidParameterError(
             f"checkpoint {path} lacks an integer cursor, mrd_count, gab_count "
             "or per_s count")
-    cursor, mrd, gab = counts
-    if not 0 <= cursor <= reduction["visits"]:
+    reduction = state.get("reduction")
+    if not (isinstance(reduction, dict) and type(reduction.get("orbits")) is int
+            and 0 <= counts[0] <= reduction["orbits"]):
         raise InvalidParameterError(
-            f"checkpoint cursor {cursor} is outside [0, {reduction['visits']}]")
+            f"checkpoint cursor {counts[0]} is not within the orbits of reduction {reduction}")
+    return state
+
+
+def census_progress(checkpoint_path: str) -> tuple[int, int]:
+    """(orbits visited, orbits to visit) of the scan a census checkpoint
+    holds, e.g. after `census(..., stop_after=...)` returned None."""
+    state = _read_checkpoint(checkpoint_path)
+    return state["cursor"], state["reduction"]["orbits"]
+
+
+def _load_checkpoint(path, params, tower, reduction, covered, valid_s):
+    """(cursor, mrd, gab, per_s) stored in a checkpoint for this scan: the
+    cursor in visited orbits, the counts in orbit-weighted visited blocks.
+
+    A file that cannot be read, belongs to another scan, or holds
+    incomplete or inconsistent state is invalid input.
+    """
+    state = _read_checkpoint(path)
+    if state.get("params") != list(params):
+        raise InvalidParameterError(
+            f"checkpoint params {state.get('params')} do not match {list(params)}")
+    if state.get("field") != tower:
+        raise InvalidParameterError(
+            f"checkpoint field tower {state.get('field')} does not match {tower}")
+    if state["reduction"] != reduction:
+        raise InvalidParameterError(
+            f"checkpoint reduction {state['reduction']} does not match {reduction}")
+    cursor, mrd, gab, per_s = map(state.get, ("cursor", "mrd_count", "gab_count", "per_s"))
     if not 0 <= gab <= mrd <= covered(cursor):
         raise InvalidParameterError(
             f"checkpoint counts break 0 <= gab <= mrd <= {covered(cursor)}, the "
@@ -294,6 +298,77 @@ def _last_row_span(spec: FieldSpec, w: int):
     return basis[:split], basis[split:digits]
 
 
+def _orbit_counts(spec: FieldSpec, ks: int, w: int, first_row, classes, base: int,
+                  oracle_stride: int):
+    """The unweighted (mrd, gab, per_s) over every inner block of the census
+    orbit of `first_row` (ks scanned rows of w columns), whose visits are
+    base + t.  Two rows: the first-row stage and the span tables are built
+    once, and each slice of q^d last rows, which divides the orbit, is
+    classified at once (`_span_passes`, `mrd_criteria._span_hits`).  Other
+    shapes: each inner block, in visit order, whole (`_classify`).  Every
+    visit that is a multiple of `oracle_stride` goes to the brute-force
+    distance oracle; with two rows it also runs the per-row stages, and a
+    verdict or a Gabidulin parameter they disagree on is a
+    VerificationError.
+    """
+    q, n = spec.q, ks + w
+    identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
+    mrd = gab = 0
+    per_s = {s: 0 for _, members in classes for s in members}
+
+    def check(v, X, hits):
+        """The brute-force distance oracle on visit v, block X, classified as hits."""
+        rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
+        if (_min_rank_distance_raw(spec, rows, ks, n) == w + 1) != (hits is not None):
+            raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
+
+    if ks == 2:
+        low, high = _last_row_span(spec, w)
+        span = q ** (len(low) + len(high))
+        stage, phi0 = _first_row_stage(spec, first_row), {}
+        tables = _span_tables(spec, stage, low), _span_tables(spec, stage, high)
+        gab_span = mc._gabidulin_span(spec, first_row, low + high, classes)
+        for t in range(0, (spec.order // q) ** w, span):
+            origin = _last_row(spec, w, t)
+            passes = _span_passes(spec, stage, *tables, origin)
+            hit_at = [(members, [c for c in at if passes[c]])
+                      for members, at in mc._span_hits(spec, gab_span, origin)]
+            mrd += passes.count(True)
+            gab += len(set().union(*(at for _, at in hit_at)))
+            for members, at in hit_at:
+                for s in members:
+                    per_s[s] += len(at)
+            for v in range(-(-(base + t) // oracle_stride) * oracle_stride, base + t + span,
+                           oracle_stride):
+                c, y = v - base - t, _last_row(spec, w, v - base)
+                found = (tuple(sorted(s for members, at in hit_at if c in at for s in members))
+                         if passes[c] else None)
+                if _last_row_passes(spec, stage, y):
+                    expected = mc._gabidulin_hits(spec, (first_row, y), classes, phi0)
+                else:
+                    expected = None
+                if found != expected:
+                    raise VerificationError(
+                        f"span tables and last-row stage disagree at visit {v}")
+                check(v, [first_row, y], found)
+    else:
+        cells = (ks - 1) * w
+        below = range(0, cells, w)  # where the rows below the first start in a visit's entries
+        for v, flat in enumerate(itertools.product(range(0, spec.order, q), repeat=cells), base):
+            flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
+            X = [first_row, *(flat[i:i + w] for i in below)]
+            hits = mc._classify(spec, X)
+            if hits is not None:
+                mrd += 1
+                if hits:
+                    gab += 1
+                for s in hits:
+                    per_s[s] += 1
+            if v % oracle_stride == 0:
+                check(v, X, hits)
+    return mrd, gab, per_s
+
+
 def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
            checkpoint_path: str | None = None, oracle_stride: int = 100,
            stop_after: int | None = None) -> CensusResult | None:
@@ -317,34 +392,22 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     Blocks are visited orbit-major: with k and n - k those of the scanned
     shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of orbit
     v div that, whose entry (i, j) for i >= 1 is q times the base-q^(m-1)
-    digit (i-1)(n-k) + j of t, lowest first.  When the scanned shape has
-    two rows, the last row of inner block t is combination t of the rows
-    alpha^a e_j (`_last_row_span`), and the point map's ratios and the
-    Gabidulin test's functionals are F_q-affine in it.  So the first-row
-    stage (`_first_row_stage`) is built once per orbit, with tables over
-    that span beside it (`_span_tables`, `mrd_criteria._gabidulin_span`),
-    and each segment of visits, up to an orbit's end, a slice of the tables,
-    a save or the scan's end, is classified and counted at once
-    (`_span_passes`, `mrd_criteria._span_hits`), in the same visit order.
-    Every other shape lists each orbit's inner blocks in that order, with
-    no visit number decoded, and classifies each block whole (`_classify`).
-    Verdicts are cross-validated against the brute-force minimum-distance
-    oracle on every `oracle_stride`-th visit (default every 100th); in the
-    two-row scan that visit also runs the per-row stages
-    (`_last_row_passes`, `mrd_criteria._gabidulin_hits`), and a verdict or
-    a Gabidulin parameter they disagree on is a VerificationError.  When
-    `checkpoint_path` is given, progress is persisted before the first block
-    (so an unwritable path fails at once), then every 2^16 visits, and an
-    interrupted run resumes from the stored cursor; the checkpoint binds
-    (q, k, n, m), the field tower and the reduction (scanned k, orbits,
-    visits), and holds the visit cursor and the orbit-weighted counts.
-    `stop_after` bounds the number of visits in this call (a checkpoint is
+    digit (i-1)(n-k) + j of t, lowest first.  Each orbit is counted by
+    `_orbit_counts`, which checks every `oracle_stride`-th visit (default
+    every 100th) against the brute-force oracle, and weighted by its size.
+    When `checkpoint_path` is given, progress is persisted before the first
+    orbit (so an unwritable path fails at once), then at the first orbit
+    boundary at or past each multiple of 2^16 visits, and an interrupted
+    run resumes from the stored cursor; the checkpoint binds (q, k, n, m),
+    the field tower and the reduction (scanned k, orbits, visits), and
+    holds the number of orbits done and the orbit-weighted counts.
+    `stop_after` bounds the number of orbits in this call (a checkpoint is
     written and None returned when the scan is not finished), so it needs
-    `checkpoint_path`.  The budget bounds the subspaces the orbit walk
-    visits and the number of visited blocks; both are checked before the
-    walk, the blocks through the fewest orbits there can be (each holds at
-    most m subspaces), and the blocks again after it.  The classifier
-    checks only what it enumerates (`_side_passes`).
+    `checkpoint_path`.  The budget bounds the
+    subspaces the orbit walk visits and the number of visited blocks; both
+    are checked before the walk, the blocks through the fewest orbits there
+    can be (each holds at most m subspaces), and the blocks again after it.
+    The classifier checks only what it enumerates (`_side_passes`).
     """
     k, n, q, m, oracle_stride = _checked_shape("k n q m oracle_stride",
                                                k, n, q, m, oracle_stride)
@@ -359,8 +422,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         raise InvalidParameterError("spec disagrees with (q, m)")
     ks = min(k, n - k)
     w = n - ks
-    cells = (ks - 1) * w
-    inner = (spec.order // q) ** cells
+    inner = (spec.order // q) ** ((ks - 1) * w)
     # refuse before the orbit walk: it visits every subspace, and each
     # orbit holds at most m of them
     subspaces = gaussian_binomial(m - 1, w, q)
@@ -373,9 +435,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     classes = mc._gabidulin_classes(m)
 
     def covered(cursor):
-        """Orbit-weighted number of the blocks visited before `cursor`."""
-        o, t = divmod(cursor, inner)
-        return inner * sum(size for _, size in orbits[:o]) + (orbits[o][1] * t if t else 0)
+        """Orbit-weighted number of the blocks in the orbits before `cursor`."""
+        return inner * sum(size for _, size in orbits[:cursor])
 
     params = (q, k, n, m)
     tower = spec.to_json()
@@ -387,101 +448,35 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
         cursor, mrd, gab, per_s = _load_checkpoint(
             checkpoint_path, params, tower, reduction, covered, valid_s)
 
-    identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
-    expected_d = w + 1
-
-    saved = None
-
-    def save(v):
-        nonlocal saved
-        if v != saved:  # a call that ends on a periodic save writes it once
-            saved = v
-            _write_checkpoint(checkpoint_path, {
-                "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
-                "field": tower, "reduction": reduction, "cursor": v,
-                "mrd_count": mrd, "gab_count": gab,
-                "per_s": {str(s): c for s, c in per_s.items()}})
-
-    def check(v, X, hits):
-        """The brute-force distance oracle on visit v, block X, classified as hits."""
-        rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
-        if (_min_rank_distance_raw(spec, rows, ks, n) == expected_d) != (hits is not None):
-            raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
+    def save(o):
+        _write_checkpoint(checkpoint_path, {
+            "schema_version": CHECKPOINT_SCHEMA, "params": list(params),
+            "field": tower, "reduction": reduction, "cursor": o,
+            "mrd_count": mrd, "gab_count": gab,
+            "per_s": {str(s): c for s, c in per_s.items()}})
 
     if checkpoint_path:
         save(cursor)  # an unwritable path fails before any block is classified
-    end = visits if stop_after is None else min(visits, cursor + stop_after)
-    below = range(0, cells, w)  # where the rows below the first start in a visit's entries
-    if ks == 2:
-        low, high = _last_row_span(spec, w)
-        span = q ** (len(low) + len(high))
-    for o in range(cursor // inner, -(-end // inner)):
+    end = len(orbits) if stop_after is None else min(len(orbits), cursor + stop_after)
+    for o in range(cursor, end):
         first_row, weight = orbits[o]
-        base = o * inner
-        t, stop = max(cursor - base, 0), min(end - base, inner)
-        if ks == 2:
-            stage, phi0 = _first_row_stage(spec, first_row), {}
-            tables = _span_tables(spec, stage, low), _span_tables(spec, stage, high)
-            gab_span = mc._gabidulin_span(spec, first_row, low + high, classes)
-        else:
-            entries = itertools.islice(
-                itertools.product(range(0, spec.order, q), repeat=cells), t, None)
-        while t < stop:
-            # one segment: to the orbit's or the scan's end or the next save
-            seg = stop
-            if checkpoint_path:
-                seg = min(seg, t + CHECKPOINT_EVERY - (base + t) % CHECKPOINT_EVERY)
-            if ks == 2:
-                seg = min(seg, t - t % span + span)
-                lo = t % span
-                origin = _last_row(spec, w, t - lo)
-                passes = _span_passes(spec, stage, *tables, origin, lo, lo + seg - t)
-                hit_at = [(members, [c for c in at if passes[c]]) for members, at
-                          in mc._span_hits(spec, gab_span, origin, lo, lo + seg - t)]
-                mrd += weight * passes.count(True)
-                gab += weight * len(set().union(*(at for _, at in hit_at)))
-                for members, at in hit_at:
-                    for s in members:
-                        per_s[s] += weight * len(at)
-                for v in range(-(-(base + t) // oracle_stride) * oracle_stride, base + seg,
-                               oracle_stride):
-                    c, y = v - base - t, _last_row(spec, w, v - base)
-                    found = (tuple(sorted(s for members, at in hit_at if c in at for s in members))
-                             if passes[c] else None)
-                    if _last_row_passes(spec, stage, y):
-                        expected = mc._gabidulin_hits(spec, (first_row, y), classes, phi0)
-                    else:
-                        expected = None
-                    if found != expected:
-                        raise VerificationError(
-                            f"span tables and last-row stage disagree at visit {v}")
-                    check(v, [first_row, y], found)
-            else:
-                for v, flat in enumerate(itertools.islice(entries, seg - t), base + t):
-                    flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
-                    X = [first_row, *(flat[i:i + w] for i in below)]
-                    hits = mc._classify(spec, X)
-                    if hits is not None:
-                        mrd += weight
-                        if hits:
-                            gab += weight
-                        for s in hits:
-                            per_s[s] += weight
-                    if v % oracle_stride == 0:
-                        check(v, X, hits)
-            t = seg
-            if checkpoint_path and (base + t) % CHECKPOINT_EVERY == 0:
-                save(base + t)
-    if end < visits:
-        save(end)
+        orbit_mrd, orbit_gab, orbit_per_s = _orbit_counts(spec, ks, w, first_row, classes,
+                                                          o * inner, oracle_stride)
+        mrd += weight * orbit_mrd
+        gab += weight * orbit_gab
+        for s, c in orbit_per_s.items():
+            per_s[s] += weight * c
+        # the call's end, and the first orbit boundary at or past each
+        # multiple of CHECKPOINT_EVERY visits; each cursor is written once
+        if checkpoint_path and (o + 1 == end or (o + 1) * inner // CHECKPOINT_EVERY
+                                > o * inner // CHECKPOINT_EVERY):
+            save(o + 1)
+    if end < len(orbits):
         return None
     scale = q ** (ks * w) * math.prod(q ** w - q ** i for i in range(w))
-    result = CensusResult(q=q, k=k, n=n, m=m, total=spec.order ** (k * (n - k)),
-                          mrd_count=mrd * scale, gab_count=gab * scale,
-                          per_s_gab_counts={s: c * scale for s, c in per_s.items()})
-    if checkpoint_path:
-        save(visits)
-    return result
+    return CensusResult(q=q, k=k, n=n, m=m, total=spec.order ** (k * (n - k)),
+                        mrd_count=mrd * scale, gab_count=gab * scale,
+                        per_s_gab_counts={s: c * scale for s, c in per_s.items()})
 
 
 # --------------------------------------------------------------------------

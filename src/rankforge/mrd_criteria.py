@@ -133,16 +133,16 @@ def _gabidulin_span(spec: FieldSpec, row0, basis, classes):
     return span
 
 
-def _span_hits(spec: FieldSpec, span, row, lo: int, hi: int) -> list:
-    """Per class of `span` (`_gabidulin_span`): (its members, the c - lo,
-    increasing, for the c in range(lo, hi) at which phi_t of [row 0,
-    row + combination c of the basis] has rank one).  Read only where the
-    last-row stage passes, as a_0 != 0 there."""
+def _span_hits(spec: FieldSpec, span, row) -> list:
+    """Per class of `span` (`_gabidulin_span`): (its members, the c,
+    increasing, at which phi_t of [row 0, row + combination c of the basis]
+    has rank one).  Read only where the last-row stage passes, as a_0 != 0
+    there."""
     hits = []
     for t, members, a, table in span:
         zero = tuple(map(spec.neg, _functionals(spec, t, a, row)))
-        hits.append((members, list(itertools.compress(
-            itertools.count(), map(zero.__eq__, itertools.islice(table, lo, hi))))))
+        hits.append((members, list(itertools.compress(itertools.count(),
+                                                      map(zero.__eq__, table)))))
     return hits
 
 

@@ -389,25 +389,23 @@ def _span_tables(spec: FieldSpec, stage, basis):
     return [table]
 
 
-def _span_passes(spec: FieldSpec, stage, low, high, row, lo: int, hi: int) -> list:
+def _span_passes(spec: FieldSpec, stage, low, high, row) -> list:
     """`_last_row_passes` at the last rows row + (combination c of the low
     basis rows then the high ones, whose tables are `low` and `high`,
-    `_span_tables`), for c in range(lo, hi): True iff the P ratios there,
+    `_span_tables`), for every c of the span: True iff the P ratios there,
     each point's ratio at row plus its two tables' entries, are pairwise
     distinct."""
     if stage[1] > 1:
-        return [False] * (hi - lo)
+        return [False] * (len(low[0]) * len(high[0]))
     origin = _ratios(spec, stage, row, 1)
-    add, size, count = spec.add, len(low[0]), len(origin)
-    first = lo // size
-    tops, cut = slice(first, -(-hi // size)), slice(lo - first * size, hi - first * size)
+    add, count = spec.add, len(origin)
     if spec.p != 2:
-        ratios = [[add(x, y) for x in [add(x, r) for x in top[tops]] for y in table][cut]
+        ratios = [[add(x, y) for x in [add(x, r) for x in top] for y in table]
                   for table, top, r in zip(low, high, origin)]
         return list(map(count.__eq__, map(len, map(set, zip(*ratios)))))
     code, width = _lane(spec)
     r = _packed(origin, width)
-    packed = [x ^ y for x in [x ^ r for x in high[0][tops]] for y in low[0]][cut]
+    packed = [x ^ y for x in [x ^ r for x in high[0]] for y in low[0]]
     if width == 1:  # the bytes are the lanes: no view, half the time per visit
         return [len(set(v.to_bytes(count, "little"))) == count for v in packed]
     return [len(set(memoryview(v.to_bytes(count * width, "little")).cast(code))) == count

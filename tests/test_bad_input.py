@@ -3,6 +3,8 @@ case each: shapes, towers, parameters and values that the library refuses
 before it computes anything.  Non-integer parameters are in
 `test_experiments.test_non_integer_parameters_refused`."""
 
+import json
+
 import pytest
 
 from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
@@ -13,6 +15,7 @@ from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        gab_bound, gab_bound_rough, gabidulin, gaussian_binomial,
                        linearly_independent_over_base, monte_carlo, moore_matrix,
                        mrd_bound, random_isometry, rank_distance, symbolic_f_E)
+from rankforge.experiments import census_progress
 
 F8 = default_field(2, 3)
 F16 = default_field(2, 4)
@@ -126,3 +129,32 @@ CASES = {
 def test_bad_input_refused(call, exception, match):
     with pytest.raises(exception, match=match):
         call()
+
+
+VALID_STATE = {"schema_version": 5, "cursor": 1, "mrd_count": 0, "gab_count": 0,
+               "per_s": {"1": 0, "3": 0},
+               "reduction": {"scanned_k": 2, "orbits": 3, "visits": 192}}
+CHECKPOINTS = {
+    "empty": ({}, "unsupported checkpoint schema"),
+    "cursor-only": ({"cursor": 3}, "unsupported checkpoint schema"),
+    "int-reduction-no-schema": ({"cursor": 3, "reduction": 5}, "unsupported checkpoint schema"),
+    "visit-cursor-schema": ({**VALID_STATE, "schema_version": 4}, "unsupported checkpoint schema"),
+    "list": ([], "is not a JSON object"),
+    "str-cursor": ({**VALID_STATE, "cursor": "1"}, "lacks an integer cursor"),
+    "no-per_s": ({k: v for k, v in VALID_STATE.items() if k != "per_s"},
+                 "lacks an integer cursor"),
+    "int-reduction": ({**VALID_STATE, "reduction": 5}, "not within the orbits"),
+    "no-orbits": ({**VALID_STATE, "reduction": {"visits": 192}}, "not within the orbits"),
+    "cursor-past-orbits": ({**VALID_STATE, "cursor": 4}, "not within the orbits"),
+}
+
+
+@pytest.mark.parametrize("state,match", CHECKPOINTS.values(), ids=CHECKPOINTS.keys())
+def test_malformed_checkpoint_progress_refused(tmp_path, state, match):
+    # census_progress reads its file through the checks a resume makes
+    path = tmp_path / "state.json"
+    path.write_text(json.dumps(state))
+    with pytest.raises(InvalidParameterError, match=match):
+        census_progress(str(path))
+    path.write_text(json.dumps(VALID_STATE))
+    assert census_progress(str(path)) == (1, 3)

@@ -474,6 +474,18 @@ class TestCensusCli:
         assert code == 2
         assert "schema" in err
 
+    def test_visit_cursor_checkpoint_schema_exit_code(self, capsys, tmp_path):
+        ckpt = tmp_path / "state.json"
+        ckpt.write_text(json.dumps({
+            "schema_version": 4, "params": [2, 2, 4, 4],
+            "field": default_field(2, 4).to_json(),
+            "reduction": {"scanned_k": 2, "orbits": 3, "visits": 192}, "cursor": 1,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "3": 0}}))
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
+                           "--m", "4", "--resume", str(ckpt))
+        assert code == 2
+        assert "schema" in err
+
     def test_stop_after_without_resume_exit_code(self, capsys, tmp_path):
         f = tmp_path / "census.csv"
         code, _, err = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
@@ -487,13 +499,13 @@ class TestCensusCli:
         f = tmp_path / "census.csv"
         args = ("census", "--q", "2", "--k", "2", "--n", "4", "--m", "4",
                 "--resume", str(ckpt), "--csv", str(f))
-        code, out, _ = run(capsys, *args, "--stop-after", "100")
+        code, out, _ = run(capsys, *args, "--stop-after", "2")
         assert code == 0
         assert json.loads(out) == {
             "q": 2, "k": 2, "n": 4, "m": 4,
-            "blocks_visited": 100, "blocks_to_visit": 192}
+            "orbits_visited": 2, "orbits_to_visit": 3}
         assert not f.exists()
-        code, out, _ = run(capsys, *args, "--stop-after", "100")
+        code, out, _ = run(capsys, *args, "--stop-after", "2")
         assert code == 0
         assert (json.loads(out)["mrd_count"], json.loads(out)["total"]) == (1344, 65536)
         assert f.read_text().splitlines()[2] == "2,2,4,4,65536,1344,1344,1,1344"
@@ -515,12 +527,12 @@ class TestCensusCli:
     def test_resume_round_trip(self, capsys, tmp_path):
         ckpt = str(tmp_path / "state.json")
         from rankforge import census as census_fn
-        assert census_fn(2, 2, 4, 3, checkpoint_path=ckpt, stop_after=10) is None
+        assert census_fn(2, 2, 4, 4, checkpoint_path=ckpt, stop_after=1) is None
         code, out, _ = run(capsys, "census", "--q", "2", "--k", "2", "--n", "4",
-                           "--m", "3", "--resume", ckpt)
+                           "--m", "4", "--resume", ckpt)
         assert code == 0
         resumed = json.loads(out)
-        direct = census_fn(2, 2, 4, 3)
+        direct = census_fn(2, 2, 4, 4)
         assert resumed["mrd_count"] == direct.mrd_count
         assert resumed["gab_count"] == direct.gab_count
 

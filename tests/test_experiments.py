@@ -264,9 +264,9 @@ class TestCensus:
     def test_checkpoint_resume(self, tmp_path):
         direct = census(2, 2, 4, 4)
         assert_gabidulin_per_s(direct)
-        # the scan visits 3 orbits of 64 blocks; 100 and 7 do not divide 64,
-        # so the resumes start inside an orbit and cross orbit boundaries
-        for stop in (100, 7):
+        # the scan visits 3 orbits of 64 blocks, and the cursor counts
+        # orbits: a stop of 1 resumes twice, a stop of 2 once, past the end
+        for stop in (1, 2):
             path = tmp_path / f"census-{stop}.json"
             partial = census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=stop)
             assert partial is None
@@ -276,6 +276,7 @@ class TestCensus:
                                      stop_after=stop)) is None:
                 cursor += stop
                 assert json.loads(path.read_text())["cursor"] == cursor
+            assert json.loads(path.read_text())["cursor"] == 3
             assert resumed == direct
 
     def test_first_row_stage_built_once_per_orbit(self, tmp_path, monkeypatch):
@@ -290,36 +291,41 @@ class TestCensus:
         monkeypatch.setattr(experiments, "_first_row_stage", counted)
         direct = census(2, 2, 4, 4)  # 3 orbits of 64 visits
         assert len(builds) == 3 == len(set(builds))
-        # a resumed run builds the stage once for each orbit its chunk touches
+        # a resumed run builds the stage once for each orbit of its chunk,
+        # the orbits from the stored cursor on
+        first_rows = [tuple(row) for row, _ in
+                      experiments._first_row_orbits(default_field(2, 4), 2)]
         path = tmp_path / "census.json"
         cursor = 0
         while True:
             builds.clear()
-            resumed = census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=7)
-            end = min(cursor + 7, 192)
-            assert len(builds) == len({v // 64 for v in range(cursor, end)})
+            resumed = census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=2)
+            end = min(cursor + 2, 3)
+            assert builds == first_rows[cursor:end]
             cursor = end
             if resumed is not None:
                 break
-        assert cursor == 192 and resumed == direct
+        assert cursor == 3 and resumed == direct
 
-    # (shape, stop_after): the scanned side has one row (inner = 1, so
-    # stop_after = inner - 1 = 0 is not a valid chunk) or two rows (inner =
-    # 64, 81 and 729 blocks in each of 3, 1 and 5 orbits), at q = 2 and
-    # q = 3; None scans in one call.  The patched CHECKPOINT_EVERY of 7
-    # divides no inner, so the periodic saves fall inside orbits and chunks
+    # (shape, stop_after in orbits): the scanned side has one row (inner =
+    # 1 block in each of 31 and 26 orbits) or two rows (inner = 64, 81 and
+    # 729 blocks in each of 3, 1 and 5 orbits), at q = 2 and q = 3; None
+    # scans in one call, and so does a stop past the last orbit (63, 65,
+    # 80, 82, 728).  The patched CHECKPOINT_EVERY, 7 visits for one row and
+    # 100 for two, saves after every 7th one-row orbit, and after some
+    # two-row orbits but not others: (2,2,4,4) after its second only
     CHUNKS = [((2, 1, 4, 6), 1), ((2, 1, 4, 6), 2), ((2, 1, 4, 6), None),
               ((2, 2, 4, 4), 1), ((2, 2, 4, 4), 63), ((2, 2, 4, 4), 65), ((2, 2, 4, 4), None),
               ((3, 2, 3, 5), 1), ((3, 2, 3, 5), 2), ((3, 2, 3, 5), None),
               ((3, 2, 4, 3), 1), ((3, 2, 4, 3), 80), ((3, 2, 4, 3), 82),
-              ((3, 2, 4, 4), 728)]
+              ((3, 2, 4, 4), 728), ((3, 2, 4, 4), 2), ((2, 2, 4, 4), 2)]
 
     @pytest.mark.parametrize("shape,stop", CHUNKS,
                              ids=[f"{','.join(map(str, shape))}-{stop}" for shape, stop in CHUNKS])
     def test_chunked_scan_matches_direct(self, tmp_path, monkeypatch, shape, stop):
         from rankforge import experiments
         direct = census(*shape)
-        every = 7
+        every = 7 if min(shape[1], shape[2] - shape[1]) == 1 else 100
         monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", every)
         written = []
         original = experiments._write_checkpoint
@@ -334,22 +340,25 @@ class TestCensus:
         while True:
             written.clear()
             result = census(*shape, checkpoint_path=str(path), stop_after=stop)
-            visits = json.loads(path.read_text())["reduction"]["visits"]
-            end = visits if stop is None else min(cursor + stop, visits)
-            # the start, every multiple of CHECKPOINT_EVERY passed, the end,
-            # which is written once when it is such a multiple
-            assert written == [cursor, *range(cursor + every - cursor % every, end + 1, every),
-                               *([end] if end % every else [])]
+            reduction = json.loads(path.read_text())["reduction"]
+            orbits, inner = reduction["orbits"], reduction["visits"] // reduction["orbits"]
+            end = orbits if stop is None else min(cursor + stop, orbits)
+            # the start, the first orbit boundary at or past each multiple
+            # of CHECKPOINT_EVERY visits, and the end, each written once
+            crossed = [o for o in range(cursor + 1, end)
+                       if o * inner // every > (o - 1) * inner // every]
+            assert written == [cursor, *crossed, end]
             assert json.loads(path.read_text())["cursor"] == end
             cursor = end
             if result is not None:
                 break
-        assert cursor == visits and result == direct
+        assert cursor == orbits and result == direct
 
     def test_interrupted_scan_resumes_from_periodic_checkpoint(self, tmp_path,
                                                                monkeypatch):
         from rankforge import experiments
-        # 192 visited blocks, some of them MRD
+        # 3 orbits of 64 visited blocks, some of them MRD; every orbit
+        # boundary passes a multiple of 10 visits, so each is saved
         direct = census(2, 2, 4, 4)
         assert direct.mrd_count > 0
         monkeypatch.setattr(experiments, "CHECKPOINT_EVERY", 10)
@@ -361,7 +370,7 @@ class TestCensus:
 
         def interrupt(spec, rows, k, n):
             calls.append(rows)
-            if len(calls) == 3:  # the oracle's check of visit 50
+            if len(calls) == 4:  # the oracle's check of visit 75, in orbit 1
                 raise Interrupted
             return original(spec, rows, k, n)
 
@@ -369,7 +378,7 @@ class TestCensus:
         path = tmp_path / "census.json"
         with pytest.raises(Interrupted):
             census(2, 2, 4, 4, checkpoint_path=str(path), oracle_stride=25)
-        assert json.loads(path.read_text())["cursor"] == 50
+        assert json.loads(path.read_text())["cursor"] == 1
         monkeypatch.setattr(experiments, "_min_rank_distance_raw", original)
         assert census(2, 2, 4, 4, checkpoint_path=str(path), oracle_stride=25) == direct
 
@@ -386,7 +395,7 @@ class TestCensus:
 
     def test_checkpoint_param_mismatch(self, tmp_path):
         path = str(tmp_path / "census.json")
-        census(2, 2, 4, 3, checkpoint_path=path, stop_after=10)
+        census(2, 2, 4, 3, checkpoint_path=path, stop_after=1)
         from rankforge.errors import InvalidParameterError
         with pytest.raises(InvalidParameterError):
             census(2, 2, 3, 3, checkpoint_path=path)
@@ -395,12 +404,13 @@ class TestCensus:
         # a checkpoint written under one modulus must not be resumed under
         # another: the Frobenius orbits, and so the visit orders and orbit
         # weights, differ (orbit sizes 4, 2, 1 under the default modulus,
-        # 1, 4, 2 under this one; 100 of the 192 visits under each tower
-        # give 960 MRD blocks instead of the 1344 each tower gives)
+        # 1, 4, 2 under this one; the first orbit under one tower and the
+        # rest under the other would give another MRD count than the 1344
+        # each tower gives)
         path = str(tmp_path / "census.json")
         other = FieldSpec(2, 1, 4, ext_modulus=[1, 1, 0, 0, 1])
         assert census(2, 2, 4, 4, spec=other, checkpoint_path=path,
-                      stop_after=100) is None
+                      stop_after=1) is None
         with pytest.raises(InvalidParameterError, match="field tower"):
             census(2, 2, 4, 4, checkpoint_path=path)
         assert json.loads(Path(path).read_text())["field"] == other.to_json()
@@ -439,6 +449,18 @@ class TestCensus:
         with pytest.raises(InvalidParameterError, match="schema"):
             census(2, 2, 4, 3, checkpoint_path=str(path))
 
+    def test_visit_cursor_checkpoint_schema_rejected(self, tmp_path):
+        # schema 4 held a visit cursor; read as an orbit cursor it would
+        # skip blocks or count them twice
+        path = tmp_path / "census.json"
+        path.write_text(json.dumps({
+            "schema_version": 4, "params": [2, 2, 4, 4],
+            "field": default_field(2, 4).to_json(),
+            "reduction": {"scanned_k": 2, "orbits": 3, "visits": 192}, "cursor": 1,
+            "mrd_count": 0, "gab_count": 0, "per_s": {"1": 0, "3": 0}}))
+        with pytest.raises(InvalidParameterError, match="schema"):
+            census(2, 2, 4, 4, checkpoint_path=str(path))
+
     @pytest.mark.parametrize("text", ["not json {", "[]", "null", "\udcff"],
                              ids=["not-json", "list", "null", "not-utf8"])
     def test_unreadable_checkpoint_rejected(self, tmp_path, text):
@@ -449,30 +471,33 @@ class TestCensus:
 
     @pytest.mark.parametrize("name,value", [
         ("cursor", None), ("mrd_count", "0"), ("cursor", 1.5), ("gab_count", True),
-        ("cursor", -1), ("cursor", 17), ("mrd_count", 11), ("gab_count", 1),
+        ("cursor", -1), ("cursor", 4), ("mrd_count", 257), ("gab_count", 9),
         ("gab_count", -1), ("per_s", None), ("per_s", [0, 0]),
         ("per_s", {"1": 0}), ("per_s", {"1": 0, "2": 0, "3": 0}),
-        ("per_s", {"1": 0, "2": 1}), ("per_s", {"1": 0, "2": "0"}),
-        ("reduction", None), ("reduction", {"scanned_k": 2, "orbits": 1, "visits": 256})],
+        ("per_s", {"1": 0, "3": 9}), ("per_s", {"1": 0, "3": "0"}),
+        ("reduction", None), ("reduction", {"scanned_k": 2, "orbits": 3, "visits": 256})],
         ids=["no-cursor", "str-mrd", "float-cursor", "bool-gab", "negative-cursor",
              "cursor-past-total", "mrd-past-cursor", "gab-past-mrd", "negative-gab",
              "no-per_s", "list-per_s", "missing-s", "extra-s", "per_s-past-gab",
              "str-per_s", "no-reduction", "other-reduction"])
     def test_inconsistent_checkpoint_rejected(self, tmp_path, name, value):
-        # the stored scan of (2,2,4,3), one orbit of weight 1 and 16 visited
-        # blocks, stops at cursor 10 with no MRD block; None drops the field
+        # the stored scan of (2,2,4,4), 3 orbits of weights 4, 2 and 1 and
+        # 64 visited blocks each, stops at cursor 1 with 8 weighted MRD
+        # blocks, all Gabidulin, of the 256 its first orbit stands for;
+        # None drops the field
         path = tmp_path / "census.json"
-        census(2, 2, 4, 3, checkpoint_path=str(path), stop_after=10)
+        census(2, 2, 4, 4, checkpoint_path=str(path), stop_after=1)
         state = json.loads(path.read_text())
-        assert (state["cursor"], state["mrd_count"]) == (10, 0)
-        assert state["reduction"] == {"scanned_k": 2, "orbits": 1, "visits": 16}
+        assert (state["cursor"], state["mrd_count"], state["gab_count"]) == (1, 8, 8)
+        assert state["per_s"] == {"1": 8, "3": 8}
+        assert state["reduction"] == {"scanned_k": 2, "orbits": 3, "visits": 192}
         if value is None:
             del state[name]
         else:
             state[name] = value
         path.write_text(json.dumps(state))
         with pytest.raises(InvalidParameterError, match="checkpoint"):
-            census(2, 2, 4, 3, checkpoint_path=str(path))
+            census(2, 2, 4, 4, checkpoint_path=str(path))
 
     def test_stop_after_needs_checkpoint(self):
         with pytest.raises(InvalidParameterError, match="checkpoint_path"):
@@ -588,6 +613,14 @@ class TestCensus:
             expected.append([[1, 0, *first_rows[orbit]],
                              [0, 1, 2 * (t % 8), 2 * (t // 8)]])
         assert seen == expected
+        # a one-row scan classifies each visit whole: visit v is orbit v,
+        # whose block is its first row alone.  (2,1,3,7) has 93 orbits, so
+        # a stride of 7 checks 14 of them
+        seen.clear()
+        orbits = experiments._first_row_orbits(default_field(2, 7), 2)
+        assert len(orbits) == 93 and orbits[0] == ([2, 4], 7)
+        census(2, 1, 3, 7, oracle_stride=7)
+        assert seen == [[[1, *orbits[v][0]]] for v in range(0, 93, 7)]
 
     @pytest.mark.parametrize("q,n,m,expected", [
         (2, 3, 3, 24), (2, 3, 4, 168), (2, 4, 4, 1344),
