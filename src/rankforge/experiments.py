@@ -5,10 +5,11 @@ Random trials are split into fixed-size chunks whose seeds derive from the
 root seed and the chunk index, so results do not depend on worker count or
 scheduling.  The census visits one systematic block per orbit of
 X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius, scanning the
-dual shape when n - k < k.  A per-orbit counter (`_orbit_counts`) classifies
-every block of one first-row orbit; `census` drives it over the orbits,
-weights its counts by the orbit's size and checkpoints the number of orbits
-done to a resumable state file.
+dual shape when n - k < k.  A per-orbit counter (`_orbit_counts`) counts the
+blocks of one first-row orbit, two scanned rows by the hyperplanes of their
+T(2, n) determinants and other shapes block by block; `census` drives it
+over the orbits, weights its counts by the orbit's size and checkpoints the
+number of orbits done to a resumable state file.
 """
 
 from __future__ import annotations
@@ -31,13 +32,12 @@ from .field_arith import FieldSpec, _checked_ints, _checked_shape, default_field
 from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
                         _rref_in_place, count_intersecting_subspaces,
                         enumerate_rref, gaussian_binomial, intersection_dim)
-from .rank_codes import (RankCode, _first_row_stage, _last_row_passes,
-                         _min_rank_distance_raw, _span_passes, _span_tables)
+from .rank_codes import (RankCode, _combinations, _first_row_stage, _hyperplanes,
+                         _last_row_passes, _min_rank_distance_raw)
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
 CHECKPOINT_SCHEMA = 5
-SPAN_MAX = 2 ** 12  # last rows per span table of the census's two-row scan
 
 
 def derive_seed(root: int, *parts) -> int:
@@ -281,35 +281,76 @@ def _last_row(spec: FieldSpec, w: int, t: int):
     return [q * (t // values ** j % values) for j in range(w)]
 
 
-def _last_row_span(spec: FieldSpec, w: int):
-    """The last rows of a two-row census orbit as an F_q-span: the last row
-    of inner block t (`_last_row`) is combination t of the rows
-    alpha^a e_j, a >= 1, by j then a.  Returns the rows the span tables
-    cover, split in two: (low, high), the first d rows with q^d at most
-    SPAN_MAX.  The visits fall into slices of q^d, and the last row of a
-    slice's first visit, a combination of the other rows, is its origin."""
-    q = spec.q
-    basis = [[q ** a if i == j else 0 for i in range(w)]
-             for j in range(w) for a in range(1, spec.m)]
-    digits = len(basis)
-    while q ** digits > SPAN_MAX:
-        digits -= 1
-    split = -(-digits // 2)
-    return basis[:split], basis[split:digits]
+def _last_row_sweep(spec: FieldSpec, w: int, first_row, classes):
+    """The blocks of a two-row census orbit, prefix by prefix in visit
+    order: prefix p, the last row's entries (y_1, ..., y_{w-1}), holds the
+    visits p q^(m-1) + y_0/q (`_last_row`).  Yields per prefix (the y_0 of
+    F_{q^m} that fail there, a set; {y_0: its Gabidulin parameters,
+    increasing} over the visits there that pass and are Gabidulin).
+
+    The y_0 that fail are the lines' values at the prefix
+    (`_hyperplanes`), or every y_0 where a flat holds.  At the prefixes that
+    share y_2, ..., the sum_t g_t y_t of a direction g is
+    sum_{t>=2} g_t y_t plus an entry of its table of g_1 y_1 over the y_1
+    (`_combinations` of g_1 times the elements q^a), so a prefix costs one
+    addition per line.  The Gabidulin rows (`mrd_criteria._gabidulin_rows`)
+    are kept where the sweep passes them."""
+    q, order = spec.q, spec.order
+    entries = range(0, order, q)
+    rows = {}  # prefix -> {y_0: parameters} of the Gabidulin rows
+    for members, found in mc._gabidulin_rows(spec, first_row, classes):
+        for y0, *prefix in found:
+            at = rows.setdefault(sum(x // q * len(entries) ** j for j, x in enumerate(prefix)), {})
+            at[y0] = tuple(sorted(at.get(y0, ()) + members))
+    add, mul = spec.add, spec.mul
+    powers = [q ** a for a in range(1, spec.m)]
+
+    def tabled(planes):
+        return [(constants, g[1:], _combinations(spec, [mul(x, a) for x in g[:1] for a in powers]))
+                for g, constants in planes.items()]
+
+    lines, flats = map(tabled, _hyperplanes(spec, first_row))
+
+    def sums(planes, outer):
+        """(constants, sum_t g_t y_t at every y_1) per direction, y_2, ... = outer."""
+        out = []
+        for constants, g, table in planes:
+            s = 0
+            for x, y in zip(g, outer):
+                s = add(s, mul(x, y))
+            out.append((constants, list(map(add, itertools.repeat(s), table))))
+        return out
+
+    p = 0
+    for outer in itertools.product(entries, repeat=max(w - 2, 0)):
+        outer = outer[::-1]  # product steps its last entry fastest, p its lowest digit
+        held = set()
+        for constants, at in sums(flats, outer):
+            held.update(itertools.compress(itertools.count(), map(constants.__contains__, at)))
+        values = [list(map(add, itertools.repeat(b), at)) for constants, at in sums(lines, outer)
+                  for b in constants]
+        for i, at in enumerate(zip(*values)):
+            if i in held:
+                yield range(order), {}
+            else:
+                fails = set(at)
+                yield fails, {y0: s for y0, s in rows.get(p, {}).items() if y0 not in fails}
+            p += 1
 
 
 def _orbit_counts(spec: FieldSpec, ks: int, w: int, first_row, classes, base: int,
                   oracle_stride: int):
     """The unweighted (mrd, gab, per_s) over every inner block of the census
     orbit of `first_row` (ks scanned rows of w columns), whose visits are
-    base + t.  Two rows: the first-row stage and the span tables are built
-    once, and each slice of q^d last rows, which divides the orbit, is
-    classified at once (`_span_passes`, `mrd_criteria._span_hits`).  Other
-    shapes: each inner block, in visit order, whole (`_classify`).  Every
-    visit that is a multiple of `oracle_stride` goes to the brute-force
-    distance oracle; with two rows it also runs the per-row stages, and a
-    verdict or a Gabidulin parameter they disagree on is a
-    VerificationError.
+    base + t.  Two rows: `_last_row_sweep` gives the failing y_0 at each
+    prefix of the last rows, and the prefix adds the q^(m-1) visits minus
+    those y_0 over q; a translation of y_0 by F_q keeps MRD, so the failing
+    y_0 are a union of F_q-cosets, each meeting the visits once, and a
+    count that q does not divide is a VerificationError.  Other shapes:
+    each inner block, in visit order, whole (`_classify`).  Every visit
+    that is a multiple of `oracle_stride` goes to the brute-force distance
+    oracle; with two rows it also runs the per-row stages, and a verdict or
+    a Gabidulin parameter they disagree on is a VerificationError.
     """
     q, n = spec.q, ks + w
     identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
@@ -323,33 +364,30 @@ def _orbit_counts(spec: FieldSpec, ks: int, w: int, first_row, classes, base: in
             raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
 
     if ks == 2:
-        low, high = _last_row_span(spec, w)
-        span = q ** (len(low) + len(high))
-        stage, phi0 = _first_row_stage(spec, first_row), {}
-        tables = _span_tables(spec, stage, low), _span_tables(spec, stage, high)
-        gab_span = mc._gabidulin_span(spec, first_row, low + high, classes)
-        for t in range(0, (spec.order // q) ** w, span):
-            origin = _last_row(spec, w, t)
-            passes = _span_passes(spec, stage, *tables, origin)
-            hit_at = [(members, [c for c in at if passes[c]])
-                      for members, at in mc._span_hits(spec, gab_span, origin)]
-            mrd += passes.count(True)
-            gab += len(set().union(*(at for _, at in hit_at)))
-            for members, at in hit_at:
+        stage = _first_row_stage(spec, first_row)
+        entries = spec.order // q
+        for p, (fails, hits) in enumerate(_last_row_sweep(spec, w, first_row, classes)):
+            start = base + p * entries
+            passing, rest = divmod(spec.order - len(fails), q)
+            if rest:
+                raise VerificationError(f"{len(fails)} y_0 fail at the prefix of visit {start}: "
+                                        "not a union of F_q-cosets")
+            mrd += passing
+            gab += len(hits)
+            for members in hits.values():
                 for s in members:
-                    per_s[s] += len(at)
-            for v in range(-(-(base + t) // oracle_stride) * oracle_stride, base + t + span,
+                    per_s[s] += 1
+            for v in range(-(-start // oracle_stride) * oracle_stride, start + entries,
                            oracle_stride):
-                c, y = v - base - t, _last_row(spec, w, v - base)
-                found = (tuple(sorted(s for members, at in hit_at if c in at for s in members))
-                         if passes[c] else None)
+                y = _last_row(spec, w, v - base)
+                found = None if y[0] in fails else hits.get(y[0], ())
                 if _last_row_passes(spec, stage, y):
-                    expected = mc._gabidulin_hits(spec, (first_row, y), classes, phi0)
+                    expected = mc._gabidulin_hits(spec, (first_row, y), classes)
                 else:
                     expected = None
                 if found != expected:
                     raise VerificationError(
-                        f"span tables and last-row stage disagree at visit {v}")
+                        f"hyperplane sweep and last-row stage disagree at visit {v}")
                 check(v, [first_row, y], found)
     else:
         cells = (ks - 1) * w
@@ -393,8 +431,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of orbit
     v div that, whose entry (i, j) for i >= 1 is q times the base-q^(m-1)
     digit (i-1)(n-k) + j of t, lowest first.  Each orbit is counted by
-    `_orbit_counts`, which checks every `oracle_stride`-th visit (default
-    every 100th) against the brute-force oracle, and weighted by its size.
+    `_orbit_counts`, with two scanned rows prefix by prefix of its last
+    rows (`_last_row_sweep`), and weighted by its size; every
+    `oracle_stride`-th visit (default every 100th) is checked against the
+    brute-force oracle and, with two rows, against the per-row stages.
     When `checkpoint_path` is given, progress is persisted before the first
     orbit (so an unwritable path fails at once), then at the first orbit
     boundary at or past each multiple of 2^16 visits, and an interrupted

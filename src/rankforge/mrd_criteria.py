@@ -16,8 +16,8 @@ from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
                           _element_index)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import (RankCode, _combinations, _fq_combination, _is_mrd_block,
-                         _side_passes, _smaller_side)
+from .rank_codes import (RankCode, _fq_combination, _is_mrd_block, _side_passes,
+                         _smaller_side)
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
@@ -28,11 +28,10 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # the code with fewer rows (`_side_passes`, `_smaller_side`), then the
 # rank-one test below, on a block X given as k rows of raw element indices.
 # is_mrd reaches the side test through `_is_mrd_block`, which adds the
-# budget check of T(k, n).  The census's two-row scan builds the point
-# map's first stage once per orbit and classifies the orbit's last rows
-# over their F_q-span (`rank_codes._span_passes`, `_span_hits` below); it
-# runs the per-row stages only to check them.  Elsewhere the Gabidulin test
-# reads X itself.
+# budget check of T(k, n).  The census's two-row scan lists each orbit's
+# Gabidulin rows directly (`_gabidulin_rows` below) and keeps those that
+# pass its hyperplane sweep; it runs `_gabidulin_hits` only to check them.
+# Elsewhere the Gabidulin test reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -65,85 +64,55 @@ def _is_rank_one(M, mul) -> bool:
     return False
 
 
-def _gabidulin_hits(spec: FieldSpec, X, classes, phi0=None) -> tuple:
+def _gabidulin_hits(spec: FieldSpec, X, classes) -> tuple:
     """The s of `classes` (`_gabidulin_classes`) for which X^(q^s) - X has
     rank one, increasing.  Each class is tested once, on phi_t(X) for its
     smaller member t: a 2 x 2 [[a, b], [c, d]] has rank one iff ad = bc and
-    it is not zero, and any other shape goes through `_is_rank_one`.
-    `phi0`, given for a 2-row X, holds phi_t(X[0]) by t for the blocks that
-    share X[0]; a class it lacks is computed and stored in it."""
+    it is not zero, and any other shape goes through `_is_rank_one`."""
     frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
     square = len(X) == 2 == len(X[0])
     hits = ()
     for t, members in classes:
-        first = None if phi0 is None else phi0.get(t)
-        if first is None:
-            if square:
-                x, y = X[0]
-                first = sub(frobenius(x, t), x), sub(frobenius(y, t), y)
-            else:
-                first = [sub(frobenius(x, t), x) for x in X[0]]
-            if phi0 is not None:
-                phi0[t] = first
         if square:
-            a, b = first
-            x, y = X[1]
-            c = sub(frobenius(x, t), x)
-            d = sub(frobenius(y, t), y)
+            (w, x), (y, z) = X
+            a, b = sub(frobenius(w, t), w), sub(frobenius(x, t), x)
+            c, d = sub(frobenius(y, t), y), sub(frobenius(z, t), z)
             one = mul(a, d) == mul(b, c) and (a or b or c or d)
         else:
-            one = _is_rank_one([first] + [[sub(frobenius(x, t), x) for x in row]
-                                          for row in X[1:]], mul)
+            one = _is_rank_one([[sub(frobenius(x, t), x) for x in row] for row in X], mul)
         if one:
             hits += members
     return tuple(sorted(hits))
 
 
-# The Gabidulin test over an F_q-span of last rows, beside the point map's
-# (`rank_codes._span_tables`).  With a = phi_t(row 0) and a_0 != 0, phi_t(X)
-# of a 2-row X has rank one iff phi_t(y) of its last row y is a multiple of
-# a, that is iff the w - 1 functionals a_0 phi_t(y_j) - a_j phi_t(y_0),
-# j >= 1, vanish.  Each is F_q-linear in y, so over the last rows
-# y0 + sum_d c_d basis[d] it is its value at y0 plus entry c of the table
-# (`_combinations`) of its images of the basis rows: the c at which all
-# vanish are the entries equal to their negated values at y0.  A row 0 on
-# which any last row passes has (row 0, 1) F_q-independent, so no a_j is
-# 0: the kernel of phi_t is F_q, as gcd(t, m) = 1.
+# The Gabidulin rows of a two-row census orbit, listed directly.  With
+# a = phi_t(row 0), phi_t(X) of a 2-row X = (row 0; y) has rank one iff
+# phi_t(y) = lambda a for some lambda.  The kernel of phi_t is F_q, as
+# gcd(t, m) = 1, so phi_t is injective on the elements whose lowest digit
+# is 0, the entries of the census's last rows: each such y_0 fixes
+# lambda = phi_t(y_0) / a_0 and then at most one entry y_j for each j >= 1.
+# A zero a_j puts entry j of row 0 in F_q, so (row 0, 1) is F_q-dependent
+# and no block on row 0 is MRD; its class lists no row.
 
-def _functionals(spec: FieldSpec, t: int, a, row) -> list:
-    """The w - 1 functionals a_0 phi_t(row_j) - a_j phi_t(row_0), j >= 1,
-    at the last row `row`."""
+def _gabidulin_rows(spec: FieldSpec, row0, classes) -> list:
+    """Per class of `classes` (`_gabidulin_classes`): (its members, the last
+    rows y with entries of lowest digit 0 at which phi_t of (row0; y) has
+    rank one), q^(m-1) or fewer per class, whether the block is MRD or not."""
     frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
-    f = [sub(frobenius(y, t), y) for y in row]
-    return [sub(mul(a[0], fj), mul(aj, f[0])) for aj, fj in zip(a[1:], f[1:])]
-
-
-def _gabidulin_span(spec: FieldSpec, row0, basis, classes):
-    """Per class of `classes` (`_gabidulin_classes`): (t, its members,
-    a = phi_t(row0), the table over the F_q-span of the last rows `basis`
-    of the functionals' values, a tuple per combination, in `_combinations`
-    order)."""
-    span = []
+    listed = []
     for t, members in classes:
-        a = [spec.sub(spec.frobenius(x, t), x) for x in row0]
-        images = [_functionals(spec, t, a, row) for row in basis]
-        tables = [_combinations(spec, [image[j] for image in images]) for j in range(len(a) - 1)]
-        span.append((t, members, a,
-                     list(zip(*tables)) if tables else [()] * spec.q ** len(basis)))
-    return span
-
-
-def _span_hits(spec: FieldSpec, span, row) -> list:
-    """Per class of `span` (`_gabidulin_span`): (its members, the c,
-    increasing, at which phi_t of [row 0, row + combination c of the basis]
-    has rank one).  Read only where the last-row stage passes, as a_0 != 0
-    there."""
-    hits = []
-    for t, members, a, table in span:
-        zero = tuple(map(spec.neg, _functionals(spec, t, a, row)))
-        hits.append((members, list(itertools.compress(itertools.count(),
-                                                      map(zero.__eq__, table)))))
-    return hits
+        a = [sub(frobenius(x, t), x) for x in row0]
+        rows = []
+        if all(a):
+            phi = {sub(frobenius(y, t), y): y for y in range(0, spec.order, spec.q)}
+            u = spec.inv(a[0])
+            for image, y0 in phi.items():
+                lam = mul(image, u)
+                y = [y0, *(phi.get(mul(lam, x)) for x in a[1:])]
+                if None not in y:
+                    rows.append(y)
+        listed.append((members, rows))
+    return listed
 
 
 def _classify(spec: FieldSpec, X):

@@ -7,14 +7,16 @@ echelon-identity block test lives here: `_is_mrd_block` decides the
 minimum rank distance level by level, and at level t = k it tests the
 side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
 the one test by row count that is_mrd, the census and the Monte-Carlo
-trials share; the census's two-row scan runs the point map over a span of
-last rows at once (`_span_passes`).  A 2-dimensional code's distance comes
-from the point map's ratio classes (`_two_row_distance`).
+trials share; the census's two-row scan counts an orbit's last rows by
+the hyperplanes of its T(2, n) determinants (`_hyperplanes`).  A
+2-dimensional code's distance comes from the point map's ratio classes
+(`_two_row_distance`).
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -329,87 +331,64 @@ def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
     return True
 
 
-# The last-row stage over an F_q-span.  With row 0 fixed, each point's
-# ratio c1[j] inv0[i] is F_q-affine in the last row y: c1, the table of
-# (*y, 1), is, and a product by inv0[i] is F_q-linear.  So at the last row
-# y0 + sum_d c_d basis[d], the ratio is the ratio at y0 plus entry c of the
-# table (`_combinations`) of the linear part's images of the basis rows:
-# one table per point serves every last row of the span, in combination
-# order, with no product at any of them.  With the basis split into low
-# rows and high rows, entry c of that table is entry c mod |low| of the low
-# rows' table plus entry c div |low| of the high rows' one, so two tables of
-# about the square root of its size are kept instead.  For p = 2 a sum is an
-# XOR, which acts on each bit alone: the points' values are packed into one
-# int, a lane of `_lane` bytes per point, lowest point first, and one
-# XOR adds them all.  For q = 2^e the table is built over F_2, from the
-# rows mu_k basis[d] with mu_k = 2^k, the F_2-basis of F_q by index: digit
-# d of c, an index of F_q, is the sum of mu_k times bit e d + k of c, so
-# the F_2-combinations come in the order of the F_q-combinations.
+# The last-row stage as a hyperplane arrangement.  With row 0 fixed, a form
+# W = (w0, w1) of T(2, n) has det(W [I_2 | X]^T) = A_0 a(y, w1) - A_1 a(y, w0)
+# at the last row y: A_r = w_r g_0 is an entry of row 0's table
+# (`_combinations`), and a(y, w) = w[1] + sum_t w[2 + t] y_t is F_q-affine
+# in y.  So the determinant is F_{q^m}-affine in y, and a form fails on a
+# hyperplane of last rows, on none (a form through e_1, whose A is 0 and
+# whose a is 1), or on all of them.  All of them happens iff A_0 = A_1 = 0:
+# a form with A_0 != 0 (say) and a constant zero determinant would hold
+# w1 - c w0 = x e_0 for some c in F_q, and on the basis (e_0, w0) its
+# determinant is a(y, w0), which is not constant.  A form with A = 0 is
+# <e_1, w> with w g_0 = 0 and w outside <e_1>, and such a w exists iff
+# (row 0, 1) is F_q-dependent.  A hyperplane with a y_0 term is solved for
+# y_0, a line over each prefix (y_1, ..., y_{w-1}); one without is flat,
+# and fails every y_0 at the prefixes on it.
 
-def _ratios(spec: FieldSpec, stage, row, one: int) -> list:
-    """c1[j] inv0[i] for each point (i, j) of `stage`, c1 the table of
-    (*row, one): the ratios at the last row `row` for one = 1, and their
-    linear part for one = 0."""
-    inv0, _, points = stage
-    c1 = _combinations(spec, (*row, one))
-    mul = spec.mul
-    return [mul(c1[j], inv0[i]) for i, j in points]
-
-
-def _lane(spec: FieldSpec):
-    """(typecode, width in bytes) of a point's lane in a packed span table
-    (p = 2): the narrowest of B, H, I and Q that holds an index."""
-    return next((code, size) for code, size in (("B", 1), ("H", 2), ("I", 4), ("Q", 8))
-                if 256 ** size >= spec.order)
-
-
-def _packed(values, width: int) -> int:
-    """values in one int, `width` bytes each, lowest first.  Read back by
-    memoryview(its to_bytes).cast(typecode), a lane is byte-swapped on a
-    big-endian machine: a bijection of the lanes' values, which keeps
-    whether they are distinct."""
-    return int.from_bytes(b"".join(v.to_bytes(width, "little") for v in values), "little")
+@lru_cache(maxsize=None)
+def _determinants(spec: FieldSpec, n: int):
+    """The determinants of the forms (w0, w1) of T(2, n) at a 2-row block,
+    from `_echelon_patterns(2, n, q)` (budget checked when built),
+    coefficient by coefficient.  Coefficient j, of 1 for j = 0 and of
+    y_{j-1} after it, is A_0 w1[1 + j] - A_1 w0[1 + j] with A_r = c0[i_r].
+    It is given as two index lists over the forms, of i0 q + w1[1 + j] and
+    of i1 q + w0[1 + j], into the list S of the products c0[a] x at a q + x
+    (x in F_q), so that it is S[first] - S[second].  Built once for every
+    block of length n."""
+    q = spec.q
+    weights = (q ** (n - 1), 0, *(q ** t for t in range(1, n - 1)))  # q times c0's digits
+    rows0, rows1 = zip(*(form for pattern in _echelon_patterns(2, n, q)
+                         for form in itertools.product(*pattern)))
+    index0, index1 = ([sum(map(operator.mul, w, weights)) for w in rows] for rows in (rows0, rows1))
+    return tuple((list(map(operator.add, index0, map(operator.itemgetter(j), rows1))),
+                  list(map(operator.add, index1, map(operator.itemgetter(j), rows0))))
+                 for j in range(1, n))
 
 
-def _span_tables(spec: FieldSpec, stage, basis):
-    """The tables over the F_q-span of the last rows `basis` of the linear
-    parts of the ratios of `stage`'s points (`_first_row_stage`): entry c is
-    sum_d c_d (the image of basis[d]), c_d the base-q digit d of c.  One
-    table per point, or for p = 2 one table of packed values."""
-    images = [_ratios(spec, stage, row, 0) for row in basis]
-    if spec.p != 2:
-        return [_combinations(spec, [image[p] for image in images])
-                for p in range(len(stage[2]))]
-    width, mul = _lane(spec)[1], spec.mul
-    table = [0]
-    for image in images:
-        for mu in range(spec.e):  # the F_2-basis 1, 2, 4, ... of F_q
-            x = _packed([mul(1 << mu, v) for v in image] if mu else image, width)
-            table += [v ^ x for v in table]
-    return [table]
-
-
-def _span_passes(spec: FieldSpec, stage, low, high, row) -> list:
-    """`_last_row_passes` at the last rows row + (combination c of the low
-    basis rows then the high ones, whose tables are `low` and `high`,
-    `_span_tables`), for every c of the span: True iff the P ratios there,
-    each point's ratio at row plus its two tables' entries, are pairwise
-    distinct."""
-    if stage[1] > 1:
-        return [False] * (len(low[0]) * len(high[0]))
-    origin = _ratios(spec, stage, row, 1)
-    add, count = spec.add, len(origin)
-    if spec.p != 2:
-        ratios = [[add(x, y) for x in [add(x, r) for x in top] for y in table]
-                  for table, top, r in zip(low, high, origin)]
-        return list(map(count.__eq__, map(len, map(set, zip(*ratios)))))
-    code, width = _lane(spec)
-    r = _packed(origin, width)
-    packed = [x ^ y for x in [x ^ r for x in high[0]] for y in low[0]]
-    if width == 1:  # the bytes are the lanes: no view, half the time per visit
-        return [len(set(v.to_bytes(count, "little"))) == count for v in packed]
-    return [len(set(memoryview(v.to_bytes(count * width, "little")).cast(code))) == count
-            for v in packed]
+def _hyperplanes(spec: FieldSpec, row):
+    """The last rows y that fail with row 0 `row`, as (lines, flats), each
+    a dict from a direction g = (g_1, ..., g_{w-1}) to a set of constants:
+    the line (g, b) fails at y_0 = b + sum_t g_t y_t, and the flat (g, c)
+    fails at every y where sum_t g_t y_t = c, its first nonzero g_t being
+    1.  A form that fails every last row, which happens iff (row, 1) is
+    F_q-dependent, is the flat (0, 0).  The forms are fetched first: their
+    budget check, when they are built, bounds row 0's table of q^(n - 1)
+    entries."""
+    columns = _determinants(spec, len(row) + 2)
+    mul, sub, inv, neg = spec.mul, spec.sub, spec.inv, spec.neg
+    scaled = [mul(a, x) for a in _combinations(spec, (*row, 1)) for x in range(spec.q)]
+    get = scaled.__getitem__
+    lines, flats = {}, {}
+    for b, lead, *g in zip(*(map(sub, map(get, first), map(get, second))
+                             for first, second in columns)):
+        if lead:
+            u = neg(inv(lead))
+            lines.setdefault(tuple([mul(x, u) for x in g]), set()).add(mul(b, u))
+        elif any(g) or not b:
+            u = inv(next((x for x in g if x), 1))
+            flats.setdefault(tuple([mul(x, u) for x in g]), set()).add(neg(mul(b, u)))
+    return lines, flats
 
 
 @lru_cache(maxsize=None)

@@ -1,19 +1,22 @@
-"""The census's two-row scan by linearity: the span tables of the point map
-(`rank_codes._span_tables`, `_span_passes`) and of the Gabidulin test
-(`mrd_criteria._gabidulin_span`, `_span_hits`) against the per-row stages
-they replace (`_last_row_passes`, `_gabidulin_hits`), visit by visit."""
+"""The census's two-row scan over the F_q-span of an orbit's last rows: the
+hyperplane sweep (`experiments._last_row_sweep`, over
+`rank_codes._hyperplanes` and `mrd_criteria._gabidulin_rows`) against the
+per-row stages it replaces (`_last_row_passes`, `_gabidulin_hits`), visit
+by visit, and each orbit's count (`_orbit_counts`) against the sum over its
+visits."""
 
 import random
 
 import pytest
 
 from rankforge import VerificationError, default_field
-from rankforge.experiments import SPAN_MAX, _first_row_orbits, _last_row_span
-from rankforge.fq_linalg import _expanded_rank, _rank_raw
-from rankforge.mrd_criteria import (_gabidulin_classes, _gabidulin_hits, _gabidulin_span,
-                                    _span_hits)
-from rankforge.rank_codes import (_first_row_stage, _last_row_passes, _span_passes,
-                                  _span_tables)
+from rankforge.experiments import (_first_row_orbits, _last_row, _last_row_sweep,
+                                   _orbit_counts)
+from rankforge.fq_linalg import _expanded_rank
+from rankforge.mrd_criteria import _gabidulin_classes, _gabidulin_hits
+from rankforge.rank_codes import _first_row_stage, _hyperplanes, _last_row_passes
+
+NO_ORACLE = 10 ** 15
 
 
 def per_row(spec, stage, row0, y, classes):
@@ -24,38 +27,29 @@ def per_row(spec, stage, row0, y, classes):
     return _gabidulin_hits(spec, (row0, y), classes)
 
 
-def by_span(spec, stage, row0, low, high, origin, classes):
-    """The span tables' verdicts at every combination of low + high from
-    origin, in the per-row stages' form."""
-    tables = _span_tables(spec, stage, low), _span_tables(spec, stage, high)
-    passes = _span_passes(spec, stage, *tables, origin)
-    hits = _span_hits(spec, _gabidulin_span(spec, row0, low + high, classes), origin)
-    size = spec.q ** (len(low) + len(high))
-    assert len(passes) == size
-    return [tuple(sorted(s for members, at in hits if c in at for s in members))
-            if passes[c] else None for c in range(size)]
+def by_sweep(sweep, spec, y):
+    """The sweep's verdict at the last row y, in the per-row stages' form;
+    `sweep` lists the sweep's prefixes."""
+    fails, hits = sweep[_visit(spec, y) // (spec.order // spec.q)]
+    return None if y[0] in fails else hits.get(y[0], ())
 
 
-def combination(spec, origin, basis, c):
-    """origin + sum_d c_d basis[d], c_d the base-q digit d of c, summed term
-    by term with the field's own add and mul."""
-    y = list(origin)
-    for row in basis:
-        c, digit = divmod(c, spec.q)
-        y = [spec.add(x, spec.mul(digit, v)) for x, v in zip(y, row)]
-    return y
-
-
-def census_last_row(spec, w, t):
-    """Entry j of inner block t's last row: q times the base-q^(m-1) digit j
-    of t, lowest first."""
+def _visit(spec, y):
+    """The inner block t whose last row (`_last_row`) is y."""
     values = spec.order // spec.q
-    return [spec.q * (t // values ** j % values) for j in range(w)]
+    return sum(x // spec.q * values ** j for j, x in enumerate(y))
+
+
+def orbit_sums(verdicts, classes):
+    """(mrd, gab, per_s) summed over the per-visit verdicts."""
+    passed = [v for v in verdicts if v is not None]
+    per_s = {s: sum(s in v for v in passed) for _, members in classes for s in members}
+    return len(passed), sum(bool(v) for v in passed), per_s
 
 
 # (q, k, n, m) as two-row blocks of n - 2 columns; (2,3,5,5) is the dual
 # shape whose census scans (2,2,5,5), and (3,2,3,5) and (4,2,3,3) have one
-# column, so no Gabidulin functional, and q = 4 has e = 2
+# column, so no prefix and one Gabidulin row per y_0; q = 4 has e = 2
 SHAPES = [(2, 2, 4, 4), (2, 2, 4, 5), (2, 2, 5, 5), (2, 3, 5, 5),
           (3, 2, 4, 3), (3, 2, 4, 4), (3, 2, 3, 5), (4, 2, 3, 3)]
 
@@ -65,22 +59,18 @@ def test_every_visit_of_every_orbit(q, k, n, m):
     spec = default_field(q, m)
     w = n - 2
     classes = _gabidulin_classes(m)
-    low, high = _last_row_span(spec, w)
-    span = q ** (len(low) + len(high))
     inner = (spec.order // q) ** w
-    assert inner % span == 0
     orbits = _first_row_orbits(spec, w)
     assert orbits
     passed = 0
     for row0, _ in orbits:
         stage = _first_row_stage(spec, row0)
-        got = []
-        for start in range(0, inner, span):
-            origin = census_last_row(spec, w, start)
-            got += by_span(spec, stage, row0, low, high, origin, classes)
-        want = [per_row(spec, stage, row0, census_last_row(spec, w, t), classes)
-                for t in range(inner)]
-        assert got == want, row0
+        sweep = list(_last_row_sweep(spec, w, row0, classes))
+        rows = [_last_row(spec, w, t) for t in range(inner)]
+        want = [per_row(spec, stage, row0, y, classes) for y in rows]
+        assert [by_sweep(sweep, spec, y) for y in rows] == want, row0
+        assert _orbit_counts(spec, 2, w, row0, classes, 0, NO_ORACLE) == \
+               orbit_sums(want, classes)
         passed += sum(v is not None for v in want)
     # both verdicts are compared wherever MRD blocks exist (n <= m)
     assert bool(passed) == (n <= m)
@@ -89,68 +79,100 @@ def test_every_visit_of_every_orbit(q, k, n, m):
 @pytest.mark.parametrize("q,m,w,size", [(2, 5, 2, 7), (2, 6, 3, 8), (3, 4, 2, 5),
                                         (4, 4, 2, 4), (3, 5, 1, 4), (2, 9, 2, 6), (4, 5, 2, 3)])
 def test_random_bases(q, m, w, size):
-    # F_q-independent bases other than the census's, split at random, from
-    # a random origin, under random first rows; the last one's entry 1 makes
-    # (row 0, 1) F_q-dependent.  Past 2^8 elements, (2, 9) and (4, 5), a
-    # packed table's lanes take two bytes
+    # first rows that with 1 are random F_q-independent bases, of any lowest
+    # digits, not the census's echelon ones, at q^size sampled visits each;
+    # the last one's entry 1 makes (row 0, 1) F_q-dependent
     spec = default_field(q, m)
     classes = _gabidulin_classes(m)
-    rng = random.Random(f"span-{q}-{m}-{w}")
+    rng = random.Random(f"sweep-{q}-{m}-{w}")
+    inner = (spec.order // q) ** w
     seen = set()
     for trial in range(4):
         while True:
-            basis = [[rng.randrange(spec.order) for _ in range(w)] for _ in range(size)]
-            expanded = [[d for x in row for d in spec.digits(x)] for row in basis]
-            if _rank_raw(expanded, spec.base_field) == size:
+            row0 = [rng.randrange(spec.order) for _ in range(w)]
+            if trial == 3:
+                row0[0] = 1
                 break
-        origin = [rng.randrange(spec.order) for _ in range(w)]
-        row0 = [rng.randrange(spec.order) for _ in range(w)]
-        if trial == 3:
-            row0[0] = 1
+            if _expanded_rank(spec, (*row0, 1)) == w + 1:
+                break
         stage = _first_row_stage(spec, row0)
-        split = rng.randrange(size + 1)
-        got = by_span(spec, stage, row0, basis[:split], basis[split:], origin, classes)
-        want = [per_row(spec, stage, row0, combination(spec, origin, basis, c), classes)
-                for c in range(q ** size)]
-        assert got == want
-        # a dependent first row fails everywhere
-        assert _expanded_rank(spec, (*row0, 1)) == w + 1 or want == [None] * q ** size
-        seen.update(v is None for v in want)
+        sweep = list(_last_row_sweep(spec, w, row0, classes))
+        for t in rng.sample(range(inner), min(inner, q ** size)):
+            y = _last_row(spec, w, t)
+            want = per_row(spec, stage, row0, y, classes)
+            assert by_sweep(sweep, spec, y) == want
+            seen.add(want is None)
     assert seen == {False, True}
 
 
-@pytest.mark.parametrize("q,k,n,m", [(2, 2, 4, 5), (3, 2, 4, 4)])
-def test_census_over_small_slices(monkeypatch, q, k, n, m):
-    # slices of a few visits: each slice's origin, a combination of the
-    # basis rows past the tables', moves across the orbit
+@pytest.mark.parametrize("q,m,w", [(2, 5, 2), (3, 4, 2), (2, 6, 3), (4, 3, 1)])
+def test_dependent_first_row_fails_everywhere(q, m, w):
+    # (row 0, 1) is F_q-dependent when an entry lies in F_q: some form of
+    # T(2, n) then fails every last row, a flat that holds every prefix
+    spec = default_field(q, m)
+    classes = _gabidulin_classes(m)
+    row0 = [q * (j + 1) for j in range(w)]
+    row0[-1] = q - 1
+    assert _hyperplanes(spec, row0)[1][(0,) * (w - 1)] == {0}
+    sweep = list(_last_row_sweep(spec, w, row0, classes))
+    assert len(sweep) == (spec.order // q) ** (w - 1)
+    assert all(fails == range(spec.order) and not hits for fails, hits in sweep)
+    assert _orbit_counts(spec, 2, w, row0, classes, 0, 101) == \
+           (0, 0, {s: 0 for _, members in classes for s in members})
+
+
+@pytest.mark.parametrize("q,n,m,flats", [(2, 4, 4, 4), (2, 4, 5, 4), (2, 4, 7, 4),
+                                         (2, 5, 5, 28), (3, 4, 4, 9), (4, 4, 4, 16)])
+def test_flat_hyperplanes_occur(q, n, m, flats):
+    # forms without a y_0 term hold prefixes on which every y_0 fails: the
+    # sweep's flats are exercised on every orbit, and with the lines they
+    # are q^2 (q^2 + q + 1) hyperplanes at n = 4
+    spec = default_field(q, m)
+    for row0, _ in _first_row_orbits(spec, n - 2):
+        lines, flat = (sum(map(len, planes.values())) for planes in _hyperplanes(spec, row0))
+        assert flat == flats
+        if n == 4:
+            assert lines + flat == q ** 2 * (q ** 2 + q + 1)
+
+
+def test_n_minus_k_four_sample():
+    # (2,2,6,6): nothing else checks a sweep over three prefix entries.  On
+    # a seeded orbit, every visit the sweep passes and a seeded sample of
+    # the others go through the per-row stages
+    spec = default_field(2, 6)
+    w, classes = 4, _gabidulin_classes(6)
+    rng = random.Random("sweep-2-2-6-6")
+    row0, _ = rng.choice(_first_row_orbits(spec, w))
+    stage = _first_row_stage(spec, row0)
+    sweep = list(_last_row_sweep(spec, w, row0, classes))
+    entries = spec.order // 2
+    passing = [p * entries + y0 // 2 for p, (fails, _) in enumerate(sweep)
+               for y0 in range(0, spec.order, 2) if y0 not in fails]
+    assert passing
+    for t in passing + rng.sample(range(entries ** w), 256):
+        y = _last_row(spec, w, t)
+        assert by_sweep(sweep, spec, y) == per_row(spec, stage, row0, y, classes)
+
+
+def test_lost_line_is_caught(monkeypatch):
+    # a sweep that drops one line fails an odd number of y_0 at q = 2, so
+    # the failing y_0 are no union of F_q-cosets
     from rankforge import census, experiments
-    direct = census(q, k, n, m)
-    monkeypatch.setattr(experiments, "SPAN_MAX", 8)
-    assert census(q, k, n, m) == direct
+    original = experiments._hyperplanes
 
+    def lossy(spec, row):
+        lines, flats = original(spec, row)
+        g = min(lines)
+        return {**lines, g: set(sorted(lines[g])[1:])}, flats
 
-def test_swapped_basis_rows_fail():
-    # the check above is sensitive to the basis order: with two basis rows
-    # swapped, the tables classify other last rows at some visit
-    spec = default_field(2, 5)
-    classes = _gabidulin_classes(5)
-    low, high = _last_row_span(spec, 2)
-    swapped = [low[1], low[0], *low[2:]]
-    span = 2 ** (len(low) + len(high))
-    assert span == (spec.order // 2) ** 2 <= SPAN_MAX
-    differ = False
-    for row0, _ in _first_row_orbits(spec, 2):
-        stage = _first_row_stage(spec, row0)
-        want = [per_row(spec, stage, row0, census_last_row(spec, 2, t), classes)
-                for t in range(span)]
-        assert by_span(spec, stage, row0, low, high, [0, 0], classes) == want
-        differ |= by_span(spec, stage, row0, swapped, high, [0, 0], classes) != want
-    assert differ
+    monkeypatch.setattr(experiments, "_hyperplanes", lossy)
+    with pytest.raises(VerificationError, match="not a union of F_q-cosets"):
+        census(2, 2, 4, 4, oracle_stride=NO_ORACLE)
 
 
 @pytest.mark.parametrize("name,fake", [
     ("_last_row_passes", lambda spec, stage, row: False),
-    ("_gabidulin_hits", lambda spec, X, classes, phi0=None: ())])
+    ("_gabidulin_hits", lambda spec, X, classes: ())])
 def test_oracle_visits_check_the_per_row_stages(monkeypatch, name, fake):
     # every MRD block of (2,2,4,4) is Gabidulin: a per-row stage that calls
     # a passing visit failing, or finds no parameter, is caught at the first
@@ -158,5 +180,6 @@ def test_oracle_visits_check_the_per_row_stages(monkeypatch, name, fake):
     from rankforge import census, experiments, mrd_criteria
     monkeypatch.setattr(experiments if name == "_last_row_passes" else mrd_criteria,
                         name, fake)
-    with pytest.raises(VerificationError, match="span tables and last-row stage disagree"):
+    with pytest.raises(VerificationError,
+                       match="hyperplane sweep and last-row stage disagree"):
         census(2, 2, 4, 4, oracle_stride=1)

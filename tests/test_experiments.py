@@ -624,7 +624,9 @@ class TestCensus:
 
     @pytest.mark.parametrize("q,n,m,expected", [
         (2, 3, 3, 24), (2, 3, 4, 168), (2, 4, 4, 1344),
-        (3, 3, 3, 432), (3, 3, 2, 0), (2, 4, 3, 0)])
+        (3, 3, 3, 432), (3, 3, 2, 0), (2, 4, 3, 0),
+        (4, 3, 3, 2880), (4, 4, 4, 11_612_160), (5, 3, 3, 12_000),
+        (5, 4, 4, 186_000_000), (7, 4, 4, 11_587_955_904), (7, 3, 2, 0)])
     def test_one_row_known_answer(self, q, n, m, expected):
         # for k = 1 a block is MRD iff 1 and its n - 1 entries are
         # F_q-independent, and every such code is Gabidulin

@@ -127,10 +127,9 @@ class TestBlockKernel:
         # the classifier on a field built without tables (p = 2 sums by XOR,
         # with F_q multiples at q = 4; digit vectors at q = 3) against the
         # tabled field, on seeded blocks and on the Gabidulin block of every
-        # valid s, through _classify and through the census's two stages,
-        # one first-row stage and phi_t(row 0) shared by several last rows
-        # (a Gabidulin last row comes after seeded ones, so it reads
-        # phi_t(row 0) from the shared dict)
+        # valid s, through _classify and through the two per-row stages
+        # that check the census's oracle visits, one first-row stage shared
+        # by several last rows
         spec, twin = FieldSpec(p, e, m), untabled(monkeypatch, p, e, m)
         assert twin._exp is None
         classes = _gabidulin_classes(m)
@@ -146,11 +145,11 @@ class TestBlockKernel:
             groups.append((X[0], [draw() for _ in range(4)] + [X[1]]))
         verdicts = set()
         for first, last_rows in groups:
-            stage, phi0 = _first_row_stage(twin, first), {}
+            stage = _first_row_stage(twin, first)
             for row in last_rows:
                 want = _classify(spec, [first, row])
                 assert _classify(twin, [first, row]) == want, (first, row)
-                staged = (_gabidulin_hits(twin, [first, row], classes, phi0)
+                staged = (_gabidulin_hits(twin, [first, row], classes)
                           if _last_row_passes(twin, stage, row) else None)
                 assert staged == want, (first, row)
                 verdicts.add(None if want is None else bool(want))

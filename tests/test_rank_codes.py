@@ -758,21 +758,21 @@ class TestPointMap:
 class TestFirstRowStage:
     """The k = 2 classifier in two stages: one first-row stage, built once,
     applied to many last rows (`_first_row_stage`, `_last_row_passes`, then
-    `_gabidulin_hits` with phi_t(row 0) shared), as the census does per
-    orbit.  Each verdict is checked against the projective scan and each
-    MRD block's hits against `rank1_criterion` on the whole block, neither
-    of which builds or reads a stage."""
+    `_gabidulin_hits`), as the census's oracle visits do per orbit.  Each
+    verdict is checked against the projective scan and each MRD block's
+    hits against `rank1_criterion` on the whole block, neither of which
+    builds or reads a stage."""
 
     @staticmethod
     def check(spec, n, row0, rows):
         """Apply row0's stage to every row of rows; return the verdicts seen
         and the number of Gabidulin hits."""
-        stage, phi0 = rank_codes._first_row_stage(spec, row0), {}
+        stage = rank_codes._first_row_stage(spec, row0)
         classes = _gabidulin_classes(spec.m)
         verdicts, hits = set(), 0
         for row in rows:
             X = [list(row0), list(row)]
-            got = (_gabidulin_hits(spec, X, classes, phi0)
+            got = (_gabidulin_hits(spec, X, classes)
                    if rank_codes._last_row_passes(spec, stage, row) else None)
             rows_g = [[1, 0] + X[0], [0, 1] + X[1]]
             mrd = rank_codes._min_rank_distance_raw(spec, rows_g, 2, n) == n - 1
