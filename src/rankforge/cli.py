@@ -90,16 +90,23 @@ def _cmd_check(args):
     return EXIT_OK
 
 
-def _cmd_bounds(args):
+def _m_range(args):
+    """--m-from..--m-to, refused unless 1 <= --m-from <= --m-to."""
+    if args.m_from < 1:
+        raise InvalidParameterError(f"--m-from must be at least 1, got {args.m_from}")
     if args.m_from > args.m_to:
         raise InvalidParameterError("--m-from must not exceed --m-to")
+    return range(args.m_from, args.m_to + 1)
+
+
+def _cmd_bounds(args):
+    m_range = _m_range(args)
     if 1 < args.k < args.n - 1:
         M = prob_bounds.min_extension_degree(args.q, args.k, args.n)
         print(f"M({args.q},{args.k},{args.n})={M}")
     else:
         print(f"# no minimum extension degree: k={args.k} outside 1 < k < n-1")
-    reports = prob_bounds.bound_table(args.q, args.k, args.n,
-                                      range(args.m_from, args.m_to + 1))
+    reports = prob_bounds.bound_table(args.q, args.k, args.n, m_range)
     rows = [prob_bounds.bound_report_row(r) for r in reports]
     header = prob_bounds.BOUNDS_CSV_FIELDS[:8]
     print("\t".join(header))
@@ -161,7 +168,7 @@ def _cmd_verify(args):
 def _cmd_figure(args):
     fields, rows = experiments.figure_data(
         args.id, q=args.q, k=args.k, n=args.n,
-        m_values=range(args.m_from, args.m_to + 1),
+        m_values=_m_range(args),
         trials=args.trials, seed=args.seed, workers=args.workers)
     experiments.write_csv(args.csv, fields, rows)
     print(f"wrote {len(rows)} rows to {args.csv}")

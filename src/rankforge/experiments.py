@@ -7,9 +7,10 @@ scheduling.  The census visits one systematic block per orbit of
 X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius, scanning the
 dual shape when n - k < k.  A per-orbit counter (`_orbit_counts`) counts the
 blocks of one first-row orbit, two scanned rows by the hyperplanes of their
-T(2, n) determinants and other shapes block by block; `census` drives it
-over the orbits, weights its counts by the orbit's size and checkpoints the
-number of orbits done to a resumable state file.
+T(2, n) determinants and other shapes block by block, and checks oracle
+visits through the block classifier (`mrd_criteria._classify`); `census`
+drives it over the orbits, weights its counts by the orbit's size and
+checkpoints the number of orbits done to a resumable state file.
 """
 
 from __future__ import annotations
@@ -32,8 +33,7 @@ from .field_arith import FieldSpec, _checked_ints, _checked_shape, default_field
 from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
                         _rref_in_place, count_intersecting_subspaces,
                         enumerate_rref, gaussian_binomial, intersection_dim)
-from .rank_codes import (RankCode, _combinations, _first_row_stage, _hyperplanes,
-                         _last_row_passes, _min_rank_distance_raw)
+from .rank_codes import RankCode, _combinations, _hyperplanes, _min_rank_distance_raw
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
@@ -281,7 +281,7 @@ def _last_row(spec: FieldSpec, w: int, t: int):
     return [q * (t // values ** j % values) for j in range(w)]
 
 
-def _last_row_sweep(spec: FieldSpec, w: int, first_row, classes):
+def _last_row_sweep(spec: FieldSpec, first_row):
     """The blocks of a two-row census orbit, prefix by prefix in visit
     order: prefix p, the last row's entries (y_1, ..., y_{w-1}), holds the
     visits p q^(m-1) + y_0/q (`_last_row`).  Yields per prefix (the y_0 of
@@ -295,10 +295,10 @@ def _last_row_sweep(spec: FieldSpec, w: int, first_row, classes):
     (`_combinations` of g_1 times the elements q^a), so a prefix costs one
     addition per line.  The Gabidulin rows (`mrd_criteria._gabidulin_rows`)
     are kept where the sweep passes them."""
-    q, order = spec.q, spec.order
+    q, order, w = spec.q, spec.order, len(first_row)
     entries = range(0, order, q)
     rows = {}  # prefix -> {y_0: parameters} of the Gabidulin rows
-    for members, found in mc._gabidulin_rows(spec, first_row, classes):
+    for members, found in mc._gabidulin_rows(spec, first_row):
         for y0, *prefix in found:
             at = rows.setdefault(sum(x // q * len(entries) ** j for j, x in enumerate(prefix)), {})
             at[y0] = tuple(sorted(at.get(y0, ()) + members))
@@ -338,35 +338,35 @@ def _last_row_sweep(spec: FieldSpec, w: int, first_row, classes):
             p += 1
 
 
-def _orbit_counts(spec: FieldSpec, ks: int, w: int, first_row, classes, base: int,
-                  oracle_stride: int):
+def _orbit_counts(spec: FieldSpec, ks: int, first_row, base: int, oracle_stride: int):
     """The unweighted (mrd, gab, per_s) over every inner block of the census
-    orbit of `first_row` (ks scanned rows of w columns), whose visits are
-    base + t.  Two rows: `_last_row_sweep` gives the failing y_0 at each
-    prefix of the last rows, and the prefix adds the q^(m-1) visits minus
-    those y_0 over q; a translation of y_0 by F_q keeps MRD, so the failing
-    y_0 are a union of F_q-cosets, each meeting the visits once, and a
-    count that q does not divide is a VerificationError.  Other shapes:
-    each inner block, in visit order, whole (`_classify`).  Every visit
-    that is a multiple of `oracle_stride` goes to the brute-force distance
-    oracle; with two rows it also runs the per-row stages, and a verdict or
-    a Gabidulin parameter they disagree on is a VerificationError.
+    orbit of `first_row` (ks scanned rows of len(first_row) columns), whose
+    visits are base + t.  Two rows: `_last_row_sweep` gives the failing y_0
+    at each prefix of the last rows, and the prefix adds the q^(m-1) visits
+    minus those y_0 over q; a translation of y_0 by F_q keeps MRD, so the
+    failing y_0 are a union of F_q-cosets, each meeting the visits once,
+    and a count that q does not divide is a VerificationError.  Other
+    shapes: each inner block, in visit order, whole (`_classify`).  Every
+    visit that is a multiple of `oracle_stride` is checked against
+    `_classify` and then the brute-force distance oracle; any disagreement
+    is a VerificationError.
     """
-    q, n = spec.q, ks + w
+    q, w = spec.q, len(first_row)
     identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
     mrd = gab = 0
-    per_s = {s: 0 for _, members in classes for s in members}
+    per_s = dict.fromkeys(spec.valid_s_values(), 0)
 
-    def check(v, X, hits):
-        """The brute-force distance oracle on visit v, block X, classified as hits."""
+    def check(v, X, found):
+        """Visit v, block X, counted as `found`: against `_classify`, then the oracle."""
+        if found != mc._classify(spec, X):
+            raise VerificationError(f"census count and classifier disagree at visit {v}")
         rows = [[*identity_rows[i], *X[i]] for i in range(ks)]
-        if (_min_rank_distance_raw(spec, rows, ks, n) == w + 1) != (hits is not None):
+        if (_min_rank_distance_raw(spec, rows, ks, ks + w) == w + 1) != (found is not None):
             raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
 
     if ks == 2:
-        stage = _first_row_stage(spec, first_row)
         entries = spec.order // q
-        for p, (fails, hits) in enumerate(_last_row_sweep(spec, w, first_row, classes)):
+        for p, (fails, hits) in enumerate(_last_row_sweep(spec, first_row)):
             start = base + p * entries
             passing, rest = divmod(spec.order - len(fails), q)
             if rest:
@@ -380,15 +380,7 @@ def _orbit_counts(spec: FieldSpec, ks: int, w: int, first_row, classes, base: in
             for v in range(-(-start // oracle_stride) * oracle_stride, start + entries,
                            oracle_stride):
                 y = _last_row(spec, w, v - base)
-                found = None if y[0] in fails else hits.get(y[0], ())
-                if _last_row_passes(spec, stage, y):
-                    expected = mc._gabidulin_hits(spec, (first_row, y), classes)
-                else:
-                    expected = None
-                if found != expected:
-                    raise VerificationError(
-                        f"hyperplane sweep and last-row stage disagree at visit {v}")
-                check(v, [first_row, y], found)
+                check(v, [first_row, y], None if y[0] in fails else hits.get(y[0], ()))
     else:
         cells = (ks - 1) * w
         below = range(0, cells, w)  # where the rows below the first start in a visit's entries
@@ -434,7 +426,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     `_orbit_counts`, with two scanned rows prefix by prefix of its last
     rows (`_last_row_sweep`), and weighted by its size; every
     `oracle_stride`-th visit (default every 100th) is checked against the
-    brute-force oracle and, with two rows, against the per-row stages.
+    block classifier (`_classify`) and the brute-force oracle.
     When `checkpoint_path` is given, progress is persisted before the first
     orbit (so an unwritable path fails at once), then at the first orbit
     boundary at or past each multiple of 2^16 visits, and an interrupted
@@ -472,7 +464,6 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     visits = len(orbits) * inner
     check_budget(visits, "systematic-block census")
     valid_s = spec.valid_s_values()
-    classes = mc._gabidulin_classes(m)
 
     def covered(cursor):
         """Orbit-weighted number of the blocks in the orbits before `cursor`."""
@@ -500,8 +491,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     end = len(orbits) if stop_after is None else min(len(orbits), cursor + stop_after)
     for o in range(cursor, end):
         first_row, weight = orbits[o]
-        orbit_mrd, orbit_gab, orbit_per_s = _orbit_counts(spec, ks, w, first_row, classes,
-                                                          o * inner, oracle_stride)
+        orbit_mrd, orbit_gab, orbit_per_s = _orbit_counts(spec, ks, first_row, o * inner,
+                                                          oracle_stride)
         mrd += weight * orbit_mrd
         gab += weight * orbit_gab
         for s, c in orbit_per_s.items():

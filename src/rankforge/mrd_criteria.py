@@ -30,7 +30,7 @@ _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 # is_mrd reaches the side test through `_is_mrd_block`, which adds the
 # budget check of T(k, n).  The census's two-row scan lists each orbit's
 # Gabidulin rows directly (`_gabidulin_rows` below) and keeps those that
-# pass its hyperplane sweep; it runs `_gabidulin_hits` only to check them.
+# pass its hyperplane sweep; it checks its oracle visits by `_classify`.
 # Elsewhere the Gabidulin test reads X itself.
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
@@ -94,17 +94,24 @@ def _gabidulin_hits(spec: FieldSpec, X, classes) -> tuple:
 # A zero a_j puts entry j of row 0 in F_q, so (row 0, 1) is F_q-dependent
 # and no block on row 0 is MRD; its class lists no row.
 
-def _gabidulin_rows(spec: FieldSpec, row0, classes) -> list:
-    """Per class of `classes` (`_gabidulin_classes`): (its members, the last
-    rows y with entries of lowest digit 0 at which phi_t of (row0; y) has
-    rank one), q^(m-1) or fewer per class, whether the block is MRD or not."""
+@lru_cache(maxsize=None)
+def _phi_index(spec: FieldSpec, t: int) -> dict:
+    """{phi_t(y): y} over the q^(m-1) elements y whose lowest digit is 0."""
+    frobenius, sub = spec.frobenius, spec.sub
+    return {sub(frobenius(y, t), y): y for y in range(0, spec.order, spec.q)}
+
+
+def _gabidulin_rows(spec: FieldSpec, row0) -> list:
+    """Per class of `_gabidulin_classes`: (its members, the last rows y
+    with entries of lowest digit 0 at which phi_t of (row0; y) has rank
+    one), q^(m-1) or fewer per class, whether the block is MRD or not."""
     frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
     listed = []
-    for t, members in classes:
+    for t, members in _gabidulin_classes(spec.m):
         a = [sub(frobenius(x, t), x) for x in row0]
         rows = []
         if all(a):
-            phi = {sub(frobenius(y, t), y): y for y in range(0, spec.order, spec.q)}
+            phi = _phi_index(spec, t)
             u = spec.inv(a[0])
             for image, y0 in phi.items():
                 lam = mul(image, u)

@@ -7,10 +7,10 @@ echelon-identity block test lives here: `_is_mrd_block` decides the
 minimum rank distance level by level, and at level t = k it tests the
 side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
 the one test by row count that is_mrd, the census and the Monte-Carlo
-trials share; the census's two-row scan counts an orbit's last rows by
-the hyperplanes of its T(2, n) determinants (`_hyperplanes`).  A
-2-dimensional code's distance comes from the point map's ratio classes
-(`_two_row_distance`).
+trials share, two rows through one point map (`_two_row_passes`); the
+census's two-row scan counts an orbit's last rows by the hyperplanes of
+its T(2, n) determinants (`_hyperplanes`).  A 2-dimensional code's
+distance comes from the point map's ratio classes (`_two_row_distance`).
 """
 
 from __future__ import annotations
@@ -244,9 +244,9 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
 def _side_passes(spec: FieldSpec, X, tests=None) -> bool:
     """The echelon identity of X at level t = k = len(X), by row count: one
     row passes iff (row, 1) is F_q-independent (`_one_row_passes`), two go
-    through the point map's two stages, three compare the plane normals of
-    T(2, n) (`_three_row_passes`), and four or more walk the pivot patterns
-    of T(k, n): `tests`, already checked by the caller, or else
+    through the point map (`_two_row_passes`), three compare the plane
+    normals of T(2, n) (`_three_row_passes`), and four or more walk the
+    pivot patterns of T(k, n): `tests`, already checked by the caller, or else
     `_echelon_tests`, built as they are pulled.  One to three rows run no
     budget check of their own: one row enumerates nothing, and two or three
     fetch `_points` or `_planes`, checked when built, before any table."""
@@ -254,7 +254,7 @@ def _side_passes(spec: FieldSpec, X, tests=None) -> bool:
     if k == 1:
         return _one_row_passes(spec, X[0])
     if k == 2:
-        return _last_row_passes(spec, _first_row_stage(spec, X[0]), X[1])
+        return _two_row_passes(spec, X)
     if k == 3:
         return _three_row_passes(spec, X)
     return _walk_passes(spec, X, tests or _echelon_tests(k, k, k + len(X[0]), spec))
@@ -282,7 +282,7 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
     return _expanded_rank(spec, (*row, 1)) == len(row) + 1
 
 
-# The k = t = 2 point map, in two stages.  Column j of W [I_2 | X]^T is an
+# The k = t = 2 point map.  Column j of W [I_2 | X]^T is an
 # F_q-combination of (row j of X, 1), so with c0, c1 the two rows' tables
 # (`_combinations`) a form W fails iff the images (c0[i], c1[j]) of its two
 # rows are dependent, and any two distinct normalised rows w of T(1, n)
@@ -297,31 +297,23 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
 # (u_0, 1, u') are two points whose products with the stored inverse 0 are
 # both 0, so the loop would find the failure too; counting the zero entries
 # lets a dependent row 0 fail before the last row's table is built.)  The
-# reciprocal ratios c0/c1 are distinct exactly when these are;
-# this direction puts every inverse on row 0, so the first-row stage, built
-# once for all the last rows that share it, holds them.
+# reciprocal ratios c0/c1 are distinct exactly when these are; this
+# direction puts every inverse on row 0.  The census's oracle visits reach
+# this test through `mrd_criteria._classify`, as trials and is_mrd do.
 
-def _first_row_stage(spec: FieldSpec, row):
-    """The first-row stage for row 0 of a 2-row block: (the inverse of each
-    entry of its table c0, 0 for a zero entry; the number of zero entries,
-    which is 1 unless (row, 1) is F_q-dependent; the points, `_points`).
-    The points are fetched first: their budget check, when they are built,
-    bounds both rows' tables of q^(n - 1) entries."""
-    inv = spec.inv
-    points = _points(spec, len(row) + 2)
-    c0 = _combinations(spec, (*row, 1))
-    return [inv(a) if a else 0 for a in c0], c0.count(0), points
-
-
-def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
-    """The last-row stage: True iff the block (stage's row 0, row) passes.
-    Forms the ratio c1[j] c0[i]^-1 of each point other than e_1 and stops
-    at the first one already seen."""
-    inv0, zeros, points = stage
-    if zeros > 1:
+def _two_row_passes(spec: FieldSpec, X) -> bool:
+    """The identity of a two-row block at t = 2 by its point map: forms the
+    ratio c1[j] c0[i]^-1 of each point other than e_1 and stops at the
+    first one already seen.  The points are fetched first: their budget
+    check, when they are built, bounds both rows' tables of q^(n - 1)
+    entries."""
+    points = _points(spec, len(X[0]) + 2)
+    c0 = _combinations(spec, (*X[0], 1))
+    if c0.count(0) > 1:
         return False
-    c1 = _combinations(spec, (*row, 1))
-    mul = spec.mul
+    inv, mul = spec.inv, spec.mul
+    inv0 = [inv(a) if a else 0 for a in c0]
+    c1 = _combinations(spec, (*X[1], 1))
     seen = set()
     for i, j in points:
         r = mul(c1[j], inv0[i])
@@ -331,7 +323,7 @@ def _last_row_passes(spec: FieldSpec, stage, row) -> bool:
     return True
 
 
-# The last-row stage as a hyperplane arrangement.  With row 0 fixed, a form
+# The point map as a hyperplane arrangement.  With row 0 fixed, a form
 # W = (w0, w1) of T(2, n) has det(W [I_2 | X]^T) = A_0 a(y, w1) - A_1 a(y, w0)
 # at the last row y: A_r = w_r g_0 is an entry of row 0's table
 # (`_combinations`), and a(y, w) = w[1] + sum_t w[2 + t] y_t is F_q-affine
@@ -566,9 +558,10 @@ def _two_row_distance(spec: FieldSpec, g_rows, n: int) -> int:
     """
     _echelon_tests(2, 2, n, spec)
     X = _systematic_block(spec, g_rows)
-    inv0, _, points = _first_row_stage(spec, X[0])
+    points = _points(spec, n)
+    inv, mul = spec.inv, spec.mul
+    inv0 = [inv(a) if a else 0 for a in _combinations(spec, (*X[0], 1))]
     c1 = _combinations(spec, (*X[1], 1))
-    mul = spec.mul
     infinity = -1
     classes = Counter([mul(c1[j], inv0[i]) if inv0[i] else infinity if c1[j] else None
                        for i, j in points])

@@ -1,8 +1,9 @@
 """The census's two-row scan over the F_q-span of an orbit's last rows: the
 hyperplane sweep (`experiments._last_row_sweep`, over
 `rank_codes._hyperplanes` and `mrd_criteria._gabidulin_rows`) against the
-per-row stages it replaces (`_last_row_passes`, `_gabidulin_hits`), visit
-by visit, and each orbit's count (`_orbit_counts`) against the sum over its
+block classifier on each whole block (`_classify`, which shares none of
+the sweep's code; at one column it tests the one-row side), visit by
+visit, and each orbit's count (`_orbit_counts`) against the sum over its
 visits."""
 
 import random
@@ -13,22 +14,14 @@ from rankforge import VerificationError, default_field
 from rankforge.experiments import (_first_row_orbits, _last_row, _last_row_sweep,
                                    _orbit_counts)
 from rankforge.fq_linalg import _expanded_rank
-from rankforge.mrd_criteria import _gabidulin_classes, _gabidulin_hits
-from rankforge.rank_codes import _first_row_stage, _hyperplanes, _last_row_passes
+from rankforge.mrd_criteria import _classify, _gabidulin_classes
+from rankforge.rank_codes import _hyperplanes
 
 NO_ORACLE = 10 ** 15
 
 
-def per_row(spec, stage, row0, y, classes):
-    """The per-row stages on the block (row0, y): None if it fails, else
-    its Gabidulin parameters."""
-    if not _last_row_passes(spec, stage, y):
-        return None
-    return _gabidulin_hits(spec, (row0, y), classes)
-
-
 def by_sweep(sweep, spec, y):
-    """The sweep's verdict at the last row y, in the per-row stages' form;
+    """The sweep's verdict at the last row y, in the classifier's form;
     `sweep` lists the sweep's prefixes."""
     fails, hits = sweep[_visit(spec, y) // (spec.order // spec.q)]
     return None if y[0] in fails else hits.get(y[0], ())
@@ -64,12 +57,11 @@ def test_every_visit_of_every_orbit(q, k, n, m):
     assert orbits
     passed = 0
     for row0, _ in orbits:
-        stage = _first_row_stage(spec, row0)
-        sweep = list(_last_row_sweep(spec, w, row0, classes))
+        sweep = list(_last_row_sweep(spec, row0))
         rows = [_last_row(spec, w, t) for t in range(inner)]
-        want = [per_row(spec, stage, row0, y, classes) for y in rows]
+        want = [_classify(spec, [row0, y]) for y in rows]
         assert [by_sweep(sweep, spec, y) for y in rows] == want, row0
-        assert _orbit_counts(spec, 2, w, row0, classes, 0, NO_ORACLE) == \
+        assert _orbit_counts(spec, 2, row0, 0, NO_ORACLE) == \
                orbit_sums(want, classes)
         passed += sum(v is not None for v in want)
     # both verdicts are compared wherever MRD blocks exist (n <= m)
@@ -83,7 +75,6 @@ def test_random_bases(q, m, w, size):
     # digits, not the census's echelon ones, at q^size sampled visits each;
     # the last one's entry 1 makes (row 0, 1) F_q-dependent
     spec = default_field(q, m)
-    classes = _gabidulin_classes(m)
     rng = random.Random(f"sweep-{q}-{m}-{w}")
     inner = (spec.order // q) ** w
     seen = set()
@@ -95,11 +86,10 @@ def test_random_bases(q, m, w, size):
                 break
             if _expanded_rank(spec, (*row0, 1)) == w + 1:
                 break
-        stage = _first_row_stage(spec, row0)
-        sweep = list(_last_row_sweep(spec, w, row0, classes))
+        sweep = list(_last_row_sweep(spec, row0))
         for t in rng.sample(range(inner), min(inner, q ** size)):
             y = _last_row(spec, w, t)
-            want = per_row(spec, stage, row0, y, classes)
+            want = _classify(spec, [row0, y])
             assert by_sweep(sweep, spec, y) == want
             seen.add(want is None)
     assert seen == {False, True}
@@ -114,10 +104,10 @@ def test_dependent_first_row_fails_everywhere(q, m, w):
     row0 = [q * (j + 1) for j in range(w)]
     row0[-1] = q - 1
     assert _hyperplanes(spec, row0)[1][(0,) * (w - 1)] == {0}
-    sweep = list(_last_row_sweep(spec, w, row0, classes))
+    sweep = list(_last_row_sweep(spec, row0))
     assert len(sweep) == (spec.order // q) ** (w - 1)
     assert all(fails == range(spec.order) and not hits for fails, hits in sweep)
-    assert _orbit_counts(spec, 2, w, row0, classes, 0, 101) == \
+    assert _orbit_counts(spec, 2, row0, 0, 101) == \
            (0, 0, {s: 0 for _, members in classes for s in members})
 
 
@@ -138,20 +128,19 @@ def test_flat_hyperplanes_occur(q, n, m, flats):
 def test_n_minus_k_four_sample():
     # (2,2,6,6): nothing else checks a sweep over three prefix entries.  On
     # a seeded orbit, every visit the sweep passes and a seeded sample of
-    # the others go through the per-row stages
+    # the others go through the classifier
     spec = default_field(2, 6)
-    w, classes = 4, _gabidulin_classes(6)
+    w = 4
     rng = random.Random("sweep-2-2-6-6")
     row0, _ = rng.choice(_first_row_orbits(spec, w))
-    stage = _first_row_stage(spec, row0)
-    sweep = list(_last_row_sweep(spec, w, row0, classes))
+    sweep = list(_last_row_sweep(spec, row0))
     entries = spec.order // 2
     passing = [p * entries + y0 // 2 for p, (fails, _) in enumerate(sweep)
                for y0 in range(0, spec.order, 2) if y0 not in fails]
     assert passing
     for t in passing + rng.sample(range(entries ** w), 256):
         y = _last_row(spec, w, t)
-        assert by_sweep(sweep, spec, y) == per_row(spec, stage, row0, y, classes)
+        assert by_sweep(sweep, spec, y) == _classify(spec, [row0, y])
 
 
 def test_lost_line_is_caught(monkeypatch):
@@ -171,15 +160,14 @@ def test_lost_line_is_caught(monkeypatch):
 
 
 @pytest.mark.parametrize("name,fake", [
-    ("_last_row_passes", lambda spec, stage, row: False),
-    ("_gabidulin_hits", lambda spec, X, classes: ())])
+    ("_two_row_passes", lambda spec, X: False),
+    ("_gabidulin_hits", lambda spec, X, classes: ()),
+    ("_gabidulin_rows", lambda spec, row0: [])])
 def test_oracle_visits_check_the_per_row_stages(monkeypatch, name, fake):
-    # every MRD block of (2,2,4,4) is Gabidulin: a per-row stage that calls
-    # a passing visit failing, or finds no parameter, is caught at the first
-    # oracle visit that passes
-    from rankforge import census, experiments, mrd_criteria
-    monkeypatch.setattr(experiments if name == "_last_row_passes" else mrd_criteria,
-                        name, fake)
-    with pytest.raises(VerificationError,
-                       match="hyperplane sweep and last-row stage disagree"):
+    # every MRD block of (2,2,4,4) is Gabidulin: a classifier that calls a
+    # passing visit failing or finds no parameter, or a sweep that lists
+    # no Gabidulin row, is caught at the first oracle visit that passes
+    from rankforge import census, mrd_criteria, rank_codes
+    monkeypatch.setattr(rank_codes if name == "_two_row_passes" else mrd_criteria, name, fake)
+    with pytest.raises(VerificationError, match="census count and classifier disagree"):
         census(2, 2, 4, 4, oracle_stride=1)

@@ -351,11 +351,22 @@ class TestBounds:
         assert code == 2
         assert "prime power" in err
 
-    def test_empty_m_range_exit_code(self, capsys):
-        code, _, err = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",
-                           "--m-from", "6", "--m-to", "5")
-        assert code == 2
-        assert "--m-from must not exceed --m-to" in err
+    def test_empty_m_range_exit_code(self, capsys, tmp_path):
+        # bounds and figure refuse an m range before they print or write
+        # anything
+        f = tmp_path / "f.csv"
+        shape = ("--q", "2", "--k", "2", "--n", "4")
+        for argv, message in [
+                (("bounds", *shape, "--m-from", "6", "--m-to", "5"),
+                 "--m-from must not exceed --m-to"),
+                (("figure", "--id", "1", "--m-from", "10", "--m-to", "4", "--csv", str(f)),
+                 "--m-from must not exceed --m-to"),
+                (("bounds", *shape, "--m-from", "0", "--m-to", "1"),
+                 "--m-from must be at least 1, got 0")]:
+            code, out, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert message in err and out == "", argv
+        assert not f.exists()
 
     def test_csv_output(self, capsys, tmp_path):
         f = tmp_path / "bounds.csv"

@@ -279,20 +279,20 @@ class TestCensus:
             assert json.loads(path.read_text())["cursor"] == 3
             assert resumed == direct
 
-    def test_first_row_stage_built_once_per_orbit(self, tmp_path, monkeypatch):
+    def test_hyperplanes_read_once_per_orbit(self, tmp_path, monkeypatch):
         from rankforge import experiments
         builds = []
-        original = experiments._first_row_stage
+        original = experiments._hyperplanes
 
         def counted(spec, row):
             builds.append(tuple(row))
             return original(spec, row)
 
-        monkeypatch.setattr(experiments, "_first_row_stage", counted)
+        monkeypatch.setattr(experiments, "_hyperplanes", counted)
         direct = census(2, 2, 4, 4)  # 3 orbits of 64 visits
         assert len(builds) == 3 == len(set(builds))
-        # a resumed run builds the stage once for each orbit of its chunk,
-        # the orbits from the stored cursor on
+        # a resumed run reads the hyperplanes once for each orbit of its
+        # chunk, the orbits from the stored cursor on
         first_rows = [tuple(row) for row, _ in
                       experiments._first_row_orbits(default_field(2, 4), 2)]
         path = tmp_path / "census.json"

@@ -15,7 +15,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
 from rankforge import fq_linalg, mrd_criteria, rank_codes
-from rankforge.mrd_criteria import _classify, _gabidulin_classes, _gabidulin_hits
+from rankforge.mrd_criteria import _classify
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
 
@@ -756,24 +756,21 @@ class TestPointMap:
 
 
 class TestFirstRowStage:
-    """The k = 2 classifier in two stages: one first-row stage, built once,
-    applied to many last rows (`_first_row_stage`, `_last_row_passes`, then
-    `_gabidulin_hits`), as the census's oracle visits do per orbit.  Each
-    verdict is checked against the projective scan and each MRD block's
-    hits against `rank1_criterion` on the whole block, neither of which
-    builds or reads a stage."""
+    """The k = 2 classifier on many last rows that share a first row, as the
+    census's oracle visits of one orbit do: `_classify`, whose two-row side
+    test is the point map (`_two_row_passes`).  Each verdict is checked
+    against the projective scan and each MRD block's hits against
+    `rank1_criterion` on the whole block, neither of which reads the point
+    map."""
 
     @staticmethod
     def check(spec, n, row0, rows):
-        """Apply row0's stage to every row of rows; return the verdicts seen
-        and the number of Gabidulin hits."""
-        stage = rank_codes._first_row_stage(spec, row0)
-        classes = _gabidulin_classes(spec.m)
+        """Classify the block (row0, row) for every row of rows; return the
+        verdicts seen and the number of Gabidulin hits."""
         verdicts, hits = set(), 0
         for row in rows:
             X = [list(row0), list(row)]
-            got = (_gabidulin_hits(spec, X, classes)
-                   if rank_codes._last_row_passes(spec, stage, row) else None)
+            got = _classify(spec, X)
             rows_g = [[1, 0] + X[0], [0, 1] + X[1]]
             mrd = rank_codes._min_rank_distance_raw(spec, rows_g, 2, n) == n - 1
             assert (got is not None) == mrd, X
