@@ -29,9 +29,13 @@ closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
 
 Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
 through the images of the power basis.  A tabled field builds its exp
-table before it binds the lookups, from two half-products: its kind's
-untabled product (_mul_poly) of the generator by every element whose
-digits are all low, and by every element whose digits are all high.
+table before it binds the lookups, from two half-products: the generator
+times every element whose digits are all low, and times every element
+whose digits are all high.  Both lists are sums of a few untabled
+products (_mul_poly), added by XOR for p = 2 and otherwise through a
+table of digitwise sums that lives only inside the build, so no entry
+costs an untabled sum or product.
+A default modulus is the smallest monic irreducible by Ben-Or's test.
 
 Library input is read here too: entries and indices by _checked_index,
 integer parameters by _checked_ints and a shape (k, n) by _checked_shape.
@@ -251,19 +255,32 @@ def _pinv_mod(a, mod, F):
 
 
 def _poly_is_irreducible(f, F):
-    """Trial division by every monic polynomial of degree <= deg(f)//2."""
+    """Ben-Or's test (Ben-Or 1981): f of degree d >= 1 is irreducible over F
+    iff gcd(x^(Q^i) - x, f) = 1 for i = 1..d//2, with Q = F.order.  A
+    reducible f has an irreducible factor of some degree i <= d//2, which
+    divides x^(Q^i) - x; an irreducible f of degree d shares no factor with
+    x^(Q^i) - x for 0 < i < d.  h = x^(Q^i) mod f is raised to the power Q
+    once per i, by squaring over Q's bits."""
     f = _ptrim(f)
     deg = len(f) - 1
     if deg < 1:
         return False
-    if deg == 1:
-        return True
-    for d in range(1, deg // 2 + 1):
-        for lower in itertools.product(range(F.order), repeat=d):
-            g = lower + (1,)
-            _, rem = _pdivmod(f, g, F)
-            if not rem:
-                return False
+
+    def mulmod(a, b):
+        return _pdivmod(_pmul(a, b, F), f, F)[1]
+
+    h = (0, 1)  # x
+    for _ in range(deg // 2):
+        base = h
+        for bit in bin(F.order)[3:]:
+            h = mulmod(h, h)
+            if bit == "1":
+                h = mulmod(h, base)
+        r0, r1 = f, _padd(h, (0, F.neg(1)), F)
+        while r1:
+            r0, r1 = r1, _pdivmod(r0, r1, F)[1]
+        if len(r0) > 1:
+            return False
     return True
 
 
@@ -584,6 +601,58 @@ class FieldSpec:
                 return cand
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 
+    def _powers(self, g: int, ints) -> list:
+        """[g^0, ..., g^(n-1)] for n = order - 1, each drawn from ints.
+
+        x -> g x is F_p-linear on x's base-p digits, and x is the sum of
+        its low m // 2 F_q digits and its high ones, so each step adds two
+        half-products, g x = lo[x % cut] + hi[x // cut].  lo and hi are the
+        F_p-combinations of the e m untabled products g p^j (_mul_poly).
+        Digits add without carries: for p = 2 by XOR, for m = 1 (one digit)
+        by the base field, and otherwise chunk by chunk in `sums`, the sums of
+        every pair of (m // 2)-digit indices: the low m // 2 digits, the
+        next m // 2 and, for odd m, the top digit.  So no step makes an
+        untabled sum or product, and no list built here has more than
+        `order` entries or outlives the call."""
+        p, q, m, n = self.p, self.q, self.m, self.order - 1
+        fq = self.base_field
+        cut = q ** (m // 2)
+        if p == 2:
+            add = operator.xor
+        elif m == 1:
+            add = fq.add
+        else:
+            # one digit more per step; every entry is below cut
+            sums = [[0]]
+            for k in range(m // 2):
+                top = [[q ** k * fq.add(a, b) for b in range(q)] for a in range(q)]
+                sums = [[s + t for t in top[a] for s in row] for a in range(q) for row in sums]
+            cut2 = cut * cut
+
+            def add(u, v):
+                return (sums[u % cut][v % cut] + cut * sums[u // cut % cut][v // cut % cut]
+                        + cut2 * sums[u // cut2][v // cut2])
+
+        def combinations(products):
+            # entry a is sum_j a_j products[j] over the base-p digits a_j of
+            # a: each new block of p^j entries is the block before it plus y
+            comb = [0]
+            for y in products:
+                block = comb[:]
+                for _ in range(1, p):
+                    block = [add(v, y) for v in block]
+                    comb += block
+            return comb
+
+        split = self.e * (m // 2)
+        products = [self._mul_poly(p ** j, g) for j in range(self.e * m)]
+        lo, hi = combinations(products[:split]), combinations(products[split:])
+        exp = [1] * n
+        x = 1
+        for i in range(1, n):
+            x = exp[i] = ints[add(lo[x % cut], hi[x // cut])]
+        return exp
+
     def _build_tables(self) -> None:
         """Build the exp/log, Frobenius-multiplier and (odd p) Zech tables
         and rebind the operations to lookups in them, which read no other
@@ -592,26 +661,13 @@ class FieldSpec:
         With n = order - 1: exp[i] = g^(i mod n) for a generator g and
         0 <= i < 2n, log inverts it, and zech[i] = log(1 + g^i) (None where
         1 + g^i = 0).  They share one int object per value, drawn from one
-        pool in value order.  Each step of exp adds two products from the
-        untabled _mul_poly, one for x's low m // 2 digits and one for its
-        high digits, so the build makes q^(m // 2) + q^(m - m // 2)
-        products (512 at 2^16) instead of one per entry.  A sum of two logs
+        pool in value order; exp comes from _powers.  A sum of two logs
         indexes exp directly, and a difference in (-n, n) indexes exp or
         zech by Python's negative indexing, so no lookup but Frobenius
         reduces mod n."""
         q, m, n = self.q, self.m, self.order - 1
-        g = self._find_generator()
         ints = list(range(self.order))
-        # x -> g x is F_p-linear on x's digits, and x is the sum of its low
-        # and high digits, so g x = lo[x % cut] + hi[x // cut]
-        cut = q ** (m // 2)
-        lo = [self._mul_poly(a, g) for a in range(cut)]
-        hi = [self._mul_poly(a * cut, g) for a in range(self.order // cut)]
-        add = self.add
-        exp = [1] * n
-        x = 1
-        for i in range(1, n):
-            x = exp[i] = ints[add(lo[x % cut], hi[x // cut])]
+        exp = self._powers(self._find_generator(), ints)
         log = [0] * self.order
         for i, v in zip(ints, exp):
             log[v] = i

@@ -32,6 +32,18 @@ def tower16():
     return FieldSpec(2, 2, 2)
 
 
+# (p, modulus) pairs, lowest coefficient first: reducible moduli whose
+# smallest factor has degree m/2, where Ben-Or's test runs longest.  Over
+# F_2 the product of two distinct irreducible octics, of two quartics and
+# the square (x^4 + x + 1)^2; over F_3 the square of the default quartic.
+REDUCIBLE_NO_SMALL_FACTOR = [
+    (2, (1, 0, 0, 0, 0, 0, 1, 1, 1, 0, 0, 0, 1, 1, 1, 1, 1)),
+    (2, (1, 1, 0, 1, 1, 1, 0, 1, 1)),
+    (2, (1, 0, 1, 0, 0, 0, 0, 0, 1)),
+    (3, (1, 0, 2, 2, 0, 2, 0, 2, 1)),
+]
+
+
 def fail(*args):
     raise AssertionError("unexpected call")
 

@@ -6,6 +6,8 @@ import pytest
 from rankforge import cli, default_field, min_rank_distance, rank_codes
 from rankforge.cli import main
 
+from conftest import REDUCIBLE_NO_SMALL_FACTOR
+
 
 def run(capsys, *argv):
     code = main(list(argv))
@@ -32,6 +34,16 @@ class TestFieldInfo:
         code, _, err = run(capsys, "field-info", "--p", "2", "--m", "2",
                            "--modulus-file", str(f))
         assert code == 2
+
+    @pytest.mark.parametrize("p,modulus", REDUCIBLE_NO_SMALL_FACTOR,
+                             ids=["two-octics", "two-quartics", "square-2", "square-3"])
+    def test_reducible_modulus_file_without_small_factors(self, capsys, tmp_path, p, modulus):
+        f = tmp_path / "mod.json"
+        f.write_text(json.dumps({"ext_modulus": [[c] for c in modulus]}))
+        code, _, err = run(capsys, "field-info", "--p", str(p), "--m", str(len(modulus) - 1),
+                           "--modulus-file", str(f))
+        assert code == 2
+        assert "reducible" in err
 
     def test_custom_modulus_accepted(self, capsys, tmp_path):
         f = tmp_path / "mod.json"

@@ -1,5 +1,6 @@
 import copy
 import hashlib
+import inspect
 import itertools
 import operator
 import pickle
@@ -16,7 +17,7 @@ from rankforge import (BudgetExceededError, Element, FieldSpec,
                        trace, trace_kernel)
 from rankforge import field_arith
 
-from conftest import fail, untabled
+from conftest import REDUCIBLE_NO_SMALL_FACTOR, fail, untabled
 
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
 TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
@@ -86,6 +87,21 @@ DEFAULT_MODULI = {
         5: (1, 0, 0, 0, 2, 1),
     },
 }
+
+
+def trial_division_is_irreducible(f, F):
+    """The slow oracle: f is irreducible iff it has degree >= 1 and no
+    monic polynomial of degree 1..deg(f)//2 divides it."""
+    f = field_arith._ptrim(f)
+    deg = len(f) - 1
+    if deg < 1:
+        return False
+    for d in range(1, deg // 2 + 1):
+        for lower in itertools.product(range(F.order), repeat=d):
+            _, rem = field_arith._pdivmod(f, lower + (1,), F)
+            if not rem:
+                return False
+    return True
 
 
 def alpha(spec):
@@ -158,11 +174,13 @@ class TestConstruction:
         for m, modulus in DEFAULT_MODULI[q].items():
             assert field_arith._smallest_irreducible(m, F) == modulus, (q, m)
 
-    # x^2 + 1 = (x+1)^2 over F_2, at either level of the tower
+    # x^2 + 1 = (x+1)^2 over F_2, at either level of the tower, and moduli
+    # with no factor of degree below m/2
     @pytest.mark.parametrize("kwargs", [
         {"p": 2, "e": 1, "m": 2, "ext_modulus": [1, 0, 1]},
         {"p": 2, "e": 2, "m": 2, "base_modulus": [1, 0, 1]},
-    ], ids=["ext", "base"])
+        *({"p": p, "e": 1, "m": len(f) - 1, "ext_modulus": f} for p, f in REDUCIBLE_NO_SMALL_FACTOR),
+    ], ids=["ext", "base", "two-octics", "two-quartics", "square-2", "square-3"])
     def test_reducible_user_modulus_rejected(self, kwargs):
         with pytest.raises(InvalidParameterError, match="reducible"):
             FieldSpec(**kwargs)
@@ -193,6 +211,28 @@ class TestConstruction:
             FieldSpec.from_json(data)
         with pytest.raises(InvalidParameterError, match="must be an integer"):
             FieldSpec(data["p"], data["e"], data["m"])
+
+
+class TestIrreducibility:
+    """Ben-Or's test against trial division on every monic polynomial of
+    small degree, over prime fields and over the base fields F_4 and F_9."""
+
+    @pytest.mark.parametrize("q,top", [(2, 8), (3, 5), (4, 3), (5, 3), (7, 3), (9, 3)])
+    def test_agrees_with_trial_division(self, q, top):
+        F = field_arith._PrimeOps(q) if q in (2, 3, 5, 7) else FieldSpec.from_prime_power(q, 1).base_field
+        assert F.order == q
+        mobius = {1: 1, 2: -1, 3: -1, 4: 0, 5: -1, 6: 1, 7: -1, 8: 0}
+        for d in range(top + 1):
+            irreducible = 0
+            for lower in itertools.product(range(q), repeat=d):
+                f = lower + (1,)
+                verdict = field_arith._poly_is_irreducible(f, F)
+                assert verdict == trial_division_is_irreducible(f, F), f
+                irreducible += verdict
+            # Gauss: d * #irreducible = sum over k | d of mu(k) q^(d/k)
+            if d:
+                assert d * irreducible == sum(mobius[k] * q ** (d // k)
+                                              for k in range(1, d + 1) if d % k == 0), d
 
 
 class TestArithmetic:
@@ -355,21 +395,32 @@ class TestBinaryIntRoute:
 
 
 class TestExpBuild:
-    """The exp table is built from two half-products; it is still the run
-    of products by the generator on every kind of field."""
+    """The exp table is built from two half-products; it, the log table and
+    (odd p) the Zech table are still those of the run of untabled products
+    by the generator, on every kind of field."""
 
     @pytest.mark.parametrize("p,e,m", [(2, 1, 1), (5, 1, 1), (2, 1, 7), (2, 2, 3),
-                                       (3, 1, 5), (3, 2, 3), (5, 1, 3), (7, 1, 2)])
+                                       (3, 1, 5), (3, 2, 3), (5, 1, 3), (7, 1, 2),
+                                       (3, 1, 7), (3, 1, 9), (7, 1, 5), (3, 2, 2),
+                                       (17, 1, 2)])
     def test_exp_is_the_run_of_generator_products(self, p, e, m):
         spec = FieldSpec(p, e, m)
         n = spec.order - 1
-        exp, g = spec._exp, spec._exp[1 % n]
+        g = spec._find_generator()
         run = [1]
         for _ in range(n - 1):
             run.append(spec._mul_poly(run[-1], g))
-        assert exp[:n] == run
         assert sorted(run) == list(range(1, spec.order))
-        assert exp[n:] == exp[:n]
+        log = [0] * spec.order
+        for i, v in enumerate(run):
+            log[v] = i
+        # log and zech live only in the closures of the bound operations
+        tables = inspect.getclosurevars(spec.mul).nonlocals
+        assert spec._exp is tables["exp"] and tables["exp"] == run + run
+        assert tables["log"] == log
+        if p != 2:
+            zech = [log[w] if w else None for w in (spec._add_digits(v, 1) for v in run)]
+            assert inspect.getclosurevars(spec.add).nonlocals["zech"] == zech
 
 
 class TestLeanTables:
@@ -407,6 +458,22 @@ class TestLeanTables:
             tracemalloc.stop()
         assert spec._exp is not None
         assert allocated < 6 * 2 ** 20
+
+    # The build's own lists hold at most `order` entries and are freed
+    # before the tables are finished, so the peak stays near the ~64 bytes
+    # per element that the tables keep.  A table over all pairs of F_q
+    # values, q^2 entries, would cost 8q bytes per element at m = 1: 4.3e9
+    # entries at F_65521, whose build takes about 1 s under tracemalloc (2
+    # vCPU, Python 3.11), so F_1021 stands in for it.
+    @pytest.mark.parametrize("p,m", [(7, 5), (1021, 1)])
+    def test_build_peak_stays_near_the_tables(self, p, m):
+        tracemalloc.start()
+        try:
+            spec = FieldSpec(p, 1, m)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 112 * spec.order
 
 
 class TestBaseField:
