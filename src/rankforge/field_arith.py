@@ -28,13 +28,16 @@ closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
   by digit.
 
 Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
-through the images of the power basis.  A tabled field builds its exp
-table before it binds the lookups, from two half-products: the generator
-times every element whose digits are all low, and times every element
-whose digits are all high.  Both lists are sums of a few untabled
-products (_mul_poly), added by XOR for p = 2 and otherwise through a
-table of digitwise sums that lives only inside the build, so no entry
-costs an untabled sum or product.
+as one F_q-combination (_fq_combination) of the images of the power
+basis.  A tabled field builds its exp table before it binds the lookups,
+from two half-products: the generator times every element whose digits
+are all low, and times every element whose digits are all high.  Both
+lists are F_p-span tables (_span) of a few untabled products
+(_mul_poly), added by XOR for p = 2 and otherwise through a table of
+digitwise sums that lives only inside the build, so no entry costs an
+untabled sum or product.  The generator is the least one, searched from q
+upward when m > 1.  _span also builds the tables of the echelon identity
+(rank_codes._combinations), with the field's own add.
 A default modulus is the smallest monic irreducible by Ben-Or's test.
 
 Library input is read here too: entries and indices by _checked_index,
@@ -311,6 +314,38 @@ def _checked_modulus(coeffs, degree, F, level):
 
 
 # --------------------------------------------------------------------------
+# Linear combinations on indices, shared by the table build, the tables of
+# the echelon identity (rank_codes._combinations), Frobenius on untabled
+# fields and the isometries.
+
+def _span(vectors, add, p: int) -> list:
+    """All F_p-combinations of vectors: entry a is sum_j a_j vectors[j] over
+    the base-p digits a_j of a, lowest first.  Each vector appends p - 1
+    blocks to the table, each the block before it plus the vector, so no
+    entry costs a product.  The table grows in place; for p = 2 the sum is
+    the XOR of the indices, written inline."""
+    table = [0]
+    for y in vectors:
+        size = len(table)
+        if p == 2:
+            table += [v ^ y for v in table]
+        else:
+            for start in range(0, (p - 1) * size, size):
+                table += [add(v, y) for v in table[start:start + size]]
+    return table
+
+
+def _fq_combination(spec: "FieldSpec", vec, coeffs) -> int:
+    """sum_t coeffs[t] vec[t] for F_q values coeffs (ints below q)."""
+    add, mul = spec.add, spec.mul
+    acc = 0
+    for v, c in zip(vec, coeffs):
+        if c and v:
+            acc = add(acc, v if c == 1 else mul(c, v))
+    return acc
+
+
+# --------------------------------------------------------------------------
 
 class FieldSpec:
     """Description of the tower F_p <= F_q <= F_{q^m}, q = p**e.
@@ -532,15 +567,7 @@ class FieldSpec:
         return basis
 
     def _frob_by_basis(self, a: int, s: int) -> int:
-        s %= self.m
-        if s == 0 or a == 0:
-            return a
-        basis = self._frob_basis(s)
-        acc = 0
-        for c, img in zip(self.digits(a), basis):
-            if c:
-                acc = self.add(acc, self.mul(c, img))
-        return acc
+        return _fq_combination(self, self._frob_basis(s), self.digits(a)) if s % self.m else a
 
     def trace(self, a: int) -> int:
         """Sum of a^(q^i) for i = 0..m-1; the result lies in the embedded F_q."""
@@ -594,9 +621,12 @@ class FieldSpec:
     # -- lookup tables ---------------------------------------------------------
 
     def _find_generator(self) -> int:
+        """The least index that generates F_{q^m}^*.  For m > 1 the search
+        starts at q: an index below q lies in F_q, so its order divides
+        q - 1 < q^m - 1."""
         n = self.order - 1
         factors = _prime_factors(n)
-        for cand in range(1, self.order):  # 1 generates only F_2^*
+        for cand in range(self.q if self.m > 1 else 1, self.order):  # 1 generates only F_2^*
             if all(self.pow(cand, n // f) != 1 for f in factors):
                 return cand
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
@@ -607,13 +637,13 @@ class FieldSpec:
         x -> g x is F_p-linear on x's base-p digits, and x is the sum of
         its low m // 2 F_q digits and its high ones, so each step adds two
         half-products, g x = lo[x % cut] + hi[x // cut].  lo and hi are the
-        F_p-combinations of the e m untabled products g p^j (_mul_poly).
-        Digits add without carries: for p = 2 by XOR, for m = 1 (one digit)
-        by the base field, and otherwise chunk by chunk in `sums`, the sums of
-        every pair of (m // 2)-digit indices: the low m // 2 digits, the
-        next m // 2 and, for odd m, the top digit.  So no step makes an
-        untabled sum or product, and no list built here has more than
-        `order` entries or outlives the call."""
+        F_p-combinations (_span) of the e m untabled products g p^j
+        (_mul_poly).  Digits add without carries: for p = 2 by XOR, for
+        m = 1 (one digit) by the base field, and otherwise chunk by chunk in
+        `sums`, the sums of every pair of (m // 2)-digit indices: the low
+        m // 2 digits, the next m // 2 and, for odd m, the top digit.  So no
+        step makes an untabled sum or product, and no list built here has
+        more than `order` entries or outlives the call."""
         p, q, m, n = self.p, self.q, self.m, self.order - 1
         fq = self.base_field
         cut = q ** (m // 2)
@@ -633,20 +663,9 @@ class FieldSpec:
                 return (sums[u % cut][v % cut] + cut * sums[u // cut % cut][v // cut % cut]
                         + cut2 * sums[u // cut2][v // cut2])
 
-        def combinations(products):
-            # entry a is sum_j a_j products[j] over the base-p digits a_j of
-            # a: each new block of p^j entries is the block before it plus y
-            comb = [0]
-            for y in products:
-                block = comb[:]
-                for _ in range(1, p):
-                    block = [add(v, y) for v in block]
-                    comb += block
-            return comb
-
         split = self.e * (m // 2)
         products = [self._mul_poly(p ** j, g) for j in range(self.e * m)]
-        lo, hi = combinations(products[:split]), combinations(products[split:])
+        lo, hi = _span(products[:split], add, p), _span(products[split:], add, p)
         exp = [1] * n
         x = 1
         for i in range(1, n):

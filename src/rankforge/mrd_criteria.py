@@ -13,11 +13,10 @@ from math import gcd
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
-                          _element_index)
+                          _element_index, _fq_combination)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import (RankCode, _fq_combination, _is_mrd_block, _side_passes,
-                         _smaller_side)
+from .rank_codes import RankCode, _is_mrd_block, _side_passes, _smaller_side
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 

@@ -10,7 +10,10 @@ the one test by row count that is_mrd, the census and the Monte-Carlo
 trials share, two rows through one point map (`_two_row_passes`); the
 census's two-row scan counts an orbit's last rows by the hyperplanes of
 its T(2, n) determinants (`_hyperplanes`).  A 2-dimensional code's
-distance comes from the point map's ratio classes (`_two_row_distance`).
+distance comes from the point map's ratio classes (`_two_row_distance`):
+the block test and the distance read the one ratio pass `_ratios`.  Every
+test reads a block's rows through their tables of F_q-combinations
+(`_combinations`), each an F_p-span table of `field_arith._span`.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
 from .field_arith import (Element, FieldSpec, _checked_ints, _checked_keys,
-                          _checked_shape, _element_indices)
+                          _checked_shape, _element_indices, _fq_combination, _span)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_patterns, _expanded_rank,
                         _rank_raw, _rref_in_place, gaussian_binomial)
 
@@ -205,21 +208,14 @@ def _echelon_tests(t: int, k: int, n: int, spec: FieldSpec):
 
 def _combinations(spec: FieldSpec, row):
     """All F_q-combinations of row: entry c is sum_t c_t row[t], where c_t
-    is the base-q digit t of c, lowest first: digit t at value c adds one
-    flat block, c row[t] plus each entry below it (c = 1 takes row[t] with
-    no product).  For p = 2 a sum is the XOR of the indices, written
-    inline: a spec with p = 2 binds `add` to `operator.xor`."""
-    add, mul = spec.add, spec.mul
-    comb = [0]
-    for x in row:
-        block = comb
-        for c in range(1, spec.q):
-            cx = mul(c, x) if c > 1 else x
-            if spec.p == 2:
-                comb = comb + [v ^ cx for v in block]
-            else:
-                comb = comb + [add(v, cx) for v in block]
-    return comb
+    is the base-q digit t of c, lowest first.  c_t row[t] is the F_p-
+    combination of the row[t] p^i (i < e) by c_t's base-p digits, so the
+    table is the F_p-span (`_span`) of those, in the same entry order: of
+    the row itself when e = 1."""
+    p, e = spec.p, spec.e
+    if e > 1:
+        row = [spec.mul(p ** i, x) for x in row for i in range(e)]
+    return _span(row, spec.add, p)
 
 
 def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
@@ -289,38 +285,32 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
 # span a form of T(2, n).  So a block passes iff the images of the
 # (q^n - 1)/(q - 1) points (i, j) are nonzero and pairwise non-proportional:
 # the ratios c1[j]/c0[i], infinity where c0[i] = 0, are all distinct.  The
-# point e_1 has i = 0 and image (0, 1), so it always takes infinity.  Any
-# other zero entry of c0 is the c0[i] of a second point at infinity (or of
-# a zero image), and then the block fails; otherwise every other point has
-# a finite ratio, and the block passes iff those are distinct.  (For a
-# normalised u = (u_0, u') with c0 zero at its index, (u_0, 0, u') and
-# (u_0, 1, u') are two points whose products with the stored inverse 0 are
-# both 0, so the loop would find the failure too; counting the zero entries
-# lets a dependent row 0 fail before the last row's table is built.)  The
-# reciprocal ratios c0/c1 are distinct exactly when these are; this
-# direction puts every inverse on row 0.  The census's oracle visits reach
-# this test through `mrd_criteria._classify`, as trials and is_mrd do.
+# point e_1 has i = 0 and image (0, 1), so it always takes infinity, and
+# the other points' keys (`_ratios`) must be distinct, finite and nonzero
+# in image.  The reciprocal ratios c0/c1 are distinct exactly when these
+# are; this direction puts every inverse on row 0.  The census's oracle
+# visits reach this test through `mrd_criteria._classify`, as trials and
+# is_mrd do.
 
-def _two_row_passes(spec: FieldSpec, X) -> bool:
-    """The identity of a two-row block at t = 2 by its point map: forms the
-    ratio c1[j] c0[i]^-1 of each point other than e_1 and stops at the
-    first one already seen.  The points are fetched first: their budget
+def _ratios(spec: FieldSpec, X):
+    """The point map of a two-row block: one key per point (i, j) of
+    `_points`, the ratio c1[j] c0[i]^-1, -1 at infinity (c0[i] = 0) and
+    None for a zero image.  The points are fetched first: their budget
     check, when they are built, bounds both rows' tables of q^(n - 1)
     entries."""
     points = _points(spec, len(X[0]) + 2)
-    c0 = _combinations(spec, (*X[0], 1))
-    if c0.count(0) > 1:
-        return False
     inv, mul = spec.inv, spec.mul
-    inv0 = [inv(a) if a else 0 for a in c0]
+    inv0 = [inv(a) if a else 0 for a in _combinations(spec, (*X[0], 1))]
     c1 = _combinations(spec, (*X[1], 1))
-    seen = set()
-    for i, j in points:
-        r = mul(c1[j], inv0[i])
-        if r in seen:
-            return False
-        seen.add(r)
-    return True
+    return [mul(c1[j], inv0[i]) if inv0[i] else -1 if c1[j] else None for i, j in points]
+
+
+def _two_row_passes(spec: FieldSpec, X) -> bool:
+    """The identity of a two-row block at t = 2 by its point map: True iff
+    the keys of `_ratios` are distinct, and none is infinity, which e_1
+    holds, or a zero image."""
+    ratios = _ratios(spec, X)
+    return len({-1, None, *ratios}) == len(ratios) + 2
 
 
 # The point map as a hyperplane arrangement.  With row 0 fixed, a form
@@ -550,22 +540,15 @@ def _two_row_distance(spec: FieldSpec, g_rows, n: int) -> int:
     A codeword u G has rank n - dim{v in F_q^n : G v in u^perp}, and u^perp
     runs over the F_{q^m}-lines H of F_{q^m}^2, so d = n - max_H dim{v :
     G v in H} (the q-system view of the code).  With G = [I_2 | X], the
-    points v of T(1, n) with G v != 0 fall into H's class when their ratio
-    c1[j]/c0[i] (infinity where c0[i] = 0; e_1 is there) is H's, and those
-    with G v = 0 lie in every H.  So with N the largest class plus the
-    kernel points, q^dim = (q - 1) N + 1.  The budget check is the point
-    map's, on T(2, n).
+    points v of T(1, n) with G v != 0 fall into H's class when their key
+    (`_ratios`) is H's, e_1 at infinity, and those with G v = 0 lie in
+    every H.  So with N the largest class plus the kernel points,
+    q^dim = (q - 1) N + 1.  The budget check is the point map's, on
+    T(2, n).
     """
     _echelon_tests(2, 2, n, spec)
-    X = _systematic_block(spec, g_rows)
-    points = _points(spec, n)
-    inv, mul = spec.inv, spec.mul
-    inv0 = [inv(a) if a else 0 for a in _combinations(spec, (*X[0], 1))]
-    c1 = _combinations(spec, (*X[1], 1))
-    infinity = -1
-    classes = Counter([mul(c1[j], inv0[i]) if inv0[i] else infinity if c1[j] else None
-                       for i, j in points])
-    classes[infinity] += 1  # e_1
+    classes = Counter(_ratios(spec, _systematic_block(spec, g_rows)))
+    classes[-1] += 1  # e_1
     kernel = classes.pop(None, 0)
     size = (spec.q - 1) * (max(classes.values()) + kernel) + 1
     dim = 0
@@ -655,15 +638,6 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
         mapped = [frobenius(mul(lam, v), s) for v in row]
         new_rows.append([_fq_combination(spec, mapped, col) for col in columns])
     return RankCode(spec, ExtMatrix._trusted(spec, new_rows))
-
-
-def _fq_combination(spec: FieldSpec, vec, coeffs):
-    add, mul = spec.add, spec.mul
-    acc = 0
-    for v, c in zip(vec, coeffs):
-        if c and v:
-            acc = add(acc, v if c == 1 else mul(c, v))
-    return acc
 
 
 def _invertible_rows(spec: FieldSpec, idx, n: int):

@@ -171,3 +171,13 @@ def test_oracle_visits_check_the_per_row_stages(monkeypatch, name, fake):
     monkeypatch.setattr(rank_codes if name == "_two_row_passes" else mrd_criteria, name, fake)
     with pytest.raises(VerificationError, match="census count and classifier disagree"):
         census(2, 2, 4, 4, oracle_stride=1)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 4, 4), (2, 1, 3, 4)], ids=["sweep", "per-block"])
+def test_oracle_visits_check_the_distance_oracle(monkeypatch, shape):
+    # an oracle that calls every code non-MRD disagrees with the first
+    # oracle visit that passes, on the sweep route and the per-block route
+    from rankforge import census, experiments
+    monkeypatch.setattr(experiments, "_min_rank_distance_raw", lambda spec, rows, k, n: 1)
+    with pytest.raises(VerificationError, match="criterion and distance oracle disagree"):
+        census(*shape, oracle_stride=1)

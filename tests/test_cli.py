@@ -69,6 +69,14 @@ class TestGenGabidulin:
                            "--check")
         assert code == 0
 
+    def test_check_failure_exit_code(self, capsys, monkeypatch):
+        monkeypatch.setattr(cli, "is_mrd", lambda code: False)
+        code, out, err = run(capsys, "gen-gabidulin", "--q", "2", "--m", "4",
+                             "--n", "4", "--k", "2", "--s", "1", "--seed", "0",
+                             "--check")
+        assert code == 1
+        assert "verification failure" in err and not out
+
     def test_gcd_violation(self, capsys):
         code, _, err = run(capsys, "gen-gabidulin", "--q", "2", "--m", "4",
                            "--n", "4", "--k", "2", "--s", "2")
@@ -154,6 +162,19 @@ class TestCheck:
         assert code == 0
         assert len(calls) == 1
         assert json.loads(out)["min_distance"] == 1  # the row [0, 1 | 0, 1]
+
+    def test_distance_over_budget_is_null(self, capsys, tmp_path, monkeypatch):
+        # [I_3 | 0] over F_{2^6}: is_mrd needs [6, 3]_2 = 1395 steps, the
+        # distance route more, so the verdict prints and the distance is null
+        from rankforge import ExtMatrix, RankCode
+        spec = default_field(2, 6)
+        f = tmp_path / "code.json"
+        f.write_text(json.dumps(RankCode.from_systematic(
+            spec, ExtMatrix(spec, [[0] * 3 for _ in range(3)])).to_json()))
+        monkeypatch.setenv("RANKFORGE_BUDGET", "1395")
+        code, out, _ = run(capsys, "check", "--code-file", str(f), "--what", "mrd")
+        assert code == 0
+        assert json.loads(out) == {"mrd": False, "min_distance": None}
 
     def test_malformed_json(self, capsys, tmp_path):
         f = tmp_path / "bad.json"
@@ -570,6 +591,14 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "--suite", "phi")
         assert code == 0
         assert "|G(1)| = 240" in out
+
+    def test_failed_suite_exit_1(self, capsys, monkeypatch):
+        from rankforge import experiments
+        monkeypatch.setitem(experiments._SUITES, "trace",
+                            lambda: [experiments.LemmaCheck("faked check", False, "witness")])
+        code, out, _ = run(capsys, "verify", "--suite", "trace")
+        assert code == 1
+        assert "FAIL faked check: witness" in out.splitlines()
 
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "--suite", "bogus")

@@ -422,6 +422,19 @@ class TestExpBuild:
             zech = [log[w] if w else None for w in (spec._add_digits(v, 1) for v in run)]
             assert inspect.getclosurevars(spec.add).nonlocals["zech"] == zech
 
+    @pytest.mark.parametrize("p,e,m", [(2, 1, 8), (3, 1, 5), (2, 2, 3), (3, 2, 2), (5, 1, 3),
+                                       (7, 1, 2), (17, 1, 2), (251, 1, 2), (2, 1, 16),
+                                       (3, 1, 8)])
+    def test_generator_is_the_least_from_one(self, p, e, m):
+        # the search starts at q when m > 1; searched from 1 upward, the
+        # first element of full order is the same one
+        spec = FieldSpec(p, e, m)
+        n = spec.order - 1
+        factors = field_arith._prime_factors(n)
+        least = next(g for g in range(1, spec.order)
+                     if all(spec.pow(g, n // f) != 1 for f in factors))
+        assert spec._find_generator() == least
+
 
 class TestLeanTables:
     """A tabled field keeps only the tables its operations read: its

@@ -14,7 +14,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        is_gabidulin, is_mrd, min_rank_distance, moore_matrix,
                        random_isometry, random_systematic_code, rank1_criterion,
                        rank_distance)
-from rankforge import fq_linalg, mrd_criteria, rank_codes
+from rankforge import field_arith, fq_linalg, mrd_criteria, rank_codes
 from rankforge.mrd_criteria import _classify
 from rankforge.fq_linalg import (BaseMatrix, _rank_raw, _rref_in_place, enumerate_rref,
                                  gaussian_binomial, linearly_independent_over_base)
@@ -521,7 +521,7 @@ class TestPlaneNormal:
     def images(cls, spec, X, W):
         """G w for each row w of W, with G = [I_3 | X]."""
         G = cls.generator(X)
-        return [[rank_codes._fq_combination(spec, g, w) for g in G] for w in W]
+        return [[field_arith._fq_combination(spec, g, w) for g in G] for w in W]
 
     @classmethod
     def first_failure(cls, spec, X, n):
@@ -689,11 +689,13 @@ class TestCombinations:
             table.append(total)
         return table
 
-    @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (4, 2)])
+    @pytest.mark.parametrize("q,m", [(2, 5), (3, 3), (4, 2), (5, 2), (7, 2), (8, 2), (9, 2)])
     def test_known_answer(self, q, m):
+        # odd p with e > 1 at q = 9, and e = 3 at q = 8; rows of length 4
+        # for q <= 4 only, where q^4 entries stay few
         spec = default_field(q, m)
         rng = random.Random(f"combinations-{q}-{m}")
-        for length in range(1, 5):
+        for length in range(1, 5 if q <= 4 else 4):
             rows = [[rng.randrange(spec.order) for _ in range(length)] for _ in range(20)]
             rows += [[0] * length, [1] * length, [*range(1, length), 1]]
             for row in rows:
