@@ -110,6 +110,7 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
     fixed seed regardless of worker count."""
     k, n, q, m, trials, workers = _checked_shape("k n q m trials workers",
                                                  k, n, q, m, trials, workers)
+    seed, = _checked_ints("seed", seed, low=None)
     start = time.perf_counter()
     # refuses a bad (q, m) before any process starts; a forked worker finds
     # the field's tables in default_field's cache instead of building them
@@ -884,6 +885,7 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
     trials, workers = _checked_ints("trials workers", trials, workers)
+    seed, = _checked_ints("seed", seed, low=None)
     overrides = (q, k, n)
     if any(v is not None for v in overrides):
         if any(v is None for v in overrides):

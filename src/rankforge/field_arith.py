@@ -23,15 +23,17 @@ closures mod p, or XOR and AND for F_2.  A FieldSpec is one of three kinds:
   is such a FieldSpec too: F_p[x]/(base_modulus), held as `base_field`.
 - Binary untabled, q = 2: an index is its F_2 coefficient vector, so
   F_2[x]/(f) multiplies on ints by shift-and-XOR, reduced by f as it goes.
-- Digit untabled, odd p or e > 1, where coefficients are not bits:
-  products are schoolbook on digit vectors, and for odd p sums go digit
-  by digit.
+- Digit untabled, odd p or e > 1, where coefficients are not bits: a
+  product is the polynomial product of the digit vectors reduced mod f
+  (_pmulmod, the product Ben-Or's test squares with), and for odd p sums
+  go digit by digit.
 
-Both untabled kinds invert by Euclid on digit vectors and apply Frobenius
-as one F_q-combination (_fq_combination) of the images of the power
-basis.  A tabled field builds its exp table before it binds the lookups,
-from two half-products: the generator times every element whose digits
-are all low, and times every element whose digits are all high.  Both
+Both untabled kinds invert by Euclid on digit vectors (_pinv_mod) and
+apply Frobenius as one F_q-combination (_fq_combination) of the images of
+the power basis, each image (alpha^i)^(q^s) one power of alpha^i.  A
+tabled field builds its exp table before it binds the lookups, from two
+half-products: the generator times every element whose digits are all
+low, and times every element whose digits are all high.  Both
 lists are F_p-span tables (_span) of a few untabled products
 (_mul_poly), added by XOR for p = 2 and otherwise through a table of
 digitwise sums that lives only inside the build, so no entry costs an
@@ -240,6 +242,11 @@ def _pdivmod(a, b, F):
     return _ptrim(quot), _ptrim(rem)
 
 
+def _pmulmod(a, b, f, F):
+    """a * b reduced mod f."""
+    return _pdivmod(_pmul(a, b, F), f, F)[1]
+
+
 def _pinv_mod(a, mod, F):
     """Inverse of a modulo mod via the extended Euclidean algorithm."""
     a = _ptrim(a)
@@ -268,17 +275,13 @@ def _poly_is_irreducible(f, F):
     deg = len(f) - 1
     if deg < 1:
         return False
-
-    def mulmod(a, b):
-        return _pdivmod(_pmul(a, b, F), f, F)[1]
-
     h = (0, 1)  # x
     for _ in range(deg // 2):
         base = h
         for bit in bin(F.order)[3:]:
-            h = mulmod(h, h)
+            h = _pmulmod(h, h, f, F)
             if bit == "1":
-                h = mulmod(h, base)
+                h = _pmulmod(h, base, f, F)
         r0, r1 = f, _padd(h, (0, F.neg(1)), F)
         while r1:
             r0, r1 = r1, _pdivmod(r0, r1, F)[1]
@@ -392,12 +395,8 @@ class FieldSpec:
                                            m, self.base_field, "extension")
         self.ext_modulus = ext_modulus
 
-        # Reduction of alpha^m:  alpha^m = -(c_0 + c_1 alpha + ... ),
-        # stored as the nonzero (position, digit) terms of the negated tail.
         # For q = 2 an index is its F_2 coefficient vector, so the modulus is
         # also kept as an int for shift-and-XOR products.
-        fq = self.base_field
-        self._alpha_m = tuple((j, fq.neg(c)) for j, c in enumerate(ext_modulus[:-1]) if c)
         self._modulus_bits = (sum(c << j for j, c in enumerate(ext_modulus))
                               if self.q == 2 else None)
 
@@ -448,10 +447,6 @@ class FieldSpec:
 
     # -- digit/coefficient views -------------------------------------------
 
-    def _pad(self, coeffs):
-        out = list(coeffs) + [0] * (self.m - len(coeffs))
-        return tuple(out[: self.m])
-
     def digits(self, a: int):
         """Coefficients of a over F_q, lowest power of alpha first."""
         q = self.q
@@ -462,6 +457,7 @@ class FieldSpec:
         return tuple(out)
 
     def from_digits(self, ds) -> int:
+        """The index with F_q digits ds, lowest first; missing top digits are 0."""
         v = 0
         for c in reversed(tuple(ds)):
             v = v * self.q + c
@@ -506,36 +502,13 @@ class FieldSpec:
         return acc
 
     def _mul_digits(self, a: int, b: int) -> int:
-        """Product reduced mod ext_modulus, schoolbook on coefficient vectors."""
-        if a == 0 or b == 0:
-            return 0
-        fq = self.base_field
-        m = self.m
-        da = self.digits(a)
-        db = [(j, y) for j, y in enumerate(self.digits(b)) if y]
-        prod = [0] * (2 * m - 1)
-        for i, x in enumerate(da):
-            if x == 0:
-                continue
-            for j, y in db:
-                prod[i + j] = fq.add(prod[i + j], fq.mul(x, y))
-        # reduce: alpha^(m+t) = alpha^t * alpha^m, folding from the top down
-        alpha_m = self._alpha_m
-        for top in range(2 * m - 2, m - 1, -1):
-            c = prod[top]
-            if c == 0:
-                continue
-            prod[top] = 0
-            base = top - m
-            for j, r in alpha_m:
-                prod[base + j] = fq.add(prod[base + j], fq.mul(c, r))
-        return self.from_digits(prod[:m])
+        """Product of the digit vectors reduced mod ext_modulus (_pmulmod)."""
+        return self.from_digits(_pmulmod(self.digits(a), self.digits(b), self.ext_modulus,
+                                         self.base_field))
 
     def _inv_euclid(self, a: int) -> int:
-        if a == 0:
-            raise ZeroDivisionError("inverse of zero")
-        poly = _ptrim(self.digits(a))
-        return self.from_digits(self._pad(_pinv_mod(poly, self.ext_modulus, self.base_field)))
+        """Inverse by Euclid on the digit vector (_pinv_mod); ZeroDivisionError for 0."""
+        return self.from_digits(_pinv_mod(self.digits(a), self.ext_modulus, self.base_field))
 
     def pow(self, a: int, n: int) -> int:
         if n < 0:
@@ -552,18 +525,13 @@ class FieldSpec:
     # -- Frobenius and trace -------------------------------------------------
 
     def _frob_basis(self, s: int):
-        """Images (alpha^i)^(q^s) of the power basis; x -> x^(q^s) is F_q-linear."""
+        """Images (alpha^i)^(q^s) of the power basis; x -> x^(q^s) is F_q-linear.
+        alpha^i has index q^i, and each image is one power of it."""
         s %= self.m
         basis = self._frob_ops.get(s)
         if basis is None:
-            basis = []
-            for i in range(self.m):
-                img = self.from_digits([0] * i + [1]) if i else 1
-                for _ in range(s):
-                    img = self.pow(img, self.q)
-                basis.append(img)
-            basis = tuple(basis)
-            self._frob_ops[s] = basis
+            basis = self._frob_ops[s] = tuple(self.pow(self.q ** i, self.q ** s)
+                                              for i in range(self.m))
         return basis
 
     def _frob_by_basis(self, a: int, s: int) -> int:
@@ -616,7 +584,7 @@ class FieldSpec:
         ds = [self._coerce_base_value(c) for c in coeffs]
         if len(ds) > self.m:
             raise InvalidParameterError("too many coefficients for this extension")
-        return Element(self, self.from_digits(self._pad(ds)))
+        return Element(self, self.from_digits(ds))
 
     # -- lookup tables ---------------------------------------------------------
 

@@ -618,8 +618,15 @@ def dual_code(code: RankCode) -> RankCode:
 
 def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
     """Map every generator row entrywise by x -> sigma(lambda x), then
-    multiply by A on the right; preserves the minimum rank distance."""
+    multiply by A on the right; preserves the minimum rank distance.
+    lambda must be an Element, A a BaseMatrix over F_q and sigma_power an
+    int (any sign); another tower is SpecMismatchError."""
     spec = code.spec
+    if not isinstance(iso.lam, Element):
+        raise InvalidParameterError(f"lambda must be a field Element, got {iso.lam!r}")
+    if not isinstance(iso.A, BaseMatrix):
+        raise InvalidParameterError(f"A must be a BaseMatrix over F_q, got {iso.A!r}")
+    sigma_power, = _checked_ints("sigma_power", iso.sigma_power, low=None)
     if iso.lam.spec != spec or iso.A.spec != spec:
         raise SpecMismatchError("isometry defined over a different field tower")
     if not iso.lam.idx:
@@ -627,11 +634,14 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
     n = code.n
     if iso.A.rows != n or iso.A.cols != n:
         raise ShapeError(f"A must be {n}x{n}, got {iso.A.rows}x{iso.A.cols}")
-    if _invertible_rows(spec, [spec.from_digits(row) for row in iso.A.entries], n) is None:
+    # A's rows are digit rows: packed for the XOR basis at q = 2, else ranked as they are
+    rows = iso.A.entries
+    if (_expanded_rank(spec, list(map(spec.from_digits, rows))) if spec.q == 2
+            else _rank_raw(rows, spec.base_field)) < n:
         raise InvalidParameterError("A is singular over F_q")
-    s = iso.sigma_power % spec.m
+    s = sigma_power % spec.m
     lam = iso.lam.idx
-    columns = list(zip(*iso.A.entries))
+    columns = list(zip(*rows))
     frobenius, mul = spec.frobenius, spec.mul
     new_rows = []
     for row in code.G.entries:

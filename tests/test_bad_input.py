@@ -60,6 +60,20 @@ CASES = {
     "isometry-wrong-size": (
         lambda: apply_isometry(CODE, Isometry(A, BaseMatrix.identity(F16, 2), 0)),
         ShapeError, "A must be 3x3, got 2x2"),
+    "isometry-ext-matrix-A": (
+        lambda: apply_isometry(gabidulin([F16.element(2), F16.element(3), F16.element(13)], 1, 2),
+                               Isometry(F16.one, ExtMatrix(F16, [[1, 0, 0], [0, 11, 0],
+                                                                 [0, 0, 1]]), 0)),
+        InvalidParameterError, "A must be a BaseMatrix over F_q"),
+    "isometry-int-lambda": (
+        lambda: apply_isometry(CODE, Isometry(1, BaseMatrix.identity(F16, 3), 0)),
+        InvalidParameterError, "lambda must be a field Element, got 1"),
+    "isometry-float-sigma": (
+        lambda: apply_isometry(CODE, Isometry(A, BaseMatrix.identity(F16, 3), 1.5)),
+        InvalidParameterError, "sigma_power must be an integer, got 1.5"),
+    "isometry-str-sigma": (
+        lambda: apply_isometry(CODE, Isometry(A, BaseMatrix.identity(F16, 3), "1")),
+        InvalidParameterError, "sigma_power must be an integer, got '1'"),
     "census-k-equals-n": (lambda: census(2, 2, 2, 3),
                           InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
     "census-other-spec": (lambda: census(2, 2, 4, 3, spec=F16),
@@ -84,6 +98,15 @@ CASES = {
                              InvalidParameterError, "r must be an integer, got 1.0"),
     "monte-carlo-bool-k": (lambda: monte_carlo(2, True, 4, 6, 10, 0),
                            InvalidParameterError, "k must be an integer, got True"),
+    "monte-carlo-float-seed": (lambda: monte_carlo(2, 2, 4, 4, 1, seed=1.5),
+                               InvalidParameterError, "seed must be an integer, got 1.5"),
+    "monte-carlo-str-seed": (lambda: monte_carlo(2, 2, 4, 4, 1, seed="a"),
+                             InvalidParameterError, "seed must be an integer, got 'a'"),
+    "monte-carlo-bool-seed": (lambda: monte_carlo(2, 2, 4, 4, 1, seed=True),
+                              InvalidParameterError, "seed must be an integer, got True"),
+    "figure-str-seed": (
+        lambda: figure_data(2, q=2, k=2, n=4, m_values=[4], trials=1, seed="x"),
+        InvalidParameterError, "seed must be an integer, got 'x'"),
     "gaussian-binomial-bool-q": (lambda: gaussian_binomial(4, 2, True),
                                  InvalidParameterError, "q must be an integer, got True"),
     "field-bool-m": (lambda: FieldSpec(2, 1, True),

@@ -20,7 +20,7 @@ from rankforge import field_arith
 from conftest import REDUCIBLE_NO_SMALL_FACTOR, fail, untabled
 
 SMALL_TOWERS = [(2, 1, 2), (2, 1, 3), (2, 1, 4), (3, 1, 2), (3, 1, 3), (2, 2, 2)]
-TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (2, 2, 2), (5, 1, 2), (3, 2, 2)]
+TWIN_TOWERS = [(2, 1, 4), (3, 1, 3), (3, 1, 4), (2, 2, 2), (2, 2, 3), (5, 1, 2), (3, 2, 2)]
 
 # _smallest_irreducible(m, F) for each base field and m, lowest
 # coefficient first; each value is the default modulus of that tower.
