@@ -6,9 +6,9 @@ root seed and the chunk index, so results do not depend on worker count or
 scheduling.  The census visits one systematic block per orbit of
 X -> XQ + A (Q in GL_{n-k}(F_q), A over F_q) and the Frobenius, scanning the
 dual shape when n - k < k.  A per-orbit counter (`_orbit_counts`) counts the
-blocks of one first-row orbit, two scanned rows by the hyperplanes of their
-T(2, n) determinants and other shapes block by block, and checks oracle
-visits through the block classifier (`mrd_criteria._classify`); `census`
+blocks of one first-row orbit, one scanned row by its one block and two by
+the hyperplanes of their T(2, n) determinants, and checks oracle visits
+through the block classifier (`mrd_criteria._classify`); `census`
 drives it over the orbits, weights its counts by the orbit's size and
 checkpoints the number of orbits done to a resumable state file.
 """
@@ -340,21 +340,19 @@ def _last_row_sweep(spec: FieldSpec, first_row):
 
 
 def _orbit_counts(spec: FieldSpec, ks: int, first_row, base: int, oracle_stride: int):
-    """The unweighted (mrd, gab, per_s) over every inner block of the census
-    orbit of `first_row` (ks scanned rows of len(first_row) columns), whose
-    visits are base + t.  Two rows: `_last_row_sweep` gives the failing y_0
-    at each prefix of the last rows, and the prefix adds the q^(m-1) visits
-    minus those y_0 over q; a translation of y_0 by F_q keeps MRD, so the
-    failing y_0 are a union of F_q-cosets, each meeting the visits once,
-    and a count that q does not divide is a VerificationError.  Other
-    shapes: each inner block, in visit order, whole (`_classify`).  Every
-    visit that is a multiple of `oracle_stride` is checked against
-    `_classify` and then the brute-force distance oracle; any disagreement
-    is a VerificationError.
+    """The unweighted (mrd, gab, per_s) over the census orbit of `first_row`
+    (ks = 1 or 2 scanned rows), whose visits are base + t.  One row: its
+    one block (`_classify`).  Two rows: `_last_row_sweep` gives the failing
+    y_0 at each prefix of the last rows, and the prefix adds the q^(m-1)
+    visits minus those y_0 over q; a translation of y_0 by F_q keeps MRD, so
+    the failing y_0 are a union of F_q-cosets, each meeting the visits once,
+    and a count that q does not divide is a VerificationError.  Every visit
+    that is a multiple of `oracle_stride` is checked against `_classify`,
+    then the brute-force distance oracle; any disagreement is a
+    VerificationError.
     """
     q, w = spec.q, len(first_row)
     identity_rows = [[1 if i == j else 0 for j in range(ks)] for i in range(ks)]
-    mrd = gab = 0
     per_s = dict.fromkeys(spec.valid_s_values(), 0)
 
     def check(v, X, found):
@@ -365,38 +363,29 @@ def _orbit_counts(spec: FieldSpec, ks: int, first_row, base: int, oracle_stride:
         if (_min_rank_distance_raw(spec, rows, ks, ks + w) == w + 1) != (found is not None):
             raise VerificationError(f"criterion and distance oracle disagree at visit {v}")
 
-    if ks == 2:
-        entries = spec.order // q
-        for p, (fails, hits) in enumerate(_last_row_sweep(spec, first_row)):
-            start = base + p * entries
-            passing, rest = divmod(spec.order - len(fails), q)
-            if rest:
-                raise VerificationError(f"{len(fails)} y_0 fail at the prefix of visit {start}: "
-                                        "not a union of F_q-cosets")
-            mrd += passing
-            gab += len(hits)
-            for members in hits.values():
-                for s in members:
-                    per_s[s] += 1
-            for v in range(-(-start // oracle_stride) * oracle_stride, start + entries,
-                           oracle_stride):
-                y = _last_row(spec, w, v - base)
-                check(v, [first_row, y], None if y[0] in fails else hits.get(y[0], ()))
-    else:
-        cells = (ks - 1) * w
-        below = range(0, cells, w)  # where the rows below the first start in a visit's entries
-        for v, flat in enumerate(itertools.product(range(0, spec.order, q), repeat=cells), base):
-            flat = flat[::-1]  # product steps its last entry fastest, t its lowest digit
-            X = [first_row, *(flat[i:i + w] for i in below)]
-            hits = mc._classify(spec, X)
-            if hits is not None:
-                mrd += 1
-                if hits:
-                    gab += 1
-                for s in hits:
-                    per_s[s] += 1
-            if v % oracle_stride == 0:
-                check(v, X, hits)
+    if ks == 1:
+        hits = mc._classify(spec, [first_row])
+        if base % oracle_stride == 0:
+            check(base, [first_row], hits)
+        per_s.update(dict.fromkeys(hits or (), 1))
+        return int(hits is not None), int(bool(hits)), per_s
+    mrd = gab = 0
+    entries = spec.order // q
+    for p, (fails, hits) in enumerate(_last_row_sweep(spec, first_row)):
+        start = base + p * entries
+        passing, rest = divmod(spec.order - len(fails), q)
+        if rest:
+            raise VerificationError(f"{len(fails)} y_0 fail at the prefix of visit {start}: "
+                                    "not a union of F_q-cosets")
+        mrd += passing
+        gab += len(hits)
+        for members in hits.values():
+            for s in members:
+                per_s[s] += 1
+        for v in range(-(-start // oracle_stride) * oracle_stride, start + entries,
+                       oracle_stride):
+            y = _last_row(spec, w, v - base)
+            check(v, [first_row, y], None if y[0] in fails else hits.get(y[0], ()))
     return mrd, gab, per_s
 
 
@@ -420,14 +409,14 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     q^(mk(n-k)).  When n - k < k the dual shape (n - k, n), whose counts
     are the same, is scanned instead.
 
-    Blocks are visited orbit-major: with k and n - k those of the scanned
-    shape, visit v is inner block t = v mod (q^(m-1))^((k-1)(n-k)) of orbit
-    v div that, whose entry (i, j) for i >= 1 is q times the base-q^(m-1)
-    digit (i-1)(n-k) + j of t, lowest first.  Each orbit is counted by
-    `_orbit_counts`, with two scanned rows prefix by prefix of its last
-    rows (`_last_row_sweep`), and weighted by its size; every
-    `oracle_stride`-th visit (default every 100th) is checked against the
-    block classifier (`_classify`) and the brute-force oracle.
+    The scanned shape has one row or two; three or more (n >= 6, at least
+    q^(6(m-1)) blocks per orbit) are refused before any budget check, and
+    `monte_carlo` estimates them.  Visits are orbit-major, each orbit counted
+    by `_orbit_counts` and weighted by its size: with one row, visit v is
+    orbit v's block; with two, visit v is last row t = v mod q^((m-1)(n-2))
+    (`_last_row`) of orbit v div that, counted prefix by prefix
+    (`_last_row_sweep`).  Every `oracle_stride`-th visit (default every
+    100th) is checked against `_classify` and the brute-force oracle.
     When `checkpoint_path` is given, progress is persisted before the first
     orbit (so an unwritable path fails at once), then at the first orbit
     boundary at or past each multiple of 2^16 visits, and an interrupted
@@ -449,11 +438,14 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
+    ks = min(k, n - k)
+    if ks >= 3:
+        raise InvalidParameterError(f"({q},{k},{n},{m}) has min(k, n - k) = {ks} scanned rows and "
+                                    "census counts one or two; estimate it with monte_carlo")
     if spec is None:
         spec = default_field(q, m)
     elif (spec.q, spec.m) != (q, m):
         raise InvalidParameterError("spec disagrees with (q, m)")
-    ks = min(k, n - k)
     w = n - ks
     inner = (spec.order // q) ** ((ks - 1) * w)
     # refuse before the orbit walk: it visits every subspace, and each

@@ -16,7 +16,7 @@ from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
                           _element_index, _fq_combination)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
                         enumerate_rref, intersection_dim)
-from .rank_codes import RankCode, _is_mrd_block, _side_passes, _smaller_side
+from .rank_codes import RankCode, _checked, _is_mrd_block, _side_passes, _smaller_side
 
 _SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
 
@@ -138,7 +138,7 @@ def is_mrd(code: RankCode) -> bool:
     The verdict is stored on the code (`RankCode`): a code that
     `is_mrd` or `min_rank_distance` has already decided is answered with
     no work and no budget check."""
-    verdict = code._mrd
+    verdict = _checked(code)._mrd
     if verdict is None:
         # a singular leading k x k block (no systematic_X, k < n) leaves a
         # nonzero codeword on the last n - k coordinates, so d <= n - k
@@ -154,7 +154,7 @@ def is_mrd_fullrank_variant(code: RankCode) -> bool:
     Test-oracle flavor: enumerates all q^(kn) matrices and filters by rank,
     so it is far more expensive than the echelon-form route.
     """
-    spec, k, n = code.spec, code.k, code.n
+    spec, k, n = _checked(code).spec, code.k, code.n
     check_budget(spec.q ** (k * n), "full-rank matrix scan")
     for flat in itertools.product(range(spec.q), repeat=k * n):
         V = [list(flat[i * n:(i + 1) * n]) for i in range(k)]
@@ -177,7 +177,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
 def frobenius_code(code: RankCode, s: int) -> RankCode:
     """The code {c^(q^s) : c in C}, mapped entrywise on the generator."""
     s, = _checked_ints("s", s, low=0)
-    spec = code.spec
+    spec = _checked(code).spec
     rows = [[spec.frobenius(v, s) for v in row] for row in code.G.entries]
     return RankCode(spec, ExtMatrix._trusted(spec, rows))
 

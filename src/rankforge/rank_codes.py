@@ -120,6 +120,14 @@ class Isometry:
     sigma_power: int
 
 
+def _checked(value, kind=RankCode, what: str = "code must be a RankCode"):
+    """`value` if it is a `kind` (by default a public function's code
+    argument); anything else is invalid input, `what` naming the kind."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{what}, got {value!r}")
+    return value
+
+
 def rank_distance(x: Sequence[Element], y: Sequence[Element]) -> int:
     """Rank over F_q of the coefficient expansion of x - y."""
     if len(x) != len(y):
@@ -578,7 +586,7 @@ def min_rank_distance(code: RankCode) -> int:
     as every later level is.  Each route checks the enumeration budget on
     its own count.
     """
-    spec, k, n = code.spec, code.k, code.n
+    spec, k, n = _checked(code).spec, code.k, code.n
     if code._mrd:
         return n - k + 1
     if k == 2 < n:
@@ -599,7 +607,7 @@ def _distance_route(spec: FieldSpec, k: int, n: int):
 
 def dual_code(code: RankCode) -> RankCode:
     """The code {u : u c^T = 0 for all c in C}, of dimension n - k."""
-    spec = code.spec
+    spec = _checked(code).spec
     k, n = code.k, code.n
     if k == n:
         raise InvalidParameterError("dual of the full space is zero-dimensional")
@@ -620,12 +628,11 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
     """Map every generator row entrywise by x -> sigma(lambda x), then
     multiply by A on the right; preserves the minimum rank distance.
     lambda must be an Element, A a BaseMatrix over F_q and sigma_power an
-    int (any sign); another tower is SpecMismatchError."""
-    spec = code.spec
-    if not isinstance(iso.lam, Element):
-        raise InvalidParameterError(f"lambda must be a field Element, got {iso.lam!r}")
-    if not isinstance(iso.A, BaseMatrix):
-        raise InvalidParameterError(f"A must be a BaseMatrix over F_q, got {iso.A!r}")
+    int (any sign), in an Isometry; another tower is SpecMismatchError."""
+    spec = _checked(code).spec
+    _checked(iso, Isometry, "iso must be an Isometry")
+    _checked(iso.lam, Element, "lambda must be a field Element")
+    _checked(iso.A, BaseMatrix, "A must be a BaseMatrix over F_q")
     sigma_power, = _checked_ints("sigma_power", iso.sigma_power, low=None)
     if iso.lam.spec != spec or iso.A.spec != spec:
         raise SpecMismatchError("isometry defined over a different field tower")

@@ -10,11 +10,13 @@ import pytest
 from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        Isometry, MultilinearPoly, RankCode, ShapeError,
                        SpecMismatchError, apply_isometry, census,
-                       count_intersecting_subspaces, default_field, enumerate_G,
-                       euler_phi, expand_to_base, figure_data, frobenius_code,
-                       gab_bound, gab_bound_rough, gabidulin, gaussian_binomial,
-                       linearly_independent_over_base, monte_carlo, moore_matrix,
-                       mrd_bound, random_isometry, rank_distance, symbolic_f_E)
+                       count_intersecting_subspaces, default_field, dual_code,
+                       enumerate_G, euler_phi, expand_to_base, figure_data,
+                       frobenius_code, gab_bound, gab_bound_rough, gabidulin,
+                       gaussian_binomial, is_gabidulin, is_mrd, is_mrd_fullrank_variant,
+                       linearly_independent_over_base, min_rank_distance, monte_carlo,
+                       moore_matrix, mrd_bound, random_isometry, rank_distance,
+                       symbolic_f_E)
 from rankforge.experiments import census_progress
 
 F8 = default_field(2, 3)
@@ -74,10 +76,37 @@ CASES = {
     "isometry-str-sigma": (
         lambda: apply_isometry(CODE, Isometry(A, BaseMatrix.identity(F16, 3), "1")),
         InvalidParameterError, "sigma_power must be an integer, got '1'"),
+    "isometry-none-code": (
+        lambda: apply_isometry(None, Isometry(A, BaseMatrix.identity(F16, 3), 0)),
+        InvalidParameterError, "code must be a RankCode, got None"),
+    "isometry-none": (lambda: apply_isometry(CODE, None),
+                      InvalidParameterError, "iso must be an Isometry, got None"),
+    "isometry-tuple": (lambda: apply_isometry(CODE, (A, BaseMatrix.identity(F16, 3), 0)),
+                       InvalidParameterError, r"iso must be an Isometry, got \(Element"),
+    "dual-code-none": (lambda: dual_code(None),
+                       InvalidParameterError, "code must be a RankCode, got None"),
+    "frobenius-code-none": (lambda: frobenius_code(None, 1),
+                            InvalidParameterError, "code must be a RankCode, got None"),
+    "is-mrd-none": (lambda: is_mrd(None),
+                    InvalidParameterError, "code must be a RankCode, got None"),
+    "is-gabidulin-none": (lambda: is_gabidulin(None),
+                          InvalidParameterError, "code must be a RankCode, got None"),
+    "fullrank-variant-none": (lambda: is_mrd_fullrank_variant(None),
+                              InvalidParameterError, "code must be a RankCode, got None"),
+    "min-distance-none": (lambda: min_rank_distance(None),
+                          InvalidParameterError, "code must be a RankCode, got None"),
     "census-k-equals-n": (lambda: census(2, 2, 2, 3),
                           InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
     "census-other-spec": (lambda: census(2, 2, 4, 3, spec=F16),
                           InvalidParameterError, "spec disagrees"),
+    # three scanned rows: no MRD block at m = 4 < n, 2^30 visits per orbit
+    # at m = 6, and no first-row orbit at all at (2,3,7,4)
+    "census-three-rows-m4": (lambda: census(2, 3, 6, 4), InvalidParameterError,
+                             r"\(2,3,6,4\) has min\(k, n - k\) = 3 scanned rows"),
+    "census-three-rows-m6": (lambda: census(2, 3, 6, 6), InvalidParameterError,
+                             "census counts one or two; estimate it with monte_carlo"),
+    "census-three-rows-no-orbits": (lambda: census(2, 3, 7, 4), InvalidParameterError,
+                                    r"\(2,3,7,4\) has min\(k, n - k\) = 3"),
     "figure-id-4": (lambda: figure_data(4), InvalidParameterError, "figure id must be 1, 2 or 3"),
     "frobenius-code-negative-s": (lambda: frobenius_code(CODE, -1),
                                   InvalidParameterError, "s must be nonnegative, got -1"),

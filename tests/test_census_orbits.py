@@ -224,6 +224,45 @@ def test_q_system_identity_on_committed_csv(path):
         **shape, per_s_gab_counts={int(r["s"]): int(r["gab_count_s"]) for r in rows}))
 
 
+def _csv_counts(q, k, n, m):
+    """(mrd, gab) stored in the committed census CSV of (q, k, n, m)."""
+    rows = _read_census_csv(RESULTS / f"census_q{q}_k{k}_n{n}_m{m}.csv")
+    return int(rows[0]["mrd_count"]), int(rows[0]["gab_count"])
+
+
+# (mrd, gab) of (2,2,4,4), a tier-1 known answer with no committed CSV
+KNOWN_2244 = (1344, 1344)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5])
+def test_conjectured_closed_form_n4_m4(q):
+    # A conjecture, not a theorem: at n = m = 4 the one Gabidulin class
+    # counts (Q - q)(Q - q^2)(Q - q^3), and MRD = that times
+    # q (q^3 - q^2 - q - 1) / 2.  Checked against the stored counts, not
+    # recomputed
+    Q = q ** 4
+    gab = (Q - q) * (Q - q ** 2) * (Q - q ** 3)
+    mrd, rest = divmod(gab * q * (q ** 3 - q ** 2 - q - 1), 2)
+    assert rest == 0
+    assert (mrd, gab) == (KNOWN_2244 if q == 2 else _csv_counts(q, 2, 4, 4))
+
+
+@pytest.mark.parametrize("m", [4, 5, 6, 7, 8])
+def test_conjectured_closed_form_q2_n4(m):
+    # A conjecture, not a theorem: MRD(2,2,4,m) =
+    # 24 ([m - 1, 2]_2 (Q^2 - 28 Q + 216) - 8 A(m) - 112 [4 | m] - 56 [3 | m]),
+    # A(m) = (7 (2^(m-1) - 1) - 7 [2 | m] - 21 [3 | m] - 42 [4 | m]) / 3 the
+    # first-row subspaces whose 28 failing lines meet in 208 points, not
+    # the generic 216.  Checked against the stored counts, not recomputed
+    Q = 2 ** m
+    a, rest = divmod(7 * (2 ** (m - 1) - 1) - 7 * (m % 2 == 0) - 21 * (m % 3 == 0)
+                     - 42 * (m % 4 == 0), 3)
+    assert rest == 0
+    mrd = 24 * (gaussian_binomial(m - 1, 2, 2) * (Q * Q - 28 * Q + 216) - 8 * a
+                - 112 * (m % 4 == 0) - 56 * (m % 3 == 0))
+    assert mrd == (KNOWN_2244[0] if m == 4 else _csv_counts(2, 2, 4, m)[0])
+
+
 # The tier-1 tests that run a census whole check the identity on it; these
 # shapes are run whole only by TestCensus::test_chunked_scan_matches_direct
 @pytest.mark.parametrize("q,k,n,m", [(2, 1, 4, 6), (3, 2, 3, 5), (3, 2, 4, 3)])

@@ -472,6 +472,14 @@ class TestCensusCli:
         assert code == 3
         assert "budget" in err.lower()
 
+    def test_three_scanned_rows_exit_code(self, capsys):
+        # (2,3,6,6) would visit 2^30 blocks per orbit; it is refused as a
+        # shape, not as an exceeded budget
+        code, _, err = run(capsys, "census", "--q", "2", "--k", "3", "--n", "6",
+                           "--m", "6")
+        assert code == 2
+        assert "monte_carlo" in err
+
     @pytest.mark.parametrize("value", ["lots", "0", "-5"])
     def test_malformed_budget_exit_code(self, capsys, monkeypatch, value):
         monkeypatch.setenv("RANKFORGE_BUDGET", value)

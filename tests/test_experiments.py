@@ -22,6 +22,8 @@ from rankforge.fq_linalg import gaussian_binomial
 
 from conftest import assert_gabidulin_per_s, fail
 
+DATA = Path(__file__).resolve().parent / "data"
+
 
 class TestDeriveSeed:
     def test_stable(self):
@@ -278,6 +280,19 @@ class TestCensus:
                 assert json.loads(path.read_text())["cursor"] == cursor
             assert json.loads(path.read_text())["cursor"] == 3
             assert resumed == direct
+
+    def test_one_row_checkpoint_resumes(self, tmp_path):
+        # a schema-5 checkpoint of (2,1,4,6), stopped after 3 of its 31
+        # one-block orbits by the census that classified one-row orbits
+        # block by block, resumes to that census's one-shot counts:
+        # 2^18 (1 - 2^-5)(1 - 2^-4)(1 - 2^-3) MRD blocks, all Gabidulin
+        path = tmp_path / "census.json"
+        path.write_text((DATA / "census_q2_k1_n4_m6_cursor3.json").read_text())
+        assert experiments.census_progress(str(path)) == (3, 31)
+        result = census(2, 1, 4, 6, checkpoint_path=str(path))
+        assert (result.total, result.mrd_count, result.gab_count) == (262144, 208320, 208320)
+        assert result.per_s_gab_counts == {1: 208320, 5: 208320}
+        assert result == census(2, 1, 4, 6)
 
     def test_hyperplanes_read_once_per_orbit(self, tmp_path, monkeypatch):
         from rankforge import experiments
