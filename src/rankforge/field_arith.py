@@ -43,7 +43,9 @@ upward when m > 1.  _span also builds the tables of the echelon identity
 A default modulus is the smallest monic irreducible by Ben-Or's test.
 
 Library input is read here too: entries and indices by _checked_index,
-integer parameters by _checked_ints and a shape (k, n) by _checked_shape.
+integer parameters by _checked_ints, a shape (k, n) by _checked_shape, the
+keys of a JSON object by _checked_keys and a code or matrix argument's
+kind by _checked.
 """
 
 from __future__ import annotations
@@ -114,6 +116,15 @@ def _checked_keys(data, keys, what: str) -> None:
     if unknown:
         raise InvalidParameterError(
             f"unknown {what} key {', '.join(unknown)}; the keys are {', '.join(keys)}")
+
+
+def _checked(value, kind, what: str):
+    """`value` if it is a `kind`, as a public function's code or matrix
+    argument must be; anything else is invalid input, `what` naming the
+    kind."""
+    if not isinstance(value, kind):
+        raise InvalidParameterError(f"{what}, got {value!r}")
+    return value
 
 
 def _element_index(v, spec: "FieldSpec") -> int:

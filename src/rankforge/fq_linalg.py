@@ -15,8 +15,8 @@ from typing import Sequence
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, SpecMismatchError
-from .field_arith import (Element, FieldSpec, _checked_index, _checked_ints,
-                          _checked_shape, _element_index, _element_indices)
+from .field_arith import (Element, FieldSpec, _checked, _checked_index, _checked_ints,
+                          _checked_keys, _checked_shape, _element_index, _element_indices)
 
 
 class _MatrixBase:
@@ -61,6 +61,23 @@ class _MatrixBase:
     def copy_entries(self):
         return [list(r) for r in self.entries]
 
+    def to_json(self):
+        return {"rows": self.rows, "cols": self.cols,
+                "entries": [[self._encode(v) for v in row] for row in self.entries]}
+
+    @classmethod
+    def from_json(cls, spec, data):
+        """The matrix `to_json` wrote: a JSON object with exactly its keys,
+        each entry read by the kind's own decoder."""
+        keys = ("rows", "cols", "entries")
+        _checked_keys(data, keys, "matrix")
+        if len(data) < len(keys):
+            raise InvalidParameterError(f"matrix lacks a key; the keys are {', '.join(keys)}")
+        mat = cls(spec, [[cls._decode(spec, v) for v in row] for row in data["entries"]])
+        if mat.rows != data["rows"] or mat.cols != data["cols"]:
+            raise InvalidParameterError("matrix dimensions disagree with entries")
+        return mat
+
     def __repr__(self):
         return f"{type(self).__name__}({self.rows}x{self.cols} over {self.spec!r})"
 
@@ -75,18 +92,12 @@ class BaseMatrix(_MatrixBase):
     def _ops(self):
         return self.spec.base_field
 
-    def to_json(self):
-        enc = self.spec._base_value_to_json
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[enc(v) for v in row] for row in self.entries]}
+    def _encode(self, v):
+        return self.spec._base_value_to_json(v)
 
-    @classmethod
-    def from_json(cls, spec, data):
-        rows = [[spec._coerce_base_value(v) for v in row] for row in data["entries"]]
-        mat = cls(spec, rows)
-        if mat.rows != data["rows"] or mat.cols != data["cols"]:
-            raise InvalidParameterError("matrix dimensions disagree with entries")
-        return mat
+    @staticmethod
+    def _decode(spec, v):
+        return spec._coerce_base_value(v)
 
 
 class ExtMatrix(_MatrixBase):
@@ -101,20 +112,12 @@ class ExtMatrix(_MatrixBase):
     def _ops(self):
         return self.spec
 
-    def to_json(self):
-        spec = self.spec
-        return {"rows": self.rows, "cols": self.cols,
-                "entries": [[Element(spec, v).coeffs() for v in row]
-                            for row in self.entries]}
+    def _encode(self, v):
+        return Element(self.spec, v).coeffs()
 
-    @classmethod
-    def from_json(cls, spec, data):
-        rows = [[spec.element_from_coeffs(v).idx for v in row]
-                for row in data["entries"]]
-        mat = cls(spec, rows)
-        if mat.rows != data["rows"] or mat.cols != data["cols"]:
-            raise InvalidParameterError("matrix dimensions disagree with entries")
-        return mat
+    @staticmethod
+    def _decode(spec, v):
+        return spec.element_from_coeffs(v).idx
 
 
 # --------------------------------------------------------------------------
@@ -188,7 +191,7 @@ def rref(M):
     elimination goes on into the identity block, which leaves R alone but
     picks one of the many valid T.
     """
-    n = M.cols
+    n = _checked(M, _MatrixBase, "M must be a BaseMatrix or ExtMatrix").cols
     rows = [row + [1 if i == j else 0 for j in range(M.rows)]
             for i, row in enumerate(M.entries)]
     pivots = _rref_in_place(rows, M._ops())
@@ -198,12 +201,13 @@ def rref(M):
 
 
 def rank(M) -> int:
-    return _rank_raw(M.entries, M._ops())
+    return _rank_raw(_checked(M, _MatrixBase, "M must be a BaseMatrix or ExtMatrix").entries,
+                     M._ops())
 
 
 def det(M):
     """Determinant; an F_q int for BaseMatrix, an Element for ExtMatrix."""
-    if M.rows != M.cols:
+    if _checked(M, _MatrixBase, "M must be a BaseMatrix or ExtMatrix").rows != M.cols:
         raise ShapeError(f"determinant needs a square matrix, got {M.rows}x{M.cols}")
     ops = M._ops()
     inv, mul, sub = ops.inv, ops.mul, ops.sub
@@ -233,6 +237,8 @@ def det(M):
 
 def intersection_dim(U, W) -> int:
     """dim(rowspace(U) ∩ rowspace(W)) = rk(U) + rk(W) - rk([U; W])."""
+    for M in (U, W):
+        _checked(M, _MatrixBase, "U and W must be a BaseMatrix or ExtMatrix")
     if type(U) is not type(W) or U.spec != W.spec:
         raise SpecMismatchError("matrices live over different fields")
     if U.cols != W.cols:

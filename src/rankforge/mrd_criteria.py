@@ -12,13 +12,13 @@ from math import gcd
 
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
-from .field_arith import (Element, FieldSpec, _checked_ints, _checked_shape,
-                          _element_index, _fq_combination)
-from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place,
+from .field_arith import (Element, FieldSpec, _checked, _checked_index, _checked_ints,
+                          _checked_shape, _element_index, _fq_combination)
+from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place, det,
                         enumerate_rref, intersection_dim)
-from .rank_codes import RankCode, _checked, _is_mrd_block, _side_passes, _smaller_side
+from .rank_codes import RankCode, _is_mrd_block, _side_passes, _smaller_side
 
-_SYMBOLIC_VAR_MAX = 12  # multilinear expansion holds up to 2**12 monomials
+_SYMBOLIC_VAR_MAX = 12  # symbolic_f_E takes at most 2**12 F_q determinants
 
 
 # --------------------------------------------------------------------------
@@ -138,7 +138,7 @@ def is_mrd(code: RankCode) -> bool:
     The verdict is stored on the code (`RankCode`): a code that
     `is_mrd` or `min_rank_distance` has already decided is answered with
     no work and no budget check."""
-    verdict = _checked(code)._mrd
+    verdict = _checked(code, RankCode, "code must be a RankCode")._mrd
     if verdict is None:
         # a singular leading k x k block (no systematic_X, k < n) leaves a
         # nonzero codeword on the last n - k coordinates, so d <= n - k
@@ -154,7 +154,7 @@ def is_mrd_fullrank_variant(code: RankCode) -> bool:
     Test-oracle flavor: enumerates all q^(kn) matrices and filters by rank,
     so it is far more expensive than the echelon-form route.
     """
-    spec, k, n = _checked(code).spec, code.k, code.n
+    spec, k, n = _checked(code, RankCode, "code must be a RankCode").spec, code.k, code.n
     check_budget(spec.q ** (k * n), "full-rank matrix scan")
     for flat in itertools.product(range(spec.q), repeat=k * n):
         V = [list(flat[i * n:(i + 1) * n]) for i in range(k)]
@@ -169,7 +169,7 @@ def is_mrd_fullrank_variant(code: RankCode) -> bool:
 def rank1_criterion(X: ExtMatrix, s: int) -> bool:
     """True iff the entrywise map x -> x^(q^s) - x sends X to a rank-one
     matrix over F_{q^m}."""
-    spec = X.spec
+    spec = _checked(X, ExtMatrix, "X must be an ExtMatrix").spec
     s = spec._check_s(s)
     return bool(_gabidulin_hits(spec, X.entries, ((min(s, spec.m - s), (s,)),)))
 
@@ -177,7 +177,7 @@ def rank1_criterion(X: ExtMatrix, s: int) -> bool:
 def frobenius_code(code: RankCode, s: int) -> RankCode:
     """The code {c^(q^s) : c in C}, mapped entrywise on the generator."""
     s, = _checked_ints("s", s, low=0)
-    spec = _checked(code).spec
+    spec = _checked(code, RankCode, "code must be a RankCode").spec
     rows = [[spec.frobenius(v, s) for v in row] for row in code.G.entries]
     return RankCode(spec, ExtMatrix._trusted(spec, rows))
 
@@ -228,7 +228,7 @@ def _leading_subspace(spec: FieldSpec, k: int, n: int) -> BaseMatrix:
 def f_E_degree(E: BaseMatrix) -> int:
     """Total degree of det([I_k | X] E^T) as a polynomial in the entries of X:
     k minus the dimension of rowspace(E) meeting the leading subspace."""
-    if not _is_full_rank_rref(E):
+    if not _is_full_rank_rref(_checked(E, BaseMatrix, "E must be a BaseMatrix over F_q")):
         raise InvalidParameterError("E must be a full-rank reduced row echelon form")
     k, n = E.rows, E.cols
     U0 = _leading_subspace(E.spec, k, n)
@@ -236,12 +236,26 @@ def f_E_degree(E: BaseMatrix) -> int:
 
 
 class MultilinearPoly:
-    """Square-free polynomial over F_q: variable subsets -> coefficients."""
+    """Square-free polynomial over a field: variable subsets -> coefficients.
+
+    A monomial is given as a tuple or frozenset of distinct variables in
+    range(num_vars) and kept as a frozenset, the coefficients of monomials
+    on one set adding up; a coefficient is an index of `spec`.  Anything
+    else is invalid input."""
 
     def __init__(self, spec: FieldSpec, num_vars: int, coeffs: dict):
         self.spec = spec
-        self.num_vars = num_vars
-        self.coeffs = {mono: c for mono, c in coeffs.items() if c}
+        self.num_vars, = _checked_ints("num_vars", num_vars, low=0)
+        self.coeffs = {}
+        for mono, c in _checked(coeffs, dict, "coeffs must be a dict").items():
+            key = frozenset(_checked_index(v, self.num_vars, "variable")
+                            for v in _checked(mono, (tuple, frozenset),
+                                              "a monomial must be a tuple or frozenset"))
+            if len(key) != len(mono):
+                raise InvalidParameterError(f"monomial {mono!r} repeats a variable")
+            self.coeffs[key] = spec.add(self.coeffs.get(key, 0),
+                                        _checked_index(c, spec.order, "coefficient"))
+        self.coeffs = {mono: c for mono, c in self.coeffs.items() if c}
 
     def total_degree(self) -> int:
         if not self.coeffs:
@@ -273,87 +287,35 @@ class MultilinearPoly:
                 and self.coeffs == other.coeffs)
 
 
-def _poly_add(a: dict, b: dict, fq) -> dict:
-    out = dict(a)
-    for mono, c in b.items():
-        s = fq.add(out.get(mono, 0), c)
-        if s:
-            out[mono] = s
-        else:
-            out.pop(mono, None)
-    return out
-
-
-def _poly_mul(a: dict, b: dict, fq) -> dict:
-    out: dict = {}
-    for ma, ca in a.items():
-        for mb, cb in b.items():
-            if ma & mb:
-                raise VerificationError("square-free expansion produced a repeated variable")
-            mono = ma | mb
-            s = fq.add(out.get(mono, 0), fq.mul(ca, cb))
-            if s:
-                out[mono] = s
-            else:
-                out.pop(mono, None)
-    return out
-
-
 def symbolic_f_E(E: BaseMatrix) -> MultilinearPoly:
-    """det([I_k | X] E^T) expanded exactly in the k(n-k) entries of X.
+    """det([I_k | X] E^T) expanded exactly in the k(n-k) entries of X,
+    x_{i,t} being variable i(n-k) + t.
 
-    Every variable appears in a single row of the product matrix, so each
-    monomial is square-free; the expansion is a subset-indexed table of
-    F_q coefficients.
+    Row i of the product is c_i + sum_t x_{i,t} v_t, with c_i column i of
+    E and v_t column k + t, and the determinant is linear in each row: the
+    monomial that takes x_{i,t_i} from the rows i of R and the constant
+    from the others has for coefficient the F_q determinant whose row i is
+    v_{t_i} on R and c_i elsewhere.  Every variable sits in one row, so
+    each monomial is square-free; a choice that puts one v_t in two rows
+    has two equal rows and is skipped.
     """
-    if not _is_full_rank_rref(E):
+    if not _is_full_rank_rref(_checked(E, BaseMatrix, "E must be a BaseMatrix over F_q")):
         raise InvalidParameterError("E must be a full-rank reduced row echelon form")
-    spec = E.spec
     k, n = E.rows, E.cols
     nvars = k * (n - k)
     if nvars > _SYMBOLIC_VAR_MAX:
         raise InvalidParameterError(
             f"symbolic expansion limited to {_SYMBOLIC_VAR_MAX} variables, got {nvars}")
-    fq = spec.base_field
-    # product entry (i, j) = E[j][i] + sum_t x_{i,t} E[j][k+t], affine in row-i vars
-    entries = []
-    for i in range(k):
-        row = []
-        for j in range(k):
-            poly: dict = {}
-            if E.entries[j][i]:
-                poly[frozenset()] = E.entries[j][i]
-            for t in range(n - k):
-                c = E.entries[j][k + t]
-                if c:
-                    poly[frozenset((i * (n - k) + t,))] = c
-            row.append(poly)
-        entries.append(row)
-
-    memo: dict = {}
-
-    def minor(r: int, cols: frozenset) -> dict:
-        if r == k:
-            return {frozenset(): 1}
-        key = cols
-        cached = memo.get((r, key))
-        if cached is not None:
-            return cached
-        acc: dict = {}
-        for pos, c in enumerate(sorted(cols)):
-            cell = entries[r][c]
-            if not cell:
-                continue
-            sub = minor(r + 1, cols - {c})
-            term = _poly_mul(cell, sub, fq)
-            if pos % 2:
-                term = {mono: fq.neg(v) for mono, v in term.items()}
-            acc = _poly_add(acc, term, fq)
-        memo[(r, key)] = acc
-        return acc
-
-    coeffs = minor(0, frozenset(range(k)))
-    return MultilinearPoly(spec, nvars, coeffs)
+    cols = [list(col) for col in zip(*E.entries)]
+    coeffs = {}
+    for choice in itertools.product(range(-1, n - k), repeat=k):  # -1: the constant
+        picked = [t for t in choice if t >= 0]
+        if len(set(picked)) == len(picked):
+            c = det(BaseMatrix._trusted(E.spec, [cols[i] if t < 0 else cols[k + t]
+                                                 for i, t in enumerate(choice)]))
+            if c:
+                coeffs[frozenset(i * (n - k) + t for i, t in enumerate(choice) if t >= 0)] = c
+    return MultilinearPoly(E.spec, nvars, coeffs)
 
 
 def sum_f_E_degrees(k: int, n: int, spec: FieldSpec) -> int:

@@ -29,7 +29,7 @@ from typing import Sequence
 from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
-from .field_arith import (Element, FieldSpec, _checked_ints, _checked_keys,
+from .field_arith import (Element, FieldSpec, _checked, _checked_ints, _checked_keys,
                           _checked_shape, _element_indices, _fq_combination, _span)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_patterns, _expanded_rank,
                         _rank_raw, _rref_in_place, gaussian_binomial)
@@ -53,7 +53,7 @@ class RankCode:
     """
 
     def __init__(self, spec: FieldSpec, G: ExtMatrix):
-        if G.spec != spec:
+        if _checked(G, ExtMatrix, "G must be an ExtMatrix").spec != spec:
             raise SpecMismatchError("generator belongs to a different field tower")
         self.spec = spec
         self.G = G
@@ -86,7 +86,7 @@ class RankCode:
     @classmethod
     def from_systematic(cls, spec: FieldSpec, X: ExtMatrix) -> "RankCode":
         """Code generated by [I_k | X]."""
-        if X.spec != spec:
+        if _checked(X, ExtMatrix, "X must be an ExtMatrix").spec != spec:
             raise SpecMismatchError("X belongs to a different field tower")
         k = X.rows
         rows = [[1 if i == j else 0 for j in range(k)] + list(X.entries[i])
@@ -118,14 +118,6 @@ class Isometry:
     lam: Element
     A: BaseMatrix
     sigma_power: int
-
-
-def _checked(value, kind=RankCode, what: str = "code must be a RankCode"):
-    """`value` if it is a `kind` (by default a public function's code
-    argument); anything else is invalid input, `what` naming the kind."""
-    if not isinstance(value, kind):
-        raise InvalidParameterError(f"{what}, got {value!r}")
-    return value
 
 
 def rank_distance(x: Sequence[Element], y: Sequence[Element]) -> int:
@@ -586,7 +578,7 @@ def min_rank_distance(code: RankCode) -> int:
     as every later level is.  Each route checks the enumeration budget on
     its own count.
     """
-    spec, k, n = _checked(code).spec, code.k, code.n
+    spec, k, n = _checked(code, RankCode, "code must be a RankCode").spec, code.k, code.n
     if code._mrd:
         return n - k + 1
     if k == 2 < n:
@@ -607,7 +599,7 @@ def _distance_route(spec: FieldSpec, k: int, n: int):
 
 def dual_code(code: RankCode) -> RankCode:
     """The code {u : u c^T = 0 for all c in C}, of dimension n - k."""
-    spec = _checked(code).spec
+    spec = _checked(code, RankCode, "code must be a RankCode").spec
     k, n = code.k, code.n
     if k == n:
         raise InvalidParameterError("dual of the full space is zero-dimensional")
@@ -629,7 +621,7 @@ def apply_isometry(code: RankCode, iso: Isometry) -> RankCode:
     multiply by A on the right; preserves the minimum rank distance.
     lambda must be an Element, A a BaseMatrix over F_q and sigma_power an
     int (any sign), in an Isometry; another tower is SpecMismatchError."""
-    spec = _checked(code).spec
+    spec = _checked(code, RankCode, "code must be a RankCode").spec
     _checked(iso, Isometry, "iso must be an Isometry")
     _checked(iso.lam, Element, "lambda must be a field Element")
     _checked(iso.A, BaseMatrix, "A must be a BaseMatrix over F_q")

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import pytest
@@ -58,6 +59,21 @@ def untabled(monkeypatch, p, e, m):
         mp.setattr(field_arith, "_TABLE_MAX", 0)
         mp.setattr(FieldSpec, "_build_tables", fail)
         return FieldSpec(p, e, m)
+
+
+def leibniz_det(rows, ops):
+    """The determinant of a square matrix of raw entries as the Leibniz sum
+    over permutations, each product signed by the parity of its inversions:
+    a reference for fq_linalg.det that shares no elimination with it."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        term = 1
+        for i, j in enumerate(perm):
+            term = ops.mul(term, rows[i][j])
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(n), 2))
+        total = ops.sub(total, term) if inversions % 2 else ops.add(total, term)
+    return total
 
 
 def basis_elements(spec, n):

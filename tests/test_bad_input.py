@@ -10,12 +10,13 @@ import pytest
 from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        Isometry, MultilinearPoly, RankCode, ShapeError,
                        SpecMismatchError, apply_isometry, census,
-                       count_intersecting_subspaces, default_field, dual_code,
-                       enumerate_G, euler_phi, expand_to_base, figure_data,
+                       count_intersecting_subspaces, default_field, det, dual_code,
+                       enumerate_G, euler_phi, expand_to_base, f_E_degree, figure_data,
                        frobenius_code, gab_bound, gab_bound_rough, gabidulin,
-                       gaussian_binomial, is_gabidulin, is_mrd, is_mrd_fullrank_variant,
-                       linearly_independent_over_base, min_rank_distance, monte_carlo,
-                       moore_matrix, mrd_bound, random_isometry, rank_distance,
+                       gaussian_binomial, intersection_dim, is_gabidulin, is_mrd,
+                       is_mrd_fullrank_variant, linearly_independent_over_base,
+                       min_rank_distance, monte_carlo, moore_matrix, mrd_bound,
+                       random_isometry, rank, rank1_criterion, rank_distance, rref,
                        symbolic_f_E)
 from rankforge.experiments import census_progress
 
@@ -32,11 +33,35 @@ def dimension_mismatch(kind, spec, rows):
     return lambda: kind.from_json(spec, data)
 
 
+def code_with_generator(generator):
+    """CODE's JSON with its generator block replaced by generator(block)."""
+    data = CODE.to_json()
+    data["generator"] = generator(data["generator"])
+    return lambda: RankCode.from_json(data)
+
+
+# an F_16 matrix that is a full-rank RREF by its indices, not a BaseMatrix
+EXT_RREF = ExtMatrix(F16, [[1, 0, 5, 7], [0, 1, 9, 3]])
+
+
 CASES = {
     "code-k-above-n": (lambda: RankCode(F16, ExtMatrix(F16, [[1], [2]])),
                        InvalidParameterError, "does not have full row rank"),
     "code-other-field": (lambda: RankCode(F16, ExtMatrix(F8, [[1, 2]])),
                          SpecMismatchError, "generator belongs to a different field"),
+    "code-none-generator": (lambda: RankCode(F16, None),
+                            InvalidParameterError, "G must be an ExtMatrix, got None"),
+    "code-base-generator": (lambda: RankCode(F16, BaseMatrix(F16, [[1, 0, 1]])),
+                            InvalidParameterError, r"G must be an ExtMatrix, got BaseMatrix"),
+    "from-systematic-none": (lambda: RankCode.from_systematic(F16, None),
+                             InvalidParameterError, "X must be an ExtMatrix, got None"),
+    "code-json-generator-key": (code_with_generator(lambda g: {**g, "comment": "x"}),
+                                InvalidParameterError, "unknown matrix key comment"),
+    "code-json-generator-no-entries": (
+        code_with_generator(lambda g: {"rows": g["rows"], "cols": g["cols"]}),
+        InvalidParameterError, "matrix lacks a key; the keys are rows, cols, entries"),
+    "code-json-generator-list": (code_with_generator(lambda g: g["entries"]),
+                                 InvalidParameterError, "matrix is not a JSON object"),
     "distance-empty": (lambda: rank_distance([], []), ShapeError, "empty vectors"),
     "distance-mixed": (lambda: rank_distance([A, B], [A, OTHER]),
                        SpecMismatchError, "mixed field towers"),
@@ -112,9 +137,42 @@ CASES = {
                                   InvalidParameterError, "s must be nonnegative, got -1"),
     "evaluate-wrong-length": (lambda: MultilinearPoly(F16, 2, {}).evaluate([1]),
                               ShapeError, "expected 2 values, got 1"),
+    "poly-negative-coefficient": (lambda: MultilinearPoly(F16, 1, {(0,): -1}),
+                                  InvalidParameterError, "coefficient out of range: -1"),
+    "poly-coefficient-99": (lambda: MultilinearPoly(F16, 1, {(0,): 99}),
+                            InvalidParameterError, "coefficient out of range: 99"),
+    "poly-repeated-variable": (lambda: MultilinearPoly(F16, 1, {(0, 0): 1}),
+                               InvalidParameterError, r"monomial \(0, 0\) repeats a variable"),
+    "poly-variable-out-of-range": (lambda: MultilinearPoly(F16, 1, {(3,): 1}),
+                                   InvalidParameterError, "variable out of range: 3"),
+    "poly-coeffs-none": (lambda: MultilinearPoly(F16, 1, None),
+                         InvalidParameterError, "coeffs must be a dict, got None"),
+    "poly-float-num-vars": (lambda: MultilinearPoly(F16, 1.5, {}),
+                            InvalidParameterError, "num_vars must be an integer, got 1.5"),
     "symbolic-not-rref": (
         lambda: symbolic_f_E(BaseMatrix(F16, [[0, 1, 0, 0], [1, 0, 0, 0]])),
         InvalidParameterError, "E must be a full-rank reduced row echelon form"),
+    "symbolic-none": (lambda: symbolic_f_E(None),
+                      InvalidParameterError, "E must be a BaseMatrix over F_q, got None"),
+    "symbolic-ext-matrix": (lambda: symbolic_f_E(EXT_RREF),
+                            InvalidParameterError, "E must be a BaseMatrix over F_q"),
+    "f-E-degree-none": (lambda: f_E_degree(None),
+                        InvalidParameterError, "E must be a BaseMatrix over F_q, got None"),
+    "f-E-degree-ext-matrix": (lambda: f_E_degree(EXT_RREF),
+                              InvalidParameterError, "E must be a BaseMatrix over F_q"),
+    "rank1-none": (lambda: rank1_criterion(None, 1),
+                   InvalidParameterError, "X must be an ExtMatrix, got None"),
+    "rank-none": (lambda: rank(None),
+                  InvalidParameterError, "M must be a BaseMatrix or ExtMatrix, got None"),
+    "det-none": (lambda: det(None),
+                 InvalidParameterError, "M must be a BaseMatrix or ExtMatrix, got None"),
+    "rref-none": (lambda: rref(None),
+                  InvalidParameterError, "M must be a BaseMatrix or ExtMatrix, got None"),
+    "intersection-none": (lambda: intersection_dim(None, None), InvalidParameterError,
+                          "U and W must be a BaseMatrix or ExtMatrix, got None"),
+    "intersection-list": (lambda: intersection_dim(BaseMatrix.identity(F16, 2), [[1, 0]]),
+                          InvalidParameterError,
+                          r"U and W must be a BaseMatrix or ExtMatrix, got \[\[1, 0\]\]"),
     "enumerate-G-k-equals-n": (lambda: enumerate_G(F8, 2, 2, 1),
                                InvalidParameterError, r"need 1 <= k < n, got k=2, n=2"),
     "gaussian-binomial-float-n": (lambda: gaussian_binomial(4.0, 2, 2),

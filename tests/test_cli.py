@@ -212,6 +212,12 @@ def _code_with_field(**params):
     return data
 
 
+def _code_with_generator(**params):
+    data = _code_with_coefficient(1)
+    data["generator"].update(params)
+    return data
+
+
 class TestMalformedInput:
     """JSON that parses but does not decode is invalid input (exit 2), not a
     verification failure and not a traceback."""
@@ -235,6 +241,7 @@ class TestMalformedInput:
         (["check", "--code-file"], {**_code_with_coefficient(1), "field": [2, 1, 3]}),
         (["check", "--code-file"], {**_code_with_coefficient(1), "comment": "x"}),
         (["check", "--code-file"], _code_with_field(modulus=[1, 1, 0, 1])),
+        (["check", "--code-file"], _code_with_generator(comment="x")),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], {"base_modulus": "ab"}),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"], [[1], [1], [0], [1]]),
         (["field-info", "--p", "2", "--m", "3", "--modulus-file"],
@@ -246,7 +253,7 @@ class TestMalformedInput:
             "code-float-p", "code-text-m", "code-digit-minus-1", "code-entry-not-list",
             "code-m-0", "code-k-minus-1", "code-text-n", "code-bool-k", "code-bool-m",
             "code-field-list",
-            "code-unknown-key", "code-unknown-field-key",
+            "code-unknown-key", "code-unknown-field-key", "code-unknown-generator-key",
             "modulus-text", "modulus-list", "modulus-misspelled-key", "g-text"])
     def test_exits_2(self, capsys, tmp_path, argv, data):
         f = tmp_path / "input.json"

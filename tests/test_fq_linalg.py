@@ -10,7 +10,7 @@ from rankforge import (BaseMatrix, BudgetExceededError, Element, ExtMatrix,
                        intersection_dim, rank, rref)
 from rankforge.fq_linalg import _echelon_patterns, _echelon_place, _expanded_rank
 
-from conftest import basis_elements
+from conftest import basis_elements, leibniz_det
 
 
 def ext(spec, rows):
@@ -105,6 +105,26 @@ class TestDet:
         # swap two rows of the identity: determinant must be -1
         M = BaseMatrix(f9, [[0, 1], [1, 0]])
         assert det(M) == f9.base_field.neg(1)
+
+    @pytest.mark.parametrize("kind,q,m", [(BaseMatrix, 3, 2), (ExtMatrix, 2, 3),
+                                          (ExtMatrix, 3, 2)],
+                             ids=["base-F3", "ext-F8", "ext-F9"])
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_matches_leibniz_sum(self, kind, q, m, n):
+        # seeded entries, at least two in five 0, so that singular matrices
+        # and row swaps in the elimination both occur
+        spec = default_field(q, m)
+        ops = spec if kind is ExtMatrix else spec.base_field
+        rng = random.Random(1000 * n + ops.order)
+        singular = 0
+        for _ in range(60):
+            rows = [[rng.choice((0, 0, 1, ops.order - 1, rng.randrange(ops.order)))
+                     for _ in range(n)] for _ in range(n)]
+            d = det(kind(spec, rows))
+            expected = leibniz_det(rows, ops)
+            assert (d.idx if kind is ExtMatrix else d) == expected, rows
+            singular += expected == 0
+        assert 0 < singular < 60
 
 
 class TestIntersectionDim:

@@ -17,7 +17,7 @@ from rankforge.mrd_criteria import (_classify, _gabidulin_classes, _gabidulin_hi
                                     _is_rank_one)
 from rankforge.rank_codes import _min_rank_distance_raw
 
-from conftest import basis_elements, untabled
+from conftest import basis_elements, leibniz_det, untabled
 
 
 def all_systematic_codes(spec, k, n):
@@ -573,9 +573,9 @@ class TestSymbolicExpansion:
             assert lifted.evaluate(flat) == direct
 
     def test_t36_evaluation_matches_determinant(self, f16):
-        # three rows reach a 1 x 1 minor along two column orders, so the
-        # expansion reuses its memo; 9 variables, evaluated at seeded points
-        from rankforge.fq_linalg import det
+        # three rows, 9 variables, each coefficient one F_2 determinant:
+        # evaluated at seeded points of F_16 against the Leibniz sum of the
+        # product matrix, which shares no code with fq_linalg.det
         rng = random.Random(36)
         forms = list(enumerate_rref(3, 6, default_field(2, 1)))
         for E in rng.sample(forms, 20):
@@ -584,7 +584,13 @@ class TestSymbolicExpansion:
             M = [[E.entries[j][i] for j in range(3)] for i in range(3)]
             for i, j, t in itertools.product(range(3), repeat=3):
                 M[i][j] = f16.add(M[i][j], f16.mul(E.entries[j][3 + t], X[i][t]))
-            assert lifted.evaluate([x for row in X for x in row]) == det(ExtMatrix(f16, M))
+            assert lifted.evaluate([x for row in X for x in row]).idx == leibniz_det(M, f16)
+
+    def test_monomials_on_one_set_add_up(self, f16):
+        # over F_16, 3 + 5 = 6 and 1 + 1 = 0, so the x_0 term vanishes
+        poly = MultilinearPoly(f16, 2, {(0, 1): 3, (1, 0): 5, (0,): 1, frozenset({0}): 1})
+        assert poly.coeffs == {frozenset({0, 1}): 6}
+        assert poly.evaluate([2, 3]) == Element(f16, f16.mul(6, f16.mul(2, 3)))
 
     @pytest.mark.parametrize("value", [1.9, "5", 300, -1])
     def test_evaluate_refuses_a_bad_value(self, value):
