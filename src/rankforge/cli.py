@@ -40,8 +40,12 @@ def _print_json(data):
 
 
 def _cmd_field_info(args):
+    keys = ("base_modulus", "ext_modulus")
+
     def build(data):
-        _checked_keys(data, ("base_modulus", "ext_modulus"), "modulus file")
+        if isinstance(data, dict):  # both keys are optional: a missing one is the default
+            data = {**dict.fromkeys(keys), **data}
+        _checked_keys(data, keys, "modulus file")
         return FieldSpec(args.p, args.e, args.m, **data)
     spec = _load_json(args.modulus_file, build) if args.modulus_file else build({})
     _print_json(spec.to_json())
@@ -175,6 +179,12 @@ def _cmd_figure(args):
     return EXIT_OK
 
 
+def _int_flags(p, names: str, **kwargs):
+    """One integer flag --name per space-separated name, in that order."""
+    for name in names.split():
+        p.add_argument(f"--{name}", type=int, **kwargs)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rankforge",
@@ -189,10 +199,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_field_info)
 
     p = sub.add_parser("gen-gabidulin", help="emit a generalized Gabidulin code")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
+    _int_flags(p, "q m n k", required=True)
     p.add_argument("--s", type=int, default=1)
     p.add_argument("--g-file", help="JSON list of evaluation points")
     p.add_argument("--seed", type=int, default=0)
@@ -206,19 +213,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("bounds", help="evaluate the probability bounds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m-from", type=int, required=True)
-    p.add_argument("--m-to", type=int, required=True)
+    _int_flags(p, "q k n m-from m-to", required=True)
     p.add_argument("--csv")
     p.set_defaults(func=_cmd_bounds)
 
     p = sub.add_parser("simulate", help="Monte-Carlo classification of random codes")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _int_flags(p, "q k n m", required=True)
     p.add_argument("--trials", type=int, default=500)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
@@ -226,10 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("census", help="exhaustive classification of all systematic blocks")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--k", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--m", type=int, required=True)
+    _int_flags(p, "q k n m", required=True)
     p.add_argument("--resume", help="checkpoint file to write to and resume from")
     p.add_argument("--stop-after", type=int,
                    help="visit at most this many first-row orbits, then save the "
@@ -244,9 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("figure", help="emit CSV data behind the bound/experiment figures")
     p.add_argument("--id", type=int, required=True, choices=[1, 2, 3])
-    p.add_argument("--q", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--n", type=int)
+    _int_flags(p, "q k n")
     p.add_argument("--m-from", type=int, default=4)
     p.add_argument("--m-to", type=int, default=14)
     p.add_argument("--trials", type=int, default=500)

@@ -19,21 +19,23 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import lru_cache
 
 from . import mrd_criteria as mc
 from . import prob_bounds as pb
 from .budget import check_budget
 from .errors import InvalidParameterError, VerificationError
-from .field_arith import FieldSpec, _checked_ints, _checked_shape, default_field
+from .field_arith import FieldSpec, _checked, _checked_ints, _checked_shape, default_field
 from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
                         _rref_in_place, count_intersecting_subspaces,
                         enumerate_rref, gaussian_binomial, intersection_dim)
-from .rank_codes import RankCode, _combinations, _hyperplanes, _min_rank_distance_raw
+from .rank_codes import RankCode, _combinations, _min_rank_distance_raw
 
 CHUNK_SIZE = 64
 CHECKPOINT_EVERY = 2 ** 16
@@ -282,6 +284,106 @@ def _last_row(spec: FieldSpec, w: int, t: int):
     return [q * (t // values ** j % values) for j in range(w)]
 
 
+# The point map (`rank_codes._two_row_passes`) as a hyperplane
+# arrangement.  With row 0 fixed, a form W = (w0, w1) of T(2, n) has
+# det(W [I_2 | X]^T) = A_0 a(y, w1) - A_1 a(y, w0) at the last row y:
+# A_r = w_r g_0 is an entry of row 0's table (`_combinations`), and
+# a(y, w) = w[1] + sum_t w[2 + t] y_t is F_q-affine in y.  So the
+# determinant is F_{q^m}-affine in y, and a form fails on a hyperplane of
+# last rows, on none (a form through e_1, whose A is 0 and whose a is 1),
+# or on all of them.  All of them happens iff A_0 = A_1 = 0: a form with
+# A_0 != 0 (say) and a constant zero determinant would hold
+# w1 - c w0 = x e_0 for some c in F_q, and on the basis (e_0, w0) its
+# determinant is a(y, w0), which is not constant.  A form with A = 0 is
+# <e_1, w> with w g_0 = 0 and w outside <e_1>, and such a w exists iff
+# (row 0, 1) is F_q-dependent.  A hyperplane with a y_0 term is solved for
+# y_0, a line over each prefix (y_1, ..., y_{w-1}); one without is flat,
+# and fails every y_0 at the prefixes on it.
+
+@lru_cache(maxsize=None)
+def _determinants(spec: FieldSpec, n: int):
+    """The determinants of the forms (w0, w1) of T(2, n) at a 2-row block,
+    from `_echelon_patterns(2, n, q)` (budget checked when built),
+    coefficient by coefficient.  Coefficient j, of 1 for j = 0 and of
+    y_{j-1} after it, is A_0 w1[1 + j] - A_1 w0[1 + j] with A_r = c0[i_r].
+    It is given as two index lists over the forms, of i0 q + w1[1 + j] and
+    of i1 q + w0[1 + j], into the list S of the products c0[a] x at a q + x
+    (x in F_q), so that it is S[first] - S[second].  Built once for every
+    block of length n."""
+    q = spec.q
+    weights = (q ** (n - 1), 0, *(q ** t for t in range(1, n - 1)))  # q times c0's digits
+    rows0, rows1 = zip(*(form for pattern in _echelon_patterns(2, n, q)
+                         for form in itertools.product(*pattern)))
+    index0, index1 = ([sum(map(operator.mul, w, weights)) for w in rows] for rows in (rows0, rows1))
+    return tuple((list(map(operator.add, index0, map(operator.itemgetter(j), rows1))),
+                  list(map(operator.add, index1, map(operator.itemgetter(j), rows0))))
+                 for j in range(1, n))
+
+
+def _hyperplanes(spec: FieldSpec, row):
+    """The last rows y that fail with row 0 `row`, as (lines, flats), each
+    a dict from a direction g = (g_1, ..., g_{w-1}) to a set of constants:
+    the line (g, b) fails at y_0 = b + sum_t g_t y_t, and the flat (g, c)
+    fails at every y where sum_t g_t y_t = c, its first nonzero g_t being
+    1.  A form that fails every last row, which happens iff (row, 1) is
+    F_q-dependent, is the flat (0, 0).  The forms are fetched first: their
+    budget check, when they are built, bounds row 0's table of q^(n - 1)
+    entries."""
+    columns = _determinants(spec, len(row) + 2)
+    mul, sub, inv, neg = spec.mul, spec.sub, spec.inv, spec.neg
+    scaled = [mul(a, x) for a in _combinations(spec, (*row, 1)) for x in range(spec.q)]
+    get = scaled.__getitem__
+    lines, flats = {}, {}
+    for b, lead, *g in zip(*(map(sub, map(get, first), map(get, second))
+                             for first, second in columns)):
+        if lead:
+            u = neg(inv(lead))
+            lines.setdefault(tuple([mul(x, u) for x in g]), set()).add(mul(b, u))
+        elif any(g) or not b:
+            u = inv(next((x for x in g if x), 1))
+            flats.setdefault(tuple([mul(x, u) for x in g]), set()).add(neg(mul(b, u)))
+    return lines, flats
+
+
+# The Gabidulin rows of a two-row census orbit, listed directly.  With
+# a = phi_t(row 0), phi_t(X) of a 2-row X = (row 0; y) has rank one iff
+# phi_t(y) = lambda a for some lambda.  The kernel of phi_t is F_q, as
+# gcd(t, m) = 1, so phi_t is injective on the elements whose lowest digit
+# is 0, the entries of the census's last rows: each such y_0 fixes
+# lambda = phi_t(y_0) / a_0 and then at most one entry y_j for each j >= 1.
+# A zero a_j puts entry j of row 0 in F_q, so (row 0, 1) is F_q-dependent
+# and no block on row 0 is MRD; its class lists no row.
+
+@lru_cache(maxsize=None)
+def _phi_index(spec: FieldSpec, t: int) -> dict:
+    """{phi_t(y): y} over the q^(m-1) elements y whose lowest digit is 0."""
+    frobenius, sub = spec.frobenius, spec.sub
+    return {sub(frobenius(y, t), y): y for y in range(0, spec.order, spec.q)}
+
+
+def _gabidulin_rows(spec: FieldSpec, row0) -> dict:
+    """The last rows y at which phi_t of (row0; y) has rank one for some
+    class of `mrd_criteria._gabidulin_classes`, whether the block is MRD or
+    not, q^(m-1) or fewer per class: {prefix: {y_0: its Gabidulin
+    parameters, increasing}}, the prefix (y_1, ..., y_{w-1}) numbered as
+    `_last_row_sweep` numbers it."""
+    frobenius, sub, mul, q = spec.frobenius, spec.sub, spec.mul, spec.q
+    values = spec.order // q
+    rows = {}
+    for t, members in mc._gabidulin_classes(spec.m):
+        a = [sub(frobenius(x, t), x) for x in row0]
+        if all(a):
+            phi = _phi_index(spec, t)
+            u = spec.inv(a[0])
+            for image, y0 in phi.items():
+                lam = mul(image, u)
+                rest = [phi.get(mul(lam, x)) for x in a[1:]]
+                if None not in rest:
+                    at = rows.setdefault(sum(y // q * values ** j for j, y in enumerate(rest)), {})
+                    at[y0] = tuple(sorted(at.get(y0, ()) + members))
+    return rows
+
+
 def _last_row_sweep(spec: FieldSpec, first_row):
     """The blocks of a two-row census orbit, prefix by prefix in visit
     order: prefix p, the last row's entries (y_1, ..., y_{w-1}), holds the
@@ -294,15 +396,11 @@ def _last_row_sweep(spec: FieldSpec, first_row):
     share y_2, ..., the sum_t g_t y_t of a direction g is
     sum_{t>=2} g_t y_t plus an entry of its table of g_1 y_1 over the y_1
     (`_combinations` of g_1 times the elements q^a), so a prefix costs one
-    addition per line.  The Gabidulin rows (`mrd_criteria._gabidulin_rows`)
-    are kept where the sweep passes them."""
+    addition per line.  The Gabidulin rows (`_gabidulin_rows`) are kept
+    where the sweep passes them."""
     q, order, w = spec.q, spec.order, len(first_row)
     entries = range(0, order, q)
-    rows = {}  # prefix -> {y_0: parameters} of the Gabidulin rows
-    for members, found in mc._gabidulin_rows(spec, first_row):
-        for y0, *prefix in found:
-            at = rows.setdefault(sum(x // q * len(entries) ** j for j, x in enumerate(prefix)), {})
-            at[y0] = tuple(sorted(at.get(y0, ()) + members))
+    rows = _gabidulin_rows(spec, first_row)
     add, mul = spec.add, spec.mul
     powers = [q ** a for a in range(1, spec.m)]
 
@@ -444,7 +542,7 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
                                     "census counts one or two; estimate it with monte_carlo")
     if spec is None:
         spec = default_field(q, m)
-    elif (spec.q, spec.m) != (q, m):
+    elif (_checked(spec, FieldSpec, "spec must be a FieldSpec").q, spec.m) != (q, m):
         raise InvalidParameterError("spec disagrees with (q, m)")
     w = n - ks
     inner = (spec.order // q) ** ((ks - 1) * w)

@@ -107,15 +107,17 @@ def _checked_shape(names: str, *values, full: bool = False) -> list:
 
 
 def _checked_keys(data, keys, what: str) -> None:
-    """Refuse data unless it is a JSON object whose keys are among `keys`,
-    those its writer uses: an unknown or misspelled key is invalid input,
-    not ignored.  A missing key is left to the reader."""
+    """Refuse data unless it is a JSON object whose keys are `keys`, those
+    its writer uses: an unknown or misspelled key is invalid input, not
+    ignored, and a missing one is invalid input, not a KeyError."""
     if not isinstance(data, dict):
         raise InvalidParameterError(f"{what} is not a JSON object: {data!r}")
     unknown = sorted(map(str, set(data) - set(keys)))
     if unknown:
         raise InvalidParameterError(
             f"unknown {what} key {', '.join(unknown)}; the keys are {', '.join(keys)}")
+    if len(data) < len(keys):
+        raise InvalidParameterError(f"{what} lacks a key; the keys are {', '.join(keys)}")
 
 
 def _checked(value, kind, what: str):
@@ -391,8 +393,9 @@ class FieldSpec:
         if base_modulus is None:
             base_modulus = _smallest_irreducible(e, fp)
         else:
+            coeffs = _checked(base_modulus, (list, tuple), "base_modulus must be a list")
             base_modulus = _checked_modulus([_checked_index(c, p, "base modulus coefficient")
-                                             for c in base_modulus], e, fp, "base")
+                                             for c in coeffs], e, fp, "base")
         self.base_modulus = base_modulus
 
         # F_q for e > 1 is the field F_p[x]/(base_modulus); its indices are
@@ -402,7 +405,8 @@ class FieldSpec:
         if ext_modulus is None:
             ext_modulus = _smallest_irreducible(m, self.base_field)
         else:
-            ext_modulus = _checked_modulus((self._coerce_base_value(c) for c in ext_modulus),
+            coeffs = _checked(ext_modulus, (list, tuple), "ext_modulus must be a list")
+            ext_modulus = _checked_modulus((self._coerce_base_value(c) for c in coeffs),
                                            m, self.base_field, "extension")
         self.ext_modulus = ext_modulus
 
@@ -592,7 +596,8 @@ class FieldSpec:
 
     def element_from_coeffs(self, coeffs) -> "Element":
         """Build an element from nested coefficient lists ([F_p coeffs] per F_q coeff)."""
-        ds = [self._coerce_base_value(c) for c in coeffs]
+        ds = [self._coerce_base_value(c)
+              for c in _checked(coeffs, (list, tuple), "coefficients must be a list")]
         if len(ds) > self.m:
             raise InvalidParameterError("too many coefficients for this extension")
         return Element(self, self.from_digits(ds))
@@ -809,18 +814,20 @@ def is_in_base(a: Element) -> bool:
 
 def trace_kernel(spec: FieldSpec) -> set[Element]:
     """All elements of trace zero; has exactly q^(m-1) members."""
-    check_budget(spec.order, "trace kernel enumeration")
+    check_budget(_checked(spec, FieldSpec, "spec must be a FieldSpec").order,
+                 "trace kernel enumeration")
     return {Element(spec, a) for a in range(spec.order) if spec.trace(a) == 0}
 
 
 def random_element(spec: FieldSpec, rng) -> Element:
     """Uniform draw over all q^m elements."""
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     return Element(spec, rng.randrange(spec.order))
 
 
 def enumerate_elements(spec: FieldSpec) -> Iterator[Element]:
     """Every element exactly once, in index order."""
-    check_budget(spec.order, "field enumeration")
+    check_budget(_checked(spec, FieldSpec, "spec must be a FieldSpec").order, "field enumeration")
     return (Element(spec, a) for a in range(spec.order))
 
 

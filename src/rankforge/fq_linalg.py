@@ -23,7 +23,7 @@ class _MatrixBase:
     __slots__ = ("spec", "rows", "cols", "entries")
 
     def __init__(self, spec: FieldSpec, entries: Sequence[Sequence]):
-        self.spec = spec
+        self.spec = _checked(spec, FieldSpec, "spec must be a FieldSpec")
         rows = [list(self._coerce_row(r)) for r in entries]
         if not rows:
             raise ShapeError("matrix needs at least one row")
@@ -68,12 +68,12 @@ class _MatrixBase:
     @classmethod
     def from_json(cls, spec, data):
         """The matrix `to_json` wrote: a JSON object with exactly its keys,
-        each entry read by the kind's own decoder."""
-        keys = ("rows", "cols", "entries")
-        _checked_keys(data, keys, "matrix")
-        if len(data) < len(keys):
-            raise InvalidParameterError(f"matrix lacks a key; the keys are {', '.join(keys)}")
-        mat = cls(spec, [[cls._decode(spec, v) for v in row] for row in data["entries"]])
+        its entries a list of row lists, each entry read by the kind's own
+        decoder."""
+        _checked_keys(data, ("rows", "cols", "entries"), "matrix")
+        rows = [_checked(row, list, "a matrix row must be a list")
+                for row in _checked(data["entries"], list, "matrix entries must be a list")]
+        mat = cls(spec, [[cls._decode(spec, v) for v in row] for row in rows])
         if mat.rows != data["rows"] or mat.cols != data["cols"]:
             raise InvalidParameterError("matrix dimensions disagree with entries")
         return mat
@@ -288,6 +288,7 @@ def enumerate_rref(k: int, n: int, spec: FieldSpec):
     then produced lazily, in `_echelon_patterns` order.
     """
     k, n = _checked_shape("k n", k, n, full=True)
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     return (BaseMatrix._trusted(spec, [list(row) for row in rows])
             for pattern in _echelon_patterns(k, n, spec.q)
             for rows in itertools.product(*pattern))
@@ -347,6 +348,7 @@ def expand_to_base(v: Sequence[Element], spec: FieldSpec | None = None) -> BaseM
         spec = next((x.spec for x in v if isinstance(x, Element)), None)
     if spec is None:
         raise InvalidParameterError("cannot infer the field of a vector that holds no Element")
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     cols = [spec.digits(_element_index(x, spec)) for x in v]
     return BaseMatrix(spec, [[c[i] for c in cols] for i in range(spec.m)])
 

@@ -27,10 +27,7 @@ _SYMBOLIC_VAR_MAX = 12  # symbolic_f_E takes at most 2**12 F_q determinants
 # the code with fewer rows (`_side_passes`, `_smaller_side`), then the
 # rank-one test below, on a block X given as k rows of raw element indices.
 # is_mrd reaches the side test through `_is_mrd_block`, which adds the
-# budget check of T(k, n).  The census's two-row scan lists each orbit's
-# Gabidulin rows directly (`_gabidulin_rows` below) and keeps those that
-# pass its hyperplane sweep; it checks its oracle visits by `_classify`.
-# Elsewhere the Gabidulin test reads X itself.
+# budget check of T(k, n).
 #
 # phi_s(X) = X^[s] - X has the rank of phi_{m-s}(X): applying x -> x^(q^s)
 # entrywise to phi_{m-s}(X) = X^[m-s] - X gives X - X^[s] = -phi_s(X), and a
@@ -82,43 +79,6 @@ def _gabidulin_hits(spec: FieldSpec, X, classes) -> tuple:
         if one:
             hits += members
     return tuple(sorted(hits))
-
-
-# The Gabidulin rows of a two-row census orbit, listed directly.  With
-# a = phi_t(row 0), phi_t(X) of a 2-row X = (row 0; y) has rank one iff
-# phi_t(y) = lambda a for some lambda.  The kernel of phi_t is F_q, as
-# gcd(t, m) = 1, so phi_t is injective on the elements whose lowest digit
-# is 0, the entries of the census's last rows: each such y_0 fixes
-# lambda = phi_t(y_0) / a_0 and then at most one entry y_j for each j >= 1.
-# A zero a_j puts entry j of row 0 in F_q, so (row 0, 1) is F_q-dependent
-# and no block on row 0 is MRD; its class lists no row.
-
-@lru_cache(maxsize=None)
-def _phi_index(spec: FieldSpec, t: int) -> dict:
-    """{phi_t(y): y} over the q^(m-1) elements y whose lowest digit is 0."""
-    frobenius, sub = spec.frobenius, spec.sub
-    return {sub(frobenius(y, t), y): y for y in range(0, spec.order, spec.q)}
-
-
-def _gabidulin_rows(spec: FieldSpec, row0) -> list:
-    """Per class of `_gabidulin_classes`: (its members, the last rows y
-    with entries of lowest digit 0 at which phi_t of (row0; y) has rank
-    one), q^(m-1) or fewer per class, whether the block is MRD or not."""
-    frobenius, sub, mul = spec.frobenius, spec.sub, spec.mul
-    listed = []
-    for t, members in _gabidulin_classes(spec.m):
-        a = [sub(frobenius(x, t), x) for x in row0]
-        rows = []
-        if all(a):
-            phi = _phi_index(spec, t)
-            u = spec.inv(a[0])
-            for image, y0 in phi.items():
-                lam = mul(image, u)
-                y = [y0, *(phi.get(mul(lam, x)) for x in a[1:])]
-                if None not in y:
-                    rows.append(y)
-        listed.append((members, rows))
-    return listed
 
 
 def _classify(spec: FieldSpec, X):
@@ -244,7 +204,7 @@ class MultilinearPoly:
     else is invalid input."""
 
     def __init__(self, spec: FieldSpec, num_vars: int, coeffs: dict):
-        self.spec = spec
+        self.spec = _checked(spec, FieldSpec, "spec must be a FieldSpec")
         self.num_vars, = _checked_ints("num_vars", num_vars, low=0)
         self.coeffs = {}
         for mono, c in _checked(coeffs, dict, "coeffs must be a dict").items():
@@ -348,6 +308,7 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
     functional x -> Tr(alpha_i x); validated entry by entry.
     """
     k, n = _checked_shape("k n", k, n)
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     check_budget((spec.q ** (spec.m - 1)) ** (n - 1), "rank-one kernel enumeration")
     order = spec.order
     trace0 = [a for a in range(1, order) if spec.trace(a) == 0]
@@ -379,7 +340,7 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
 
 def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     """Count the set G(s) exhaustively and through the factored route."""
-    s = spec._check_s(s)
+    s = _checked(spec, FieldSpec, "spec must be a FieldSpec")._check_s(s)
     k, n = _checked_shape("k n", k, n)
     cells = k * (n - k)
     total = spec.order ** cells

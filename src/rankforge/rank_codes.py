@@ -7,19 +7,17 @@ echelon-identity block test lives here: `_is_mrd_block` decides the
 minimum rank distance level by level, and at level t = k it tests the
 side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
 the one test by row count that is_mrd, the census and the Monte-Carlo
-trials share, two rows through one point map (`_two_row_passes`); the
-census's two-row scan counts an orbit's last rows by the hyperplanes of
-its T(2, n) determinants (`_hyperplanes`).  A 2-dimensional code's
-distance comes from the point map's ratio classes (`_two_row_distance`):
-the block test and the distance read the one ratio pass `_ratios`.  Every
-test reads a block's rows through their tables of F_q-combinations
-(`_combinations`), each an F_p-span table of `field_arith._span`.
+trials share, two rows through one point map (`_two_row_passes`).  A
+2-dimensional code's distance comes from the point map's ratio classes
+(`_two_row_distance`): the block test and the distance read the one ratio
+pass `_ratios`.  Every test reads a block's rows through their tables of
+F_q-combinations (`_combinations`), each an F_p-span table of
+`field_arith._span`.
 """
 
 from __future__ import annotations
 
 import itertools
-import operator
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
@@ -311,66 +309,6 @@ def _two_row_passes(spec: FieldSpec, X) -> bool:
     holds, or a zero image."""
     ratios = _ratios(spec, X)
     return len({-1, None, *ratios}) == len(ratios) + 2
-
-
-# The point map as a hyperplane arrangement.  With row 0 fixed, a form
-# W = (w0, w1) of T(2, n) has det(W [I_2 | X]^T) = A_0 a(y, w1) - A_1 a(y, w0)
-# at the last row y: A_r = w_r g_0 is an entry of row 0's table
-# (`_combinations`), and a(y, w) = w[1] + sum_t w[2 + t] y_t is F_q-affine
-# in y.  So the determinant is F_{q^m}-affine in y, and a form fails on a
-# hyperplane of last rows, on none (a form through e_1, whose A is 0 and
-# whose a is 1), or on all of them.  All of them happens iff A_0 = A_1 = 0:
-# a form with A_0 != 0 (say) and a constant zero determinant would hold
-# w1 - c w0 = x e_0 for some c in F_q, and on the basis (e_0, w0) its
-# determinant is a(y, w0), which is not constant.  A form with A = 0 is
-# <e_1, w> with w g_0 = 0 and w outside <e_1>, and such a w exists iff
-# (row 0, 1) is F_q-dependent.  A hyperplane with a y_0 term is solved for
-# y_0, a line over each prefix (y_1, ..., y_{w-1}); one without is flat,
-# and fails every y_0 at the prefixes on it.
-
-@lru_cache(maxsize=None)
-def _determinants(spec: FieldSpec, n: int):
-    """The determinants of the forms (w0, w1) of T(2, n) at a 2-row block,
-    from `_echelon_patterns(2, n, q)` (budget checked when built),
-    coefficient by coefficient.  Coefficient j, of 1 for j = 0 and of
-    y_{j-1} after it, is A_0 w1[1 + j] - A_1 w0[1 + j] with A_r = c0[i_r].
-    It is given as two index lists over the forms, of i0 q + w1[1 + j] and
-    of i1 q + w0[1 + j], into the list S of the products c0[a] x at a q + x
-    (x in F_q), so that it is S[first] - S[second].  Built once for every
-    block of length n."""
-    q = spec.q
-    weights = (q ** (n - 1), 0, *(q ** t for t in range(1, n - 1)))  # q times c0's digits
-    rows0, rows1 = zip(*(form for pattern in _echelon_patterns(2, n, q)
-                         for form in itertools.product(*pattern)))
-    index0, index1 = ([sum(map(operator.mul, w, weights)) for w in rows] for rows in (rows0, rows1))
-    return tuple((list(map(operator.add, index0, map(operator.itemgetter(j), rows1))),
-                  list(map(operator.add, index1, map(operator.itemgetter(j), rows0))))
-                 for j in range(1, n))
-
-
-def _hyperplanes(spec: FieldSpec, row):
-    """The last rows y that fail with row 0 `row`, as (lines, flats), each
-    a dict from a direction g = (g_1, ..., g_{w-1}) to a set of constants:
-    the line (g, b) fails at y_0 = b + sum_t g_t y_t, and the flat (g, c)
-    fails at every y where sum_t g_t y_t = c, its first nonzero g_t being
-    1.  A form that fails every last row, which happens iff (row, 1) is
-    F_q-dependent, is the flat (0, 0).  The forms are fetched first: their
-    budget check, when they are built, bounds row 0's table of q^(n - 1)
-    entries."""
-    columns = _determinants(spec, len(row) + 2)
-    mul, sub, inv, neg = spec.mul, spec.sub, spec.inv, spec.neg
-    scaled = [mul(a, x) for a in _combinations(spec, (*row, 1)) for x in range(spec.q)]
-    get = scaled.__getitem__
-    lines, flats = {}, {}
-    for b, lead, *g in zip(*(map(sub, map(get, first), map(get, second))
-                             for first, second in columns)):
-        if lead:
-            u = neg(inv(lead))
-            lines.setdefault(tuple([mul(x, u) for x in g]), set()).add(mul(b, u))
-        elif any(g) or not b:
-            u = inv(next((x for x in g if x), 1))
-            flats.setdefault(tuple([mul(x, u) for x in g]), set()).add(neg(mul(b, u)))
-    return lines, flats
 
 
 @lru_cache(maxsize=None)
@@ -665,6 +603,7 @@ def _invertible_rows(spec: FieldSpec, idx, n: int):
 def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:
     """Code [I_k | X] with X uniform over F_{q^m}^{k x (n-k)}."""
     k, n = _checked_shape("k n", k, n)
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     X = ExtMatrix(spec, [[rng.randrange(spec.order) for _ in range(n - k)]
                          for _ in range(k)])
     return RankCode.from_systematic(spec, X)
@@ -676,6 +615,7 @@ def random_isometry(spec: FieldSpec, n: int, rng) -> Isometry:
     lowest first) until A is invertible, then sigma.  Earlier versions drew
     A entry by entry, so the same rng state gave another isometry."""
     n, = _checked_ints("n", n)
+    _checked(spec, FieldSpec, "spec must be a FieldSpec")
     lam = Element(spec, rng.randrange(1, spec.order))
     size, rows = spec.q ** n, None
     while rows is None:

@@ -4,6 +4,7 @@ before it computes anything.  Non-integer parameters are in
 `test_experiments.test_non_integer_parameters_refused`."""
 
 import json
+import random
 
 import pytest
 
@@ -11,13 +12,15 @@ from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        Isometry, MultilinearPoly, RankCode, ShapeError,
                        SpecMismatchError, apply_isometry, census,
                        count_intersecting_subspaces, default_field, det, dual_code,
-                       enumerate_G, euler_phi, expand_to_base, f_E_degree, figure_data,
+                       enumerate_elements, enumerate_G, enumerate_R1K, enumerate_rref,
+                       euler_phi, expand_to_base, f_E_degree, figure_data,
                        frobenius_code, gab_bound, gab_bound_rough, gabidulin,
                        gaussian_binomial, intersection_dim, is_gabidulin, is_mrd,
                        is_mrd_fullrank_variant, linearly_independent_over_base,
                        min_rank_distance, monte_carlo, moore_matrix, mrd_bound,
-                       random_isometry, rank, rank1_criterion, rank_distance, rref,
-                       symbolic_f_E)
+                       random_element, random_isometry, random_systematic_code, rank,
+                       rank1_criterion, rank_distance, rref, sum_f_E_degrees,
+                       symbolic_f_E, trace_kernel)
 from rankforge.experiments import census_progress
 
 F8 = default_field(2, 3)
@@ -62,6 +65,34 @@ CASES = {
         InvalidParameterError, "matrix lacks a key; the keys are rows, cols, entries"),
     "code-json-generator-list": (code_with_generator(lambda g: g["entries"]),
                                  InvalidParameterError, "matrix is not a JSON object"),
+    # a missing key or a non-list block is refused, not a KeyError or TypeError
+    "field-json-p-only": (lambda: FieldSpec.from_json({"p": 2}), InvalidParameterError,
+                          "field tower lacks a key; the keys are p, e, m, base_modulus"),
+    "code-json-empty": (lambda: RankCode.from_json({}), InvalidParameterError,
+                        "code lacks a key; the keys are field, n, k, generator"),
+    "code-json-no-generator": (
+        lambda: RankCode.from_json({k: v for k, v in CODE.to_json().items() if k != "generator"}),
+        InvalidParameterError, "code lacks a key"),
+    "ext-json-int-entries": (
+        lambda: ExtMatrix.from_json(F16, {"rows": 1, "cols": 1, "entries": 5}),
+        InvalidParameterError, "matrix entries must be a list, got 5"),
+    "ext-json-int-row": (lambda: ExtMatrix.from_json(F16, {"rows": 1, "cols": 1, "entries": [5]}),
+                         InvalidParameterError, "a matrix row must be a list, got 5"),
+    "ext-json-int-entry": (
+        lambda: ExtMatrix.from_json(F16, {"rows": 1, "cols": 1, "entries": [[5]]}),
+        InvalidParameterError, "coefficients must be a list, got 5"),
+    "base-json-int-entries": (
+        lambda: BaseMatrix.from_json(F16, {"rows": 1, "cols": 1, "entries": 5}),
+        InvalidParameterError, "matrix entries must be a list, got 5"),
+    "base-json-int-row": (
+        lambda: BaseMatrix.from_json(F16, {"rows": 1, "cols": 1, "entries": [5]}),
+        InvalidParameterError, "a matrix row must be a list, got 5"),
+    "field-int-base-modulus": (lambda: FieldSpec(2, 1, 4, base_modulus=5),
+                               InvalidParameterError, "base_modulus must be a list, got 5"),
+    "field-int-ext-modulus": (lambda: FieldSpec(2, 1, 4, ext_modulus=7),
+                              InvalidParameterError, "ext_modulus must be a list, got 7"),
+    "element-int-coefficients": (lambda: F16.element_from_coeffs(5),
+                                 InvalidParameterError, "coefficients must be a list, got 5"),
     "distance-empty": (lambda: rank_distance([], []), ShapeError, "empty vectors"),
     "distance-mixed": (lambda: rank_distance([A, B], [A, OTHER]),
                        SpecMismatchError, "mixed field towers"),
@@ -233,6 +264,24 @@ CASES = {
     "independence-ints": (lambda: linearly_independent_over_base([2, 4]),
                           InvalidParameterError, "expected a field Element, got 2"),
 }
+# a non-field where a FieldSpec belongs is refused, not an AttributeError
+CASES.update({f"{name}-non-field": (call, InvalidParameterError,
+                                    f"spec must be a FieldSpec, got {shown}")
+              for name, call, shown in [
+    ("enumerate-rref", lambda: enumerate_rref(2, 4, None), None),
+    ("sum-f-E-degrees", lambda: sum_f_E_degrees(2, 4, None), None),
+    ("enumerate-G", lambda: enumerate_G(None, 1, 2, 1), None),
+    ("enumerate-R1K", lambda: enumerate_R1K(None, 1, 2), None),
+    ("poly", lambda: MultilinearPoly(None, 1, {(0,): 1}), None),
+    ("random-code", lambda: random_systematic_code(None, 1, 2, random.Random(0)), None),
+    ("random-isometry", lambda: random_isometry(None, 2, random.Random(0)), None),
+    ("census-spec", lambda: census(2, 1, 2, 2, spec=(2, 2)), r"\(2, 2\)"),
+    ("trace-kernel", lambda: trace_kernel(None), None),
+    ("enumerate-elements", lambda: enumerate_elements(None), None),
+    ("random-element", lambda: random_element(None, random.Random(0)), None),
+    ("expand-spec", lambda: expand_to_base([1, 2], spec="F16"), "'F16'"),
+    ("ext-matrix", lambda: ExtMatrix(None, [[1]]), None),
+    ("base-matrix", lambda: BaseMatrix(None, [[1]]), None)]})
 
 
 @pytest.mark.parametrize("call,exception,match", CASES.values(), ids=CASES.keys())

@@ -1,9 +1,9 @@
 """The census's two-row scan over the F_q-span of an orbit's last rows: the
-hyperplane sweep (`experiments._last_row_sweep`, over
-`rank_codes._hyperplanes` and `mrd_criteria._gabidulin_rows`) against the
-block classifier on each whole block (`_classify`, which shares none of
-the sweep's code; at one column it tests the one-row side), visit by
-visit, and each orbit's count (`_orbit_counts`) against the sum over its
+hyperplane sweep (`experiments._last_row_sweep`, over its
+`_hyperplanes` and `_gabidulin_rows`) against the block classifier on
+each whole block (`mrd_criteria._classify`, which shares none of the
+sweep's code; at one column it tests the one-row side), visit by visit,
+and each orbit's count (`_orbit_counts`) against the sum over its
 visits."""
 
 import random
@@ -11,11 +11,10 @@ import random
 import pytest
 
 from rankforge import VerificationError, default_field
-from rankforge.experiments import (_first_row_orbits, _last_row, _last_row_sweep,
-                                   _orbit_counts)
+from rankforge.experiments import (_first_row_orbits, _hyperplanes, _last_row,
+                                   _last_row_sweep, _orbit_counts)
 from rankforge.fq_linalg import _expanded_rank
 from rankforge.mrd_criteria import _classify, _gabidulin_classes
-from rankforge.rank_codes import _hyperplanes
 
 NO_ORACLE = 10 ** 15
 
@@ -162,13 +161,14 @@ def test_lost_line_is_caught(monkeypatch):
 @pytest.mark.parametrize("name,fake", [
     ("_two_row_passes", lambda spec, X: False),
     ("_gabidulin_hits", lambda spec, X, classes: ()),
-    ("_gabidulin_rows", lambda spec, row0: [])])
+    ("_gabidulin_rows", lambda spec, row0: {})])
 def test_oracle_visits_check_the_per_row_stages(monkeypatch, name, fake):
     # every MRD block of (2,2,4,4) is Gabidulin: a classifier that calls a
     # passing visit failing or finds no parameter, or a sweep that lists
     # no Gabidulin row, is caught at the first oracle visit that passes
-    from rankforge import census, mrd_criteria, rank_codes
-    monkeypatch.setattr(rank_codes if name == "_two_row_passes" else mrd_criteria, name, fake)
+    from rankforge import census, experiments, mrd_criteria, rank_codes
+    owner = {"_two_row_passes": rank_codes, "_gabidulin_hits": mrd_criteria}
+    monkeypatch.setattr(owner.get(name, experiments), name, fake)
     with pytest.raises(VerificationError, match="census count and classifier disagree"):
         census(2, 2, 4, 4, oracle_stride=1)
 

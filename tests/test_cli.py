@@ -53,6 +53,20 @@ class TestFieldInfo:
         assert code == 0
         assert json.loads(out)["ext_modulus"] == [[1], [1], [0], [1]]
 
+    @pytest.mark.parametrize("data,code", [({}, 0), ({"base_modulus": [1, 1, 1]}, 0),
+                                           ({"modulus": [1, 1, 1]}, 2), ([], 2)])
+    def test_modulus_file_keys_are_optional(self, capsys, tmp_path, data, code):
+        # either key may be left out; an unknown key or a non-object is refused
+        f = tmp_path / "mod.json"
+        f.write_text(json.dumps(data))
+        got, out, err = run(capsys, "field-info", "--p", "2", "--e", "2", "--m", "3",
+                            "--modulus-file", str(f))
+        assert got == code
+        if code:
+            assert "modulus file" in err
+        else:
+            assert json.loads(out)["base_modulus"] == [1, 1, 1]
+
 
 class TestGenGabidulin:
     def test_deterministic_output(self, capsys):
