@@ -112,7 +112,7 @@ def _cmd_bounds(args):
         print(f"# no minimum extension degree: k={args.k} outside 1 < k < n-1")
     reports = prob_bounds.bound_table(args.q, args.k, args.n, m_range)
     rows = [prob_bounds.bound_report_row(r) for r in reports]
-    header = prob_bounds.BOUNDS_CSV_FIELDS[:8]
+    header = ["q", "k", "n", "m", *prob_bounds.BOUND_NAMES]
     print("\t".join(header))
     for row in rows:
         print("\t".join(str(row[h]) for h in header))
@@ -124,17 +124,12 @@ def _cmd_bounds(args):
 def _cmd_simulate(args):
     batch = experiments.monte_carlo(args.q, args.k, args.n, args.m,
                                     args.trials, args.seed, args.workers)
-    _print_json({
-        "q": batch.q, "k": batch.k, "n": batch.n, "m": batch.m,
-        "trials": batch.trials, "seed": batch.seed,
-        "mrd_count": batch.mrd_count, "gab_count": batch.gab_count,
-        "mrd_fraction": batch.mrd_count / batch.trials,
-        "gab_fraction": batch.gab_count / batch.trials,
-        "elapsed_seconds": round(batch.elapsed, 6),
-    })
+    row = experiments.trial_batch_row(batch)
+    _print_json({**row, "mrd_fraction": batch.mrd_count / batch.trials,
+                 "gab_fraction": batch.gab_count / batch.trials,
+                 "elapsed_seconds": round(batch.elapsed, 6)})
     if args.csv:
-        experiments.write_csv(args.csv, experiments.TRIALS_CSV_FIELDS,
-                              [experiments.trial_batch_row(batch)], append=True)
+        experiments.write_csv(args.csv, experiments.TRIALS_CSV_FIELDS, [row], append=True)
     return EXIT_OK
 
 

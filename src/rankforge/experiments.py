@@ -392,42 +392,32 @@ def _last_row_sweep(spec: FieldSpec, first_row):
     increasing} over the visits there that pass and are Gabidulin).
 
     The y_0 that fail are the lines' values at the prefix
-    (`_hyperplanes`), or every y_0 where a flat holds.  At the prefixes that
-    share y_2, ..., the sum_t g_t y_t of a direction g is
-    sum_{t>=2} g_t y_t plus an entry of its table of g_1 y_1 over the y_1
-    (`_combinations` of g_1 times the elements q^a), so a prefix costs one
-    addition per line.  The Gabidulin rows (`_gabidulin_rows`) are kept
-    where the sweep passes them."""
+    (`_hyperplanes`), or every y_0 where a flat holds.  A direction g's
+    sum_t g_t y_t is F_q-linear in p's base-q digits, so it is
+    inner[p mod q^(m-1)] + outer[p div q^(m-1)]: inner is the table of
+    g_1 y_1 over the y_1 and outer that of sum_{t>=2} g_t y_t over
+    (y_2, ...), the `_combinations` of g_1, and of g_2, ..., each times the
+    elements q^a.  A prefix costs one addition per line.  The Gabidulin
+    rows (`_gabidulin_rows`) are kept where the sweep passes them."""
     q, order, w = spec.q, spec.order, len(first_row)
-    entries = range(0, order, q)
     rows = _gabidulin_rows(spec, first_row)
-    add, mul = spec.add, spec.mul
+    add, sub, mul = spec.add, spec.sub, spec.mul
     powers = [q ** a for a in range(1, spec.m)]
 
     def tabled(planes):
-        return [(constants, g[1:], _combinations(spec, [mul(x, a) for x in g[:1] for a in powers]))
+        return [(constants, *(_combinations(spec, [mul(x, a) for x in part for a in powers])
+                              for part in (g[:1], g[1:])))
                 for g, constants in planes.items()]
 
     lines, flats = map(tabled, _hyperplanes(spec, first_row))
-
-    def sums(planes, outer):
-        """(constants, sum_t g_t y_t at every y_1) per direction, y_2, ... = outer."""
-        out = []
-        for constants, g, table in planes:
-            s = 0
-            for x, y in zip(g, outer):
-                s = add(s, mul(x, y))
-            out.append((constants, list(map(add, itertools.repeat(s), table))))
-        return out
-
     p = 0
-    for outer in itertools.product(entries, repeat=max(w - 2, 0)):
-        outer = outer[::-1]  # product steps its last entry fastest, p its lowest digit
+    for o in range((order // q) ** max(w - 2, 0)):
         held = set()
-        for constants, at in sums(flats, outer):
-            held.update(itertools.compress(itertools.count(), map(constants.__contains__, at)))
-        values = [list(map(add, itertools.repeat(b), at)) for constants, at in sums(lines, outer)
-                  for b in constants]
+        for constants, inner, outer in flats:
+            shifted = {sub(c, outer[o]) for c in constants}
+            held.update(itertools.compress(itertools.count(), map(shifted.__contains__, inner)))
+        values = [list(map(add, itertools.repeat(add(b, outer[o])), inner))
+                  for constants, inner, outer in lines for b in constants]
         for i, at in enumerate(zip(*values)):
             if i in held:
                 yield range(order), {}
@@ -967,10 +957,13 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
                 n: int | None = None, m_values=None, trials: int = 500,
                 seed: int = 0, workers: int = 1):
     """Rows for one of the three figures: bounds alone (1), bounds plus
-    empirical fractions (2), or the Gabidulin tail in log scale (3).
+    empirical fractions (2), or the Gabidulin tail in log scale (3).  A row
+    is `bound_report_row` plus the Monte-Carlo cells, cut to
+    `FIGURE_FIELDS[figure_id]`.
 
-    Empirical zero probabilities are emitted as empty cells in the
-    log-scale data so downstream plots can truncate rather than hit log(0).
+    An empirical zero Gabidulin fraction is "0" in figure 2 and an empty
+    cell in the log-scale figure 3, so downstream plots can truncate rather
+    than hit log(0).
     """
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
@@ -987,34 +980,17 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
         m_values = _FIGURE_M_RANGE
     rows = []
     for (pq, pk, pn) in param_sets:
-        for m in m_values:
-            report = pb.bound_table(pq, pk, pn, [m])[0]
-            row = {"q": pq, "k": pk, "n": pn, "m": m}
-            floats = report.floats()
-            if figure_id == 1:
-                row["mrd_rough"] = f"{floats['mrd_rough']:.15g}"
-                row["mrd_main"] = f"{floats['mrd_main']:.15g}"
-            else:
-                batch = monte_carlo(pq, pk, pn, m, trials,
-                                    derive_seed(seed, pq, pk, pn, m), workers)
-                row["trials"] = trials
-                if figure_id == 2:
-                    for name in ("mrd_rough", "mrd_main", "gab_rough", "gab_main"):
-                        row[name] = f"{floats[name]:.15g}"
-                    row["mrd_fraction"] = f"{batch.mrd_count / trials:.15g}"
-                    row["gab_fraction"] = f"{batch.gab_count / trials:.15g}"
-                else:
-                    row["gab_count"] = batch.gab_count
-                    row["gab_rough"] = f"{floats['gab_rough']:.15g}"
-                    row["gab_main"] = f"{floats['gab_main']:.15g}"
-                    if batch.gab_count:
-                        frac = batch.gab_count / trials
-                        row["gab_fraction"] = f"{frac:.15g}"
-                        row["log10_gab_fraction"] = f"{math.log10(frac):.15g}"
-                    else:
-                        row["gab_fraction"] = ""
-                        row["log10_gab_fraction"] = ""
-            rows.append(row)
+        for report in pb.bound_table(pq, pk, pn, m_values):
+            row = pb.bound_report_row(report)
+            if figure_id > 1:
+                batch = monte_carlo(pq, pk, pn, report.m, trials,
+                                    derive_seed(seed, pq, pk, pn, report.m), workers)
+                frac = batch.gab_count / trials
+                row.update(trials=trials, gab_count=batch.gab_count,
+                           mrd_fraction=f"{batch.mrd_count / trials:.15g}",
+                           gab_fraction=f"{frac:.15g}" if frac or figure_id == 2 else "",
+                           log10_gab_fraction=f"{math.log10(frac):.15g}" if frac else "")
+            rows.append({name: row[name] for name in FIGURE_FIELDS[figure_id]})
     return FIGURE_FIELDS[figure_id], rows
 
 
@@ -1059,7 +1035,7 @@ def write_csv(path: str, fieldnames, rows, append: bool = False) -> None:
 
 def trial_batch_row(batch: TrialBatch) -> dict:
     return {"q": batch.q, "k": batch.k, "n": batch.n, "m": batch.m,
-            "seed": batch.seed, "trials": batch.trials,
+            "trials": batch.trials, "seed": batch.seed,
             "mrd_count": batch.mrd_count, "gab_count": batch.gab_count}
 
 

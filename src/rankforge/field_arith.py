@@ -45,7 +45,7 @@ A default modulus is the smallest monic irreducible by Ben-Or's test.
 Library input is read here too: entries and indices by _checked_index,
 integer parameters by _checked_ints, a shape (k, n) by _checked_shape, the
 keys of a JSON object by _checked_keys and a code or matrix argument's
-kind by _checked.
+kind by _checked, and a random source by _checked_rng.
 """
 
 from __future__ import annotations
@@ -127,6 +127,16 @@ def _checked(value, kind, what: str):
     if not isinstance(value, kind):
         raise InvalidParameterError(f"{what}, got {value!r}")
     return value
+
+
+def _checked_rng(rng):
+    """rng.randrange, as a public function's random source must have one
+    (a random.Random, a random.SystemRandom or the random module itself);
+    anything else is invalid input, not an AttributeError at the draw."""
+    randrange = getattr(rng, "randrange", None)
+    if not callable(randrange):
+        raise InvalidParameterError(f"rng must have a randrange method, got {rng!r}")
+    return randrange
 
 
 def _element_index(v, spec: "FieldSpec") -> int:
@@ -822,7 +832,7 @@ def trace_kernel(spec: FieldSpec) -> set[Element]:
 def random_element(spec: FieldSpec, rng) -> Element:
     """Uniform draw over all q^m elements."""
     _checked(spec, FieldSpec, "spec must be a FieldSpec")
-    return Element(spec, rng.randrange(spec.order))
+    return Element(spec, _checked_rng(rng)(spec.order))
 
 
 def enumerate_elements(spec: FieldSpec) -> Iterator[Element]:

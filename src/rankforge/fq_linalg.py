@@ -24,7 +24,8 @@ class _MatrixBase:
 
     def __init__(self, spec: FieldSpec, entries: Sequence[Sequence]):
         self.spec = _checked(spec, FieldSpec, "spec must be a FieldSpec")
-        rows = [list(self._coerce_row(r)) for r in entries]
+        rows = [self._coerce_row(_checked(r, (list, tuple), "a row must be a list or tuple"))
+                for r in _checked(entries, (list, tuple), "entries must be a list or tuple")]
         if not rows:
             raise ShapeError("matrix needs at least one row")
         cols = len(rows[0])

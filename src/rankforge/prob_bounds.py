@@ -108,6 +108,13 @@ def min_extension_degree(q: int, k: int, n: int) -> int:
         m += 1
 
 
+# The paper's four bounds, one column each, in output order: bound_table,
+# BoundReport's floats and exact strings and the CSV fields all read this.
+_BOUNDS = {"mrd_rough": mrd_bound_rough, "mrd_main": mrd_bound,
+           "gab_rough": gab_bound_rough, "gab_main": gab_bound}
+BOUND_NAMES = tuple(_BOUNDS)
+
+
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated bounds for one (q, k, n, m); exact rationals plus floats."""
@@ -138,20 +145,10 @@ class BoundReport:
         return self.gab_main < 1
 
     def floats(self) -> dict:
-        return {
-            "mrd_rough": float(self.mrd_rough),
-            "mrd_main": float(self.mrd_main),
-            "gab_rough": float(self.gab_rough),
-            "gab_main": float(self.gab_main),
-        }
+        return {name: float(getattr(self, name)) for name in _BOUNDS}
 
     def exact_strings(self) -> dict:
-        return {
-            "mrd_rough_exact": _frac_str(self.mrd_rough),
-            "mrd_main_exact": _frac_str(self.mrd_main),
-            "gab_rough_exact": _frac_str(self.gab_rough),
-            "gab_main_exact": _frac_str(self.gab_main),
-        }
+        return {f"{name}_exact": _frac_str(getattr(self, name)) for name in _BOUNDS}
 
 
 def _frac_str(x: Fraction) -> str:
@@ -160,20 +157,11 @@ def _frac_str(x: Fraction) -> str:
 
 def bound_table(q: int, k: int, n: int, m_range) -> list[BoundReport]:
     """One report per extension degree in m_range."""
-    return [
-        BoundReport(q=q, k=k, n=n, m=m,
-                    mrd_rough=mrd_bound_rough(q, k, n, m),
-                    mrd_main=mrd_bound(q, k, n, m),
-                    gab_rough=gab_bound_rough(q, k, n, m),
-                    gab_main=gab_bound(q, k, n, m))
-        for m in m_range
-    ]
+    return [BoundReport(q, k, n, m, **{name: bound(q, k, n, m) for name, bound in _BOUNDS.items()})
+            for m in m_range]
 
 
-BOUNDS_CSV_FIELDS = ["q", "k", "n", "m",
-                     "mrd_rough", "mrd_main", "gab_rough", "gab_main",
-                     "mrd_rough_exact", "mrd_main_exact",
-                     "gab_rough_exact", "gab_main_exact"]
+BOUNDS_CSV_FIELDS = ["q", "k", "n", "m", *BOUND_NAMES, *(f"{name}_exact" for name in BOUND_NAMES)]
 
 
 def bound_report_row(report: BoundReport) -> dict:

@@ -28,7 +28,8 @@ from .budget import check_budget
 from .errors import (InvalidParameterError, ShapeError, SpecMismatchError,
                      VerificationError)
 from .field_arith import (Element, FieldSpec, _checked, _checked_ints, _checked_keys,
-                          _checked_shape, _element_indices, _fq_combination, _span)
+                          _checked_rng, _checked_shape, _element_indices, _fq_combination,
+                          _span)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _echelon_patterns, _expanded_rank,
                         _rank_raw, _rref_in_place, gaussian_binomial)
 
@@ -604,8 +605,8 @@ def random_systematic_code(spec: FieldSpec, k: int, n: int, rng) -> RankCode:
     """Code [I_k | X] with X uniform over F_{q^m}^{k x (n-k)}."""
     k, n = _checked_shape("k n", k, n)
     _checked(spec, FieldSpec, "spec must be a FieldSpec")
-    X = ExtMatrix(spec, [[rng.randrange(spec.order) for _ in range(n - k)]
-                         for _ in range(k)])
+    randrange = _checked_rng(rng)
+    X = ExtMatrix(spec, [[randrange(spec.order) for _ in range(n - k)] for _ in range(k)])
     return RankCode.from_systematic(spec, X)
 
 
@@ -616,9 +617,9 @@ def random_isometry(spec: FieldSpec, n: int, rng) -> Isometry:
     A entry by entry, so the same rng state gave another isometry."""
     n, = _checked_ints("n", n)
     _checked(spec, FieldSpec, "spec must be a FieldSpec")
-    lam = Element(spec, rng.randrange(1, spec.order))
+    randrange = _checked_rng(rng)
+    lam = Element(spec, randrange(1, spec.order))
     size, rows = spec.q ** n, None
     while rows is None:
-        rows = _invertible_rows(spec, [rng.randrange(size) for _ in range(n)], n)
-    return Isometry(lam=lam, A=BaseMatrix._trusted(spec, rows),
-                    sigma_power=rng.randrange(spec.m))
+        rows = _invertible_rows(spec, [randrange(size) for _ in range(n)], n)
+    return Isometry(lam=lam, A=BaseMatrix._trusted(spec, rows), sigma_power=randrange(spec.m))

@@ -249,6 +249,18 @@ CASES = {
                               InvalidParameterError, "too many coefficients"),
     "matrix-empty": (lambda: ExtMatrix(F8, []), ShapeError, "at least one row"),
     "matrix-ragged": (lambda: BaseMatrix(F8, [[1, 0], [1]]), ShapeError, "ragged rows"),
+    "ext-matrix-int-entries": (lambda: ExtMatrix(F16, 5), InvalidParameterError,
+                               "entries must be a list or tuple, got 5"),
+    "ext-matrix-none-entries": (lambda: ExtMatrix(F16, None), InvalidParameterError,
+                                "entries must be a list or tuple, got None"),
+    "base-matrix-int-row": (lambda: BaseMatrix(F16, [5]), InvalidParameterError,
+                            "a row must be a list or tuple, got 5"),
+    "random-element-none-rng": (lambda: random_element(F16, None), InvalidParameterError,
+                                "rng must have a randrange method, got None"),
+    "random-code-none-rng": (lambda: random_systematic_code(F16, 1, 2, None),
+                             InvalidParameterError, "rng must have a randrange method, got None"),
+    "random-isometry-none-rng": (lambda: random_isometry(F16, 2, None), InvalidParameterError,
+                                 "rng must have a randrange method, got None"),
     "ext-json-dimensions": (dimension_mismatch(ExtMatrix, F8, [[3, 5]]),
                             InvalidParameterError, "dimensions disagree with entries"),
     "base-json-dimensions": (dimension_mismatch(BaseMatrix, F8, [[1, 0]]),

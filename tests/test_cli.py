@@ -390,6 +390,7 @@ class TestBounds:
         assert code == 0
         lines = out.strip().splitlines()
         assert lines[0] == "M(2,2,4)=6"
+        assert lines[1] == "\t".join("q k n m mrd_rough mrd_main gab_rough gab_main".split())
         assert len(lines) == 2 + 4  # M line, header, one row per m
 
     def test_m_line_omitted_for_k1(self, capsys):

@@ -19,6 +19,7 @@ from rankforge.experiments import (CENSUS_CSV_FIELDS, TRIALS_CSV_FIELDS,
                                    CensusResult, TrialBatch, census_rows,
                                    derive_seed, trial_batch_row, write_csv)
 from rankforge.fq_linalg import gaussian_binomial
+from rankforge.prob_bounds import BOUND_NAMES, bound_report_row, bound_table
 
 from conftest import assert_gabidulin_per_s, fail
 
@@ -722,6 +723,25 @@ class TestFigureData:
         assert row["gab_count"] == 0
         assert row["gab_fraction"] == ""
         assert row["log10_gab_fraction"] == ""
+
+    def test_zero_gab_fraction_is_0_in_figure2(self):
+        # the same draws as the figure 3 case above: a zero fraction is "0"
+        # in the linear-scale figure 2 and an empty cell in figure 3
+        _, rows = figure_data(2, q=2, k=2, n=5, m_values=[12], trials=50, seed=1)
+        assert rows[0]["gab_fraction"] == "0"
+
+    @pytest.mark.parametrize("figure_id", [1, 2, 3])
+    def test_bound_cells_are_the_bounds_csv_row(self, figure_id):
+        fields, rows = figure_data(figure_id, m_values=[4, 7], trials=8, seed=2)
+        names = [name for name in fields if name in BOUND_NAMES]
+        assert names
+        assert len(rows) == 4
+        for row in rows:
+            q, k, n, m = (row[c] for c in "qknm")
+            want = bound_report_row(bound_table(q, k, n, [m])[0])
+            assert list(row) == fields
+            for name in names:
+                assert row[name] == want[name], (figure_id, name, row)
 
     def test_figure3_log_value_when_nonzero(self):
         # at m = 4 random Gabidulin hits are common for (2, 2, 4)

@@ -715,6 +715,12 @@ class TestSampling:
         assert [random_element(f16, rng1).idx for _ in range(50)] == \
                [random_element(f16, rng2).idx for _ in range(50)]
 
+    @pytest.mark.parametrize("rng", [random, random.SystemRandom()], ids=["module", "system"])
+    def test_module_and_system_rng_draw(self, f16, rng):
+        # any source with a randrange serves, the random module itself too
+        draws = {random_element(f16, rng).idx for _ in range(64)}
+        assert draws <= set(range(f16.order)) and len(draws) > 1
+
     def test_chi_square_uniformity(self, f16):
         # 10^5 draws over 16 cells; critical value for df=15 at the 0.001
         # level is 37.697
