@@ -104,13 +104,12 @@ def _m_range(args):
 
 
 def _cmd_bounds(args):
-    m_range = _m_range(args)
+    reports = prob_bounds.bound_table(args.q, args.k, args.n, _m_range(args))
     if 1 < args.k < args.n - 1:
         M = prob_bounds.min_extension_degree(args.q, args.k, args.n)
         print(f"M({args.q},{args.k},{args.n})={M}")
     else:
         print(f"# no minimum extension degree: k={args.k} outside 1 < k < n-1")
-    reports = prob_bounds.bound_table(args.q, args.k, args.n, m_range)
     rows = [prob_bounds.bound_report_row(r) for r in reports]
     header = ["q", "k", "n", "m", *prob_bounds.BOUND_NAMES]
     print("\t".join(header))

@@ -11,6 +11,11 @@ the hyperplanes of their T(2, n) determinants, and checks oracle visits
 through the block classifier (`mrd_criteria._classify`); `census`
 drives it over the orbits, weights its counts by the orbit's size and
 checkpoints the number of orbits done to a resumable state file.
+
+The lemma suites behind `rankforge verify` (`verify_lemma_suite`) walk
+their exhaustive grids of k x w blocks through `mrd_criteria._blocks` and
+read the trace kernel from `field_arith._kernel`, the one place each is
+computed; a failing check names its witness.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import operator
 import os
 import random
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -31,7 +37,8 @@ from . import mrd_criteria as mc
 from . import prob_bounds as pb
 from .budget import check_budget
 from .errors import InvalidParameterError, VerificationError
-from .field_arith import FieldSpec, _checked, _checked_ints, _checked_shape, default_field
+from .field_arith import (FieldSpec, _checked, _checked_ints, _checked_shape, _kernel,
+                          default_field)
 from .fq_linalg import (ExtMatrix, _echelon_patterns, _echelon_place, _rank_raw,
                         _rref_in_place, count_intersecting_subspaces,
                         enumerate_rref, gaussian_binomial, intersection_dim)
@@ -618,8 +625,13 @@ class LemmaReport:
 _TRACE_SPECS = [(q, m) for q in (2, 3) for m in range(2, 6)]
 
 
+def _failures(name: str, bad: list, passing: str) -> LemmaCheck:
+    """A check that passes iff `bad` is empty; a failure shows its first
+    three entries."""
+    return LemmaCheck(name, not bad, f"failures: {bad[:3]}" if bad else passing)
+
+
 def _suite_trace():
-    checks = []
     linear_bad = []
     surj_bad = []
     phi_kernel_bad = []
@@ -646,7 +658,7 @@ def _suite_trace():
             if len(image) != q:
                 surj_bad.append((q, m, a, len(image)))
                 break
-        kernel = frozenset(a for a in range(order) if tr[a] == 0)
+        kernel = _kernel(spec)
         if len(kernel) != q ** (m - 1) or 0 not in kernel:
             image_bad.append((q, m, f"kernel size {len(kernel)}"))
         for s in spec.valid_s_values():
@@ -658,27 +670,19 @@ def _suite_trace():
             if image != kernel:
                 witness = sorted(image.symmetric_difference(kernel))[:3]
                 image_bad.append((q, m, f"s={s} image != kernel, witness {witness}"))
-    checks.append(LemmaCheck(
-        "trace: F_q-linear map into the base field",
-        not linear_bad, f"failures: {linear_bad[:3]}" if linear_bad else
-        f"{len(_TRACE_SPECS)} field towers checked"))
-    checks.append(LemmaCheck(
-        "trace: b -> Tr(a b) surjective for every nonzero a",
-        not surj_bad, f"failures: {surj_bad[:3]}" if surj_bad else
-        "image has q values for all a"))
-    checks.append(LemmaCheck(
-        "phi_s vanishes exactly on the base field",
-        not phi_kernel_bad, f"failures: {phi_kernel_bad[:3]}" if phi_kernel_bad else
-        "all coprime s checked"))
-    checks.append(LemmaCheck(
-        "image of phi_s equals the trace kernel of size q^(m-1)",
-        not image_bad, f"failures: {image_bad[:3]}" if image_bad else
-        "kernel/image match on all towers"))
-    return checks
+    return [
+        _failures("trace: F_q-linear map into the base field", linear_bad,
+                  f"{len(_TRACE_SPECS)} field towers checked"),
+        _failures("trace: b -> Tr(a b) surjective for every nonzero a", surj_bad,
+                  "image has q values for all a"),
+        _failures("phi_s vanishes exactly on the base field", phi_kernel_bad,
+                  "all coprime s checked"),
+        _failures("image of phi_s equals the trace kernel of size q^(m-1)", image_bad,
+                  "kernel/image match on all towers"),
+    ]
 
 
 def _suite_intersection():
-    checks = []
     # histogram of intersection dimensions against the closed form, (n,k,q)=(4,2,2)
     n, k, q = 4, 2, 2
     fspec = default_field(q, 1)
@@ -690,13 +694,6 @@ def _suite_intersection():
         histogram[k - d] += 1
         total += 1
     expected = {r: count_intersecting_subspaces(n, k, r, q) for r in range(k + 1)}
-    checks.append(LemmaCheck(
-        "subspace intersection counts match brute force for (n,k,q)=(4,2,2)",
-        histogram == expected, f"histogram {histogram} vs closed form {expected}"))
-    checks.append(LemmaCheck(
-        "intersection counts sum to the subspace count 35",
-        total == 35 and sum(expected.values()) == 35, f"total {total}"))
-    sums_ok = True
     bad = None
     for q2 in (2, 3):
         for n2 in range(1, 7):
@@ -704,62 +701,48 @@ def _suite_intersection():
                 lhs = sum(count_intersecting_subspaces(n2, k2, r, q2)
                           for r in range(k2 + 1))
                 if lhs != gaussian_binomial(n2, k2, q2):
-                    sums_ok = False
                     bad = (q2, n2, k2)
-    checks.append(LemmaCheck(
-        "row sums equal the Gaussian binomial for n <= 6, q in {2, 3}",
-        sums_ok, f"first failure at {bad}" if bad else "all (n, k, q) verified"))
-    return checks
+    return [
+        LemmaCheck("subspace intersection counts match brute force for (n,k,q)=(4,2,2)",
+                   histogram == expected, f"histogram {histogram} vs closed form {expected}"),
+        LemmaCheck("intersection counts sum to the subspace count 35",
+                   total == 35 and sum(expected.values()) == 35, f"total {total}"),
+        LemmaCheck("row sums equal the Gaussian binomial for n <= 6, q in {2, 3}",
+                   bad is None, f"first failure at {bad}" if bad else "all (n, k, q) verified"),
+    ]
 
 
 def _suite_phi():
-    checks = []
     spec = default_field(2, 3)
-    counts = {}
-    routes_ok = True
-    detail = []
-    for s in spec.valid_s_values():
-        res = mc.enumerate_G(spec, 2, 4, s)
-        counts[s] = res.exhaustive
-        routes_ok = routes_ok and res.consistent
-        detail.append(f"|G({s})| = {res.exhaustive} (factored {res.factored})")
-    checks.append(LemmaCheck(
-        "|G(1)| = |G(s)| for all coprime s at q=2, m=3, k=2, n=4",
-        len(set(counts.values())) == 1, "; ".join(detail)))
-    checks.append(LemmaCheck(
-        "both counting routes for G(s) agree at q=2, m=3, k=2, n=4",
-        routes_ok, "; ".join(detail)))
+    results = [mc.enumerate_G(spec, 2, 4, s) for s in spec.valid_s_values()]
+    detail = "; ".join(f"|G({r.s})| = {r.exhaustive} (factored {r.factored})" for r in results)
     small = mc.enumerate_G(spec, 1, 2, 1)
-    checks.append(LemmaCheck(
-        "both counting routes agree at q=2, m=3, k=1, n=2",
-        small.consistent, f"|G(1)| = {small.exhaustive} (factored {small.factored})"))
     # preimage sizes of the entrywise difference map for 1 and 2 cells
-    preimage_ok = True
     witness = ""
+    kernel = _kernel(spec)
     for k, n in ((1, 2), (2, 3)):
         cells = k * (n - k)
-        w = n - k
         for s in spec.valid_s_values():
-            images = {}
-            for flat in itertools.product(range(spec.order), repeat=cells):
-                img = tuple(spec.phi_s(v, s) for v in flat)
-                images[img] = images.get(img, 0) + 1
-            kernel = {a for a in range(spec.order) if spec.trace(a) == 0}
+            images = Counter(tuple(spec.phi_s(v, s) for row in X for v in row)
+                             for X in mc._blocks(spec, k, n - k))
             for img, size in images.items():
                 if size != spec.q ** cells:
-                    preimage_ok = False
                     witness = f"size {size} at k={k}, n={n}, s={s}"
                 if any(v not in kernel for v in img):
-                    preimage_ok = False
                     witness = f"image escapes the kernel at k={k}, n={n}, s={s}"
-    checks.append(LemmaCheck(
-        "preimages of the difference map have size q^(k(n-k)) inside K, else empty",
-        preimage_ok, witness or "cells in {1, 2} checked exhaustively"))
-    return checks
+    return [
+        LemmaCheck("|G(1)| = |G(s)| for all coprime s at q=2, m=3, k=2, n=4",
+                   len({r.exhaustive for r in results}) == 1, detail),
+        LemmaCheck("both counting routes for G(s) agree at q=2, m=3, k=2, n=4",
+                   all(r.consistent for r in results), detail),
+        LemmaCheck("both counting routes agree at q=2, m=3, k=1, n=2",
+                   small.consistent, f"|G(1)| = {small.exhaustive} (factored {small.factored})"),
+        LemmaCheck("preimages of the difference map have size q^(k(n-k)) inside K, else empty",
+                   not witness, witness or "cells in {1, 2} checked exhaustively"),
+    ]
 
 
 def _suite_r1():
-    checks = []
     spec = default_field(2, 3)
     k, n = 2, 4
     try:
@@ -770,32 +753,25 @@ def _suite_r1():
         members = []
         injective = False
         detail = str(exc)
-    checks.append(LemmaCheck(
-        "parameterization of rank-one kernel matrices is injective and valid",
-        injective, detail))
     # brute-force the same set over all 2x2 blocks
-    brute = set()
-    kernel = {a for a in range(spec.order) if spec.trace(a) == 0}
-    for flat in itertools.product(range(spec.order), repeat=k * (n - k)):
-        rows = [list(flat[i * (n - k):(i + 1) * (n - k)]) for i in range(k)]
-        if any(v == 0 or v not in kernel for r in rows for v in r):
-            continue
-        if _rank_raw(rows, spec, cap=2) == 1:
-            brute.add(tuple(tuple(r) for r in rows))
+    nonzero = _kernel(spec) - {0}
+    brute = {tuple(tuple(r) for r in rows) for rows in mc._blocks(spec, k, n - k)
+             if all(v in nonzero for r in rows for v in r)
+             and _rank_raw(rows, spec, cap=2) == 1}
     generated = {tuple(tuple(r) for r in M.entries) for M in members}
-    checks.append(LemmaCheck(
-        "parameterization is surjective onto the brute-force set",
-        generated == brute,
-        f"{len(generated)} generated vs {len(brute)} brute-force members"))
     bound = (spec.q ** (spec.m - 1) - 1) ** (n - 1)
-    checks.append(LemmaCheck(
-        "cardinality bound (q^(m-1)-1)^(n-1) holds",
-        len(generated) <= bound, f"{len(generated)} <= {bound} (slack {bound - len(generated)})"))
-    return checks
+    return [
+        LemmaCheck("parameterization of rank-one kernel matrices is injective and valid",
+                   injective, detail),
+        LemmaCheck("parameterization is surjective onto the brute-force set",
+                   generated == brute,
+                   f"{len(generated)} generated vs {len(brute)} brute-force members"),
+        LemmaCheck("cardinality bound (q^(m-1)-1)^(n-1) holds", len(generated) <= bound,
+                   f"{len(generated)} <= {bound} (slack {bound - len(generated)})"),
+    ]
 
 
 def _suite_deg():
-    checks = []
     degree_ok = True
     witness = ""
     sums = {}
@@ -836,76 +812,57 @@ def _suite_deg():
         if max_deg != 2:
             degree_ok = False
             witness = f"max degree {max_deg} at q={q}"
-    checks.append(LemmaCheck(
-        "symbolic expansion degree equals k - dim(rs(E) ∩ U0) on T(2,4)",
-        degree_ok, witness or "q in {2, 3}, all 35/130 forms"))
-    coeff_ok = all(sums[q] == pb.mrd_defect_coefficient(q, 2, 4) for q in (2, 3))
-    checks.append(LemmaCheck(
-        "sum of degrees equals the defect coefficient",
-        coeff_ok, f"sums {sums} vs coefficients "
-                  f"{{2: {pb.mrd_defect_coefficient(2, 2, 4)}, 3: {pb.mrd_defect_coefficient(3, 2, 4)}}}"))
-    checks.append(LemmaCheck(
-        "expansion evaluates to the determinant at random points",
-        eval_ok, witness if not eval_ok else "one random block per form"))
-    return checks
+    coefficients = {q: pb.mrd_defect_coefficient(q, 2, 4) for q in (2, 3)}
+    return [
+        LemmaCheck("symbolic expansion degree equals k - dim(rs(E) ∩ U0) on T(2,4)",
+                   degree_ok, witness or "q in {2, 3}, all 35/130 forms"),
+        LemmaCheck("sum of degrees equals the defect coefficient", sums == coefficients,
+                   f"sums {sums} vs coefficients {coefficients}"),
+        LemmaCheck("expansion evaluates to the determinant at random points",
+                   eval_ok, witness if not eval_ok else "one random block per form"),
+    ]
 
 
 def _suite_criteria():
-    checks = []
+    """One walk over the systematic blocks of three grids: each block is
+    checked against the distance oracle, and a (k, n) = (2, 3) block also
+    against the full-rank variant and, when maximal, against the
+    intersection route of the Gabidulin test.  A check reports its first
+    failure."""
     spec = default_field(2, 3)
-    agree = True
-    witness = ""
-    for k, n in ((1, 2), (1, 3), (2, 3)):
-        w = n - k
-        for flat in itertools.product(range(spec.order), repeat=k * w):
-            X = ExtMatrix(spec, [list(flat[i * w:(i + 1) * w]) for i in range(k)])
-            code = RankCode.from_systematic(spec, X)
-            lhs = mc.is_mrd(code)
-            rhs = _min_rank_distance_raw(spec, code.canonical.entries, k, n) == n - k + 1
-            if lhs != rhs:
-                agree = False
-                witness = f"(k={k}, n={n}, X={X.entries})"
-                break
-    checks.append(LemmaCheck(
-        "echelon criterion matches the distance oracle on small exhaustive grids",
-        agree, witness or "q=2, m=3, (k,n) in {(1,2),(1,3),(2,3)}"))
-    variant_ok = True
-    witness = ""
-    for flat in itertools.product(range(spec.order), repeat=2):
-        X = ExtMatrix(spec, [[flat[0]], [flat[1]]])
-        code = RankCode.from_systematic(spec, X)
-        if mc.is_mrd(code) != mc.is_mrd_fullrank_variant(code):
-            variant_ok = False
-            witness = f"X={X.entries}"
-            break
-    checks.append(LemmaCheck(
-        "echelon criterion matches the full-rank variant (q=2, m=3, k=2, n=3)",
-        variant_ok, witness or "64 systematic blocks"))
-    # two Gabidulin-test routes agree on maximal codes
-    gab_ok = True
-    witness = ""
+    oracle_bad = variant_bad = gab_bad = ""
     count = 0
-    for flat in itertools.product(range(spec.order), repeat=2):
-        X = ExtMatrix(spec, [[flat[0]], [flat[1]]])
-        code = RankCode.from_systematic(spec, X)
-        if not mc.is_mrd(code):
-            continue
-        count += 1
-        via_rank1 = mc._gabidulin_parameter(code)
-        via_intersection = None
-        for s in spec.valid_s_values():
-            shifted = mc.frobenius_code(code, s)
-            if intersection_dim(code.canonical, shifted.canonical) == code.k - 1:
-                via_intersection = s
-                break
-        if via_rank1 != via_intersection:
-            gab_ok = False
-            witness = f"X={X.entries}: {via_rank1} vs {via_intersection}"
-            break
-    checks.append(LemmaCheck(
-        "rank-one route and intersection route agree on maximal codes",
-        gab_ok, witness or f"{count} maximal codes compared (q=2, m=3, k=2, n=3)"))
-    return checks
+    for k, n in ((1, 2), (1, 3), (2, 3)):
+        for rows in mc._blocks(spec, k, n - k):
+            X = ExtMatrix(spec, rows)
+            code = RankCode.from_systematic(spec, X)
+            mrd = mc.is_mrd(code)
+            if mrd != (_min_rank_distance_raw(spec, code.canonical.entries, k, n) == n - k + 1):
+                oracle_bad = oracle_bad or f"(k={k}, n={n}, X={X.entries})"
+            if (k, n) != (2, 3):
+                continue
+            if mrd != mc.is_mrd_fullrank_variant(code):
+                variant_bad = variant_bad or f"X={X.entries}"
+            if mrd:
+                count += 1
+                via_rank1 = mc._gabidulin_parameter(code)
+                via_intersection = None
+                for s in spec.valid_s_values():
+                    shifted = mc.frobenius_code(code, s)
+                    if intersection_dim(code.canonical, shifted.canonical) == code.k - 1:
+                        via_intersection = s
+                        break
+                if via_rank1 != via_intersection:
+                    gab_bad = gab_bad or f"X={X.entries}: {via_rank1} vs {via_intersection}"
+    return [
+        LemmaCheck("echelon criterion matches the distance oracle on small exhaustive grids",
+                   not oracle_bad, oracle_bad or "q=2, m=3, (k,n) in {(1,2),(1,3),(2,3)}"),
+        LemmaCheck("echelon criterion matches the full-rank variant (q=2, m=3, k=2, n=3)",
+                   not variant_bad, variant_bad or "64 systematic blocks"),
+        LemmaCheck("rank-one route and intersection route agree on maximal codes",
+                   not gab_bad,
+                   gab_bad or f"{count} maximal codes compared (q=2, m=3, k=2, n=3)"),
+    ]
 
 
 _SUITES = {
@@ -959,7 +916,8 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     """Rows for one of the three figures: bounds alone (1), bounds plus
     empirical fractions (2), or the Gabidulin tail in log scale (3).  A row
     is `bound_report_row` plus the Monte-Carlo cells, cut to
-    `FIGURE_FIELDS[figure_id]`.
+    `FIGURE_FIELDS[figure_id]`.  `m_values` (default 4..14) is read once,
+    so any iterable serves every shape; an empty one is refused.
 
     An empirical zero Gabidulin fraction is "0" in figure 2 and an empty
     cell in the log-scale figure 3, so downstream plots can truncate rather
@@ -976,8 +934,9 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
         param_sets = [(q, k, n)]
     else:
         param_sets = _FIGURE_PARAMS[figure_id]
-    if m_values is None:
-        m_values = _FIGURE_M_RANGE
+    m_values = tuple(_FIGURE_M_RANGE if m_values is None else m_values)
+    if not m_values:
+        raise InvalidParameterError("m_values must not be empty")
     rows = []
     for (pq, pk, pn) in param_sets:
         for report in pb.bound_table(pq, pk, pn, m_values):

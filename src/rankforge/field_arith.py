@@ -822,11 +822,16 @@ def is_in_base(a: Element) -> bool:
     return a.spec.is_in_base(a.idx)
 
 
+def _kernel(spec: FieldSpec) -> frozenset:
+    """The indices of the elements of trace zero."""
+    return frozenset(a for a in range(spec.order) if spec.trace(a) == 0)
+
+
 def trace_kernel(spec: FieldSpec) -> set[Element]:
     """All elements of trace zero; has exactly q^(m-1) members."""
     check_budget(_checked(spec, FieldSpec, "spec must be a FieldSpec").order,
                  "trace kernel enumeration")
-    return {Element(spec, a) for a in range(spec.order) if spec.trace(a) == 0}
+    return {Element(spec, a) for a in _kernel(spec)}
 
 
 def random_element(spec: FieldSpec, rng) -> Element:

@@ -13,7 +13,7 @@ from math import gcd
 from .budget import check_budget
 from .errors import InvalidParameterError, ShapeError, VerificationError
 from .field_arith import (Element, FieldSpec, _checked, _checked_index, _checked_ints,
-                          _checked_shape, _element_index, _fq_combination)
+                          _checked_shape, _element_index, _fq_combination, _kernel)
 from .fq_linalg import (BaseMatrix, ExtMatrix, _rank_raw, _rref_in_place, det,
                         enumerate_rref, intersection_dim)
 from .rank_codes import RankCode, _is_mrd_block, _side_passes, _smaller_side
@@ -310,18 +310,14 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
     k, n = _checked_shape("k n", k, n)
     _checked(spec, FieldSpec, "spec must be a FieldSpec")
     check_budget((spec.q ** (spec.m - 1)) ** (n - 1), "rank-one kernel enumeration")
-    order = spec.order
-    trace0 = [a for a in range(1, order) if spec.trace(a) == 0]
-    width = n - k
+    kernel = _kernel(spec)
     out = []
     seen = set()
-    for alpha in itertools.product(trace0, repeat=k):
-        betas = [b for b in range(1, order)
-                 if all(spec.trace(spec.mul(a, b)) == 0 for a in alpha)]
-        for beta in itertools.product(betas, repeat=width - 1):
-            rows = []
-            for a in alpha:
-                rows.append([a] + [spec.mul(a, b) for b in beta])
+    for alpha in itertools.product(sorted(kernel - {0}), repeat=k):
+        betas = [b for b in range(1, spec.order)
+                 if all(spec.mul(a, b) in kernel for a in alpha)]
+        for beta in itertools.product(betas, repeat=n - k - 1):
+            rows = [[a] + [spec.mul(a, b) for b in beta] for a in alpha]
             key = tuple(tuple(r) for r in rows)
             if key in seen:
                 raise VerificationError("parameterization produced a duplicate matrix")
@@ -329,7 +325,7 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
             M = ExtMatrix(spec, rows)
             if _rank_raw(rows, spec, cap=2) != 1:
                 raise VerificationError("parameterized matrix does not have rank one")
-            if any(v == 0 or spec.trace(v) != 0 for row in rows for v in row):
+            if any(v == 0 or v not in kernel for row in rows for v in row):
                 raise VerificationError("parameterized matrix has an invalid entry")
             out.append(M)
     bound = (spec.q ** (spec.m - 1) - 1) ** (n - 1)
@@ -338,23 +334,24 @@ def enumerate_R1K(spec: FieldSpec, k: int, n: int):
     return out
 
 
+def _blocks(spec: FieldSpec, k: int, w: int):
+    """Every k x w block over F_{q^m}, as k row lists of element indices, in
+    the itertools.product order of its row-major entries."""
+    for flat in itertools.product(range(spec.order), repeat=k * w):
+        yield [list(flat[i * w:(i + 1) * w]) for i in range(k)]
+
+
 def enumerate_G(spec: FieldSpec, k: int, n: int, s: int) -> GSetCount:
     """Count the set G(s) exhaustively and through the factored route."""
     s = _checked(spec, FieldSpec, "spec must be a FieldSpec")._check_s(s)
     k, n = _checked_shape("k n", k, n)
     cells = k * (n - k)
-    total = spec.order ** cells
-    check_budget(total, "rank-one difference-set scan")
-    order = spec.order
-    in_base = [spec.frobenius(a, 1) == a for a in range(order)]
+    check_budget(spec.order ** cells, "rank-one difference-set scan")
+    in_base = [spec.frobenius(a, 1) == a for a in range(spec.order)]
     classes = ((min(s, spec.m - s), (s,)),)
-    width = n - k
     count = 0
-    for flat in itertools.product(range(order), repeat=cells):
-        if any(in_base[v] for v in flat):
-            continue
-        X = [flat[i * width:(i + 1) * width] for i in range(k)]
-        if _gabidulin_hits(spec, X, classes):
+    for X in _blocks(spec, k, n - k):
+        if not any(in_base[v] for row in X for v in row) and _gabidulin_hits(spec, X, classes):
             count += 1
     factored = (spec.q ** cells) * len(enumerate_R1K(spec, k, n))
     return GSetCount(s=s, exhaustive=count, factored=factored)

@@ -423,6 +423,15 @@ class TestBounds:
             assert message in err and out == "", argv
         assert not f.exists()
 
+    def test_m_below_two_prints_nothing(self, capsys):
+        # the Gabidulin bounds refuse m = 1, which --m-from lets through:
+        # the refusal comes before the M(q,k,n) line is printed
+        code, out, err = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",
+                             "--m-from", "1", "--m-to", "3")
+        assert code == 2
+        assert out == ""
+        assert "m must be at least 2" in err
+
     def test_csv_output(self, capsys, tmp_path):
         f = tmp_path / "bounds.csv"
         code, _, _ = run(capsys, "bounds", "--q", "2", "--k", "2", "--n", "4",
@@ -611,7 +620,52 @@ class TestCensusCli:
         assert resumed["gab_count"] == direct.gab_count
 
 
+# the exact stdout of `rankforge verify --suite <name>`, suite by suite;
+# `--suite all` prints the six in this order
+VERIFY_LINES = {
+    "trace": [
+        "PASS trace: F_q-linear map into the base field: 8 field towers checked",
+        "PASS trace: b -> Tr(a b) surjective for every nonzero a: image has q values for all a",
+        "PASS phi_s vanishes exactly on the base field: all coprime s checked",
+        "PASS image of phi_s equals the trace kernel of size q^(m-1): kernel/image match on all towers",
+    ],
+    "intersection": [
+        "PASS subspace intersection counts match brute force for (n,k,q)=(4,2,2): histogram {0: 1, 1: 18, 2: 16} vs closed form {0: 1, 1: 18, 2: 16}",
+        "PASS intersection counts sum to the subspace count 35: total 35",
+        "PASS row sums equal the Gaussian binomial for n <= 6, q in {2, 3}: all (n, k, q) verified",
+    ],
+    "phi": [
+        "PASS |G(1)| = |G(s)| for all coprime s at q=2, m=3, k=2, n=4: |G(1)| = 240 (factored 240); |G(2)| = 240 (factored 240)",
+        "PASS both counting routes for G(s) agree at q=2, m=3, k=2, n=4: |G(1)| = 240 (factored 240); |G(2)| = 240 (factored 240)",
+        "PASS both counting routes agree at q=2, m=3, k=1, n=2: |G(1)| = 6 (factored 6)",
+        "PASS preimages of the difference map have size q^(k(n-k)) inside K, else empty: cells in {1, 2} checked exhaustively",
+    ],
+    "r1": [
+        "PASS parameterization of rank-one kernel matrices is injective and valid: 15 matrices generated",
+        "PASS parameterization is surjective onto the brute-force set: 15 generated vs 15 brute-force members",
+        "PASS cardinality bound (q^(m-1)-1)^(n-1) holds: 15 <= 27 (slack 12)",
+    ],
+    "deg": [
+        "PASS symbolic expansion degree equals k - dim(rs(E) ∩ U0) on T(2,4): q in {2, 3}, all 35/130 forms",
+        "PASS sum of degrees equals the defect coefficient: sums {2: 50, 3: 210} vs coefficients {2: 50, 3: 210}",
+        "PASS expansion evaluates to the determinant at random points: one random block per form",
+    ],
+    "criteria": [
+        "PASS echelon criterion matches the distance oracle on small exhaustive grids: q=2, m=3, (k,n) in {(1,2),(1,3),(2,3)}",
+        "PASS echelon criterion matches the full-rank variant (q=2, m=3, k=2, n=3): 64 systematic blocks",
+        "PASS rank-one route and intersection route agree on maximal codes: 24 maximal codes compared (q=2, m=3, k=2, n=3)",
+    ],
+}
+
+
 class TestVerify:
+    @pytest.mark.parametrize("suite", ["all", *VERIFY_LINES])
+    def test_stdout_is_pinned(self, capsys, suite):
+        code, out, err = run(capsys, "verify", "--suite", suite)
+        want = (sum(VERIFY_LINES.values(), []) if suite == "all"
+                else VERIFY_LINES[suite])
+        assert (code, out, err) == (0, "".join(line + "\n" for line in want), "")
+
     def test_single_suite_passes(self, capsys):
         code, out, _ = run(capsys, "verify", "--suite", "r1")
         assert code == 0

@@ -11,7 +11,7 @@ import pytest
 from rankforge import (BudgetExceededError, ExtMatrix, FieldSpec,
                        InvalidParameterError, VerificationError,
                        census, default_field, enumerate_rref, euler_phi,
-                       experiments, figure_data, frobenius, gab_bound, gabidulin,
+                       experiments, field_arith, figure_data, frobenius, gab_bound, gabidulin,
                        monte_carlo, moore_matrix, mrd_bound,
                        mrd_criteria, mrd_defect_coefficient, rank1_criterion,
                        rank_codes, verify_lemma_suite)
@@ -697,6 +697,47 @@ class TestLemmaSuite:
         assert failing
         assert any(e.detail for e in failing)
 
+    def test_dropped_block_detected(self, monkeypatch):
+        # fault injection: a block walk that loses its last block must break
+        # the G(s) counts and the preimage sizes, each with a witness
+        original = mrd_criteria._blocks
+
+        def dropped(spec, k, w):
+            return iter(list(original(spec, k, w))[:-1])
+
+        monkeypatch.setattr(mrd_criteria, "_blocks", dropped)
+        failing = {e.name: e.detail for e in verify_lemma_suite("all").entries if not e.passed}
+        assert failing == {
+            "both counting routes for G(s) agree at q=2, m=3, k=2, n=4":
+                "|G(1)| = 239 (factored 240); |G(2)| = 239 (factored 240)",
+            "both counting routes agree at q=2, m=3, k=1, n=2": "|G(1)| = 5 (factored 6)",
+            "preimages of the difference map have size q^(k(n-k)) inside K, else empty":
+                "size 3 at k=2, n=3, s=2",
+        }
+
+    def test_short_kernel_detected(self, monkeypatch):
+        # fault injection: a trace kernel that misses its largest index must
+        # break the kernel/image comparison and the factored G(s) count
+        original = field_arith._kernel
+
+        def short(spec):
+            kernel = original(spec)
+            return kernel - {max(kernel)}
+
+        for module in (field_arith, mrd_criteria, experiments):
+            monkeypatch.setattr(module, "_kernel", short)
+        failing = {e.name: e.detail for e in verify_lemma_suite("all").entries if not e.passed}
+        assert set(failing) == {
+            "image of phi_s equals the trace kernel of size q^(m-1)",
+            "both counting routes for G(s) agree at q=2, m=3, k=2, n=4",
+            "both counting routes agree at q=2, m=3, k=1, n=2",
+            "preimages of the difference map have size q^(k(n-k)) inside K, else empty",
+        }
+        assert "(2, 2, 'kernel size 1')" in failing[
+            "image of phi_s equals the trace kernel of size q^(m-1)"]
+        assert failing["both counting routes agree at q=2, m=3, k=1, n=2"] == \
+            "|G(1)| = 6 (factored 4)"
+
 
 class TestFigureData:
     def test_figure1_bounds_only(self):
@@ -742,6 +783,15 @@ class TestFigureData:
             assert list(row) == fields
             for name in names:
                 assert row[name] == want[name], (figure_id, name, row)
+
+    def test_one_shot_m_values_fill_every_shape(self):
+        fields, rows = figure_data(1, m_values=(m for m in [4, 5]))
+        assert [(r["q"], r["k"], r["n"], r["m"]) for r in rows] == [
+            (2, 2, 4, 4), (2, 2, 4, 5), (2, 2, 5, 4), (2, 2, 5, 5)]
+
+    def test_empty_m_values_rejected(self):
+        with pytest.raises(InvalidParameterError, match="m_values must not be empty"):
+            figure_data(1, m_values=[])
 
     def test_figure3_log_value_when_nonzero(self):
         # at m = 4 random Gabidulin hits are common for (2, 2, 4)
