@@ -7,6 +7,7 @@ exceeded.  All randomness funnels through an explicit --seed flag.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import random
 import sys
@@ -124,8 +125,8 @@ def _cmd_simulate(args):
     batch = experiments.monte_carlo(args.q, args.k, args.n, args.m,
                                     args.trials, args.seed, args.workers)
     row = experiments.trial_batch_row(batch)
-    _print_json({**row, "mrd_fraction": batch.mrd_count / batch.trials,
-                 "gab_fraction": batch.gab_count / batch.trials,
+    _print_json({**row, "mrd_fraction": float(batch.mrd_fraction),
+                 "gab_fraction": float(batch.gab_fraction),
                  "elapsed_seconds": round(batch.elapsed, 6)})
     if args.csv:
         experiments.write_csv(args.csv, experiments.TRIALS_CSV_FIELDS, [row], append=True)
@@ -144,12 +145,8 @@ def _cmd_census(args):
             "orbits_visited": visited, "orbits_to_visit": to_visit,
         })
         return EXIT_OK
-    _print_json({
-        "q": result.q, "k": result.k, "n": result.n, "m": result.m,
-        "total": result.total, "mrd_count": result.mrd_count,
-        "gab_count": result.gab_count,
-        "per_s_gab_counts": {str(s): c for s, c in sorted(result.per_s_gab_counts.items())},
-    })
+    _print_json({**dataclasses.asdict(result), "per_s_gab_counts": {
+        str(s): c for s, c in sorted(result.per_s_gab_counts.items())}})
     if args.csv:
         experiments.write_csv(args.csv, experiments.CENSUS_CSV_FIELDS,
                               experiments.census_rows(result))
@@ -229,12 +226,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_census)
 
     p = sub.add_parser("verify", help="run the lemma-verification suites")
-    p.add_argument("--suite", default="all",
-                   choices=["all", "trace", "intersection", "phi", "r1", "deg", "criteria"])
+    p.add_argument("--suite", default="all", choices=["all", *experiments._SUITES])
     p.set_defaults(func=_cmd_verify)
 
     p = sub.add_parser("figure", help="emit CSV data behind the bound/experiment figures")
-    p.add_argument("--id", type=int, required=True, choices=[1, 2, 3])
+    p.add_argument("--id", type=int, required=True, choices=experiments.FIGURE_FIELDS)
     _int_flags(p, "q k n")
     p.add_argument("--m-from", type=int, default=4)
     p.add_argument("--m-to", type=int, default=14)

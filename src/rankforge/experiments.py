@@ -29,7 +29,8 @@ import os
 import random
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from functools import lru_cache
 
@@ -58,8 +59,30 @@ def derive_seed(root: int, *parts) -> int:
 # --------------------------------------------------------------------------
 # Monte-Carlo trials.
 
+class _Counts:
+    """What `TrialBatch` and `CensusResult` share: of the blocks their field
+    `_size` counts, mrd_count are MRD and gab_count Gabidulin, checked
+    0 <= gab_count <= mrd_count <= size at construction, and the exact
+    fractions of both."""
+
+    def __post_init__(self):
+        size = getattr(self, self._size)
+        if not 0 <= self.gab_count <= self.mrd_count <= size:
+            raise VerificationError(
+                f"inconsistent counts: gab={self.gab_count} mrd={self.mrd_count} "
+                f"{self._size}={size}")
+
+    @property
+    def mrd_fraction(self) -> Fraction:
+        return Fraction(self.mrd_count, getattr(self, self._size))
+
+    @property
+    def gab_fraction(self) -> Fraction:
+        return Fraction(self.gab_count, getattr(self, self._size))
+
+
 @dataclass(frozen=True)
-class TrialBatch:
+class TrialBatch(_Counts):
     """Counts from independently sampled uniform systematic blocks."""
 
     q: int
@@ -71,20 +94,7 @@ class TrialBatch:
     mrd_count: int
     gab_count: int
     elapsed: float = field(compare=False)
-
-    def __post_init__(self):
-        if not 0 <= self.gab_count <= self.mrd_count <= self.trials:
-            raise VerificationError(
-                f"inconsistent counts: gab={self.gab_count} mrd={self.mrd_count} "
-                f"trials={self.trials}")
-
-    @property
-    def mrd_fraction(self) -> Fraction:
-        return Fraction(self.mrd_count, self.trials)
-
-    @property
-    def gab_fraction(self) -> Fraction:
-        return Fraction(self.gab_count, self.trials)
+    _size = "trials"
 
 
 def _mc_chunk(args):
@@ -147,7 +157,7 @@ def monte_carlo(q: int, k: int, n: int, m: int, trials: int, seed: int,
 # Exhaustive census.
 
 @dataclass(frozen=True)
-class CensusResult:
+class CensusResult(_Counts):
     """Exact classification counts over every systematic block."""
 
     q: int
@@ -158,20 +168,7 @@ class CensusResult:
     mrd_count: int
     gab_count: int
     per_s_gab_counts: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not 0 <= self.gab_count <= self.mrd_count <= self.total:
-            raise VerificationError(
-                f"inconsistent counts: gab={self.gab_count} mrd={self.mrd_count} "
-                f"total={self.total}")
-
-    @property
-    def mrd_fraction(self) -> Fraction:
-        return Fraction(self.mrd_count, self.total)
-
-    @property
-    def gab_fraction(self) -> Fraction:
-        return Fraction(self.gab_count, self.total)
+    _size = "total"
 
 
 def _write_checkpoint(path, state):
@@ -694,14 +691,9 @@ def _suite_intersection():
         histogram[k - d] += 1
         total += 1
     expected = {r: count_intersecting_subspaces(n, k, r, q) for r in range(k + 1)}
-    bad = None
-    for q2 in (2, 3):
-        for n2 in range(1, 7):
-            for k2 in range(0, n2 + 1):
-                lhs = sum(count_intersecting_subspaces(n2, k2, r, q2)
-                          for r in range(k2 + 1))
-                if lhs != gaussian_binomial(n2, k2, q2):
-                    bad = (q2, n2, k2)
+    bad = next(((q2, n2, k2) for q2 in (2, 3) for n2 in range(1, 7) for k2 in range(n2 + 1)
+                if sum(count_intersecting_subspaces(n2, k2, r, q2) for r in range(k2 + 1))
+                != gaussian_binomial(n2, k2, q2)), None)
     return [
         LemmaCheck("subspace intersection counts match brute force for (n,k,q)=(4,2,2)",
                    histogram == expected, f"histogram {histogram} vs closed form {expected}"),
@@ -727,9 +719,9 @@ def _suite_phi():
                              for X in mc._blocks(spec, k, n - k))
             for img, size in images.items():
                 if size != spec.q ** cells:
-                    witness = f"size {size} at k={k}, n={n}, s={s}"
+                    witness = witness or f"size {size} at k={k}, n={n}, s={s}"
                 if any(v not in kernel for v in img):
-                    witness = f"image escapes the kernel at k={k}, n={n}, s={s}"
+                    witness = witness or f"image escapes the kernel at k={k}, n={n}, s={s}"
     return [
         LemmaCheck("|G(1)| = |G(s)| for all coprime s at q=2, m=3, k=2, n=4",
                    len({r.exhaustive for r in results}) == 1, detail),
@@ -772,11 +764,9 @@ def _suite_r1():
 
 
 def _suite_deg():
-    degree_ok = True
-    witness = ""
+    degree_bad = eval_bad = ""
     sums = {}
     rng = random.Random(20240601)
-    eval_ok = True
     for q in (2, 3):
         fspec = default_field(q, 1)
         ext = default_field(q, 3)
@@ -786,8 +776,7 @@ def _suite_deg():
             declared = mc.f_E_degree(E)
             poly = mc.symbolic_f_E(E)
             if poly.total_degree() != declared:
-                degree_ok = False
-                witness = f"q={q}, E={E.entries}"
+                degree_bad = degree_bad or f"q={q}, E={E.entries}"
             total += declared
             max_deg = max(max_deg, declared)
             # spot-check the expansion against a direct determinant
@@ -806,20 +795,18 @@ def _suite_deg():
             # symbolic variables live over the extension of the same base
             sym_val = mc.MultilinearPoly(ext, poly.num_vars, poly.coeffs).evaluate(flat)
             if sym_val.idx != det_val:
-                eval_ok = False
-                witness = f"evaluation mismatch at q={q}"
+                eval_bad = eval_bad or f"evaluation mismatch at q={q}"
         sums[q] = total
         if max_deg != 2:
-            degree_ok = False
-            witness = f"max degree {max_deg} at q={q}"
+            degree_bad = degree_bad or f"max degree {max_deg} at q={q}"
     coefficients = {q: pb.mrd_defect_coefficient(q, 2, 4) for q in (2, 3)}
     return [
         LemmaCheck("symbolic expansion degree equals k - dim(rs(E) ∩ U0) on T(2,4)",
-                   degree_ok, witness or "q in {2, 3}, all 35/130 forms"),
+                   not degree_bad, degree_bad or "q in {2, 3}, all 35/130 forms"),
         LemmaCheck("sum of degrees equals the defect coefficient", sums == coefficients,
                    f"sums {sums} vs coefficients {coefficients}"),
         LemmaCheck("expansion evaluates to the determinant at random points",
-                   eval_ok, witness if not eval_ok else "one random block per form"),
+                   not eval_bad, eval_bad or "one random block per form"),
     ]
 
 
@@ -827,13 +814,16 @@ def _suite_criteria():
     """One walk over the systematic blocks of three grids: each block is
     checked against the distance oracle, and a (k, n) = (2, 3) block also
     against the full-rank variant and, when maximal, against the
-    intersection route of the Gabidulin test.  A check reports its first
-    failure."""
+    intersection route of the Gabidulin test.  A grid whose walk does not
+    count its q^(m k (n - k)) blocks fails the oracle check.  A check
+    reports its first failure."""
     spec = default_field(2, 3)
     oracle_bad = variant_bad = gab_bad = ""
-    count = 0
+    maximal = 0
     for k, n in ((1, 2), (1, 3), (2, 3)):
+        walked = 0
         for rows in mc._blocks(spec, k, n - k):
+            walked += 1
             X = ExtMatrix(spec, rows)
             code = RankCode.from_systematic(spec, X)
             mrd = mc.is_mrd(code)
@@ -844,7 +834,7 @@ def _suite_criteria():
             if mrd != mc.is_mrd_fullrank_variant(code):
                 variant_bad = variant_bad or f"X={X.entries}"
             if mrd:
-                count += 1
+                maximal += 1
                 via_rank1 = mc._gabidulin_parameter(code)
                 via_intersection = None
                 for s in spec.valid_s_values():
@@ -854,14 +844,17 @@ def _suite_criteria():
                         break
                 if via_rank1 != via_intersection:
                     gab_bad = gab_bad or f"X={X.entries}: {via_rank1} vs {via_intersection}"
+        if walked != spec.order ** (k * (n - k)):
+            oracle_bad = oracle_bad or (f"(k={k}, n={n}) walked {walked} of "
+                                        f"{spec.order ** (k * (n - k))} blocks")
     return [
         LemmaCheck("echelon criterion matches the distance oracle on small exhaustive grids",
                    not oracle_bad, oracle_bad or "q=2, m=3, (k,n) in {(1,2),(1,3),(2,3)}"),
         LemmaCheck("echelon criterion matches the full-rank variant (q=2, m=3, k=2, n=3)",
-                   not variant_bad, variant_bad or "64 systematic blocks"),
+                   not variant_bad, variant_bad or f"{walked} systematic blocks"),
         LemmaCheck("rank-one route and intersection route agree on maximal codes",
                    not gab_bad,
-                   gab_bad or f"{count} maximal codes compared (q=2, m=3, k=2, n=3)"),
+                   gab_bad or f"{maximal} maximal codes compared (q=2, m=3, k=2, n=3)"),
     ]
 
 
@@ -917,7 +910,8 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     empirical fractions (2), or the Gabidulin tail in log scale (3).  A row
     is `bound_report_row` plus the Monte-Carlo cells, cut to
     `FIGURE_FIELDS[figure_id]`.  `m_values` (default 4..14) is read once,
-    so any iterable serves every shape; an empty one is refused.
+    so any iterable serves every shape; an empty one, or a non-iterable,
+    is refused.
 
     An empirical zero Gabidulin fraction is "0" in figure 2 and an empty
     cell in the log-scale figure 3, so downstream plots can truncate rather
@@ -934,7 +928,8 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
         param_sets = [(q, k, n)]
     else:
         param_sets = _FIGURE_PARAMS[figure_id]
-    m_values = tuple(_FIGURE_M_RANGE if m_values is None else m_values)
+    m_values = tuple(_FIGURE_M_RANGE if m_values is None else
+                     _checked(m_values, Iterable, "m values must be an iterable of ints"))
     if not m_values:
         raise InvalidParameterError("m_values must not be empty")
     rows = []
@@ -944,9 +939,9 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
             if figure_id > 1:
                 batch = monte_carlo(pq, pk, pn, report.m, trials,
                                     derive_seed(seed, pq, pk, pn, report.m), workers)
-                frac = batch.gab_count / trials
+                frac = float(batch.gab_fraction)
                 row.update(trials=trials, gab_count=batch.gab_count,
-                           mrd_fraction=f"{batch.mrd_count / trials:.15g}",
+                           mrd_fraction=f"{float(batch.mrd_fraction):.15g}",
                            gab_fraction=f"{frac:.15g}" if frac or figure_id == 2 else "",
                            log10_gab_fraction=f"{math.log10(frac):.15g}" if frac else "")
             rows.append({name: row[name] for name in FIGURE_FIELDS[figure_id]})
@@ -959,7 +954,8 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
 CSV_SCHEMA_VERSION = 1
 
 TRIALS_CSV_FIELDS = ["q", "k", "n", "m", "seed", "trials", "mrd_count", "gab_count"]
-CENSUS_CSV_FIELDS = ["q", "k", "n", "m", "total", "mrd_count", "gab_count",
+# a CensusResult's counts, then its per-s counts, one row per s
+CENSUS_CSV_FIELDS = [*(f.name for f in fields(CensusResult) if f.name != "per_s_gab_counts"),
                      "s", "gab_count_s"]
 
 
@@ -993,16 +989,15 @@ def write_csv(path: str, fieldnames, rows, append: bool = False) -> None:
 
 
 def trial_batch_row(batch: TrialBatch) -> dict:
-    return {"q": batch.q, "k": batch.k, "n": batch.n, "m": batch.m,
-            "trials": batch.trials, "seed": batch.seed,
-            "mrd_count": batch.mrd_count, "gab_count": batch.gab_count}
+    """The batch's fields but its run time, in declaration order."""
+    return {f.name: getattr(batch, f.name) for f in fields(batch) if f.compare}
 
 
 def census_rows(result: CensusResult) -> list[dict]:
-    base = {"q": result.q, "k": result.k, "n": result.n, "m": result.m,
-            "total": result.total, "mrd_count": result.mrd_count,
-            "gab_count": result.gab_count}
-    if not result.per_s_gab_counts:
+    """The result's counts (`dataclasses.asdict`), once per s with that s's
+    Gabidulin count, or once with empty cells when no s is valid."""
+    base = asdict(result)
+    per_s = base.pop("per_s_gab_counts")
+    if not per_s:
         return [dict(base, s="", gab_count_s="")]
-    return [dict(base, s=s, gab_count_s=c)
-            for s, c in sorted(result.per_s_gab_counts.items())]
+    return [dict(base, s=s, gab_count_s=c) for s, c in sorted(per_s.items())]

@@ -1,17 +1,19 @@
 """Exact evaluation of the probability bounds for random systematic codes.
 
 All bounds are exact rationals; float renderings are derived afterwards
-and never enter a comparison.  A bound is flagged uninformative when a
-lower bound fails to be positive or an upper bound fails to be below one.
+and never enter a comparison.  A bound says nothing where a lower bound
+is not positive or an upper bound is not below one; the value itself
+shows it, so a report carries no flag for it.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InvalidParameterError
-from .field_arith import _checked_ints, _checked_shape, _prime_factors
+from .field_arith import _checked, _checked_ints, _checked_shape, _prime_factors
 from .fq_linalg import gaussian_binomial
 
 
@@ -108,8 +110,9 @@ def min_extension_degree(q: int, k: int, n: int) -> int:
         m += 1
 
 
-# The paper's four bounds, one column each, in output order: bound_table,
-# BoundReport's floats and exact strings and the CSV fields all read this.
+# The paper's four bounds, one column each, in output order: BoundReport's
+# fields after (q, k, n, m), bound_table, bound_report_row and the CSV
+# fields all read this.
 _BOUNDS = {"mrd_rough": mrd_bound_rough, "mrd_main": mrd_bound,
            "gab_rough": gab_bound_rough, "gab_main": gab_bound}
 BOUND_NAMES = tuple(_BOUNDS)
@@ -117,7 +120,7 @@ BOUND_NAMES = tuple(_BOUNDS)
 
 @dataclass(frozen=True)
 class BoundReport:
-    """Evaluated bounds for one (q, k, n, m); exact rationals plus floats."""
+    """The four bounds (`_BOUNDS`) for one (q, k, n, m), as exact rationals."""
 
     q: int
     k: int
@@ -128,37 +131,11 @@ class BoundReport:
     gab_rough: Fraction
     gab_main: Fraction
 
-    @property
-    def mrd_rough_valid(self) -> bool:
-        return self.mrd_rough > 0
-
-    @property
-    def mrd_main_valid(self) -> bool:
-        return self.mrd_main > 0
-
-    @property
-    def gab_rough_valid(self) -> bool:
-        return self.gab_rough < 1
-
-    @property
-    def gab_main_valid(self) -> bool:
-        return self.gab_main < 1
-
-    def floats(self) -> dict:
-        return {name: float(getattr(self, name)) for name in _BOUNDS}
-
-    def exact_strings(self) -> dict:
-        return {f"{name}_exact": _frac_str(getattr(self, name)) for name in _BOUNDS}
-
-
-def _frac_str(x: Fraction) -> str:
-    return f"{x.numerator}/{x.denominator}"
-
 
 def bound_table(q: int, k: int, n: int, m_range) -> list[BoundReport]:
-    """One report per extension degree in m_range."""
+    """One report per extension degree in m_range, an iterable of ints."""
     return [BoundReport(q, k, n, m, **{name: bound(q, k, n, m) for name, bound in _BOUNDS.items()})
-            for m in m_range]
+            for m in _checked(m_range, Iterable, "m values must be an iterable of ints")]
 
 
 BOUNDS_CSV_FIELDS = ["q", "k", "n", "m", *BOUND_NAMES, *(f"{name}_exact" for name in BOUND_NAMES)]
@@ -166,7 +143,7 @@ BOUNDS_CSV_FIELDS = ["q", "k", "n", "m", *BOUND_NAMES, *(f"{name}_exact" for nam
 
 def bound_report_row(report: BoundReport) -> dict:
     """CSV row: floats at 15 significant digits plus num/den strings."""
-    row = {"q": report.q, "k": report.k, "n": report.n, "m": report.m}
-    row.update({name: f"{value:.15g}" for name, value in report.floats().items()})
-    row.update(report.exact_strings())
-    return row
+    bounds = {name: getattr(report, name) for name in _BOUNDS}
+    return {"q": report.q, "k": report.k, "n": report.n, "m": report.m,
+            **{name: f"{float(x):.15g}" for name, x in bounds.items()},
+            **{f"{name}_exact": f"{x.numerator}/{x.denominator}" for name, x in bounds.items()}}

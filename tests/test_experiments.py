@@ -699,7 +699,8 @@ class TestLemmaSuite:
 
     def test_dropped_block_detected(self, monkeypatch):
         # fault injection: a block walk that loses its last block must break
-        # the G(s) counts and the preimage sizes, each with a witness
+        # the G(s) counts, the preimage sizes and the criteria grids' block
+        # counts, each with its first witness
         original = mrd_criteria._blocks
 
         def dropped(spec, k, w):
@@ -712,8 +713,60 @@ class TestLemmaSuite:
                 "|G(1)| = 239 (factored 240); |G(2)| = 239 (factored 240)",
             "both counting routes agree at q=2, m=3, k=1, n=2": "|G(1)| = 5 (factored 6)",
             "preimages of the difference map have size q^(k(n-k)) inside K, else empty":
-                "size 3 at k=2, n=3, s=2",
+                "size 1 at k=1, n=2, s=1",
+            "echelon criterion matches the distance oracle on small exhaustive grids":
+                "(k=1, n=2) walked 7 of 8 blocks",
         }
+
+    def test_repeated_block_detected(self, monkeypatch):
+        # fault injection: a block walk that yields its first block twice
+        # must break the preimage sizes and the criteria grids' block counts;
+        # the preimage check names its first witness, at k = 1, not its last
+        original = mrd_criteria._blocks
+
+        def repeated(spec, k, w):
+            blocks = list(original(spec, k, w))
+            return iter(blocks[:1] + blocks)
+
+        monkeypatch.setattr(mrd_criteria, "_blocks", repeated)
+        failing = {e.name: e.detail for e in verify_lemma_suite("all").entries if not e.passed}
+        assert failing == {
+            "preimages of the difference map have size q^(k(n-k)) inside K, else empty":
+                "size 3 at k=1, n=2, s=1",
+            "echelon criterion matches the distance oracle on small exhaustive grids":
+                "(k=1, n=2) walked 9 of 8 blocks",
+        }
+
+    def test_intersection_names_first_failure(self, monkeypatch):
+        # fault injection: a Gaussian binomial that is off by one at
+        # (q, n, k) = (2, 2, 1) and (3, 5, 1) fails the row sums at the first
+        original = experiments.gaussian_binomial
+        monkeypatch.setattr(experiments, "gaussian_binomial", lambda n, k, q: original(n, k, q)
+                            + ((q, n, k) in {(2, 2, 1), (3, 5, 1)}))
+        assert verify_lemma_suite("intersection").lines()[2] == (
+            "FAIL row sums equal the Gaussian binomial for n <= 6, q in {2, 3}: "
+            "first failure at (2, 2, 1)")
+
+    def test_deg_witness_per_check(self, monkeypatch):
+        # fault injection: an expansion that evaluates wrong once fails the
+        # evaluation check alone, and the degree check keeps its own detail
+        original = mrd_criteria.MultilinearPoly.evaluate
+        calls = []
+
+        def miss_once(self, point):
+            value = original(self, point)
+            calls.append(point)
+            return value if len(calls) > 1 else type(value)(value.spec, value.spec.add(value.idx, 1))
+
+        monkeypatch.setattr(mrd_criteria.MultilinearPoly, "evaluate", miss_once)
+        assert verify_lemma_suite("deg").lines() == [
+            "PASS symbolic expansion degree equals k - dim(rs(E) ∩ U0) on T(2,4): "
+            "q in {2, 3}, all 35/130 forms",
+            "PASS sum of degrees equals the defect coefficient: "
+            "sums {2: 50, 3: 210} vs coefficients {2: 50, 3: 210}",
+            "FAIL expansion evaluates to the determinant at random points: "
+            "evaluation mismatch at q=2",
+        ]
 
     def test_short_kernel_detected(self, monkeypatch):
         # fault injection: a trace kernel that misses its largest index must
@@ -788,6 +841,11 @@ class TestFigureData:
         fields, rows = figure_data(1, m_values=(m for m in [4, 5]))
         assert [(r["q"], r["k"], r["n"], r["m"]) for r in rows] == [
             (2, 2, 4, 4), (2, 2, 4, 5), (2, 2, 5, 4), (2, 2, 5, 5)]
+
+    @pytest.mark.parametrize("m_values", [5, 4.0])
+    def test_non_iterable_m_values_rejected(self, m_values):
+        with pytest.raises(InvalidParameterError, match="m values must be an iterable of ints"):
+            figure_data(1, m_values=m_values)
 
     def test_empty_m_values_rejected(self):
         with pytest.raises(InvalidParameterError, match="m_values must not be empty"):

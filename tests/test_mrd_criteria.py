@@ -11,6 +11,7 @@ from rankforge import (BudgetExceededError, Element, ExtMatrix, FieldSpec,
                        is_mrd_fullrank_variant, min_rank_distance,
                        mrd_defect_coefficient, rank1_criterion,
                        random_systematic_code, sum_f_E_degrees, symbolic_f_E)
+from rankforge import mrd_criteria
 from rankforge.fq_linalg import BaseMatrix, _rank_raw, enumerate_rref
 from rankforge.mrd_criteria import (_classify, _gabidulin_classes, _gabidulin_hits,
                                     _gabidulin_parameter, _is_full_rank_rref,
@@ -257,6 +258,24 @@ class TestBlockKernel:
                 assert is_gabidulin(code) == (expected[0] if expected else None), X
                 mrd += 1
         assert len(reached) == 2 ** (len(valid_s) // 2) and mrd > 0
+
+    @pytest.mark.parametrize("q,m", [(2, 2), (2, 3), (3, 2)])
+    def test_two_by_two_closed_form(self, q, m, monkeypatch):
+        # every 2 x 2 block over F_4, F_8 and F_9, class by class: the closed
+        # form ad = bc, not zero, gives the hits `_is_rank_one` gives on
+        # phi_t(X), and decides them alone, calling `_is_rank_one` never
+        spec = default_field(q, m)
+        sub, frob = spec.sub, spec.frobenius
+        routed = []
+        monkeypatch.setattr(mrd_criteria, "_is_rank_one", lambda *args: routed.append(args))
+        reached = set()
+        for flat in itertools.product(range(spec.order), repeat=4):
+            X = [list(flat[:2]), list(flat[2:])]
+            for t, members in _gabidulin_classes(m):
+                one = _is_rank_one([[sub(frob(x, t), x) for x in row] for row in X], spec.mul)
+                assert _gabidulin_hits(spec, X, ((t, members),)) == (members if one else ()), X
+                reached.add(one)
+        assert routed == [] and reached == {False, True}
 
     @staticmethod
     def assert_self_dual(spec, blocks):

@@ -1,3 +1,4 @@
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -5,7 +6,7 @@ import pytest
 from rankforge import (InvalidParameterError, bound_table, euler_phi, gab_bound,
                        gab_bound_rough, min_extension_degree, mrd_bound,
                        mrd_bound_rough, mrd_defect_coefficient)
-from rankforge.prob_bounds import BOUNDS_CSV_FIELDS, bound_report_row
+from rankforge.prob_bounds import BOUND_NAMES, BOUNDS_CSV_FIELDS, bound_report_row
 
 
 class TestEulerPhi:
@@ -111,18 +112,26 @@ class TestMinExtensionDegree:
 
 
 class TestBoundTable:
-    def test_row_count_and_flags(self):
+    def test_row_count_and_columns(self):
+        # a report is (q, k, n, m) and one exact rational per bound column
         reports = bound_table(2, 2, 4, range(4, 12))
-        assert len(reports) == 8
+        assert [rep.m for rep in reports] == list(range(4, 12))
         for rep in reports:
-            assert rep.mrd_main_valid == (rep.mrd_main > 0)
-            assert rep.gab_main_valid == (rep.gab_main < 1)
+            assert [f.name for f in fields(rep)] == ["q", "k", "n", "m", *BOUND_NAMES]
+            assert all(type(getattr(rep, name)) is Fraction for name in BOUND_NAMES)
 
-    def test_floats_match_rationals(self):
+    def test_row_floats_and_strings_match_rationals(self):
         for rep in bound_table(3, 2, 5, range(4, 10)):
-            floats = rep.floats()
-            assert floats["mrd_main"] == float(rep.mrd_main)
-            assert floats["gab_main"] == float(rep.gab_main)
+            row = bound_report_row(rep)
+            for name in BOUND_NAMES:
+                value = getattr(rep, name)
+                assert row[name] == f"{float(value):.15g}"
+                assert Fraction(row[f"{name}_exact"]) == value
+
+    @pytest.mark.parametrize("m_range", [5, None, 4.0])
+    def test_non_iterable_m_range_rejected(self, m_range):
+        with pytest.raises(InvalidParameterError, match="m values must be an iterable of ints"):
+            bound_table(2, 2, 4, m_range)
 
     def test_csv_row_schema(self):
         rep = bound_table(2, 2, 4, [10])[0]

@@ -401,6 +401,24 @@ class TestBlockKernelLevels:
         walked = rank_codes._walk_passes(spec, X, rank_codes._echelon_tests(4, 4, 7, spec))
         assert walked == (rank_codes._min_rank_distance_raw(spec, rows, 4, 7) == 4)
 
+    # seeded four-row sides at every level t > k; the walk's calls, one per
+    # row prefix it reduces, are counted, so a walk that revisits rows
+    # gives the same verdicts but more calls
+    @pytest.mark.parametrize("q,m,n,calls,passed", [
+        (2, 3, 7, 897, 8), (3, 2, 7, 572, 0), (2, 3, 8, 1307, 10)])
+    def test_walk_call_count(self, q, m, n, calls, passed, monkeypatch):
+        spec = default_field(q, m)
+        rng = random.Random(f"walk-{q}-{m}-{n}")
+        walk = rank_codes._pattern_passes
+        counted = []
+        monkeypatch.setattr(rank_codes, "_pattern_passes",
+                            lambda *args: counted.append(args) or walk(*args))
+        verdicts = []
+        for _ in range(10):
+            X = [[rng.randrange(spec.order) for _ in range(n - 4)] for _ in range(4)]
+            verdicts += [rank_codes._is_mrd_block(spec, X, t) for t in range(5, n)]
+        assert (len(counted), sum(verdicts)) == (calls, passed)
+
     def test_one_budget_check_per_is_mrd(self, monkeypatch):
         # a four-row side walks the patterns whose T(4, 8) `_is_mrd_block`
         # has already checked
