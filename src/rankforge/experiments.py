@@ -171,6 +171,20 @@ class CensusResult(_Counts):
     _size = "total"
 
 
+def _checked_path(path) -> str:
+    """A checkpoint path as a str (os.fspath).  Anything else is invalid
+    input, refused before any file is opened: an int would be opened as a
+    file descriptor (and closed), and bytes or a float would be formatted
+    into a stray file name."""
+    try:
+        text = os.fspath(path)
+    except TypeError:
+        text = None
+    if not isinstance(text, str):
+        raise InvalidParameterError(f"checkpoint_path must be a str or os.PathLike, got {path!r}")
+    return text
+
+
 def _write_checkpoint(path, state):
     tmp = f"{path}.tmp"
     try:
@@ -213,7 +227,7 @@ def _read_checkpoint(path) -> dict:
 def census_progress(checkpoint_path: str) -> tuple[int, int]:
     """(orbits visited, orbits to visit) of the scan a census checkpoint
     holds, e.g. after `census(..., stop_after=...)` returned None."""
-    state = _read_checkpoint(checkpoint_path)
+    state = _read_checkpoint(_checked_path(checkpoint_path))
     return state["cursor"], state["reduction"]["orbits"]
 
 
@@ -509,9 +523,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     (`_last_row`) of orbit v div that, counted prefix by prefix
     (`_last_row_sweep`).  Every `oracle_stride`-th visit (default every
     100th) is checked against `_classify` and the brute-force oracle.
-    When `checkpoint_path` is given, progress is persisted before the first
-    orbit (so an unwritable path fails at once), then at the first orbit
-    boundary at or past each multiple of 2^16 visits, and an interrupted
+    When `checkpoint_path` is given (a str or os.PathLike, `_checked_path`),
+    progress is persisted before the first orbit (so an unwritable path
+    fails at once), then at the first orbit boundary at or past each
+    multiple of 2^16 visits, and an interrupted
     run resumes from the stored cursor; the checkpoint binds (q, k, n, m),
     the field tower and the reduction (scanned k, orbits, visits), and
     holds the number of orbits done and the orbit-weighted counts.
@@ -527,6 +542,8 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
                                                k, n, q, m, oracle_stride)
     if stop_after is not None:
         stop_after, = _checked_ints("stop_after", stop_after)
+    if checkpoint_path is not None:
+        checkpoint_path = _checked_path(checkpoint_path)
     if stop_after is not None and not checkpoint_path:
         raise InvalidParameterError(
             "stop_after needs a checkpoint_path to keep the partial scan")
@@ -872,7 +889,7 @@ def verify_lemma_suite(suite: str = "all") -> LemmaReport:
     """Run the exhaustive verification checks; failures carry witnesses."""
     if suite == "all":
         names = list(_SUITES)
-    elif suite in _SUITES:
+    elif isinstance(suite, str) and suite in _SUITES:
         names = [suite]
     else:
         raise InvalidParameterError(
@@ -917,6 +934,7 @@ def figure_data(figure_id: int, *, q: int | None = None, k: int | None = None,
     cell in the log-scale figure 3, so downstream plots can truncate rather
     than hit log(0).
     """
+    figure_id, = _checked_ints("figure_id", figure_id, low=None)
     if figure_id not in _FIGURE_PARAMS:
         raise InvalidParameterError(f"figure id must be 1, 2 or 3, got {figure_id}")
     trials, workers = _checked_ints("trials workers", trials, workers)

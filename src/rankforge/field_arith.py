@@ -677,18 +677,25 @@ class FieldSpec:
         pool in value order; exp comes from _powers.  A sum of two logs
         indexes exp directly, and a difference in (-n, n) indexes exp or
         zech by Python's negative indexing, so no lookup but Frobenius
-        reduces mod n."""
+        reduces mod n.
+
+        The pool list is freed once log is filled (zech reads only log and
+        exp), and exp is doubled in place by one realloc, so the build never
+        holds the pool and two copies of exp at once: it peaks at its
+        finished tables."""
         q, m, n = self.q, self.m, self.order - 1
         ints = list(range(self.order))
         exp = self._powers(self._find_generator(), ints)
         log = [0] * self.order
         for i, v in zip(ints, exp):
             log[v] = i
+        del ints
         if self.p != 2:
             # 1 + v changes only the lowest F_q digit of v
             fq_add = self.base_field.add
             zech = [log[w] if w else None for w in (v - v % q + fq_add(v % q, 1) for v in exp)]
-        exp = self._exp = exp + exp
+        exp += exp
+        self._exp = exp
         # x^(q^s) = g^(log(x) q^s): frobenius multiplies the log by q^s mod n
         frob_mult = tuple(pow(q, s, n) for s in range(m))
 

@@ -4,6 +4,7 @@ before it computes anything.  Non-integer parameters are in
 `test_experiments.test_non_integer_parameters_refused`."""
 
 import json
+import os
 import random
 
 import pytest
@@ -20,7 +21,7 @@ from rankforge import (BaseMatrix, ExtMatrix, FieldSpec, InvalidParameterError,
                        min_rank_distance, monte_carlo, moore_matrix, mrd_bound,
                        random_element, random_isometry, random_systematic_code, rank,
                        rank1_criterion, rank_distance, rref, sum_f_E_degrees,
-                       symbolic_f_E, trace_kernel)
+                       symbolic_f_E, trace_kernel, verify_lemma_suite)
 from rankforge.experiments import census_progress
 
 F8 = default_field(2, 3)
@@ -164,6 +165,13 @@ CASES = {
     "census-three-rows-no-orbits": (lambda: census(2, 3, 7, 4), InvalidParameterError,
                                     r"\(2,3,7,4\) has min\(k, n - k\) = 3"),
     "figure-id-4": (lambda: figure_data(4), InvalidParameterError, "figure id must be 1, 2 or 3"),
+    # 1.0 == True == 1 as a dict key: read as figure 1 unless refused
+    "figure-id-bool": (lambda: figure_data(True), InvalidParameterError,
+                       "figure_id must be an integer, got True"),
+    "figure-id-float": (lambda: figure_data(1.0), InvalidParameterError,
+                        "figure_id must be an integer, got 1.0"),
+    "verify-suite-list": (lambda: verify_lemma_suite(["trace"]), InvalidParameterError,
+                          r"unknown suite \['trace'\]; choose from all, trace, intersection"),
     "frobenius-code-negative-s": (lambda: frobenius_code(CODE, -1),
                                   InvalidParameterError, "s must be nonnegative, got -1"),
     "evaluate-wrong-length": (lambda: MultilinearPoly(F16, 2, {}).evaluate([1]),
@@ -329,3 +337,18 @@ def test_malformed_checkpoint_progress_refused(tmp_path, state, match):
         census_progress(str(path))
     path.write_text(json.dumps(VALID_STATE))
     assert census_progress(str(path)) == (1, 3)
+
+
+# An int would be opened as a file descriptor and closed after, bytes or a
+# float formatted into a stray "<path>.tmp"; each is refused before any
+# file is opened.  999 is not an open descriptor.
+@pytest.mark.parametrize("path", [1, 999, b"state.json", 2.5])
+@pytest.mark.parametrize("call", [census_progress,
+                                  lambda path: census(2, 1, 3, 3, checkpoint_path=path)],
+                         ids=["progress", "census"])
+def test_checkpoint_path_not_a_str_refused(tmp_path, monkeypatch, call, path):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(InvalidParameterError, match="checkpoint_path must be a str"):
+        call(path)
+    assert list(tmp_path.iterdir()) == []
+    os.fstat(1)  # stdout is still open
