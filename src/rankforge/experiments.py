@@ -526,10 +526,10 @@ def census(q: int, k: int, n: int, m: int, *, spec: FieldSpec | None = None,
     When `checkpoint_path` is given (a str or os.PathLike, `_checked_path`),
     progress is persisted before the first orbit (so an unwritable path
     fails at once), then at the first orbit boundary at or past each
-    multiple of 2^16 visits, and an interrupted
-    run resumes from the stored cursor; the checkpoint binds (q, k, n, m),
-    the field tower and the reduction (scanned k, orbits, visits), and
-    holds the number of orbits done and the orbit-weighted counts.
+    multiple of 2^16 visits, and an interrupted run resumes from the stored
+    cursor; the checkpoint binds (q, k, n, m), the field tower and the
+    reduction (scanned k, orbits, visits), and holds the number of orbits
+    done and the orbit-weighted counts.
     `stop_after` bounds the number of orbits in this call (a checkpoint is
     written and None returned when the scan is not finished), so it needs
     `checkpoint_path`.  The budget bounds the
