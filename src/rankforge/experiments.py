@@ -302,7 +302,7 @@ def _last_row(spec: FieldSpec, w: int, t: int):
     return [q * (t // values ** j % values) for j in range(w)]
 
 
-# The point map (`rank_codes._two_row_passes`) as a hyperplane
+# The two-row test (`rank_codes._two_row_passes`) as a hyperplane
 # arrangement.  With row 0 fixed, a form W = (w0, w1) of T(2, n) has
 # det(W [I_2 | X]^T) = A_0 a(y, w1) - A_1 a(y, w0) at the last row y:
 # A_r = w_r g_0 is an entry of row 0's table (`_combinations`), and

@@ -7,12 +7,13 @@ echelon-identity block test lives here: `_is_mrd_block` decides the
 minimum rank distance level by level, and at level t = k it tests the
 side of the code with fewer rows (`_smaller_side`) through `_side_passes`,
 the one test by row count that is_mrd, the census and the Monte-Carlo
-trials share, two rows through one point map (`_two_row_passes`).  A
-2-dimensional code's distance comes from the point map's ratio classes
-(`_two_row_distance`): the block test and the distance read the one ratio
-pass `_ratios`.  Every test reads a block's rows through their tables of
-F_q-combinations (`_combinations`), each an F_p-span table of
-`field_arith._span`.
+trials share, two rows through one point map (`_two_row_passes`), except a
+2 x 2 block over q = 2, which the Klein quadric decides by one F_2
+elimination (`_klein_passes`).  A 2-dimensional code's distance comes from
+the point map's ratio classes (`_two_row_distance`): the block test and the
+distance read the one ratio pass `_ratios`.  Every other test reads a
+block's rows through their tables of F_q-combinations (`_combinations`),
+each an F_p-span table of `field_arith._span`.
 """
 
 from __future__ import annotations
@@ -239,11 +240,13 @@ def _is_mrd_block(spec: FieldSpec, X, t: int) -> bool:
 def _side_passes(spec: FieldSpec, X, tests=None) -> bool:
     """The echelon identity of X at level t = k = len(X), by row count: one
     row passes iff (row, 1) is F_q-independent (`_one_row_passes`), two go
-    through the point map (`_two_row_passes`), three compare the plane
-    normals of T(2, n) (`_three_row_passes`), and four or more walk the
-    pivot patterns of T(k, n): `tests`, already checked by the caller, or else
+    through the point map or, 2 x 2 over q = 2, the Klein quadric
+    (`_two_row_passes`), three compare the plane normals of T(2, n)
+    (`_three_row_passes`), and four or more walk the pivot patterns of
+    T(k, n): `tests`, already checked by the caller, or else
     `_echelon_tests`, built as they are pulled.  One to three rows run no
-    budget check of their own: one row enumerates nothing, and two or three
+    budget check of their own: one row enumerates nothing, the Klein quadric
+    tests at most 31 kernel vectors, and the point map or the plane normals
     fetch `_points` or `_planes`, checked when built, before any table."""
     k = len(X)
     if k == 1:
@@ -277,19 +280,20 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
     return _expanded_rank(spec, (*row, 1)) == len(row) + 1
 
 
-# The k = t = 2 point map.  Column j of W [I_2 | X]^T is an
-# F_q-combination of (row j of X, 1), so with c0, c1 the two rows' tables
-# (`_combinations`) a form W fails iff the images (c0[i], c1[j]) of its two
-# rows are dependent, and any two distinct normalised rows w of T(1, n)
-# span a form of T(2, n).  So a block passes iff the images of the
-# (q^n - 1)/(q - 1) points (i, j) are nonzero and pairwise non-proportional:
-# the ratios c1[j]/c0[i], infinity where c0[i] = 0, are all distinct.  The
-# point e_1 has i = 0 and image (0, 1), so it always takes infinity, and
-# the other points' keys (`_ratios`) must be distinct, finite and nonzero
-# in image.  The reciprocal ratios c0/c1 are distinct exactly when these
-# are; this direction puts every inverse on row 0.  The census's oracle
-# visits reach this test through `mrd_criteria._classify`, as trials and
-# is_mrd do.
+# The k = t = 2 point map, for every two-row block but a 2 x 2 one over
+# q = 2 (the Klein quadric below), and for `_two_row_distance`.  Column j
+# of W [I_2 | X]^T is an F_q-combination of (row j of X, 1), so with c0, c1
+# the two rows' tables (`_combinations`) a form W fails iff the images
+# (c0[i], c1[j]) of its two rows are dependent, and any two distinct
+# normalised rows w of T(1, n) span a form of T(2, n).  So a block passes
+# iff the images of the (q^n - 1)/(q - 1) points (i, j) are nonzero and
+# pairwise non-proportional: the ratios c1[j]/c0[i], infinity where
+# c0[i] = 0, are all distinct.  The point e_1 has i = 0 and image (0, 1), so
+# it always takes infinity, and the other points' keys (`_ratios`) must be
+# distinct, finite and nonzero in image.  The reciprocal ratios c0/c1 are
+# distinct exactly when these are; this direction puts every inverse on
+# row 0.  The census's oracle visits reach the two-row test through
+# `mrd_criteria._classify`, as trials and is_mrd do.
 
 def _ratios(spec: FieldSpec, X):
     """The point map of a two-row block: one key per point (i, j) of
@@ -305,11 +309,51 @@ def _ratios(spec: FieldSpec, X):
 
 
 def _two_row_passes(spec: FieldSpec, X) -> bool:
-    """The identity of a two-row block at t = 2 by its point map: True iff
-    the keys of `_ratios` are distinct, and none is infinity, which e_1
-    holds, or a zero image."""
+    """The identity of a two-row block at t = 2.  A 2 x 2 block over q = 2
+    takes the Klein quadric (`_klein_passes`); any other block its point
+    map: True iff the keys of `_ratios` are distinct, and none is infinity,
+    which e_1 holds, or a zero image."""
+    if spec.q == 2 and len(X[0]) == 2:
+        return _klein_passes(spec, X)
     ratios = _ratios(spec, X)
     return len({-1, None, *ratios}) == len(ratios) + 2
+
+
+# The k = t = 2 route for a 2 x 2 block at q = 2.  With G = [I_2 | X] and
+# X = [[a, b], [c, d]], Cauchy-Binet gives, for W of T(2, 4) with Pluecker
+# coordinates p, det(W G^T) = p12 + c p13 + d p14 - a p23 - b p24 +
+# (ad - bc) p34.  Up to F_q-scalars these p are exactly the nonzero F_q-points
+# of the Klein quadric p12 p34 - p13 p24 + p14 p23 = 0.  So with u =
+# (p12, p13, p14, -p23, -p24, p34), a block fails iff some nonzero F_q-kernel
+# vector u of (1, c, d, a, b, ad - bc) has u0 u5 + u1 u4 - u2 u3 = 0.  At
+# q = 2 the indices are the F_2 coordinates, as `fq_linalg._expanded_rank`
+# reads them, so one XOR-basis pass over the six ints, each tagged by its
+# position, gives a basis of the kernel, and the quadric is the XOR of three
+# ANDs of tag bits.  The entry 1 keeps e_0 out of the kernel, so it has at
+# most 31 nonzero vectors: the route enumerates no forms and checks no
+# budget.  For m >= 6 the kernel is almost always {0}, and the block passes
+# after the one pass.
+
+def _klein_passes(spec: FieldSpec, X) -> bool:
+    """The identity of a 2 x 2 block over q = 2 at t = 2: True iff no
+    nonzero F_2-kernel vector u of (1, c, d, a, b, ad - bc) lies on the
+    Klein quadric u0 u5 + u1 u4 + u2 u3 = 0.  An int v << 6 | 1 << i carries
+    entry i and its tag; a row reduced to its tag alone is a kernel vector."""
+    (a, b), (c, d) = X
+    mul = spec.mul
+    basis, kernel = {}, [0]
+    for i, v in enumerate((1, c, d, a, b, mul(a, d) ^ mul(b, c))):
+        v = v << 6 | 1 << i
+        while v >> 6:
+            h = v.bit_length() - 1
+            r = basis.get(h)
+            if r is None:
+                basis[h] = v
+                break
+            v ^= r
+        else:
+            kernel += [v ^ u for u in kernel]
+    return all((u & u >> 5 ^ u >> 1 & u >> 4 ^ u >> 2 & u >> 3) & 1 for u in kernel[1:])
 
 
 @lru_cache(maxsize=None)

@@ -1,9 +1,34 @@
 import itertools
 import math
+import signal
 
 import pytest
 
 from rankforge import FieldSpec, default_field, field_arith
+
+TEST_TIME_LIMIT_S = 120  # the slowest test takes about 2 s
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test, with its id, once it has run TEST_TIME_LIMIT_S seconds,
+    so that a kernel that loops for ever fails the suite instead of
+    stalling it.  Where SIGALRM does not exist the test runs unlimited."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        pytest.fail(f"{request.node.nodeid} ran past its {TEST_TIME_LIMIT_S} s limit",
+                    pytrace=False)
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

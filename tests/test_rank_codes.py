@@ -1,4 +1,5 @@
 import copy
+import functools
 import itertools
 import pickle
 import random
@@ -724,7 +725,9 @@ class TestPointMap:
     """`_is_mrd_block` at k = t = 2, where a block passes iff the images of
     the points of PG(n - 1, q) are nonzero and pairwise non-proportional,
     against two oracles that share none of its code: the projective scan,
-    and W [I_2 | X]^T built entry by entry for every W of T(2, n)."""
+    and W [I_2 | X]^T built entry by entry for every W of T(2, n).  A 2 x 2
+    block at q = 2 takes the Klein quadric instead, which is also checked
+    against the point map's own keys (`_ratios`)."""
 
     @staticmethod
     def blocks(spec, n, count, rng):
@@ -755,11 +758,12 @@ class TestPointMap:
             assert not rank_codes._is_mrd_block(spec, X, 2), X
 
     # random blocks at (2, 5, 4) and (2, 8, 5) take both verdicts; at
-    # (2, 6, 6) and at q = 4 (e = 2) most fail, and the Gabidulin
-    # blocks pass
+    # (2, 6, 6), at q = 4 (e = 2) and at q = 8 (e = 3) most fail, and the
+    # Gabidulin blocks pass.  A 2 x 2 block takes the Klein quadric at
+    # (2, 5, 4) and the point map at q = 4 and q = 8.
     @pytest.mark.parametrize("q,m,n,count,oracle", [
         (2, 5, 4, 100, "scan"), (2, 8, 5, 30, "entrywise"),
-        (2, 6, 6, 12, "entrywise"), (4, 4, 4, 12, "entrywise")])
+        (2, 6, 6, 12, "entrywise"), (4, 4, 4, 12, "entrywise"), (8, 4, 4, 4, "scan")])
     def test_sampled_blocks(self, q, m, n, count, oracle):
         spec = default_field(q, m)
         seen = set()
@@ -774,14 +778,82 @@ class TestPointMap:
             seen.add(got)
         assert seen == {False, True}
 
+    @staticmethod
+    def point_map_passes(spec, X):
+        """The point map's verdict on a two-row block, from its `_ratios`
+        keys, whatever route `_two_row_passes` takes."""
+        ratios = rank_codes._ratios(spec, X)
+        return len({-1, None, *ratios}) == len(ratios) + 2
+
+    # every 2 x 2 block over F_4, F_8 and F_16, where the Klein quadric
+    # decides it; the pass counts are the committed census's
+    @pytest.mark.parametrize("m,passed", [(2, 0), (3, 0), (4, 1344)])
+    def test_klein_quadric_every_block(self, m, passed):
+        spec = default_field(2, m)
+        count = 0
+        for X in itertools.product(itertools.product(range(spec.order), repeat=2), repeat=2):
+            got = rank_codes._two_row_passes(spec, X)
+            assert got == self.point_map_passes(spec, X), X
+            count += got
+        assert count == passed
+
+    # seeded blocks, uniform, with entries in a subfield F_{2^d}, or in the
+    # F_2-span of three elements; the last two leave (1, c, d, a, b, ad - bc)
+    # a nontrivial kernel at any m.  A sample at m <= 12 is also checked
+    # against the projective scan.
+    @pytest.mark.parametrize("m,d,count", [(6, 2, 300), (8, 4, 300), (12, 4, 300),
+                                           (16, 4, 300), (20, 4, 40)])
+    def test_klein_quadric_seeded(self, m, d, count):
+        spec = default_field(2, m)
+        rng = random.Random(f"klein-{m}-{d}")
+        exponent = (spec.order - 1) // (2 ** d - 1)
+        span = [rng.randrange(spec.order) for _ in range(3)]
+
+        def sub():
+            return spec.pow(rng.randrange(1, spec.order), exponent) if rng.randrange(8) else 0
+
+        def spanned():
+            return functools.reduce(spec.add, (x for x in span if rng.randrange(2)), 0)
+
+        blocks = [[[draw() for _ in range(2)] for _ in range(2)]
+                  for draw in (lambda: rng.randrange(spec.order), sub, spanned)
+                  for _ in range(count)]
+        seen, kernels = set(), 0
+        for i, X in enumerate(blocks):
+            got = rank_codes._two_row_passes(spec, X)
+            assert got == self.point_map_passes(spec, X), X
+            (a, b), (c, e) = X
+            six = (1, c, e, a, b, spec.sub(spec.mul(a, e), spec.mul(b, c)))
+            kernels += rank_codes._expanded_rank(spec, six) < 6
+            if m <= 12 and i % 15 == 0:
+                rows = [[1, 0] + X[0], [0, 1] + X[1]]
+                assert got == (rank_codes._min_rank_distance_raw(spec, rows, 2, 4) == 3), X
+            seen.add(got)
+        assert seen == {False, True} and kernels >= 2 * count
+
+    def test_klein_quadric_only_at_q_2_on_2x2(self, monkeypatch):
+        # q = 4 and q = 8 (index bits are F_2 coordinates, not F_q ones),
+        # odd q and a 2 x 3 block take the point map
+        called = []
+        real = rank_codes._klein_passes
+        monkeypatch.setattr(rank_codes, "_klein_passes",
+                            lambda spec, X: called.append(spec.q) or real(spec, X))
+        rng = random.Random("klein-route")
+        for q, m, w in [(4, 4, 2), (8, 4, 2), (3, 4, 2), (2, 5, 3), (2, 5, 2)]:
+            spec = default_field(q, m)
+            for _ in range(5):
+                X = [[rng.randrange(spec.order) for _ in range(w)] for _ in range(2)]
+                assert rank_codes._two_row_passes(spec, X) == self.point_map_passes(spec, X)
+        assert called == [2] * 5
+
 
 class TestFirstRowStage:
     """The k = 2 classifier on many last rows that share a first row, as the
     census's oracle visits of one orbit do: `_classify`, whose two-row side
-    test is the point map (`_two_row_passes`).  Each verdict is checked
-    against the projective scan and each MRD block's hits against
-    `rank1_criterion` on the whole block, neither of which reads the point
-    map."""
+    test (`_two_row_passes`) is the Klein quadric for a 2 x 2 block at
+    q = 2 and the point map otherwise.  Each verdict is checked against the
+    projective scan and each MRD block's hits against `rank1_criterion` on
+    the whole block, neither of which reads either route."""
 
     @staticmethod
     def check(spec, n, row0, rows):
