@@ -809,14 +809,14 @@ class TestPointMap:
         exponent = (spec.order - 1) // (2 ** d - 1)
         span = [rng.randrange(spec.order) for _ in range(3)]
 
-        def sub():
+        def in_subfield():
             return spec.pow(rng.randrange(1, spec.order), exponent) if rng.randrange(8) else 0
 
         def spanned():
             return functools.reduce(spec.add, (x for x in span if rng.randrange(2)), 0)
 
         blocks = [[[draw() for _ in range(2)] for _ in range(2)]
-                  for draw in (lambda: rng.randrange(spec.order), sub, spanned)
+                  for draw in (lambda: rng.randrange(spec.order), in_subfield, spanned)
                   for _ in range(count)]
         seen, kernels = set(), 0
         for i, X in enumerate(blocks):
