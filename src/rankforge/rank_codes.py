@@ -11,9 +11,13 @@ trials share, two rows through one point map (`_two_row_passes`), except a
 2 x 2 block over q = 2, which the Klein quadric decides by one F_2
 elimination (`_klein_passes`).  A 2-dimensional code's distance comes from
 the point map's ratio classes (`_two_row_distance`): the block test and the
-distance read the one ratio pass `_ratios`.  Every other test reads a
-block's rows through their tables of F_q-combinations (`_combinations`),
-each an F_p-span table of `field_arith._span`.
+distance read the one ratio pass `_ratios`.  It takes the points by their
+projective directions in the last n - 2 coordinates (`_directions`): each
+row's table of q^(n - 2) F_q-combinations, the F_q part of each image
+added on its lowest base-q digit, and one inverse per direction and
+shift.  Every other test reads a block's rows through their tables of
+F_q-combinations of (row, 1) (`_combinations`), each an F_p-span table of
+`field_arith._span`.
 """
 
 from __future__ import annotations
@@ -247,7 +251,7 @@ def _side_passes(spec: FieldSpec, X, tests=None) -> bool:
     `_echelon_tests`, built as they are pulled.  One to three rows run no
     budget check of their own: one row enumerates nothing, the Klein quadric
     tests at most 31 kernel vectors, and the point map or the plane normals
-    fetch `_points` or `_planes`, checked when built, before any table."""
+    fetch `_directions` or `_planes`, checked when built, before any table."""
     k = len(X)
     if k == 1:
         return _one_row_passes(spec, X[0])
@@ -282,30 +286,46 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
 
 # The k = t = 2 point map, for every two-row block but a 2 x 2 one over
 # q = 2 (the Klein quadric below), and for `_two_row_distance`.  Column j
-# of W [I_2 | X]^T is an F_q-combination of (row j of X, 1), so with c0, c1
-# the two rows' tables (`_combinations`) a form W fails iff the images
-# (c0[i], c1[j]) of its two rows are dependent, and any two distinct
-# normalised rows w of T(1, n) span a form of T(2, n).  So a block passes
-# iff the images of the (q^n - 1)/(q - 1) points (i, j) are nonzero and
-# pairwise non-proportional: the ratios c1[j]/c0[i], infinity where
-# c0[i] = 0, are all distinct.  The point e_1 has i = 0 and image (0, 1), so
-# it always takes infinity, and the other points' keys (`_ratios`) must be
-# distinct, finite and nonzero in image.  The reciprocal ratios c0/c1 are
-# distinct exactly when these are; this direction puts every inverse on
-# row 0.  The census's oracle visits reach the two-row test through
+# of W [I_2 | X]^T is an F_q-combination of (row j of X, 1), so a form W
+# fails iff the images G w of its two rows are dependent, and any two
+# distinct points w of PG(n - 1, q) span a form of T(2, n).  So a block
+# passes iff the images of the (q^n - 1)/(q - 1) points are nonzero and
+# pairwise non-proportional: the ratios of their two entries, infinity
+# where the first is 0, are all distinct.  A point w = (w0, w1, v) with
+# v != 0 is taken with v normalised, a direction of T(1, n - 2), and w0,
+# w1 any F_q values: its image is (A_v + w0, C_v + w1), with A_v and C_v
+# the entries of the two rows' tables of q^(n - 2) F_q-combinations
+# (`_combinations`).  An F_q value sits on the lowest base-q digit of an
+# index, so adding w0 changes only that digit, through a q x q table of
+# F_q sums (`_directions`), and each A_v + w0 is inverted once for its q
+# points.  The points with v = 0 are (1, w1, 0), of ratio w1 (index w1),
+# and e_1, which always takes infinity, so the other points' keys
+# (`_ratios`) must be distinct, finite and nonzero in image.  The
+# reciprocal ratios are distinct exactly when these are; this direction
+# puts every inverse on row 0.  A block costs 2(q^(n - 2) - 1) field
+# additions and q (q^(n - 2) - 1)/(q - 1) inverses, against 2(q^(n - 1) - 1)
+# and q^(n - 1) - 1 over tables of (row, 1): at n = 4, 16 and 12 against
+# 52 and 26 for q = 3, 48 and 30 against 248 and 124 for q = 5.  The
+# census's oracle visits reach the two-row test through
 # `mrd_criteria._classify`, as trials and is_mrd do.
 
 def _ratios(spec: FieldSpec, X):
-    """The point map of a two-row block: one key per point (i, j) of
-    `_points`, the ratio c1[j] c0[i]^-1, -1 at infinity (c0[i] = 0) and
-    None for a zero image.  The points are fetched first: their budget
-    check, when they are built, bounds both rows' tables of q^(n - 1)
-    entries."""
-    points = _points(spec, len(X[0]) + 2)
-    inv, mul = spec.inv, spec.mul
-    inv0 = [inv(a) if a else 0 for a in _combinations(spec, (*X[0], 1))]
-    c1 = _combinations(spec, (*X[1], 1))
-    return [mul(c1[j], inv0[i]) if inv0[i] else -1 if c1[j] else None for i, j in points]
+    """The point map of a two-row block: one key per point of PG(n - 1, q)
+    but e_1, in the order of the points (w0, w1, v), v over the directions
+    of `_directions`, then w0, then w1, and last the q points (1, w1, 0).
+    A key is the ratio (C_v + w1)(A_v + w0)^-1, -1 at infinity (A_v + w0
+    = 0) or None for a zero image; w1 itself for the points with v = 0.
+    The directions are fetched first: their budget check, when they are
+    built, bounds both rows' tables of q^(n - 2) entries."""
+    codes, offsets, pairs = _directions(spec, len(X[0]) + 2)
+    inv, mul, q = spec.inv, spec.mul, spec.q
+    c0, c1 = _combinations(spec, X[0]), _combinations(spec, X[1])
+    inv0 = [inv(b) if (b := a + x) else 0
+            for a in map(c0.__getitem__, codes) for x in offsets[a % q]]
+    images = [c + x for c in map(c1.__getitem__, codes) for x in offsets[c % q]]
+    keys = [mul(images[j], inv0[i]) if inv0[i] else -1 if images[j] else None for i, j in pairs]
+    keys += range(q)
+    return keys
 
 
 def _two_row_passes(spec: FieldSpec, X) -> bool:
@@ -357,11 +377,21 @@ def _klein_passes(spec: FieldSpec, X) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _points(spec: FieldSpec, n: int):
-    """T(1, n) minus e_1 for a 2-row block: the other normalised rows w of
-    F_q^n as index pairs (i, j), c0[i] = w g_0 and c1[j] = w g_1."""
-    return tuple(choice for (row,) in _echelon_tests(1, 2, n, spec) for choice in row
-                 if choice[0])
+def _directions(spec: FieldSpec, n: int):
+    """The point map's layout for a 2-row block of length n, checked
+    against the budget on T(1, n) when built: the table index of each
+    direction v of T(1, n - 2); offsets[d][x], what adding the F_q value x
+    adds to an index of lowest digit d; and the index pairs (i, j) of the
+    points (w0, w1, v) into the shifted images, v's block of q, w0 then
+    w1."""
+    q = spec.q
+    _echelon_patterns(1, n, q)  # the budget check, run at the call
+    codes = tuple(spec.from_digits(v) for (choices,) in _echelon_patterns(1, n - 2, q)
+                  for v in choices)
+    offsets = tuple(tuple(spec.base_field.add(d, x) - d for x in range(q)) for d in range(q))
+    pairs = tuple((i + s, i + t) for i in range(0, q * len(codes), q)
+                  for s in range(q) for t in range(q))
+    return codes, offsets, pairs
 
 
 # The k = t = 3 plane-normal test, the point map one dimension up.  With

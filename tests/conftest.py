@@ -78,7 +78,7 @@ def untabled(monkeypatch, p, e, m):
     """FieldSpec(p, e, m) built as if it were above the table cap, so every
     operation takes the untabled route (ints for q = 2, else digit vectors).
     It equals the tabled FieldSpec(p, e, m); the caches keyed by the spec
-    (`_points`, `_planes`) hold indices, not field operations, so a twin
+    (`_directions`, `_planes`) hold indices, not field operations, so a twin
     can share them."""
     with monkeypatch.context() as mp:
         mp.setattr(field_arith, "_TABLE_MAX", 0)

@@ -533,14 +533,17 @@ class TestCensus:
 
     def test_budget(self, monkeypatch):
         # the budget bounds the work done: the 16 visited blocks, not the
-        # 4096 blocks they stand for.  The shared point list is cleared
-        # first, so its 15 points are counted whatever test ran before
-        rank_codes._points.cache_clear()
+        # 4096 blocks they stand for.  The lazily built tables that check
+        # the budget when built are cleared first, so the checks are a
+        # fresh process's whatever test ran before: the largest is the
+        # two-row sweep's T(2, 4) of 35 forms (`_determinants`)
+        experiments._determinants.cache_clear()
+        rank_codes._directions.cache_clear()
         rank_codes._planes.cache_clear()
-        monkeypatch.setenv("RANKFORGE_BUDGET", "15")
-        with pytest.raises(BudgetExceededError):
+        monkeypatch.setenv("RANKFORGE_BUDGET", "34")
+        with pytest.raises(BudgetExceededError, match=r"T\(2,4\) needs 35"):
             census(2, 2, 4, 3)
-        monkeypatch.setenv("RANKFORGE_BUDGET", "16")
+        monkeypatch.setenv("RANKFORGE_BUDGET", "35")
         result = census(2, 2, 4, 3)
         assert result.total == 4096
         assert_gabidulin_per_s(result)

@@ -847,6 +847,110 @@ class TestPointMap:
         assert called == [2] * 5
 
 
+class TestDirections:
+    """`_ratios`, which takes each point (w0, w1, v) by its direction v in
+    the last n - 2 coordinates and adds w0, w1 on the lowest digit of the
+    tables' entries, against keys computed as the point map defines them:
+    each image G w with G = [I_2 | X] summed by `_fq_combination`, with no
+    table and no shift.  As a multiset, over every normalised w of F_q^n
+    but e_1; point by point, in the documented order of `_ratios`.  Any
+    bijection of F_q onto a direction's q lowest digits gives the same
+    multiset, so only the order shows that w0 is added as an F_q value:
+    at q = 9 the lowest digit is an F_9 index, whose sums are not taken
+    mod 9."""
+
+    @staticmethod
+    def key(spec, X, w):
+        """The key of the point w: c a^-1 for its image (a, c), -1 where
+        a = 0 and c != 0, None for a zero image."""
+        a = field_arith._fq_combination(spec, [1, 0, *X[0]], w)
+        c = field_arith._fq_combination(spec, [0, 1, *X[1]], w)
+        return spec.mul(c, spec.inv(a)) if a else -1 if c else None
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def normalised(q, n):
+        """The normalised w of F_q^n, first nonzero entry 1, but e_1."""
+        e1 = (0, 1) + (0,) * (n - 2)
+        return [w for w in itertools.product(range(q), repeat=n)
+                if next((x for x in w if x), 0) == 1 and w != e1]
+
+    @staticmethod
+    @functools.lru_cache(maxsize=None)
+    def in_order(q, n):
+        """The same points in the order of `_ratios`: (w0, w1, v) for each
+        direction v of T(1, n - 2), w0 then w1, and last (1, w1, 0)."""
+        return ([(w0, w1, *v) for (choices,) in fq_linalg._echelon_patterns(1, n - 2, q)
+                 for v in choices for w0 in range(q) for w1 in range(q)]
+                + [(1, w1) + (0,) * (n - 2) for w1 in range(q)])
+
+    @staticmethod
+    def blocks(spec, n, count, rng):
+        """count uniform blocks, count blocks with entries in F_q (many
+        zero and infinite keys), and blocks with a zero row or entry."""
+        w, q = n - 2, spec.q
+        out = [[[draw() for _ in range(w)] for _ in range(2)]
+               for draw in (lambda: rng.randrange(spec.order), lambda: rng.randrange(q))
+               for _ in range(count)]
+        out += [[[0] * w, [rng.randrange(spec.order) for _ in range(w)]],
+                [[rng.randrange(spec.order) for _ in range(w)], [0] * w],
+                [[0, *[rng.randrange(spec.order) for _ in range(w - 1)]], [1] * w]]
+        return out
+
+    def test_every_block_at_3_2_4(self):
+        spec = default_field(3, 2)
+        points = self.normalised(3, 4)
+        for flat in itertools.product(range(spec.order), repeat=4):
+            X = [list(flat[:2]), list(flat[2:])]
+            want = Counter(self.key(spec, X, w) for w in points)
+            assert Counter(rank_codes._ratios(spec, X)) == want, X
+
+    @pytest.mark.parametrize("q,m,n,count", [
+        (3, 4, 4, 40), (3, 3, 5, 15), (5, 2, 4, 25), (5, 3, 5, 4), (9, 2, 4, 15),
+        (9, 3, 5, 2)])
+    def test_seeded_blocks(self, q, m, n, count):
+        spec = default_field(q, m)
+        points, ordered = self.normalised(q, n), self.in_order(q, n)
+        for X in self.blocks(spec, n, count, random.Random(f"directions-{q}-{m}-{n}")):
+            got = rank_codes._ratios(spec, X)
+            assert Counter(got) == Counter(self.key(spec, X, w) for w in points), X
+            assert got == [self.key(spec, X, w) for w in ordered], X
+
+    def test_budget_checked_on_T_1_n_when_built(self, monkeypatch):
+        # the 40 points of PG(3, 3), as the point list of tables of (row, 1)
+        # was checked
+        spec = default_field(3, 3)
+        X = [[1, 2], [3, 4]]
+        rank_codes._directions.cache_clear()
+        monkeypatch.setenv("RANKFORGE_BUDGET", "39")
+        with pytest.raises(BudgetExceededError, match=r"T\(1,4\) needs 40"):
+            rank_codes._ratios(spec, X)
+        monkeypatch.setenv("RANKFORGE_BUDGET", "40")
+        assert len(rank_codes._ratios(spec, X)) == 39
+
+    # the verdict and the distance against the projective scan: random
+    # blocks, blocks over F_q and Gabidulin blocks, which are MRD (n <= m)
+    @pytest.mark.parametrize("q,m,n,count", [(3, 4, 4, 20), (3, 5, 5, 4), (9, 3, 3, 20),
+                                             (9, 4, 4, 2)])
+    def test_verdict_and_distance_against_the_scan(self, q, m, n, count):
+        spec = default_field(q, m)
+        rng = random.Random(f"directions-scan-{q}-{m}-{n}")
+        blocks = self.blocks(spec, n, count, rng)
+        blocks += TestPointMap.blocks(spec, n, 0, rng)
+        distances = set()
+        for X in blocks:
+            rows = [[1, 0] + X[0], [0, 1] + X[1]]
+            d = rank_codes._min_rank_distance_raw(spec, rows, 2, n)
+            assert rank_codes._is_mrd_block(spec, X, 2) == (d == n - 1), X
+            # the distance of the same code on a generator that is not
+            # systematic: its rows swapped, the second scaled and added on
+            a = rng.randrange(1, spec.order)
+            mixed = [rows[1], [spec.add(x, spec.mul(a, y)) for x, y in zip(rows[0], rows[1])]]
+            assert rank_codes._two_row_distance(spec, mixed, n) == d, X
+            distances.add(d)
+        assert {1, n - 1} <= distances
+
+
 class TestFirstRowStage:
     """The k = 2 classifier on many last rows that share a first row, as the
     census's oracle visits of one orbit do: `_classify`, whose two-row side
