@@ -12,12 +12,12 @@ trials share, two rows through one point map (`_two_row_passes`), except a
 elimination (`_klein_passes`).  A 2-dimensional code's distance comes from
 the point map's ratio classes (`_two_row_distance`): the block test and the
 distance read the one ratio pass `_ratios`.  It takes the points by their
-projective directions in the last n - 2 coordinates (`_directions`): each
-row's table of q^(n - 2) F_q-combinations, the F_q part of each image
-added on its lowest base-q digit, and one inverse per direction and
-shift.  Every other test reads a block's rows through their tables of
-F_q-combinations of (row, 1) (`_combinations`), each an F_p-span table of
-`field_arith._span`.
+projective directions in the last n - 2 coordinates (`_directions`): a
+table per row of the F_q-combinations that directions take, the F_q part
+of each image added on its lowest base-q digit, and one inverse per
+direction and shift.  Every other test reads a block's rows through their
+tables of F_q-combinations of (row, 1).  Each table is an F_p-span table of
+`field_arith._span` (`_combinations`).
 """
 
 from __future__ import annotations
@@ -293,21 +293,23 @@ def _one_row_passes(spec: FieldSpec, row) -> bool:
 # pairwise non-proportional: the ratios of their two entries, infinity
 # where the first is 0, are all distinct.  A point w = (w0, w1, v) with
 # v != 0 is taken with v normalised, a direction of T(1, n - 2), and w0,
-# w1 any F_q values: its image is (A_v + w0, C_v + w1), with A_v and C_v
-# the entries of the two rows' tables of q^(n - 2) F_q-combinations
-# (`_combinations`).  An F_q value sits on the lowest base-q digit of an
-# index, so adding w0 changes only that digit, through a q x q table of
-# F_q sums (`_directions`), and each A_v + w0 is inverted once for its q
-# points.  The points with v = 0 are (1, w1, 0), of ratio w1 (index w1),
-# and e_1, which always takes infinity, so the other points' keys
-# (`_ratios`) must be distinct, finite and nonzero in image.  The
-# reciprocal ratios are distinct exactly when these are; this direction
-# puts every inverse on row 0.  A block costs 2(q^(n - 2) - 1) field
-# additions and q (q^(n - 2) - 1)/(q - 1) inverses, against 2(q^(n - 1) - 1)
-# and q^(n - 1) - 1 over tables of (row, 1): at n = 4, 16 and 12 against
-# 52 and 26 for q = 3, 48 and 30 against 248 and 124 for q = 5.  The
-# census's oracle visits reach the two-row test through
-# `mrd_criteria._classify`, as trials and is_mrd do.
+# w1 any F_q values: its image is (A_v + w0, C_v + w1), A_v and C_v the
+# F_q-combinations by v of the two rows.  A normalised v has first
+# coefficient 0 or 1, so a row's table needs only those combinations:
+# the table of the row without its first entry (`_combinations`), then
+# that entry plus each of them, 2 q^(n - 3) entries.  An F_q value sits on
+# the lowest base-q digit of an index, so adding w0 changes only that
+# digit, through a q x q table of F_q sums (`_directions`), and each
+# A_v + w0 is inverted once for its q points.  The points with v = 0 are
+# (1, w1, 0), of ratio w1 (index w1), and e_1, which always takes
+# infinity, so the other points' keys (`_ratios`) must be distinct, finite
+# and nonzero in image.  The reciprocal ratios are distinct exactly when
+# these are; this direction puts every inverse on row 0.  A block costs
+# 2 (2 q^(n - 3) - 1) field additions and q (q^(n - 2) - 1)/(q - 1)
+# inverses, against 2 (q^(n - 1) - 1) and q^(n - 1) - 1 over the tables of
+# (row, 1): at n = 4, 10 and 12 against 52 and 26 for q = 3, and 18 and 30
+# against 248 and 124 for q = 5.  The census's oracle visits reach the
+# two-row test through `mrd_criteria._classify`, as trials and is_mrd do.
 
 def _ratios(spec: FieldSpec, X):
     """The point map of a two-row block: one key per point of PG(n - 1, q)
@@ -316,10 +318,13 @@ def _ratios(spec: FieldSpec, X):
     A key is the ratio (C_v + w1)(A_v + w0)^-1, -1 at infinity (A_v + w0
     = 0) or None for a zero image; w1 itself for the points with v = 0.
     The directions are fetched first: their budget check, when they are
-    built, bounds both rows' tables of q^(n - 2) entries."""
+    built, bounds both rows' tables of 2 q^(n - 3) entries."""
     codes, offsets, pairs = _directions(spec, len(X[0]) + 2)
-    inv, mul, q = spec.inv, spec.mul, spec.q
-    c0, c1 = _combinations(spec, X[0]), _combinations(spec, X[1])
+    add, inv, mul, q = spec.add, spec.inv, spec.mul, spec.q
+    (a0, *rest0), (a1, *rest1) = X
+    c0, c1 = _combinations(spec, rest0), _combinations(spec, rest1)
+    c0 += [add(a0, a) for a in c0]
+    c1 += [add(a1, c) for c in c1]
     inv0 = [inv(b) if (b := a + x) else 0
             for a in map(c0.__getitem__, codes) for x in offsets[a % q]]
     images = [c + x for c in map(c1.__getitem__, codes) for x in offsets[c % q]]
@@ -379,15 +384,15 @@ def _klein_passes(spec: FieldSpec, X) -> bool:
 @lru_cache(maxsize=None)
 def _directions(spec: FieldSpec, n: int):
     """The point map's layout for a 2-row block of length n, checked
-    against the budget on T(1, n) when built: the table index of each
-    direction v of T(1, n - 2); offsets[d][x], what adding the F_q value x
-    adds to an index of lowest digit d; and the index pairs (i, j) of the
-    points (w0, w1, v) into the shifted images, v's block of q, w0 then
-    w1."""
+    against the budget on T(1, n) when built: the index of each direction v
+    of T(1, n - 2) in a row's table of `_ratios`, v[0] q^(n - 3) plus the
+    base-q code of v[1:]; offsets[d][x], what adding the F_q value x adds to
+    an index of lowest digit d; and the index pairs (i, j) of the points
+    (w0, w1, v) into the shifted images, v's block of q, w0 then w1."""
     q = spec.q
     _echelon_patterns(1, n, q)  # the budget check, run at the call
-    codes = tuple(spec.from_digits(v) for (choices,) in _echelon_patterns(1, n - 2, q)
-                  for v in choices)
+    codes = tuple(v[0] * q ** (n - 3) + spec.from_digits(v[1:])
+                  for (choices,) in _echelon_patterns(1, n - 2, q) for v in choices)
     offsets = tuple(tuple(spec.base_field.add(d, x) - d for x in range(q)) for d in range(q))
     pairs = tuple((i + s, i + t) for i in range(0, q * len(codes), q)
                   for s in range(q) for t in range(q))
