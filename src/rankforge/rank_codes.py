@@ -321,10 +321,10 @@ def _ratios(spec: FieldSpec, X):
     built, bounds both rows' tables of 2 q^(n - 3) entries."""
     codes, offsets, pairs = _directions(spec, len(X[0]) + 2)
     add, inv, mul, q = spec.add, spec.inv, spec.mul, spec.q
-    (a0, *rest0), (a1, *rest1) = X
+    (lead0, *rest0), (lead1, *rest1) = X
     c0, c1 = _combinations(spec, rest0), _combinations(spec, rest1)
-    c0 += [add(a0, a) for a in c0]
-    c1 += [add(a1, c) for c in c1]
+    c0 += [add(lead0, a) for a in c0]
+    c1 += [add(lead1, c) for c in c1]
     inv0 = [inv(b) if (b := a + x) else 0
             for a in map(c0.__getitem__, codes) for x in offsets[a % q]]
     images = [c + x for c in map(c1.__getitem__, codes) for x in offsets[c % q]]

@@ -917,8 +917,8 @@ class TestDirections:
             assert got == [self.key(spec, X, w) for w in ordered], X
 
     def test_budget_checked_on_T_1_n_when_built(self, monkeypatch):
-        # the 40 points of PG(3, 3), as the point list of tables of (row, 1)
-        # was checked
+        # a (3, m, 4) block's point map walks the 40 points of T(1, 4); the
+        # directions check that count when built, before any table
         spec = default_field(3, 3)
         X = [[1, 2], [3, 4]]
         rank_codes._directions.cache_clear()
